@@ -436,17 +436,28 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
                 registry.counter("swag_server_admitted_total").get(),
             );
             match server.durability_stats() {
-                Some(d) => println!(
-                    "durability: on — wal {} records / {} B appended ({} B unsynced), \
-                     {} snapshots ({} buckets), cold {} runs / {} segments",
-                    d.wal_records,
-                    d.wal_appended_bytes,
-                    d.wal_lag_bytes,
-                    d.snapshots_written,
-                    d.snapshot_buckets_written,
-                    d.cold_runs,
-                    d.cold_segments,
-                ),
+                Some(d) => {
+                    println!(
+                        "durability: on — wal {} records / {} B appended ({} B unsynced), \
+                         {} snapshots ({} buckets), cold {} runs / {} segments",
+                        d.wal_records,
+                        d.wal_appended_bytes,
+                        d.wal_lag_bytes,
+                        d.snapshots_written,
+                        d.snapshot_buckets_written,
+                        d.cold_runs,
+                        d.cold_segments,
+                    );
+                    println!(
+                        "cold tier: {} runs pruned by zone map / {} opened, {} B resident; \
+                         {} unreadable runs, {} failed demotions",
+                        d.cold_runs_pruned,
+                        d.cold_runs_opened,
+                        d.cold_resident_bytes,
+                        d.cold_run_errors,
+                        d.cold_demote_errors,
+                    );
+                }
                 None => println!("durability: off (memory-only; pass --data-dir DIR)"),
             }
         }

@@ -416,7 +416,8 @@ pub fn render_dashboard(stack: &LiveStack, statuses: &[SloStatus]) -> String {
     ));
     match stack.server.durability_stats() {
         Some(d) => out.push_str(&format!(
-            "durable   wal lag {} B (seq {})  snapshots {} (age {})  cold {} runs / {} segs\n\n",
+            "durable   wal lag {} B (seq {})  snapshots {} (age {})  cold {} runs / {} segs\n\
+             cold      pruned {} / opened {} runs  resident {} B  errors {} run / {} demote\n\n",
             d.wal_lag_bytes,
             d.wal_seq,
             d.snapshots_written,
@@ -424,6 +425,11 @@ pub fn render_dashboard(stack: &LiveStack, statuses: &[SloStatus]) -> String {
                 .map_or("never".to_string(), |us| format!("{us} us")),
             d.cold_runs,
             d.cold_segments,
+            d.cold_runs_pruned,
+            d.cold_runs_opened,
+            d.cold_resident_bytes,
+            d.cold_run_errors,
+            d.cold_demote_errors,
         )),
         None => out.push_str("durable   off (memory-only; pass --data-dir DIR)\n\n"),
     }

@@ -3,6 +3,13 @@
 //! Coordinating callers spin-help on the pool while the latch is open and
 //! park briefly when no work is available; the final decrement notifies
 //! under the lock so a parked waiter cannot miss it.
+//!
+//! A latch usually lives in the coordinator's stack frame, which dies as
+//! soon as the coordinator sees it set. So a job's *last touch* of the
+//! latch must happen-before [`CountLatch::is_set`] can return `true`:
+//! [`CountLatch::set_one`] decrements and notifies inside the lock, and
+//! `is_set` passes through the lock once after it reads zero — it cannot
+//! get in before the final setter is out.
 
 use std::sync::atomic::{AtomicUsize, Ordering};
 use std::sync::{Condvar, PoisonError};
@@ -33,29 +40,37 @@ impl CountLatch {
         self.count.fetch_add(1, Ordering::Relaxed);
     }
 
-    /// Marks one job done. The `Release` pairs with the waiter's
-    /// `Acquire` load so the job's writes are visible once the latch
-    /// reads zero.
+    /// Marks one job done. The whole step runs under the lock, so the
+    /// unlock is this job's last touch of the latch (see the module
+    /// docs). The `Release` pairs with the waiter's `Acquire` load so the
+    /// job's writes are visible once the latch reads zero.
     pub(crate) fn set_one(&self) {
+        let _guard = self.lock.lock();
         if self.count.fetch_sub(1, Ordering::Release) == 1 {
-            let _guard = self.lock.lock();
             self.cvar.notify_all();
         }
     }
 
-    /// Whether every job has finished.
+    /// Whether every job has finished *and left the latch*: once this
+    /// returns `true` the caller may free it.
     pub(crate) fn is_set(&self) -> bool {
-        self.count.load(Ordering::Acquire) == 0
+        if self.count.load(Ordering::Acquire) != 0 {
+            return false;
+        }
+        // Zero was stored under the lock; acquiring it here waits out
+        // the setter that stored it.
+        drop(self.lock.lock());
+        true
     }
 
     /// Parks the caller until notified or `timeout` elapses. The timeout
     /// bounds the missed-wakeup window for *pool* work arriving while we
     /// sleep on the latch (latch completion itself is never missed: the
     /// zero check below happens under the same lock as `set_one`'s
-    /// notification).
+    /// decrement and notification).
     pub(crate) fn park(&self, timeout: Duration) {
         let guard = self.lock.lock();
-        if self.is_set() {
+        if self.count.load(Ordering::Acquire) == 0 {
             return;
         }
         let _ = self

@@ -27,6 +27,11 @@ mod ops;
 pub mod plan;
 mod write;
 
+pub(crate) use ops::cold_zone_of;
+
+#[cfg(test)]
+mod cold_tests;
+
 use std::sync::atomic::AtomicU64;
 use std::sync::Arc;
 
@@ -427,23 +432,33 @@ impl Engine {
     }
 
     /// Renders the explain cold-tier line for `plan`: how many of the
-    /// on-disk cold runs its window could touch. `None` when the plan
-    /// cannot reach cold data (then explain output is byte-identical to
+    /// on-disk cold runs survive time and space pruning against their
+    /// zone maps, how many of those are resident (the rest cost a file
+    /// read), and any run that cannot be read, by name. `None` when the
+    /// server has no cold runs (then explain output is byte-identical to
     /// a memory-only server's).
     pub(crate) fn cold_line(&self, plan: &QueryPlan) -> Option<String> {
-        let durability = self.durability.as_ref()?;
-        let total = durability.cold().runs();
+        use std::fmt::Write as _;
+        let cold = self.durability.as_ref()?.cold();
+        let total = cold.runs();
         if total == 0 {
             return None;
         }
-        let touched = durability
-            .cold()
-            .overlapping(plan.query.t_end, durability.width_s())
-            .len();
-        Some(format!(
-            "{touched} of {total} cold runs overlap the window ({})",
+        let touched = cold.probe(|zone| plan.reaches_zone(zone));
+        let mut line = format!(
+            "{} of {total} cold runs overlap the window and area, {} resident ({})",
+            touched.len(),
+            cold.resident_among(&touched),
             plan::OP_COLD_SCAN
-        ))
+        );
+        for run in cold.unreadable() {
+            let file = run.path().file_name().unwrap_or(run.path().as_os_str());
+            let _ = write!(line, "; unreadable {}", file.to_string_lossy());
+            if let Some(e) = run.error() {
+                let _ = write!(line, " ({e})");
+            }
+        }
+        Some(line)
     }
 
     /// Computes point-in-time gauges into `registry`: epoch snapshot age,
@@ -524,7 +539,42 @@ impl Engine {
                 "swag_store_cold_records",
                 "Records reachable through the cold tier.",
             );
+            registry.set_help(
+                "swag_store_cold_resident_bytes",
+                "Decoded cold run bodies held in memory (bounded LRU).",
+            );
             let stats = durability.stats();
+            // The store counts these itself (runs can fail before any
+            // registry exists); mirror the totals into counters.
+            for (name, help, total) in [
+                (
+                    "swag_store_cold_runs_pruned_total",
+                    "Cold runs skipped by zone map, before any I/O.",
+                    stats.cold_runs_pruned,
+                ),
+                (
+                    "swag_store_cold_runs_opened_total",
+                    "Cold run bodies read and decoded by queries.",
+                    stats.cold_runs_opened,
+                ),
+                (
+                    "swag_store_cold_run_errors_total",
+                    "Cold runs found unreadable (named by swag explain).",
+                    stats.cold_run_errors,
+                ),
+                (
+                    "swag_store_cold_demote_errors_total",
+                    "Demotions that failed to reach disk (records lost to retention).",
+                    stats.cold_demote_errors,
+                ),
+            ] {
+                registry.set_help(name, help);
+                let counter = registry.counter(name);
+                counter.add(total.saturating_sub(counter.get()));
+            }
+            registry
+                .gauge("swag_store_cold_resident_bytes")
+                .set(stats.cold_resident_bytes.min(i64::MAX as u64) as i64);
             registry
                 .gauge("swag_store_wal_lag_bytes")
                 .set(stats.wal_lag_bytes.min(i64::MAX as u64) as i64);

@@ -13,15 +13,17 @@
 
 use std::sync::atomic::Ordering;
 
+use swag_core::RepFov;
 use swag_exec::Executor;
 use swag_geo::LatLon;
 use swag_rtree::SearchStats;
+use swag_store::Zone;
 
 use crate::index::fov_box;
 use crate::query::{Query, QueryOptions, RankMode};
 use crate::ranking::{collect_hits, hit_for, rank_hits, SearchHit};
 use crate::server::{ServerStats, AUTO_THRESHOLD_INTERVAL};
-use crate::store::{SegmentId, SegmentRecord};
+use crate::store::{SegmentId, SegmentRecord, SegmentRef};
 
 use super::admission::ShedReason;
 use super::cache;
@@ -39,22 +41,41 @@ use super::Engine;
 /// [`SearchHit::source`] either way.
 pub(crate) const COLD_HIT_ID: SegmentId = SegmentId(u32::MAX);
 
+/// The zone map of a cold run: the union of [`fov_box`] over its
+/// records, in `swag-store`'s flat form. Computed here — at demotion and
+/// for runs whose header carries none — so the box [`Engine::cold_scan`]
+/// prunes with is by construction the box it tests records with.
+///
+/// # Panics
+/// Panics on an empty slice; no cold run is empty.
+pub(crate) fn cold_zone_of(records: &[(RepFov, SegmentRef)]) -> Zone {
+    let mbr = records
+        .iter()
+        .map(|(rep, _)| fov_box(rep))
+        .reduce(|a, b| a.union(&b))
+        .expect("a cold run holds at least one record");
+    let (min, max) = (mbr.min, mbr.max);
+    [min[0], min[1], min[2], max[0], max[1], max[2]]
+}
+
 impl Engine {
-    /// The cold-run scan operator: walks every demoted run whose bucket
-    /// could overlap the plan's window, applying the same box test and
-    /// filter chain the delta scan uses. Returns the filtered hits
-    /// (carrying [`COLD_HIT_ID`]) plus the records examined. Callers
-    /// gate on [`Engine::has_cold`], so memory-only servers never reach
-    /// this.
+    /// The cold-run scan operator: asks the catalog which demoted runs
+    /// the plan's boxes can touch — decided from zone maps, in time and
+    /// space, before any I/O — and walks the survivors in `(bucket,
+    /// seq)` order with the same box test and filter chain the delta
+    /// scan uses. Returns the filtered hits (carrying [`COLD_HIT_ID`])
+    /// plus the records examined. A run that fails to read contributes
+    /// nothing and is counted and named by the catalog. Callers gate on
+    /// [`Engine::has_cold`], so memory-only servers never reach this.
     pub(crate) fn cold_scan(&self, plan: &QueryPlan) -> (Vec<SearchHit>, u64) {
         let mut hits = Vec::new();
         let mut rows_in = 0u64;
         if let Some(durability) = &self.durability {
-            for run in durability
-                .cold()
-                .overlapping(plan.query.t_end, durability.width_s())
-            {
-                let records = run.records();
+            let cold = durability.cold();
+            for run in cold.probe(|zone| plan.reaches_zone(zone)) {
+                let Ok(records) = cold.records(&run) else {
+                    continue;
+                };
                 rows_in += records.len() as u64;
                 for (rep, source) in records.iter() {
                     if plan.boxes.intersects(&fov_box(rep))

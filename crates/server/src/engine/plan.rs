@@ -16,6 +16,7 @@
 //! name identical pipeline stages.
 
 use swag_core::{points_toward, sector_intersects_circle, CameraProfile, RepFov};
+use swag_rtree::Aabb;
 
 use crate::engine::fanout::FanoutDecision;
 use crate::index::{query_boxes, QueryBoxes};
@@ -122,6 +123,18 @@ impl QueryPlan {
             rank: opts.rank,
             k: opts.top_n,
         }
+    }
+
+    /// Whether the plan's boxes intersect a cold run's zone map (the
+    /// union of `fov_box` over the run's records): `false` proves no
+    /// record of the run can pass the box test, in time or in space.
+    pub(crate) fn reaches_zone(&self, zone: &swag_store::Zone) -> bool {
+        // Not `Aabb::new`: a zone comes from disk, and a malformed one
+        // must fail the test, not panic.
+        self.boxes.intersects(&Aabb {
+            min: [zone[0], zone[1], zone[2]],
+            max: [zone[3], zone[4], zone[5]],
+        })
     }
 
     /// Stable 64-bit fingerprint of the canonical plan — the result-cache

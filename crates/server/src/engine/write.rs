@@ -13,7 +13,8 @@ use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
 use std::sync::Arc;
 
-use swag_core::{RepFov, UploadBatch};
+use bytes::BytesMut;
+use swag_core::{DescriptorCodec, RepFov, UploadBatch};
 use swag_store::WalOp;
 
 use crate::index::fov_box;
@@ -24,11 +25,24 @@ use crate::store::{SegmentId, SegmentRecord, SegmentRef, SegmentStore};
 use crate::subscribe::{SubscriptionId, SubscriptionSet};
 
 use super::epoch::{CacheStamp, DeltaRecord, Epoch, SnapshotCore};
+use super::ops::cold_zone_of;
 use super::plan::{OP_INGEST, OP_PUBLISH};
 use super::Engine;
 
 /// Don't bother compacting stores with fewer tombstones than this.
 const COMPACT_DEAD_FLOOR: usize = 32;
+
+/// The rep as a cold run will hand it back: the container stores reps in
+/// the descriptor codec's fixed-point form, so a zone map computed over
+/// the in-memory floats could miss a decoded record by a rounding step.
+/// A rep the codec rejects is returned as is (its demotion fails anyway).
+fn as_stored(rep: &RepFov, scratch: &mut BytesMut) -> RepFov {
+    scratch.clear();
+    match DescriptorCodec::encode_rep(rep, scratch) {
+        Ok(()) => DescriptorCodec::decode_rep(&mut &scratch[..]).unwrap_or(*rep),
+        Err(_) => *rep,
+    }
+}
 
 /// Writer-side state, guarded by one mutex. `core` mirrors the epoch's
 /// core; store/index clones taken from it are copy-on-write cheap.
@@ -156,19 +170,28 @@ impl Engine {
             // Cold-tier demotion: before the expired segments become
             // tombstones, write them (grouped by home bucket) to
             // immutable cold runs so `cold_scan` can still reach them.
-            // Best-effort — a failed demotion never fails the publish.
+            // A failed demotion never fails the publish — retention goes
+            // ahead — but it is data loss, so it is logged here and
+            // counted by the store, never discarded.
             if let Some(durability) = &self.durability {
                 if durability.config().cold_tier && !report.segments_dropped.is_empty() {
                     let mut by_bucket: BTreeMap<i64, Vec<(RepFov, SegmentRef)>> = BTreeMap::new();
+                    let mut scratch = BytesMut::with_capacity(DescriptorCodec::RECORD_SIZE);
                     for id in &report.segments_dropped {
                         let rec = store.get(*id);
                         by_bucket
                             .entry(swag_store::home_bucket(rec.rep.t_start, width))
                             .or_default()
-                            .push((rec.rep, rec.source));
+                            .push((as_stored(&rec.rep, &mut scratch), rec.source));
                     }
                     for (bucket, records) in &by_bucket {
-                        let _ = durability.demote(*bucket, records);
+                        if let Err(e) = durability.demote(*bucket, records, cold_zone_of(records)) {
+                            eprintln!(
+                                "swag-server: demoting bucket {bucket} failed, retention \
+                                 dropped its {} records: {e}",
+                                records.len()
+                            );
+                        }
                     }
                 }
             }

@@ -29,7 +29,7 @@ pub fn save_snapshot(server: &CloudServer) -> Result<Bytes, SnapshotError> {
         .into_iter()
         .map(|rec| (rec.rep, rec.source))
         .collect();
-    swag_store::encode_records(&records)
+    swag_store::encode_records(&records, None)
 }
 
 /// Restores a server from a snapshot, bulk-loading the R-tree index.

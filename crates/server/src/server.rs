@@ -281,6 +281,7 @@ impl CloudServer {
             config.shard_width_s,
             config.durability,
             clock.clone(),
+            crate::engine::cold_zone_of,
         )?;
         let mut server = Self::with_config_and_clock(cam, config, clock);
         // Replay happens with durability detached: recovered state is

@@ -222,6 +222,18 @@ fn expired_shards_demote_to_cold_and_stay_queryable() {
     assert!(cold.rows_in >= 12);
     assert!(analyzed.report.render().contains("cold_scan"));
 
+    // A window disjoint from everything demoted is pruned by the zone
+    // maps: the cold operator still runs, but examines no row.
+    let hot = Query::new(1_290.0, 1_400.0, base(), 5_000.0);
+    let analyzed = server.query_analyzed(1, &hot, &wide_opts());
+    assert_eq!(analyzed.hits.len(), 12);
+    let cold = analyzed.report.cold.expect("cold operator ran");
+    assert_eq!((cold.rows_in, cold.hits), (0, 0));
+    // So is one that overlaps in time but lies elsewhere in space.
+    let away = Query::new(0.0, 100.0, base().offset(90.0, 20_000.0), 500.0);
+    let cold = server.query_analyzed(1, &away, &wide_opts()).report.cold;
+    assert_eq!(cold.expect("cold operator ran").rows_in, 0);
+
     // Cold runs survive a restart.
     server.quiesce();
     drop(server);
@@ -229,6 +241,177 @@ fn expired_shards_demote_to_cold_and_stay_queryable() {
         CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(4)).expect("reopen");
     let after = recovered.query(&Query::new(0.0, 100.0, base(), 5_000.0), &wide_opts());
     assert_eq!(result_digest(&after), result_digest(&cold_hits));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Demotes four buckets of ten records each (width 600 s, records
+/// every 60 s) beside a live tail, and returns the server.
+fn server_with_cold_history(dir: &Path) -> CloudServer {
+    let server =
+        CloudServer::open(dir, CameraProfile::smartphone(), durable_config(8)).expect("open");
+    for i in 0..50 {
+        let (rep, source) = rec(i, 60.0);
+        server.ingest_one(rep, source);
+    }
+    assert_eq!(server.expire_before(2_400.0), 40);
+    server.quiesce();
+    server
+}
+
+fn cold_files(dir: &Path) -> Vec<PathBuf> {
+    let mut files: Vec<PathBuf> = std::fs::read_dir(dir.join("cold"))
+        .unwrap()
+        .flatten()
+        .map(|e| e.path())
+        .collect();
+    files.sort();
+    files
+}
+
+#[test]
+fn reopen_reads_cold_headers_only_and_hot_queries_open_nothing() {
+    let dir = tmp_dir();
+    let runs = {
+        let server = server_with_cold_history(&dir);
+        let stats = server.durability_stats().unwrap();
+        assert_eq!(stats.cold_segments, 40);
+        stats.cold_runs
+    };
+    assert!(runs >= 4);
+    let server =
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("reopen");
+    let stats = server.durability_stats().unwrap();
+    assert_eq!((stats.cold_runs, stats.cold_segments), (runs, 40));
+    assert_eq!((stats.cold_runs_opened, stats.cold_resident_bytes), (0, 0));
+
+    // A query inside the live horizon is answered without touching a run.
+    let hot = Query::new(2_400.0, 3_000.0, base(), 5_000.0);
+    assert_eq!(server.query(&hot, &wide_opts()).len(), 10);
+    let stats = server.durability_stats().unwrap();
+    assert_eq!((stats.cold_runs_opened, stats.cold_resident_bytes), (0, 0));
+    assert!(stats.cold_runs_pruned >= runs as u64);
+
+    // A historical one opens exactly the runs its window overlaps.
+    let old = Query::new(700.0, 1_100.0, base(), 5_000.0);
+    assert_eq!(server.query(&old, &wide_opts()).len(), 7);
+    let opened = server.durability_stats().unwrap().cold_runs_opened;
+    assert!(
+        (1..runs as u64).contains(&opened),
+        "opened {opened} of {runs}"
+    );
+    let explain = server.explain(&old, &wide_opts());
+    assert!(
+        explain.contains(&format!(
+            "{opened} of {runs} cold runs overlap the window and area, {opened} resident"
+        )),
+        "explain: {explain}"
+    );
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn runs_without_a_trustworthy_zone_map_still_load_and_answer() {
+    let dir = tmp_dir();
+    let everything = Query::new(0.0, 1e9, base(), 5_000.0);
+    let narrow = Query::new(700.0, 1_100.0, base(), 5_000.0);
+    let (all, some) = {
+        let server = server_with_cold_history(&dir);
+        (
+            result_digest(&server.query(&everything, &wide_opts())),
+            result_digest(&server.query(&narrow, &wide_opts())),
+        )
+    };
+    let files = cold_files(&dir);
+    // One run back in the layout the previous release wrote: 8-byte
+    // header, no zone map.
+    let raw = std::fs::read(&files[0]).unwrap();
+    let records = swag_store::decode_container(&raw[..]).unwrap().records;
+    std::fs::write(
+        &files[0],
+        swag_store::encode_records(&records, None).unwrap(),
+    )
+    .unwrap();
+    // One whose header fails its crc while the body (footer recomputed)
+    // is intact: the zone is not believed, the records are.
+    let mut raw = std::fs::read(&files[1]).unwrap();
+    raw[20] ^= 0x40;
+    let body_end = raw.len() - 4;
+    let footer = swag_store::crc32(&raw[..body_end]);
+    raw[body_end..].copy_from_slice(&footer.to_le_bytes());
+    std::fs::write(&files[1], raw).unwrap();
+
+    let server =
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("reopen");
+    let stats = server.durability_stats().unwrap();
+    assert_eq!(stats.cold_segments, 40);
+    assert_eq!((stats.cold_run_errors, stats.cold_resident_bytes), (0, 0));
+    assert_eq!(result_digest(&server.query(&narrow, &wide_opts())), some);
+    assert_eq!(result_digest(&server.query(&everything, &wide_opts())), all);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn corrupt_cold_run_is_typed_counted_and_named() {
+    let dir = tmp_dir();
+    let everything = Query::new(0.0, 1e9, base(), 5_000.0);
+    let before = server_with_cold_history(&dir).query(&everything, &wide_opts());
+    assert_eq!(before.len(), 50);
+    let files = cold_files(&dir);
+    let lost = swag_store::decode_container(&std::fs::read(&files[0]).unwrap()[..])
+        .unwrap()
+        .records
+        .len();
+    std::fs::write(&files[0], b"garbage").unwrap();
+
+    let mut server =
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("reopen");
+    let registry = swag_obs::Registry::new();
+    server.attach_observability(&registry);
+    server.refresh_gauges(&registry);
+    assert_eq!(
+        registry.counter("swag_store_cold_run_errors_total").get(),
+        1
+    );
+    let stats = server.durability_stats().unwrap();
+    assert_eq!(stats.cold_run_errors, 1);
+    assert_eq!(stats.cold_segments as usize, 40 - lost);
+
+    // The other runs answer as before; the bad one is reported, by file
+    // name and cause, instead of reading as an empty run.
+    let after = server.query(&everything, &wide_opts());
+    assert_eq!(after.len(), 50 - lost);
+    assert!(after.iter().all(|h| before.contains(h)));
+    let explain = server.explain(&everything, &wide_opts());
+    let name = files[0].file_name().unwrap().to_str().unwrap();
+    assert!(
+        explain.contains(&format!("unreadable {name} (store corrupt:")),
+        "explain: {explain}"
+    );
+    server.refresh_gauges(&registry);
+    assert_eq!(
+        registry.counter("swag_store_cold_run_errors_total").get(),
+        1
+    );
+    assert!(registry.counter("swag_store_cold_runs_opened_total").get() >= 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_demotion_is_counted_not_discarded() {
+    let dir = tmp_dir();
+    let server =
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("open");
+    for i in 0..20 {
+        let (rep, source) = rec(i, 60.0);
+        server.ingest_one(rep, source);
+    }
+    // The cold directory disappears under the server: retention still
+    // runs, and the loss is counted.
+    std::fs::remove_dir_all(dir.join("cold")).unwrap();
+    assert_eq!(server.expire_before(600.0), 10);
+    let stats = server.durability_stats().unwrap();
+    assert_eq!((stats.cold_demote_errors, stats.cold_segments), (1, 0));
+    assert_eq!(server.stats().segments, 10);
     std::fs::remove_dir_all(&dir).ok();
 }
 

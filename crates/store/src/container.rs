@@ -12,6 +12,15 @@
 //!   breaking old readers, the count is 64-bit (v1 silently truncated
 //!   `len as u32`), and the crc32 footer covers everything before it.
 //!
+//! The v2 header has one optional extension, used by cold runs: `count
+//! u64 | zone 6×f64 | header_crc u32`, where the [`Zone`] is the 3-D MBR
+//! of the records. A writer that supplies no zone emits the plain 8-byte
+//! header, and readers that predate the zone skip it through
+//! `header_len`. `decode_header` reads count and zone from the first
+//! `HEADER_PREFIX_LEN` (67) bytes of a file; it cannot check the footer, so
+//! the zoned header carries a crc of its own (over every byte before it)
+//! — a flipped zone bit would otherwise prune a run that matches.
+//!
 //! Each record is a 20-byte [`SegmentRef`] frame followed by the 22-byte
 //! `DescriptorCodec` representative-FoV encoding.
 
@@ -28,8 +37,19 @@ pub const MAGIC: u32 = 0x5357_4147;
 pub const CONTAINER_VERSION: u8 = 2;
 /// Per-record [`SegmentRef`] framing on top of the descriptor codec.
 pub const REF_SIZE: usize = 8 + 8 + 4;
-/// v2 header payload this writer emits: `count u64`.
+/// Shortest v2 header payload: `count u64`.
 const HEADER_LEN_V2: usize = 8;
+/// v2 header payload with a zone map: `count u64 | zone 6×f64 |
+/// header_crc u32`.
+const HEADER_LEN_ZONED: usize = HEADER_LEN_V2 + 6 * 8 + 4;
+/// Bytes from the start of a file that [`decode_header`] needs at most.
+pub(crate) const HEADER_PREFIX_LEN: usize = 4 + 1 + 2 + HEADER_LEN_ZONED;
+
+/// A container's zone map: the 3-D box `[min x, min y, min t, max x,
+/// max y, max t]` enclosing every record's index box. This crate stores
+/// and compares it; the engine, which owns the box definition, computes
+/// it.
+pub type Zone = [f64; 6];
 
 /// Errors produced while encoding or decoding snapshot containers.
 #[derive(Debug, Clone, PartialEq, Eq)]
@@ -46,11 +66,14 @@ pub enum SnapshotError {
     TooManyRecords(usize),
     /// The buffer held this many bytes past the end of the container.
     TrailingBytes(usize),
-    /// The crc32 footer did not match the container contents.
+    /// A header zone with a NaN bound or `min > max`.
+    BadZone,
+    /// A crc32 (footer, or the zoned header's own) did not match the
+    /// bytes it covers.
     BadCrc {
-        /// Checksum stored in the footer.
+        /// Checksum stored in the container.
         expected: u32,
-        /// Checksum computed over the container bytes.
+        /// Checksum computed over the covered bytes.
         found: u32,
     },
 }
@@ -68,10 +91,11 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::TrailingBytes(n) => {
                 write!(f, "{n} trailing bytes after snapshot container")
             }
+            SnapshotError::BadZone => write!(f, "malformed header zone"),
             SnapshotError::BadCrc { expected, found } => {
                 write!(
                     f,
-                    "snapshot crc mismatch: footer 0x{expected:08x}, computed 0x{found:08x}"
+                    "snapshot crc mismatch: stored 0x{expected:08x}, computed 0x{found:08x}"
                 )
             }
         }
@@ -99,17 +123,34 @@ fn put_record(buf: &mut BytesMut, rep: &RepFov, source: &SegmentRef) -> Result<(
     DescriptorCodec::encode_rep(rep, buf).map_err(SnapshotError::BadRecord)
 }
 
-/// Encodes records into the current (v2) container.
-pub fn encode_records(records: &[(RepFov, SegmentRef)]) -> Result<Bytes, SnapshotError> {
+/// Encodes records into the current (v2) container, with the zoned
+/// header when `zone` is given and the plain 8-byte header otherwise.
+pub fn encode_records(
+    records: &[(RepFov, SegmentRef)],
+    zone: Option<&Zone>,
+) -> Result<Bytes, SnapshotError> {
     let count =
         u64::try_from(records.len()).map_err(|_| SnapshotError::TooManyRecords(records.len()))?;
     let mut buf = BytesMut::with_capacity(
-        4 + 1 + 2 + HEADER_LEN_V2 + records.len() * (REF_SIZE + DescriptorCodec::RECORD_SIZE) + 4,
+        HEADER_PREFIX_LEN + records.len() * (REF_SIZE + DescriptorCodec::RECORD_SIZE) + 4,
     );
     buf.put_u32_le(MAGIC);
     buf.put_u8(CONTAINER_VERSION);
-    buf.put_u16_le(HEADER_LEN_V2 as u16);
-    buf.put_u64_le(count);
+    match zone {
+        None => {
+            buf.put_u16_le(HEADER_LEN_V2 as u16);
+            buf.put_u64_le(count);
+        }
+        Some(zone) => {
+            buf.put_u16_le(HEADER_LEN_ZONED as u16);
+            buf.put_u64_le(count);
+            for bound in zone {
+                buf.put_f64_le(*bound);
+            }
+            let header_crc = crc32(&buf);
+            buf.put_u32_le(header_crc);
+        }
+    }
     for (rep, source) in records {
         put_record(&mut buf, rep, source)?;
     }
@@ -157,8 +198,21 @@ pub fn decode_container(mut input: impl Buf) -> Result<DecodedContainer, Snapsho
     decode_container_bytes(&raw)
 }
 
-fn decode_container_bytes(raw: &[u8]) -> Result<DecodedContainer, SnapshotError> {
-    let record_size = REF_SIZE + DescriptorCodec::RECORD_SIZE;
+/// What a container says about itself before its first record.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub(crate) struct ContainerHeader {
+    /// Format version (1 or 2).
+    pub(crate) version: u8,
+    /// Records the container declares.
+    pub(crate) count: u64,
+    /// The records' zone map, when the writer supplied one.
+    pub(crate) zone: Option<Zone>,
+    /// Offset of the first record.
+    body_offset: usize,
+}
+
+/// Reads magic, version, count and the first record's offset.
+fn read_prelude(raw: &[u8]) -> Result<ContainerHeader, SnapshotError> {
     let mut buf = raw;
     if buf.remaining() < 4 + 1 {
         return Err(SnapshotError::Truncated);
@@ -168,61 +222,93 @@ fn decode_container_bytes(raw: &[u8]) -> Result<DecodedContainer, SnapshotError>
         return Err(SnapshotError::BadMagic(magic));
     }
     let version = buf.get_u8();
-    match version {
+    let (count, body_offset) = match version {
         1 => {
             if buf.remaining() < 4 {
                 return Err(SnapshotError::Truncated);
             }
-            let count = buf.get_u32_le() as usize;
-            if buf.remaining() < count * record_size {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                records.push(decode_record(&mut buf)?);
-            }
-            Ok(DecodedContainer {
-                version,
-                records,
-                trailing: buf.remaining(),
-            })
+            (u64::from(buf.get_u32_le()), 4 + 1 + 4)
         }
         2 => {
-            if buf.remaining() < 2 {
+            if buf.remaining() < 2 + HEADER_LEN_V2 {
                 return Err(SnapshotError::Truncated);
             }
             let header_len = buf.get_u16_le() as usize;
-            if header_len < HEADER_LEN_V2 || buf.remaining() < header_len {
+            if header_len < HEADER_LEN_V2 {
                 return Err(SnapshotError::Truncated);
             }
-            let count_u64 = buf.get_u64_le();
-            buf.advance(header_len - HEADER_LEN_V2);
-            let count = usize::try_from(count_u64)
-                .map_err(|_| SnapshotError::TooManyRecords(usize::MAX))?;
-            let Some(body) = count.checked_mul(record_size) else {
-                return Err(SnapshotError::Truncated);
-            };
-            if buf.remaining() < body + 4 {
-                return Err(SnapshotError::Truncated);
-            }
-            let mut records = Vec::with_capacity(count);
-            for _ in 0..count {
-                records.push(decode_record(&mut buf)?);
-            }
-            let crc_offset = raw.len() - buf.remaining();
-            let expected = buf.get_u32_le();
-            let found = crc32(&raw[..crc_offset]);
-            if expected != found {
-                return Err(SnapshotError::BadCrc { expected, found });
-            }
-            Ok(DecodedContainer {
-                version,
-                records,
-                trailing: buf.remaining(),
-            })
+            (buf.get_u64_le(), 4 + 1 + 2 + header_len)
         }
-        v => Err(SnapshotError::BadVersion(v)),
+        v => return Err(SnapshotError::BadVersion(v)),
+    };
+    Ok(ContainerHeader {
+        version,
+        count,
+        zone: None,
+        body_offset,
+    })
+}
+
+/// Decodes a container's header from the first [`HEADER_PREFIX_LEN`]
+/// bytes of a file (fewer if the file is shorter), without touching the
+/// records. A zoned header is checked against its own crc; v1 and plain
+/// v2 headers carry no zone and nothing to check it with.
+pub(crate) fn decode_header(prefix: &[u8]) -> Result<ContainerHeader, SnapshotError> {
+    let mut header = read_prelude(prefix)?;
+    if header.body_offset < 4 + 1 + 2 + HEADER_LEN_ZONED {
+        return Ok(header);
     }
+    if prefix.len() < HEADER_PREFIX_LEN {
+        return Err(SnapshotError::Truncated);
+    }
+    let (covered, mut rest) = prefix.split_at(HEADER_PREFIX_LEN - 4);
+    let expected = rest.get_u32_le();
+    let found = crc32(covered);
+    if expected != found {
+        return Err(SnapshotError::BadCrc { expected, found });
+    }
+    let mut bounds = &covered[4 + 1 + 2 + HEADER_LEN_V2..];
+    let zone: Zone = std::array::from_fn(|_| bounds.get_f64_le());
+    if (0..3).any(|i| zone[i].is_nan() || zone[i + 3].is_nan() || zone[i] > zone[i + 3]) {
+        return Err(SnapshotError::BadZone);
+    }
+    header.zone = Some(zone);
+    Ok(header)
+}
+
+pub(crate) fn decode_container_bytes(raw: &[u8]) -> Result<DecodedContainer, SnapshotError> {
+    let record_size = REF_SIZE + DescriptorCodec::RECORD_SIZE;
+    let header = read_prelude(raw)?;
+    let count =
+        usize::try_from(header.count).map_err(|_| SnapshotError::TooManyRecords(usize::MAX))?;
+    // v2 ends in a crc32 footer over everything before it (the header,
+    // zoned or not, included).
+    let footer = if header.version == 2 { 4 } else { 0 };
+    let body = count
+        .checked_mul(record_size)
+        .and_then(|body| body.checked_add(header.body_offset + footer))
+        .ok_or(SnapshotError::Truncated)?;
+    if raw.len() < body {
+        return Err(SnapshotError::Truncated);
+    }
+    let mut buf = &raw[header.body_offset..];
+    let mut records = Vec::with_capacity(count);
+    for _ in 0..count {
+        records.push(decode_record(&mut buf)?);
+    }
+    if header.version == 2 {
+        let crc_offset = raw.len() - buf.remaining();
+        let expected = buf.get_u32_le();
+        let found = crc32(&raw[..crc_offset]);
+        if expected != found {
+            return Err(SnapshotError::BadCrc { expected, found });
+        }
+    }
+    Ok(DecodedContainer {
+        version: header.version,
+        records,
+        trailing: buf.remaining(),
+    })
 }
 
 #[cfg(test)]
@@ -250,7 +336,7 @@ mod tests {
     #[test]
     fn v2_round_trips_and_is_framed() {
         let recs = records(37);
-        let bytes = encode_records(&recs).unwrap();
+        let bytes = encode_records(&recs, None).unwrap();
         let out = decode_container(bytes).unwrap();
         assert_eq!(out.version, 2);
         assert_eq!(out.trailing, 0);
@@ -275,7 +361,7 @@ mod tests {
     fn trailing_bytes_are_counted_not_fatal() {
         let recs = records(3);
         for encoded in [
-            encode_records(&recs).unwrap(),
+            encode_records(&recs, None).unwrap(),
             encode_records_v1(&recs).unwrap(),
         ] {
             let mut padded = encoded.to_vec();
@@ -288,7 +374,7 @@ mod tests {
 
     #[test]
     fn v2_detects_corruption_via_crc() {
-        let bytes = encode_records(&records(8)).unwrap();
+        let bytes = encode_records(&records(8), None).unwrap();
         let mut raw = bytes.to_vec();
         // Flip one bit in the middle of the record stream; v1 would
         // silently return garbage coordinates, v2 refuses.
@@ -302,7 +388,7 @@ mod tests {
 
     #[test]
     fn v2_truncation_is_reported() {
-        let bytes = encode_records(&records(4)).unwrap();
+        let bytes = encode_records(&records(4), None).unwrap();
         for cut in [1, 5, 20, bytes.len() - 1] {
             assert_eq!(
                 decode_container(bytes.slice(0..cut)).unwrap_err(),
@@ -317,7 +403,7 @@ mod tests {
         // A future writer extends the v2 header; this reader must skip
         // the extra bytes it does not understand.
         let recs = records(2);
-        let bytes = encode_records(&recs).unwrap();
+        let bytes = encode_records(&recs, None).unwrap();
         let raw = bytes.to_vec();
         let mut extended = BytesMut::new();
         extended.put_u32_le(MAGIC);
@@ -335,7 +421,7 @@ mod tests {
 
     #[test]
     fn unknown_version_rejected() {
-        let bytes = encode_records(&records(1)).unwrap();
+        let bytes = encode_records(&records(1), None).unwrap();
         let mut raw = bytes.to_vec();
         raw[4] = 99;
         assert_eq!(
@@ -346,8 +432,80 @@ mod tests {
 
     #[test]
     fn empty_stream_round_trips() {
-        let out = decode_container(encode_records(&[]).unwrap()).unwrap();
+        let out = decode_container(encode_records(&[], None).unwrap()).unwrap();
         assert!(out.records.is_empty());
         assert_eq!(out.trailing, 0);
+    }
+
+    const ZONE: Zone = [116.0, 39.5, 0.0, 117.0, 40.5, 99.0];
+
+    #[test]
+    fn plain_header_is_the_pre_zone_layout() {
+        // Writers that pass no zone (bucket snapshots, save_snapshot)
+        // must keep emitting the 8-byte header byte-for-byte.
+        let recs = records(3);
+        let bytes = encode_records(&recs, None).unwrap();
+        assert_eq!(&bytes[5..7], &(HEADER_LEN_V2 as u16).to_le_bytes());
+        assert_eq!(&bytes[7..15], &3u64.to_le_bytes());
+        assert_eq!(
+            bytes.len(),
+            15 + 3 * (REF_SIZE + DescriptorCodec::RECORD_SIZE) + 4
+        );
+        let header = decode_header(&bytes[..HEADER_PREFIX_LEN.min(bytes.len())]).unwrap();
+        assert_eq!((header.version, header.count, header.zone), (2, 3, None));
+    }
+
+    #[test]
+    fn zoned_header_decodes_from_the_prefix_alone() {
+        let recs = records(9);
+        let bytes = encode_records(&recs, Some(&ZONE)).unwrap();
+        let header = decode_header(&bytes[..HEADER_PREFIX_LEN]).unwrap();
+        assert_eq!((header.version, header.count), (2, 9));
+        assert_eq!(header.zone, Some(ZONE));
+        // The full decode skips the zone through header_len and still
+        // verifies the footer.
+        let out = decode_container(bytes).unwrap();
+        assert_eq!((out.records.len(), out.trailing), (9, 0));
+    }
+
+    #[test]
+    fn damaged_zoned_header_fails_its_own_crc() {
+        let bytes = encode_records(&records(2), Some(&ZONE)).unwrap();
+        for at in [8, 20, HEADER_PREFIX_LEN - 1] {
+            let mut raw = bytes.to_vec();
+            raw[at] ^= 0x01;
+            assert!(
+                matches!(
+                    decode_header(&raw[..HEADER_PREFIX_LEN]).unwrap_err(),
+                    SnapshotError::BadCrc { .. }
+                ),
+                "flip at {at}"
+            );
+        }
+        assert_eq!(
+            decode_header(&bytes[..HEADER_PREFIX_LEN - 1]).unwrap_err(),
+            SnapshotError::Truncated
+        );
+    }
+
+    #[test]
+    fn malformed_zone_is_rejected_not_trusted() {
+        for bad in [
+            [1.0, 0.0, 0.0, 0.0, 1.0, 1.0],
+            [0.0, 0.0, f64::NAN, 1.0, 1.0, 1.0],
+        ] {
+            let bytes = encode_records(&records(1), Some(&bad)).unwrap();
+            assert_eq!(
+                decode_header(&bytes[..HEADER_PREFIX_LEN]).unwrap_err(),
+                SnapshotError::BadZone
+            );
+        }
+    }
+
+    #[test]
+    fn v1_header_carries_count_only() {
+        let bytes = encode_records_v1(&records(4)).unwrap();
+        let header = decode_header(&bytes[..HEADER_PREFIX_LEN]).unwrap();
+        assert_eq!((header.version, header.count, header.zone), (1, 4, None));
     }
 }

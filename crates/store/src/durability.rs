@@ -29,8 +29,8 @@ use parking_lot::Mutex;
 use swag_core::RepFov;
 use swag_obs::{Counter, Histogram, MonotonicClock, Registry};
 
-use crate::cold::{cold_file_name, ColdCatalog, ColdRun};
-use crate::container::encode_records;
+use crate::cold::{cold_file_name, ColdCatalog, RESIDENT_BUDGET_BYTES};
+use crate::container::{encode_records, Zone};
 use crate::home_bucket;
 use crate::manifest::{BucketEntry, Manifest};
 use crate::segment::{SegmentRef, SegmentStore};
@@ -145,8 +145,19 @@ pub struct DurabilityStats {
     pub last_snapshot_age_micros: Option<u64>,
     /// Cold runs on disk.
     pub cold_runs: usize,
-    /// Records across all cold runs.
+    /// Records across all readable cold runs (summed from zone maps).
     pub cold_segments: u64,
+    /// Cold runs skipped by zone map, summed over query probes.
+    pub cold_runs_pruned: u64,
+    /// Cold run bodies read and decoded by queries.
+    pub cold_runs_opened: u64,
+    /// Bytes of decoded cold run bodies resident right now.
+    pub cold_resident_bytes: u64,
+    /// Cold runs found unreadable (at open or on first read).
+    pub cold_run_errors: u64,
+    /// Demotions that failed to reach disk; retention dropped their
+    /// records all the same.
+    pub cold_demote_errors: u64,
 }
 
 /// Metric handles, resolved once when a registry is attached.
@@ -169,6 +180,7 @@ struct Shared {
     snapshot_buckets_written: AtomicU64,
     /// `clock` micros of the last completed snapshot + 1 (0 = never).
     last_snapshot_at: AtomicU64,
+    cold_demote_errors: AtomicU64,
     obs: OnceLock<Obs>,
 }
 
@@ -194,7 +206,6 @@ enum Job {
 /// Handle to a data directory's durability machinery.
 pub struct Durability {
     config: DurabilityConfig,
-    width_s: f64,
     snap_dir: PathBuf,
     cold_dir: PathBuf,
     wal: Arc<Mutex<WalState>>,
@@ -220,12 +231,16 @@ impl Durability {
     /// Opens (creating if empty) a data directory and recovers its
     /// durable state: latest snapshot records plus WAL ops past the
     /// manifest's floor. The caller replays both through the normal
-    /// ingest path, then starts appending.
+    /// ingest path, then starts appending. Cold runs are registered from
+    /// their headers; `cold_zone_of` is the engine's zone definition,
+    /// needed only for runs whose header carries none (those are decoded
+    /// once in full to compute it).
     pub fn open(
         dir: &Path,
         width_s: f64,
         config: DurabilityConfig,
         clock: Arc<dyn MonotonicClock>,
+        cold_zone_of: impl Fn(&[(RepFov, SegmentRef)]) -> Zone,
     ) -> Result<(Arc<Durability>, Recovery), StoreError> {
         let wal_dir = dir.join(WAL_DIR);
         let snap_dir = dir.join(SNAPSHOT_DIR);
@@ -267,8 +282,8 @@ impl Durability {
         }
         let snapshot_records = records.len();
 
-        let (cold, cold_next) =
-            ColdCatalog::load(&cold_dir).map_err(|e| io_err("scan cold dir", e))?;
+        let (cold, cold_next) = ColdCatalog::load(&cold_dir, cold_zone_of, RESIDENT_BUDGET_BYTES)
+            .map_err(|e| io_err("scan cold dir", e))?;
 
         let wal_rec = recover_wal_dir(&wal_dir).map_err(|e| io_err("recover wal", e))?;
         // Segments the snapshot already covers are dead weight.
@@ -306,6 +321,7 @@ impl Durability {
             snapshots_written: AtomicU64::new(0),
             snapshot_buckets_written: AtomicU64::new(0),
             last_snapshot_at: AtomicU64::new(0),
+            cold_demote_errors: AtomicU64::new(0),
             obs: OnceLock::new(),
         });
         let (tx, rx) = mpsc::channel::<Job>();
@@ -331,7 +347,6 @@ impl Durability {
 
         let durability = Arc::new(Durability {
             config,
-            width_s,
             snap_dir,
             cold_dir,
             wal,
@@ -362,11 +377,6 @@ impl Durability {
     /// The cold-run catalog (for `cold_scan`).
     pub fn cold(&self) -> &ColdCatalog {
         &self.cold
-    }
-
-    /// Shard width the store was opened with.
-    pub fn width_s(&self) -> f64 {
-        self.width_s
     }
 
     /// Appends one op to the WAL. Called under the engine's writer lock,
@@ -433,21 +443,31 @@ impl Durability {
         }
     }
 
-    /// Writes an expired bucket's records to an immutable cold run.
-    pub fn demote(&self, bucket: i64, records: &[(RepFov, SegmentRef)]) -> Result<(), StoreError> {
+    /// Writes an expired bucket's records to an immutable cold run whose
+    /// header carries `zone`, the engine-computed box enclosing every
+    /// record's index box. A failure is returned *and* counted: the
+    /// caller's retention proceeds either way, so it is data loss.
+    pub fn demote(
+        &self,
+        bucket: i64,
+        records: &[(RepFov, SegmentRef)],
+        zone: Zone,
+    ) -> Result<(), StoreError> {
         if records.is_empty() || !self.config.cold_tier {
             return Ok(());
         }
         let seq = self.cold_seq.fetch_add(1, Ordering::Relaxed);
         let path = self.cold_dir.join(cold_file_name(bucket, seq));
-        let bytes = encode_records(records)
-            .map_err(|e| StoreError::Corrupt(format!("encode cold: {e}")))?;
-        std::fs::write(&path, &bytes).map_err(|e| io_err("write cold run", e))?;
-        if let Ok(f) = std::fs::File::open(&path) {
-            let _ = f.sync_data();
+        if let Err(e) = write_cold_run(&path, records, &zone) {
+            // A partial file would come back as an unreadable run.
+            let _ = std::fs::remove_file(&path);
+            self.shared
+                .cold_demote_errors
+                .fetch_add(1, Ordering::Relaxed);
+            return Err(e);
         }
         self.cold
-            .push(ColdRun::new(bucket, records.len() as u64, path));
+            .push(bucket, seq, records.len() as u64, zone, path);
         if let Some(obs) = self.shared.obs.get() {
             obs.cold_demoted.add(records.len() as u64);
         }
@@ -492,6 +512,11 @@ impl Durability {
             },
             cold_runs: self.cold.runs(),
             cold_segments: self.cold.segments(),
+            cold_runs_pruned: self.cold.runs_pruned(),
+            cold_runs_opened: self.cold.runs_opened(),
+            cold_resident_bytes: self.cold.resident_bytes() as u64,
+            cold_run_errors: self.cold.run_errors(),
+            cold_demote_errors: self.shared.cold_demote_errors.load(Ordering::Relaxed),
         }
     }
 
@@ -552,6 +577,22 @@ impl Drop for Durability {
         let mut wal = self.wal.lock();
         let _ = wal.writer.sync();
     }
+}
+
+/// Writes and syncs a cold run through one handle, so a failure at any
+/// step is the caller's error and not a file that merely looks written.
+fn write_cold_run(
+    path: &Path,
+    records: &[(RepFov, SegmentRef)],
+    zone: &Zone,
+) -> Result<(), StoreError> {
+    use std::io::Write;
+    let bytes = encode_records(records, Some(zone))
+        .map_err(|e| StoreError::Corrupt(format!("encode cold run: {e}")))?;
+    let mut f = std::fs::File::create(path).map_err(|e| io_err("create cold run", e))?;
+    f.write_all(&bytes)
+        .and_then(|()| f.sync_data())
+        .map_err(|e| io_err("write cold run", e))
 }
 
 /// The group-commit flusher: wakes every `interval_micros`, fsyncs the
@@ -706,7 +747,7 @@ fn write_incremental_snapshot(
         if !records.is_empty() {
             let file = format!("bucket-{bucket}-f{wal_floor}-v{version}.run");
             let path = snap_dir.join(&file);
-            let bytes = encode_records(records)
+            let bytes = encode_records(records, None)
                 .map_err(|e| std::io::Error::other(format!("encode bucket {bucket}: {e}")))?;
             let mut f = std::fs::File::create(&path)?;
             f.write_all(&bytes)?;

@@ -19,7 +19,9 @@
 //! 3. **Cold tier** ([`cold`]): retention no longer deletes aged-out
 //!    shards outright — their records are demoted to immutable on-disk
 //!    runs that the query path can still reach through a `cold_scan`
-//!    operator.
+//!    operator. Each run's header carries a zone map (count + 3-D MBR),
+//!    so queries prune runs in time and space before any I/O and bodies
+//!    stay on disk until a probe survives.
 //!
 //! Recovery ([`Durability::open`]) is "latest snapshot + WAL replay": the
 //! manifest's bucket files rebuild the folded state, and WAL frames at or
@@ -35,9 +37,9 @@ mod manifest;
 mod segment;
 mod wal;
 
-pub use cold::{ColdCatalog, ColdRun};
+pub use cold::{ColdCatalog, ColdRecords, ColdRun};
 pub use container::{
-    decode_container, encode_records, encode_records_v1, DecodedContainer, SnapshotError,
+    decode_container, encode_records, encode_records_v1, DecodedContainer, SnapshotError, Zone,
     CONTAINER_VERSION, MAGIC, REF_SIZE,
 };
 pub use crc::crc32;

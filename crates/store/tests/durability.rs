@@ -10,7 +10,8 @@ use swag_core::{Fov, RepFov};
 use swag_geo::LatLon;
 use swag_obs::{ManualClock, MonotonicClock};
 use swag_store::{
-    home_bucket, Durability, DurabilityConfig, Recovery, SegmentRef, SegmentStore, WalOp,
+    home_bucket, Durability, DurabilityConfig, Recovery, SegmentRef, SegmentStore, StoreError,
+    WalOp, Zone,
 };
 
 fn tmp_dir() -> PathBuf {
@@ -35,6 +36,20 @@ fn rec(t: f64, provider: u64) -> (RepFov, SegmentRef) {
     )
 }
 
+/// Time-only stand-in for the engine's zone definition (every fixture
+/// record is filmed at the same point).
+fn zone_of(records: &[(RepFov, SegmentRef)]) -> Zone {
+    let t0 = records
+        .iter()
+        .map(|(r, _)| r.t_start)
+        .fold(f64::MAX, f64::min);
+    let t1 = records
+        .iter()
+        .map(|(r, _)| r.t_end)
+        .fold(f64::MIN, f64::max);
+    [116.32, 40.0, t0, 116.32, 40.0, t1]
+}
+
 fn open(dir: &Path) -> (Arc<Durability>, Recovery) {
     Durability::open(
         dir,
@@ -46,6 +61,7 @@ fn open(dir: &Path) -> (Arc<Durability>, Recovery) {
             ..DurabilityConfig::default()
         },
         Arc::new(ManualClock::new()),
+        zone_of,
     )
     .unwrap()
 }
@@ -137,17 +153,40 @@ fn incremental_snapshot_rewrites_only_touched_buckets() {
 #[test]
 fn demote_and_reload_cold_runs() {
     let dir = tmp_dir();
+    let early = [rec(1.0, 1), rec(2.0, 2)];
+    let late = [rec(1900.0, 3)];
     {
         let (d, _) = open(&dir);
-        d.demote(0, &[rec(1.0, 1), rec(2.0, 2)]).unwrap();
-        d.demote(3, &[rec(1900.0, 3)]).unwrap();
+        d.demote(0, &early, zone_of(&early)).unwrap();
+        d.demote(3, &late, zone_of(&late)).unwrap();
         let stats = d.stats();
         assert_eq!((stats.cold_runs, stats.cold_segments), (2, 3));
     }
     let (d, _) = open(&dir);
-    assert_eq!(d.cold().runs(), 2);
-    assert_eq!(d.cold().segments(), 3);
-    assert_eq!(d.cold().overlapping(f64::INFINITY, 600.0).len(), 2);
+    // Reopening reads headers only: counts are exact, nothing is opened.
+    let stats = d.stats();
+    assert_eq!((stats.cold_runs, stats.cold_segments), (2, 3));
+    assert_eq!((stats.cold_runs_opened, stats.cold_resident_bytes), (0, 0));
+    assert_eq!(d.cold().probe(|_| true).len(), 2);
+    let hit = d.cold().probe(|z| z[2] <= 2_000.0 && 1_000.0 <= z[5]);
+    assert_eq!(hit.len(), 1);
+    assert_eq!(d.cold().records(&hit[0]).unwrap()[0].1, late[0].1);
+    assert_eq!(d.stats().cold_runs_opened, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+#[test]
+fn failed_demotion_is_returned_and_counted() {
+    let dir = tmp_dir();
+    let (d, _) = open(&dir);
+    let recs = [rec(1.0, 1)];
+    // The cold directory vanishes under the server: the write fails.
+    std::fs::remove_dir_all(dir.join(swag_store::COLD_DIR)).unwrap();
+    let err = d.demote(0, &recs, zone_of(&recs)).unwrap_err();
+    assert!(matches!(err, StoreError::Io(_)), "{err}");
+    let stats = d.stats();
+    assert_eq!(stats.cold_demote_errors, 1);
+    assert_eq!((stats.cold_runs, stats.cold_segments), (0, 0));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -164,6 +203,7 @@ fn stats_track_lag_and_snapshot_age() {
             ..DurabilityConfig::default()
         },
         Arc::clone(&clock) as Arc<dyn MonotonicClock>,
+        zone_of,
     )
     .unwrap();
     let (rep, source) = rec(5.0, 1);
