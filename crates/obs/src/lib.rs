@@ -1,17 +1,16 @@
 //! # swag-obs — observability substrate for the SWAG retrieval pipeline
 //!
 //! Dependency-free metrics for every layer of the stack: lock-free
-//! [`Counter`]/[`Gauge`]/[`Histogram`] primitives, RAII [`SpanTimer`]s, a
-//! sampled per-query [`Trace`] ring buffer, an injectable
-//! [`MonotonicClock`] for deterministic timing tests, and a named-metric
-//! [`Registry`] with Prometheus-text and JSON-lines exporters.
+//! [`Counter`]/[`Gauge`]/[`Histogram`] primitives, RAII [`SpanTimer`]s,
+//! an injectable [`MonotonicClock`] for deterministic timing tests, and a
+//! named-metric [`Registry`] with Prometheus-text and JSON-lines
+//! exporters.
 //!
 //! Design constraints, in order:
 //!
 //! 1. **Never on the hot path unless asked.** Instrumented components
 //!    hold an `Option` of their metric handles; the disabled path costs
-//!    one branch. The benchmark guard in `crates/bench` keeps the
-//!    disabled-path regression under 2%.
+//!    one branch.
 //! 2. **Lock-free recording.** `Histogram::record` is a handful of
 //!    relaxed atomic RMWs on fixed log₂ buckets — no allocation, no lock,
 //!    safe from any thread.
@@ -38,7 +37,6 @@ mod registry;
 mod slo;
 mod span;
 mod surface;
-mod trace;
 mod tree;
 mod window;
 
@@ -57,6 +55,5 @@ pub use registry::{escape_help, escape_label_value, labeled_name, Metric, Regist
 pub use slo::{SloBurn, SloSet, SloSpec, SloState, SloStatus};
 pub use span::SpanTimer;
 pub use surface::OpsSurface;
-pub use trace::{Trace, TraceEvent};
 pub use tree::{assemble, render_waterfall, SpanNode, SpanTree};
 pub use window::{MetricWindows, Sample, Window, WindowRing, WindowSpec, WindowView};

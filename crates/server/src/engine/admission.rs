@@ -6,8 +6,7 @@
 //! or is shed with [`ShedReason::Overloaded`]. There is deliberately no
 //! wait list — under overload an unbounded queue converts excess offered
 //! load into unbounded latency for *everyone*, while shedding keeps the
-//! admitted requests' p99 bounded by actual service time (the
-//! `cache_bench` overload phase gates on this).
+//! admitted requests' p99 bounded by actual service time.
 //!
 //! Rate policy is per client: each client id owns a token bucket
 //! refilled at [`AdmissionConfig::rate_per_s`] with burst capacity

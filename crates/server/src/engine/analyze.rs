@@ -1,41 +1,24 @@
-//! The instrumented executor behind EXPLAIN ANALYZE and the wide-event
-//! log: a measured twin of the normal operator pipeline plus the
-//! annotated-report rendering.
+//! Views over one measured execution: the wide event, the event log
+//! emission, and EXPLAIN ANALYZE with its annotated-report rendering.
 //!
 //! The event *data model* (the 32-word [`QueryEvent`], its wire format,
 //! the tail-sampling [`QueryEventLog`](super::forensics::QueryEventLog))
-//! lives in [`super::forensics`]; this module is the execution side:
-//! `execute_plan_instrumented` runs the identical operator calls in
-//! identical order to `super::ops` (byte-identity pinned by an
-//! equivalence test), measuring every stage, and `query_analyzed`
-//! renders the plan tree annotated with what actually happened.
-//!
-//! The instrumented executor deliberately *duplicates* the pipeline of
-//! [`super::ops`] instead of refactoring it behind flags: the normal hot
-//! path must stay byte-and-branch identical to the pre-forensics engine
-//! (the `obs_overhead` guard times it against an uninstrumented
-//! replica), and the duplication is what an equivalence test can hold
-//! still.
-
-use swag_exec::Executor;
-use swag_rtree::SearchStats;
+//! lives in [`super::forensics`]. Nothing here executes operators:
+//! `query_analyzed` drives the one pipeline in [`super::ops`] under the
+//! measuring probe and reads everything it reports off the resulting
+//! [`StageRecord`], so an analyzed run cannot differ from a plain one.
 
 use crate::query::{Query, QueryOptions};
-use crate::ranking::{collect_hits, hit_for, rank_hits, SearchHit};
-use crate::server::AUTO_THRESHOLD_INTERVAL;
+use crate::ranking::SearchHit;
 
 use super::admission::ShedReason;
-use super::cache;
-use super::epoch::{DeltaRecord, Epoch};
-use super::fanout::FanoutDecision;
+use super::epoch::Epoch;
 use super::forensics::{result_digest, CacheOutcome, QueryEvent, QueryOutcome};
-use super::plan::{
-    PlanKey, QueryPlan, OP_COLD_SCAN, OP_DELTA_SCAN, OP_INDEX_SCAN, OP_QUERY, OP_RANKING,
-};
+use super::plan::{QueryPlan, OP_COLD_SCAN, OP_DELTA_SCAN, OP_INDEX_SCAN, OP_QUERY, OP_RANKING};
+use super::probe::StageRecord;
 use super::Engine;
-use std::sync::atomic::Ordering;
 
-/// What the cold-tier scan measured during one analyzed execution.
+/// What the cold-tier scan measured during one execution.
 ///
 /// Kept out of [`QueryEvent`] so the wide-event wire format (a pinned
 /// 32-word layout) is untouched by the durability layer; EXPLAIN
@@ -95,23 +78,19 @@ impl AnalyzeReport {
                     "  measured: (shed before execution — no operators ran)"
                 );
             }
-            QueryOutcome::Served if e.cache == CacheOutcome::Hit => {
-                let _ = writeln!(
-                    out,
-                    "  measured: {OP_QUERY} {} us total, {} hits, digest {:#018x}",
-                    e.total_micros, e.hit_count, e.digest
-                );
-                let _ = writeln!(
-                    out,
-                    "    (served from the result cache — operators skipped)"
-                );
-            }
             QueryOutcome::Served => {
                 let _ = writeln!(
                     out,
                     "  measured: {OP_QUERY} {} us total, {} hits, digest {:#018x}",
                     e.total_micros, e.hit_count, e.digest
                 );
+                if e.cache == CacheOutcome::Hit {
+                    let _ = writeln!(
+                        out,
+                        "    (served from the result cache — operators skipped)"
+                    );
+                    return out;
+                }
                 let _ = writeln!(
                     out,
                     "    ├─ {OP_INDEX_SCAN:<11} {:>6} us   rows {} -> {}   ({} shard probe{}, {})",
@@ -165,249 +144,47 @@ pub struct AnalyzedQuery {
     pub report: AnalyzeReport,
 }
 
-impl Engine {
-    /// The instrumented twin of `execute_plan` + `execute_plan_cached`:
-    /// runs the identical operator pipeline (same operator functions,
-    /// same order — the equivalence test pins byte-identity), measuring
-    /// every stage unconditionally, resolving the concrete cache
-    /// decision, and recording the same spans / metrics the normal path
-    /// would so analyzed queries stay visible in `swag top` and traces.
-    pub(crate) fn execute_plan_instrumented(
+impl StageRecord {
+    /// The wide-event view of this execution of `plan` against `epoch`,
+    /// which returned `hits`.
+    pub(crate) fn event(
         &self,
-        epoch: &Epoch,
-        t0: u64,
         plan: &QueryPlan,
-    ) -> (Vec<SearchHit>, QueryEvent, Option<ColdScanMeasure>) {
-        let fingerprint = plan.fingerprint();
-        // Resolve the cache decision first, mirroring execute_plan_cached.
-        let (cache_outcome, cached_hits) = match &self.cache {
-            None => (CacheOutcome::Off, None),
-            Some(c) if !c.eligible(plan) => (CacheOutcome::Ineligible, None),
-            Some(c) => {
-                let key = PlanKey::of(plan);
-                match c.lookup(fingerprint, &key, plan, epoch) {
-                    cache::Lookup::Hit(hits) => (CacheOutcome::Hit, Some(hits)),
-                    cache::Lookup::Miss => (CacheOutcome::Miss, None),
-                }
-            }
-        };
-        let decision = FanoutDecision::decide(
-            &epoch.core.index,
-            plan.query.t_start,
-            plan.query.t_end,
-            &self.exec,
-            self.config.fanout,
-        );
-        let mut ev = QueryEvent {
-            fingerprint,
-            t_start: plan.query.t_start,
-            t_end: plan.query.t_end,
-            lat: plan.query.center.lat,
-            lng: plan.query.center.lng,
-            radius_m: plan.query.radius_m,
-            top_n: plan.k as u64,
-            direction_filter: plan.filters.direction_tolerance_deg.is_some(),
-            direction_tolerance_deg: plan.filters.direction_tolerance_deg.unwrap_or(0.0),
-            require_coverage: plan.filters.require_coverage,
-            rank: plan.rank,
-            outcome: QueryOutcome::Served,
-            cache: cache_outcome,
-            fanout_parallel: decision.parallel,
-            fanout_shards: decision.shards as u64,
-            fanout_items: decision.items as u64,
-            fanout_work: decision.estimated_work,
-            fanout_threads: decision.threads as u64,
-            tokens_remaining: None,
-            global_gen: epoch.stamp.global_gen,
-            delta_gen: epoch.stamp.delta_gen,
-            delta_len: epoch.delta_len as u64,
-            index_micros: 0,
-            index_rows_in: 0,
-            index_rows_out: 0,
-            delta_micros: 0,
-            delta_rows_in: 0,
-            delta_rows_out: 0,
-            rank_micros: 0,
-            rank_rows_in: 0,
-            rank_rows_out: 0,
-            hits_index: 0,
-            hits_delta: 0,
-            total_micros: 0,
-            hit_count: 0,
-            digest: 0,
-            end_micros: 0,
-        };
-        if let Some(hits) = cached_hits {
-            // Mirror the normal cache-hit bookkeeping: root span, query
-            // counters, total latency, hit counter.
-            let mut root = self.recorder.guarded_span(OP_QUERY);
-            root.set_detail(hits.len() as u64);
-            self.queries.fetch_add(1, Ordering::Relaxed);
-            let t_done = self.clock.now_micros();
-            self.query_micros.fetch_add(t_done - t0, Ordering::Relaxed);
-            if let Some(obs) = &self.obs {
-                obs.query_total.record(t_done - t0);
-                obs.cache_hits.inc();
-            }
-            ev.total_micros = t_done - t0;
-            ev.hit_count = hits.len() as u64;
-            ev.digest = result_digest(&hits);
-            ev.end_micros = t_done;
-            return (hits, ev, None);
+        epoch: &Epoch,
+        tokens_remaining: Option<f64>,
+        hits: &[SearchHit],
+    ) -> QueryEvent {
+        let fingerprint = self.fingerprint.unwrap_or_else(|| plan.fingerprint());
+        let mut ev = QueryEvent::new(plan, epoch, fingerprint);
+        ev.cache = self.cache;
+        ev.tokens_remaining = tokens_remaining;
+        if let Some(fanout) = &self.fanout {
+            ev.fanout_parallel = fanout.parallel;
+            ev.fanout_shards = fanout.shards as u64;
+            ev.fanout_items = fanout.items as u64;
+            ev.fanout_work = fanout.estimated_work;
+            ev.fanout_threads = fanout.threads as u64;
         }
-        if ev.cache == CacheOutcome::Miss {
-            if let Some(obs) = &self.obs {
-                obs.cache_misses.inc();
-            }
-        }
-
-        // The pipeline, instrumented: identical operator calls in
-        // identical order to execute_plan's instrumented arm.
-        let mut root = self.recorder.guarded_span(OP_QUERY);
-        let serial = Executor::serial();
-        let probe_exec = if decision.parallel {
-            &self.exec
-        } else {
-            &serial
-        };
-        let t_locked = self.clock.now_micros();
-        let mut search = SearchStats::default();
-        let candidates = {
-            let _span = self.recorder.span(OP_INDEX_SCAN);
-            epoch.core.index.candidates_with_stats_in_exec(
-                probe_exec,
-                &plan.boxes,
-                plan.query.t_start,
-                plan.query.t_end,
-                &mut search,
-            )
-        };
-        let index_rows_in = search.items_tested;
-        let t_index = self.clock.now_micros();
-        let delta_matches: Vec<&DeltaRecord> = if epoch.delta_len > 0 {
-            let _span = self.recorder.span(OP_DELTA_SCAN);
-            epoch
-                .delta_records()
-                .filter(|d| plan.boxes.intersects(&d.bbox))
-                .collect()
-        } else {
-            Vec::new()
-        };
-        let n_candidates = candidates.len() + delta_matches.len();
-        let n_delta_matches = delta_matches.len();
-        let t_scanned = self.clock.now_micros();
-        // Cold tier, mirrored from execute_plan's instrumented arm: same
-        // operator position, same hit order (index, delta, cold).
-        let had_cold = self.has_cold();
-        let (cold_hits, cold_rows_in, t_cold) = if had_cold {
-            let (hits, rows_in) = {
-                let _span = self.recorder.span(OP_COLD_SCAN);
-                self.cold_scan(plan)
-            };
-            (hits, rows_in, self.clock.now_micros())
-        } else {
-            (Vec::new(), 0, t_scanned)
-        };
-        let n_cold_hits = cold_hits.len();
-        let (hits, n_index_hits, n_delta_hits) = {
-            let _span = self.recorder.span(OP_RANKING);
-            let mut hits = collect_hits(&candidates, &epoch.core.store, &self.cam, plan);
-            let n_index_hits = hits.len();
-            hits.extend(
-                delta_matches
-                    .into_iter()
-                    .filter(|d| plan.filters.accepts(&d.rec.rep, &self.cam, &plan.query))
-                    .map(|d| hit_for(&d.rec, &self.cam, &plan.query)),
-            );
-            let n_delta_hits = hits.len() - n_index_hits;
-            hits.extend(cold_hits);
-            rank_hits(&mut hits, plan.rank, plan.k);
-            (hits, n_index_hits, n_delta_hits)
-        };
-        let t_done = self.clock.now_micros();
-
-        let n_queries = self.queries.fetch_add(1, Ordering::Relaxed) + 1;
-        self.query_micros.fetch_add(t_done - t0, Ordering::Relaxed);
-        if let Some(obs) = &self.obs {
-            obs.lock_wait.record(t_locked - t0);
-            obs.index_scan.record(t_scanned - t_locked);
-            obs.ranking.record(t_done - t_cold);
-            obs.query_total.record(t_done - t0);
-            obs.candidates.record(n_candidates as u64);
-            obs.op_index_scan.micros.record(t_index - t_locked);
-            obs.op_index_scan.rows_in.record(index_rows_in);
-            obs.op_index_scan.rows_out.record(candidates.len() as u64);
-            obs.op_delta_scan.micros.record(t_scanned - t_index);
-            obs.op_delta_scan.rows_in.record(epoch.delta_len as u64);
-            obs.op_delta_scan.rows_out.record(n_delta_matches as u64);
-            if t_cold > t_scanned || cold_rows_in > 0 {
-                obs.op_cold_scan.micros.record(t_cold - t_scanned);
-                obs.op_cold_scan.rows_in.record(cold_rows_in);
-                obs.op_cold_scan.rows_out.record(n_cold_hits as u64);
-            }
-            obs.op_ranking.micros.record(t_done - t_cold);
-            obs.op_ranking.rows_in.record(n_candidates as u64);
-            obs.op_ranking.rows_out.record(hits.len() as u64);
-            obs.hits_index.add(n_index_hits as u64);
-            obs.hits_delta.add(n_delta_hits as u64);
-            obs.hits_cold.add(n_cold_hits as u64);
-            obs.shards_probed.record(decision.shards as u64);
-            if decision.parallel {
-                obs.fanout_parallel.inc();
-            } else {
-                obs.fanout_serial.inc();
-            }
-            if obs.trace.try_sample() {
-                obs.trace.record(OP_QUERY, t_done - t0, n_candidates as u64);
-            }
-            if self.config.slow_query_micros.is_none()
-                && self.recorder.is_enabled()
-                && n_queries.is_multiple_of(AUTO_THRESHOLD_INTERVAL)
-            {
-                let p99 = obs.query_total.snapshot().p99();
-                if p99 > 0 {
-                    self.recorder.set_slow_threshold_micros(p99);
-                }
-            }
-        }
-        root.set_detail(hits.len() as u64);
-
-        if ev.cache == CacheOutcome::Miss {
-            if let Some(c) = &self.cache {
-                if let cache::Insert::Stored { evicted: true } =
-                    c.insert(fingerprint, PlanKey::of(plan), plan, epoch, &hits)
-                {
-                    if let Some(obs) = &self.obs {
-                        obs.cache_evictions.inc();
-                    }
-                }
-            }
-        }
-
-        ev.index_micros = t_index - t_locked;
-        ev.index_rows_in = index_rows_in;
-        ev.index_rows_out = candidates.len() as u64;
-        ev.delta_micros = t_scanned - t_index;
-        ev.delta_rows_in = epoch.delta_len as u64;
-        ev.delta_rows_out = n_delta_matches as u64;
-        ev.rank_micros = t_done - t_cold;
-        ev.rank_rows_in = n_candidates as u64;
-        ev.rank_rows_out = hits.len() as u64;
-        ev.hits_index = n_index_hits as u64;
-        ev.hits_delta = n_delta_hits as u64;
-        ev.total_micros = t_done - t0;
+        ev.index_micros = self.index.micros;
+        ev.index_rows_in = self.index.rows_in;
+        ev.index_rows_out = self.index.rows_out;
+        ev.delta_micros = self.delta.micros;
+        ev.delta_rows_in = self.delta.rows_in;
+        ev.delta_rows_out = self.delta.rows_out;
+        ev.rank_micros = self.rank.micros;
+        ev.rank_rows_in = self.rank.rows_in;
+        ev.rank_rows_out = self.rank.rows_out;
+        ev.hits_index = self.hits_index;
+        ev.hits_delta = self.hits_delta;
+        ev.total_micros = self.total_micros;
         ev.hit_count = hits.len() as u64;
-        ev.digest = result_digest(&hits);
-        ev.end_micros = t_done;
-        // Cold measurements ride outside the pinned QueryEvent layout.
-        let cold = had_cold.then_some(ColdScanMeasure {
-            micros: t_cold - t_scanned,
-            rows_in: cold_rows_in,
-            hits: n_cold_hits as u64,
-        });
-        (hits, ev, cold)
+        ev.digest = result_digest(hits);
+        ev.end_micros = self.end_micros;
+        ev
     }
+}
 
+impl Engine {
     /// Records `ev` into the event log (when present) and bumps the
     /// pushed/kept counters.
     pub(crate) fn emit_event(&self, ev: &QueryEvent) {
@@ -422,47 +199,31 @@ impl Engine {
         }
     }
 
-    /// The events-enabled arm of `query`: instrumented execution plus
-    /// one wide event. `inline(never)` so the events-off hot path never
-    /// carries this body.
+    /// Builds the wide event for a query shed before execution, emits
+    /// it (always-keep class) and returns what was emitted.
     #[inline(never)]
-    pub(crate) fn query_evented(
-        &self,
-        query: &Query,
-        opts: &QueryOptions,
-        tokens_remaining: Option<f64>,
-    ) -> Vec<SearchHit> {
-        let t0 = self.clock.now_micros();
-        let epoch = self.epoch.read().clone();
-        let plan = QueryPlan::compile(query, opts);
-        let (hits, mut ev, _cold) = self.execute_plan_instrumented(&epoch, t0, &plan);
-        ev.tokens_remaining = tokens_remaining;
-        self.emit_event(&ev);
-        hits
-    }
-
-    /// Builds and emits the wide event for a query shed before
-    /// execution (always-keep class).
-    #[inline(never)]
-    pub(crate) fn emit_shed_event(
+    pub(crate) fn shed_event(
         &self,
         client_id: u64,
-        query: &Query,
-        opts: &QueryOptions,
+        plan: &QueryPlan,
+        epoch: &Epoch,
         reason: ShedReason,
-    ) {
-        let plan = QueryPlan::compile(query, opts);
-        let epoch = self.epoch.read().clone();
-        let now = self.clock.now_micros();
-        let mut ev = self.shed_event_snapshot(client_id, &plan, &epoch, reason);
-        ev.end_micros = now;
+    ) -> QueryEvent {
+        let mut ev = QueryEvent::new(plan, epoch, plan.fingerprint());
+        ev.outcome = QueryOutcome::Shed(reason);
+        ev.tokens_remaining = self
+            .admission
+            .as_ref()
+            .map(|a| a.tokens_remaining(client_id));
+        ev.end_micros = self.clock.now_micros();
         self.emit_event(&ev);
+        ev
     }
 
-    /// EXPLAIN ANALYZE: executes the query through the instrumented
-    /// pipeline (admission consulted exactly like `query_admitted`) and
-    /// returns the hits plus the annotated report. Emits a wide event
-    /// like any other query when the log is enabled.
+    /// EXPLAIN ANALYZE: executes the query through the pipeline under
+    /// the measuring probe (admission consulted exactly like
+    /// `query_admitted`) and returns the hits plus the annotated report.
+    /// Emits a wide event like any other query when the log is enabled.
     pub(crate) fn query_analyzed(
         &self,
         client_id: u64,
@@ -470,142 +231,33 @@ impl Engine {
         opts: &QueryOptions,
     ) -> AnalyzedQuery {
         let t0 = self.clock.now_micros();
-        let mut tokens = None;
-        let _permit = match &self.admission {
-            None => None,
-            Some(admission) => match admission.admit(client_id) {
-                Ok(permit) => {
-                    if let Some(obs) = &self.obs {
-                        obs.admitted.inc();
-                    }
-                    tokens = Some(admission.tokens_remaining(client_id));
-                    Some(permit)
-                }
-                Err(reason) => {
-                    if let Some(obs) = &self.obs {
-                        match reason {
-                            ShedReason::RateLimited => obs.shed_rate_limited.inc(),
-                            ShedReason::Overloaded => obs.shed_overloaded.inc(),
-                        }
-                    }
-                    self.emit_shed_event(client_id, query, opts, reason);
-                    let plan = QueryPlan::compile(query, opts);
-                    let epoch = self.epoch.read().clone();
-                    let mut ev = self.shed_event_snapshot(client_id, &plan, &epoch, reason);
-                    ev.end_micros = self.clock.now_micros();
-                    let plan_text = self.render_plan_text(&plan, &epoch, &ev);
-                    return AnalyzedQuery {
-                        hits: Vec::new(),
-                        report: AnalyzeReport {
-                            event: ev,
-                            cold: None,
-                            plan_text,
-                        },
-                    };
-                }
-            },
-        };
+        let admitted = self.admit(client_id, true);
         let epoch = self.epoch.read().clone();
         let plan = QueryPlan::compile(query, opts);
-        let (hits, mut ev, cold) = self.execute_plan_instrumented(&epoch, t0, &plan);
-        ev.tokens_remaining = tokens;
-        self.emit_event(&ev);
-        let plan_text = self.render_plan_text(&plan, &epoch, &ev);
+        let (hits, event, rec) = match admitted {
+            Ok((_permit, tokens)) => {
+                let (hits, rec) = self.execute_measured(&epoch, t0, &plan);
+                let event = rec.event(&plan, &epoch, tokens, &hits);
+                self.emit_event(&event);
+                (hits, event, rec)
+            }
+            Err(reason) => (
+                Vec::new(),
+                self.shed_event(client_id, &plan, &epoch, reason),
+                StageRecord::default(),
+            ),
+        };
+        // The normal `explain` body, its fan-out and cache lines replaced
+        // by what this execution concretely decided (when no operator
+        // ran, the fan-out the cost model would have taken).
+        let decision = rec.fanout.unwrap_or_else(|| self.price(&epoch, &plan));
         AnalyzedQuery {
             hits,
             report: AnalyzeReport {
-                event: ev,
-                cold,
-                plan_text,
+                plan_text: self.explain_plan(&plan, &epoch, &decision, Some(rec.cache)),
+                event,
+                cold: rec.cold,
             },
         }
-    }
-
-    /// A shed event minus emission side effects, for report rendering.
-    fn shed_event_snapshot(
-        &self,
-        client_id: u64,
-        plan: &QueryPlan,
-        epoch: &Epoch,
-        reason: ShedReason,
-    ) -> QueryEvent {
-        QueryEvent {
-            fingerprint: plan.fingerprint(),
-            t_start: plan.query.t_start,
-            t_end: plan.query.t_end,
-            lat: plan.query.center.lat,
-            lng: plan.query.center.lng,
-            radius_m: plan.query.radius_m,
-            top_n: plan.k as u64,
-            direction_filter: plan.filters.direction_tolerance_deg.is_some(),
-            direction_tolerance_deg: plan.filters.direction_tolerance_deg.unwrap_or(0.0),
-            require_coverage: plan.filters.require_coverage,
-            rank: plan.rank,
-            outcome: QueryOutcome::Shed(reason),
-            cache: CacheOutcome::Off,
-            fanout_parallel: false,
-            fanout_shards: 0,
-            fanout_items: 0,
-            fanout_work: 0.0,
-            fanout_threads: 0,
-            tokens_remaining: self
-                .admission
-                .as_ref()
-                .map(|a| a.tokens_remaining(client_id)),
-            global_gen: epoch.stamp.global_gen,
-            delta_gen: epoch.stamp.delta_gen,
-            delta_len: epoch.delta_len as u64,
-            index_micros: 0,
-            index_rows_in: 0,
-            index_rows_out: 0,
-            delta_micros: 0,
-            delta_rows_in: 0,
-            delta_rows_out: 0,
-            rank_micros: 0,
-            rank_rows_in: 0,
-            rank_rows_out: 0,
-            hits_index: 0,
-            hits_delta: 0,
-            total_micros: 0,
-            hit_count: 0,
-            digest: 0,
-            end_micros: 0,
-        }
-    }
-
-    /// Renders the resolved plan listing an [`AnalyzeReport`] annotates:
-    /// the normal `explain` body with the fan-out and cache lines
-    /// replaced by what the analyzed execution concretely decided.
-    fn render_plan_text(&self, plan: &QueryPlan, epoch: &Epoch, ev: &QueryEvent) -> String {
-        let decision = FanoutDecision {
-            parallel: ev.fanout_parallel,
-            shards: ev.fanout_shards as usize,
-            items: ev.fanout_items as usize,
-            estimated_work: ev.fanout_work,
-            threads: ev.fanout_threads as usize,
-        };
-        let mut cache_line = format!("fingerprint {:#018x}, ", ev.fingerprint);
-        cache_line.push_str(&match ev.cache {
-            CacheOutcome::Off => "cache off".to_string(),
-            CacheOutcome::Ineligible => format!(
-                "ineligible (spans {} shard buckets > cap {})",
-                cache::bucket_span_len(
-                    self.config.shard_width_s,
-                    plan.query.t_start,
-                    plan.query.t_end
-                ),
-                cache::CACHE_MAX_BUCKET_SPAN
-            ),
-            CacheOutcome::Miss => "miss (executed and stored)".to_string(),
-            CacheOutcome::Hit => "hit (served from cache)".to_string(),
-        });
-        let cold_line = self.cold_line(plan);
-        plan.explain_against(
-            &epoch.core.index,
-            epoch.delta_len,
-            &decision,
-            &cache_line,
-            cold_line.as_deref(),
-        )
     }
 }

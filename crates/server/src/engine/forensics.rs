@@ -10,12 +10,11 @@
 //! digest of the result set.
 //!
 //! * **EXPLAIN ANALYZE** (`Engine::query_analyzed`, in
-//!   [`super::analyze`]) runs the *real* operator pipeline through an
-//!   instrumented twin of the normal executor — same operator functions,
-//!   same order, byte-identical results (pinned by an equivalence test)
-//!   — and renders the plan tree annotated with what actually happened.
+//!   [`super::analyze`]) runs the one operator pipeline under the
+//!   measuring probe and renders the plan tree annotated with what
+//!   actually happened.
 //! * The **wide-event log** ([`QueryEventLog`]) records one event per
-//!   query into per-thread lock-free rings (the flight recorder's
+//!   executed plan into per-thread lock-free rings (the flight recorder's
 //!   seqlock protocol, generalized in `swag-obs::EventLog`), with a
 //!   tail-sampling policy: sheds and over-SLO-slow queries are always
 //!   kept, ordinary traffic probabilistically. Disabled (the default),
@@ -24,8 +23,9 @@
 //!   epoch stamp, so `swag replay` can re-execute it under `--analyze`
 //!   against a rebuilt engine and diff the result digest.
 //!
-//! This module holds the data model; the instrumented executor and the
-//! annotated-report rendering live in [`super::analyze`].
+//! This module holds the data model; the views over a measured
+//! execution and the annotated-report rendering live in
+//! [`super::analyze`].
 
 use swag_obs::{EventClass, EventLog, EventLogStats};
 
@@ -33,6 +33,8 @@ use crate::query::{Query, QueryOptions, RankMode};
 use crate::ranking::SearchHit;
 
 use super::admission::ShedReason;
+use super::epoch::Epoch;
+use super::plan::QueryPlan;
 
 pub use super::analyze::{AnalyzeReport, AnalyzedQuery, ColdScanMeasure};
 
@@ -85,9 +87,10 @@ impl EventLogConfig {
 }
 
 /// How a query ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum QueryOutcome {
     /// Executed and returned results.
+    #[default]
     Served,
     /// Shed by admission control before execution.
     Shed(ShedReason),
@@ -104,9 +107,10 @@ impl std::fmt::Display for QueryOutcome {
 }
 
 /// What the result cache did for a query.
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub enum CacheOutcome {
     /// No cache configured.
+    #[default]
     Off,
     /// Plan spans too many shard buckets to be cacheable.
     Ineligible,
@@ -130,7 +134,7 @@ impl std::fmt::Display for CacheOutcome {
 /// One query's wide event. All-numeric and `Copy` so it encodes to a
 /// fixed `[u64; QUERY_EVENT_WORDS]` for the lock-free ring; float fields
 /// round-trip bit-exactly (replay depends on it).
-#[derive(Debug, Clone, Copy)]
+#[derive(Debug, Clone, Copy, Default)]
 pub struct QueryEvent {
     /// Canonical plan fingerprint (the result-cache key).
     pub fingerprint: u64,
@@ -145,7 +149,7 @@ pub struct QueryEvent {
     pub direction_tolerance_deg: f64,
     pub require_coverage: bool,
     pub rank: RankMode,
-    // Decisions.
+    // Decisions (fan-out is zero when no operator ran).
     pub outcome: QueryOutcome,
     pub cache: CacheOutcome,
     pub fanout_parallel: bool,
@@ -182,6 +186,29 @@ pub struct QueryEvent {
 }
 
 impl QueryEvent {
+    /// The event of `plan` (whose fingerprint the caller has) against
+    /// `epoch` before anything ran: the request and the stamp filled in,
+    /// served, cache off, every decision and measurement zero.
+    pub(crate) fn new(plan: &QueryPlan, epoch: &Epoch, fingerprint: u64) -> Self {
+        QueryEvent {
+            fingerprint,
+            t_start: plan.query.t_start,
+            t_end: plan.query.t_end,
+            lat: plan.query.center.lat,
+            lng: plan.query.center.lng,
+            radius_m: plan.query.radius_m,
+            top_n: plan.k as u64,
+            direction_filter: plan.filters.direction_tolerance_deg.is_some(),
+            direction_tolerance_deg: plan.filters.direction_tolerance_deg.unwrap_or(0.0),
+            require_coverage: plan.filters.require_coverage,
+            rank: plan.rank,
+            global_gen: epoch.stamp.global_gen,
+            delta_gen: epoch.stamp.delta_gen,
+            delta_len: epoch.delta_len as u64,
+            ..QueryEvent::default()
+        }
+    }
+
     /// Packs the event into its fixed word array.
     pub fn encode(&self) -> [u64; QUERY_EVENT_WORDS] {
         let mut flags = 0u64;

@@ -6,9 +6,11 @@
 //!   typed [`plan::QueryPlan`] (query boxes, filter chain, rank mode,
 //!   top-k) and renders `explain()` listings;
 //! * [`ops`] — the **operator pipeline**: executes plans against an
-//!   epoch snapshot (index scan → delta scan → filter → rank → top-k)
-//!   and drives the four read entry points (`query`, `query_nearest`,
-//!   `query_batch`, and — via the shared filter stage — subscriptions);
+//!   epoch snapshot (index scan → delta scan → cold scan → ranking),
+//!   written once and generic over a stage [`probe`], and drives the
+//!   read entry points (`query`, `query_nearest`, `query_batch`,
+//!   `query_analyzed`, and — via the shared filter stage —
+//!   subscriptions);
 //! * [`write`] — the **write path**: staging, snapshot publishing,
 //!   retention, compaction, retraction, and subscription bookkeeping;
 //! * [`epoch`] — the immutable read-side state both halves exchange.
@@ -25,6 +27,7 @@ pub mod fanout;
 pub mod forensics;
 mod ops;
 pub mod plan;
+mod probe;
 mod write;
 
 pub(crate) use ops::cold_zone_of;
@@ -39,7 +42,7 @@ use parking_lot::{Mutex, RwLock};
 use swag_core::CameraProfile;
 use swag_exec::Executor;
 use swag_obs::{
-    labeled_name, Counter, FlightRecorder, Histogram, MonotonicClock, Registry, Trace,
+    labeled_name, Counter, FlightRecorder, Histogram, MonotonicClock, Registry,
     DEFAULT_RING_CAPACITY,
 };
 
@@ -52,8 +55,9 @@ use crate::subscribe::SubscriptionSet;
 use admission::AdmissionController;
 use cache::ResultCache;
 use epoch::{CacheStamp, Epoch, SnapshotCore};
-use forensics::QueryEventLog;
+use forensics::{CacheOutcome, QueryEventLog};
 use plan::QueryPlan;
+use probe::{OpMeasure, StageRecord};
 use write::Writer;
 
 /// Per-operator metric handles: one stage of the operator pipeline,
@@ -78,14 +82,17 @@ impl OpStageObs {
             rows_out: registry.histogram(&labeled_name("swag_server_op_rows_out", &[("op", op)])),
         }
     }
+
+    fn record(&self, op: &OpMeasure) {
+        self.micros.record(op.micros);
+        self.rows_in.record(op.rows_in);
+        self.rows_out.record(op.rows_out);
+    }
 }
 
 /// Metric handles for an instrumented engine. Handles are resolved once
 /// at attach time; recording never touches the registry again.
 pub(crate) struct ServerObs {
-    pub(crate) lock_wait: Arc<Histogram>,
-    pub(crate) index_scan: Arc<Histogram>,
-    pub(crate) ranking: Arc<Histogram>,
     pub(crate) query_total: Arc<Histogram>,
     pub(crate) candidates: Arc<Histogram>,
     pub(crate) index_nodes: Arc<Histogram>,
@@ -127,7 +134,6 @@ pub(crate) struct ServerObs {
     /// retained by the tail sampler.
     pub(crate) events_pushed: Arc<Counter>,
     pub(crate) events_kept: Arc<Counter>,
-    pub(crate) trace: Trace,
 }
 
 impl ServerObs {
@@ -146,7 +152,7 @@ impl ServerObs {
         );
         registry.set_help(
             "swag_server_hits_total",
-            "Filtered hits by origin: published snapshot index vs staged delta.",
+            "Filtered hits by origin (src): published snapshot index, staged delta, or on-disk cold runs.",
         );
         registry.set_help(
             "swag_server_shards_probed",
@@ -181,9 +187,6 @@ impl ServerObs {
             "Wide query events recorded into the forensic rings (stage=pushed) and retained by the tail sampler (stage=kept).",
         );
         ServerObs {
-            lock_wait: registry.histogram("swag_server_query_lock_wait_micros"),
-            index_scan: registry.histogram("swag_server_query_index_scan_micros"),
-            ranking: registry.histogram("swag_server_query_ranking_micros"),
             query_total: registry.histogram("swag_server_query_micros"),
             candidates: registry.histogram("swag_server_query_candidates"),
             index_nodes: registry.histogram("swag_server_index_nodes_visited"),
@@ -235,7 +238,47 @@ impl ServerObs {
                 "swag_server_events_total",
                 &[("stage", "kept")],
             )),
-            trace: Trace::new(256),
+        }
+    }
+
+    /// The metrics view of one measured execution. Per-operator
+    /// telemetry is keyed by the same `OP_*` names the trace spans and
+    /// `swag explain` use, and stays miss-only: on a cache hit no
+    /// operator ran.
+    pub(crate) fn record(&self, rec: &StageRecord) {
+        self.query_total.record(rec.total_micros);
+        match rec.cache {
+            CacheOutcome::Hit => self.cache_hits.inc(),
+            CacheOutcome::Miss => self.cache_misses.inc(),
+            CacheOutcome::Off | CacheOutcome::Ineligible => {}
+        }
+        if rec.evicted {
+            self.cache_evictions.inc();
+        }
+        let Some(fanout) = &rec.fanout else {
+            return;
+        };
+        self.candidates.record(rec.rank.rows_in);
+        self.index_nodes.record(rec.search.nodes_visited);
+        self.index_leaves.record(rec.search.leaves_scanned);
+        self.op_index_scan.record(&rec.index);
+        self.op_delta_scan.record(&rec.delta);
+        if let Some(cold) = &rec.cold {
+            self.op_cold_scan.record(&OpMeasure {
+                micros: cold.micros,
+                rows_in: cold.rows_in,
+                rows_out: cold.hits,
+            });
+            self.hits_cold.add(cold.hits);
+        }
+        self.op_ranking.record(&rec.rank);
+        self.hits_index.add(rec.hits_index);
+        self.hits_delta.add(rec.hits_delta);
+        self.shards_probed.record(fanout.shards as u64);
+        if fanout.parallel {
+            self.fanout_parallel.inc();
+        } else {
+            self.fanout_serial.inc();
         }
     }
 }
@@ -385,40 +428,46 @@ impl Engine {
     pub(crate) fn explain(&self, query: &Query, opts: &QueryOptions) -> String {
         let plan = QueryPlan::compile(query, opts);
         let epoch = self.epoch.read().clone();
-        let decision = fanout::FanoutDecision::decide(
-            &epoch.core.index,
-            plan.query.t_start,
-            plan.query.t_end,
-            &self.exec,
-            self.config.fanout,
-        );
+        self.explain_plan(&plan, &epoch, &self.price(&epoch, &plan), None)
+    }
+
+    /// Renders `plan` resolved against `epoch` under the given fan-out
+    /// decision, with the cold-tier line when cold runs exist. The cache
+    /// line reports `executed` — what an execution concretely decided —
+    /// or, for a plan that has not run, its eligibility.
+    pub(crate) fn explain_plan(
+        &self,
+        plan: &QueryPlan,
+        epoch: &Epoch,
+        decision: &fanout::FanoutDecision,
+        executed: Option<CacheOutcome>,
+    ) -> String {
         let span = cache::bucket_span_len(
             self.config.shard_width_s,
             plan.query.t_start,
             plan.query.t_end,
         );
-        let mut cache_line = format!("fingerprint {:#018x}, ", plan.fingerprint());
-        if span <= cache::CACHE_MAX_BUCKET_SPAN {
-            use std::fmt::Write as _;
-            let _ = write!(cache_line, "eligible (spans {span} shard buckets)");
+        let cap = cache::CACHE_MAX_BUCKET_SPAN;
+        let cache = match executed {
+            None if span <= cap => format!("eligible (spans {span} shard buckets)"),
+            None | Some(CacheOutcome::Ineligible) => {
+                format!("ineligible (spans {span} shard buckets > cap {cap})")
+            }
+            Some(CacheOutcome::Off) => "cache off".to_string(),
+            Some(CacheOutcome::Miss) => "miss (executed and stored)".to_string(),
+            Some(CacheOutcome::Hit) => "hit (served from cache)".to_string(),
+        };
+        let off = if executed.is_none() && self.cache.is_none() {
+            ", cache off"
         } else {
-            use std::fmt::Write as _;
-            let _ = write!(
-                cache_line,
-                "ineligible (spans {span} shard buckets > cap {})",
-                cache::CACHE_MAX_BUCKET_SPAN
-            );
-        }
-        if self.cache.is_none() {
-            cache_line.push_str(", cache off");
-        }
-        let cold_line = self.cold_line(&plan);
+            ""
+        };
         plan.explain_against(
             &epoch.core.index,
             epoch.delta_len,
-            &decision,
-            &cache_line,
-            cold_line.as_deref(),
+            decision,
+            &format!("fingerprint {:#018x}, {cache}{off}", plan.fingerprint()),
+            self.cold_line(plan).as_deref(),
         )
     }
 

@@ -65,9 +65,10 @@ fn quality_score_with_distance(rep: &RepFov, cam: &CameraProfile, query: &Query,
     proximity * alignment * temporal
 }
 
-/// Applies steps 3-4 of the filtering mechanism to index candidates.
-/// Convenience wrapper over the plan-driven pipeline for callers (bench
-/// harnesses, external users) holding raw `(Query, QueryOptions)` pairs.
+/// Applies steps 3-4 of the filtering mechanism to index candidates:
+/// the ranking operator with no delta and no cold tier, for callers
+/// (bench harnesses, external users) holding raw `(Query, QueryOptions)`
+/// pairs.
 pub fn rank_candidates(
     candidates: &[SegmentId],
     store: &SegmentStore,
@@ -76,9 +77,29 @@ pub fn rank_candidates(
     opts: &QueryOptions,
 ) -> Vec<SearchHit> {
     let plan = QueryPlan::compile(query, opts);
-    let mut hits = collect_hits(candidates, store, cam, &plan);
+    rank_stage(candidates, [Vec::new(), Vec::new()], store, cam, &plan).0
+}
+
+/// The ranking operator (steps 3-4), consumed by every read entry
+/// point: filters the index candidates through the plan's chain,
+/// appends the other tiers' already-filtered hits (`[delta, cold]` —
+/// an order stable ranking preserves among ties), then ranks and
+/// truncates to `k`. Also returns how many index candidates survived
+/// the filters.
+pub(crate) fn rank_stage(
+    candidates: &[SegmentId],
+    tier_hits: [Vec<SearchHit>; 2],
+    store: &SegmentStore,
+    cam: &CameraProfile,
+    plan: &QueryPlan,
+) -> (Vec<SearchHit>, usize) {
+    let mut hits = collect_hits(candidates, store, cam, plan);
+    let hits_index = hits.len();
+    for mut tier in tier_hits {
+        hits.append(&mut tier);
+    }
     rank_hits(&mut hits, plan.rank, plan.k);
-    hits
+    (hits, hits_index)
 }
 
 /// Resolves candidate ids against the store, applies the plan's filter
@@ -94,7 +115,7 @@ pub fn rank_candidates(
 /// vectorise the arithmetic (the same shape the [`swag_core::CamTrig`]
 /// similarity fast path uses), and computes each distance once instead
 /// of twice (rank key + quality proximity term).
-pub(crate) fn collect_hits(
+fn collect_hits(
     candidates: &[SegmentId],
     store: &SegmentStore,
     cam: &CameraProfile,
@@ -136,9 +157,8 @@ fn hit_with_distance(rec: &SegmentRecord, cam: &CameraProfile, query: &Query, d:
     }
 }
 
-/// Step 4 — **the** ranking definition, consumed by every read entry
-/// point: stable-sorts by the rank mode's key and truncates to `k`.
-pub(crate) fn rank_hits(hits: &mut Vec<SearchHit>, rank: RankMode, k: usize) {
+/// Step 4: stable-sorts by the rank mode's key and truncates to `k`.
+fn rank_hits(hits: &mut Vec<SearchHit>, rank: RankMode, k: usize) {
     match rank {
         RankMode::Distance => hits.sort_by(|a, b| a.distance_m.total_cmp(&b.distance_m)),
         RankMode::Quality => hits.sort_by(|a, b| b.quality.total_cmp(&a.quality)),

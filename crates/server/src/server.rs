@@ -22,18 +22,18 @@
 //! renders the plan a request would run.
 //!
 //! Observability is opt-in: [`CloudServer::attach_observability`] wires
-//! the query path to `swag-obs` histograms (epoch acquire vs. index scan
-//! vs. ranking split, candidate counts, R-tree traversal work), the
-//! publish path to snapshot age / rebuild cost / delta size metrics, and
-//! a sampled per-query [`Trace`]. Without it, the only cost the query
-//! path pays is one branch on an `Option`. Time comes from an injectable
+//! the query path to `swag-obs` histograms (total latency, per-operator
+//! time and rows, candidate counts, R-tree traversal work) and the
+//! publish path to snapshot age / rebuild cost / delta size metrics.
+//! Without it the query path runs the same pipeline under a probe that
+//! records nothing and reads no clock. Time comes from an injectable
 //! [`MonotonicClock`] so latency accounting is exactly testable.
 
 use std::sync::Arc;
 
 use swag_core::{CameraProfile, RepFov, UploadBatch};
 use swag_exec::Executor;
-use swag_obs::{FlightRecorder, HistogramSnapshot, MonotonicClock, Registry, Trace, WallClock};
+use swag_obs::{FlightRecorder, HistogramSnapshot, MonotonicClock, Registry, WallClock};
 
 use crate::engine::admission::{AdmissionConfig, ShedReason};
 use crate::engine::cache::CacheConfig;
@@ -88,8 +88,8 @@ pub struct ServerConfig {
     /// Wide-event query log with tail sampling (disabled by default):
     /// every query records one forensic [`crate::QueryEvent`]; sheds and
     /// over-threshold-slow queries are always retained, ordinary traffic
-    /// probabilistically. Disabled, the query path pays one branch and
-    /// reads no clock for forensics.
+    /// probabilistically. Applies to every read entry point, one event
+    /// per executed plan.
     pub events: EventLogConfig,
     /// Durable storage (disabled by default — the server is memory-only
     /// unless opened through [`CloudServer::open`], which switches the
@@ -139,14 +139,9 @@ pub struct ServerStats {
     pub queries: u64,
     /// Total time spent answering queries, microseconds.
     pub query_micros_total: u64,
-    /// Time queries spent acquiring the epoch (empty unless
-    /// observability is attached).
-    pub lock_wait_micros: HistogramSnapshot,
-    /// Time queries spent scanning the spatio-temporal index.
-    pub index_scan_micros: HistogramSnapshot,
-    /// Time queries spent ranking candidates.
-    pub ranking_micros: HistogramSnapshot,
-    /// End-to-end query latency distribution.
+    /// End-to-end query latency distribution (empty unless
+    /// observability is attached; the per-operator split is
+    /// `swag_server_op_micros{op=…}` in the registry).
     pub query_micros: HistogramSnapshot,
 }
 
@@ -339,7 +334,7 @@ impl CloudServer {
     /// Wires this server's ingest, query, and publish paths to `registry`
     /// (metric names `swag_server_*`, shard fan-out under `swag_shard_*`).
     /// Call before sharing the server across threads; until called,
-    /// instrumentation costs one branch per query.
+    /// queries run unobserved.
     pub fn attach_observability(&mut self, registry: &Registry) {
         self.engine.attach_observability(registry);
     }
@@ -352,12 +347,6 @@ impl CloudServer {
     /// before each scrape; cheap enough to call on every rotation.
     pub fn refresh_gauges(&self, registry: &Registry) {
         self.engine.refresh_gauges(registry);
-    }
-
-    /// The sampled per-query trace ring, present once observability is
-    /// attached. Disabled (never sampling) until [`Trace::enable`].
-    pub fn query_trace(&self) -> Option<&Trace> {
-        self.engine.obs.as_ref().map(|o| &o.trace)
     }
 
     /// The flight recorder behind this server's query/ingest/publish
@@ -491,12 +480,11 @@ impl CloudServer {
         self.engine.explain(query, opts)
     }
 
-    /// EXPLAIN ANALYZE: executes the request for real through an
-    /// instrumented pipeline and returns the hits — byte-identical to
-    /// [`Self::query_admitted`] (an equivalence test pins this) — plus a
-    /// report annotating every operator with measured wall time and rows
-    /// in/out, and the concrete cache, admission, and fan-out decisions
-    /// this execution took. Admission is consulted exactly like
+    /// EXPLAIN ANALYZE: executes the request for real — the same
+    /// pipeline [`Self::query_admitted`] runs, under the measuring probe
+    /// — and returns the hits plus a report annotating every operator
+    /// with measured wall time and rows in/out, and the concrete cache,
+    /// admission, and fan-out decisions this execution took. Admission is consulted exactly like
     /// `query_admitted`; a shed request returns no hits and a report
     /// saying why. When the wide-event log is enabled the analyzed run
     /// emits an event like any other query.
@@ -568,8 +556,8 @@ impl CloudServer {
         server
     }
 
-    /// Current statistics snapshot. Phase histograms are empty unless
-    /// observability is attached.
+    /// Current statistics snapshot. The latency histogram is empty
+    /// unless observability is attached.
     pub fn stats(&self) -> ServerStats {
         self.engine.stats()
     }

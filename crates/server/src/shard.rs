@@ -314,30 +314,40 @@ impl ShardedFovIndex {
     /// Only live shards inside the window are visited (a wide-open time
     /// range costs the number of shards, not the number of buckets).
     pub fn candidates(&self, q: &Query) -> Vec<SegmentId> {
-        self.candidates_exec(&Executor::serial(), q)
+        self.candidates_in_exec(
+            &Executor::serial(),
+            &query_boxes(q),
+            q.t_start,
+            q.t_end,
+            None,
+        )
     }
 
-    /// [`Self::candidates`] with the per-shard probes fanned out on
-    /// `exec`.
+    /// [`Self::candidates`] accumulating per-shard traversal counters into
+    /// `stats`.
+    pub fn candidates_with_stats(&self, q: &Query, stats: &mut SearchStats) -> Vec<SegmentId> {
+        let boxes = query_boxes(q);
+        self.candidates_in_exec(&Executor::serial(), &boxes, q.t_start, q.t_end, Some(stats))
+    }
+
+    /// The probe behind [`Self::candidates`], against an already-built
+    /// query box set and time window (the plan-driven query path builds
+    /// boxes once per plan), with the per-shard probes fanned out on
+    /// `exec` and traversal counters accumulated into `stats` when given.
     ///
     /// Byte-identical to the serial probe: a multi-shard result is the
     /// ascending sort + dedup of the union of per-shard matches — the
     /// same vector no matter which worker scanned which shard — and a
     /// single-shard probe keeps the unsorted pass-through fast path in
-    /// both modes.
-    pub fn candidates_exec(&self, exec: &Executor, q: &Query) -> Vec<SegmentId> {
-        self.candidates_in_exec(exec, &query_boxes(q), q.t_start, q.t_end)
-    }
-
-    /// [`Self::candidates_exec`] against an already-built query box set
-    /// and time window (the plan-driven query path builds boxes once per
-    /// plan instead of once per probe).
+    /// both modes. Parallel workers count into private stats that are
+    /// summed afterwards, so totals match the serial scan exactly.
     pub fn candidates_in_exec(
         &self,
         exec: &Executor,
         boxes: &QueryBoxes,
         t0: f64,
         t1: f64,
+        mut stats: Option<&mut SearchStats>,
     ) -> Vec<SegmentId> {
         let shards: Vec<&Arc<FovIndex>> = self
             .shards
@@ -353,93 +363,37 @@ impl ShardedFovIndex {
             // needs no dedup pass.
             [only] => {
                 let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                only.candidates_in(boxes)
+                match stats {
+                    Some(stats) => only.candidates_with_stats_in(boxes, stats),
+                    None => only.candidates_in(boxes),
+                }
             }
             many if exec.is_serial() => with_scratch(|scratch| {
                 for shard in many {
                     let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                    shard.candidates_into(boxes, scratch);
-                }
-                sorted_dedup(scratch)
-            }),
-            many => {
-                let per_shard = exec.par_map(many, |shard| {
-                    let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                    shard.candidates_in(boxes)
-                });
-                with_scratch(|scratch| {
-                    for v in &per_shard {
-                        scratch.extend_from_slice(v);
+                    match stats.as_deref_mut() {
+                        Some(stats) => shard.candidates_with_stats_into(boxes, scratch, stats),
+                        None => shard.candidates_into(boxes, scratch),
                     }
-                    sorted_dedup(scratch)
-                })
-            }
-        };
-        if let Some(obs) = &self.obs {
-            obs.fanout.record(probed);
-            obs.candidates.record(out.len() as u64);
-        }
-        out
-    }
-
-    /// [`Self::candidates`] accumulating per-shard traversal counters into
-    /// `stats` (used by the instrumented server query path).
-    pub fn candidates_with_stats(&self, q: &Query, stats: &mut SearchStats) -> Vec<SegmentId> {
-        self.candidates_with_stats_exec(&Executor::serial(), q, stats)
-    }
-
-    /// [`Self::candidates_exec`] accumulating per-shard traversal counters
-    /// into `stats`. Parallel workers count into private stats that are
-    /// summed afterwards, so totals match the serial scan exactly.
-    pub fn candidates_with_stats_exec(
-        &self,
-        exec: &Executor,
-        q: &Query,
-        stats: &mut SearchStats,
-    ) -> Vec<SegmentId> {
-        self.candidates_with_stats_in_exec(exec, &query_boxes(q), q.t_start, q.t_end, stats)
-    }
-
-    /// [`Self::candidates_with_stats_exec`] against an already-built query
-    /// box set and time window (the plan-driven query path builds boxes
-    /// once per plan instead of once per probe).
-    pub fn candidates_with_stats_in_exec(
-        &self,
-        exec: &Executor,
-        boxes: &QueryBoxes,
-        t0: f64,
-        t1: f64,
-        stats: &mut SearchStats,
-    ) -> Vec<SegmentId> {
-        let shards: Vec<&Arc<FovIndex>> = self
-            .shards
-            .range(self.buckets(t0, t1))
-            .map(|(_, shard)| shard)
-            .collect();
-        let probed = shards.len() as u64;
-        let recorder = &self.recorder;
-        let out = match shards.as_slice() {
-            [] => Vec::new(),
-            [only] => {
-                let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                only.candidates_with_stats_in(boxes, stats)
-            }
-            many if exec.is_serial() => with_scratch(|scratch| {
-                for shard in many {
-                    let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                    shard.candidates_with_stats_into(boxes, scratch, stats);
                 }
                 sorted_dedup(scratch)
             }),
             many => {
+                let counting = stats.is_some();
                 let per_shard = exec.par_map(many, |shard| {
                     let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
                     let mut local = SearchStats::default();
-                    let v = shard.candidates_with_stats_in(boxes, &mut local);
+                    let v = if counting {
+                        shard.candidates_with_stats_in(boxes, &mut local)
+                    } else {
+                        shard.candidates_in(boxes)
+                    };
                     (v, local)
                 });
-                for (_, local) in &per_shard {
-                    stats.merge(local);
+                if let Some(stats) = stats {
+                    for (_, local) in &per_shard {
+                        stats.merge(local);
+                    }
                 }
                 with_scratch(|scratch| {
                     for (v, _) in &per_shard {

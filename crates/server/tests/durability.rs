@@ -215,7 +215,7 @@ fn expired_shards_demote_to_cold_and_stay_queryable() {
     assert_eq!(
         result_digest(&analyzed.hits),
         result_digest(&cold_hits),
-        "instrumented twin matches the normal path with cold attached"
+        "analyzed run matches the normal path with cold attached"
     );
     let cold = analyzed.report.cold.expect("cold tier was scanned");
     assert_eq!(cold.hits, 12);
@@ -492,4 +492,41 @@ proptest! {
         }
         std::fs::remove_dir_all(&dir).ok();
     }
+}
+
+/// On a server holding cold runs the cold-scan operator is recorded for
+/// every query — also when zone maps prune every run in no measurable
+/// time (the clock here never advances) — so `op_micros{op="cold_scan"}`
+/// is not biased towards the queries that had to read.
+#[test]
+fn cold_scan_metrics_count_pruned_queries() {
+    let dir = tmp_dir();
+    let reg = swag_obs::Registry::new();
+    let mut server = CloudServer::open_with_clock(
+        &dir,
+        CameraProfile::smartphone(),
+        durable_config(8),
+        std::sync::Arc::new(swag_obs::ManualClock::default()),
+    )
+    .expect("open");
+    server.attach_observability(&reg);
+    for i in 0..50 {
+        let (rep, source) = rec(i, 60.0);
+        server.ingest_one(rep, source);
+    }
+    assert_eq!(server.expire_before(2_400.0), 40);
+    let hot = Query::new(2_400.0, 3_000.0, base(), 5_000.0);
+    for _ in 0..5 {
+        assert_eq!(server.query(&hot, &wide_opts()).len(), 10);
+    }
+    assert_eq!(server.durability_stats().unwrap().cold_runs_opened, 0);
+    let cold_op = |family: &str| {
+        reg.histogram(&swag_obs::labeled_name(family, &[("op", "cold_scan")]))
+            .snapshot()
+    };
+    let micros = cold_op("swag_server_op_micros");
+    assert_eq!((micros.count, micros.sum), (5, 0));
+    let rows_in = cold_op("swag_server_op_rows_in");
+    assert_eq!((rows_in.count, rows_in.sum), (5, 0));
+    std::fs::remove_dir_all(&dir).ok();
 }

@@ -1,11 +1,16 @@
 //! Query forensics: EXPLAIN ANALYZE equivalence, wide-event capture and
 //! tail sampling, JSON round-trips, and replay digest stability.
 //!
-//! The load-bearing guarantee is **byte-identity**: the instrumented
-//! analyzed executor and the events-enabled query path must return
-//! exactly what the plain path returns, hit for hit, field for field —
+//! The load-bearing guarantee is **probe invariance**: every sink the
+//! one operator pipeline can run under (none, registry, event log,
+//! EXPLAIN ANALYZE) must return exactly what the unobserved server
+//! returns, hit for hit, field for field, and record the same metrics —
 //! otherwise a forensic record describes an execution that never
 //! happened.
+
+use std::sync::Arc;
+
+use swag_obs::{Metric, MonotonicClock, Registry};
 
 use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_geo::LatLon;
@@ -107,13 +112,25 @@ fn assert_same_hits(a: &[SearchHit], b: &[SearchHit], what: &str) {
     );
 }
 
-/// EXPLAIN ANALYZE must return byte-identical results to the plain
-/// query path, across filter/rank variations — with the cache off.
+/// Probe invariance: EXPLAIN ANALYZE and an events-enabled server must
+/// return byte-identical results to the unobserved query path, across
+/// filter/rank variations and on every read entry point — with the
+/// cache off.
 #[test]
 fn analyzed_execution_matches_normal_execution() {
     let server = server_with(ServerConfig::default(), 11, 300);
+    let evented = server_with(
+        ServerConfig {
+            events: EventLogConfig::enabled(0, 11),
+            ..ServerConfig::default()
+        },
+        11,
+        300,
+    );
+    let log = evented.event_log().expect("events enabled in config");
     for (q, opts) in probes(11, 24) {
         let plain = server.query(&q, &opts);
+        assert_same_hits(&plain, &evented.query(&q, &opts), "evented-vs-plain");
         let analyzed = server.query_analyzed(7, &q, &opts);
         assert_same_hits(&plain, &analyzed.hits, "analyze-vs-plain");
         let ev = analyzed.report.event;
@@ -133,6 +150,93 @@ fn analyzed_execution_matches_normal_execution() {
             assert!(text.contains(needle), "analyze render missing {needle}");
         }
     }
+    assert_eq!(log.stats().pushed, 24, "one wide event per query");
+
+    // query_batch: one event per plan, hits equal to the log-off server.
+    let (queries, opts): (Vec<Query>, Vec<QueryOptions>) = probes(11, 8).into_iter().unzip();
+    let plain = server.query_batch(&queries, &opts[0], 2);
+    let batched = evented.query_batch(&queries, &opts[0], 2);
+    assert_eq!(
+        log.stats().pushed,
+        24 + 8,
+        "one wide event per batched plan"
+    );
+    for (a, b) in plain.iter().zip(&batched) {
+        assert_same_hits(a, b, "evented-batch-vs-plain");
+    }
+
+    // query_nearest: one event per radius ring it executed.
+    let nearest = |s: &CloudServer| s.query_nearest(0.0, 1_000.0, base(), 5, &opts[1], 400.0);
+    let rings_before = server.stats().queries;
+    let plain = nearest(&server);
+    let rings = server.stats().queries - rings_before;
+    assert!(rings >= 1);
+    assert_same_hits(&plain, &nearest(&evented), "evented-nearest-vs-plain");
+    assert_eq!(
+        log.stats().pushed,
+        24 + 8 + rings,
+        "one wide event per ring"
+    );
+}
+
+/// The event log must not change what the registry records: the same
+/// queries on a registry-attached server with the log off and with it
+/// on leave equal counts on every `swag_server_*` histogram and counter
+/// (events counters aside).
+#[test]
+fn event_log_does_not_change_recorded_metrics() {
+    let observed = |events: EventLogConfig| {
+        let reg = Registry::new();
+        let mut server = CloudServer::with_config(
+            CameraProfile::smartphone(),
+            ServerConfig {
+                publish_threshold: 128,
+                cache: CacheConfig::enabled(64),
+                events,
+                ..ServerConfig::default()
+            },
+        );
+        server.attach_observability(&reg);
+        // A published index *and* a pending delta (40 < threshold), so
+        // both scans contribute traversal counters; the repeated probes
+        // hit the cache.
+        for (video_id, n) in [(0, 300), (1, 40)] {
+            server.ingest_batch(&UploadBatch {
+                provider_id: 1,
+                video_id,
+                reps: workload(37 + video_id, n),
+            });
+        }
+        for (q, opts) in probes(37, 24).into_iter().chain(probes(37, 6)) {
+            server.query(&q, &opts);
+        }
+        let counts: Vec<(String, u64)> = reg
+            .names()
+            .into_iter()
+            .filter(|name| {
+                name.starts_with("swag_server_") && !name.starts_with("swag_server_events_total")
+            })
+            .filter_map(|name| match reg.get(&name)? {
+                Metric::Counter(c) => Some((name, c.get())),
+                Metric::Histogram(h) => Some((name, h.snapshot().count)),
+                Metric::Gauge(_) => None,
+            })
+            .collect();
+        counts
+    };
+    let off = observed(EventLogConfig::default());
+    let on = observed(EventLogConfig::enabled(0, 37));
+    for exercised in [
+        "swag_server_index_nodes_visited",
+        "swag_server_cache_hits_total",
+        "swag_server_hits_total{src=\"delta\"}",
+    ] {
+        assert!(
+            off.iter().any(|(name, n)| name == exercised && *n > 0),
+            "workload never exercised {exercised}: {off:?}"
+        );
+    }
+    assert_eq!(off, on);
 }
 
 /// With the result cache enabled, a repeated analyzed query is served
@@ -158,31 +262,6 @@ fn analyzed_execution_reports_cache_decisions() {
         .report
         .render()
         .contains("served from the result cache"));
-}
-
-/// The events-enabled query path (instrumented executor) must return
-/// byte-identical results to an events-disabled twin.
-#[test]
-fn evented_queries_match_uneventful_twin() {
-    let plain = server_with(ServerConfig::default(), 17, 300);
-    let evented = server_with(
-        ServerConfig {
-            events: EventLogConfig::enabled(0, 17),
-            ..ServerConfig::default()
-        },
-        17,
-        300,
-    );
-    for (q, opts) in probes(17, 24) {
-        assert_same_hits(
-            &plain.query(&q, &opts),
-            &evented.query(&q, &opts),
-            "evented-vs-plain",
-        );
-    }
-    let log = evented.event_log().expect("events enabled in config");
-    let stats = log.stats();
-    assert_eq!(stats.pushed, 24, "one wide event per query");
 }
 
 /// Kept events carry the full request bit-exactly: re-running the
@@ -269,6 +348,47 @@ fn shed_queries_are_always_kept() {
         .stats();
     assert_eq!(stats.pushed, 10);
     assert_eq!(stats.kept, sheds as u64);
+}
+
+/// Advances one microsecond per read, so two reads never agree.
+struct TickingClock(std::sync::atomic::AtomicU64);
+
+impl MonotonicClock for TickingClock {
+    fn now_micros(&self) -> u64 {
+        self.0.fetch_add(1, std::sync::atomic::Ordering::Relaxed)
+    }
+}
+
+/// A shed EXPLAIN ANALYZE reports the very event it emitted: built
+/// once, so even the completion timestamp agrees.
+#[test]
+fn analyzed_shed_reports_the_emitted_event() {
+    let server = CloudServer::with_config_and_clock(
+        CameraProfile::smartphone(),
+        ServerConfig {
+            admission: AdmissionConfig {
+                enabled: true,
+                rate_per_s: 1.0,
+                burst: 1.0,
+                ..AdmissionConfig::default()
+            },
+            events: EventLogConfig::enabled(0, 41),
+            ..ServerConfig::default()
+        },
+        Arc::new(TickingClock(Default::default())),
+    );
+    let (q, opts) = probes(41, 1).remove(0);
+    assert_eq!(
+        server.query_analyzed(9, &q, &opts).report.event.outcome,
+        QueryOutcome::Served
+    );
+    let shed = server.query_analyzed(9, &q, &opts);
+    assert!(matches!(shed.report.event.outcome, QueryOutcome::Shed(_)));
+    assert!(shed.hits.is_empty());
+    let log = server.event_log().expect("events enabled in config");
+    assert_eq!(log.stats().pushed, 2, "the shed emitted exactly one event");
+    let emitted = log.kept().pop().expect("sheds are always kept");
+    assert_eq!(emitted.encode(), shed.report.event.encode());
 }
 
 /// A slow-over-threshold query is always kept even at sampling rate 0.

@@ -142,8 +142,8 @@ proptest! {
     }
 }
 
-/// Regression: on a single-thread host (`SWAG_EXEC_THREADS=1`, the shape
-/// that produced the 0.677x parallel_bench run) the planner must route
+/// Regression: on a single-thread host (`SWAG_EXEC_THREADS=1`, where the
+/// pooled probe once ran at 0.68x of serial) the planner must route
 /// every probe through the serial path — a one-worker pool can only add
 /// coordination overhead, never speedup.
 #[test]

@@ -447,19 +447,21 @@ fn quality_nearest_keeps_expanding_past_early_hits() {
 
 #[test]
 fn injected_clock_makes_latency_accounting_exact() {
-    let server = CloudServer::with_clock(
-        CameraProfile::smartphone(),
-        IndexKind::RTree,
-        SteppingClock::with_step(7),
-    );
+    let clock = SteppingClock::with_step(7);
+    let server =
+        CloudServer::with_clock(CameraProfile::smartphone(), IndexKind::RTree, clock.clone());
     server.ingest_batch(&batch(1, 5));
     let q = Query::new(0.0, 100.0, center(), 100.0);
+    let before = clock.t.load(Ordering::Relaxed);
     for _ in 0..10 {
         server.query(&q, &QueryOptions::default());
     }
+    // A server nothing observes reads the clock exactly twice per query
+    // (start and end of the latency accounting): the stage probe on this
+    // path is zero-sized and clock-free.
+    assert_eq!(clock.t.load(Ordering::Relaxed) - before, 10 * 2 * 7);
     let stats = server.stats();
     assert_eq!(stats.queries, 10);
-    // Uninstrumented queries read the clock exactly twice.
     assert_eq!(stats.query_micros_total, 10 * 7);
     // No observability attached: phase histograms stay empty.
     assert_eq!(stats.query_micros, swag_obs::HistogramSnapshot::empty());
@@ -482,21 +484,14 @@ fn observability_splits_query_phases_exactly() {
 
     let stats = server.stats();
     assert_eq!(stats.queries, 4);
-    // Instrumented queries read the clock five times (t0, locked,
-    // index scanned, delta scanned, ranked): lock wait and ranking are
-    // one step each, the legacy scan phase spans index + delta scan
-    // (two steps), the total exactly four.
-    for phase in [&stats.lock_wait_micros, &stats.ranking_micros] {
-        assert_eq!(phase.count, 4);
-        assert_eq!(phase.sum, 4 * 5);
-    }
-    assert_eq!(stats.index_scan_micros.count, 4);
-    assert_eq!(stats.index_scan_micros.sum, 4 * 10);
+    // Measured queries read the clock five times (t0, operators begin,
+    // index scanned, delta scanned, done): the total is exactly four
+    // steps.
     assert_eq!(stats.query_micros.sum, 4 * 20);
     assert_eq!(stats.query_micros_total, 4 * 20);
 
-    // The per-operator split is exact too: one step per stage, keyed by
-    // the same names the trace spans use.
+    // The per-operator split is exact: one step per stage, keyed by the
+    // same names the trace spans use.
     for op in ["index_scan", "delta_scan", "ranking"] {
         let h = reg
             .histogram(&swag_obs::labeled_name(
@@ -637,28 +632,6 @@ fn publish_metrics_record_snapshot_lifecycle() {
     let q = Query::new(0.0, 1000.0, center(), 500.0);
     server.query(&q, &QueryOptions::default());
     assert_eq!(reg.histogram("swag_shard_fanout").snapshot().count, 1);
-}
-
-#[test]
-fn query_trace_samples_when_enabled() {
-    let reg = Registry::new();
-    let mut server = CloudServer::new(CameraProfile::smartphone());
-    assert!(server.query_trace().is_none());
-    server.attach_observability(&reg);
-    server.ingest_batch(&batch(1, 4));
-    let q = Query::new(0.0, 100.0, center(), 100.0);
-
-    // Off by default: queries leave no events.
-    server.query(&q, &QueryOptions::default());
-    assert!(server.query_trace().unwrap().events().is_empty());
-
-    server.query_trace().unwrap().enable(2);
-    for _ in 0..6 {
-        server.query(&q, &QueryOptions::default());
-    }
-    let events = server.query_trace().unwrap().events();
-    assert_eq!(events.len(), 3); // 1 of every 2 queries sampled
-    assert!(events.iter().all(|e| e.label == "query" && e.detail == 4));
 }
 
 #[test]
