@@ -76,10 +76,49 @@ pub fn sector_intersects_circle(
 /// noise; pass `0.0` for the strict test.
 pub fn points_toward(fov: &Fov, cam: &CameraProfile, target: LatLon, tolerance_deg: f64) -> bool {
     let d = fov.p.displacement_to(target);
+    let limit_deg = cam.half_angle_deg + tolerance_deg;
+    if let Some(verdict) = clear_verdict(d, fov.theta, limit_deg) {
+        return verdict;
+    }
     if d.norm() < 1e-9 {
         return true; // standing on the target: any direction shows it
     }
-    angle_diff_deg(d.azimuth_deg(), fov.theta) <= cam.half_angle_deg + tolerance_deg
+    angle_diff_deg(d.azimuth_deg(), fov.theta) <= limit_deg
+}
+
+/// The cheap half of [`points_toward`]: its verdict when the axis `theta`
+/// is off the bearing of `d` by clearly more or clearly less than
+/// `limit_deg` — by a 0.01° margin, against the ≤ 7e-4° error of the
+/// polynomial arctangent (Abramowitz & Stegun 4.4.49, |ε| ≤ 1.2e-5 rad)
+/// used for the bearing. Near the limit, and for degenerate input, `None`
+/// leaves it to the exact test, so the verdicts are the exact test's.
+fn clear_verdict(d: Vec2, theta: f64, limit_deg: f64) -> Option<bool> {
+    use std::f64::consts::{FRAC_PI_2, PI, TAU};
+    let (ax, ay) = (d.x.abs(), d.y.abs());
+    if !(ax.max(ay) > 1e-6 && (0.0..360.0).contains(&theta)) {
+        return None;
+    }
+    let atan = atan_unit(ax.min(ay) / ax.max(ay));
+    // Clockwise from north within the quadrant, then unfolded into the
+    // southern and western halves (plain selects, no branches).
+    let bearing = if ax <= ay { atan } else { FRAC_PI_2 - atan };
+    let bearing = if d.y < 0.0 { PI - bearing } else { bearing };
+    let bearing = if d.x < 0.0 { TAU - bearing } else { bearing };
+    let off = (bearing.to_degrees() - theta).abs();
+    let off = off.min(360.0 - off);
+    if off > limit_deg + 0.01 {
+        Some(false)
+    } else if off < limit_deg - 0.01 {
+        Some(true)
+    } else {
+        None
+    }
+}
+
+/// arctan on `[0, 1]`, Abramowitz & Stegun 4.4.49: |error| ≤ 1.2e-5 rad.
+fn atan_unit(t: f64) -> f64 {
+    let t2 = t * t;
+    t * (0.999_866 + t2 * (-0.330_299_5 + t2 * (0.180_141 + t2 * (-0.085_133 + t2 * 0.020_835_1))))
 }
 
 /// Euclidean distance from point `p` to the segment `a..b`.
@@ -207,6 +246,59 @@ mod tests {
         assert!(points_toward(&f, &c, origin().offset(45.0, 500.0), 20.0));
         // Standing on the target always passes.
         assert!(points_toward(&f, &c, origin(), 0.0));
+    }
+
+    /// The pre-fast-path [`points_toward`], verbatim.
+    fn points_toward_exact(fov: &Fov, cam: &CameraProfile, target: LatLon, tol: f64) -> bool {
+        let d = fov.p.displacement_to(target);
+        if d.norm() < 1e-9 {
+            return true;
+        }
+        angle_diff_deg(d.azimuth_deg(), fov.theta) <= cam.half_angle_deg + tol
+    }
+
+    #[test]
+    fn polynomial_arctangent_stays_inside_its_error_bound() {
+        for i in 0..=100_000 {
+            let t = f64::from(i) / 100_000.0;
+            assert!((atan_unit(t) - t.atan()).abs() <= 1.2e-5, "t = {t}");
+        }
+    }
+
+    mod fast_path {
+        use super::*;
+        use proptest::prelude::*;
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(2000))]
+
+            /// The fast path never changes a verdict: random bearings, and
+            /// bearings placed at the cone's edge, where it must defer.
+            #[test]
+            fn fast_direction_verdicts_equal_the_exact_test(
+                bearing in 0.0..360.0f64,
+                dist in prop_oneof![1e-12..1e-6f64, 1e-6..1.0f64, 1.0..5_000.0f64],
+                theta in prop_oneof![0.0..360.0f64, Just(0.0), Just(359.999_999_999)],
+                tol in prop_oneof![0.0..45.0f64, Just(0.0), Just(150.0)],
+                at_edge in any::<bool>(),
+                left in any::<bool>(),
+                eps in -1e-3..1e-3f64,
+            ) {
+                let c = cam();
+                let bearing = if at_edge {
+                    let off = c.half_angle_deg + tol + eps;
+                    if left { theta - off } else { theta + off }
+                } else {
+                    bearing
+                };
+                let f = Fov::new(origin(), theta);
+                let target = origin().offset(bearing, dist);
+                prop_assert_eq!(
+                    points_toward(&f, &c, target, tol),
+                    points_toward_exact(&f, &c, target, tol)
+                );
+            }
+        }
     }
 
     #[test]

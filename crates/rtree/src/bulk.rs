@@ -135,25 +135,15 @@ fn pack_levels<T, const D: usize>(tree: &mut RTree<T, D>, n: usize, groups: Vec<
     tree.len = n;
 }
 
-impl<T: Clone, const D: usize> RTree<T, D> {
+impl<T: Clone + Send, const D: usize> RTree<T, D> {
     /// Builds a new tree containing this tree's items plus `more`,
-    /// re-packed with STR under the same configuration.
+    /// re-packed with STR under the same configuration, the leaf tiling
+    /// on `exec` (a serial executor gives the identical tree).
     ///
     /// This is the batch counterpart of repeated [`RTree::insert`]: when a
     /// shard accumulates a publish-interval's worth of new items, one STR
     /// re-pack of old + new is cheaper and better-packed than inserting
     /// them one by one, and it leaves `self` untouched (snapshot-friendly).
-    pub fn bulk_extend(&self, more: Vec<(Aabb<D>, T)>) -> Self {
-        let mut items: Vec<(Aabb<D>, T)> = Vec::with_capacity(self.len() + more.len());
-        items.extend(self.iter().map(|(mbr, value)| (*mbr, value.clone())));
-        items.extend(more);
-        Self::bulk_load_with_config(self.config, items)
-    }
-}
-
-impl<T: Clone + Send, const D: usize> RTree<T, D> {
-    /// [`RTree::bulk_extend`] with the re-pack's leaf tiling on `exec`.
-    /// Produces a tree identical to the serial re-pack.
     pub fn bulk_extend_par(&self, exec: &Executor, more: Vec<(Aabb<D>, T)>) -> Self {
         let mut items: Vec<(Aabb<D>, T)> = Vec::with_capacity(self.len() + more.len());
         items.extend(self.iter().map(|(mbr, value)| (*mbr, value.clone())));
@@ -338,7 +328,7 @@ mod tests {
         let data = points(300);
         let (old, new) = data.split_at(200);
         let base = RTree::bulk_load(old.to_vec());
-        let merged = base.bulk_extend(new.to_vec());
+        let merged = base.bulk_extend_par(&swag_exec::Executor::serial(), new.to_vec());
         assert_eq!(merged.len(), 300);
         merged.check_invariants();
         // Base is untouched (snapshot semantics).
@@ -355,7 +345,7 @@ mod tests {
     #[test]
     fn bulk_extend_from_empty() {
         let empty: RTree<u32, 2> = RTree::new();
-        let t = empty.bulk_extend(points(50));
+        let t = empty.bulk_extend_par(&swag_exec::Executor::serial(), points(50));
         assert_eq!(t.len(), 50);
         t.check_invariants();
     }
@@ -387,7 +377,7 @@ mod tests {
         let data = points(4000);
         let (old, new) = data.split_at(1000);
         let base = RTree::bulk_load(old.to_vec());
-        let serial = base.bulk_extend(new.to_vec());
+        let serial = base.bulk_extend_par(&Executor::serial(), new.to_vec());
         let parallel = base.bulk_extend_par(&exec, new.to_vec());
         parallel.check_invariants();
         let a: Vec<(Aabb<2>, u32)> = serial.iter().map(|(m, v)| (*m, *v)).collect();

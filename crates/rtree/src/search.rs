@@ -42,6 +42,29 @@ impl SearchStats {
     }
 }
 
+/// What a range search counts as it walks: nothing (the plain search,
+/// compiled without a counter in sight), or [`SearchStats`].
+trait Tally {
+    fn node(&mut self, _leaf_items: Option<usize>) {}
+    fn matched(&mut self) {}
+}
+
+impl Tally for () {}
+
+impl Tally for SearchStats {
+    fn node(&mut self, leaf_items: Option<usize>) {
+        self.nodes_visited += 1;
+        if let Some(items) = leaf_items {
+            self.leaves_scanned += 1;
+            self.items_tested += items as u64;
+        }
+    }
+
+    fn matched(&mut self) {
+        self.items_matched += 1;
+    }
+}
+
 impl<T, const D: usize> RTree<T, D> {
     /// Collects references to all values whose box intersects `query`.
     pub fn search(&self, query: &Aabb<D>) -> Vec<&T> {
@@ -50,83 +73,49 @@ impl<T, const D: usize> RTree<T, D> {
         out
     }
 
-    /// Collects `(box, value)` pairs intersecting `query`.
-    pub fn search_entries(&self, query: &Aabb<D>) -> Vec<(Aabb<D>, &T)> {
-        let mut out = Vec::new();
-        self.search_with(query, |mbr, v| out.push((*mbr, v)));
-        out
-    }
-
     /// Visits every item whose box intersects `query` without allocating.
     pub fn search_with<'a>(&'a self, query: &Aabb<D>, mut visit: impl FnMut(&'a Aabb<D>, &'a T)) {
-        if self.len == 0 {
-            return;
-        }
-        self.search_rec(self.root, query, &mut visit);
-    }
-
-    fn search_rec<'a>(
-        &'a self,
-        ix: NodeIx,
-        query: &Aabb<D>,
-        visit: &mut impl FnMut(&'a Aabb<D>, &'a T),
-    ) {
-        match self.node(ix) {
-            Node::Leaf { items } => {
-                for item in items {
-                    if item.mbr.intersects(query) {
-                        visit(&item.mbr, &item.value);
-                    }
-                }
-            }
-            Node::Internal { mbrs, children } => {
-                for (mbr, child) in mbrs.iter().zip(children).rev() {
-                    if mbr.intersects(query) {
-                        self.search_rec(*child, query, visit);
-                    }
-                }
-            }
+        if self.len > 0 {
+            self.search_rec(self.root, query, &mut (), &mut visit);
         }
     }
 
     /// [`Self::search_with`] that additionally accumulates traversal
-    /// counters into `stats`. A separate method (rather than a flag on
-    /// `search_with`) so the uninstrumented path keeps zero overhead.
+    /// counters into `stats`; the same walk, monomorphised per counter,
+    /// so the uninstrumented path keeps zero overhead.
     pub fn search_with_stats<'a>(
         &'a self,
         query: &Aabb<D>,
         stats: &mut SearchStats,
         mut visit: impl FnMut(&'a Aabb<D>, &'a T),
     ) {
-        if self.len == 0 {
-            return;
+        if self.len > 0 {
+            self.search_rec(self.root, query, stats, &mut visit);
         }
-        self.search_stats_rec(self.root, query, stats, &mut visit);
     }
 
-    fn search_stats_rec<'a>(
+    fn search_rec<'a>(
         &'a self,
         ix: NodeIx,
         query: &Aabb<D>,
-        stats: &mut SearchStats,
+        tally: &mut impl Tally,
         visit: &mut impl FnMut(&'a Aabb<D>, &'a T),
     ) {
-        stats.nodes_visited += 1;
         match self.node(ix) {
             Node::Leaf { items } => {
-                stats.leaves_scanned += 1;
-                stats.items_tested += items.len() as u64;
+                tally.node(Some(items.len()));
                 for item in items {
                     if item.mbr.intersects(query) {
-                        stats.items_matched += 1;
+                        tally.matched();
                         visit(&item.mbr, &item.value);
                     }
                 }
             }
             Node::Internal { mbrs, children } => {
+                tally.node(None);
                 for (mbr, child) in mbrs.iter().zip(children).rev() {
                     if mbr.intersects(query) {
-                        self.search_stats_rec(*child, query, stats, visit);
+                        self.search_rec(*child, query, tally, visit);
                     }
                 }
             }
@@ -290,16 +279,6 @@ mod tests {
         let mut s = SearchStats::default();
         empty.search_with_stats(&query, &mut s, |_, _| {});
         assert_eq!(s, SearchStats::default());
-    }
-
-    #[test]
-    fn search_entries_returns_boxes() {
-        let t = grid_tree(10);
-        let entries = t.search_entries(&Aabb::new([2.0, 0.0], [3.0, 0.0]));
-        assert_eq!(entries.len(), 2);
-        for (mbr, &v) in entries {
-            assert_eq!(mbr.min[0], f64::from(v % 100));
-        }
     }
 
     #[test]

@@ -1,6 +1,6 @@
 //! Differential test of the cold tier's zone-map pruning: whatever the
-//! catalog prunes, `cold_scan` must return exactly what a linear pass
-//! over every demoted record returns, in the same order.
+//! catalog prunes, `cold_scan` must rank exactly what a linear pass over
+//! every demoted record ranks, in the same order.
 
 use std::path::PathBuf;
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -17,9 +17,9 @@ use super::plan::QueryPlan;
 use super::Engine;
 use crate::index::{fov_box, IndexKind};
 use crate::query::{Query, QueryOptions, RankMode};
-use crate::ranking::{hit_for, SearchHit};
+use crate::ranking::{SearchHit, Tier, TopN};
 use crate::server::ServerConfig;
-use crate::store::{SegmentRecord, SegmentRef};
+use crate::store::{SegmentRef, SegmentStore};
 
 const WIDTH_S: f64 = 600.0;
 
@@ -78,25 +78,29 @@ fn all_cold_engine(dir: &std::path::Path, records: &[(RepFov, SegmentRef)]) -> E
     engine
 }
 
-/// The reference: every record of every run, in catalog order.
+/// `cold_scan`'s ranked hits and rows examined.
+fn pruned_cold_scan(engine: &Engine, plan: &QueryPlan) -> (Vec<SearchHit>, u64) {
+    let store = SegmentStore::new();
+    let mut top = TopN::new(plan, &engine.cam, &store);
+    let rows_in = engine.cold_scan(plan, &mut top);
+    (top.finish(), rows_in)
+}
+
+/// The reference: every record of every run offered in catalog order.
 fn linear_cold_scan(engine: &Engine, plan: &QueryPlan) -> Vec<SearchHit> {
     let cold = engine.durability.as_ref().unwrap().cold();
-    let mut hits = Vec::new();
+    let store = SegmentStore::new();
+    let mut top = TopN::new(plan, &engine.cam, &store);
+    let mut ord = 0;
     for run in cold.probe(|_| true) {
         for (rep, source) in cold.records(&run).expect("readable run").iter() {
-            if plan.boxes.intersects(&fov_box(rep))
-                && plan.filters.accepts(rep, &engine.cam, &plan.query)
-            {
-                let rec = SegmentRecord {
-                    id: COLD_HIT_ID,
-                    rep: *rep,
-                    source: *source,
-                };
-                hits.push(hit_for(&rec, &engine.cam, &plan.query));
+            if plan.boxes.intersects(&fov_box(rep)) {
+                top.offer(Tier::Cold, ord, COLD_HIT_ID, *rep, *source);
             }
+            ord += 1;
         }
     }
-    hits
+    top.finish()
 }
 
 fn identity(hits: &[SearchHit]) -> Vec<(SegmentRef, [u64; 5])> {
@@ -135,7 +139,10 @@ fn zone_map_covers_records_as_the_run_stores_them() {
     };
     let plan = QueryPlan::compile(&query, &opts);
     assert_eq!(linear_cold_scan(&engine, &plan).len(), 1);
-    assert_eq!(engine.cold_scan(&plan).0, linear_cold_scan(&engine, &plan));
+    assert_eq!(
+        pruned_cold_scan(&engine, &plan).0,
+        linear_cold_scan(&engine, &plan)
+    );
     drop(engine);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -203,7 +210,7 @@ proptest! {
                     ..QueryOptions::default()
                 };
                 let plan = QueryPlan::compile(&query, &opts);
-                let (pruned, rows_in) = engine.cold_scan(&plan);
+                let (pruned, rows_in) = pruned_cold_scan(&engine, &plan);
                 let linear = linear_cold_scan(&engine, &plan);
                 prop_assert_eq!(result_digest(&pruned), result_digest(&linear));
                 prop_assert_eq!(&pruned, &linear);

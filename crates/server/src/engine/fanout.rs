@@ -1,12 +1,12 @@
 //! Adaptive fan-out: the per-query serial-vs-parallel cost model.
 //!
 //! Fanning a probe across the executor is not free — each shard becomes
-//! a pool job (submission, stealing, a latch wait) and each worker
-//! allocates a private result vector that the caller re-merges. For the
-//! common narrow query (one or two small shards) that overhead exceeds
-//! the probe itself, and on a host with fewer cores than pool threads
-//! the "parallel" path degrades into context-switch churn that loses to
-//! the plain serial loop outright.
+//! a pool job (submission, stealing, a latch wait) filling a private
+//! top-N collector that the caller re-merges. For the common narrow
+//! query (one or two small shards) that overhead exceeds the probe
+//! itself, and on a host with fewer cores than pool threads the
+//! "parallel" path degrades into context-switch churn that loses to the
+//! plain serial loop outright.
 //!
 //! So the engine prices every plan before running it:
 //!
@@ -22,10 +22,10 @@
 //!   effective worker exists, and the selectivity-weighted work crosses
 //!   [`PARALLEL_MIN_WORK`] items.
 //!
-//! Both probe paths are byte-identical by construction (the multi-shard
-//! result is the ascending sort + dedup of the per-shard union either
-//! way), so the decision can change latency but never results — a
-//! property the equivalence proptests pin. The decision taken is
+//! Both probe paths are byte-identical by construction (a multi-shard
+//! probe ties on segment id, and collectors merge by the same key), so
+//! the decision can change latency but never results — a property the
+//! equivalence proptests pin. The decision taken is
 //! visible in `swag explain` (the `fanout` line) and in the
 //! `swag_server_fanout_total{mode=...}` counters next to the per-
 //! operator `op_micros` telemetry.

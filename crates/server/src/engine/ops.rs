@@ -2,15 +2,17 @@
 //!
 //! One plan execution is the paper's retrieval path as a pipeline of
 //! operators — **index scan** (sharded snapshot probe) → **delta scan**
-//! (pending records) → **cold scan** (demoted runs) → **ranking** (rank,
-//! top-k), every tier's rows passing the plan's compiled
-//! [`FilterChain`](super::plan::FilterChain) — each timed by a
-//! flight-recorder span named after the `OP_*` constant it executes.
+//! (pending records) → **cold scan** (demoted runs) → **ranking** (drain
+//! the top-k) — run as one pass: every tier offers its box matches to
+//! one bounded [`TopN`] collector, which applies the plan's compiled
+//! [`FilterChain`](super::plan::FilterChain) as they arrive. Each stage
+//! is timed by a flight-recorder span named after its `OP_*` constant.
 //! The pipeline is written once, in [`Engine::execute`], generic over a
 //! [`StageProbe`]: the unobserved server runs it with the zero-sized
 //! [`NoProbe`], every observed one with [`Measure`], whose
 //! [`StageRecord`] metrics, wide events and EXPLAIN ANALYZE are computed
-//! from afterwards. Every read entry point drives that one function: `query` runs one plan, `query_nearest` loops over
+//! from afterwards. Every read entry point drives that one function:
+//! `query` runs one plan, `query_nearest` loops over
 //! radius-expanded plans, `query_batch` fans plans across the executor
 //! against a single pinned epoch, `query_analyzed` reports the record,
 //! and subscriptions reuse the plan's filter stage at ingest time.
@@ -24,7 +26,7 @@ use swag_store::Zone;
 
 use crate::index::fov_box;
 use crate::query::{Query, QueryOptions, RankMode};
-use crate::ranking::{hit_for, rank_stage, SearchHit};
+use crate::ranking::{SearchHit, Tier, TopN};
 use crate::server::{ServerStats, AUTO_THRESHOLD_INTERVAL};
 use crate::store::{SegmentId, SegmentRecord, SegmentRef};
 
@@ -66,15 +68,12 @@ pub(crate) fn cold_zone_of(records: &[(RepFov, SegmentRef)]) -> Zone {
 impl Engine {
     /// The cold-run scan operator: asks the catalog which demoted runs
     /// the plan's boxes can touch — decided from zone maps, in time and
-    /// space, before any I/O — and walks the survivors in `(bucket,
-    /// seq)` order with the same box test and filter chain the delta
-    /// scan uses. Returns the filtered hits (carrying [`COLD_HIT_ID`])
-    /// plus the records examined. A run that fails to read contributes
-    /// nothing and is counted and named by the catalog. The pipeline
-    /// gates on [`Engine::has_cold`], so memory-only servers never reach
-    /// this.
-    pub(crate) fn cold_scan(&self, plan: &QueryPlan) -> (Vec<SearchHit>, u64) {
-        let mut hits = Vec::new();
+    /// space, before any I/O — and offers every record inside the boxes
+    /// to `top` (carrying [`COLD_HIT_ID`]) in `(bucket, seq)` order,
+    /// returning the records examined. An unreadable run contributes
+    /// nothing and is counted and named by the catalog. Only servers
+    /// holding cold runs get here ([`Engine::has_cold`]).
+    pub(crate) fn cold_scan(&self, plan: &QueryPlan, top: &mut TopN<'_>) -> u64 {
         let mut rows_in = 0u64;
         if let Some(durability) = &self.durability {
             let cold = durability.cold();
@@ -82,22 +81,15 @@ impl Engine {
                 let Ok(records) = cold.records(&run) else {
                     continue;
                 };
-                rows_in += records.len() as u64;
                 for (rep, source) in records.iter() {
-                    if plan.boxes.intersects(&fov_box(rep))
-                        && plan.filters.accepts(rep, &self.cam, &plan.query)
-                    {
-                        let rec = SegmentRecord {
-                            id: COLD_HIT_ID,
-                            rep: *rep,
-                            source: *source,
-                        };
-                        hits.push(hit_for(&rec, &self.cam, &plan.query));
+                    if plan.boxes.intersects(&fov_box(rep)) {
+                        top.offer(Tier::Cold, rows_in, COLD_HIT_ID, *rep, *source);
                     }
+                    rows_in += 1;
                 }
             }
         }
-        (hits, rows_in)
+        rows_in
     }
 
     /// Prices `plan`'s index scan before running it: narrow probes skip
@@ -116,9 +108,12 @@ impl Engine {
     }
 
     /// The operators, once: index scan → delta scan → cold scan →
-    /// ranking against an already-acquired epoch. Scanning and ranking
-    /// are lock-free: the epoch is immutable, and the shard fan-out runs
-    /// on the engine's executor.
+    /// ranking against an already-acquired epoch, in one pass. Every
+    /// tier offers its box matches straight to one [`TopN`] collector,
+    /// which runs the filter chain and keeps the best `k`; the ranking
+    /// stage only drains and materialises it. Scanning and ranking are
+    /// lock-free: the epoch is immutable, and the shard fan-out runs on
+    /// the engine's executor.
     fn run_operators<P: StageProbe>(
         &self,
         epoch: &Epoch,
@@ -133,50 +128,40 @@ impl Engine {
             &serial
         };
         probe.begin(&decision);
-        let candidates = {
+        let mut top = TopN::new(plan, &self.cam, &epoch.core.store);
+        let matched = {
             let _span = self.recorder.span(OP_INDEX_SCAN);
-            epoch.core.index.candidates_in_exec(
+            epoch.core.index.scan(
                 probe_exec,
                 &plan.boxes,
                 plan.query.t_start,
                 plan.query.t_end,
                 probe.search_stats(),
+                &mut top,
             )
         };
-        probe.index_scanned(candidates.len());
-        let mut delta_hits = Vec::new();
+        probe.index_scanned(matched);
         let mut delta_matched = 0;
         if epoch.delta_len > 0 {
             let _span = self.recorder.span(OP_DELTA_SCAN);
-            for d in epoch.delta_records() {
+            for (ord, d) in (0..).zip(epoch.delta_records()) {
                 if plan.boxes.intersects(&d.bbox) {
                     delta_matched += 1;
-                    if plan.filters.accepts(&d.rec.rep, &self.cam, &plan.query) {
-                        delta_hits.push(hit_for(&d.rec, &self.cam, &plan.query));
-                    }
+                    top.offer(Tier::Delta, ord, d.rec.id, d.rec.rep, d.rec.source);
                 }
             }
         }
         probe.delta_scanned(epoch.delta_len, delta_matched);
-        let cold_hits = if self.has_cold() {
-            let (hits, rows_in) = {
+        if self.has_cold() {
+            let rows_in = {
                 let _span = self.recorder.span(OP_COLD_SCAN);
-                self.cold_scan(plan)
+                self.cold_scan(plan, &mut top)
             };
-            probe.cold_scanned(rows_in, hits.len());
-            hits
-        } else {
-            Vec::new()
-        };
+            probe.cold_scanned(rows_in, top.survivors(Tier::Cold));
+        }
         let _span = self.recorder.span(OP_RANKING);
-        let hits_delta = delta_hits.len();
-        let (hits, hits_index) = rank_stage(
-            &candidates,
-            [delta_hits, cold_hits],
-            &epoch.core.store,
-            &self.cam,
-            plan,
-        );
+        let (hits_index, hits_delta) = (top.survivors(Tier::Index), top.survivors(Tier::Delta));
+        let hits = top.finish();
         probe.ranked(hits_index, hits_delta, hits.len());
         hits
     }
@@ -369,8 +354,9 @@ impl Engine {
     /// k-nearest entry point: a radius-expansion loop over successive
     /// plans. Each ring compiles a fresh plan (same filters/rank, wider
     /// boxes, `k = all`) and executes it against a freshly acquired
-    /// epoch; the loop stops once `k` hits are found past the settle
-    /// radius or the budget is covered.
+    /// epoch; the loop stops once the `k`-th hit is settled — inside the
+    /// ring's disc under Distance, past the camera's view radius under
+    /// Quality — or the budget is covered.
     pub(crate) fn query_nearest(
         &self,
         t_start: f64,
@@ -385,12 +371,6 @@ impl Engine {
         }
         // Each expansion round's query span becomes a child of this one.
         let _span = self.recorder.span(OP_QUERY_NEAREST);
-        // Below this radius, unexplored segments may still outrank found
-        // ones, so k hits are not enough to stop.
-        let settle_radius_m = match opts.rank {
-            RankMode::Distance => 0.0,
-            RankMode::Quality => self.cam.view_radius_m.min(max_radius_m),
-        };
         let mut radius = 50.0_f64.min(max_radius_m);
         loop {
             if let Some(obs) = &self.obs {
@@ -401,9 +381,18 @@ impl Engine {
             let q = Query::new(t_start, t_end, center, radius);
             let mut plan = QueryPlan::compile(&q, opts);
             plan.k = usize::MAX;
-            let hits = self.execute_plan(&epoch, t0, &plan, None);
-            if (hits.len() >= k && radius >= settle_radius_m) || radius >= max_radius_m {
-                let mut hits = hits;
+            let mut hits = self.execute_plan(&epoch, t0, &plan, None);
+            // Under Distance, a ring's boxes are the disc's bounding
+            // square: a hit in a corner lies up to √2·r away while a
+            // nearer segment just past the square's edge is unexplored, so
+            // only a k-th hit inside the disc is final. Under Quality,
+            // unexplored segments within the view radius may still
+            // outrank found ones.
+            let settled = match opts.rank {
+                RankMode::Distance => hits.get(k - 1).is_some_and(|h| h.distance_m <= radius),
+                RankMode::Quality => hits.len() >= k && radius >= self.cam.view_radius_m,
+            };
+            if settled || radius >= max_radius_m {
                 hits.truncate(k);
                 return hits;
             }

@@ -11,9 +11,10 @@
 //! the R-tree ([`IndexKind::RTree`]) and the naive linear scan the paper
 //! benchmarks against in Fig. 6(c) ([`IndexKind::Linear`]).
 
-use swag_core::RepFov;
+use swag_core::{Fov, RepFov};
+use swag_exec::Executor;
 use swag_geo::{LatLon, METERS_PER_DEG};
-use swag_rtree::{Aabb, RTree, RTreeConfig, SearchStats};
+use swag_rtree::{Aabb, RTree, SearchStats};
 
 use crate::query::Query;
 use crate::store::SegmentId;
@@ -109,13 +110,60 @@ pub fn query_boxes(q: &Query) -> QueryBoxes {
     }
 }
 
+/// What an index leaf stores beside its box: the segment id and the
+/// orientation θ, copied bit for bit from `rep.fov.theta`. Position and
+/// `[t_s, t_e]` *are* the box, so [`LeafRef::rep`] rebuilds the whole
+/// representative FoV — all the filter chain and both rank keys read —
+/// without a segment-store access.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct LeafRef {
+    /// Server-side id of the segment.
+    pub id: SegmentId,
+    /// Camera azimuth θ of the representative FoV, degrees.
+    pub theta: f64,
+}
+
+// A leaf entry is the index's whole per-segment memory: keep it at 64 B.
+const _: () = assert!(std::mem::size_of::<LeafRef>() == 16);
+const _: () = assert!(std::mem::size_of::<(Aabb<3>, LeafRef)>() == 64);
+
+impl LeafRef {
+    /// The leaf entry of `rep` indexed as segment `id`.
+    pub fn entry(rep: &RepFov, id: SegmentId) -> (Aabb<3>, LeafRef) {
+        (
+            fov_box(rep),
+            LeafRef {
+                id,
+                theta: rep.fov.theta,
+            },
+        )
+    }
+
+    /// The representative FoV this leaf was built from, bit-exact, given
+    /// its [`fov_box`] `mbr`.
+    #[inline]
+    pub fn rep(&self, mbr: &Aabb<3>) -> RepFov {
+        RepFov {
+            t_start: mbr.min[2],
+            t_end: mbr.max[2],
+            fov: Fov {
+                p: LatLon {
+                    lat: mbr.min[1],
+                    lng: mbr.min[0],
+                },
+                theta: self.theta,
+            },
+        }
+    }
+}
+
 /// A spatio-temporal index over segment ids.
 #[derive(Debug, Clone)]
 pub enum FovIndex {
     /// R-tree backed.
-    RTree(RTree<SegmentId, 3>),
+    RTree(RTree<LeafRef, 3>),
     /// Linear-scan backed.
-    Linear(Vec<(Aabb<3>, SegmentId)>),
+    Linear(Vec<(Aabb<3>, LeafRef)>),
 }
 
 impl FovIndex {
@@ -127,75 +175,20 @@ impl FovIndex {
         }
     }
 
-    /// Creates an R-tree index with a custom configuration.
-    pub fn with_rtree_config(config: RTreeConfig) -> Self {
-        FovIndex::RTree(RTree::with_config(config))
-    }
-
     /// Bulk loads an R-tree index from `(rep, id)` pairs (STR packing).
     pub fn bulk_load(items: Vec<(RepFov, SegmentId)>) -> Self {
-        FovIndex::RTree(RTree::bulk_load(
-            items
-                .into_iter()
-                .map(|(rep, id)| (fov_box(&rep), id))
-                .collect(),
-        ))
-    }
-
-    /// Bulk loads an index of the given kind from pre-computed FoV boxes
-    /// (used by the sharded index's publish-time shard rebuilds).
-    pub fn bulk_from_boxes(kind: IndexKind, items: Vec<(Aabb<3>, SegmentId)>) -> Self {
-        match kind {
-            IndexKind::RTree => FovIndex::RTree(RTree::bulk_load(items)),
-            IndexKind::Linear => FovIndex::Linear(items),
-        }
-    }
-
-    /// [`Self::bulk_from_boxes`] with the R-tree's STR leaf tiling fanned
-    /// out on `exec`; the resulting index is identical to the serial one.
-    pub fn bulk_from_boxes_par(
-        exec: &swag_exec::Executor,
-        kind: IndexKind,
-        items: Vec<(Aabb<3>, SegmentId)>,
-    ) -> Self {
-        match kind {
-            IndexKind::RTree => FovIndex::RTree(RTree::bulk_load_par(exec, items)),
-            IndexKind::Linear => FovIndex::Linear(items),
-        }
+        let entries = items.iter().map(|(rep, id)| LeafRef::entry(rep, *id));
+        FovIndex::RTree(RTree::bulk_load(entries.collect()))
     }
 
     /// Builds a new index holding this index's items plus `more`, leaving
-    /// `self` untouched. R-tree shards are STR re-packed (old + new
-    /// together); linear shards are copied and extended.
-    pub fn bulk_extend(&self, more: Vec<(Aabb<3>, SegmentId)>) -> Self {
-        match self {
-            FovIndex::RTree(t) => FovIndex::RTree(t.bulk_extend(more)),
-            FovIndex::Linear(v) => {
-                let mut v = v.clone();
-                v.extend(more);
-                FovIndex::Linear(v)
-            }
-        }
-    }
-
-    /// [`Self::bulk_extend`] with the re-pack's STR leaf tiling fanned out
-    /// on `exec`; the resulting index is identical to the serial one.
-    pub fn bulk_extend_par(
-        &self,
-        exec: &swag_exec::Executor,
-        more: Vec<(Aabb<3>, SegmentId)>,
-    ) -> Self {
+    /// `self` untouched: R-tree shards are STR re-packed (old + new
+    /// together, leaf tiling fanned out on `exec`; from an empty index,
+    /// exactly a bulk load), linear shards copied and extended.
+    pub fn bulk_extend_par(&self, exec: &Executor, more: Vec<(Aabb<3>, LeafRef)>) -> Self {
         match self {
             FovIndex::RTree(t) => FovIndex::RTree(t.bulk_extend_par(exec, more)),
-            FovIndex::Linear(_) => self.bulk_extend(more),
-        }
-    }
-
-    /// Which kind of index this is.
-    pub fn kind(&self) -> IndexKind {
-        match self {
-            FovIndex::RTree(_) => IndexKind::RTree,
-            FovIndex::Linear(_) => IndexKind::Linear,
+            FovIndex::Linear(v) => FovIndex::Linear([v.as_slice(), &more].concat()),
         }
     }
 
@@ -215,139 +208,92 @@ impl FovIndex {
     /// Visits every indexed `(box, id)` pair in unspecified order.
     pub fn for_each_item(&self, mut f: impl FnMut(&Aabb<3>, SegmentId)) {
         match self {
-            FovIndex::RTree(t) => {
-                for (b, id) in t.iter() {
-                    f(b, *id);
-                }
-            }
-            FovIndex::Linear(v) => {
-                for (b, id) in v {
-                    f(b, *id);
-                }
-            }
+            FovIndex::RTree(t) => t.iter().for_each(|(b, leaf)| f(b, leaf.id)),
+            FovIndex::Linear(v) => v.iter().for_each(|(b, leaf)| f(b, leaf.id)),
         }
     }
 
     /// Indexes one representative FoV.
     pub fn insert(&mut self, rep: &RepFov, id: SegmentId) {
-        let b = fov_box(rep);
+        let (b, leaf) = LeafRef::entry(rep, id);
         match self {
-            FovIndex::RTree(t) => t.insert(b, id),
-            FovIndex::Linear(v) => v.push((b, id)),
+            FovIndex::RTree(t) => t.insert(b, leaf),
+            FovIndex::Linear(v) => v.push((b, leaf)),
+        }
+    }
+
+    /// The index's one read traversal: calls `visit` once for every item
+    /// whose box intersects any of `boxes`, box by box in visit order. A
+    /// match of a later box that also intersects `boxes[0]` was visited
+    /// there already and is skipped — a FoV exactly on ±180° falls into
+    /// both antimeridian half-boxes. Traversal counters accumulate into
+    /// `stats` when given, counted before that skip; the linear scan
+    /// reports itself as one flat "leaf" covering every record.
+    pub fn visit<'a>(
+        &'a self,
+        boxes: &[Aabb<3>],
+        mut stats: Option<&mut SearchStats>,
+        mut visit: impl FnMut(&'a Aabb<3>, &'a LeafRef),
+    ) {
+        for (i, qb) in boxes.iter().enumerate() {
+            let mut once = |mbr: &'a Aabb<3>, leaf: &'a LeafRef| {
+                if i == 0 || !boxes[0].intersects(mbr) {
+                    visit(mbr, leaf);
+                }
+            };
+            match (self, stats.as_deref_mut()) {
+                (FovIndex::RTree(t), Some(stats)) => t.search_with_stats(qb, stats, &mut once),
+                (FovIndex::RTree(t), None) => t.search_with(qb, &mut once),
+                (FovIndex::Linear(v), stats) => {
+                    let mut matched = 0;
+                    for (b, leaf) in v.iter().filter(|(b, _)| b.intersects(qb)) {
+                        matched += 1;
+                        once(b, leaf);
+                    }
+                    if let Some(stats) = stats {
+                        stats.nodes_visited += 1;
+                        stats.leaves_scanned += 1;
+                        stats.items_tested += v.len() as u64;
+                        stats.items_matched += matched;
+                    }
+                }
+            }
         }
     }
 
     /// All segment ids whose FoV rectangle intersects the query rectangle
-    /// (spatial *and* temporal overlap, §V-B). Queries wrapping the ±180°
-    /// antimeridian search both half-boxes; results are deduplicated.
+    /// (spatial *and* temporal overlap, §V-B), each once: in visit order,
+    /// ascending when the query wraps the ±180° antimeridian.
     pub fn candidates(&self, q: &Query) -> Vec<SegmentId> {
-        self.candidates_in(&query_boxes(q))
-    }
-
-    /// [`Self::candidates`] against an already-built query box set.
-    pub fn candidates_in(&self, boxes: &QueryBoxes) -> Vec<SegmentId> {
-        let mut out: Vec<SegmentId> = Vec::new();
-        self.candidates_into(boxes, &mut out);
+        let boxes = query_boxes(q);
+        let mut out = Vec::new();
+        self.visit(boxes.as_slice(), None, |_, leaf| out.push(leaf.id));
         if boxes.as_slice().len() > 1 {
-            // A degenerate FoV point sitting exactly on ±180° could fall
-            // into both half-boxes.
             out.sort_unstable();
-            out.dedup();
         }
         out
     }
 
-    /// Appends raw (not antimeridian-deduplicated) matches to `out`.
-    /// Callers that accumulate several shards into one buffer sort and
-    /// deduplicate once at the end, which subsumes the two-box dedup.
-    pub fn candidates_into(&self, boxes: &QueryBoxes, out: &mut Vec<SegmentId>) {
-        for qb in boxes.as_slice() {
-            match self {
-                FovIndex::RTree(t) => out.extend(t.search(qb).into_iter().copied()),
-                FovIndex::Linear(v) => out.extend(
-                    v.iter()
-                        .filter(|(b, _)| b.intersects(qb))
-                        .map(|(_, id)| *id),
-                ),
-            }
-        }
-    }
-
-    /// [`Self::candidates`] that also accumulates traversal counters into
-    /// `stats` (used by the instrumented server query path). The linear
-    /// scan reports itself as one flat "leaf" covering every record.
-    pub fn candidates_with_stats(&self, q: &Query, stats: &mut SearchStats) -> Vec<SegmentId> {
-        self.candidates_with_stats_in(&query_boxes(q), stats)
-    }
-
-    /// [`Self::candidates_with_stats`] against an already-built query box
-    /// set (the plan-driven query path builds boxes once per plan).
-    pub fn candidates_with_stats_in(
-        &self,
-        boxes: &QueryBoxes,
-        stats: &mut SearchStats,
-    ) -> Vec<SegmentId> {
-        let mut out: Vec<SegmentId> = Vec::new();
-        self.candidates_with_stats_into(boxes, &mut out, stats);
-        if boxes.as_slice().len() > 1 {
-            out.sort_unstable();
-            out.dedup();
-        }
-        out
-    }
-
-    /// [`Self::candidates_into`] accumulating traversal counters into
-    /// `stats`: appends raw (not antimeridian-deduplicated) matches to
-    /// `out`. Counters are recorded during traversal — before any dedup
-    /// — so totals match [`Self::candidates_with_stats_in`] exactly.
-    pub fn candidates_with_stats_into(
-        &self,
-        boxes: &QueryBoxes,
-        out: &mut Vec<SegmentId>,
-        stats: &mut SearchStats,
-    ) {
-        for qb in boxes.as_slice() {
-            match self {
-                FovIndex::RTree(t) => {
-                    t.search_with_stats(qb, stats, |_mbr, id| out.push(*id));
-                }
-                FovIndex::Linear(v) => {
-                    let before = out.len();
-                    out.extend(
-                        v.iter()
-                            .filter(|(b, _)| b.intersects(qb))
-                            .map(|(_, id)| *id),
-                    );
-                    stats.nodes_visited += 1;
-                    stats.leaves_scanned += 1;
-                    stats.items_tested += v.len() as u64;
-                    stats.items_matched += (out.len() - before) as u64;
-                }
-            }
-        }
+    /// Whether segment `id` is indexed here under box `mbr`.
+    pub(crate) fn contains(&self, mbr: &Aabb<3>, id: SegmentId) -> bool {
+        let mut found = false;
+        self.visit(std::slice::from_ref(mbr), None, |_, leaf| {
+            found |= leaf.id == id
+        });
+        found
     }
 
     /// Removes one indexed segment (used when providers retract videos).
     pub fn remove(&mut self, rep: &RepFov, id: SegmentId) -> bool {
         let b = fov_box(rep);
         match self {
-            FovIndex::RTree(t) => t.remove(&b, |&v| v == id).is_some(),
+            FovIndex::RTree(t) => t.remove(&b, |leaf| leaf.id == id).is_some(),
             FovIndex::Linear(v) => {
-                if let Some(pos) = v.iter().position(|(bb, vid)| *bb == b && *vid == id) {
-                    v.swap_remove(pos);
-                    true
-                } else {
-                    false
-                }
+                let pos = v.iter().position(|(bb, leaf)| *bb == b && leaf.id == id);
+                pos.map(|pos| v.swap_remove(pos)).is_some()
             }
         }
     }
-}
-
-/// Convenience: meters of spatial slack to add when converting positions
-/// near the query centre (used by tests).
-pub fn lat_of(center: LatLon, north_m: f64) -> f64 {
-    center.lat + north_m / METERS_PER_DEG
 }
 
 #[cfg(test)]
@@ -435,11 +381,17 @@ mod tests {
         idx.insert(&rep_at_lnglat(180.0, 0.0, 0.0, 10.0), SegmentId(0));
         let query = Query::new(0.0, 10.0, LatLon::new(0.0, 179.9999), 1000.0);
         assert_eq!(idx.candidates(&query), vec![SegmentId(0)]);
-        let mut stats = SearchStats::default();
-        assert_eq!(
-            idx.candidates_with_stats(&query, &mut stats),
-            vec![SegmentId(0)]
-        );
+        // Overlapping boxes: the second one's repeat is skipped, but the
+        // counters count raw matches.
+        for kind in [IndexKind::RTree, IndexKind::Linear] {
+            let mut idx = FovIndex::new(kind);
+            idx.insert(&rep_at_lnglat(180.0, 0.0, 0.0, 10.0), SegmentId(0));
+            let b = query_boxes(&query).as_slice()[1];
+            let mut stats = SearchStats::default();
+            let mut visited = 0;
+            idx.visit(&[b, b], Some(&mut stats), |_, _| visited += 1);
+            assert_eq!((visited, stats.items_matched), (1, 2), "{kind:?}");
+        }
     }
 
     #[test]
@@ -545,7 +497,14 @@ mod tests {
             }
             let query = q(300.0, 50.0, 200.0);
             let mut stats = SearchStats::default();
-            let mut a = idx.candidates_with_stats(&query, &mut stats);
+            let mut a = Vec::new();
+            idx.visit(
+                query_boxes(&query).as_slice(),
+                Some(&mut stats),
+                |_, leaf| {
+                    a.push(leaf.id);
+                },
+            );
             let mut b = idx.candidates(&query);
             a.sort();
             b.sort();
@@ -553,6 +512,21 @@ mod tests {
             assert_eq!(stats.items_matched, a.len() as u64, "{kind:?}");
             assert!(stats.items_tested >= stats.items_matched);
             assert!(stats.leaves_scanned >= 1);
+        }
+    }
+
+    #[test]
+    fn leaf_rebuilds_the_rep_bit_exactly() {
+        for rep in [
+            rep_at(12.5, -7.25, 3.0, 9.5),
+            RepFov::new(-0.0, 0.0, Fov::new(LatLon::new(-0.0, 180.0), 359.999)),
+        ] {
+            let (b, leaf) = LeafRef::entry(&rep, SegmentId(3));
+            let back = leaf.rep(&b);
+            let bits = |r: &RepFov| {
+                [r.t_start, r.t_end, r.fov.p.lat, r.fov.p.lng, r.fov.theta].map(f64::to_bits)
+            };
+            assert_eq!(bits(&back), bits(&rep));
         }
     }
 

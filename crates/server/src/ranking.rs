@@ -1,17 +1,23 @@
 //! Rank-based retrieval: the paper's filtering mechanism (§V-B).
 //!
-//! Candidates retrieved from the index (step 2) are filtered by direction
-//! (step 3: "exclude the FoVs that have the improper direction"), ranked by
-//! distance to the query centre ("closer FoVs have a higher probability to
-//! cover the query area"), and truncated to the top N (step 4).
+//! Every tier's box matches (step 2) are offered to one [`TopN`]
+//! collector, which filters them by direction (step 3: "exclude the FoVs
+//! that have the improper direction"), ranks them by distance to the
+//! query centre ("closer FoVs have a higher probability to cover the
+//! query area") and keeps the top N (step 4) as they arrive.
+
+use std::collections::BinaryHeap;
 
 use serde::{Deserialize, Serialize};
 use swag_core::{CameraProfile, RepFov};
 use swag_geo::angle_diff_deg;
+use swag_rtree::Aabb;
 
 use crate::engine::plan::QueryPlan;
+use crate::index::LeafRef;
 use crate::query::{Query, QueryOptions, RankMode};
-use crate::store::{SegmentId, SegmentRecord, SegmentRef, SegmentStore};
+use crate::shard::LeafSink;
+use crate::store::{SegmentId, SegmentRef, SegmentStore};
 
 /// One ranked retrieval result.
 #[derive(Debug, Clone, Copy, PartialEq, Serialize, Deserialize)]
@@ -42,10 +48,8 @@ pub fn quality_score(rep: &RepFov, cam: &CameraProfile, query: &Query) -> f64 {
     quality_score_with_distance(rep, cam, query, rep.fov.p.distance_m(query.center))
 }
 
-/// [`quality_score`] with the FoV→centre distance already computed.
-/// Every hit needs that distance anyway (it is the distance-rank key),
-/// so the batch ranking path computes it once per candidate and feeds
-/// it to both consumers; `d` must equal
+/// [`quality_score`] with the FoV→centre distance already computed
+/// (every hit needs it as the distance-rank key); `d` must equal
 /// `rep.fov.p.distance_m(query.center)` bit-for-bit.
 fn quality_score_with_distance(rep: &RepFov, cam: &CameraProfile, query: &Query, d: f64) -> f64 {
     let proximity = (1.0 - d / cam.view_radius_m).clamp(0.0, 1.0);
@@ -65,10 +69,9 @@ fn quality_score_with_distance(rep: &RepFov, cam: &CameraProfile, query: &Query,
     proximity * alignment * temporal
 }
 
-/// Applies steps 3-4 of the filtering mechanism to index candidates:
-/// the ranking operator with no delta and no cold tier, for callers
-/// (bench harnesses, external users) holding raw `(Query, QueryOptions)`
-/// pairs.
+/// Applies steps 3-4 of the filtering mechanism to index candidates (ties
+/// kept in candidate order): the collector without delta or cold tier,
+/// for callers holding raw `(Query, QueryOptions)` pairs.
 pub fn rank_candidates(
     candidates: &[SegmentId],
     store: &SegmentStore,
@@ -77,93 +80,168 @@ pub fn rank_candidates(
     opts: &QueryOptions,
 ) -> Vec<SearchHit> {
     let plan = QueryPlan::compile(query, opts);
-    rank_stage(candidates, [Vec::new(), Vec::new()], store, cam, &plan).0
-}
-
-/// The ranking operator (steps 3-4), consumed by every read entry
-/// point: filters the index candidates through the plan's chain,
-/// appends the other tiers' already-filtered hits (`[delta, cold]` —
-/// an order stable ranking preserves among ties), then ranks and
-/// truncates to `k`. Also returns how many index candidates survived
-/// the filters.
-pub(crate) fn rank_stage(
-    candidates: &[SegmentId],
-    tier_hits: [Vec<SearchHit>; 2],
-    store: &SegmentStore,
-    cam: &CameraProfile,
-    plan: &QueryPlan,
-) -> (Vec<SearchHit>, usize) {
-    let mut hits = collect_hits(candidates, store, cam, plan);
-    let hits_index = hits.len();
-    for mut tier in tier_hits {
-        hits.append(&mut tier);
+    let mut top = TopN::new(&plan, cam, store);
+    for (ord, &id) in (0..).zip(candidates) {
+        let rec = store.get(id);
+        top.offer(Tier::Index, ord, id, rec.rep, rec.source);
     }
-    rank_hits(&mut hits, plan.rank, plan.k);
-    (hits, hits_index)
+    top.finish()
 }
 
-/// Resolves candidate ids against the store, applies the plan's filter
-/// chain, and builds unranked hits. Retired (retracted) records are
-/// dropped here as defense in depth: with sharded/snapshot indexes a
-/// stale candidate id must never resurface a retracted segment.
-///
-/// Structured as struct-of-arrays phases over the surviving candidates:
-/// the branchy resolve + filter pass first gathers the survivors, then
-/// one dense loop computes every FoV→centre distance, then one loop
-/// scores and materialises hits from the precomputed distances. Keeping
-/// each phase a homogeneous loop over parallel arrays lets the compiler
-/// vectorise the arithmetic (the same shape the [`swag_core::CamTrig`]
-/// similarity fast path uses), and computes each distance once instead
-/// of twice (rank key + quality proximity term).
-fn collect_hits(
-    candidates: &[SegmentId],
-    store: &SegmentStore,
-    cam: &CameraProfile,
-    plan: &QueryPlan,
-) -> Vec<SearchHit> {
-    // Phase 1 — resolve + filter: the branchy pass, survivors only.
-    let recs: Vec<&SegmentRecord> = candidates
-        .iter()
-        .filter(|&&id| !store.is_retired(id))
-        .map(|&id| store.get(id))
-        .filter(|rec| plan.filters.accepts(&rec.rep, cam, &plan.query))
-        .collect();
-    // Phase 2 — distances: one dense arithmetic loop over the survivors.
-    let center = plan.query.center;
-    let dists: Vec<f64> = recs
-        .iter()
-        .map(|rec| rec.rep.fov.p.distance_m(center))
-        .collect();
-    // Phase 3 — score + materialise from the precomputed distances.
-    recs.iter()
-        .zip(&dists)
-        .map(|(rec, &d)| hit_with_distance(rec, cam, &plan.query, d))
-        .collect()
+/// Which tier a hit came from: the tie-break after the rank key, in the
+/// order the tiers' hits were always concatenated.
+#[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
+pub(crate) enum Tier {
+    Index,
+    Delta,
+    Cold,
 }
 
-/// Builds one hit from a record that already passed the filters.
-pub(crate) fn hit_for(rec: &SegmentRecord, cam: &CameraProfile, query: &Query) -> SearchHit {
-    hit_with_distance(rec, cam, query, rec.rep.fov.p.distance_m(query.center))
+/// `(rank key, tier, ordinal)`: ascending is best first.
+type Rank = (i64, Tier, u64);
+
+/// `x`'s position in IEEE total order — [`f64::total_cmp`]'s own
+/// mapping, so integer order is exactly that comparison.
+fn total_key(x: f64) -> i64 {
+    let bits = x.to_bits() as i64;
+    bits ^ (((bits >> 63) as u64) >> 1) as i64
 }
 
-/// [`hit_for`] with the FoV→centre distance already computed.
-fn hit_with_distance(rec: &SegmentRecord, cam: &CameraProfile, query: &Query, d: f64) -> SearchHit {
-    SearchHit {
-        id: rec.id,
-        source: rec.source,
-        rep: rec.rep,
-        distance_m: d,
-        quality: quality_score_with_distance(&rec.rep, cam, query, d),
+/// The ranking operator's collector (steps 3-4). Each tier offers its
+/// box matches; the plan's filter chain runs once per offer, and only
+/// the best `k` under [`Rank`] are kept — by rank key, then tier, then
+/// the tier's ordinal, the order a stable sort of the concatenated
+/// `[index, delta, cold]` hits produces. An unbounded `k` keeps
+/// everything and sorts once; nothing is preallocated for `k`.
+pub(crate) struct TopN<'a> {
+    plan: &'a QueryPlan,
+    cam: &'a CameraProfile,
+    store: &'a SegmentStore,
+    /// Max-heap of kept ranks, each with its hit's slot in `hits`.
+    heap: BinaryHeap<(Rank, usize)>,
+    hits: Vec<SearchHit>,
+    /// Filter survivors per tier, before the top-k cut.
+    survivors: [usize; 3],
+}
+
+impl<'a> TopN<'a> {
+    pub(crate) fn new(
+        plan: &'a QueryPlan,
+        cam: &'a CameraProfile,
+        store: &'a SegmentStore,
+    ) -> Self {
+        TopN {
+            plan,
+            cam,
+            store,
+            heap: BinaryHeap::new(),
+            hits: Vec::new(),
+            survivors: [0; 3],
+        }
+    }
+
+    /// Offers one box match: runs the filter chain — and, for the index
+    /// tier, the retired check (a stale id must never resurface a
+    /// retracted segment) — and keeps the hit if it ranks among the best
+    /// `k` so far. An index hit's `source` is read in [`Self::finish`].
+    pub(crate) fn offer(
+        &mut self,
+        tier: Tier,
+        ord: u64,
+        id: SegmentId,
+        rep: RepFov,
+        source: SegmentRef,
+    ) {
+        let (plan, cam) = (self.plan, self.cam);
+        if !plan.filters.accepts(&rep, cam, &plan.query)
+            || (tier == Tier::Index && self.store.is_retired(id))
+        {
+            return;
+        }
+        self.survivors[tier as usize] += 1;
+        let distance_m = rep.fov.p.distance_m(plan.query.center);
+        let (key, quality) = match plan.rank {
+            // Quality is only read for the winners; see `finish`.
+            RankMode::Distance => (total_key(distance_m), 0.0),
+            RankMode::Quality => {
+                let q = quality_score_with_distance(&rep, cam, &plan.query, distance_m);
+                (!total_key(q), q)
+            }
+        };
+        let hit = SearchHit {
+            id,
+            source,
+            rep,
+            distance_m,
+            quality,
+        };
+        self.keep((key, tier, ord), hit);
+    }
+
+    fn keep(&mut self, rank: Rank, hit: SearchHit) {
+        if self.heap.len() < self.plan.k {
+            self.heap.push((rank, self.hits.len()));
+            self.hits.push(hit);
+        } else if let Some(mut worst) = self.heap.peek_mut() {
+            if rank < worst.0 {
+                self.hits[worst.1] = hit;
+                worst.0 = rank;
+            }
+        }
+    }
+
+    /// Filter survivors `tier` offered so far.
+    pub(crate) fn survivors(&self, tier: Tier) -> usize {
+        self.survivors[tier as usize]
+    }
+
+    /// Ranks the kept hits and materialises them. The segment store is
+    /// read here for the winners' `source` only, and distance-ranked
+    /// winners get their quality.
+    pub(crate) fn finish(self) -> Vec<SearchHit> {
+        let (plan, cam, store, hits) = (self.plan, self.cam, self.store, self.hits);
+        let ranked = self.heap.into_sorted_vec().into_iter();
+        ranked
+            .map(|((_, tier, _), slot)| {
+                let mut hit = hits[slot];
+                if tier == Tier::Index {
+                    hit.source = store.get(hit.id).source;
+                }
+                if plan.rank == RankMode::Distance {
+                    hit.quality =
+                        quality_score_with_distance(&hit.rep, cam, &plan.query, hit.distance_m);
+                }
+                hit
+            })
+            .collect()
     }
 }
 
-/// Step 4: stable-sorts by the rank mode's key and truncates to `k`.
-fn rank_hits(hits: &mut Vec<SearchHit>, rank: RankMode, k: usize) {
-    match rank {
-        RankMode::Distance => hits.sort_by(|a, b| a.distance_m.total_cmp(&b.distance_m)),
-        RankMode::Quality => hits.sort_by(|a, b| b.quality.total_cmp(&a.quality)),
+/// The index scan feeds the collector directly: each leaf match is
+/// rebuilt into its rep and offered, so a candidate list never exists.
+impl LeafSink for TopN<'_> {
+    fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef, ord: u64) {
+        self.offer(
+            Tier::Index,
+            ord,
+            leaf.id,
+            leaf.rep(mbr),
+            SegmentRef::default(),
+        );
     }
-    hits.truncate(k);
+
+    fn fork(&self) -> Self {
+        TopN::new(self.plan, self.cam, self.store)
+    }
+
+    fn merge(&mut self, other: Self) {
+        for (rank, slot) in other.heap {
+            self.keep(rank, other.hits[slot]);
+        }
+        for (mine, theirs) in self.survivors.iter_mut().zip(other.survivors) {
+            *mine += theirs;
+        }
+    }
 }
 
 #[cfg(test)]

@@ -17,7 +17,6 @@
 //! rebuilds only the shards the new batch touches (STR re-pack of old +
 //! new), sharing every untouched shard with the previous snapshot.
 
-use std::cell::RefCell;
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
@@ -26,35 +25,35 @@ use swag_exec::Executor;
 use swag_obs::{FlightRecorder, Histogram, Registry};
 use swag_rtree::{Aabb, SearchStats};
 
-use crate::index::{fov_box, query_boxes, FovIndex, IndexKind, QueryBoxes};
+use crate::index::{query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
 use crate::query::Query;
 use crate::store::SegmentId;
 
-thread_local! {
-    /// Reusable accumulator for cross-shard dedup: multi-shard probes
-    /// collect per-shard matches here, sort + dedup in place, then copy
-    /// an exact-sized result out. Clearing keeps the capacity, so steady-
-    /// state queries allocate only their (returned) result vector.
-    static DEDUP_SCRATCH: RefCell<Vec<SegmentId>> = const { RefCell::new(Vec::new()) };
+/// Where [`ShardedFovIndex::scan`] delivers box matches.
+pub trait LeafSink: Send + Sync + Sized {
+    /// One box match, delivered once however many shards or half-boxes
+    /// hold it. `ord` orders ties as the candidate list always has: visit
+    /// order in a single-shard, single-box probe, segment id otherwise.
+    fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef, ord: u64);
+    /// An empty sink of the same kind, for a parallel worker's shard.
+    fn fork(&self) -> Self;
+    /// Folds a worker's sink back in.
+    fn merge(&mut self, other: Self);
 }
 
-/// Runs `f` with the thread's cleared dedup scratch. `f` must not call
-/// back into the executor (a helping wait could re-enter this scratch);
-/// both probe paths finish all pool work before borrowing it.
-fn with_scratch<R>(f: impl FnOnce(&mut Vec<SegmentId>) -> R) -> R {
-    DEDUP_SCRATCH.with(|cell| {
-        let mut scratch = cell.borrow_mut();
-        scratch.clear();
-        f(&mut scratch)
-    })
-}
+/// The candidate-list sink: `(ord, id)` pairs, sorted afterwards.
+impl LeafSink for Vec<(u64, SegmentId)> {
+    fn accept(&mut self, _mbr: &Aabb<3>, leaf: &LeafRef, ord: u64) {
+        self.push((ord, leaf.id));
+    }
 
-/// Sorts + dedups the accumulated candidates and copies them into an
-/// exact-sized result vector (the scratch keeps its capacity).
-fn sorted_dedup(scratch: &mut Vec<SegmentId>) -> Vec<SegmentId> {
-    scratch.sort_unstable();
-    scratch.dedup();
-    scratch.as_slice().to_vec()
+    fn fork(&self) -> Self {
+        Vec::new()
+    }
+
+    fn merge(&mut self, other: Self) {
+        self.extend(other);
+    }
 }
 
 /// Per-query fan-out metrics for a sharded index.
@@ -62,7 +61,7 @@ fn sorted_dedup(scratch: &mut Vec<SegmentId>) -> Vec<SegmentId> {
 struct ShardObs {
     /// Shards actually probed per query (buckets with a live shard).
     fanout: Arc<Histogram>,
-    /// Deduplicated candidates returned per query.
+    /// Box matches per query, each segment counted once.
     candidates: Arc<Histogram>,
 }
 
@@ -108,6 +107,10 @@ pub struct ShardedFovIndex {
     /// for a new snapshot.
     segments: usize,
     obs: Option<ShardObs>,
+    /// The highest cutoff [`Self::expire_before`] has applied since the
+    /// index was empty: a live shard below it was re-created after that
+    /// expiry and may lack segments of its span living in later buckets.
+    cut: i64,
     /// Flight recorder for per-probe/per-rebuild spans. The spans it
     /// opens inherit the ambient [`swag_obs::TraceCtx`], which the
     /// executor carries into stolen jobs — so a parallel fan-out yields
@@ -131,6 +134,7 @@ impl ShardedFovIndex {
             shards: BTreeMap::new(),
             segments: 0,
             obs: None,
+            cut: i64::MIN,
             recorder: None,
         }
     }
@@ -158,6 +162,7 @@ impl ShardedFovIndex {
             shards: BTreeMap::new(),
             segments: 0,
             obs: self.obs.clone(),
+            cut: i64::MIN,
             recorder: self.recorder.clone(),
         }
     }
@@ -165,11 +170,6 @@ impl ShardedFovIndex {
     /// The configured bucket width in seconds.
     pub fn shard_width_s(&self) -> f64 {
         self.shard_width_s
-    }
-
-    /// The index backend used for each shard.
-    pub fn kind(&self) -> IndexKind {
-        self.kind
     }
 
     fn bucket_of(&self, t: f64) -> i64 {
@@ -283,14 +283,14 @@ impl ShardedFovIndex {
     /// build — workers merely claim different shards.
     pub fn bulk_insert_exec(&mut self, exec: &Executor, items: &[(RepFov, SegmentId)]) {
         self.segments += items.len();
-        let mut per_bucket: BTreeMap<i64, Vec<(Aabb<3>, SegmentId)>> = BTreeMap::new();
+        let mut per_bucket: BTreeMap<i64, Vec<(Aabb<3>, LeafRef)>> = BTreeMap::new();
         for (rep, id) in items {
-            let b = fov_box(rep);
+            let entry = LeafRef::entry(rep, *id);
             for bucket in self.buckets(rep.t_start, rep.t_end) {
-                per_bucket.entry(bucket).or_default().push((b, *id));
+                per_bucket.entry(bucket).or_default().push(entry);
             }
         }
-        let touched: Vec<(i64, Vec<(Aabb<3>, SegmentId)>)> = per_bucket.into_iter().collect();
+        let touched: Vec<(i64, Vec<(Aabb<3>, LeafRef)>)> = per_bucket.into_iter().collect();
         let shards = &self.shards;
         let kind = self.kind;
         let recorder = &self.recorder;
@@ -299,115 +299,120 @@ impl ShardedFovIndex {
             if let Some(span) = &mut span {
                 span.set_detail(new_items.len() as u64);
             }
-            let tree = match shards.get(&bucket) {
-                Some(old) => old.bulk_extend_par(exec, new_items),
-                None => FovIndex::bulk_from_boxes_par(exec, kind, new_items),
-            };
-            (bucket, tree)
+            let empty = FovIndex::new(kind);
+            let old = shards.get(&bucket).map_or(&empty, |shard| &**shard);
+            (bucket, old.bulk_extend_par(exec, new_items))
         });
         for (bucket, tree) in rebuilt {
             self.shards.insert(bucket, Arc::new(tree));
         }
     }
 
-    /// All segment ids intersecting the query, deduplicated across shards.
-    /// Only live shards inside the window are visited (a wide-open time
-    /// range costs the number of shards, not the number of buckets).
+    /// All segment ids intersecting the query, deduplicated across shards:
+    /// in visit order for a single-shard, single-box probe, ascending
+    /// otherwise. Only live shards inside the window are visited (a
+    /// wide-open time range costs the number of shards, not of buckets).
     pub fn candidates(&self, q: &Query) -> Vec<SegmentId> {
-        self.candidates_in_exec(
-            &Executor::serial(),
-            &query_boxes(q),
-            q.t_start,
-            q.t_end,
-            None,
-        )
+        self.candidates_with_stats(q, &mut SearchStats::default())
     }
 
     /// [`Self::candidates`] accumulating per-shard traversal counters into
-    /// `stats`.
+    /// `stats`: the serial [`Self::scan`]'s matches in tie order.
     pub fn candidates_with_stats(&self, q: &Query, stats: &mut SearchStats) -> Vec<SegmentId> {
-        let boxes = query_boxes(q);
-        self.candidates_in_exec(&Executor::serial(), &boxes, q.t_start, q.t_end, Some(stats))
+        let mut hits: Vec<(u64, SegmentId)> = Vec::new();
+        let (exec, boxes) = (Executor::serial(), query_boxes(q));
+        self.scan(&exec, &boxes, q.t_start, q.t_end, Some(stats), &mut hits);
+        hits.sort_unstable();
+        hits.into_iter().map(|(_, id)| id).collect()
     }
 
-    /// The probe behind [`Self::candidates`], against an already-built
-    /// query box set and time window (the plan-driven query path builds
-    /// boxes once per plan), with the per-shard probes fanned out on
-    /// `exec` and traversal counters accumulated into `stats` when given.
-    ///
-    /// Byte-identical to the serial probe: a multi-shard result is the
-    /// ascending sort + dedup of the union of per-shard matches — the
-    /// same vector no matter which worker scanned which shard — and a
-    /// single-shard probe keeps the unsorted pass-through fast path in
-    /// both modes. Parallel workers count into private stats that are
-    /// summed afterwards, so totals match the serial scan exactly.
-    pub fn candidates_in_exec(
+    /// The index probe: feeds `sink` every match of `boxes` in the live
+    /// shards over `[t0, t1]` exactly once (fanned out on `exec`,
+    /// counting into `stats` when given) and returns the match count.
+    /// Parallel workers fill forked sinks and private counters, merged in
+    /// shard order, so the result equals the serial scan's.
+    pub fn scan<S: LeafSink>(
         &self,
         exec: &Executor,
         boxes: &QueryBoxes,
         t0: f64,
         t1: f64,
         mut stats: Option<&mut SearchStats>,
-    ) -> Vec<SegmentId> {
-        let shards: Vec<&Arc<FovIndex>> = self
+        sink: &mut S,
+    ) -> usize {
+        let probed: Vec<(i64, &FovIndex)> = self
             .shards
             .range(self.buckets(t0, t1))
-            .map(|(_, shard)| shard)
+            .map(|(bucket, shard)| (*bucket, &**shard))
             .collect();
-        let probed = shards.len() as u64;
-        let recorder = &self.recorder;
-        let out = match shards.as_slice() {
-            [] => Vec::new(),
-            // A segment appears at most once per shard, so a single-shard
-            // probe (the common case for windows under the shard width)
-            // needs no dedup pass.
-            [only] => {
-                let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                match stats {
-                    Some(stats) => only.candidates_with_stats_in(boxes, stats),
-                    None => only.candidates_in(boxes),
-                }
+        // One shard, one box: the R-tree visit order is the tie order.
+        let by_id = probed.len() > 1 || boxes.as_slice().len() > 1;
+        let mut matched = 0;
+        if probed.len() < 2 || exec.is_serial() {
+            for i in 0..probed.len() {
+                let stats = stats.as_deref_mut();
+                matched += self.scan_shard(&probed, i, boxes, by_id, stats, sink);
             }
-            many if exec.is_serial() => with_scratch(|scratch| {
-                for shard in many {
-                    let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                    match stats.as_deref_mut() {
-                        Some(stats) => shard.candidates_with_stats_into(boxes, scratch, stats),
-                        None => shard.candidates_into(boxes, scratch),
-                    }
+        } else {
+            let proto: &S = sink;
+            let parts = exec.par_map_owned((0..probed.len()).collect(), |i| {
+                let (mut part, mut local) = (proto.fork(), SearchStats::default());
+                let local_stats = stats.is_some().then_some(&mut local);
+                let n = self.scan_shard(&probed, i, boxes, true, local_stats, &mut part);
+                (part, local, n)
+            });
+            for (part, local, n) in parts {
+                sink.merge(part);
+                if let Some(stats) = stats.as_deref_mut() {
+                    stats.merge(&local);
                 }
-                sorted_dedup(scratch)
-            }),
-            many => {
-                let counting = stats.is_some();
-                let per_shard = exec.par_map(many, |shard| {
-                    let _probe = recorder.as_ref().map(|r| r.span("shard_probe"));
-                    let mut local = SearchStats::default();
-                    let v = if counting {
-                        shard.candidates_with_stats_in(boxes, &mut local)
-                    } else {
-                        shard.candidates_in(boxes)
-                    };
-                    (v, local)
-                });
-                if let Some(stats) = stats {
-                    for (_, local) in &per_shard {
-                        stats.merge(local);
-                    }
-                }
-                with_scratch(|scratch| {
-                    for (v, _) in &per_shard {
-                        scratch.extend_from_slice(v);
-                    }
-                    sorted_dedup(scratch)
-                })
+                matched += n;
             }
-        };
-        if let Some(obs) = &self.obs {
-            obs.fanout.record(probed);
-            obs.candidates.record(out.len() as u64);
         }
-        out
+        if let Some(obs) = &self.obs {
+            obs.fanout.record(probed.len() as u64);
+            obs.candidates.record(matched as u64);
+        }
+        matched
+    }
+
+    /// Scans probed shard `i` into `sink`, returning the matches it
+    /// delivered.
+    fn scan_shard<S: LeafSink>(
+        &self,
+        probed: &[(i64, &FovIndex)],
+        i: usize,
+        boxes: &QueryBoxes,
+        by_id: bool,
+        stats: Option<&mut SearchStats>,
+        sink: &mut S,
+    ) -> usize {
+        let _probe = self.recorder.as_ref().map(|r| r.span("shard_probe"));
+        let (earlier, mut n) = (&probed[..i], 0);
+        probed[i].1.visit(boxes.as_slice(), stats, |mbr, leaf| {
+            if self.first_home(earlier, mbr, leaf.id) {
+                sink.accept(mbr, leaf, if by_id { leaf.id.0.into() } else { n });
+                n += 1;
+            }
+        });
+        n as usize
+    }
+
+    /// Dedup without a set: whether `(mbr, id)` has no home among the
+    /// `earlier` probed shards `b_0 < … < b_{i−1}`. A segment is in every
+    /// live bucket of its span, so it is a repeat exactly when its first
+    /// bucket is at most `b_{i−1}` — unless `b_{i−1}` sits below
+    /// [`Self::cut`]; then the earlier shards are asked directly.
+    fn first_home(&self, earlier: &[(i64, &FovIndex)], mbr: &Aabb<3>, id: SegmentId) -> bool {
+        let Some(&(prev, _)) = earlier.last() else {
+            return true;
+        };
+        let first = self.bucket_of(mbr.min[2]);
+        first > prev
+            || (prev < self.cut
+                && !earlier
+                    .iter()
+                    .any(|(bucket, shard)| *bucket >= first && shard.contains(mbr, id)))
     }
 
     /// Drops every shard that ends at or before `horizon_s`. Segments
@@ -417,6 +422,7 @@ impl ShardedFovIndex {
     /// from its store, and no longer count toward [`Self::len`].
     pub fn expire_before(&mut self, horizon_s: f64) -> ExpireReport {
         let cutoff = self.bucket_of(horizon_s);
+        self.cut = self.cut.max(cutoff);
         let keep = self.shards.split_off(&cutoff);
         let shards_dropped = self.shards.len();
         let dropped_shards = std::mem::replace(&mut self.shards, keep);
@@ -651,5 +657,106 @@ mod tests {
         assert_eq!(fanout.sum, 3 + 2);
         let cands = reg.histogram("swag_shard_candidates").snapshot();
         assert_eq!(cands.sum, 3 + 2);
+    }
+
+    /// What the scan's dedup must reproduce: the union of every probed
+    /// shard's own matches, each id once.
+    fn union_of_shards(idx: &ShardedFovIndex, q: &Query) -> Vec<SegmentId> {
+        let mut ids: Vec<SegmentId> = idx
+            .shards
+            .range(idx.buckets(q.t_start, q.t_end))
+            .flat_map(|(_, shard)| shard.candidates(q))
+            .collect();
+        ids.sort_unstable();
+        ids.dedup();
+        ids
+    }
+
+    fn sorted(mut ids: Vec<SegmentId>) -> Vec<SegmentId> {
+        ids.sort_unstable();
+        ids
+    }
+
+    #[test]
+    fn segment_behind_a_recreated_bucket_is_found_once() {
+        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
+        // Segment 0 spans buckets 0..=3; the expiry leaves it in 2 and 3,
+        // then a late arrival re-creates buckets 0 and 1 without it.
+        idx.insert(&rep(50.0, 350.0, 0.0), SegmentId(0));
+        idx.expire_before(200.0);
+        idx.insert(&rep(20.0, 180.0, 5.0), SegmentId(1));
+        let query = q(0.0, 400.0);
+        assert_eq!(idx.candidates(&query), vec![SegmentId(0), SegmentId(1)]);
+        assert_eq!(
+            sorted(idx.candidates(&query)),
+            union_of_shards(&idx, &query)
+        );
+    }
+
+    mod dedup {
+        use super::*;
+        use proptest::prelude::*;
+        use std::sync::OnceLock;
+        use swag_exec::ExecConfig;
+
+        fn pool() -> &'static Executor {
+            static POOL: OnceLock<Executor> = OnceLock::new();
+            POOL.get_or_init(|| Executor::new(ExecConfig::with_threads(3)))
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(48))]
+
+            /// Whatever inserts, expiries (late arrivals then re-create
+            /// expired buckets) and removals built the index, the scan
+            /// reports the union of the probed shards' matches, each once,
+            /// and the pool's scan equals the serial one, counters too.
+            #[test]
+            fn scan_reports_each_probed_match_once(
+                ops in prop::collection::vec(
+                    (0u8..4, 0.0..1500.0f64, 0.0..450.0f64, -400.0..400.0f64),
+                    1..80,
+                ),
+                queries in prop::collection::vec(
+                    (0.0..1600.0f64, 0.0..900.0f64, 50.0..600.0f64),
+                    1..6,
+                ),
+            ) {
+                let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
+                let mut live = Vec::new();
+                for (i, &(kind, t0, dur, north)) in ops.iter().enumerate() {
+                    let (r, id) = (rep(t0, t0 + dur, north), SegmentId(i as u32));
+                    match kind {
+                        0 => idx.insert(&r, id),
+                        1 => idx.bulk_insert(&[(r, id)]),
+                        2 => {
+                            idx.expire_before(t0);
+                            continue;
+                        }
+                        _ => {
+                            if !live.is_empty() {
+                                let (r, id) = live.swap_remove(i % live.len());
+                                idx.remove(&r, id);
+                            }
+                            continue;
+                        }
+                    }
+                    live.push((r, id));
+                }
+                for &(t0, len, radius) in &queries {
+                    let query = Query::new(t0, t0 + len, center(), radius);
+                    let ids = idx.candidates(&query);
+                    prop_assert_eq!(sorted(ids), union_of_shards(&idx, &query));
+                    let boxes = query_boxes(&query);
+                    let (mut serial, mut parallel) = (Vec::new(), Vec::new());
+                    let (mut s, mut p) = (SearchStats::default(), SearchStats::default());
+                    let (a, b) = (query.t_start, query.t_end);
+                    idx.scan(&Executor::serial(), &boxes, a, b, Some(&mut s), &mut serial);
+                    idx.scan(pool(), &boxes, a, b, Some(&mut p), &mut parallel);
+                    prop_assert_eq!(serial, parallel);
+                    prop_assert_eq!(s, p);
+                }
+            }
+        }
     }
 }

@@ -11,19 +11,27 @@
 //!    publish/retention churn. Regenerate with
 //!    `cargo test -p swag-server --test engine_equivalence -- --ignored regenerate`.
 //! 2. **Randomized agreement proptests** — serial vs parallel executors,
-//!    batch vs per-query, and k-nearest vs a brute-force oracle must
-//!    agree on arbitrary workloads (run in CI under both default threads
-//!    and `SWAG_EXEC_THREADS=1`).
+//!    every fan-out mode, batch vs per-query, and k-nearest vs a
+//!    brute-force oracle must agree byte for byte on arbitrary workloads
+//!    and churn (retraction, expiry, late records re-creating expired
+//!    buckets, antimeridian sites); the R-tree's fused top-N pass must
+//!    rank what the Fig. 6(c) linear scan ranks, with the same traversal
+//!    counters as the candidate probe. Run in CI under both default
+//!    threads and `SWAG_EXEC_THREADS=1`.
 
 use std::fmt::Write as _;
 use std::sync::OnceLock;
 
 use proptest::prelude::*;
+use proptest::test_runner::TestCaseError;
 use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_exec::{ExecConfig, Executor};
 use swag_geo::LatLon;
+use swag_obs::Registry;
+use swag_rtree::SearchStats;
 use swag_server::{
-    CloudServer, FanoutMode, Query, QueryOptions, RankMode, SearchHit, SegmentRef, ServerConfig,
+    CloudServer, FanoutMode, IndexKind, Query, QueryOptions, RankMode, SearchHit, SegmentRef,
+    ServerConfig, ShardedFovIndex,
 };
 
 const FIXTURE: &str = include_str!("fixtures/engine_oracle.txt");
@@ -241,39 +249,47 @@ fn par_exec() -> Executor {
         .clone()
 }
 
-fn arb_rep() -> impl Strategy<Value = RepFov> {
+/// Where a case films: mid-latitude, or astride the antimeridian, where
+/// query boxes wrap into two.
+const SITES: [(f64, f64); 2] = [(40.0, 116.32), (10.0, 179.9975)];
+
+fn at(site: usize, dx: f64, dy: f64) -> LatLon {
+    let (lat, lng) = SITES[site];
+    LatLon::new(lat, lng).offset_by(swag_geo::Vec2::new(dx, dy))
+}
+
+/// `(east m, north m, θ, t0, duration)`; a third of the segments last up
+/// to 600 s and span three to six 120 s shards.
+type RawRep = (f64, f64, f64, f64, f64);
+
+fn arb_rep() -> impl Strategy<Value = RawRep> {
     (
         -800.0f64..800.0,
         -800.0f64..800.0,
         0.0f64..360.0,
         0.0f64..3600.0,
-        0.5f64..300.0,
+        prop_oneof![0.5f64..300.0, 0.5f64..300.0, 240.0f64..600.0],
     )
-        .prop_map(|(dx, dy, theta, t0, dur)| {
-            RepFov::new(
-                t0,
-                t0 + dur,
-                Fov::new(base().offset_by(swag_geo::Vec2::new(dx, dy)), theta),
-            )
-        })
 }
 
-fn arb_query() -> impl Strategy<Value = Query> {
+fn rep_at(site: usize, (dx, dy, theta, t0, dur): RawRep) -> RepFov {
+    RepFov::new(t0, t0 + dur, Fov::new(at(site, dx, dy), theta))
+}
+
+/// `(east m, north m, radius, t0, window)`; a third of the windows stay
+/// inside one shard, where quality ties keep the R-tree's visit order.
+fn arb_query() -> impl Strategy<Value = (f64, f64, f64, f64, f64)> {
     (
         -800.0f64..800.0,
         -800.0f64..800.0,
         10.0f64..500.0,
         0.0f64..3600.0,
-        1.0f64..2000.0,
+        prop_oneof![1.0f64..2000.0, 1.0f64..2000.0, 1.0f64..60.0],
     )
-        .prop_map(|(dx, dy, r, t0, win)| {
-            Query::new(
-                t0,
-                t0 + win,
-                base().offset_by(swag_geo::Vec2::new(dx, dy)),
-                r,
-            )
-        })
+}
+
+fn query_at(site: usize, (dx, dy, r, t0, win): (f64, f64, f64, f64, f64)) -> Query {
+    Query::new(t0, t0 + win, at(site, dx, dy), r)
 }
 
 fn arb_opts() -> impl Strategy<Value = QueryOptions> {
@@ -297,9 +313,17 @@ fn arb_opts() -> impl Strategy<Value = QueryOptions> {
         })
 }
 
-fn servers_from(reps: &[RepFov]) -> (CloudServer, CloudServer) {
-    let records: Vec<(RepFov, SegmentRef)> = reps
-        .iter()
+/// One case's records around `site`; astride the antimeridian, plus FoVs
+/// exactly on +180° and −180°.
+fn records(site: usize, reps: &[RawRep]) -> Vec<(RepFov, SegmentRef)> {
+    let mut reps: Vec<RepFov> = reps.iter().map(|&r| rep_at(site, r)).collect();
+    if site == 1 {
+        for lng in [180.0, -180.0] {
+            let p = LatLon { lat: 10.0, lng };
+            reps.push(RepFov::new(100.0, 900.0, Fov { p, theta: 270.0 }));
+        }
+    }
+    reps.iter()
         .enumerate()
         .map(|(i, &rep)| {
             (
@@ -311,44 +335,85 @@ fn servers_from(reps: &[RepFov]) -> (CloudServer, CloudServer) {
                 },
             )
         })
-        .collect();
-    let config = ServerConfig {
+        .collect()
+}
+
+fn config(index: IndexKind, fanout: FanoutMode) -> ServerConfig {
+    ServerConfig {
         shard_width_s: 120.0,
         publish_threshold: 16,
+        index,
+        fanout,
         ..ServerConfig::default()
-    };
-    let serial = CloudServer::from_records_with_config_exec(
-        CameraProfile::smartphone(),
-        config,
-        Executor::serial(),
-        records.clone(),
-    );
-    let parallel = CloudServer::from_records_with_config_exec(
-        CameraProfile::smartphone(),
-        config,
-        par_exec(),
-        records,
-    );
-    (serial, parallel)
+    }
+}
+
+/// `(horizon, provider to retract, late records)` — see [`churn`]; a
+/// negative horizon or provider means none.
+type History = (f64, i64, Vec<RawRep>);
+
+fn arb_history() -> impl Strategy<Value = History> {
+    (
+        -1200.0f64..2400.0,
+        -3i64..5,
+        prop::collection::vec(arb_rep(), 0..40),
+    )
+}
+
+/// The same churn on every server of a case: a provider retraction, an
+/// explicit expiry — queries then start in expired front buckets — and
+/// late records, some older than the horizon, which re-create expired
+/// buckets once 16 of them publish.
+fn churn(server: &CloudServer, site: usize, (horizon, retract, late): &History) {
+    if let Ok(provider) = u64::try_from(*retract) {
+        server.retract_provider(provider);
+    }
+    if *horizon >= 0.0 {
+        server.expire_before(*horizon);
+    }
+    server.ingest_batch(&UploadBatch {
+        provider_id: 9,
+        video_id: 0,
+        reps: late.iter().map(|&r| rep_at(site, r)).collect(),
+    });
+}
+
+/// A server per executor — serial, the shared pool, and the Fig. 6(c)
+/// linear scan on the pool — loaded with the same records and churn.
+fn servers_from(
+    site: usize,
+    reps: &[RawRep],
+    history: &History,
+) -> (CloudServer, CloudServer, CloudServer) {
+    let records = records(site, reps);
+    let [serial, parallel, linear] = [
+        (IndexKind::RTree, Executor::serial()),
+        (IndexKind::RTree, par_exec()),
+        (IndexKind::Linear, par_exec()),
+    ]
+    .map(|(index, exec)| {
+        let config = config(index, FanoutMode::Adaptive);
+        let server = CloudServer::from_records_with_config_exec(
+            CameraProfile::smartphone(),
+            config,
+            exec,
+            records.clone(),
+        );
+        churn(&server, site, history);
+        server
+    });
+    (serial, parallel, linear)
 }
 
 /// One server per [`FanoutMode`], all on the shared parallel pool, loaded
-/// with identical records — only the probe fan-out decision may differ.
-fn servers_per_fanout_mode(reps: &[RepFov]) -> Vec<(FanoutMode, CloudServer)> {
-    let records: Vec<(RepFov, SegmentRef)> = reps
-        .iter()
-        .enumerate()
-        .map(|(i, &rep)| {
-            (
-                rep,
-                SegmentRef {
-                    provider_id: (i % 5) as u64,
-                    video_id: (i / 5) as u64,
-                    segment_idx: i as u32,
-                },
-            )
-        })
-        .collect();
+/// with identical records and churn — only the probe fan-out decision
+/// may differ.
+fn servers_per_fanout_mode(
+    site: usize,
+    reps: &[RawRep],
+    history: &History,
+) -> Vec<(FanoutMode, CloudServer)> {
+    let records = records(site, reps);
     [
         FanoutMode::Adaptive,
         FanoutMode::Serial,
@@ -356,23 +421,87 @@ fn servers_per_fanout_mode(reps: &[RepFov]) -> Vec<(FanoutMode, CloudServer)> {
     ]
     .into_iter()
     .map(|mode| {
-        let config = ServerConfig {
-            shard_width_s: 120.0,
-            publish_threshold: 16,
-            fanout: mode,
-            ..ServerConfig::default()
-        };
-        (
-            mode,
-            CloudServer::from_records_with_config_exec(
-                CameraProfile::smartphone(),
-                config,
-                par_exec(),
-                records.clone(),
-            ),
-        )
+        let server = CloudServer::from_records_with_config_exec(
+            CameraProfile::smartphone(),
+            config(IndexKind::RTree, mode),
+            par_exec(),
+            records.clone(),
+        );
+        churn(&server, site, history);
+        (mode, server)
     })
     .collect()
+}
+
+/// What the R-tree must share with the linear reference: the rank keys
+/// in order, and every hit not tied with the last one kept. Which of
+/// several hits tied at the top-k cut survive, and their order among
+/// themselves, follow each backend's visit order.
+fn linear_view(hits: &[SearchHit], opts: &QueryOptions) -> (Vec<u64>, Vec<(u32, u64)>) {
+    let key = |h: &SearchHit| match opts.rank {
+        RankMode::Distance => h.distance_m.to_bits(),
+        RankMode::Quality => h.quality.to_bits(),
+    };
+    let keys: Vec<u64> = hits.iter().map(key).collect();
+    let cut = (hits.len() == opts.top_n)
+        .then(|| keys.last().copied())
+        .flatten();
+    let mut settled: Vec<(u32, u64)> = hits
+        .iter()
+        .filter(|h| Some(key(h)) != cut)
+        .map(|h| (h.id.0, h.distance_m.to_bits()))
+        .collect();
+    settled.sort_unstable();
+    (keys, settled)
+}
+
+/// The index scan's traversal counters are the candidate probe's: the
+/// engine's measured nodes, leaves and items tested, and its deduplicated
+/// matches, equal `candidates_with_stats` over an index built from the
+/// same records.
+fn assert_scan_counters_match_candidates(
+    site: usize,
+    reps: &[RawRep],
+    queries: &[Query],
+    opts: &QueryOptions,
+) -> Result<(), TestCaseError> {
+    let registry = Registry::new();
+    let mut server = CloudServer::from_records_with_config_exec(
+        CameraProfile::smartphone(),
+        config(IndexKind::RTree, FanoutMode::Adaptive),
+        par_exec(),
+        records(site, reps),
+    );
+    server.attach_observability(&registry);
+    let mut index = ShardedFovIndex::new(120.0, IndexKind::RTree);
+    let items: Vec<_> = server
+        .export_records()
+        .iter()
+        .map(|r| (r.rep, r.id))
+        .collect();
+    index.bulk_insert(&items);
+    let sum = |name: &str| registry.histogram(name).snapshot().sum;
+    for q in queries {
+        let (nodes, leaves) = (
+            sum("swag_server_index_nodes_visited"),
+            sum("swag_server_index_leaves_scanned"),
+        );
+        let event = server.query_analyzed(0, q, opts).report.event;
+        let mut stats = SearchStats::default();
+        let candidates = index.candidates_with_stats(q, &mut stats);
+        prop_assert_eq!(
+            sum("swag_server_index_nodes_visited") - nodes,
+            stats.nodes_visited
+        );
+        prop_assert_eq!(
+            sum("swag_server_index_leaves_scanned") - leaves,
+            stats.leaves_scanned
+        );
+        prop_assert_eq!(event.index_rows_in, stats.items_tested);
+        prop_assert_eq!(event.index_rows_out, candidates.len() as u64);
+        prop_assert!(stats.items_matched >= event.index_rows_out);
+    }
+    Ok(())
 }
 
 proptest! {
@@ -380,21 +509,30 @@ proptest! {
 
     /// All plan-driven entry points agree with each other and across
     /// executors: serial query == parallel query == batched query, for
-    /// arbitrary option combinations.
+    /// arbitrary option combinations, histories and both sites — and the
+    /// linear reference ranks the same keys over the same hits.
     #[test]
     fn serial_parallel_batch_agree(
+        site in 0usize..2,
         reps in prop::collection::vec(arb_rep(), 0..100),
         queries in prop::collection::vec(arb_query(), 1..10),
         opts in arb_opts(),
+        history in arb_history(),
     ) {
-        let (serial, parallel) = servers_from(&reps);
+        let queries: Vec<Query> = queries.into_iter().map(|q| query_at(site, q)).collect();
+        let (serial, parallel, linear) = servers_from(site, &reps, &history);
         let per_query: Vec<Vec<SearchHit>> =
             queries.iter().map(|q| serial.query(q, &opts)).collect();
         for (q, expected) in queries.iter().zip(&per_query) {
             prop_assert_eq!(&parallel.query(q, &opts), expected);
+            prop_assert_eq!(
+                linear_view(expected, &opts),
+                linear_view(&linear.query(q, &opts), &opts)
+            );
         }
         prop_assert_eq!(&serial.query_batch(&queries, &opts, 1), &per_query);
         prop_assert_eq!(&parallel.query_batch(&queries, &opts, 4), &per_query);
+        assert_scan_counters_match_candidates(site, &reps, &queries, &opts)?;
     }
 
     /// The adaptive fan-out cost model may only change *where* a probe
@@ -402,11 +540,14 @@ proptest! {
     /// and letting the planner decide must all be byte-identical.
     #[test]
     fn fanout_decision_never_changes_results(
+        site in 0usize..2,
         reps in prop::collection::vec(arb_rep(), 0..120),
         queries in prop::collection::vec(arb_query(), 1..8),
         opts in arb_opts(),
+        history in arb_history(),
     ) {
-        let servers = servers_per_fanout_mode(&reps);
+        let queries: Vec<Query> = queries.into_iter().map(|q| query_at(site, q)).collect();
+        let servers = servers_per_fanout_mode(site, &reps, &history);
         let (_, oracle) = &servers[0];
         let expected: Vec<Vec<SearchHit>> =
             queries.iter().map(|q| oracle.query(q, &opts)).collect();
@@ -439,7 +580,8 @@ proptest! {
         k in 1usize..8,
         opts in arb_opts(),
     ) {
-        let (serial, parallel) = servers_from(&reps);
+        let (serial, parallel, _) = servers_from(0, &reps, &(-1.0, -1, Vec::new()));
+        let q = query_at(0, q);
         let max_radius = 50_000.0;
         let near_serial = serial.query_nearest(q.t_start, q.t_end, q.center, k, &opts, max_radius);
         let near_parallel =

@@ -15,8 +15,9 @@ use swag_obs::{Metric, MonotonicClock, Registry};
 use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_geo::LatLon;
 use swag_server::{
-    result_digest, AdmissionConfig, CacheConfig, CacheOutcome, CloudServer, EventLogConfig, Query,
-    QueryEvent, QueryOptions, QueryOutcome, RankMode, SearchHit, ServerConfig, QUERY_EVENT_WORDS,
+    ranking::rank_candidates, result_digest, AdmissionConfig, CacheConfig, CacheOutcome,
+    CloudServer, EventLogConfig, IndexKind, Query, QueryEvent, QueryOptions, QueryOutcome,
+    RankMode, SearchHit, SegmentStore, ServerConfig, ShardedFovIndex, QUERY_EVENT_WORDS,
 };
 
 fn base() -> LatLon {
@@ -128,6 +129,17 @@ fn analyzed_execution_matches_normal_execution() {
         300,
     );
     let log = evented.event_log().expect("events enabled in config");
+    // All 300 records are published (300 ≥ the publish threshold): the
+    // candidate probe and ranking over a copy of them are the reference
+    // for what the fused pass's operators count.
+    let mut store = SegmentStore::new();
+    let items: Vec<_> = server
+        .export_records()
+        .iter()
+        .map(|r| (r.rep, store.push(r.rep, r.source)))
+        .collect();
+    let mut index = ShardedFovIndex::new(server.config().shard_width_s, IndexKind::RTree);
+    index.bulk_insert(&items);
     for (q, opts) in probes(11, 24) {
         let plain = server.query(&q, &opts);
         assert_same_hits(&plain, &evented.query(&q, &opts), "evented-vs-plain");
@@ -138,9 +150,21 @@ fn analyzed_execution_matches_normal_execution() {
         assert_eq!(ev.cache, CacheOutcome::Off);
         assert_eq!(ev.hit_count, plain.len() as u64);
         assert_eq!(ev.digest, result_digest(&plain));
-        // Every operator annotated: rows flow through the pipeline.
+        // Every operator annotated: rows flow through the pipeline. The
+        // index scan now filters and collects as it goes, yet its rows
+        // out are still the box matches after cross-shard dedup, the
+        // ranking's rows in every tier's box matches, and the index hit
+        // split the filter survivors.
+        let candidates = index.candidates(&q);
+        assert_eq!(ev.index_rows_out, candidates.len() as u64);
         assert_eq!(ev.rank_rows_in, ev.index_rows_out + ev.delta_rows_out);
         assert_eq!(ev.rank_rows_out, ev.hit_count);
+        let all = QueryOptions {
+            top_n: usize::MAX,
+            ..opts
+        };
+        let survivors = rank_candidates(&candidates, &store, server.camera(), &q, &all);
+        assert_eq!(ev.hits_index, survivors.len() as u64);
         // index/delta hit split counts filter survivors *before* top-N
         // truncation: at least everything ranked out, at most rows in.
         let split = ev.hits_index + ev.hits_delta;

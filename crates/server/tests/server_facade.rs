@@ -363,6 +363,74 @@ fn query_nearest_returns_k_closest() {
 }
 
 #[test]
+fn quality_ties_rank_published_hits_before_pending_ones() {
+    // Every segment sits beyond the camera's view radius, so all score
+    // quality 0.0: ties break by tier — published snapshot first, then
+    // the pending delta in arrival order.
+    let server = CloudServer::with_config(
+        CameraProfile::smartphone(),
+        ServerConfig {
+            publish_threshold: 4,
+            ..ServerConfig::default()
+        },
+    );
+    for (provider, n) in [(1, 4), (2, 3)] {
+        server.ingest_batch(&UploadBatch {
+            provider_id: provider,
+            video_id: 0,
+            reps: (0..n)
+                .map(|i| {
+                    let p = center().offset(f64::from(i) * 50.0, 300.0);
+                    RepFov::new(0.0, 10.0, Fov::new(p, 0.0))
+                })
+                .collect(),
+        });
+    }
+    assert_eq!(server.stats().pending_delta, 3);
+    let opts = QueryOptions {
+        direction_filter: false,
+        rank: RankMode::Quality,
+        top_n: usize::MAX,
+        ..QueryOptions::default()
+    };
+    let hits = server.query(&Query::new(0.0, 10.0, center(), 500.0), &opts);
+    assert!(hits.iter().all(|h| h.quality == 0.0));
+    let order: Vec<(u64, u32)> = hits
+        .iter()
+        .map(|h| (h.source.provider_id, h.source.segment_idx))
+        .collect();
+    assert_eq!(&order[4..], &[(2, 0), (2, 1), (2, 2)], "{order:?}");
+    assert!(order[..4].iter().all(|&(p, _)| p == 1), "{order:?}");
+}
+
+#[test]
+fn query_nearest_prefers_a_nearer_segment_past_the_box_edge() {
+    // Regression: a ring's boxes are the disc's bounding square. The
+    // first 50 m ring finds only the 67 m segment in its NE corner; the
+    // 60 m one due east lies past the square's edge. Stopping at k hits
+    // returned the corner hit.
+    let server = CloudServer::new(CameraProfile::smartphone());
+    for (provider, bearing, dist) in [(1, 45.0, 67.0), (2, 90.0, 60.0)] {
+        server.ingest_one(
+            RepFov::new(0.0, 10.0, Fov::new(center().offset(bearing, dist), 0.0)),
+            SegmentRef {
+                provider_id: provider,
+                video_id: 0,
+                segment_idx: 0,
+            },
+        );
+    }
+    let opts = QueryOptions {
+        direction_filter: false,
+        ..QueryOptions::default()
+    };
+    let hits = server.query_nearest(0.0, 10.0, center(), 1, &opts, 1_000.0);
+    assert_eq!(hits.len(), 1);
+    assert_eq!(hits[0].source.provider_id, 2, "{hits:?}");
+    assert!((hits[0].distance_m - 60.0).abs() < 0.5);
+}
+
+#[test]
 fn query_nearest_expands_radius_to_find_far_segments() {
     let server = CloudServer::new(CameraProfile::smartphone());
     // One lonely segment 3 km away, pointing at the centre.
@@ -549,6 +617,55 @@ fn observability_splits_query_phases_exactly() {
             .sum
             >= 4
     );
+}
+
+#[test]
+fn op_rows_keep_their_meaning_in_the_fused_pass() {
+    // The index scan filters and collects as it goes; its rows out are
+    // still the box matches after cross-shard dedup, the ranking's rows
+    // in every tier's box matches, and the hit split the filter
+    // survivors per tier. Each operator still costs one clock step.
+    let reg = Registry::new();
+    let mut server = CloudServer::with_config_and_clock(
+        CameraProfile::smartphone(),
+        ServerConfig {
+            publish_threshold: 4,
+            shard_width_s: 15.0, // segments [10i, 10i + 8] span two shards
+            ..ServerConfig::default()
+        },
+        SteppingClock::with_step(5),
+    );
+    server.attach_observability(&reg);
+    server.ingest_batch(&batch(3, 6)); // 6 >= 4: published
+    server.ingest_batch(&batch(4, 2)); // staged
+    server.query(
+        &Query::new(0.0, 100.0, center(), 200.0),
+        &QueryOptions::default(),
+    );
+    let op = |metric: &str, op: &str| {
+        let h = reg
+            .histogram(&swag_obs::labeled_name(metric, &[("op", op)]))
+            .snapshot();
+        (h.count, h.sum)
+    };
+    assert_eq!(op("swag_server_op_rows_out", "index_scan"), (1, 6));
+    assert_eq!(op("swag_server_op_rows_out", "delta_scan"), (1, 2));
+    assert_eq!(op("swag_server_op_rows_in", "ranking"), (1, 6 + 2));
+    assert_eq!(op("swag_server_op_rows_out", "ranking"), (1, 8));
+    for stage in ["index_scan", "delta_scan", "ranking"] {
+        assert_eq!(op("swag_server_op_micros", stage), (1, 5), "op {stage}");
+    }
+    let hits = |src: &str| {
+        reg.counter(&swag_obs::labeled_name(
+            "swag_server_hits_total",
+            &[("src", src)],
+        ))
+        .get()
+    };
+    assert_eq!((hits("index"), hits("delta")), (6, 2));
+    assert_eq!(reg.histogram("swag_shard_candidates").snapshot().sum, 6);
+    // Buckets 0..=3 hold them; two segments sit in two shards each.
+    assert_eq!(reg.histogram("swag_server_shards_probed").snapshot().sum, 4);
 }
 
 #[test]

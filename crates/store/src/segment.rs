@@ -14,7 +14,7 @@ use swag_core::RepFov;
 pub struct SegmentId(pub u32);
 
 /// Where a segment's actual video bytes live on the client side.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Hash, Serialize, Deserialize)]
+#[derive(Debug, Clone, Copy, Default, PartialEq, Eq, Hash, Serialize, Deserialize)]
 pub struct SegmentRef {
     /// Contributing provider.
     pub provider_id: u64,
