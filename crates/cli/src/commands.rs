@@ -1,27 +1,20 @@
 //! The `swag` subcommands.
 
 use std::io::Write as _;
-use std::sync::Arc;
 
 use swag_client::{ClientPipeline, Uploader};
 use swag_core::{read_trace_csv, write_reps_csv, write_trace_csv, CameraProfile, RepFov, TimedFov};
 use swag_exec::{ExecConfig, Executor};
 use swag_geo::{LatLon, Trajectory};
-use swag_net::{
-    observe_plan, plan_uploads, plan_uploads_traced, Connectivity, DataPlan, NetworkLink,
-    UploadPolicy,
-};
-use swag_obs::{
-    assemble, chrome_trace_json, labeled_name, render_waterfall, FlightRecorder, Metric, Registry,
-    SpanTree, DEFAULT_RING_CAPACITY,
-};
+use swag_net::{observe_plan, plan_uploads, Connectivity, DataPlan, NetworkLink, UploadPolicy};
+use swag_obs::{labeled_name, Metric, Registry};
 use swag_sensors::{scenarios, SensorNoise};
 use swag_server::{
     load_snapshot, save_snapshot, CacheConfig, CloudServer, Query, QueryOptions, RankMode,
     SegmentRef, ServerConfig,
 };
 
-use crate::args::ArgParser;
+use crate::args::{ArgParser, Spec};
 use crate::live;
 use crate::{open_reader, open_writer, read_bytes, write_bytes};
 
@@ -30,12 +23,18 @@ pub(crate) fn camera() -> CameraProfile {
     CameraProfile::smartphone()
 }
 
+/// Arguments of `swag simulate`.
+pub const SIMULATE_ARGS: &[&Spec] = &[&Spec {
+    options: &["scenario", "seed", "duration", "out"],
+    flags: &["noise"],
+}];
+
 /// `swag simulate` — generate a synthetic trace CSV.
 pub fn simulate(args: ArgParser) -> Result<(), String> {
     let scenario = args.require("scenario")?.to_string();
     let seed = args.get_u64("seed", 42)?;
     let duration = args.get_f64("duration", 60.0)?;
-    let noise = if args.has_flag("--noise") {
+    let noise = if args.has_flag("noise") {
         SensorNoise::smartphone()
     } else {
         SensorNoise::NONE
@@ -68,6 +67,15 @@ pub fn simulate(args: ArgParser) -> Result<(), String> {
     Ok(())
 }
 
+/// Arguments of `swag segment`.
+pub const SEGMENT_ARGS: &[&Spec] = &[
+    &Spec {
+        options: &["in", "thresh", "out"],
+        flags: &[],
+    },
+    &PIPELINE_ARGS,
+];
+
 /// `swag segment` — run the client pipeline over a trace CSV.
 pub fn segment(args: ArgParser) -> Result<(), String> {
     let input = args.require("in")?;
@@ -97,6 +105,12 @@ pub fn segment(args: ArgParser) -> Result<(), String> {
     Ok(())
 }
 
+/// What [`run_pipeline`] reads.
+const PIPELINE_ARGS: Spec = Spec {
+    options: &["smooth"],
+    flags: &[],
+};
+
 fn run_pipeline(
     args: &ArgParser,
     thresh: f64,
@@ -109,6 +123,15 @@ fn run_pipeline(
         ClientPipeline::process_trace(camera(), thresh, trace)
     })
 }
+
+/// Arguments of `swag ingest`.
+pub const INGEST_ARGS: &[&Spec] = &[
+    &Spec {
+        options: &["snapshot", "thresh"],
+        flags: &[],
+    },
+    &PIPELINE_ARGS,
+];
 
 /// `swag ingest` — segment traces and build/extend a snapshot.
 pub fn ingest(args: ArgParser) -> Result<(), String> {
@@ -175,6 +198,12 @@ pub fn ingest(args: ArgParser) -> Result<(), String> {
     Ok(())
 }
 
+/// What [`parse_query_args`] reads.
+const QUERY_SHAPE_ARGS: Spec = Spec {
+    options: &["lat", "lng", "radius", "t0", "t1", "top", "tolerance"],
+    flags: &["no-direction-filter", "coverage", "quality"],
+};
+
 /// Parses and validates the shared query arguments (`--lat`, `--lng`,
 /// `--radius`, `--t0`, `--t1`, plus option flags) through the fallible
 /// ingress path: hostile values surface as [`swag_server::QueryError`]
@@ -188,10 +217,10 @@ fn parse_query_args(args: &ArgParser) -> Result<(Query, QueryOptions), String> {
     let q = Query::try_new(t0, t1, LatLon::new(lat, lng), radius).map_err(|e| e.to_string())?;
     let opts = QueryOptions {
         top_n: args.get_u64("top", 10)? as usize,
-        direction_filter: !args.has_flag("--no-direction-filter"),
+        direction_filter: !args.has_flag("no-direction-filter"),
         direction_tolerance_deg: args.get_f64("tolerance", 10.0)?,
-        require_coverage: args.has_flag("--coverage"),
-        rank: if args.has_flag("--quality") {
+        require_coverage: args.has_flag("coverage"),
+        rank: if args.has_flag("quality") {
             RankMode::Quality
         } else {
             RankMode::Distance
@@ -201,6 +230,12 @@ fn parse_query_args(args: &ArgParser) -> Result<(Query, QueryOptions), String> {
     .map_err(|e| e.to_string())?;
     Ok((q, opts))
 }
+
+/// What [`require_source`] and [`load_server`] read.
+pub(crate) const SOURCE_ARGS: Spec = Spec {
+    options: &["snapshot", "data-dir"],
+    flags: &[],
+};
 
 /// Cheap presence check for the state source a query-style command
 /// reads, run *before* argument parsing so "which file?" errors come
@@ -230,6 +265,16 @@ pub(crate) fn load_server(args: &ArgParser) -> Result<CloudServer, String> {
     }
 }
 
+/// Arguments of `swag explain`.
+pub const EXPLAIN_ARGS: &[&Spec] = &[
+    &SOURCE_ARGS,
+    &QUERY_SHAPE_ARGS,
+    &Spec {
+        options: &[],
+        flags: &["analyze"],
+    },
+];
+
 /// `swag explain` — print the typed plan a query would execute against a
 /// snapshot, without running it (against a data dir, the plan includes
 /// cold-run reachability). `--analyze` instead executes the query for
@@ -238,13 +283,23 @@ pub fn explain(args: ArgParser) -> Result<(), String> {
     require_source(&args)?;
     let (q, opts) = parse_query_args(&args)?;
     let server = load_server(&args)?;
-    if args.has_flag("--analyze") {
+    if args.has_flag("analyze") {
         print!("{}", server.query_analyzed(0, &q, &opts).report.render());
     } else {
         print!("{}", server.explain(&q, &opts));
     }
     Ok(())
 }
+
+/// Arguments of `swag query`.
+pub const QUERY_ARGS: &[&Spec] = &[
+    &SOURCE_ARGS,
+    &QUERY_SHAPE_ARGS,
+    &Spec {
+        options: &[],
+        flags: &["explain", "analyze"],
+    },
+];
 
 /// `swag query` — answer a spatio-temporal query from a snapshot or a
 /// durable data directory.
@@ -253,10 +308,10 @@ pub fn query(args: ArgParser) -> Result<(), String> {
     let (q, opts) = parse_query_args(&args)?;
     let server = load_server(&args)?;
 
-    if args.has_flag("--explain") {
+    if args.has_flag("explain") {
         print!("{}", server.explain(&q, &opts));
     }
-    let hits = if args.has_flag("--analyze") {
+    let hits = if args.has_flag("analyze") {
         // EXPLAIN ANALYZE: the same execution, instrumented — the report
         // is printed and the (byte-identical) hits listed below as usual.
         let analyzed = server.query_analyzed(0, &q, &opts);
@@ -285,6 +340,21 @@ pub fn query(args: ArgParser) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// Arguments of `swag stats`.
+pub const STATS_ARGS: &[&Spec] = &[&Spec {
+    options: &[
+        "format",
+        "seed",
+        "queries",
+        "threads",
+        "cache",
+        "shard-width",
+        "retain",
+        "data-dir",
+    ],
+    flags: &[],
+}];
 
 /// `swag stats` — run a probe workload through the instrumented pipeline
 /// and render the resulting metrics.
@@ -466,127 +536,6 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
     Ok(())
 }
 
-/// `swag trace` — replay the probe workload with causal tracing enabled
-/// and render the slowest query span trees as ASCII waterfalls.
-///
-/// One [`FlightRecorder`] is shared across every layer — client
-/// segmentation, descriptor encoding, upload planning, and the server —
-/// so a single trace shows the full request path. `--chrome FILE` also
-/// exports every recorded span in Chrome trace-event JSON (load it at
-/// `chrome://tracing` or <https://ui.perfetto.dev>).
-pub fn trace(args: ArgParser) -> Result<(), String> {
-    let seed = args.get_u64("seed", 42)?;
-    let n_queries = args.get_u64("queries", 32)?;
-    let top = args.get_u64("top", 3)? as usize;
-    let threads = args.get_u64("threads", 1)? as usize;
-    let slow_micros = match args.get("slow-micros") {
-        None => None,
-        Some(raw) => Some(
-            raw.parse::<u64>()
-                .map_err(|e| format!("--slow-micros: {e}"))?,
-        ),
-    };
-
-    let recorder = Arc::new(FlightRecorder::new(DEFAULT_RING_CAPACITY));
-    recorder.enable();
-
-    // Client layer: segment a simulated city recording, traced.
-    let frames = scenarios::city_walk(seed, 3, &SensorNoise::smartphone());
-    let mut pipeline = ClientPipeline::new(camera(), 0.5)
-        .with_smoothing(0.15)
-        .with_flight_recorder(recorder.clone());
-    for &frame in &frames {
-        pipeline.push(frame);
-    }
-    let recording = pipeline.finish();
-    if recording.reps.is_empty() {
-        return Err("probe workload produced no segments".into());
-    }
-
-    // Upload layer: encode descriptors and plan their transmission.
-    let mut uploader = Uploader::new(0);
-    uploader.attach_flight_recorder(recorder.clone());
-    let (wire, batch) = uploader
-        .upload(recording.reps.clone())
-        .map_err(|e| e.to_string())?;
-    let uploads = [(30.0, wire.len()), (400.0, wire.len())];
-    plan_uploads_traced(
-        &recorder,
-        UploadPolicy::WifiPreferred { max_delay_s: 300.0 },
-        &Connectivity::new(vec![(0.0, 60.0), (900.0, 1800.0)]),
-        &uploads,
-        &NetworkLink::cellular_4g(),
-        &NetworkLink::wifi(),
-        &DataPlan::metered(),
-    );
-
-    // Server layer: ingest and query around every recorded segment.
-    let mut server = CloudServer::with_config(
-        camera(),
-        ServerConfig {
-            slow_query_micros: slow_micros,
-            ..ServerConfig::default()
-        },
-    );
-    server.set_executor(if threads <= 1 {
-        Executor::serial()
-    } else {
-        Executor::new(ExecConfig::with_threads(threads))
-    });
-    server.set_flight_recorder(recorder.clone());
-    server.ingest_batch(&batch);
-    let probes: Vec<Query> = (0..n_queries)
-        .map(|i| {
-            let rep = &recording.reps[i as usize % recording.reps.len()];
-            Query::new(rep.t_start - 5.0, rep.t_end + 5.0, rep.fov.p, 150.0)
-        })
-        .collect();
-    server.query_batch(&probes, &QueryOptions::default(), threads);
-
-    let events = recorder.dump();
-    if let Some(path) = args.get("chrome") {
-        let json = chrome_trace_json(&events);
-        write_bytes(path, json.as_bytes())?;
-        eprintln!(
-            "wrote {} span events as Chrome trace JSON to {path}",
-            events.len()
-        );
-    }
-
-    let trees = assemble(&events);
-    let (mut query_trees, other_trees): (Vec<SpanTree>, Vec<SpanTree>) = trees
-        .into_iter()
-        .partition(|t| t.roots.iter().any(|r| r.label == "query"));
-    query_trees.sort_by_key(|t| std::cmp::Reverse(t.total_micros()));
-    println!(
-        "{} span events across {} query traces (+{} other traces), {} queries replayed",
-        events.len(),
-        query_trees.len(),
-        other_trees.len(),
-        n_queries,
-    );
-    let slow = recorder.slow_queries();
-    println!(
-        "slow-query capture: {} pinned (threshold {})",
-        slow.len(),
-        match recorder.slow_threshold_micros() {
-            0 => "off".to_string(),
-            t => format!("{t} us"),
-        },
-    );
-    for (rank, tree) in query_trees.iter().take(top.max(1)).enumerate() {
-        println!(
-            "\n#{} slowest query — {} us, {} spans, trace {}",
-            rank + 1,
-            tree.total_micros(),
-            tree.span_count(),
-            tree.trace_id,
-        );
-        print!("{}", render_waterfall(tree, 48));
-    }
-    Ok(())
-}
-
 /// Cumulative total of one `swag_server_shed_total` reason label.
 fn reason_total(registry: &Registry, reason: &str) -> u64 {
     registry
@@ -623,6 +572,12 @@ fn print_metrics_table(registry: &Registry) {
     }
 }
 
+/// Arguments of `swag export`.
+pub const EXPORT_ARGS: &[&Spec] = &[&Spec {
+    options: &["in", "geojson"],
+    flags: &[],
+}];
+
 /// `swag export` — convert a trace CSV to GeoJSON for map viewers.
 pub fn export(args: ArgParser) -> Result<(), String> {
     let input = args.require("in")?;
@@ -633,6 +588,12 @@ pub fn export(args: ArgParser) -> Result<(), String> {
     eprintln!("wrote {} frame records as GeoJSON to {output}", trace.len());
     Ok(())
 }
+
+/// Arguments of `swag simplify`.
+pub const SIMPLIFY_ARGS: &[&Spec] = &[&Spec {
+    options: &["in", "out", "tolerance"],
+    flags: &[],
+}];
 
 /// `swag simplify` — Douglas-Peucker-simplify a trace's path (positions
 /// only; timestamps/azimuths of the kept vertices are preserved).
@@ -676,6 +637,15 @@ pub fn simplify(args: ArgParser) -> Result<(), String> {
     );
     Ok(())
 }
+
+/// Arguments of `swag serve`.
+pub const SERVE_ARGS: &[&Spec] = &[
+    &live::LIVE_ARGS,
+    &Spec {
+        options: &["metrics-addr", "duration"],
+        flags: &[],
+    },
+];
 
 /// `swag serve` — run the live probe workload with the embedded metrics
 /// endpoint, for Prometheus scrapes and `curl` spelunking.
@@ -730,12 +700,21 @@ pub fn serve(args: ArgParser) -> Result<(), String> {
     Ok(())
 }
 
+/// Arguments of `swag top`.
+pub const TOP_ARGS: &[&Spec] = &[
+    &live::LIVE_ARGS,
+    &Spec {
+        options: &["iterations", "interval-millis"],
+        flags: &["once"],
+    },
+];
+
 /// `swag top` — refreshing terminal dashboard over the live workload's
 /// windowed metrics and SLO states; `--once` renders a single frame for
 /// scripts.
 pub fn top(args: ArgParser) -> Result<(), String> {
     let cfg = live::LiveConfig::from_args(&args)?;
-    let once = args.has_flag("--once");
+    let once = args.has_flag("once");
     let iterations = args.get_u64("iterations", 0)?;
     let interval_millis = args.get_u64("interval-millis", 1_000)?.max(50);
 

@@ -3,9 +3,18 @@
 use swag_core::RepFov;
 use swag_server::{save_snapshot, CloudServer, SegmentRef, ServerConfig};
 
-use crate::args::ArgParser;
-use crate::commands::{camera, load_server};
+use crate::args::{ArgParser, Spec};
+use crate::commands::{camera, load_server, SOURCE_ARGS};
 use crate::write_bytes;
+
+/// Arguments of `swag retract`.
+pub const RETRACT_ARGS: &[&Spec] = &[
+    &SOURCE_ARGS,
+    &Spec {
+        options: &["provider"],
+        flags: &[],
+    },
+];
 
 /// `swag retract` — remove a provider's segments from a snapshot file,
 /// or (with `--data-dir`) durably from a data directory: the retraction
@@ -55,6 +64,12 @@ fn records_digest(records: &[(RepFov, SegmentRef)]) -> u64 {
     }
     h
 }
+
+/// Arguments of `swag recover`.
+pub const RECOVER_ARGS: &[&Spec] = &[&Spec {
+    options: &["data-dir"],
+    flags: &[],
+}];
 
 /// `swag recover` — open a durable data directory, replay its WAL on
 /// top of the latest incremental snapshot, and report what came back.

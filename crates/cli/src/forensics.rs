@@ -20,17 +20,19 @@ use std::io::Write as _;
 
 use swag_server::{QueryEvent, QueryOutcome};
 
-use crate::args::ArgParser;
-use crate::live::{LiveConfig, LiveStack};
+use crate::args::{ArgParser, Spec};
+use crate::live::{LiveConfig, LiveStack, LIVE_ARGS};
 use crate::{open_reader, open_writer};
 
 /// Warm-up ticks before the capture pass (also the capture tick).
 const DEFAULT_TICKS: u64 = 12;
 
-/// One row of the events table.
+/// One row of the events table: outcome, decisions, total latency and
+/// its per-operator split (microseconds), hits, and the identifiers
+/// replay needs.
 fn event_row(i: usize, ev: &QueryEvent) -> String {
     format!(
-        "#{i:<4} {:<18} cache {:<10} {:<8} {:>7} us {:>4} hits  fp {:#018x}  digest {:#018x}  gens {}/{} delta {}\n",
+        "#{i:<4} {:<18} cache {:<10} {:<8} {:>7} us (index {:>6} delta {:>5} rank {:>5}) {:>4} hits  fp {:#018x}  digest {:#018x}  gens {}/{} delta {}\n",
         ev.outcome.to_string(),
         ev.cache.to_string(),
         if ev.fanout_parallel {
@@ -39,6 +41,9 @@ fn event_row(i: usize, ev: &QueryEvent) -> String {
             "serial"
         },
         ev.total_micros,
+        ev.index_micros,
+        ev.delta_micros,
+        ev.rank_micros,
         ev.hit_count,
         ev.fingerprint,
         ev.digest,
@@ -91,6 +96,16 @@ fn capture(stack: &LiveStack, ticks: u64) -> Result<Vec<QueryEvent>, String> {
     Ok(log.kept())
 }
 
+/// Arguments of `swag events`. `--once` is the default, accepted to
+/// name the opposite of `--follow`.
+pub const EVENTS_ARGS: &[&Spec] = &[
+    &LIVE_ARGS,
+    &Spec {
+        options: &["ticks", "iterations", "out"],
+        flags: &["once", "follow", "slow", "shed"],
+    },
+];
+
 /// `swag events` — capture the live workload's wide events and print the
 /// tail-sampled kept log (`--slow` sorts by latency, `--shed` filters to
 /// shed queries, `--out FILE` writes a replayable JSONL capture,
@@ -98,9 +113,9 @@ fn capture(stack: &LiveStack, ticks: u64) -> Result<Vec<QueryEvent>, String> {
 pub fn events(args: ArgParser) -> Result<(), String> {
     let cfg = LiveConfig::from_args(&args)?;
     let ticks = args.get_u64("ticks", DEFAULT_TICKS)?;
-    let follow = args.has_flag("--follow");
-    let slow = args.has_flag("--slow");
-    let shed = args.has_flag("--shed");
+    let follow = args.has_flag("follow");
+    let slow = args.has_flag("slow");
+    let shed = args.has_flag("shed");
     let iterations = args.get_u64("iterations", 0)?;
 
     let stack = LiveStack::build(&cfg)?;
@@ -172,6 +187,12 @@ pub fn events(args: ArgParser) -> Result<(), String> {
     }
     Ok(())
 }
+
+/// Arguments of `swag replay`.
+pub const REPLAY_ARGS: &[&Spec] = &[&Spec {
+    options: &["from", "index"],
+    flags: &[],
+}];
 
 /// `swag replay` — re-execute a captured event against a rebuilt engine
 /// and diff the result digest.

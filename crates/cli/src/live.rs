@@ -25,7 +25,7 @@ use swag_server::{
     AdmissionConfig, CacheConfig, CloudServer, EventLogConfig, Query, QueryOptions, ServerConfig,
 };
 
-use crate::args::ArgParser;
+use crate::args::{ArgParser, Spec};
 
 /// Knobs shared by `swag serve`, `swag top`, `swag events`, and
 /// `swag replay`.
@@ -46,6 +46,19 @@ pub struct LiveConfig {
     /// tier instead of dropping them.
     pub data_dir: Option<String>,
 }
+
+/// What [`LiveConfig::from_args`] reads.
+pub const LIVE_ARGS: Spec = Spec {
+    options: &[
+        "seed",
+        "threads",
+        "window-millis",
+        "slo-millis",
+        "keep-per-mille",
+        "data-dir",
+    ],
+    flags: &[],
+};
 
 impl LiveConfig {
     /// Parses the shared `--seed/--threads/--window-millis/--slo-millis/

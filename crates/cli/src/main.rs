@@ -10,12 +10,14 @@
 //!               --radius 100 --t0 0 --t1 60
 //! swag retract  --snapshot db.swag --provider 1
 //! swag stats    --format prometheus
-//! swag trace    --queries 64 --chrome trace.json
+//! swag events   --once --slow --out cap.jsonl
+//! swag replay   --from cap.jsonl
 //! ```
 //!
 //! Traces are plain CSV (`t,lat,lng,theta`; see
 //! [`swag_core::trace_io`]), snapshots are the binary format of
-//! [`swag_server::persistence`].
+//! [`swag_server::persistence`]. Every subcommand declares the options
+//! and flags it reads ([`args::Spec`]); anything else is an error.
 
 use std::fs::File;
 use std::io::{BufReader, BufWriter, Read, Write};
@@ -27,7 +29,7 @@ mod durable;
 mod forensics;
 mod live;
 
-use args::ArgParser;
+use args::{ArgParser, Spec};
 
 fn main() -> ExitCode {
     let mut argv: Vec<String> = std::env::args().skip(1).collect();
@@ -36,28 +38,15 @@ fn main() -> ExitCode {
         return ExitCode::from(2);
     }
     let command = argv.remove(0);
-    let parser = ArgParser::new(argv);
-    let result = match command.as_str() {
-        "simulate" => commands::simulate(parser),
-        "segment" => commands::segment(parser),
-        "ingest" => commands::ingest(parser),
-        "query" => commands::query(parser),
-        "explain" => commands::explain(parser),
-        "retract" => durable::retract(parser),
-        "recover" => durable::recover(parser),
-        "stats" => commands::stats(parser),
-        "trace" => commands::trace(parser),
-        "export" => commands::export(parser),
-        "simplify" => commands::simplify(parser),
-        "serve" => commands::serve(parser),
-        "top" => commands::top(parser),
-        "events" => forensics::events(parser),
-        "replay" => forensics::replay(parser),
-        "help" | "--help" | "-h" => {
-            println!("{USAGE}");
-            return ExitCode::SUCCESS;
-        }
-        other => Err(format!("unknown command '{other}'\n{USAGE}")),
+    if matches!(command.as_str(), "help" | "--help" | "-h") {
+        println!("{USAGE}");
+        return ExitCode::SUCCESS;
+    }
+    let result = match COMMANDS.iter().find(|(name, ..)| *name == command) {
+        Some(&(_, specs, run)) => ArgParser::new(argv, specs)
+            .map_err(|e| format!("{e} for 'swag {command}' (see 'swag help')"))
+            .and_then(run),
+        None => Err(format!("unknown command '{command}'\n{USAGE}")),
     };
     match result {
         Ok(()) => ExitCode::SUCCESS,
@@ -67,6 +56,27 @@ fn main() -> ExitCode {
         }
     }
 }
+
+/// A subcommand's body.
+type Run = fn(ArgParser) -> Result<(), String>;
+
+/// Every subcommand: its name, the arguments it reads, and its body.
+const COMMANDS: &[(&str, &[&Spec], Run)] = &[
+    ("simulate", commands::SIMULATE_ARGS, commands::simulate),
+    ("segment", commands::SEGMENT_ARGS, commands::segment),
+    ("ingest", commands::INGEST_ARGS, commands::ingest),
+    ("query", commands::QUERY_ARGS, commands::query),
+    ("explain", commands::EXPLAIN_ARGS, commands::explain),
+    ("retract", durable::RETRACT_ARGS, durable::retract),
+    ("recover", durable::RECOVER_ARGS, durable::recover),
+    ("stats", commands::STATS_ARGS, commands::stats),
+    ("export", commands::EXPORT_ARGS, commands::export),
+    ("simplify", commands::SIMPLIFY_ARGS, commands::simplify),
+    ("serve", commands::SERVE_ARGS, commands::serve),
+    ("top", commands::TOP_ARGS, commands::top),
+    ("events", forensics::EVENTS_ARGS, forensics::events),
+    ("replay", forensics::REPLAY_ARGS, forensics::replay),
+];
 
 const USAGE: &str = "\
 swag — content-free crowd-sourced video retrieval (ICPP 2015 reproduction)
@@ -89,8 +99,6 @@ USAGE:
   swag stats    [--format <pretty|prometheus|json>] [--seed N] [--queries N]
                 [--threads N] [--shard-width SECS] [--retain SECS] [--cache N]
                 [--data-dir DIR]
-  swag trace    [--seed N] [--queries N] [--top K] [--threads N]
-                [--slow-micros US] [--chrome FILE]
   swag export   --in TRACE.csv --geojson FILE
   swag simplify --in TRACE.csv --tolerance M --out FILE
   swag serve    [--metrics-addr ADDR] [--duration SECS] [--seed N]
@@ -101,10 +109,14 @@ USAGE:
                 [--data-dir DIR]
   swag events   [--once|--follow] [--slow] [--shed] [--out FILE] [--ticks N]
                 [--seed N] [--threads N] [--slo-millis MS] [--keep-per-mille N]
+                [--iterations N] [--window-millis MS] [--data-dir DIR]
   swag replay   --from FILE [--index N] [default: slowest captured event]
   swag help
 
-Traces are CSV: 't,lat,lng,theta'. Snapshots are binary server state.";
+Traces are CSV: 't,lat,lng,theta'. Snapshots are binary server state.
+A slow query: 'swag events --once --slow --out F' lists the slowest,
+stage by stage; 'swag replay --from F' runs the slowest under EXPLAIN
+ANALYZE.";
 
 /// Opens a buffered reader over a file.
 fn open_reader(path: &str) -> Result<BufReader<File>, String> {

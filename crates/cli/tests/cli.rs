@@ -171,74 +171,33 @@ fn ingest_query_retract_cycle() {
 }
 
 #[test]
-fn trace_renders_waterfalls_and_exports_chrome_json() {
-    let chrome = tmp("trace.json");
+fn unknown_options_are_rejected_by_name() {
+    // A misspelt option must not run silently with the default.
     let out = swag(&[
-        "trace",
-        "--seed",
-        "5",
-        "--queries",
-        "8",
-        "--threads",
-        "2",
-        "--top",
-        "2",
-        "--chrome",
-        chrome.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("8 query traces"));
-    assert!(stdout.contains("#1 slowest query"));
-    assert!(stdout.contains("#2 slowest query"));
-    assert!(stdout.contains("slow-query capture"));
-    // Waterfall rows carry label, duration, thread tag, and a bar.
-    assert!(stdout.contains("query"));
-    assert!(stdout.contains(" us t"));
-    assert!(stdout.contains('|'));
-
-    // The Chrome export is structurally sound JSON with complete ("X")
-    // query spans carrying trace/span ids. Checked textually so the test
-    // needs no JSON dependency; CI re-validates with a real parser.
-    let json = std::fs::read_to_string(&chrome).unwrap();
-    assert!(json.starts_with("{\"displayTimeUnit\":\"ms\",\"traceEvents\":["));
-    assert!(json.ends_with("]}\n") || json.ends_with("]}"));
-    assert!(json.contains("\"name\":\"query\""));
-    assert!(json.contains("\"ph\":\"X\""));
-    assert!(json.contains("\"dur\":"));
-    assert!(json.contains("\"trace\":"));
-}
-
-#[test]
-fn trace_slow_threshold_pins_every_query() {
-    // Threshold 0 us is configured via --slow-micros 1: practically every
-    // query exceeds 1 us wall time, so the capture fills.
-    let out = swag(&[
-        "trace",
-        "--seed",
-        "5",
-        "--queries",
-        "4",
-        "--top",
+        "simulate",
+        "--scenario",
+        "walk",
+        "--duration",
         "1",
-        "--slow-micros",
-        "1",
+        "--tolerence",
+        "5",
     ]);
+    assert!(!out.status.success());
+    assert!(out.stdout.is_empty(), "nothing may run before the check");
+    let stderr = String::from_utf8_lossy(&out.stderr);
     assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
+        stderr.contains("unknown option '--tolerence' for 'swag simulate'"),
+        "{stderr}"
     );
-    let stdout = String::from_utf8_lossy(&out.stdout);
-    assert!(stdout.contains("(threshold 1 us)"));
-    assert!(
-        !stdout.contains("0 pinned"),
-        "slow queries captured:\n{stdout}"
-    );
+    // An option another subcommand reads is still unknown here.
+    let out = swag(&["stats", "--slow-micros", "1"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("'--slow-micros'"), "{stderr}");
+    let out = swag(&["replay", "--once"]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(stderr.contains("'--once'"), "{stderr}");
 }
 
 #[test]
@@ -456,6 +415,14 @@ fn events_capture_replays_to_matching_digest() {
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("events kept of"), "{text}");
     assert!(text.contains("digest"), "{text}");
+    // Every row splits its latency by operator.
+    let rows: Vec<&str> = text.lines().filter(|l| l.starts_with('#')).collect();
+    assert!(!rows.is_empty(), "{text}");
+    for row in rows {
+        for stage in ["(index ", " delta ", " rank "] {
+            assert!(row.contains(stage), "row lacks {stage:?}: {row}");
+        }
+    }
     // The shed burst guarantees always-kept shed events in the capture.
     assert!(text.contains("shed_rate_limited"), "{text}");
 

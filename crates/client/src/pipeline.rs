@@ -4,10 +4,9 @@
 use std::sync::Arc;
 
 use swag_core::{
-    abstract_segment, AveragingRule, CameraProfile, FovSmoother, RepFov, Segment, Segmenter,
-    TimedFov,
+    abstract_segment, AveragingRule, CameraProfile, FovSmoother, RepFov, Segmenter, TimedFov,
 };
-use swag_obs::{Counter, FlightRecorder, Histogram, Registry};
+use swag_obs::{Counter, Histogram, Registry};
 
 /// Metric handles for an instrumented pipeline (`swag_client_*`).
 #[derive(Debug, Clone)]
@@ -45,7 +44,6 @@ pub struct ClientPipeline {
     smoother: Option<FovSmoother>,
     reps: Vec<RepFov>,
     obs: Option<PipelineObs>,
-    recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl ClientPipeline {
@@ -63,7 +61,6 @@ impl ClientPipeline {
             smoother: None,
             reps: Vec::new(),
             obs: None,
-            recorder: None,
         }
     }
 
@@ -84,14 +81,6 @@ impl ClientPipeline {
         self
     }
 
-    /// Records an `abstract_segment` span on `recorder` each time a
-    /// segment closes, so client-side abstraction shows up in the same
-    /// causal trace as upload planning and server-side query handling.
-    pub fn with_flight_recorder(mut self, recorder: Arc<FlightRecorder>) -> Self {
-        self.recorder = Some(recorder);
-        self
-    }
-
     /// Consumes one frame record.
     pub fn push(&mut self, frame: TimedFov) {
         let frame = match &mut self.smoother {
@@ -102,20 +91,10 @@ impl ClientPipeline {
             obs.frames.inc();
         }
         if let Some(segment) = self.segmenter.push(frame) {
-            let rep = self.traced_abstract(&segment);
+            let rep = abstract_segment(&segment, self.rule);
             self.observe_segment(&rep);
             self.reps.push(rep);
         }
-    }
-
-    /// Abstracts one closed segment, recording an `abstract_segment` span
-    /// (detail = frames in the segment) when a flight recorder is wired.
-    fn traced_abstract(&self, segment: &Segment) -> RepFov {
-        let mut span = self.recorder.as_ref().map(|r| r.span("abstract_segment"));
-        if let Some(span) = &mut span {
-            span.set_detail(segment.len() as u64);
-        }
-        abstract_segment(segment, self.rule)
     }
 
     fn observe_segment(&self, rep: &RepFov) {
@@ -137,7 +116,7 @@ impl ClientPipeline {
         let replacement = Segmenter::new(*self.segmenter.camera(), self.segmenter.thresh());
         let segmenter = std::mem::replace(&mut self.segmenter, replacement);
         if let Some(segment) = segmenter.finish() {
-            let rep = self.traced_abstract(&segment);
+            let rep = abstract_segment(&segment, self.rule);
             self.observe_segment(&rep);
             self.reps.push(rep);
         }
@@ -279,37 +258,6 @@ mod tests {
         let durations = reg.histogram("swag_client_segment_duration_ms").snapshot();
         assert_eq!(durations.count, result.segment_count() as u64);
         assert!(durations.max > 0);
-    }
-
-    #[test]
-    fn flight_recorder_spans_one_per_segment() {
-        use swag_obs::{FlightRecorder, SpanEventKind};
-
-        let recorder = Arc::new(FlightRecorder::new(4096));
-        recorder.enable();
-        let trace = rotating_trace(500, 0.8);
-        let mut p = ClientPipeline::new(cam(), 0.5).with_flight_recorder(recorder.clone());
-        for &f in &trace {
-            p.push(f);
-        }
-        let result = p.finish();
-        assert!(result.segment_count() > 1);
-        let events = recorder.dump();
-        let ends: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == SpanEventKind::End && e.label == "abstract_segment")
-            .collect();
-        assert_eq!(ends.len(), result.segment_count(), "one span per segment");
-        // Span details report per-segment frame counts summing to the trace.
-        assert_eq!(ends.iter().map(|e| e.detail).sum::<u64>(), 500);
-        // Disabled recorder records nothing and does not change results.
-        let quiet = Arc::new(FlightRecorder::new(64));
-        let mut p2 = ClientPipeline::new(cam(), 0.5).with_flight_recorder(quiet.clone());
-        for &f in &trace {
-            p2.push(f);
-        }
-        assert_eq!(p2.finish().reps, result.reps);
-        assert!(quiet.dump().is_empty());
     }
 
     #[test]

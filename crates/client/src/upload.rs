@@ -6,7 +6,7 @@ use bytes::Bytes;
 use swag_core::descriptor::CodecError;
 use swag_core::{DescriptorCodec, RepFov, UploadBatch};
 use swag_net::{NetworkLink, TrafficMeter};
-use swag_obs::{Counter, FlightRecorder, Registry};
+use swag_obs::{Counter, Registry};
 
 use crate::video::VideoProfile;
 
@@ -24,7 +24,6 @@ pub struct Uploader {
     next_video_id: u64,
     meter: TrafficMeter,
     obs: Option<UploadObs>,
-    recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl Uploader {
@@ -35,7 +34,6 @@ impl Uploader {
             next_video_id: 0,
             meter: TrafficMeter::new(),
             obs: None,
-            recorder: None,
         }
     }
 
@@ -45,13 +43,6 @@ impl Uploader {
             batches: registry.counter("swag_client_upload_batches_total"),
             descriptor_bytes: registry.counter("swag_client_descriptor_bytes_total"),
         });
-    }
-
-    /// Records an `upload_encode` span on `recorder` around every
-    /// [`upload`](Uploader::upload) call (detail = wire bytes produced),
-    /// tying descriptor encoding into the end-to-end causal trace.
-    pub fn attach_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.recorder = Some(recorder);
     }
 
     /// The provider id.
@@ -67,16 +58,12 @@ impl Uploader {
     /// represented on the wire (nothing is metered in that case; the
     /// video id is not consumed).
     pub fn upload(&mut self, reps: Vec<RepFov>) -> Result<(Bytes, UploadBatch), CodecError> {
-        let mut span = self.recorder.as_ref().map(|r| r.span("upload_encode"));
         let batch = UploadBatch {
             provider_id: self.provider_id,
             video_id: self.next_video_id,
             reps,
         };
         let bytes = DescriptorCodec::encode_batch(&batch)?;
-        if let Some(span) = &mut span {
-            span.set_detail(bytes.len() as u64);
-        }
         self.next_video_id += 1;
         self.meter.record_up(bytes.len());
         if let Some(obs) = &self.obs {
@@ -146,24 +133,6 @@ mod tests {
             reg.counter("swag_client_descriptor_bytes_total").get(),
             (b1.len() + b2.len()) as u64
         );
-    }
-
-    #[test]
-    fn flight_recorder_span_reports_wire_bytes() {
-        use swag_obs::{FlightRecorder, SpanEventKind};
-
-        let recorder = Arc::new(FlightRecorder::new(64));
-        recorder.enable();
-        let mut u = Uploader::new(7);
-        u.attach_flight_recorder(recorder.clone());
-        let (bytes, _) = u.upload(reps(6)).unwrap();
-        let events = recorder.dump();
-        let ends: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == SpanEventKind::End && e.label == "upload_encode")
-            .collect();
-        assert_eq!(ends.len(), 1);
-        assert_eq!(ends[0].detail, bytes.len() as u64);
     }
 
     #[test]

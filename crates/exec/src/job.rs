@@ -62,7 +62,9 @@ impl JobRef {
     /// # Safety
     /// Must be called exactly once, while the descriptor is still alive.
     pub(crate) unsafe fn execute(self) {
-        (self.execute_fn)(self.data)
+        // SAFETY: the caller upholds this function's contract, which is
+        // exactly the contract `JobRef::new` put on `execute_fn`.
+        unsafe { (self.execute_fn)(self.data) }
     }
 }
 

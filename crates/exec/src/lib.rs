@@ -25,6 +25,8 @@
 //! while it waits, so nested parallelism from inside a worker cannot
 //! deadlock even on a single-thread pool.
 
+#![deny(clippy::undocumented_unsafe_blocks)]
+
 mod job;
 mod latch;
 mod par;
@@ -278,55 +280,6 @@ mod tests {
         assert_eq!(ExecConfig::with_threads(0).threads(), 1);
         assert_eq!(ExecConfig::serial().threads(), 1);
         assert!(ExecConfig::from_env().threads() >= 1);
-    }
-
-    #[test]
-    fn par_map_carries_ambient_trace_ctx_into_stolen_jobs() {
-        use swag_obs::TraceCtx;
-        let exec = Executor::new(ExecConfig::with_threads(4));
-        let root = TraceCtx::new_root();
-        let prev = TraceCtx::set_current(root);
-        let items: Vec<usize> = (0..256).collect();
-        let out = exec.par_map(&items, |_| TraceCtx::current());
-        TraceCtx::set_current(prev);
-        assert!(out.iter().all(|c| *c == root), "ctx lost in flight");
-        // Workers must restore their previous (absent) context: a map
-        // submitted with no ambient ctx sees none, even on warm workers.
-        let out = exec.par_map(&items, |_| TraceCtx::current());
-        assert!(out.iter().all(|c| c.is_none()), "ctx leaked to next job");
-    }
-
-    #[test]
-    fn join_and_scope_carry_ambient_trace_ctx() {
-        use swag_obs::TraceCtx;
-        let exec = Executor::new(ExecConfig::with_threads(2));
-        let root = TraceCtx::new_root();
-        let prev = TraceCtx::set_current(root);
-        let (a, b) = exec.join(TraceCtx::current, TraceCtx::current);
-        assert_eq!((a, b), (root, root));
-        let seen = std::sync::Mutex::new(Vec::new());
-        exec.scope(|s| {
-            for _ in 0..32 {
-                s.spawn(|| seen.lock().unwrap().push(TraceCtx::current()));
-            }
-        });
-        TraceCtx::set_current(prev);
-        let seen = seen.into_inner().unwrap();
-        assert_eq!(seen.len(), 32);
-        assert!(seen.iter().all(|c| *c == root));
-    }
-
-    #[test]
-    fn serial_executor_preserves_ambient_trace_ctx() {
-        use swag_obs::TraceCtx;
-        let exec = Executor::serial();
-        let root = TraceCtx::new_root();
-        let prev = TraceCtx::set_current(root);
-        let out = exec.par_map(&[1, 2, 3], |_| TraceCtx::current());
-        let (a, b) = exec.join(TraceCtx::current, TraceCtx::current);
-        TraceCtx::set_current(prev);
-        assert!(out.iter().all(|c| *c == root));
-        assert_eq!((a, b), (root, root));
     }
 
     #[test]

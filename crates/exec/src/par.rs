@@ -7,8 +7,6 @@ use std::cell::UnsafeCell;
 use std::panic::{catch_unwind, AssertUnwindSafe};
 use std::sync::atomic::{AtomicUsize, Ordering};
 
-use swag_obs::TraceCtx;
-
 use crate::job::{JobRef, PanicStore};
 use crate::latch::CountLatch;
 use crate::pool::Pool;
@@ -40,18 +38,17 @@ struct ParJob<'a, R, F> {
     slots: &'a [Slot<R>],
     latch: CountLatch,
     panic: PanicStore,
-    /// The submitter's ambient trace context, re-installed in whichever
-    /// worker steals a chunk so span trees survive work stealing.
-    ctx: TraceCtx,
 }
 
 /// Runs one chunk claim: grabs the next chunk index and maps its items.
 unsafe fn execute_par_job<R, F: Fn(usize) -> R + Sync>(data: *const ()) {
+    // SAFETY: `data` is the `ParJob` submitted by `par_collect_indexed`,
+    // which blocks on the job's latch until every chunk ref has run, so
+    // the descriptor is alive and of this exact type.
     let job = unsafe { &*data.cast::<ParJob<'_, R, F>>() };
     let c = job.next.fetch_add(1, Ordering::Relaxed);
     let start = c * job.chunk;
     let end = (start + job.chunk).min(job.get_len);
-    let prev = TraceCtx::set_current(job.ctx);
     let result = catch_unwind(AssertUnwindSafe(|| {
         for i in start..end {
             let value = (job.f)(i);
@@ -59,7 +56,6 @@ unsafe fn execute_par_job<R, F: Fn(usize) -> R + Sync>(data: *const ()) {
             unsafe { *job.slots[i].0.get() = Some(value) };
         }
     }));
-    TraceCtx::set_current(prev);
     if let Err(payload) = result {
         job.panic.store(payload);
     }
@@ -86,7 +82,6 @@ where
         slots: &slots,
         latch: CountLatch::new(n_chunks),
         panic: PanicStore::default(),
-        ctx: TraceCtx::current(),
     };
     for _ in 0..n_chunks {
         // SAFETY: `job` outlives the wait below, and exactly `n_chunks`
@@ -107,8 +102,6 @@ struct JoinJob<B, RB> {
     result: UnsafeCell<Option<RB>>,
     latch: CountLatch,
     panic: PanicStore,
-    /// Submitter's ambient trace context; see [`ParJob::ctx`].
-    ctx: TraceCtx,
 }
 
 // SAFETY: the closure is taken exactly once (by the worker that executes
@@ -117,15 +110,17 @@ struct JoinJob<B, RB> {
 unsafe impl<B: Send, RB: Send> Sync for JoinJob<B, RB> {}
 
 unsafe fn execute_join_job<B: FnOnce() -> RB, RB>(data: *const ()) {
+    // SAFETY: `data` is the `JoinJob` on `join`'s stack frame, which
+    // waits on the job's latch before returning, so it is alive here.
     let job = unsafe { &*data.cast::<JoinJob<B, RB>>() };
     // SAFETY: single taker, see JoinJob's Sync justification.
     let b = unsafe { (*job.b.get()).take().expect("join arm taken once") };
-    let prev = TraceCtx::set_current(job.ctx);
     match catch_unwind(AssertUnwindSafe(b)) {
+        // SAFETY: only this single execution writes `result`; the
+        // coordinator reads it after the latch below is set.
         Ok(rb) => unsafe { *job.result.get() = Some(rb) },
         Err(payload) => job.panic.store(payload),
     }
-    TraceCtx::set_current(prev);
     job.latch.set_one();
 }
 
@@ -133,8 +128,6 @@ unsafe fn execute_join_job<B: FnOnce() -> RB, RB>(data: *const ()) {
 struct HeapJob<F> {
     f: F,
     core: *const ScopeCore,
-    /// Spawner's ambient trace context; see [`ParJob::ctx`].
-    ctx: TraceCtx,
 }
 
 unsafe fn execute_heap_job<F: FnOnce() + Send>(data: *const ()) {
@@ -143,11 +136,9 @@ unsafe fn execute_heap_job<F: FnOnce() + Send>(data: *const ()) {
     // SAFETY: the ScopeCore outlives all spawns (scope() blocks on the
     // latch before returning).
     let core = unsafe { &*job.core };
-    let prev = TraceCtx::set_current(job.ctx);
     if let Err(payload) = catch_unwind(AssertUnwindSafe(job.f)) {
         core.panic.store(payload);
     }
-    TraceCtx::set_current(prev);
     core.latch.set_one();
 }
 
@@ -187,7 +178,6 @@ impl<'scope, 'env> Scope<'scope, 'env> {
                 let job = Box::new(HeapJob {
                     f,
                     core: self.core as *const ScopeCore,
-                    ctx: TraceCtx::current(),
                 });
                 let data = Box::into_raw(job);
                 // SAFETY: `data` is a fresh heap allocation consumed
@@ -256,7 +246,6 @@ impl Executor {
             result: UnsafeCell::new(None),
             latch: CountLatch::new(1),
             panic: PanicStore::default(),
-            ctx: TraceCtx::current(),
         };
         let data = &job as *const JoinJob<B, RB>;
         // SAFETY: `job` outlives the wait below; the ref is executed at

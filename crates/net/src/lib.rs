@@ -14,7 +14,6 @@ pub mod traffic;
 pub use cost::DataPlan;
 pub use link::NetworkLink;
 pub use scheduler::{
-    observe_plan, plan_uploads, plan_uploads_traced, Connectivity, PlannedUpload, UploadPlan,
-    UploadPolicy,
+    observe_plan, plan_uploads, Connectivity, PlannedUpload, UploadPlan, UploadPolicy,
 };
 pub use traffic::TrafficMeter;

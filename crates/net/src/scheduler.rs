@@ -7,7 +7,7 @@
 //! now" and "free".
 
 use serde::{Deserialize, Serialize};
-use swag_obs::{FlightRecorder, Registry};
+use swag_obs::Registry;
 
 use crate::cost::DataPlan;
 use crate::link::NetworkLink;
@@ -151,25 +151,6 @@ pub fn plan_uploads(
         },
         uploads: planned,
     }
-}
-
-/// [`plan_uploads`] with a `plan_uploads` span recorded on `recorder`,
-/// so scheduling shows up in the same causal trace as the client-side
-/// segmentation and upload encoding that produced the batches. The
-/// span's detail carries the number of uploads planned.
-#[allow(clippy::too_many_arguments)]
-pub fn plan_uploads_traced(
-    recorder: &FlightRecorder,
-    policy: UploadPolicy,
-    connectivity: &Connectivity,
-    uploads: &[(f64, usize)],
-    cellular: &NetworkLink,
-    wifi: &NetworkLink,
-    plan: &DataPlan,
-) -> UploadPlan {
-    let mut span = recorder.span("plan_uploads");
-    span.set_detail(uploads.len() as u64);
-    plan_uploads(policy, connectivity, uploads, cellular, wifi, plan)
 }
 
 /// Records a plan's outcomes as `swag_net_*` metrics: bytes moved (total
@@ -321,45 +302,6 @@ mod tests {
     #[should_panic(expected = "overlap")]
     fn overlapping_windows_rejected() {
         Connectivity::new(vec![(0.0, 100.0), (50.0, 200.0)]);
-    }
-
-    #[test]
-    fn traced_plan_records_span_and_matches_untraced() {
-        use swag_obs::{assemble, SpanEventKind};
-
-        let (cell, wifi, plan) = links();
-        let uploads = [(30.0, 10_000), (300.0, 10_000)];
-        let recorder = FlightRecorder::new(64);
-        recorder.enable();
-        let traced = plan_uploads_traced(
-            &recorder,
-            UploadPolicy::Immediate,
-            &evening_wifi(),
-            &uploads,
-            &cell,
-            &wifi,
-            &plan,
-        );
-        let plain = plan_uploads(
-            UploadPolicy::Immediate,
-            &evening_wifi(),
-            &uploads,
-            &cell,
-            &wifi,
-            &plan,
-        );
-        assert_eq!(traced, plain, "tracing must not change the plan");
-
-        let events = recorder.dump();
-        let ends: Vec<_> = events
-            .iter()
-            .filter(|e| e.kind == SpanEventKind::End && e.label == "plan_uploads")
-            .collect();
-        assert_eq!(ends.len(), 1);
-        assert_eq!(ends[0].detail, 2, "detail = uploads planned");
-        let trees = assemble(&events);
-        assert_eq!(trees.len(), 1);
-        assert_eq!(trees[0].shape(), "plan_uploads()");
     }
 
     #[test]

@@ -6,8 +6,7 @@
 //! fact — identifiers, decisions, measurements, outcome — encoded as a
 //! fixed number of `u64` words so recording never allocates and slots
 //! can be plain relaxed atomics (race-free by construction; the seqlock
-//! only has to provide *consistency*, exactly like the flight
-//! recorder's span rings).
+//! only has to provide *consistency*).
 //!
 //! Two retention tiers:
 //!
@@ -87,9 +86,7 @@ impl TailSampler {
 }
 
 /// One thread's bounded ring of `width`-word events. Written only by the
-/// owning thread; readable from any thread through per-slot seqlocks
-/// (the flight recorder's protocol, generalized to an event payload of
-/// `width` words).
+/// owning thread; readable from any thread through per-slot seqlocks.
 struct WordRing {
     width: usize,
     /// Events ever pushed; the slot index is `head % capacity`.
@@ -408,6 +405,68 @@ mod tests {
             }
         }
         writer.join().expect("writer thread must not panic");
+    }
+
+    mod ring_wrap {
+        use super::*;
+        use proptest::prelude::*;
+
+        /// Third word derived from the first two; a slot mixing words of
+        /// two events breaks this relation (torn read).
+        fn check(writer: u64, seq: u64) -> u64 {
+            (writer ^ seq).wrapping_mul(0x9e37_79b9_7f4a_7c15) | 1
+        }
+
+        proptest! {
+            #![proptest_config(ProptestConfig::with_cases(16))]
+
+            /// Wrapping the per-thread rings under concurrent writers and
+            /// a racing reader never surfaces a torn event, and evicts
+            /// oldest-first: each writer's ring ends holding exactly its
+            /// newest `min(pushed, capacity)` events, in push order.
+            #[test]
+            fn wrapped_rings_evict_oldest_and_never_tear(
+                capacity in 2usize..24,
+                writers in 1u64..=3,
+                per_writer in 4u64..48,
+            ) {
+                let log = Arc::new(EventLog::new(3, capacity, 1, 0, 7));
+                let stop = Arc::new(AtomicBool::new(false));
+                let reader = {
+                    let (log, stop) = (log.clone(), stop.clone());
+                    std::thread::spawn(move || {
+                        while !stop.load(Ordering::Relaxed) {
+                            for e in log.recent() {
+                                assert_eq!(e[2], check(e[0], e[1]), "torn event: {e:?}");
+                            }
+                        }
+                    })
+                };
+                let handles: Vec<_> = (0..writers)
+                    .map(|w| {
+                        let log = log.clone();
+                        std::thread::spawn(move || {
+                            for i in 0..per_writer {
+                                log.record(&[w, i, check(w, i)], EventClass::Sampled);
+                            }
+                        })
+                    })
+                    .collect();
+                for h in handles {
+                    h.join().expect("writer must not panic");
+                }
+                stop.store(true, Ordering::Relaxed);
+                reader.join().expect("reader saw a torn event");
+
+                let recent = log.recent();
+                let keep = per_writer.min(capacity as u64);
+                for w in 0..writers {
+                    let got: Vec<u64> = recent.iter().filter(|e| e[0] == w).map(|e| e[1]).collect();
+                    let expected: Vec<u64> = (per_writer - keep..per_writer).collect();
+                    prop_assert_eq!(got, expected, "writer {} eviction order", w);
+                }
+            }
+        }
     }
 
     #[test]

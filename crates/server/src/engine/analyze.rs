@@ -48,7 +48,7 @@ impl AnalyzeReport {
     /// Renders the annotated plan tree: the resolved plan, the concrete
     /// admission decision and epoch stamp, and the measured pipeline —
     /// per-operator wall time and rows in/out under the same `OP_*`
-    /// names the trace spans use.
+    /// names `explain` and the per-operator metrics use.
     pub fn render(&self) -> String {
         use std::fmt::Write as _;
         let e = &self.event;

@@ -14,10 +14,11 @@
 //!   measuring probe and renders the plan tree annotated with what
 //!   actually happened.
 //! * The **wide-event log** ([`QueryEventLog`]) records one event per
-//!   executed plan into per-thread lock-free rings (the flight recorder's
-//!   seqlock protocol, generalized in `swag-obs::EventLog`), with a
-//!   tail-sampling policy: sheds and over-SLO-slow queries are always
-//!   kept, ordinary traffic probabilistically. Disabled (the default),
+//!   executed plan into per-thread lock-free seqlock rings
+//!   (`swag-obs::EventLog`), with a tail-sampling policy: sheds and
+//!   queries at or over `slow_micros` are always kept — the server's one
+//!   slow-query policy — and ordinary traffic probabilistically.
+//!   Disabled (the default),
 //!   the query path pays one `Option` branch — no clock reads.
 //! * **Replay**: a kept event carries the query, its options, and the
 //!   epoch stamp, so `swag replay` can re-execute it under `--analyze`

@@ -41,10 +41,7 @@ use std::sync::Arc;
 use parking_lot::{Mutex, RwLock};
 use swag_core::CameraProfile;
 use swag_exec::Executor;
-use swag_obs::{
-    labeled_name, Counter, FlightRecorder, Histogram, MonotonicClock, Registry,
-    DEFAULT_RING_CAPACITY,
-};
+use swag_obs::{labeled_name, Counter, Histogram, MonotonicClock, Registry};
 
 use crate::query::{Query, QueryOptions};
 use crate::server::ServerConfig;
@@ -61,9 +58,9 @@ use probe::{OpMeasure, StageRecord};
 use write::Writer;
 
 /// Per-operator metric handles: one stage of the operator pipeline,
-/// keyed by the same `OP_*` name its trace spans and `explain` listings
+/// keyed by the same `OP_*` name EXPLAIN ANALYZE and `explain` listings
 /// use, so a hot operator in `swag top` can be cross-referenced against
-/// a captured slow-query waterfall by name.
+/// a captured slow query's replayed report by name.
 pub(crate) struct OpStageObs {
     /// Stage wall time per execution.
     pub(crate) micros: Arc<Histogram>,
@@ -242,7 +239,7 @@ impl ServerObs {
     }
 
     /// The metrics view of one measured execution. Per-operator
-    /// telemetry is keyed by the same `OP_*` names the trace spans and
+    /// telemetry is keyed by the same `OP_*` names EXPLAIN ANALYZE and
     /// `swag explain` use, and stays miss-only: on a cache hit no
     /// operator ran.
     pub(crate) fn record(&self, rec: &StageRecord) {
@@ -312,10 +309,6 @@ pub(crate) struct Engine {
     /// paths pay one branch each. Set by `CloudServer::open` after
     /// recovery replays through the normal ingest path.
     pub(crate) durability: Option<Arc<swag_store::Durability>>,
-    /// Causal-tracing flight recorder for the query/ingest/publish
-    /// paths. Disabled by default: each span site then costs one relaxed
-    /// load.
-    pub(crate) recorder: Arc<FlightRecorder>,
     pub(crate) batches: AtomicU64,
     pub(crate) queries: AtomicU64,
     pub(crate) query_micros: AtomicU64,
@@ -328,15 +321,7 @@ impl Engine {
         config: ServerConfig,
         clock: Arc<dyn MonotonicClock>,
     ) -> Self {
-        let recorder = Arc::new(FlightRecorder::with_clock(
-            DEFAULT_RING_CAPACITY,
-            clock.clone(),
-        ));
-        if let Some(t) = config.slow_query_micros {
-            recorder.set_slow_threshold_micros(t);
-        }
-        let mut index = ShardedFovIndex::new(config.shard_width_s, config.index);
-        index.set_recorder(recorder.clone());
+        let index = ShardedFovIndex::new(config.shard_width_s, config.index);
         let core = Arc::new(SnapshotCore {
             store: SegmentStore::new(),
             index,
@@ -369,7 +354,6 @@ impl Engine {
                 .enabled
                 .then(|| Arc::new(QueryEventLog::new(config.events))),
             durability: None,
-            recorder,
             batches: AtomicU64::new(0),
             queries: AtomicU64::new(0),
             query_micros: AtomicU64::new(0),
@@ -388,28 +372,6 @@ impl Engine {
         let mut w = self.writer.lock();
         let mut index = w.core.index.clone();
         index.attach_observability(registry);
-        let core = Arc::new(SnapshotCore {
-            store: w.core.store.clone(),
-            index,
-            published_at_micros: w.core.published_at_micros,
-        });
-        w.core = core;
-        let epoch = w.make_epoch();
-        drop(w);
-        *self.epoch.write() = epoch;
-    }
-
-    /// Replaces the flight recorder, applying the configured slow-query
-    /// threshold and re-issuing the published snapshot so shard probes
-    /// record into it from the next query on.
-    pub(crate) fn set_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        if let Some(t) = self.config.slow_query_micros {
-            recorder.set_slow_threshold_micros(t);
-        }
-        self.recorder = recorder.clone();
-        let mut w = self.writer.lock();
-        let mut index = w.core.index.clone();
-        index.set_recorder(recorder);
         let core = Arc::new(SnapshotCore {
             store: w.core.store.clone(),
             index,

@@ -6,12 +6,12 @@
 //! the top-k) — run as one pass: every tier offers its box matches to
 //! one bounded [`TopN`] collector, which applies the plan's compiled
 //! [`FilterChain`](super::plan::FilterChain) as they arrive. Each stage
-//! is timed by a flight-recorder span named after its `OP_*` constant.
-//! The pipeline is written once, in [`Engine::execute`], generic over a
-//! [`StageProbe`]: the unobserved server runs it with the zero-sized
-//! [`NoProbe`], every observed one with [`Measure`], whose
-//! [`StageRecord`] metrics, wide events and EXPLAIN ANALYZE are computed
-//! from afterwards. Every read entry point drives that one function:
+//! is timed once, by the probe, into the [`StageRecord`] row named after
+//! its `OP_*` constant. The pipeline is written once, in
+//! [`Engine::execute`], generic over a [`StageProbe`]: the unobserved
+//! server runs it with the zero-sized [`NoProbe`], every observed one
+//! with [`Measure`], whose [`StageRecord`] metrics, wide events and
+//! EXPLAIN ANALYZE are computed from afterwards. Every read entry point drives that one function:
 //! `query` runs one plan, `query_nearest` loops over
 //! radius-expanded plans, `query_batch` fans plans across the executor
 //! against a single pinned epoch, `query_analyzed` reports the record,
@@ -27,7 +27,7 @@ use swag_store::Zone;
 use crate::index::fov_box;
 use crate::query::{Query, QueryOptions, RankMode};
 use crate::ranking::{SearchHit, Tier, TopN};
-use crate::server::{ServerStats, AUTO_THRESHOLD_INTERVAL};
+use crate::server::ServerStats;
 use crate::store::{SegmentId, SegmentRecord, SegmentRef};
 
 use super::admission::{InflightPermit, ShedReason};
@@ -35,10 +35,7 @@ use super::cache;
 use super::epoch::Epoch;
 use super::fanout::{self, FanoutDecision};
 use super::forensics::CacheOutcome;
-use super::plan::{
-    PlanKey, QueryPlan, OP_COLD_SCAN, OP_DELTA_SCAN, OP_INDEX_SCAN, OP_QUERY, OP_QUERY_NEAREST,
-    OP_RANKING,
-};
+use super::plan::{PlanKey, QueryPlan};
 use super::probe::{Measure, NoProbe, StageProbe, StageRecord};
 use super::Engine;
 
@@ -129,21 +126,17 @@ impl Engine {
         };
         probe.begin(&decision);
         let mut top = TopN::new(plan, &self.cam, &epoch.core.store);
-        let matched = {
-            let _span = self.recorder.span(OP_INDEX_SCAN);
-            epoch.core.index.scan(
-                probe_exec,
-                &plan.boxes,
-                plan.query.t_start,
-                plan.query.t_end,
-                probe.search_stats(),
-                &mut top,
-            )
-        };
+        let matched = epoch.core.index.scan(
+            probe_exec,
+            &plan.boxes,
+            plan.query.t_start,
+            plan.query.t_end,
+            probe.search_stats(),
+            &mut top,
+        );
         probe.index_scanned(matched);
         let mut delta_matched = 0;
         if epoch.delta_len > 0 {
-            let _span = self.recorder.span(OP_DELTA_SCAN);
             for (ord, d) in (0..).zip(epoch.delta_records()) {
                 if plan.boxes.intersects(&d.bbox) {
                     delta_matched += 1;
@@ -153,13 +146,9 @@ impl Engine {
         }
         probe.delta_scanned(epoch.delta_len, delta_matched);
         if self.has_cold() {
-            let rows_in = {
-                let _span = self.recorder.span(OP_COLD_SCAN);
-                self.cold_scan(plan, &mut top)
-            };
+            let rows_in = self.cold_scan(plan, &mut top);
             probe.cold_scanned(rows_in, top.survivors(Tier::Cold));
         }
-        let _span = self.recorder.span(OP_RANKING);
         let (hits_index, hits_delta) = (top.survivors(Tier::Index), top.survivors(Tier::Delta));
         let hits = top.finish();
         probe.ranked(hits_index, hits_delta, hits.len());
@@ -173,8 +162,8 @@ impl Engine {
     /// completes the latency accounting started at `t0` — the caller
     /// read the clock once before acquiring the epoch, this reads it
     /// once more, and only the probe reads it in between. A cached
-    /// answer is still a served query: root span, counters and total
-    /// latency all record it.
+    /// answer is still a served query: counters and total latency both
+    /// record it.
     fn execute<P: StageProbe>(
         &self,
         epoch: &Epoch,
@@ -182,12 +171,6 @@ impl Engine {
         plan: &QueryPlan,
         probe: &mut P,
     ) -> Vec<SearchHit> {
-        // Root of this query's span tree, armed for slow-query capture:
-        // if its wall time (on the recorder's clock) crosses the slow
-        // threshold, the whole tree is pinned into the retained log.
-        // Child spans below — shard probes included, even when stolen by
-        // other workers — parent to this context.
-        let mut root = self.recorder.guarded_span(OP_QUERY);
         let mut cached = None;
         let mut store = None;
         if let Some(cache) = &self.cache {
@@ -212,8 +195,6 @@ impl Engine {
             Some(hits) => hits,
             None => self.run_operators(epoch, plan, probe),
         };
-        root.set_detail(hits.len() as u64);
-        drop(root);
         let seq = self.queries.fetch_add(1, Ordering::Relaxed) + 1;
         let t_done = self.clock.now_micros();
         self.query_micros.fetch_add(t_done - t0, Ordering::Relaxed);
@@ -270,17 +251,6 @@ impl Engine {
         let rec = probe.rec;
         if let Some(obs) = &self.obs {
             obs.record(&rec);
-            // Auto-derive the slow-query threshold from the live p99
-            // unless the config pinned a fixed value.
-            if self.config.slow_query_micros.is_none()
-                && self.recorder.is_enabled()
-                && rec.seq.is_multiple_of(AUTO_THRESHOLD_INTERVAL)
-            {
-                let p99 = obs.query_total.snapshot().p99();
-                if p99 > 0 {
-                    self.recorder.set_slow_threshold_micros(p99);
-                }
-            }
         }
         (hits, rec)
     }
@@ -369,8 +339,6 @@ impl Engine {
         if k == 0 {
             return Vec::new();
         }
-        // Each expansion round's query span becomes a child of this one.
-        let _span = self.recorder.span(OP_QUERY_NEAREST);
         let mut radius = 50.0_f64.min(max_radius_m);
         loop {
             if let Some(obs) = &self.obs {

@@ -11,9 +11,10 @@
 //! k-nearest).
 //!
 //! [`QueryPlan::explain`] renders the plan for humans; the operator
-//! names it prints are the same `OP_*` constants the flight-recorder
-//! spans use, so a `swag trace` waterfall and a `swag explain` listing
-//! name identical pipeline stages.
+//! names it prints are the same `OP_*` constants that label the stage
+//! rows of EXPLAIN ANALYZE and the `swag_server_op_*{op=…}` metrics, so
+//! a `swag explain` listing and a measured query name identical
+//! pipeline stages.
 
 use swag_core::{points_toward, sector_intersects_circle, CameraProfile, RepFov};
 use swag_rtree::Aabb;
@@ -23,27 +24,19 @@ use crate::index::{query_boxes, QueryBoxes};
 use crate::query::{canon_zero, Query, QueryOptions, RankMode};
 use crate::shard::ShardedFovIndex;
 
-/// Span label of the per-query pipeline root.
+/// Label of the whole measured pipeline.
 pub const OP_QUERY: &str = "query";
-/// Span label of the snapshot index scan operator.
+/// Label of the snapshot index scan operator.
 pub const OP_INDEX_SCAN: &str = "index_scan";
-/// Span label of the pending-delta scan operator.
+/// Label of the pending-delta scan operator.
 pub const OP_DELTA_SCAN: &str = "delta_scan";
-/// Span label of the cold-run scan operator (demoted time shards on
-/// disk; only present in pipelines of durable servers with cold runs).
+/// Label of the cold-run scan operator (demoted time shards on disk;
+/// only present in pipelines of durable servers with cold runs).
 pub const OP_COLD_SCAN: &str = "cold_scan";
-/// Span label of the filter + rank + truncate operator.
+/// Label of the filter + rank + truncate operator.
 pub const OP_RANKING: &str = "ranking";
-/// Span label of the k-nearest radius-expansion driver.
-pub const OP_QUERY_NEAREST: &str = "query_nearest";
-/// Span label of one per-shard index probe.
+/// Label of one per-shard index probe.
 pub const OP_SHARD_PROBE: &str = "shard_probe";
-/// Span label of one publish-time shard STR rebuild.
-pub const OP_SHARD_REBUILD: &str = "shard_rebuild";
-/// Span label of the delta-fold snapshot publish.
-pub const OP_PUBLISH: &str = "publish";
-/// Span label of one upload-batch ingest.
-pub const OP_INGEST: &str = "ingest";
 
 /// The per-record filter stage (paper §V-B step 3), compiled from
 /// [`QueryOptions`]. This is the **single** definition of the direction
@@ -151,9 +144,9 @@ impl QueryPlan {
     }
 
     /// Renders the plan for humans: boxes, filter chain, rank mode, and
-    /// the operator pipeline (named with the same labels the trace spans
-    /// use). Snapshot-dependent facts (shards probed, pending delta) are
-    /// added by [`Self::explain_against`].
+    /// the operator pipeline (named with the same `OP_*` labels EXPLAIN
+    /// ANALYZE uses). Snapshot-dependent facts (shards probed, pending
+    /// delta) are added by [`Self::explain_against`].
     pub fn explain(&self) -> String {
         self.render(None)
     }

@@ -26,7 +26,6 @@ use crate::subscribe::{SubscriptionId, SubscriptionSet};
 
 use super::epoch::{CacheStamp, DeltaRecord, Epoch, SnapshotCore};
 use super::ops::cold_zone_of;
-use super::plan::{OP_INGEST, OP_PUBLISH};
 use super::Engine;
 
 /// Don't bother compacting stores with fewer tombstones than this.
@@ -127,9 +126,7 @@ impl Engine {
     /// and publishes the result. Returns how many segments retention
     /// dropped.
     fn publish_full(&self, w: &mut Writer, extra_horizon: Option<f64>) -> usize {
-        let mut span = self.recorder.span(OP_PUBLISH);
         let t0 = self.clock.now_micros();
-        span.set_detail(w.delta_len as u64);
         let delta_len = w.delta_len;
         let prev_published = w.core.published_at_micros;
 
@@ -250,8 +247,6 @@ impl Engine {
 
     /// Ingests one upload batch, returning the assigned segment ids.
     pub(crate) fn ingest_batch(&self, batch: &UploadBatch) -> Vec<SegmentId> {
-        let mut span = self.recorder.span(OP_INGEST);
-        span.set_detail(batch.reps.len() as u64);
         let t0 = if self.obs.is_some() {
             self.clock.now_micros()
         } else {
@@ -406,7 +401,6 @@ impl Engine {
             max_t_end = max_t_end.max(rep.t_end);
         }
         let mut index = ShardedFovIndex::new(self.config.shard_width_s, self.config.index);
-        index.set_recorder(self.recorder.clone());
         index.bulk_insert_exec(&self.exec, &items);
         let core = Arc::new(SnapshotCore {
             store,

@@ -44,7 +44,7 @@ pub use index::{FovIndex, IndexKind};
 pub use persistence::{load_snapshot, save_snapshot, SnapshotError};
 pub use query::{Query, QueryError, QueryOptions, RankMode};
 pub use ranking::{quality_score, SearchHit};
-pub use server::{CloudServer, ServerConfig, ServerStats, AUTO_THRESHOLD_INTERVAL};
+pub use server::{CloudServer, ServerConfig, ServerStats};
 pub use shard::{ExpireReport, ShardedFovIndex};
 pub use store::{SegmentId, SegmentRecord, SegmentRef, SegmentStore};
 pub use subscribe::{SubscriptionId, SubscriptionSet};

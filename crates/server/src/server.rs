@@ -33,7 +33,7 @@ use std::sync::Arc;
 
 use swag_core::{CameraProfile, RepFov, UploadBatch};
 use swag_exec::Executor;
-use swag_obs::{FlightRecorder, HistogramSnapshot, MonotonicClock, Registry, WallClock};
+use swag_obs::{HistogramSnapshot, MonotonicClock, Registry, WallClock};
 
 use crate::engine::admission::{AdmissionConfig, ShedReason};
 use crate::engine::cache::CacheConfig;
@@ -62,13 +62,6 @@ pub struct ServerConfig {
     /// Fraction of the store that may be tombstones before a publish
     /// compacts it (re-assigning ids densely and rebuilding the index).
     pub compact_dead_fraction: f64,
-    /// Slow-query capture threshold for the flight recorder,
-    /// microseconds. `Some(t)` pins the span tree of every query slower
-    /// than `t`; `None` auto-derives the threshold from the live p99 of
-    /// the query-latency histogram (refreshed every
-    /// [`AUTO_THRESHOLD_INTERVAL`] queries, observability attached and
-    /// recorder enabled).
-    pub slow_query_micros: Option<u64>,
     /// How the engine chooses between the serial and parallel shard
     /// probe per query. [`FanoutMode::Adaptive`] (the default) prices
     /// each plan with the fan-out cost model; `Serial` / `Parallel`
@@ -108,7 +101,6 @@ impl Default for ServerConfig {
             publish_threshold: 256,
             retention_horizon_s: None,
             compact_dead_fraction: 0.25,
-            slow_query_micros: None,
             fanout: FanoutMode::Adaptive,
             cache: CacheConfig::default(),
             admission: AdmissionConfig::default(),
@@ -117,10 +109,6 @@ impl Default for ServerConfig {
         }
     }
 }
-
-/// How often (in answered queries) the auto-derived slow-query threshold
-/// is refreshed from the live p99.
-pub const AUTO_THRESHOLD_INTERVAL: u64 = 64;
 
 /// Aggregated server statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
@@ -349,23 +337,6 @@ impl CloudServer {
         self.engine.refresh_gauges(registry);
     }
 
-    /// The flight recorder behind this server's query/ingest/publish
-    /// spans. Created disabled; call [`FlightRecorder::enable`] to start
-    /// recording.
-    pub fn flight_recorder(&self) -> &Arc<FlightRecorder> {
-        &self.engine.recorder
-    }
-
-    /// Replaces the flight recorder — e.g. to share one recorder across
-    /// client, scheduler, and server so a request's spans land in one
-    /// trace, or to inject a deterministic-clock recorder in tests. The
-    /// configured [`ServerConfig::slow_query_micros`] threshold is
-    /// applied to the new recorder, and the published snapshot is
-    /// re-issued so shard probes record into it from the next query on.
-    pub fn set_flight_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.engine.set_flight_recorder(recorder);
-    }
-
     /// The camera profile used for ranking geometry.
     pub fn camera(&self) -> &CameraProfile {
         &self.engine.cam
@@ -475,7 +446,8 @@ impl CloudServer {
     /// Renders the [`crate::engine::plan::QueryPlan`] this request would
     /// execute, resolved against the current snapshot: query boxes,
     /// shards probed, pending delta, filter chain, rank mode, and the
-    /// operator pipeline (named with the same labels trace spans use).
+    /// operator pipeline (named with the same labels EXPLAIN ANALYZE and
+    /// the per-operator metrics use).
     pub fn explain(&self, query: &Query, opts: &QueryOptions) -> String {
         self.engine.explain(query, opts)
     }

@@ -22,7 +22,7 @@ use std::sync::Arc;
 
 use swag_core::RepFov;
 use swag_exec::Executor;
-use swag_obs::{FlightRecorder, Histogram, Registry};
+use swag_obs::{Histogram, Registry};
 use swag_rtree::{Aabb, SearchStats};
 
 use crate::index::{query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
@@ -111,11 +111,6 @@ pub struct ShardedFovIndex {
     /// index was empty: a live shard below it was re-created after that
     /// expiry and may lack segments of its span living in later buckets.
     cut: i64,
-    /// Flight recorder for per-probe/per-rebuild spans. The spans it
-    /// opens inherit the ambient [`swag_obs::TraceCtx`], which the
-    /// executor carries into stolen jobs — so a parallel fan-out yields
-    /// the same span tree as the serial loop.
-    recorder: Option<Arc<FlightRecorder>>,
 }
 
 impl ShardedFovIndex {
@@ -135,7 +130,6 @@ impl ShardedFovIndex {
             segments: 0,
             obs: None,
             cut: i64::MIN,
-            recorder: None,
         }
     }
 
@@ -145,12 +139,6 @@ impl ShardedFovIndex {
             fanout: registry.histogram("swag_shard_fanout"),
             candidates: registry.histogram("swag_shard_candidates"),
         });
-    }
-
-    /// Wires `shard_probe`/`shard_rebuild` spans to `recorder`. Until the
-    /// recorder is enabled, each probe costs one relaxed load.
-    pub fn set_recorder(&mut self, recorder: Arc<FlightRecorder>) {
-        self.recorder = Some(recorder);
     }
 
     /// An empty index with the same width, backend, and metric wiring
@@ -163,7 +151,6 @@ impl ShardedFovIndex {
             segments: 0,
             obs: self.obs.clone(),
             cut: i64::MIN,
-            recorder: self.recorder.clone(),
         }
     }
 
@@ -293,12 +280,7 @@ impl ShardedFovIndex {
         let touched: Vec<(i64, Vec<(Aabb<3>, LeafRef)>)> = per_bucket.into_iter().collect();
         let shards = &self.shards;
         let kind = self.kind;
-        let recorder = &self.recorder;
         let rebuilt = exec.par_map_owned(touched, |(bucket, new_items)| {
-            let mut span = recorder.as_ref().map(|r| r.span("shard_rebuild"));
-            if let Some(span) = &mut span {
-                span.set_detail(new_items.len() as u64);
-            }
             let empty = FovIndex::new(kind);
             let old = shards.get(&bucket).map_or(&empty, |shard| &**shard);
             (bucket, old.bulk_extend_par(exec, new_items))
@@ -387,7 +369,6 @@ impl ShardedFovIndex {
         stats: Option<&mut SearchStats>,
         sink: &mut S,
     ) -> usize {
-        let _probe = self.recorder.as_ref().map(|r| r.span("shard_probe"));
         let (earlier, mut n) = (&probed[..i], 0);
         probed[i].1.visit(boxes.as_slice(), stats, |mbr, leaf| {
             if self.first_home(earlier, mbr, leaf.id) {

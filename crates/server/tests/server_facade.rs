@@ -559,7 +559,7 @@ fn observability_splits_query_phases_exactly() {
     assert_eq!(stats.query_micros_total, 4 * 20);
 
     // The per-operator split is exact: one step per stage, keyed by the
-    // same names the trace spans use.
+    // same names `explain` and EXPLAIN ANALYZE use.
     for op in ["index_scan", "delta_scan", "ranking"] {
         let h = reg
             .histogram(&swag_obs::labeled_name(
