@@ -15,7 +15,6 @@ use swag_server::{
 };
 
 use crate::args::{ArgParser, Spec};
-use crate::live;
 use crate::{open_reader, open_writer, read_bytes, write_bytes};
 
 /// Default camera for CLI operations.
@@ -636,119 +635,4 @@ pub fn simplify(args: ArgParser) -> Result<(), String> {
         trace.len() as f64 / simplified.len().max(1) as f64
     );
     Ok(())
-}
-
-/// Arguments of `swag serve`.
-pub const SERVE_ARGS: &[&Spec] = &[
-    &live::LIVE_ARGS,
-    &Spec {
-        options: &["metrics-addr", "duration"],
-        flags: &[],
-    },
-];
-
-/// `swag serve` — run the live probe workload with the embedded metrics
-/// endpoint, for Prometheus scrapes and `curl` spelunking.
-pub fn serve(args: ArgParser) -> Result<(), String> {
-    let cfg = live::LiveConfig::from_args(&args)?;
-    let addr = args
-        .get("metrics-addr")
-        .unwrap_or("127.0.0.1:9464")
-        .to_string();
-    let duration_s = args.get_u64("duration", 0)?;
-
-    let stack = live::LiveStack::build(&cfg)?;
-    let endpoint = stack
-        .surface
-        .serve(&addr)
-        .map_err(|e| format!("cannot bind metrics endpoint '{addr}': {e}"))?;
-    // Scripted callers (CI) grep this exact line for the resolved
-    // ephemeral port, so keep its shape stable.
-    println!("metrics endpoint listening on http://{}", endpoint.addr());
-    println!("routes: /metrics /vars /slo /healthz");
-    if duration_s > 0 {
-        println!("serving workload for {duration_s}s");
-    } else {
-        println!("serving workload until interrupted (Ctrl-C)");
-    }
-    std::io::stdout().flush().map_err(|e| e.to_string())?;
-
-    let started = std::time::Instant::now();
-    let mut tick = 0u64;
-    loop {
-        stack.drive(tick);
-        // Pump the window clock so rotations, windowed-export gauges and
-        // SLO states stay fresh even when nobody is scraping.
-        stack.surface.refresh(false);
-        tick += 1;
-        std::thread::sleep(std::time::Duration::from_millis(50));
-        if duration_s > 0 && started.elapsed().as_secs() >= duration_s {
-            break;
-        }
-    }
-    let statuses = stack.surface.refresh(true);
-    for s in &statuses {
-        eprintln!(
-            "slo {}: {} (burn short {:.2}x long {:.2}x)",
-            s.spec.name, s.state, s.short.burn, s.long.burn
-        );
-    }
-    eprintln!(
-        "served {tick} workload ticks in {:.1}s",
-        started.elapsed().as_secs_f64()
-    );
-    Ok(())
-}
-
-/// Arguments of `swag top`.
-pub const TOP_ARGS: &[&Spec] = &[
-    &live::LIVE_ARGS,
-    &Spec {
-        options: &["iterations", "interval-millis"],
-        flags: &["once"],
-    },
-];
-
-/// `swag top` — refreshing terminal dashboard over the live workload's
-/// windowed metrics and SLO states; `--once` renders a single frame for
-/// scripts.
-pub fn top(args: ArgParser) -> Result<(), String> {
-    let cfg = live::LiveConfig::from_args(&args)?;
-    let once = args.has_flag("once");
-    let iterations = args.get_u64("iterations", 0)?;
-    let interval_millis = args.get_u64("interval-millis", 1_000)?.max(50);
-
-    let stack = live::LiveStack::build(&cfg)?;
-    // Baseline every metric before the first burst so the first frame
-    // shows windowed deltas rather than since-startup totals.
-    stack.surface.refresh(true);
-
-    if once {
-        for tick in 0..8 {
-            stack.drive(tick);
-        }
-        let statuses = stack.surface.refresh(true);
-        print!("{}", live::render_dashboard(&stack, &statuses));
-        return Ok(());
-    }
-
-    let mut tick = 0u64;
-    let mut frames = 0u64;
-    loop {
-        let deadline =
-            std::time::Instant::now() + std::time::Duration::from_millis(interval_millis);
-        while std::time::Instant::now() < deadline {
-            stack.drive(tick);
-            tick += 1;
-            std::thread::sleep(std::time::Duration::from_millis(25));
-        }
-        let statuses = stack.surface.refresh(true);
-        // Clear screen + home, then one whole frame.
-        print!("\x1b[2J\x1b[H{}", live::render_dashboard(&stack, &statuses));
-        std::io::stdout().flush().map_err(|e| e.to_string())?;
-        frames += 1;
-        if iterations > 0 && frames >= iterations {
-            return Ok(());
-        }
-    }
 }

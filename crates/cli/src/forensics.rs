@@ -57,8 +57,8 @@ fn event_row(i: usize, ev: &QueryEvent) -> String {
 /// the workload state the events executed against.
 fn capture_header(cfg: &LiveConfig, ticks: u64) -> String {
     format!(
-        "{{\"capture\":{{\"seed\":{},\"ticks\":{ticks},\"threads\":{},\"window_millis\":{},\"slo_millis\":{},\"keep_per_mille\":{}}}}}",
-        cfg.seed, cfg.threads, cfg.window_millis, cfg.slo_millis, cfg.keep_per_mille
+        "{{\"capture\":{{\"seed\":{},\"ticks\":{ticks},\"threads\":{},\"slo_millis\":{},\"keep_per_mille\":{}}}}}",
+        cfg.seed, cfg.threads, cfg.slo_millis, cfg.keep_per_mille
     )
 }
 
@@ -242,7 +242,6 @@ pub fn replay(args: ArgParser) -> Result<(), String> {
     let cfg = LiveConfig {
         seed: header_u64(&header, "seed")?,
         threads: header_u64(&header, "threads")? as usize,
-        window_millis: header_u64(&header, "window_millis")?,
         slo_millis: header_u64(&header, "slo_millis")?,
         keep_per_mille: header_u64(&header, "keep_per_mille")?,
         // Replays rebuild state from the capture's warm ticks, never

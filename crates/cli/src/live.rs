@@ -1,25 +1,17 @@
-//! Shared live-workload harness for `swag serve` and `swag top`.
+//! Shared live-workload harness for `swag events` and `swag replay`.
 //!
-//! Both commands need the same thing the `stats`/`trace` probes build
-//! once: a fully instrumented stack (client segmentation → descriptor
-//! upload → observable server) — but running *continuously*, so the
-//! windowed metrics, SLO burn rates, and the `/metrics` endpoint have a
-//! moving workload to describe. [`LiveStack::build`] wires the stack and
-//! its [`OpsSurface`]; [`LiveStack::drive`] advances the workload one
-//! tick (shifted ingest + a probe query batch, so publishes, retention,
-//! and shard churn all happen over time); [`render_dashboard`] formats
-//! the windowed views as the `swag top` screen.
-
-use std::sync::Arc;
+//! Both commands need a fully instrumented stack (client segmentation →
+//! descriptor upload → observable server) that a workload can advance
+//! deterministically tick by tick. [`LiveStack::build`] wires the stack;
+//! [`LiveStack::drive`] advances the workload one tick (shifted ingest +
+//! a probe query batch, so publishes, retention, and shard churn all
+//! happen over time).
 
 use swag_client::{ClientPipeline, Uploader};
 use swag_core::{CameraProfile, RepFov, UploadBatch};
 use swag_exec::{ExecConfig, Executor};
 use swag_net::{observe_plan, plan_uploads, Connectivity, DataPlan, NetworkLink, UploadPolicy};
-use swag_obs::{
-    labeled_name, Metric, OpsSurface, Registry, SloSpec, SloStatus, WallClock, WindowSpec,
-    WindowView,
-};
+use swag_obs::Registry;
 use swag_sensors::{scenarios, SensorNoise};
 use swag_server::{
     AdmissionConfig, CacheConfig, CloudServer, EventLogConfig, Query, QueryOptions, ServerConfig,
@@ -27,17 +19,15 @@ use swag_server::{
 
 use crate::args::{ArgParser, Spec};
 
-/// Knobs shared by `swag serve`, `swag top`, `swag events`, and
-/// `swag replay`.
+/// Knobs shared by `swag events` and `swag replay`.
 pub struct LiveConfig {
     pub seed: u64,
     pub threads: usize,
-    /// Window width for the metric rings, milliseconds.
-    pub window_millis: u64,
-    /// Query-latency SLO threshold, milliseconds. Doubles as the
-    /// wide-event log's always-keep slow threshold.
+    /// The wide-event log's slow-query threshold, milliseconds: queries
+    /// at or over it are always kept. The option and capture-header key
+    /// keep their historical `slo` name so older captures still replay.
     pub slo_millis: u64,
-    /// Tail-sampling keep rate for ordinary (served, under-SLO) events,
+    /// Tail-sampling keep rate for ordinary (served, fast) events,
     /// out of 1000. Sheds and slow queries are always kept.
     pub keep_per_mille: u64,
     /// Data directory for durable serving (`None` = memory-only). With
@@ -52,7 +42,6 @@ pub const LIVE_ARGS: Spec = Spec {
     options: &[
         "seed",
         "threads",
-        "window-millis",
         "slo-millis",
         "keep-per-mille",
         "data-dir",
@@ -61,20 +50,16 @@ pub const LIVE_ARGS: Spec = Spec {
 };
 
 impl LiveConfig {
-    /// Parses the shared `--seed/--threads/--window-millis/--slo-millis/
-    /// --keep-per-mille` arguments.
+    /// Parses the shared `--seed/--threads/--slo-millis/--keep-per-mille/
+    /// --data-dir` arguments.
     pub fn from_args(args: &ArgParser) -> Result<LiveConfig, String> {
         let cfg = LiveConfig {
             seed: args.get_u64("seed", 42)?,
             threads: args.get_u64("threads", 2)? as usize,
-            window_millis: args.get_u64("window-millis", 2_000)?,
             slo_millis: args.get_u64("slo-millis", 5)?,
             keep_per_mille: args.get_u64("keep-per-mille", 1_000)?,
             data_dir: args.get("data-dir").map(str::to_string),
         };
-        if cfg.window_millis == 0 {
-            return Err("--window-millis must be positive".into());
-        }
         if cfg.slo_millis == 0 {
             return Err("--slo-millis must be positive".into());
         }
@@ -85,11 +70,9 @@ impl LiveConfig {
     }
 }
 
-/// The instrumented stack both live commands drive.
+/// The instrumented stack `swag events` and `swag replay` drive.
 pub struct LiveStack {
-    pub registry: Arc<Registry>,
-    pub surface: Arc<OpsSurface>,
-    pub server: Arc<CloudServer>,
+    pub server: CloudServer,
     /// Representative FoVs of the base recording; re-ingested
     /// time-shifted every few ticks to keep publishes/retention moving.
     reps: Vec<RepFov>,
@@ -101,10 +84,10 @@ pub struct LiveStack {
 const TICK_SHIFT_S: f64 = 60.0;
 
 impl LiveStack {
-    /// Builds the instrumented probe stack and its ops surface.
+    /// Builds the instrumented probe stack.
     pub fn build(cfg: &LiveConfig) -> Result<LiveStack, String> {
         let cam = CameraProfile::smartphone();
-        let registry = Arc::new(Registry::new());
+        let registry = Registry::new();
 
         // Client layer: segment a simulated city recording.
         let trace = scenarios::city_walk(cfg.seed, 3, &SensorNoise::smartphone());
@@ -139,8 +122,7 @@ impl LiveStack {
         // Server layer: small publish threshold and a retention horizon,
         // so the shifted re-ingest keeps the snapshot lifecycle active.
         // The result cache and admission control run here with generous
-        // budgets: the dashboard's hit-rate and shed-rate rows describe a
-        // live mix rather than zeros.
+        // budgets, so captured events carry real cache and shed decisions.
         let server_config = ServerConfig {
             publish_threshold: 64,
             retention_horizon_s: Some(1_800.0),
@@ -151,9 +133,7 @@ impl LiveStack {
                 burst: 250.0,
                 ..AdmissionConfig::default()
             },
-            // The forensic wide-event log rides along on every live
-            // command: `swag events`/`swag replay` read it, and the
-            // dashboard's events row stays non-zero on `swag top`.
+            // The forensic wide-event log `swag events`/`swag replay` read.
             events: EventLogConfig {
                 enabled: true,
                 kept_capacity: 512,
@@ -179,7 +159,6 @@ impl LiveStack {
         });
         server.attach_observability(&registry);
         server.ingest_batch(&batch);
-        let server = Arc::new(server);
 
         let probes: Vec<Query> = recording
             .reps
@@ -187,29 +166,7 @@ impl LiveStack {
             .map(|rep| Query::new(rep.t_start - 5.0, rep.t_end + 5.0, rep.fov.p, 150.0))
             .collect();
 
-        let surface = Arc::new(OpsSurface::new(
-            registry.clone(),
-            Arc::new(WallClock),
-            WindowSpec::new(cfg.window_millis * 1_000, 30),
-        ));
-        surface.add_slo(SloSpec::latency(
-            "query_latency",
-            "swag_server_query_micros",
-            cfg.slo_millis * 1_000,
-            0.99,
-        ));
-        surface.add_slo(SloSpec::latency(
-            "exec_queue_wait",
-            "swag_exec_queue_wait_micros",
-            1_000,
-            0.95,
-        ));
-        let gauges_server = server.clone();
-        surface.add_refresher(move |reg| gauges_server.refresh_gauges(reg));
-
         Ok(LiveStack {
-            registry,
-            surface,
             server,
             reps: recording.reps,
             probes,
@@ -282,183 +239,4 @@ impl LiveStack {
             })
             .count()
     }
-}
-
-/// Events per second of a windowed view, `None`-safe.
-fn rate(view: &Option<WindowView>) -> f64 {
-    view.as_ref().map_or(0.0, WindowView::rate_per_s)
-}
-
-/// Windowed p50/p99 of a histogram view, as `(p50, p99)`.
-fn quantiles(view: &Option<WindowView>) -> (u64, u64) {
-    view.as_ref()
-        .and_then(|v| v.sample.histogram())
-        .map_or((0, 0), |h| (h.p50(), h.p99()))
-}
-
-/// Sum per second carried by a windowed histogram view (e.g. rows/s).
-fn sum_rate(view: &Option<WindowView>) -> f64 {
-    match view {
-        Some(v) if v.span_micros > 0 => {
-            let sum = v.sample.histogram().map_or(0, |h| h.sum);
-            sum as f64 / (v.span_micros as f64 / 1e6)
-        }
-        _ => 0.0,
-    }
-}
-
-fn gauge(registry: &Registry, name: &str) -> i64 {
-    match registry.get(name) {
-        Some(Metric::Gauge(g)) => g.get(),
-        _ => 0,
-    }
-}
-
-/// Renders the `swag top` screen from the surface's windowed views and
-/// the latest SLO evaluations.
-pub fn render_dashboard(stack: &LiveStack, statuses: &[SloStatus]) -> String {
-    let windows = stack.surface.windows();
-    let view = |name: &str| windows.view(name, usize::MAX);
-    let spec = windows.spec();
-    let mut out = String::new();
-
-    let q = view("swag_server_query_micros");
-    let (q50, q99) = quantiles(&q);
-    out.push_str(&format!(
-        "swag top — live ops surface   window {:.1}s x {}   rotations {}\n",
-        spec.width_micros as f64 / 1e6,
-        spec.capacity,
-        windows.rotations(),
-    ));
-    out.push_str(&format!(
-        "queries {:>8.1}/s   p50 {q50} us   p99 {q99} us   hits index {:.1}/s delta {:.1}/s\n",
-        rate(&q),
-        rate(&view(&labeled_name(
-            "swag_server_hits_total",
-            &[("src", "index")]
-        ))),
-        rate(&view(&labeled_name(
-            "swag_server_hits_total",
-            &[("src", "delta")]
-        ))),
-    ));
-    out.push_str(&format!(
-        "epoch age {} us   staged delta {}   compiled plans {}   shards {}\n\n",
-        gauge(&stack.registry, "swag_server_epoch_age_micros"),
-        gauge(&stack.registry, "swag_server_staged_delta"),
-        gauge(&stack.registry, "swag_server_compiled_plans"),
-        stack.server.stats().shards,
-    ));
-
-    out.push_str(&format!(
-        "{:<12} {:>10} {:>9} {:>9} {:>12} {:>12}\n",
-        "operator", "rate/s", "p50 us", "p99 us", "rows_in/s", "rows_out/s"
-    ));
-    for op in ["index_scan", "delta_scan", "ranking"] {
-        let micros = view(&labeled_name("swag_server_op_micros", &[("op", op)]));
-        let (p50, p99) = quantiles(&micros);
-        out.push_str(&format!(
-            "{op:<12} {:>10.1} {p50:>9} {p99:>9} {:>12.0} {:>12.0}\n",
-            rate(&micros),
-            sum_rate(&view(&labeled_name(
-                "swag_server_op_rows_in",
-                &[("op", op)]
-            ))),
-            sum_rate(&view(&labeled_name(
-                "swag_server_op_rows_out",
-                &[("op", op)]
-            ))),
-        ));
-    }
-    let (shards50, shards99) = quantiles(&view("swag_server_shards_probed"));
-    out.push_str(&format!(
-        "shards probed per query: p50 {shards50} p99 {shards99}\n\n"
-    ));
-
-    let (qw50, qw99) = quantiles(&view("swag_exec_queue_wait_micros"));
-    let (sw50, sw99) = quantiles(&view("swag_exec_steal_wait_micros"));
-    out.push_str(&format!(
-        "executor  tasks {:>8.1}/s  steals {:>6.1}/s  queue_wait p50/p99 {qw50}/{qw99} us  steal_wait {sw50}/{sw99} us\n",
-        rate(&view("swag_exec_tasks_total")),
-        rate(&view("swag_exec_steals_total")),
-    ));
-    let (rb50, rb99) = quantiles(&view("swag_server_snapshot_rebuild_micros"));
-    out.push_str(&format!(
-        "publish   {:>8.2}/s  rebuild p50/p99 {rb50}/{rb99} us  retention dropped {:.1}/s  ingested {:.1}/s\n",
-        rate(&view("swag_server_publishes_total")),
-        rate(&view("swag_server_retention_dropped_total")),
-        rate(&view("swag_server_segments_ingested_total")),
-    ));
-    let cache_hits = rate(&view("swag_server_cache_hits_total"));
-    let cache_lookups = cache_hits + rate(&view("swag_server_cache_misses_total"));
-    let shed_rate_limited = rate(&view(&labeled_name(
-        "swag_server_shed_total",
-        &[("reason", "rate_limited")],
-    )));
-    let shed_overloaded = rate(&view(&labeled_name(
-        "swag_server_shed_total",
-        &[("reason", "overloaded")],
-    )));
-    let shed_rate = shed_rate_limited + shed_overloaded;
-    out.push_str(&format!(
-        "cache     {:>8.1}/s lookups  hit rate {:>5.1}%  entries {}  evictions {:.1}/s\n",
-        cache_lookups,
-        if cache_lookups > 0.0 {
-            100.0 * cache_hits / cache_lookups
-        } else {
-            0.0
-        },
-        gauge(&stack.registry, "swag_server_cache_entries"),
-        rate(&view("swag_server_cache_evictions_total")),
-    ));
-    out.push_str(&format!(
-        "admission {:>8.1}/s admitted  shed {shed_rate:.2}/s (rate_limited {shed_rate_limited:.2}/s, overloaded {shed_overloaded:.2}/s)  queue depth {}\n",
-        rate(&view("swag_server_admitted_total")),
-        gauge(&stack.registry, "swag_server_queue_depth"),
-    ));
-    out.push_str(&format!(
-        "events    {:>8.1}/s recorded  kept {:.1}/s (tail-sampled; sheds and slow always kept)\n",
-        rate(&view(&labeled_name(
-            "swag_server_events_total",
-            &[("stage", "pushed")]
-        ))),
-        rate(&view(&labeled_name(
-            "swag_server_events_total",
-            &[("stage", "kept")]
-        ))),
-    ));
-    match stack.server.durability_stats() {
-        Some(d) => out.push_str(&format!(
-            "durable   wal lag {} B (seq {})  snapshots {} (age {})  cold {} runs / {} segs\n\
-             cold      pruned {} / opened {} runs  resident {} B  errors {} run / {} demote\n\n",
-            d.wal_lag_bytes,
-            d.wal_seq,
-            d.snapshots_written,
-            d.last_snapshot_age_micros
-                .map_or("never".to_string(), |us| format!("{us} us")),
-            d.cold_runs,
-            d.cold_segments,
-            d.cold_runs_pruned,
-            d.cold_runs_opened,
-            d.cold_resident_bytes,
-            d.cold_run_errors,
-            d.cold_demote_errors,
-        )),
-        None => out.push_str("durable   off (memory-only; pass --data-dir DIR)\n\n"),
-    }
-
-    for s in statuses {
-        out.push_str(&format!(
-            "slo {:<16} {:<8} burn short {:>7.2}x long {:>7.2}x  ({}/{} good, objective {:.0}% <= {} us)\n",
-            s.spec.name,
-            s.state.as_str(),
-            s.short.burn,
-            s.long.burn,
-            s.long.good,
-            s.long.total,
-            s.spec.objective * 100.0,
-            s.spec.threshold_micros,
-        ));
-    }
-    out
 }

@@ -72,8 +72,6 @@ const COMMANDS: &[(&str, &[&Spec], Run)] = &[
     ("stats", commands::STATS_ARGS, commands::stats),
     ("export", commands::EXPORT_ARGS, commands::export),
     ("simplify", commands::SIMPLIFY_ARGS, commands::simplify),
-    ("serve", commands::SERVE_ARGS, commands::serve),
-    ("top", commands::TOP_ARGS, commands::top),
     ("events", forensics::EVENTS_ARGS, forensics::events),
     ("replay", forensics::REPLAY_ARGS, forensics::replay),
 ];
@@ -101,15 +99,9 @@ USAGE:
                 [--data-dir DIR]
   swag export   --in TRACE.csv --geojson FILE
   swag simplify --in TRACE.csv --tolerance M --out FILE
-  swag serve    [--metrics-addr ADDR] [--duration SECS] [--seed N]
-                [--threads N] [--window-millis MS] [--slo-millis MS]
-                [--data-dir DIR]
-  swag top      [--once] [--iterations N] [--interval-millis MS] [--seed N]
-                [--threads N] [--window-millis MS] [--slo-millis MS]
-                [--data-dir DIR]
   swag events   [--once|--follow] [--slow] [--shed] [--out FILE] [--ticks N]
                 [--seed N] [--threads N] [--slo-millis MS] [--keep-per-mille N]
-                [--iterations N] [--window-millis MS] [--data-dir DIR]
+                [--iterations N] [--data-dir DIR]
   swag replay   --from FILE [--index N] [default: slowest captured event]
   swag help
 

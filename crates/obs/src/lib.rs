@@ -17,31 +17,22 @@
 //!    per-shard or per-thread histograms can be combined after the fact;
 //!    quantiles (p50/p90/p99/max) come from the buckets.
 //!
-//! On top of the metric substrate sit the per-query [`EventLog`] (a
-//! lock-free ring of wide events with tail sampling), windowed views
-//! ([`MetricWindows`]), SLO burn tracking ([`SloSet`]) and the HTTP
-//! [`OpsSurface`]. A query's stage timings are measured once by the
-//! server and fed to the registry and the event log from that one
-//! record; this crate only stores and exports them.
+//! Beside the metric substrate sits the per-query [`EventLog`] (a
+//! lock-free ring of wide events with tail sampling). A query's stage
+//! timings are measured once by the server and fed to the registry and
+//! the event log from that one record; this crate only stores and
+//! exports them. The registry's two renderers are the only exporters.
 
 #![forbid(unsafe_code)]
 
 mod clock;
 mod events;
-mod http;
 mod metrics;
 mod percentiles;
 mod registry;
-mod slo;
-mod surface;
-mod window;
 
 pub use clock::{ManualClock, MonotonicClock, WallClock};
 pub use events::{EventClass, EventLog, EventLogStats, TailSampler};
-pub use http::{Handler, HttpServer, Response};
 pub use metrics::{Counter, Gauge, Histogram, HistogramSnapshot, HISTOGRAM_BUCKETS};
 pub use percentiles::Percentiles;
 pub use registry::{escape_help, escape_label_value, labeled_name, Metric, Registry};
-pub use slo::{SloBurn, SloSet, SloSpec, SloState, SloStatus};
-pub use surface::OpsSurface;
-pub use window::{MetricWindows, Sample, Window, WindowRing, WindowSpec, WindowView};

@@ -216,38 +216,6 @@ impl HistogramSnapshot {
         self.max
     }
 
-    /// The observations this snapshot gained over an `earlier` snapshot
-    /// of the **same cumulative histogram** — the per-window delta the
-    /// window ring stores. Bucket counts, count, and sum subtract
-    /// (saturating, so a reset or snapshot race degrades to an empty
-    /// window instead of wrapping); `max` keeps this snapshot's
-    /// cumulative maximum, an upper bound on the window's true maximum
-    /// (per-window maxima are not recoverable from cumulative state).
-    pub fn saturating_sub(&self, earlier: &HistogramSnapshot) -> HistogramSnapshot {
-        let mut buckets = [0u64; HISTOGRAM_BUCKETS];
-        for (i, b) in buckets.iter_mut().enumerate() {
-            *b = self.buckets[i].saturating_sub(earlier.buckets[i]);
-        }
-        HistogramSnapshot {
-            buckets,
-            count: self.count.saturating_sub(earlier.count),
-            sum: self.sum.saturating_sub(earlier.sum),
-            max: self.max,
-        }
-    }
-
-    /// Observations recorded at or below `value`, at bucket resolution:
-    /// every bucket whose upper bound is ≤ `value` counts as "at or
-    /// below". Used by SLO evaluation ("queries faster than X µs").
-    pub fn count_le(&self, value: u64) -> u64 {
-        self.buckets
-            .iter()
-            .enumerate()
-            .take_while(|(i, _)| Histogram::bucket_bound(*i) <= value)
-            .map(|(_, &n)| n)
-            .sum()
-    }
-
     /// Median (bucket-resolution).
     pub fn p50(&self) -> u64 {
         self.quantile(0.50)
@@ -352,43 +320,6 @@ mod tests {
         assert_eq!(m.sum, 306);
         assert_eq!(m.max, 200);
         assert_eq!(m.buckets.iter().sum::<u64>(), 5);
-    }
-
-    #[test]
-    fn saturating_sub_recovers_the_delta() {
-        let h = Histogram::new();
-        for v in [1u64, 5, 100] {
-            h.record(v);
-        }
-        let earlier = h.snapshot();
-        for v in [7u64, 2000] {
-            h.record(v);
-        }
-        let delta = h.snapshot().saturating_sub(&earlier);
-        assert_eq!(delta.count, 2);
-        assert_eq!(delta.sum, 2007);
-        assert_eq!(delta.buckets.iter().sum::<u64>(), 2);
-        // Subtracting in the wrong order saturates instead of wrapping.
-        let wrong = earlier.saturating_sub(&h.snapshot());
-        assert_eq!(wrong.count, 0);
-        assert_eq!(wrong.sum, 0);
-    }
-
-    #[test]
-    fn count_le_is_bucket_resolution() {
-        let h = Histogram::new();
-        for _ in 0..90 {
-            h.record(8); // bucket [8,16) -> bound 15
-        }
-        for _ in 0..10 {
-            h.record(1000); // bucket [512,1024) -> bound 1023
-        }
-        let s = h.snapshot();
-        assert_eq!(s.count_le(15), 90);
-        assert_eq!(s.count_le(14), 0); // bound 15 > 14: whole bucket excluded
-        assert_eq!(s.count_le(1023), 100);
-        assert_eq!(s.count_le(u64::MAX), 100);
-        assert_eq!(HistogramSnapshot::empty().count_le(0), 0);
     }
 
     #[test]

@@ -530,6 +530,96 @@ mod tests {
         assert!(text.contains("\"name\":\"swag_hits_total{src=\\\"index\\\"}\""));
     }
 
+    /// Checks Prometheus text-format structure: HELP/TYPE at most once per
+    /// family with HELP first, every series after its family's TYPE,
+    /// every value parseable.
+    fn assert_valid_exposition(body: &str) {
+        use std::collections::HashSet;
+        let mut helped: HashSet<&str> = HashSet::new();
+        let mut typed: HashSet<&str> = HashSet::new();
+        for line in body.lines().filter(|l| !l.is_empty()) {
+            if let Some(rest) = line.strip_prefix("# HELP ") {
+                let fam = rest.split(' ').next().expect("family after HELP");
+                assert!(helped.insert(fam), "duplicate HELP for {fam}:\n{body}");
+                assert!(!typed.contains(fam), "HELP after TYPE for {fam}");
+                continue;
+            }
+            if let Some(rest) = line.strip_prefix("# TYPE ") {
+                let mut parts = rest.split(' ');
+                let fam = parts.next().expect("family after TYPE");
+                let kind = parts.next().expect("kind after family");
+                assert!(
+                    ["counter", "gauge", "histogram"].contains(&kind),
+                    "bad TYPE kind {kind}"
+                );
+                assert!(typed.insert(fam), "duplicate TYPE for {fam}:\n{body}");
+                continue;
+            }
+            assert!(!line.starts_with('#'), "unknown comment line {line:?}");
+            // A series line: `name value` or `name{labels} value`.
+            let name_end = line
+                .find('{')
+                .or_else(|| line.find(' '))
+                .unwrap_or_else(|| panic!("no value on {line:?}"));
+            let name = &line[..name_end];
+            let family = ["_bucket", "_sum", "_count"]
+                .iter()
+                .find_map(|s| name.strip_suffix(s).filter(|f| typed.contains(f)))
+                .unwrap_or(name);
+            assert!(
+                typed.contains(family),
+                "series {name} precedes its TYPE header:\n{body}"
+            );
+            let value = line.rsplit(' ').next().expect("value field");
+            assert!(
+                value.parse::<f64>().is_ok() || value == "+Inf",
+                "unparseable sample value {value:?} on {line:?}"
+            );
+        }
+        assert!(!typed.is_empty(), "no families rendered");
+    }
+
+    #[test]
+    fn exposition_is_structurally_valid() {
+        let reg = Registry::new();
+        reg.set_help("swag_query_micros", "End-to-end query latency.");
+        reg.set_help("swag_op_micros", "Per-operator wall time.");
+        let q = reg.histogram("swag_query_micros");
+        // Two members of one labeled family: one header between them.
+        let scan = reg.histogram(&labeled_name("swag_op_micros", &[("op", "index_scan")]));
+        let rank = reg.histogram(&labeled_name("swag_op_micros", &[("op", "ranking")]));
+        let nasty = reg.counter(&labeled_name(
+            "swag_hits_total",
+            &[("src", "de\"lta\\n\npath")],
+        ));
+        for i in 0..200u64 {
+            q.record(10 + i % 7);
+            scan.record(3 + i % 5);
+            rank.record(i);
+            nasty.inc();
+        }
+        let body = reg.render_prometheus();
+        assert_valid_exposition(&body);
+
+        // Histogram triplets under one family header.
+        assert_eq!(
+            body.matches("# TYPE swag_query_micros histogram").count(),
+            1
+        );
+        assert!(body.contains("swag_query_micros_bucket{le=\"+Inf\"} 200"));
+        assert!(body.contains("swag_query_micros_sum "));
+        assert!(body.contains("swag_query_micros_count 200"));
+        // Labeled family: le spliced after the base labels.
+        assert!(body.contains("swag_op_micros_bucket{op=\"index_scan\",le=\"+Inf\"} 200"));
+        // HELP text made it through.
+        assert!(body.contains("# HELP swag_query_micros End-to-end query latency."));
+        // The nasty label value survives exactly as escaped at registration.
+        assert!(
+            body.contains("swag_hits_total{src=\"de\\\"lta\\\\n\\npath\"} 200"),
+            "escaping mangled:\n{body}"
+        );
+    }
+
     #[test]
     fn names_are_sorted() {
         let reg = Registry::new();

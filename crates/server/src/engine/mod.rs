@@ -59,8 +59,8 @@ use write::Writer;
 
 /// Per-operator metric handles: one stage of the operator pipeline,
 /// keyed by the same `OP_*` name EXPLAIN ANALYZE and `explain` listings
-/// use, so a hot operator in `swag top` can be cross-referenced against
-/// a captured slow query's replayed report by name.
+/// use, so a hot operator in `swag stats` can be cross-referenced
+/// against a captured slow query's replayed report by name.
 pub(crate) struct OpStageObs {
     /// Stage wall time per execution.
     pub(crate) micros: Arc<Histogram>,
@@ -475,8 +475,8 @@ impl Engine {
     /// Computes point-in-time gauges into `registry`: epoch snapshot age,
     /// staged-delta size, compiled-plan count, and per-time-shard entry
     /// counts. These cannot be recorded from the hot path (age is a
-    /// property of *now*, not of any event), so the ops surface calls
-    /// this right before each scrape/rotation.
+    /// property of *now*, not of any event), so a reader calls this
+    /// right before rendering the registry.
     pub(crate) fn refresh_gauges(&self, registry: &Registry) {
         registry.set_help(
             "swag_server_epoch_age_micros",

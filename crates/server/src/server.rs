@@ -331,8 +331,8 @@ impl CloudServer {
     /// (`swag_server_epoch_age_micros`), staged-delta size, compiled
     /// standing-query plan count, and per-time-shard entry counts
     /// (`swag_server_shard_entries{shard=...}`, zeroed when a shard
-    /// expires). Designed to run as an `OpsSurface` refresher right
-    /// before each scrape; cheap enough to call on every rotation.
+    /// expires). Call right before rendering the registry; cheap enough
+    /// to call on every render.
     pub fn refresh_gauges(&self, registry: &Registry) {
         self.engine.refresh_gauges(registry);
     }

@@ -126,7 +126,7 @@ pub struct Recovery {
     pub wal_truncated_bytes: u64,
 }
 
-/// Point-in-time durability counters for `swag stats` / `swag top`.
+/// Point-in-time durability counters for `swag stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurabilityStats {
     /// Ops ever appended to the WAL this process.
