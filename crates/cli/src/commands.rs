@@ -7,7 +7,7 @@ use swag_core::{read_trace_csv, write_reps_csv, write_trace_csv, CameraProfile, 
 use swag_exec::{ExecConfig, Executor};
 use swag_geo::{LatLon, Trajectory};
 use swag_net::{observe_plan, plan_uploads, Connectivity, DataPlan, NetworkLink, UploadPolicy};
-use swag_obs::{labeled_name, Metric, Registry};
+use swag_obs::{Metric, Registry};
 use swag_sensors::{scenarios, SensorNoise};
 use swag_server::{
     load_snapshot, save_snapshot, CacheConfig, CloudServer, Query, QueryOptions, RankMode,
@@ -487,11 +487,8 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
             );
             let ch = registry.counter("swag_server_cache_hits_total").get();
             let cm = registry.counter("swag_server_cache_misses_total").get();
-            let shed =
-                reason_total(&registry, "rate_limited") + reason_total(&registry, "overloaded");
             println!(
-                "cache: {}, {ch} hits / {cm} misses ({:.0}% hit rate); \
-                 admission: {} admitted, {shed} shed",
+                "cache: {}, {ch} hits / {cm} misses ({:.0}% hit rate)",
                 if cache_cap > 0 {
                     format!("on (cap {cache_cap})")
                 } else {
@@ -502,7 +499,6 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
                 } else {
                     0.0
                 },
-                registry.counter("swag_server_admitted_total").get(),
             );
             match server.durability_stats() {
                 Some(d) => {
@@ -533,16 +529,6 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
         other => return Err(format!("unknown format '{other}' (pretty|prometheus|json)")),
     }
     Ok(())
-}
-
-/// Cumulative total of one `swag_server_shed_total` reason label.
-fn reason_total(registry: &Registry, reason: &str) -> u64 {
-    registry
-        .counter(&labeled_name(
-            "swag_server_shed_total",
-            &[("reason", reason)],
-        ))
-        .get()
 }
 
 fn print_metrics_table(registry: &Registry) {

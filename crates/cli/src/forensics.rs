@@ -3,12 +3,12 @@
 //! `swag events` drives the shared live workload ([`LiveStack`]) with
 //! the wide-event log enabled and prints (or exports) the tail-sampled
 //! kept events: one structured record per query with the plan
-//! fingerprint, the concrete cache/admission/fanout decisions, measured
+//! fingerprint, the concrete cache/fanout decisions, measured
 //! per-operator times, latency, and a result digest. The capture is
 //! **deterministic**: warm-up ticks run with the log paused, then one
-//! query-only probe pass and a rate-limit burst record with the log
-//! live, so a capture file plus its header (seed, ticks, threads)
-//! pins the exact store state every event executed against.
+//! query-only probe pass records with the log live, so a capture file
+//! plus its header (seed, ticks, threads) pins the exact store state
+//! every event executed against.
 //!
 //! `swag replay` closes the loop: it rebuilds that state from a capture
 //! file's header, re-executes a chosen event's query (bit-exact,
@@ -18,7 +18,7 @@
 
 use std::io::Write as _;
 
-use swag_server::{QueryEvent, QueryOutcome};
+use swag_server::{EventDecodeError, QueryEvent};
 
 use crate::args::{ArgParser, Spec};
 use crate::live::{LiveConfig, LiveStack, LIVE_ARGS};
@@ -27,13 +27,12 @@ use crate::{open_reader, open_writer};
 /// Warm-up ticks before the capture pass (also the capture tick).
 const DEFAULT_TICKS: u64 = 12;
 
-/// One row of the events table: outcome, decisions, total latency and
-/// its per-operator split (microseconds), hits, and the identifiers
-/// replay needs.
+/// One row of the events table: decisions, total latency and its
+/// per-operator split (microseconds), hits, and the identifiers replay
+/// needs.
 fn event_row(i: usize, ev: &QueryEvent) -> String {
     format!(
-        "#{i:<4} {:<18} cache {:<10} {:<8} {:>7} us (index {:>6} delta {:>5} rank {:>5}) {:>4} hits  fp {:#018x}  digest {:#018x}  gens {}/{} delta {}\n",
-        ev.outcome.to_string(),
+        "#{i:<4} cache {:<10} {:<8} {:>7} us (index {:>6} delta {:>5} rank {:>5}) {:>4} hits  fp {:#018x}  digest {:#018x}  gens {}/{} delta {}\n",
         ev.cache.to_string(),
         if ev.fanout_parallel {
             "parallel"
@@ -79,7 +78,7 @@ fn header_u64(line: &str, key: &str) -> Result<u64, String> {
 }
 
 /// Runs the deterministic capture: warm ticks with the log paused, then
-/// a probe pass plus a shed burst with it live. Returns the kept events.
+/// a probe pass with it live. Returns the kept events.
 fn capture(stack: &LiveStack, ticks: u64) -> Result<Vec<QueryEvent>, String> {
     let log = stack
         .server
@@ -91,7 +90,6 @@ fn capture(stack: &LiveStack, ticks: u64) -> Result<Vec<QueryEvent>, String> {
     }
     log.set_enabled(true);
     stack.probe(ticks);
-    stack.shed_burst();
     log.set_enabled(false);
     Ok(log.kept())
 }
@@ -102,20 +100,19 @@ pub const EVENTS_ARGS: &[&Spec] = &[
     &LIVE_ARGS,
     &Spec {
         options: &["ticks", "iterations", "out"],
-        flags: &["once", "follow", "slow", "shed"],
+        flags: &["once", "follow", "slow"],
     },
 ];
 
 /// `swag events` — capture the live workload's wide events and print the
-/// tail-sampled kept log (`--slow` sorts by latency, `--shed` filters to
-/// shed queries, `--out FILE` writes a replayable JSONL capture,
-/// `--follow` keeps capturing round after round).
+/// tail-sampled kept log (`--slow` sorts by latency, `--out FILE` writes
+/// a replayable JSONL capture, `--follow` keeps capturing round after
+/// round).
 pub fn events(args: ArgParser) -> Result<(), String> {
     let cfg = LiveConfig::from_args(&args)?;
     let ticks = args.get_u64("ticks", DEFAULT_TICKS)?;
     let follow = args.has_flag("follow");
     let slow = args.has_flag("slow");
-    let shed = args.has_flag("shed");
     let iterations = args.get_u64("iterations", 0)?;
 
     let stack = LiveStack::build(&cfg)?;
@@ -127,9 +124,6 @@ pub fn events(args: ArgParser) -> Result<(), String> {
         .stats();
 
     let render = |kept: &mut Vec<QueryEvent>| -> String {
-        if shed {
-            kept.retain(|e| !matches!(e.outcome, QueryOutcome::Served));
-        }
         if slow {
             kept.sort_by_key(|e| std::cmp::Reverse(e.total_micros));
         }
@@ -142,7 +136,7 @@ pub fn events(args: ArgParser) -> Result<(), String> {
 
     print!("{}", render(&mut kept));
     println!(
-        "{} events kept of {} recorded (keep {}/1000; sheds and >= {} us always kept)",
+        "{} events kept of {} recorded (keep {}/1000; >= {} us always kept)",
         kept.len(),
         stats.pushed,
         cfg.keep_per_mille,
@@ -213,29 +207,36 @@ pub fn replay(args: ArgParser) -> Result<(), String> {
         .filter(|l| l.contains("\"capture\":"))
         .ok_or_else(|| format!("{path}: first line is not a capture header"))?
         .clone();
-    let events: Vec<QueryEvent> = lines[1..]
+    // Captures written while admission control existed may hold shed
+    // events; they ran nothing, so they are skipped (`None`), not fatal.
+    let events: Vec<Option<QueryEvent>> = lines[1..]
         .iter()
-        .map(|l| QueryEvent::from_json(l).map_err(|e| format!("{path}: {e}")))
+        .map(|l| match QueryEvent::from_json(l) {
+            Ok(ev) => Ok(Some(ev)),
+            Err(EventDecodeError::Shed) => Ok(None),
+            Err(e) => Err(format!("{path}: {e}")),
+        })
         .collect::<Result<_, _>>()?;
-    if events.is_empty() {
-        return Err(format!("{path}: no events to replay"));
+    let skipped = events.iter().filter(|e| e.is_none()).count();
+    if skipped > 0 {
+        println!("skipped {skipped} shed events ({})", EventDecodeError::Shed);
     }
 
-    // Pick the event: --index N by file order, else the slowest served
-    // one (falling back to the slowest overall when every event is a
-    // shed, so `swag replay` of a pure shed capture still renders).
+    // Pick the event: --index N by file order, else the slowest.
     let ev = match args.get("index") {
         Some(raw) => {
             let i: usize = raw.parse().map_err(|e| format!("--index: {e}"))?;
-            *events
+            events
                 .get(i)
                 .ok_or_else(|| format!("--index {i} out of range ({} events)", events.len()))?
+                .ok_or_else(|| format!("--index {i}: {}", EventDecodeError::Shed))?
         }
-        None => *events
+        None => events
             .iter()
-            .filter(|e| matches!(e.outcome, QueryOutcome::Served))
+            .flatten()
             .max_by_key(|e| e.total_micros)
-            .unwrap_or(&events[0]),
+            .copied()
+            .ok_or_else(|| format!("{path}: no events to replay"))?,
     };
 
     // Rebuild the exact workload state the capture header pins.
@@ -275,13 +276,6 @@ pub fn replay(args: ArgParser) -> Result<(), String> {
             "stamp drift: captured gens {}/{} delta {}, replayed gens {}/{} delta {} — digests may differ legitimately",
             ev.global_gen, ev.delta_gen, ev.delta_len, re.global_gen, re.delta_gen, re.delta_len,
         );
-    }
-    if !matches!(ev.outcome, QueryOutcome::Served) {
-        println!(
-            "captured event was shed ({}) — no captured result to diff; replayed execution returned {} hits, digest {:#018x}",
-            ev.outcome, re.hit_count, re.digest,
-        );
-        return Ok(());
     }
     if re.digest == ev.digest {
         println!(

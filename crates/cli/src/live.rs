@@ -13,9 +13,7 @@ use swag_exec::{ExecConfig, Executor};
 use swag_net::{observe_plan, plan_uploads, Connectivity, DataPlan, NetworkLink, UploadPolicy};
 use swag_obs::Registry;
 use swag_sensors::{scenarios, SensorNoise};
-use swag_server::{
-    AdmissionConfig, CacheConfig, CloudServer, EventLogConfig, Query, QueryOptions, ServerConfig,
-};
+use swag_server::{CacheConfig, CloudServer, EventLogConfig, Query, QueryOptions, ServerConfig};
 
 use crate::args::{ArgParser, Spec};
 
@@ -27,8 +25,8 @@ pub struct LiveConfig {
     /// at or over it are always kept. The option and capture-header key
     /// keep their historical `slo` name so older captures still replay.
     pub slo_millis: u64,
-    /// Tail-sampling keep rate for ordinary (served, fast) events,
-    /// out of 1000. Sheds and slow queries are always kept.
+    /// Tail-sampling keep rate for ordinary (fast) events, out of 1000.
+    /// Slow queries are always kept.
     pub keep_per_mille: u64,
     /// Data directory for durable serving (`None` = memory-only). With
     /// a directory, ingests are WAL-logged, publishes snapshot
@@ -121,18 +119,12 @@ impl LiveStack {
 
         // Server layer: small publish threshold and a retention horizon,
         // so the shifted re-ingest keeps the snapshot lifecycle active.
-        // The result cache and admission control run here with generous
-        // budgets, so captured events carry real cache and shed decisions.
+        // The result cache runs here, so captured events carry real cache
+        // decisions.
         let server_config = ServerConfig {
             publish_threshold: 64,
             retention_horizon_s: Some(1_800.0),
             cache: CacheConfig::enabled(2_048),
-            admission: AdmissionConfig {
-                enabled: true,
-                rate_per_s: 500.0,
-                burst: 250.0,
-                ..AdmissionConfig::default()
-            },
             // The forensic wide-event log `swag events`/`swag replay` read.
             events: EventLogConfig {
                 enabled: true,
@@ -200,43 +192,18 @@ impl LiveStack {
             .collect();
         self.server
             .query_batch(&probes, &QueryOptions::default(), self.threads);
-        // One admitted probe per tick drives the admission counters (and,
-        // between ingests, reads a warm result-cache entry).
-        let _ = self.server.query_admitted(
-            1 + tick % 8,
-            &probes[tick as usize % probes.len()],
-            &QueryOptions::default(),
-        );
     }
 
-    /// The query-only half of [`Self::drive`]: runs every probe once
-    /// through admission at `tick`'s time shift, ingesting nothing. A
-    /// capture pass over a warmed stack is exactly this, so `swag
-    /// replay` can rebuild the same store state by re-driving the warm
-    /// ticks and skipping the probes.
+    /// The query-only half of [`Self::drive`]: runs every probe once at
+    /// `tick`'s time shift, ingesting nothing. A capture pass over a
+    /// warmed stack is exactly this, so `swag replay` can rebuild the
+    /// same store state by re-driving the warm ticks and skipping the
+    /// probes.
     pub fn probe(&self, tick: u64) {
         let shift = (tick / 4) as f64 * TICK_SHIFT_S;
-        for (i, q) in self.probes.iter().enumerate() {
+        for q in &self.probes {
             let probe = Query::new(q.t_start + shift, q.t_end + shift, q.center, q.radius_m);
-            let _ = self.server.query_admitted(
-                1 + (tick + i as u64) % 8,
-                &probe,
-                &QueryOptions::default(),
-            );
+            self.server.query(&probe, &QueryOptions::default());
         }
-    }
-
-    /// Fires a burst of requests from one client well past its
-    /// token-bucket burst (250), guaranteeing rate-limited sheds — each
-    /// one an always-kept wide event. Returns how many were shed.
-    pub fn shed_burst(&self) -> usize {
-        let q = &self.probes[0];
-        (0..300)
-            .filter(|_| {
-                self.server
-                    .query_admitted(999, q, &QueryOptions::default())
-                    .is_err()
-            })
-            .count()
     }
 }

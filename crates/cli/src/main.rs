@@ -99,7 +99,7 @@ USAGE:
                 [--data-dir DIR]
   swag export   --in TRACE.csv --geojson FILE
   swag simplify --in TRACE.csv --tolerance M --out FILE
-  swag events   [--once|--follow] [--slow] [--shed] [--out FILE] [--ticks N]
+  swag events   [--once|--follow] [--slow] [--out FILE] [--ticks N]
                 [--seed N] [--threads N] [--slo-millis MS] [--keep-per-mille N]
                 [--iterations N] [--data-dir DIR]
   swag replay   --from FILE [--index N] [default: slowest captured event]

@@ -356,7 +356,7 @@ fn query_and_explain_analyze_annotate_operators() {
         "delta_scan",
         "ranking",
         "rows",
-        "admission:",
+        "stamp   : global_gen ",
         "fanout",
         "digest",
     ] {
@@ -402,9 +402,6 @@ fn events_capture_replays_to_matching_digest() {
             assert!(row.contains(stage), "row lacks {stage:?}: {row}");
         }
     }
-    // The shed burst guarantees always-kept shed events in the capture.
-    assert!(text.contains("shed_rate_limited"), "{text}");
-
     let jsonl = std::fs::read_to_string(&capture).unwrap();
     assert!(jsonl.starts_with("{\"capture\":{\"seed\":9,"), "{jsonl}");
     assert!(jsonl.contains("\"words\":["), "{jsonl}");
@@ -439,4 +436,63 @@ fn events_capture_replays_to_matching_digest() {
     );
     let text = String::from_utf8_lossy(&out.stdout);
     assert!(text.contains("digest match:"), "{text}");
+
+    // Captures written while admission control existed hold shed events
+    // among the served ones: replay skips them, says so, and still
+    // replays the slowest served event; `--index` naming one fails.
+    let (header, served) = jsonl.split_once('\n').unwrap();
+    let first = served.lines().next().unwrap();
+    let with_shed = tmp("cap-shed.jsonl");
+    std::fs::write(
+        &with_shed,
+        format!("{header}\n{}\n{served}", as_shed_line(first)),
+    )
+    .unwrap();
+    let out = swag(&["replay", "--from", with_shed.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(text.contains("skipped 1 shed events"), "{text}");
+    assert!(
+        text.trim_end()
+            .lines()
+            .last()
+            .unwrap()
+            .starts_with("digest match:"),
+        "{text}"
+    );
+    let out = swag(&[
+        "replay",
+        "--from",
+        with_shed.to_str().unwrap(),
+        "--index",
+        "0",
+    ]);
+    assert!(!out.status.success());
+    let stderr = String::from_utf8_lossy(&out.stderr);
+    assert!(
+        stderr.contains("shed event: admission control was removed"),
+        "{stderr}"
+    );
+}
+
+/// `line` as a build with admission control wrote a rate-limited shed:
+/// outcome bits 4–5 = 1, the token-balance flag (bit 8) and word 16 set.
+fn as_shed_line(line: &str) -> String {
+    let start = line.find("\"words\":[").unwrap() + "\"words\":[".len();
+    let end = start + line[start..].find(']').unwrap();
+    let mut words: Vec<u64> = line[start..end]
+        .split(',')
+        .map(|w| w.parse().unwrap())
+        .collect();
+    words[1] |= (1 << 4) | (1 << 8);
+    words[16] = 0.5f64.to_bits();
+    let words: Vec<String> = words.iter().map(u64::to_string).collect();
+    format!(
+        "{{\"v\":1,\"words\":[{}],\"outcome\":\"shed_rate_limited\"}}",
+        words.join(",")
+    )
 }

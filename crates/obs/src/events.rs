@@ -15,7 +15,7 @@
 //!   while the log is enabled;
 //! * the **kept log** holds the events the [`TailSampler`] decided to
 //!   retain: tail sampling keeps every event of an always-keep class
-//!   (errors, sheds, over-SLO latency — the caller classifies) and a
+//!   (errors, over-threshold latency — the caller classifies) and a
 //!   deterministic per-mille fraction of the rest, so anomalies are
 //!   never lost while steady-state traffic is cheaply represented.
 //!
@@ -30,7 +30,7 @@ use std::sync::{Arc, Mutex};
 /// Why an event is offered to the sampler.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub enum EventClass {
-    /// Tail-sampling invariant class: errors, sheds, over-SLO latency.
+    /// Tail-sampling invariant class: errors, over-threshold latency.
     /// Always retained.
     Always,
     /// Ordinary traffic: retained at the sampler's per-mille rate.

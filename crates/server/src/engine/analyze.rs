@@ -11,9 +11,8 @@
 use crate::query::{Query, QueryOptions};
 use crate::ranking::SearchHit;
 
-use super::admission::ShedReason;
 use super::epoch::Epoch;
-use super::forensics::{result_digest, CacheOutcome, QueryEvent, QueryOutcome};
+use super::forensics::{result_digest, CacheOutcome, QueryEvent};
 use super::plan::{QueryPlan, OP_COLD_SCAN, OP_DELTA_SCAN, OP_INDEX_SCAN, OP_QUERY, OP_RANKING};
 use super::probe::StageRecord;
 use super::Engine;
@@ -45,8 +44,8 @@ pub struct AnalyzeReport {
 }
 
 impl AnalyzeReport {
-    /// Renders the annotated plan tree: the resolved plan, the concrete
-    /// admission decision and epoch stamp, and the measured pipeline —
+    /// Renders the annotated plan tree: the resolved plan, the epoch
+    /// stamp it executed against, and the measured pipeline —
     /// per-operator wall time and rows in/out under the same `OP_*`
     /// names `explain` and the per-operator metrics use.
     pub fn render(&self) -> String {
@@ -55,90 +54,69 @@ impl AnalyzeReport {
         let mut out = String::with_capacity(self.plan_text.len() + 512);
         out.push_str("EXPLAIN ANALYZE\n");
         out.push_str(&self.plan_text);
-        let admission = match (e.outcome, e.tokens_remaining) {
-            (QueryOutcome::Shed(reason), tokens) => {
-                let t = tokens.map_or(String::new(), |t| format!(", {t:.1} tokens remaining"));
-                format!("shed: {reason}{t}")
-            }
-            (QueryOutcome::Served, Some(tokens)) => {
-                format!("admitted ({tokens:.1} tokens remaining)")
-            }
-            (QueryOutcome::Served, None) => "not consulted".to_string(),
-        };
-        let _ = writeln!(out, "  admission: {admission}");
         let _ = writeln!(
             out,
             "  stamp   : global_gen {}, delta_gen {}, {} pending delta records",
             e.global_gen, e.delta_gen, e.delta_len
         );
-        match e.outcome {
-            QueryOutcome::Shed(_) => {
-                let _ = writeln!(
-                    out,
-                    "  measured: (shed before execution — no operators ran)"
-                );
-            }
-            QueryOutcome::Served => {
-                let _ = writeln!(
-                    out,
-                    "  measured: {OP_QUERY} {} us total, {} hits, digest {:#018x}",
-                    e.total_micros, e.hit_count, e.digest
-                );
-                if e.cache == CacheOutcome::Hit {
-                    let _ = writeln!(
-                        out,
-                        "    (served from the result cache — operators skipped)"
-                    );
-                    return out;
-                }
-                let _ = writeln!(
-                    out,
-                    "    ├─ {OP_INDEX_SCAN:<11} {:>6} us   rows {} -> {}   ({} shard probe{}, {})",
-                    e.index_micros,
-                    e.index_rows_in,
-                    e.index_rows_out,
-                    e.fanout_shards,
-                    if e.fanout_shards == 1 { "" } else { "s" },
-                    if e.fanout_parallel {
-                        format!("parallel on {} threads", e.fanout_threads)
-                    } else {
-                        "serial".to_string()
-                    }
-                );
-                let _ = writeln!(
-                    out,
-                    "    ├─ {OP_DELTA_SCAN:<11} {:>6} us   rows {} -> {}",
-                    e.delta_micros, e.delta_rows_in, e.delta_rows_out
-                );
-                if let Some(cold) = &self.cold {
-                    let _ = writeln!(
-                        out,
-                        "    ├─ {OP_COLD_SCAN:<11} {:>6} us   rows {} -> {}",
-                        cold.micros, cold.rows_in, cold.hits
-                    );
-                }
-                let cold_hits_note = self
-                    .cold
-                    .map_or(String::new(), |c| format!(" + {} cold", c.hits));
-                let _ = writeln!(
-                    out,
-                    "    └─ {OP_RANKING:<11} {:>6} us   rows {} -> {}   (hits: {} index + {} delta{})",
-                    e.rank_micros,
-                    e.rank_rows_in,
-                    e.rank_rows_out,
-                    e.hits_index,
-                    e.hits_delta,
-                    cold_hits_note
-                );
-            }
+        let _ = writeln!(
+            out,
+            "  measured: {OP_QUERY} {} us total, {} hits, digest {:#018x}",
+            e.total_micros, e.hit_count, e.digest
+        );
+        if e.cache == CacheOutcome::Hit {
+            let _ = writeln!(
+                out,
+                "    (served from the result cache — operators skipped)"
+            );
+            return out;
         }
+        let _ = writeln!(
+            out,
+            "    ├─ {OP_INDEX_SCAN:<11} {:>6} us   rows {} -> {}   ({} shard probe{}, {})",
+            e.index_micros,
+            e.index_rows_in,
+            e.index_rows_out,
+            e.fanout_shards,
+            if e.fanout_shards == 1 { "" } else { "s" },
+            if e.fanout_parallel {
+                format!("parallel on {} threads", e.fanout_threads)
+            } else {
+                "serial".to_string()
+            }
+        );
+        let _ = writeln!(
+            out,
+            "    ├─ {OP_DELTA_SCAN:<11} {:>6} us   rows {} -> {}",
+            e.delta_micros, e.delta_rows_in, e.delta_rows_out
+        );
+        if let Some(cold) = &self.cold {
+            let _ = writeln!(
+                out,
+                "    ├─ {OP_COLD_SCAN:<11} {:>6} us   rows {} -> {}",
+                cold.micros, cold.rows_in, cold.hits
+            );
+        }
+        let cold_hits_note = self
+            .cold
+            .map_or(String::new(), |c| format!(" + {} cold", c.hits));
+        let _ = writeln!(
+            out,
+            "    └─ {OP_RANKING:<11} {:>6} us   rows {} -> {}   (hits: {} index + {} delta{})",
+            e.rank_micros,
+            e.rank_rows_in,
+            e.rank_rows_out,
+            e.hits_index,
+            e.hits_delta,
+            cold_hits_note
+        );
         out
     }
 }
 
 /// Result of [`CloudServer::query_analyzed`](crate::server::CloudServer::query_analyzed):
-/// the hits (byte-identical to an unanalyzed run; empty when shed) plus
-/// the annotated report.
+/// the hits (byte-identical to an unanalyzed run) plus the annotated
+/// report.
 pub struct AnalyzedQuery {
     pub hits: Vec<SearchHit>,
     pub report: AnalyzeReport,
@@ -147,17 +125,10 @@ pub struct AnalyzedQuery {
 impl StageRecord {
     /// The wide-event view of this execution of `plan` against `epoch`,
     /// which returned `hits`.
-    pub(crate) fn event(
-        &self,
-        plan: &QueryPlan,
-        epoch: &Epoch,
-        tokens_remaining: Option<f64>,
-        hits: &[SearchHit],
-    ) -> QueryEvent {
+    pub(crate) fn event(&self, plan: &QueryPlan, epoch: &Epoch, hits: &[SearchHit]) -> QueryEvent {
         let fingerprint = self.fingerprint.unwrap_or_else(|| plan.fingerprint());
         let mut ev = QueryEvent::new(plan, epoch, fingerprint);
         ev.cache = self.cache;
-        ev.tokens_remaining = tokens_remaining;
         if let Some(fanout) = &self.fanout {
             ev.fanout_parallel = fanout.parallel;
             ev.fanout_shards = fanout.shards as u64;
@@ -199,57 +170,19 @@ impl Engine {
         }
     }
 
-    /// Builds the wide event for a query shed before execution, emits
-    /// it (always-keep class) and returns what was emitted.
-    #[inline(never)]
-    pub(crate) fn shed_event(
-        &self,
-        client_id: u64,
-        plan: &QueryPlan,
-        epoch: &Epoch,
-        reason: ShedReason,
-    ) -> QueryEvent {
-        let mut ev = QueryEvent::new(plan, epoch, plan.fingerprint());
-        ev.outcome = QueryOutcome::Shed(reason);
-        ev.tokens_remaining = self
-            .admission
-            .as_ref()
-            .map(|a| a.tokens_remaining(client_id));
-        ev.end_micros = self.clock.now_micros();
-        self.emit_event(&ev);
-        ev
-    }
-
     /// EXPLAIN ANALYZE: executes the query through the pipeline under
-    /// the measuring probe (admission consulted exactly like
-    /// `query_admitted`) and returns the hits plus the annotated report.
+    /// the measuring probe and returns the hits plus the annotated report.
     /// Emits a wide event like any other query when the log is enabled.
-    pub(crate) fn query_analyzed(
-        &self,
-        client_id: u64,
-        query: &Query,
-        opts: &QueryOptions,
-    ) -> AnalyzedQuery {
+    pub(crate) fn query_analyzed(&self, query: &Query, opts: &QueryOptions) -> AnalyzedQuery {
         let t0 = self.clock.now_micros();
-        let admitted = self.admit(client_id, true);
         let epoch = self.epoch.read().clone();
         let plan = QueryPlan::compile(query, opts);
-        let (hits, event, rec) = match admitted {
-            Ok((_permit, tokens)) => {
-                let (hits, rec) = self.execute_measured(&epoch, t0, &plan);
-                let event = rec.event(&plan, &epoch, tokens, &hits);
-                self.emit_event(&event);
-                (hits, event, rec)
-            }
-            Err(reason) => (
-                Vec::new(),
-                self.shed_event(client_id, &plan, &epoch, reason),
-                StageRecord::default(),
-            ),
-        };
+        let (hits, rec) = self.execute_measured(&epoch, t0, &plan);
+        let event = rec.event(&plan, &epoch, &hits);
+        self.emit_event(&event);
         // The normal `explain` body, its fan-out and cache lines replaced
-        // by what this execution concretely decided (when no operator
-        // ran, the fan-out the cost model would have taken).
+        // by what this execution concretely decided (on a cache hit no
+        // operator ran: the fan-out the cost model would have taken).
         let decision = rec.fanout.unwrap_or_else(|| self.price(&epoch, &plan));
         AnalyzedQuery {
             hits,

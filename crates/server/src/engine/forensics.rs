@@ -4,8 +4,8 @@
 //! Three layers share one data model, the [`QueryEvent`] — a fixed
 //! 32-word record of everything one query did: the plan fingerprint and
 //! the full request (bit-exact, so a capture replays byte-identically),
-//! the epoch stamp it executed against, the concrete cache / admission /
-//! fan-out decisions, per-operator wall time and rows in/out, the
+//! the epoch stamp it executed against, the concrete cache and fan-out
+//! decisions, per-operator wall time and rows in/out, the
 //! index-vs-delta hit split, total latency, and an order-sensitive FNV
 //! digest of the result set.
 //!
@@ -15,9 +15,9 @@
 //!   actually happened.
 //! * The **wide-event log** ([`QueryEventLog`]) records one event per
 //!   executed plan into per-thread lock-free seqlock rings
-//!   (`swag-obs::EventLog`), with a tail-sampling policy: sheds and
-//!   queries at or over `slow_micros` are always kept — the server's one
-//!   slow-query policy — and ordinary traffic probabilistically.
+//!   (`swag-obs::EventLog`), with a tail-sampling policy: queries at or
+//!   over `slow_micros` are always kept — the server's one slow-query
+//!   policy — and ordinary traffic probabilistically.
 //!   Disabled (the default),
 //!   the query path pays one `Option` branch — no clock reads.
 //! * **Replay**: a kept event carries the query, its options, and the
@@ -33,7 +33,6 @@ use swag_obs::{EventClass, EventLog, EventLogStats};
 use crate::query::{Query, QueryOptions, RankMode};
 use crate::ranking::SearchHit;
 
-use super::admission::ShedReason;
 use super::epoch::Epoch;
 use super::plan::QueryPlan;
 
@@ -53,10 +52,10 @@ pub struct EventLogConfig {
     /// Bound on the tail-sampled kept log.
     pub kept_capacity: usize,
     /// Fraction (out of 1000) of ordinary events the tail sampler keeps;
-    /// shed and slow events are always kept.
+    /// slow events are always kept.
     pub keep_per_mille: u32,
     /// Latency at or above which an event is "slow" and always kept.
-    /// `0` keeps only sheds unconditionally.
+    /// `0` means no event is always kept: all are sampled.
     pub slow_micros: u64,
     /// Sampler seed, so a capture run is reproducible.
     pub seed: u64,
@@ -83,26 +82,6 @@ impl EventLogConfig {
             slow_micros,
             seed,
             ..EventLogConfig::default()
-        }
-    }
-}
-
-/// How a query ended.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
-pub enum QueryOutcome {
-    /// Executed and returned results.
-    #[default]
-    Served,
-    /// Shed by admission control before execution.
-    Shed(ShedReason),
-}
-
-impl std::fmt::Display for QueryOutcome {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            QueryOutcome::Served => write!(f, "served"),
-            QueryOutcome::Shed(ShedReason::RateLimited) => write!(f, "shed_rate_limited"),
-            QueryOutcome::Shed(ShedReason::Overloaded) => write!(f, "shed_overloaded"),
         }
     }
 }
@@ -151,21 +130,17 @@ pub struct QueryEvent {
     pub require_coverage: bool,
     pub rank: RankMode,
     // Decisions (fan-out is zero when no operator ran).
-    pub outcome: QueryOutcome,
     pub cache: CacheOutcome,
     pub fanout_parallel: bool,
     pub fanout_shards: u64,
     pub fanout_items: u64,
     pub fanout_work: f64,
     pub fanout_threads: u64,
-    /// Tokens left in the client's admission bucket after the decision;
-    /// `None` when admission was not consulted.
-    pub tokens_remaining: Option<f64>,
     // Epoch stamp the query executed against.
     pub global_gen: u64,
     pub delta_gen: u64,
     pub delta_len: u64,
-    // Per-operator measurements (zero on cache hits and sheds).
+    // Per-operator measurements (zero on cache hits).
     pub index_micros: u64,
     pub index_rows_in: u64,
     pub index_rows_out: u64,
@@ -189,7 +164,7 @@ pub struct QueryEvent {
 impl QueryEvent {
     /// The event of `plan` (whose fingerprint the caller has) against
     /// `epoch` before anything ran: the request and the stamp filled in,
-    /// served, cache off, every decision and measurement zero.
+    /// cache off, every decision and measurement zero.
     pub(crate) fn new(plan: &QueryPlan, epoch: &Epoch, fingerprint: u64) -> Self {
         QueryEvent {
             fingerprint,
@@ -210,25 +185,23 @@ impl QueryEvent {
         }
     }
 
-    /// Packs the event into its fixed word array.
+    /// Packs the event into its fixed word array. Flag bits 4–5
+    /// (outcome) and 8, and word 16, are reserved: builds that had
+    /// admission control wrote a shed reason and a token balance there.
+    /// They are written as zero, so either build reads the other's
+    /// captures.
     pub fn encode(&self) -> [u64; QUERY_EVENT_WORDS] {
         let mut flags = 0u64;
         flags |= u64::from(self.direction_filter);
         flags |= u64::from(self.require_coverage) << 1;
         flags |= u64::from(matches!(self.rank, RankMode::Quality)) << 2;
         flags |= u64::from(self.fanout_parallel) << 3;
-        flags |= (match self.outcome {
-            QueryOutcome::Served => 0u64,
-            QueryOutcome::Shed(ShedReason::RateLimited) => 1,
-            QueryOutcome::Shed(ShedReason::Overloaded) => 2,
-        }) << 4;
         flags |= (match self.cache {
             CacheOutcome::Off => 0u64,
             CacheOutcome::Ineligible => 1,
             CacheOutcome::Miss => 2,
             CacheOutcome::Hit => 3,
         }) << 6;
-        flags |= u64::from(self.tokens_remaining.is_some()) << 8;
         [
             self.fingerprint,
             flags,
@@ -246,7 +219,7 @@ impl QueryEvent {
             self.fanout_items,
             self.fanout_work.to_bits(),
             self.fanout_threads,
-            self.tokens_remaining.unwrap_or(0.0).to_bits(),
+            0,
             self.index_micros,
             self.index_rows_in,
             self.index_rows_out,
@@ -265,26 +238,27 @@ impl QueryEvent {
         ]
     }
 
-    /// Unpacks an encoded event; `None` on wrong width or invalid
-    /// discriminant bits.
-    pub fn decode(words: &[u64]) -> Option<Self> {
+    /// Unpacks an encoded event. Fails on the wrong width, and on a
+    /// shed event (outcome bits set), which has no result to replay.
+    /// Reserved bit 8 and word 16 are ignored.
+    pub fn decode(words: &[u64]) -> Result<Self, EventDecodeError> {
         if words.len() != QUERY_EVENT_WORDS {
-            return None;
+            return Err(EventDecodeError::Malformed(format!(
+                "bad event encoding ({} words, want {QUERY_EVENT_WORDS})",
+                words.len()
+            )));
         }
         let flags = words[1];
-        let outcome = match (flags >> 4) & 0b11 {
-            0 => QueryOutcome::Served,
-            1 => QueryOutcome::Shed(ShedReason::RateLimited),
-            2 => QueryOutcome::Shed(ShedReason::Overloaded),
-            _ => return None,
-        };
+        if (flags >> 4) & 0b11 != 0 {
+            return Err(EventDecodeError::Shed);
+        }
         let cache = match (flags >> 6) & 0b11 {
             0 => CacheOutcome::Off,
             1 => CacheOutcome::Ineligible,
             2 => CacheOutcome::Miss,
             _ => CacheOutcome::Hit,
         };
-        Some(QueryEvent {
+        Ok(QueryEvent {
             fingerprint: words[0],
             direction_filter: flags & 1 != 0,
             require_coverage: flags & 2 != 0,
@@ -294,7 +268,6 @@ impl QueryEvent {
                 RankMode::Distance
             },
             fanout_parallel: flags & 8 != 0,
-            outcome,
             cache,
             t_start: f64::from_bits(words[2]),
             t_end: f64::from_bits(words[3]),
@@ -310,7 +283,6 @@ impl QueryEvent {
             fanout_items: words[13],
             fanout_work: f64::from_bits(words[14]),
             fanout_threads: words[15],
-            tokens_remaining: (flags & (1 << 8) != 0).then(|| f64::from_bits(words[16])),
             index_micros: words[17],
             index_rows_in: words[18],
             index_rows_out: words[19],
@@ -369,30 +341,55 @@ impl QueryEvent {
         }
         let _ = write!(
             s,
-            "],\"fingerprint\":\"{:#018x}\",\"outcome\":\"{}\",\"cache\":\"{}\",\"latency_us\":{},\"hits\":{},\"digest\":\"{:#018x}\"}}",
-            self.fingerprint, self.outcome, self.cache, self.total_micros, self.hit_count, self.digest
+            "],\"fingerprint\":\"{:#018x}\",\"cache\":\"{}\",\"latency_us\":{},\"hits\":{},\"digest\":\"{:#018x}\"}}",
+            self.fingerprint, self.cache, self.total_micros, self.hit_count, self.digest
         );
         s
     }
 
     /// Parses a [`Self::to_json`] line (only the `words` array is read).
-    pub fn from_json(line: &str) -> Result<Self, String> {
+    pub fn from_json(line: &str) -> Result<Self, EventDecodeError> {
+        let malformed = |m: &str| EventDecodeError::Malformed(m.to_string());
         let start = line
             .find("\"words\":[")
-            .ok_or_else(|| "no \"words\" array in event line".to_string())?
+            .ok_or_else(|| malformed("no \"words\" array in event line"))?
             + "\"words\":[".len();
         let end = line[start..]
             .find(']')
-            .ok_or_else(|| "unterminated \"words\" array".to_string())?
+            .ok_or_else(|| malformed("unterminated \"words\" array"))?
             + start;
         let words: Vec<u64> = line[start..end]
             .split(',')
-            .map(|w| w.trim().parse::<u64>().map_err(|e| e.to_string()))
+            .map(|w| {
+                w.trim()
+                    .parse::<u64>()
+                    .map_err(|e| malformed(&e.to_string()))
+            })
             .collect::<Result<_, _>>()?;
         QueryEvent::decode(&words)
-            .ok_or_else(|| format!("bad event encoding ({} words)", words.len()))
     }
 }
+
+/// Why a word array or capture line is not a [`QueryEvent`].
+#[derive(Debug, Clone)]
+pub enum EventDecodeError {
+    /// Wrong width, or a capture line without a parsable `words` array.
+    Malformed(String),
+    /// A query shed by the admission control older builds had: it ran
+    /// nothing and has no result to replay.
+    Shed,
+}
+
+impl std::fmt::Display for EventDecodeError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            EventDecodeError::Malformed(m) => f.write_str(m),
+            EventDecodeError::Shed => f.write_str("shed event: admission control was removed"),
+        }
+    }
+}
+
+impl std::error::Error for EventDecodeError {}
 
 const FNV_OFFSET: u64 = 0xcbf2_9ce4_8422_2325;
 const FNV_PRIME: u64 = 0x0000_0100_0000_01b3;
@@ -459,12 +456,10 @@ impl QueryEventLog {
         self.slow_micros
     }
 
-    /// Records one event; sheds and over-threshold-slow events are
-    /// always-keep class. Returns whether the event was retained.
+    /// Records one event; over-threshold-slow events are always-keep
+    /// class. Returns whether the event was retained.
     pub(crate) fn record(&self, ev: &QueryEvent) -> bool {
-        let class = if !matches!(ev.outcome, QueryOutcome::Served)
-            || (self.slow_micros > 0 && ev.total_micros >= self.slow_micros)
-        {
+        let class = if self.slow_micros > 0 && ev.total_micros >= self.slow_micros {
             EventClass::Always
         } else {
             EventClass::Sampled
@@ -477,7 +472,7 @@ impl QueryEventLog {
         self.log
             .kept()
             .iter()
-            .filter_map(|w| QueryEvent::decode(w))
+            .filter_map(|w| QueryEvent::decode(w).ok())
             .collect()
     }
 
@@ -487,7 +482,7 @@ impl QueryEventLog {
             .log
             .recent()
             .iter()
-            .filter_map(|w| QueryEvent::decode(w))
+            .filter_map(|w| QueryEvent::decode(w).ok())
             .collect();
         evs.sort_by_key(|e| e.end_micros);
         evs

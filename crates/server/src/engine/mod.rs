@@ -9,17 +9,15 @@
 //!   epoch snapshot (index scan → delta scan → cold scan → ranking),
 //!   written once and generic over a stage [`probe`], and drives the
 //!   read entry points (`query`, `query_nearest`, `query_batch`,
-//!   `query_analyzed`, and — via the shared filter stage —
-//!   subscriptions);
+//!   `query_analyzed`);
 //! * [`write`] — the **write path**: staging, snapshot publishing,
-//!   retention, compaction, retraction, and subscription bookkeeping;
+//!   retention, compaction, and retraction;
 //! * [`epoch`] — the immutable read-side state both halves exchange.
 //!
 //! The facade in `server.rs` owns construction, configuration, and the
 //! public API surface; every method there is a thin delegation into
 //! this module.
 
-pub mod admission;
 pub(crate) mod analyze;
 pub mod cache;
 pub(crate) mod epoch;
@@ -47,9 +45,7 @@ use crate::query::{Query, QueryOptions};
 use crate::server::ServerConfig;
 use crate::shard::ShardedFovIndex;
 use crate::store::SegmentStore;
-use crate::subscribe::SubscriptionSet;
 
-use admission::AdmissionController;
 use cache::ResultCache;
 use epoch::{CacheStamp, Epoch, SnapshotCore};
 use forensics::{CacheOutcome, QueryEventLog};
@@ -123,10 +119,6 @@ pub(crate) struct ServerObs {
     pub(crate) cache_hits: Arc<Counter>,
     pub(crate) cache_misses: Arc<Counter>,
     pub(crate) cache_evictions: Arc<Counter>,
-    /// Admission outcomes: served vs. shed by reason.
-    pub(crate) admitted: Arc<Counter>,
-    pub(crate) shed_rate_limited: Arc<Counter>,
-    pub(crate) shed_overloaded: Arc<Counter>,
     /// Wide-event query log traffic: events recorded into the rings vs.
     /// retained by the tail sampler.
     pub(crate) events_pushed: Arc<Counter>,
@@ -172,14 +164,6 @@ impl ServerObs {
             "Result-cache entries evicted by capacity pressure.",
         );
         registry.set_help(
-            "swag_server_admitted_total",
-            "Queries admitted past admission control.",
-        );
-        registry.set_help(
-            "swag_server_shed_total",
-            "Queries shed by admission control, by reason.",
-        );
-        registry.set_help(
             "swag_server_events_total",
             "Wide query events recorded into the forensic rings (stage=pushed) and retained by the tail sampler (stage=kept).",
         );
@@ -218,15 +202,6 @@ impl ServerObs {
             cache_hits: registry.counter("swag_server_cache_hits_total"),
             cache_misses: registry.counter("swag_server_cache_misses_total"),
             cache_evictions: registry.counter("swag_server_cache_evictions_total"),
-            admitted: registry.counter("swag_server_admitted_total"),
-            shed_rate_limited: registry.counter(&labeled_name(
-                "swag_server_shed_total",
-                &[("reason", "rate_limited")],
-            )),
-            shed_overloaded: registry.counter(&labeled_name(
-                "swag_server_shed_total",
-                &[("reason", "overloaded")],
-            )),
             events_pushed: registry.counter(&labeled_name(
                 "swag_server_events_total",
                 &[("stage", "pushed")],
@@ -298,9 +273,6 @@ pub(crate) struct Engine {
     /// Plan-keyed result cache; `None` when disabled (capacity 0, the
     /// default) so the uncached hot path pays nothing.
     pub(crate) cache: Option<ResultCache>,
-    /// Admission controller; `None` when disabled (the default) —
-    /// `query_admitted` then admits unconditionally.
-    pub(crate) admission: Option<AdmissionController>,
     /// Wide-event query log; `None` when disabled (the default), so the
     /// query path pays one branch and reads no clock for forensics.
     pub(crate) events: Option<Arc<QueryEventLog>>,
@@ -331,7 +303,6 @@ impl Engine {
             core,
             delta: Vec::new(),
             delta_len: 0,
-            subscriptions: SubscriptionSet::new(),
             max_t_end: f64::NEG_INFINITY,
             stamp: CacheStamp::initial(),
         };
@@ -341,14 +312,10 @@ impl Engine {
             writer: Mutex::new(writer),
             config,
             cam,
-            clock: clock.clone(),
+            clock,
             exec: Executor::global().clone(),
             obs: None,
             cache: ResultCache::new(config.cache, config.shard_width_s),
-            admission: config
-                .admission
-                .enabled
-                .then(|| AdmissionController::new(config.admission, clock)),
             events: config
                 .events
                 .enabled
@@ -473,7 +440,7 @@ impl Engine {
     }
 
     /// Computes point-in-time gauges into `registry`: epoch snapshot age,
-    /// staged-delta size, compiled-plan count, and per-time-shard entry
+    /// staged-delta size, result-cache entries, and per-time-shard entry
     /// counts. These cannot be recorded from the hot path (age is a
     /// property of *now*, not of any event), so a reader calls this
     /// right before rendering the registry.
@@ -487,10 +454,6 @@ impl Engine {
             "Records staged in the delta, waiting for the next publish.",
         );
         registry.set_help(
-            "swag_server_compiled_plans",
-            "Compiled standing-query plans held by the subscription set.",
-        );
-        registry.set_help(
             "swag_server_shard_entries",
             "Indexed entries per live time shard (0 after the shard expires).",
         );
@@ -498,16 +461,9 @@ impl Engine {
             "swag_server_cache_entries",
             "Live entries in the plan-keyed result cache.",
         );
-        registry.set_help(
-            "swag_server_queue_depth",
-            "Admitted queries currently executing (bounded by max_inflight).",
-        );
         registry
             .gauge("swag_server_cache_entries")
             .set(self.cache.as_ref().map_or(0, |c| c.len()) as i64);
-        registry
-            .gauge("swag_server_queue_depth")
-            .set(self.admission.as_ref().map_or(0, |a| a.queue_depth()) as i64);
         let epoch = self.epoch.read().clone();
         let now = self.clock.now_micros();
         registry.gauge("swag_server_epoch_age_micros").set(
@@ -517,10 +473,6 @@ impl Engine {
         registry
             .gauge("swag_server_staged_delta")
             .set(epoch.delta_len as i64);
-        let plans = self.writer.lock().subscriptions.compiled_plans();
-        registry
-            .gauge("swag_server_compiled_plans")
-            .set(plans as i64);
         // Zero every previously exported shard gauge first so expired
         // shards read 0 instead of their last live count forever.
         for name in registry.names() {

@@ -14,8 +14,8 @@
 //! EXPLAIN ANALYZE are computed from afterwards. Every read entry point drives that one function:
 //! `query` runs one plan, `query_nearest` loops over
 //! radius-expanded plans, `query_batch` fans plans across the executor
-//! against a single pinned epoch, `query_analyzed` reports the record,
-//! and subscriptions reuse the plan's filter stage at ingest time.
+//! against a single pinned epoch, and `query_analyzed` reports the
+//! record.
 
 use std::sync::atomic::Ordering;
 
@@ -30,7 +30,6 @@ use crate::ranking::{SearchHit, Tier, TopN};
 use crate::server::ServerStats;
 use crate::store::{SegmentId, SegmentRecord, SegmentRef};
 
-use super::admission::{InflightPermit, ShedReason};
 use super::cache;
 use super::epoch::Epoch;
 use super::fanout::{self, FanoutDecision};
@@ -217,21 +216,14 @@ impl Engine {
     /// [`Self::execute`] under the sink this server is configured for:
     /// [`NoProbe`] when nothing observes queries, otherwise
     /// [`Self::execute_measured`] plus one wide event when the log is on.
-    /// `tokens` is the client's post-admission balance, for that event.
-    pub(crate) fn execute_plan(
-        &self,
-        epoch: &Epoch,
-        t0: u64,
-        plan: &QueryPlan,
-        tokens: Option<f64>,
-    ) -> Vec<SearchHit> {
+    pub(crate) fn execute_plan(&self, epoch: &Epoch, t0: u64, plan: &QueryPlan) -> Vec<SearchHit> {
         let events_on = self.events_on();
         if self.obs.is_none() && !events_on {
             return self.execute(epoch, t0, plan, &mut NoProbe);
         }
         let (hits, rec) = self.execute_measured(epoch, t0, plan);
         if events_on {
-            self.emit_event(&rec.event(plan, epoch, tokens, &hits));
+            self.emit_event(&rec.event(plan, epoch, &hits));
         }
         hits
     }
@@ -258,67 +250,10 @@ impl Engine {
     /// One-plan entry point: compiles the request, clones the epoch
     /// `Arc` in a momentary read-side critical section, and executes.
     pub(crate) fn query(&self, query: &Query, opts: &QueryOptions) -> Vec<SearchHit> {
-        self.query_with_tokens(query, opts, None)
-    }
-
-    fn query_with_tokens(
-        &self,
-        query: &Query,
-        opts: &QueryOptions,
-        tokens: Option<f64>,
-    ) -> Vec<SearchHit> {
         let t0 = self.clock.now_micros();
         let epoch = self.epoch.read().clone();
         let plan = QueryPlan::compile(query, opts);
-        self.execute_plan(&epoch, t0, &plan, tokens)
-    }
-
-    /// Admission, once: charges `client_id`'s token bucket and the
-    /// in-flight cap, counting the outcome. The permit is held by the
-    /// caller across execution; `want_tokens` also reads the
-    /// post-decision balance (a lock), for callers that report it. With
-    /// admission disabled every request is admitted.
-    pub(crate) fn admit(
-        &self,
-        client_id: u64,
-        want_tokens: bool,
-    ) -> Result<(Option<InflightPermit<'_>>, Option<f64>), ShedReason> {
-        let Some(admission) = &self.admission else {
-            return Ok((None, None));
-        };
-        let outcome = admission.admit(client_id);
-        if let Some(obs) = &self.obs {
-            match outcome {
-                Ok(_) => obs.admitted.inc(),
-                Err(ShedReason::RateLimited) => obs.shed_rate_limited.inc(),
-                Err(ShedReason::Overloaded) => obs.shed_overloaded.inc(),
-            }
-        }
-        let permit = outcome?;
-        let tokens = want_tokens.then(|| admission.tokens_remaining(client_id));
-        Ok((Some(permit), tokens))
-    }
-
-    /// [`Self::query`] behind admission control: sheds instead of
-    /// serving when `client_id` is over its token-bucket budget or the
-    /// server's in-flight cap is reached.
-    pub(crate) fn query_admitted(
-        &self,
-        client_id: u64,
-        query: &Query,
-        opts: &QueryOptions,
-    ) -> Result<Vec<SearchHit>, ShedReason> {
-        let events_on = self.events_on();
-        match self.admit(client_id, events_on) {
-            Ok((_permit, tokens)) => Ok(self.query_with_tokens(query, opts, tokens)),
-            Err(reason) => {
-                if events_on {
-                    let plan = QueryPlan::compile(query, opts);
-                    self.shed_event(client_id, &plan, &self.epoch.read().clone(), reason);
-                }
-                Err(reason)
-            }
-        }
+        self.execute_plan(&epoch, t0, &plan)
     }
 
     /// k-nearest entry point: a radius-expansion loop over successive
@@ -349,7 +284,7 @@ impl Engine {
             let q = Query::new(t_start, t_end, center, radius);
             let mut plan = QueryPlan::compile(&q, opts);
             plan.k = usize::MAX;
-            let mut hits = self.execute_plan(&epoch, t0, &plan, None);
+            let mut hits = self.execute_plan(&epoch, t0, &plan);
             // Under Distance, a ring's boxes are the disc's bounding
             // square: a hit in a corner lies up to √2·r away while a
             // nearer segment just past the square's edge is unexplored, so
@@ -383,7 +318,7 @@ impl Engine {
         let one = |q: &Query| {
             let t0 = self.clock.now_micros();
             let plan = QueryPlan::compile(q, opts);
-            self.execute_plan(&epoch, t0, &plan, None)
+            self.execute_plan(&epoch, t0, &plan)
         };
         // Clamp to the host: a batch "parallelism" request beyond the
         // machine's cores would only add scheduling churn.

@@ -3,12 +3,9 @@
 //!
 //! A plan is everything the operator pipeline needs to run, resolved
 //! once per query: the query boxes (antimeridian-aware, §V-B step 1),
-//! the filter chain (step 3, shared verbatim with standing-query
-//! subscriptions), the rank mode and the top-k cutoff (step 4). Plans
-//! are cheap `Copy` values; [`SubscriptionSet`](crate::subscribe)
-//! compiles one per standing query at registration time and the read
-//! entry points compile one per request (or per expansion ring, for
-//! k-nearest).
+//! the filter chain (step 3), the rank mode and the top-k cutoff (step
+//! 4). Plans are cheap `Copy` values; the read entry points compile one
+//! per request (or per expansion ring, for k-nearest).
 //!
 //! [`QueryPlan::explain`] renders the plan for humans; the operator
 //! names it prints are the same `OP_*` constants that label the stage
@@ -40,9 +37,8 @@ pub const OP_SHARD_PROBE: &str = "shard_probe";
 
 /// The per-record filter stage (paper §V-B step 3), compiled from
 /// [`QueryOptions`]. This is the **single** definition of the direction
-/// and coverage filters: pull queries, batch queries, k-nearest rings,
-/// and standing-query subscriptions all run records through
-/// [`FilterChain::accepts`].
+/// and coverage filters: single queries, batch queries and k-nearest
+/// rings all run records through [`FilterChain::accepts`].
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FilterChain {
     /// `Some(tolerance_deg)` drops FoVs whose orientation points away

@@ -1,5 +1,5 @@
 //! The write path: staging, snapshot publishing, retention, compaction,
-//! retraction, and subscription bookkeeping.
+//! and retraction.
 //!
 //! Writers append into the delta under a short write lock; every write
 //! republishes the epoch (read-your-writes), and once the delta reaches
@@ -18,11 +18,8 @@ use swag_core::{DescriptorCodec, RepFov, UploadBatch};
 use swag_store::WalOp;
 
 use crate::index::fov_box;
-use crate::query::{Query, QueryOptions};
-use crate::ranking::SearchHit;
 use crate::shard::ShardedFovIndex;
 use crate::store::{SegmentId, SegmentRecord, SegmentRef, SegmentStore};
-use crate::subscribe::{SubscriptionId, SubscriptionSet};
 
 use super::epoch::{CacheStamp, DeltaRecord, Epoch, SnapshotCore};
 use super::ops::cold_zone_of;
@@ -49,7 +46,6 @@ pub(crate) struct Writer {
     pub(crate) core: Arc<SnapshotCore>,
     pub(crate) delta: Vec<Arc<[DeltaRecord]>>,
     pub(crate) delta_len: usize,
-    pub(crate) subscriptions: SubscriptionSet,
     /// Latest `t_end` ever ingested — the retention clock.
     pub(crate) max_t_end: f64,
     /// Cache invalidation state published with every epoch (see
@@ -93,15 +89,14 @@ impl Writer {
 }
 
 impl Engine {
-    /// Builds the next pending record (assigning the next dense id),
-    /// pre-computes its index box, and offers it to standing queries.
-    /// The caller freezes the returned records into one delta slice.
+    /// Builds the next pending record (assigning the next dense id) and
+    /// pre-computes its index box. The caller freezes the returned
+    /// records into one delta slice.
     fn stage(&self, w: &mut Writer, rep: RepFov, source: SegmentRef) -> DeltaRecord {
         let next = w.core.store.total() + w.delta_len;
         let id = SegmentId(u32::try_from(next).expect("store capacity exceeded"));
         w.delta_len += 1;
         w.max_t_end = w.max_t_end.max(rep.t_end);
-        w.subscriptions.offer(&rep, id, source, &self.cam);
         DeltaRecord {
             rec: SegmentRecord { id, rep, source },
             bbox: fov_box(&rep),
@@ -171,7 +166,7 @@ impl Engine {
             // ahead — but it is data loss, so it is logged here and
             // counted by the store, never discarded.
             if let Some(durability) = &self.durability {
-                if durability.config().cold_tier && !report.segments_dropped.is_empty() {
+                if !report.segments_dropped.is_empty() {
                     let mut by_bucket: BTreeMap<i64, Vec<(RepFov, SegmentRef)>> = BTreeMap::new();
                     let mut scratch = BytesMut::with_capacity(DescriptorCodec::RECORD_SIZE);
                     for id in &report.segments_dropped {
@@ -303,21 +298,6 @@ impl Engine {
             obs.segments.inc();
         }
         id
-    }
-
-    /// Registers a standing query (compiling its plan once).
-    pub(crate) fn subscribe(&self, query: Query, opts: QueryOptions) -> SubscriptionId {
-        self.writer.lock().subscriptions.subscribe(query, opts)
-    }
-
-    /// Cancels a standing query.
-    pub(crate) fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        self.writer.lock().subscriptions.unsubscribe(id)
-    }
-
-    /// Drains a standing query's accumulated matches (arrival order).
-    pub(crate) fn poll_subscription(&self, id: SubscriptionId) -> Vec<SearchHit> {
-        self.writer.lock().subscriptions.poll(id)
     }
 
     /// Retracts every segment a provider contributed. Returns how many

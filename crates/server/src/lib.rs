@@ -30,14 +30,12 @@ pub mod ranking;
 pub mod server;
 pub mod shard;
 pub mod store;
-pub mod subscribe;
 
-pub use engine::admission::{AdmissionConfig, ShedReason};
 pub use engine::cache::CacheConfig;
 pub use engine::fanout::{FanoutDecision, FanoutMode};
 pub use engine::forensics::{
-    result_digest, AnalyzeReport, AnalyzedQuery, CacheOutcome, ColdScanMeasure, EventLogConfig,
-    QueryEvent, QueryEventLog, QueryOutcome, QUERY_EVENT_WORDS,
+    result_digest, AnalyzeReport, AnalyzedQuery, CacheOutcome, ColdScanMeasure, EventDecodeError,
+    EventLogConfig, QueryEvent, QueryEventLog, QUERY_EVENT_WORDS,
 };
 pub use engine::plan::{FilterChain, QueryPlan};
 pub use index::{FovIndex, IndexKind};
@@ -47,5 +45,4 @@ pub use ranking::{quality_score, SearchHit};
 pub use server::{CloudServer, ServerConfig, ServerStats};
 pub use shard::{ExpireReport, ShardedFovIndex};
 pub use store::{SegmentId, SegmentRecord, SegmentRef, SegmentStore};
-pub use subscribe::{SubscriptionId, SubscriptionSet};
 pub use swag_store::{DurabilityConfig, DurabilityStats, StoreError, WalOp};

@@ -17,9 +17,9 @@
 //! The read path is plan-driven: every entry point lowers its request
 //! through the planner ([`crate::engine::plan::QueryPlan`]) and executes
 //! the resulting plan on the operator pipeline, so `query`,
-//! `query_nearest`, `query_batch`, and standing-query subscriptions
-//! share one filter and one ranking definition. [`CloudServer::explain`]
-//! renders the plan a request would run.
+//! `query_nearest`, `query_batch` and `query_analyzed` share one filter
+//! and one ranking definition. [`CloudServer::explain`] renders the plan
+//! a request would run.
 //!
 //! Observability is opt-in: [`CloudServer::attach_observability`] wires
 //! the query path to `swag-obs` histograms (total latency, per-operator
@@ -35,7 +35,6 @@ use swag_core::{CameraProfile, RepFov, UploadBatch};
 use swag_exec::Executor;
 use swag_obs::{HistogramSnapshot, MonotonicClock, Registry, WallClock};
 
-use crate::engine::admission::{AdmissionConfig, ShedReason};
 use crate::engine::cache::CacheConfig;
 use crate::engine::fanout::FanoutMode;
 use crate::engine::forensics::{AnalyzedQuery, EventLogConfig, QueryEventLog};
@@ -44,7 +43,6 @@ use crate::index::IndexKind;
 use crate::query::{Query, QueryOptions};
 use crate::ranking::SearchHit;
 use crate::store::{SegmentId, SegmentRecord, SegmentRef};
-use crate::subscribe::SubscriptionId;
 
 /// Tuning knobs for the snapshot-publishing server.
 #[derive(Debug, Clone, Copy, PartialEq)]
@@ -73,13 +71,8 @@ pub struct ServerConfig {
     /// byte-identical to the uncached path — the epoch stamp proves
     /// every served entry current (see `DESIGN.md` §13).
     pub cache: CacheConfig,
-    /// Per-client token-bucket admission control with a bounded
-    /// in-flight budget (disabled by default). Only
-    /// [`CloudServer::query_admitted`] consults it; the plain query
-    /// entry points are for trusted internal callers.
-    pub admission: AdmissionConfig,
     /// Wide-event query log with tail sampling (disabled by default):
-    /// every query records one forensic [`crate::QueryEvent`]; sheds and
+    /// every query records one forensic [`crate::QueryEvent`];
     /// over-threshold-slow queries are always retained, ordinary traffic
     /// probabilistically. Applies to every read entry point, one event
     /// per executed plan.
@@ -103,7 +96,6 @@ impl Default for ServerConfig {
             compact_dead_fraction: 0.25,
             fanout: FanoutMode::Adaptive,
             cache: CacheConfig::default(),
-            admission: AdmissionConfig::default(),
             events: EventLogConfig::default(),
             durability: swag_store::DurabilityConfig::default(),
         }
@@ -235,8 +227,7 @@ impl CloudServer {
     /// server is bit-for-bit the server that crashed (minus any
     /// un-fsynced WAL tail, which recovery truncates). The returned
     /// server appends every subsequent ingest/retract/expire to the WAL,
-    /// snapshots incrementally at publish time, and (with
-    /// [`swag_store::DurabilityConfig::cold_tier`]) demotes aged-out
+    /// snapshots incrementally at publish time, and demotes aged-out
     /// shards to cold runs instead of dropping them.
     ///
     /// `config.durability.enabled` is forced on — passing a data
@@ -328,8 +319,8 @@ impl CloudServer {
     }
 
     /// Computes point-in-time gauges into `registry`: epoch snapshot age
-    /// (`swag_server_epoch_age_micros`), staged-delta size, compiled
-    /// standing-query plan count, and per-time-shard entry counts
+    /// (`swag_server_epoch_age_micros`), staged-delta size, result-cache
+    /// entries, and per-time-shard entry counts
     /// (`swag_server_shard_entries{shard=...}`, zeroed when a shard
     /// expires). Call right before rendering the registry; cheap enough
     /// to call on every render.
@@ -357,45 +348,11 @@ impl CloudServer {
         self.engine.ingest_one(rep, source)
     }
 
-    /// Registers a standing query: every matching segment ingested from
-    /// now on is queued until [`Self::poll_subscription`]. The query's
-    /// plan is compiled once at registration; ingest-time matching runs
-    /// the same filter stage as pull queries.
-    pub fn subscribe(&self, query: Query, opts: QueryOptions) -> SubscriptionId {
-        self.engine.subscribe(query, opts)
-    }
-
-    /// Cancels a standing query.
-    pub fn unsubscribe(&self, id: SubscriptionId) -> bool {
-        self.engine.unsubscribe(id)
-    }
-
-    /// Drains a standing query's accumulated matches (arrival order).
-    pub fn poll_subscription(&self, id: SubscriptionId) -> Vec<SearchHit> {
-        self.engine.poll_subscription(id)
-    }
-
     /// Answers a query with the paper's rank-based retrieval: compiles
     /// one [`crate::engine::plan::QueryPlan`] and executes it on the
     /// operator pipeline. Lock-free after the initial epoch acquisition.
     pub fn query(&self, query: &Query, opts: &QueryOptions) -> Vec<SearchHit> {
         self.engine.query(query, opts)
-    }
-
-    /// [`Self::query`] behind admission control — the entry point for
-    /// untrusted callers. With [`AdmissionConfig::enabled`] the request
-    /// is first charged against `client_id`'s token bucket and the
-    /// server's bounded in-flight budget; over-budget requests are shed
-    /// with a [`ShedReason`] instead of queueing, which keeps admitted
-    /// requests' tail latency bounded under overload. With admission
-    /// disabled (the default) every request is admitted.
-    pub fn query_admitted(
-        &self,
-        client_id: u64,
-        query: &Query,
-        opts: &QueryOptions,
-    ) -> Result<Vec<SearchHit>, ShedReason> {
-        self.engine.query_admitted(client_id, query, opts)
     }
 
     /// Answers a *k-nearest* request: the `k` segments closest to `center`
@@ -453,20 +410,21 @@ impl CloudServer {
     }
 
     /// EXPLAIN ANALYZE: executes the request for real — the same
-    /// pipeline [`Self::query_admitted`] runs, under the measuring probe
-    /// — and returns the hits plus a report annotating every operator
-    /// with measured wall time and rows in/out, and the concrete cache,
-    /// admission, and fan-out decisions this execution took. Admission is consulted exactly like
-    /// `query_admitted`; a shed request returns no hits and a report
-    /// saying why. When the wide-event log is enabled the analyzed run
-    /// emits an event like any other query.
+    /// pipeline [`Self::query`] runs, under the measuring probe — and
+    /// returns the hits plus a report annotating every operator with
+    /// measured wall time and rows in/out, and the concrete cache and
+    /// fan-out decisions this execution took. When the wide-event log is
+    /// enabled the analyzed run emits an event like any other query.
+    ///
+    /// `_client_id` is ignored. It named the caller for the admission
+    /// control older builds had, and stays so existing callers compile.
     pub fn query_analyzed(
         &self,
-        client_id: u64,
+        _client_id: u64,
         query: &Query,
         opts: &QueryOptions,
     ) -> AnalyzedQuery {
-        self.engine.query_analyzed(client_id, query, opts)
+        self.engine.query_analyzed(query, opts)
     }
 
     /// The wide-event query log, present when

@@ -9,8 +9,7 @@ use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_geo::LatLon;
 use swag_obs::Registry;
 use swag_server::{
-    AdmissionConfig, CacheConfig, CloudServer, Query, QueryOptions, RankMode, SearchHit,
-    ServerConfig, ShedReason,
+    CacheConfig, CloudServer, Query, QueryOptions, RankMode, SearchHit, ServerConfig,
 };
 
 fn base() -> LatLon {
@@ -314,61 +313,4 @@ fn publish_invalidates_only_touched_time_shards() {
     assert_eq!((hits(), misses()), (3, 3), "hot-region entry invalidated");
     assert_eq!(server.query(&hot, &opts), hot_after);
     assert_eq!((hits(), misses()), (4, 3), "recomputed hot entry re-cached");
-}
-
-/// Admission control end-to-end through the facade: disabled admits
-/// everything; enabled enforces the per-client budget and the counters
-/// attribute every outcome.
-#[test]
-fn admission_sheds_after_burst_and_counts_outcomes() {
-    let reg = Registry::new();
-    let mut rng = Rng(0xBEEF);
-    let mut server = CloudServer::with_config(
-        CameraProfile::smartphone(),
-        ServerConfig {
-            admission: AdmissionConfig {
-                enabled: true,
-                rate_per_s: 1e-9, // no meaningful refill within the test
-                burst: 2.0,
-                ..AdmissionConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-    );
-    server.attach_observability(&reg);
-    let reps: Vec<RepFov> = (0..6).map(|_| rep_at(&mut rng, 0.0, 100.0)).collect();
-    server.ingest_batch(&UploadBatch {
-        provider_id: 1,
-        video_id: 1,
-        reps,
-    });
-
-    let q = Query::new(0.0, 120.0, base(), 5_000.0);
-    let opts = QueryOptions::default();
-    let expected = server.query(&q, &opts);
-
-    // Client 7 burns its burst of 2, then is shed; client 8 still has its own.
-    assert_eq!(server.query_admitted(7, &q, &opts).unwrap(), expected);
-    assert_eq!(server.query_admitted(7, &q, &opts).unwrap(), expected);
-    assert_eq!(
-        server.query_admitted(7, &q, &opts).unwrap_err(),
-        ShedReason::RateLimited
-    );
-    assert_eq!(server.query_admitted(8, &q, &opts).unwrap(), expected);
-
-    assert_eq!(reg.counter("swag_server_admitted_total").get(), 3);
-    assert_eq!(
-        reg.counter(&swag_obs::labeled_name(
-            "swag_server_shed_total",
-            &[("reason", "rate_limited")],
-        ))
-        .get(),
-        1
-    );
-
-    // Disabled admission (the default) is a no-op pass-through.
-    let open = CloudServer::with_config(CameraProfile::smartphone(), ServerConfig::default());
-    for _ in 0..100 {
-        assert!(open.query_admitted(7, &q, &opts).is_ok());
-    }
 }

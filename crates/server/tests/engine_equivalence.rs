@@ -6,8 +6,8 @@
 //! 1. **Oracle fixture** — `fixtures/engine_oracle.txt` holds the exact
 //!    results (distances and qualities as f64 bit patterns) the
 //!    pre-refactor `server.rs` produced for a deterministic workload
-//!    covering all four entry points (`query`, `query_nearest`,
-//!    `query_batch`, subscriptions) across ranking modes, filters, and
+//!    covering the three entry points (`query`, `query_nearest`,
+//!    `query_batch`) across ranking modes, filters, and
 //!    publish/retention churn. Regenerate with
 //!    `cargo test -p swag-server --test engine_equivalence -- --ignored regenerate`.
 //! 2. **Randomized agreement proptests** — serial vs parallel executors,
@@ -143,7 +143,7 @@ fn render_hit(out: &mut String, h: &SearchHit) {
     .unwrap();
 }
 
-/// Runs the deterministic workload through all four read entry points and
+/// Runs the deterministic workload through all three read entry points and
 /// renders every result with exact bit patterns.
 fn oracle_transcript() -> String {
     let mut rng = Rng(0x5747_2015);
@@ -156,15 +156,6 @@ fn oracle_transcript() -> String {
         },
     );
     server.set_executor(Executor::serial());
-
-    // Subscriptions registered before ingest see the whole stream.
-    let subs: Vec<_> = option_matrix()
-        .into_iter()
-        .map(|(name, opts)| {
-            let q = Query::new(200.0, 2600.0, base(), 450.0);
-            (name, server.subscribe(q, opts))
-        })
-        .collect();
 
     // Ingest in uneven batches: some publish full snapshots, some stay
     // pending in the delta, so both scan operators are exercised.
@@ -203,12 +194,6 @@ fn oracle_transcript() -> String {
             for h in server.query_nearest(q.t_start, q.t_end, q.center, 5, &opts, 5_000.0) {
                 render_hit(&mut out, &h);
             }
-        }
-    }
-    for (name, id) in subs {
-        writeln!(out, "[subscription {name}]").unwrap();
-        for h in server.poll_subscription(id) {
-            render_hit(&mut out, &h);
         }
     }
     out

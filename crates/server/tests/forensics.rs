@@ -15,9 +15,9 @@ use swag_obs::{Metric, MonotonicClock, Registry};
 use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_geo::LatLon;
 use swag_server::{
-    ranking::rank_candidates, result_digest, AdmissionConfig, CacheConfig, CacheOutcome,
-    CloudServer, EventLogConfig, IndexKind, Query, QueryEvent, QueryOptions, QueryOutcome,
-    RankMode, SearchHit, SegmentStore, ServerConfig, ShardedFovIndex, QUERY_EVENT_WORDS,
+    ranking::rank_candidates, result_digest, CacheConfig, CacheOutcome, CloudServer,
+    EventDecodeError, EventLogConfig, IndexKind, Query, QueryEvent, QueryOptions, RankMode,
+    SearchHit, SegmentStore, ServerConfig, ShardedFovIndex, QUERY_EVENT_WORDS,
 };
 
 fn base() -> LatLon {
@@ -146,7 +146,6 @@ fn analyzed_execution_matches_normal_execution() {
         let analyzed = server.query_analyzed(7, &q, &opts);
         assert_same_hits(&plain, &analyzed.hits, "analyze-vs-plain");
         let ev = analyzed.report.event;
-        assert_eq!(ev.outcome, QueryOutcome::Served);
         assert_eq!(ev.cache, CacheOutcome::Off);
         assert_eq!(ev.hit_count, plain.len() as u64);
         assert_eq!(ev.digest, result_digest(&plain));
@@ -322,58 +321,6 @@ fn kept_events_replay_to_the_same_digest() {
     }
 }
 
-/// Shed queries always produce kept events (class Always overrides a
-/// zero sampling rate), annotated with the reason and token balance.
-#[test]
-fn shed_queries_are_always_kept() {
-    let server = server_with(
-        ServerConfig {
-            admission: AdmissionConfig {
-                enabled: true,
-                rate_per_s: 1.0,
-                burst: 2.0,
-                ..AdmissionConfig::default()
-            },
-            // keep_per_mille 0: ordinary events are never sampled in, so
-            // every kept event below must be a shed.
-            events: EventLogConfig {
-                enabled: true,
-                keep_per_mille: 0,
-                ..EventLogConfig::default()
-            },
-            ..ServerConfig::default()
-        },
-        23,
-        100,
-    );
-    let (q, opts) = probes(23, 1).remove(0);
-    let mut sheds = 0;
-    for _ in 0..10 {
-        if server.query_admitted(42, &q, &opts).is_err() {
-            sheds += 1;
-        }
-    }
-    assert_eq!(sheds, 8, "burst of 2 admits twice, then rate-limits");
-    let kept = server.event_log().expect("events enabled in config").kept();
-    assert_eq!(kept.len(), sheds, "every shed kept, nothing else");
-    for ev in &kept {
-        assert!(matches!(ev.outcome, QueryOutcome::Shed(_)));
-        assert!(
-            ev.tokens_remaining.expect("admission was consulted") < 1.0,
-            "shed event must record the empty bucket"
-        );
-        assert_eq!(ev.digest, 0, "no result to digest");
-    }
-    // Admitted queries under keep_per_mille 0 still *record* (ring) but
-    // are not retained.
-    let stats = server
-        .event_log()
-        .expect("events enabled in config")
-        .stats();
-    assert_eq!(stats.pushed, 10);
-    assert_eq!(stats.kept, sheds as u64);
-}
-
 /// Advances one microsecond per read, so two reads never agree.
 struct TickingClock(std::sync::atomic::AtomicU64);
 
@@ -383,36 +330,34 @@ impl MonotonicClock for TickingClock {
     }
 }
 
-/// A shed EXPLAIN ANALYZE reports the very event it emitted: built
-/// once, so even the completion timestamp agrees.
+/// EXPLAIN ANALYZE reports the very event it emitted: built once, so
+/// even the completion timestamp agrees.
 #[test]
-fn analyzed_shed_reports_the_emitted_event() {
+fn analyzed_query_reports_the_emitted_event() {
     let server = CloudServer::with_config_and_clock(
         CameraProfile::smartphone(),
         ServerConfig {
-            admission: AdmissionConfig {
+            events: EventLogConfig {
                 enabled: true,
-                rate_per_s: 1.0,
-                burst: 1.0,
-                ..AdmissionConfig::default()
+                keep_per_mille: 1_000,
+                ..EventLogConfig::default()
             },
-            events: EventLogConfig::enabled(0, 41),
             ..ServerConfig::default()
         },
         Arc::new(TickingClock(Default::default())),
     );
+    server.ingest_batch(&UploadBatch {
+        provider_id: 1,
+        video_id: 0,
+        reps: workload(41, 100),
+    });
     let (q, opts) = probes(41, 1).remove(0);
-    assert_eq!(
-        server.query_analyzed(9, &q, &opts).report.event.outcome,
-        QueryOutcome::Served
-    );
-    let shed = server.query_analyzed(9, &q, &opts);
-    assert!(matches!(shed.report.event.outcome, QueryOutcome::Shed(_)));
-    assert!(shed.hits.is_empty());
+    let analyzed = server.query_analyzed(9, &q, &opts);
     let log = server.event_log().expect("events enabled in config");
-    assert_eq!(log.stats().pushed, 2, "the shed emitted exactly one event");
-    let emitted = log.kept().pop().expect("sheds are always kept");
-    assert_eq!(emitted.encode(), shed.report.event.encode());
+    assert_eq!(log.stats().pushed, 1, "the query emitted exactly one event");
+    let emitted = log.kept().pop().expect("keep_per_mille 1000 keeps it");
+    assert!(analyzed.report.event.end_micros > 0);
+    assert_eq!(emitted.encode(), analyzed.report.event.encode());
 }
 
 /// A slow-over-threshold query is always kept even at sampling rate 0.
@@ -446,10 +391,6 @@ fn event_words_round_trip() {
     let server = server_with(
         ServerConfig {
             events: EventLogConfig::enabled(0, 31),
-            admission: AdmissionConfig {
-                enabled: true,
-                ..AdmissionConfig::default()
-            },
             cache: CacheConfig::enabled(16),
             ..ServerConfig::default()
         },
@@ -466,7 +407,22 @@ fn event_words_round_trip() {
     assert_eq!(back.query(), q, "query reconstruction must be bit-exact");
     assert_eq!(back.options().top_n, opts.top_n);
     assert_eq!(back.options().rank, opts.rank);
-    assert!(back.tokens_remaining.is_some(), "admission was consulted");
+    // Reserved: flag bits 4–5 (outcome) and 8, and word 16, which
+    // builds with admission control filled.
+    assert_eq!(words[1] & (0b11 << 4 | 1 << 8), 0);
+    assert_eq!(words[16], 0);
+    // An admitted event from such a build (token flag and balance set)
+    // still decodes; a shed one fails by name.
+    let mut old = words;
+    old[1] |= 1 << 8;
+    old[16] = 2.5f64.to_bits();
+    let admitted = QueryEvent::decode(&old).expect("admitted events decode");
+    assert_eq!(admitted.encode(), words);
+    old[1] |= 1 << 4;
+    assert!(matches!(
+        QueryEvent::decode(&old),
+        Err(EventDecodeError::Shed)
+    ));
     // Wrong width is rejected, not mangled.
-    assert!(QueryEvent::decode(&words[..31]).is_none());
+    assert!(QueryEvent::decode(&words[..31]).is_err());
 }

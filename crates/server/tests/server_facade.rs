@@ -101,27 +101,6 @@ fn linear_and_rtree_servers_agree() {
 }
 
 #[test]
-fn standing_query_sees_only_future_matching_ingest() {
-    let server = CloudServer::new(CameraProfile::smartphone());
-    server.ingest_batch(&batch(1, 3)); // before subscribing: invisible
-    let sub = server.subscribe(
-        Query::new(0.0, 1000.0, center(), 100.0),
-        QueryOptions::default(),
-    );
-    assert!(server.poll_subscription(sub).is_empty());
-
-    server.ingest_batch(&batch(2, 3));
-    let hits = server.poll_subscription(sub);
-    assert_eq!(hits.len(), 3);
-    assert!(hits.iter().all(|h| h.source.provider_id == 2));
-    // Drained; cancel stops future delivery.
-    assert!(server.poll_subscription(sub).is_empty());
-    assert!(server.unsubscribe(sub));
-    server.ingest_batch(&batch(3, 3));
-    assert!(server.poll_subscription(sub).is_empty());
-}
-
-#[test]
 fn retract_provider_hides_their_segments() {
     let server = CloudServer::new(CameraProfile::smartphone());
     server.ingest_batch(&batch(1, 5));
@@ -683,19 +662,8 @@ fn refresh_gauges_exports_engine_internals() {
     server.attach_observability(&reg);
     server.ingest_batch(&batch(1, 5)); // 5 >= 4: published
     server.ingest_batch(&batch(2, 2)); // staged
-    server.subscribe(
-        Query::new(0.0, 100.0, center(), 100.0),
-        QueryOptions::default(),
-    );
-    let dead = server.subscribe(
-        Query::new(0.0, 100.0, center(), 100.0),
-        QueryOptions::default(),
-    );
-    server.unsubscribe(dead);
     server.refresh_gauges(&reg);
     assert_eq!(reg.gauge("swag_server_staged_delta").get(), 2);
-    // Cancelled subscriptions keep their compiled plan resident.
-    assert_eq!(reg.gauge("swag_server_compiled_plans").get(), 2);
     assert!(reg.gauge("swag_server_epoch_age_micros").get() > 0);
     // batch() places rep i at [10i, 10i+8]: five 10-second shards,
     // one published entry each.

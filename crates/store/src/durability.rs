@@ -43,8 +43,13 @@ pub const SNAPSHOT_DIR: &str = "snapshots";
 /// Cold-run subdirectory.
 pub const COLD_DIR: &str = "cold";
 
+/// Rotate the active WAL segment once it exceeds this many bytes.
+/// Snapshots also rotate, so this only bounds quiet periods.
+const WAL_ROTATE_BYTES: u64 = 4 << 20;
+
 /// Tuning knob for the durability subsystem (off by default, like the
-/// cache and admission knobs). The data directory itself is not part of
+/// cache and event-log knobs). A durable server always demotes expired
+/// shards to the cold tier. The data directory itself is not part of
 /// the config — it is the argument to `CloudServer::open`.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurabilityConfig {
@@ -54,17 +59,12 @@ pub struct DurabilityConfig {
     /// every this many microseconds, off the ingest path (0 = strict
     /// mode, every append fsyncs inline before returning).
     pub fsync_interval_micros: u64,
-    /// Rotate the active WAL segment once it exceeds this many bytes
-    /// (snapshots also rotate, so this only bounds quiet periods).
-    pub wal_rotate_bytes: u64,
     /// Skip the snapshot an epoch publish would trigger until at least
     /// this many WAL bytes have accumulated since the last one (0 =
     /// snapshot on every publish). Publishes are frequent and cheap;
     /// snapshots rewrite bucket files and fsync — this keeps checkpoint
     /// cost proportional to ingested bytes, not to publish cadence.
     pub snapshot_min_wal_bytes: u64,
-    /// Demote expired shards to cold runs instead of dropping them.
-    pub cold_tier: bool,
 }
 
 impl Default for DurabilityConfig {
@@ -72,9 +72,7 @@ impl Default for DurabilityConfig {
         DurabilityConfig {
             enabled: false,
             fsync_interval_micros: 2_000,
-            wal_rotate_bytes: 4 << 20,
             snapshot_min_wal_bytes: 1 << 20,
-            cold_tier: true,
         }
     }
 }
@@ -369,11 +367,6 @@ impl Durability {
         ))
     }
 
-    /// The tuning this directory was opened with.
-    pub fn config(&self) -> &DurabilityConfig {
-        &self.config
-    }
-
     /// The cold-run catalog (for `cold_scan`).
     pub fn cold(&self) -> &ColdCatalog {
         &self.cold
@@ -398,7 +391,7 @@ impl Durability {
                 obs.wal_fsync_micros.record(micros);
             }
         }
-        if wal.writer.segment_bytes() >= self.config.wal_rotate_bytes {
+        if wal.writer.segment_bytes() >= WAL_ROTATE_BYTES {
             if let Some(seg) = wal.writer.rotate().map_err(|e| io_err("wal rotate", e))? {
                 wal.closed.push(seg);
             }
@@ -453,7 +446,7 @@ impl Durability {
         records: &[(RepFov, SegmentRef)],
         zone: Zone,
     ) -> Result<(), StoreError> {
-        if records.is_empty() || !self.config.cold_tier {
+        if records.is_empty() {
             return Ok(());
         }
         let seq = self.cold_seq.fetch_add(1, Ordering::Relaxed);

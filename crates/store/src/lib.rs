@@ -26,8 +26,8 @@
 //! Recovery ([`Durability::open`]) is "latest snapshot + WAL replay": the
 //! manifest's bucket files rebuild the folded state, and WAL frames at or
 //! above the manifest's `wal_floor` sequence are re-applied through the
-//! server's normal ingest path, so caches, admission and forensic stamps
-//! stay consistent with a never-crashed server.
+//! server's normal ingest path, so caches and forensic stamps stay
+//! consistent with a never-crashed server.
 
 mod cold;
 mod container;

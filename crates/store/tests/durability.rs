@@ -58,7 +58,6 @@ fn open(dir: &Path) -> (Arc<Durability>, Recovery) {
             enabled: true,
             fsync_interval_micros: 0,
             snapshot_min_wal_bytes: 0,
-            ..DurabilityConfig::default()
         },
         Arc::new(ManualClock::new()),
         zone_of,

@@ -1,9 +1,11 @@
-//! Standing-query investigation: detectives register a watch on a scene
-//! *before* all the footage has arrived; as bystanders upload over the
-//! following hours, matching segments are pushed to the watch mailbox —
-//! no re-querying, no content transfer.
+//! Investigation watch: detectives watch a scene *before* all the
+//! footage has arrived; as bystanders upload over the following hours,
+//! the team re-runs the scene query after each upload wave and is
+//! alerted to segments it has not seen before — no content transfer.
 //!
 //! Run with: `cargo run --release --example investigation_watch`
+
+use std::collections::HashSet;
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
@@ -21,15 +23,14 @@ fn main() {
     let scene = origin.offset(45.0, 150.0);
     let (t0, t1) = (120.0, 300.0);
 
-    // The watch is registered immediately after the incident...
-    let watch = server.subscribe(
-        Query::new(t0, t1, scene, 60.0),
-        QueryOptions {
-            top_n: usize::MAX,
-            ..QueryOptions::default()
-        },
-    );
-    println!("watch registered on the scene; waiting for uploads...\n");
+    // The watch is set up immediately after the incident...
+    let watch = Query::new(t0, t1, scene, 60.0);
+    let every_hit = QueryOptions {
+        top_n: usize::MAX,
+        ..QueryOptions::default()
+    };
+    let mut seen = HashSet::new();
+    println!("watching the scene; waiting for uploads...\n");
 
     // ...and bystander uploads trickle in afterwards.
     let mut alerts = 0;
@@ -52,9 +53,12 @@ fn main() {
             .expect("reps fit the codec range");
         server.ingest_batch(&batch);
 
-        // The investigation team polls after each upload wave.
-        let fresh = server.poll_subscription(watch);
-        for hit in &fresh {
+        // The investigation team re-queries after each upload wave and
+        // is alerted only to footage it has not seen yet.
+        for hit in server.query(&watch, &every_hit) {
+            if !seen.insert(hit.source) {
+                continue;
+            }
             alerts += 1;
             println!(
                 "ALERT: provider {:>2} segment {:>2} covers the scene — t [{:>5.1}, {:>5.1}] s, {:>3.0} m away, quality {:.3}",
@@ -74,6 +78,5 @@ fn main() {
         stats.segments
     );
     println!("only those {alerts} video segments ever need to be fetched.");
-    server.unsubscribe(watch);
     assert!(alerts > 0, "the crowd should have covered the scene");
 }
