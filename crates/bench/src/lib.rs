@@ -2,10 +2,8 @@
 //! builders, timing helpers, statistics and CSV output.
 //!
 //! The `figures` binary (`cargo run --release -p swag-bench --bin figures
-//! -- <id>`) regenerates every figure and table of the paper's evaluation;
-//! the Criterion benches (`cargo bench`) back the timing figures with
-//! statistically robust measurements. See `DESIGN.md` §3 for the
-//! experiment index.
+//! -- <id>`) regenerates every figure and table of the paper's evaluation,
+//! timings included. See `DESIGN.md` §3 for the experiment index.
 
 use std::fs;
 use std::io::Write as _;

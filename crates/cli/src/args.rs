@@ -112,7 +112,7 @@ mod tests {
     use super::*;
 
     const SPEC: Spec = Spec {
-        options: &["seed", "thresh", "radius", "out", "snapshot"],
+        options: &["seed", "thresh", "radius", "out", "data-dir"],
         flags: &["noise"],
     };
 
@@ -137,7 +137,7 @@ mod tests {
         let p = parse(&[]).unwrap();
         assert_eq!(p.get_f64("thresh", 0.5).unwrap(), 0.5);
         assert_eq!(p.get_u64("seed", 42).unwrap(), 42);
-        assert!(p.require("snapshot").is_err());
+        assert!(p.require("data-dir").is_err());
     }
 
     #[test]

@@ -10,12 +10,11 @@ use swag_net::{observe_plan, plan_uploads, Connectivity, DataPlan, NetworkLink, 
 use swag_obs::{Metric, Registry};
 use swag_sensors::{scenarios, SensorNoise};
 use swag_server::{
-    load_snapshot, save_snapshot, CacheConfig, CloudServer, Query, QueryOptions, RankMode,
-    SegmentRef, ServerConfig,
+    CacheConfig, CloudServer, Query, QueryOptions, RankMode, SegmentRef, ServerConfig,
 };
 
 use crate::args::{ArgParser, Spec};
-use crate::{open_reader, open_writer, read_bytes, write_bytes};
+use crate::{open_reader, open_writer};
 
 /// Default camera for CLI operations.
 pub(crate) fn camera() -> CameraProfile {
@@ -126,32 +125,22 @@ fn run_pipeline(
 /// Arguments of `swag ingest`.
 pub const INGEST_ARGS: &[&Spec] = &[
     &Spec {
-        options: &["snapshot", "thresh"],
+        options: &["data-dir", "thresh"],
         flags: &[],
     },
     &PIPELINE_ARGS,
 ];
 
-/// `swag ingest` — segment traces and build/extend a snapshot.
+/// `swag ingest` — segment traces into a durable data directory, created
+/// if it does not exist yet.
 pub fn ingest(args: ArgParser) -> Result<(), String> {
-    let snapshot_path = args.require("snapshot")?;
+    let dir = args.require("data-dir")?;
     let thresh = args.get_f64("thresh", 0.5)?;
     if args.positionals().is_empty() {
         return Err("no trace files given".into());
     }
-
-    // Extend an existing snapshot when present.
-    let server = match read_bytes(snapshot_path) {
-        Ok(bytes) => {
-            let server = load_snapshot(&bytes[..], camera()).map_err(|e| e.to_string())?;
-            eprintln!(
-                "extending snapshot {snapshot_path} ({} segments)",
-                server.stats().segments
-            );
-            server
-        }
-        Err(_) => CloudServer::new(camera()),
-    };
+    let server = CloudServer::open(dir, camera(), ServerConfig::default())
+        .map_err(|e| format!("cannot open data dir '{dir}': {e}"))?;
 
     // Continue provider numbering after existing records.
     let mut next_provider = server
@@ -161,7 +150,7 @@ pub fn ingest(args: ArgParser) -> Result<(), String> {
         .max()
         .unwrap_or(0);
 
-    #[allow(clippy::explicit_counter_loop)] // starts from the snapshot's max id
+    #[allow(clippy::explicit_counter_loop)] // starts from the directory's max id
     for path in args.positionals() {
         let trace = read_trace_csv(open_reader(path)?).map_err(|e| format!("{path}: {e}"))?;
         if trace.is_empty() {
@@ -187,13 +176,8 @@ pub fn ingest(args: ArgParser) -> Result<(), String> {
         next_provider += 1;
     }
 
-    let bytes = save_snapshot(&server).map_err(|e| e.to_string())?;
-    write_bytes(snapshot_path, &bytes)?;
-    eprintln!(
-        "snapshot {snapshot_path}: {} segments, {} bytes",
-        server.stats().segments,
-        bytes.len()
-    );
+    server.quiesce();
+    eprintln!("data dir {dir}: {} live segments", server.stats().segments);
     Ok(())
 }
 
@@ -230,38 +214,23 @@ fn parse_query_args(args: &ArgParser) -> Result<(Query, QueryOptions), String> {
     Ok((q, opts))
 }
 
-/// What [`require_source`] and [`load_server`] read.
+/// What [`open_data_dir`] reads.
 pub(crate) const SOURCE_ARGS: Spec = Spec {
-    options: &["snapshot", "data-dir"],
+    options: &["data-dir"],
     flags: &[],
 };
 
-/// Cheap presence check for the state source a query-style command
-/// reads, run *before* argument parsing so "which file?" errors come
-/// ahead of "which query?" errors (the CLI tests pin this ordering).
-fn require_source(args: &ArgParser) -> Result<(), String> {
-    match (args.get("snapshot"), args.get("data-dir")) {
-        (Some(_), Some(_)) => Err("pass either --snapshot or --data-dir, not both".into()),
-        (None, None) => Err("missing required --snapshot (or --data-dir)".into()),
-        _ => Ok(()),
+/// Opens the durable data directory `dir` a query-style command operates
+/// on, recovering WAL + incremental snapshot + cold tier. Unlike `swag
+/// ingest`, these commands never create one: a mistyped path is an
+/// error, not an empty server.
+pub(crate) fn open_data_dir(dir: &str) -> Result<CloudServer, String> {
+    if !std::path::Path::new(dir).is_dir() {
+        return Err(format!(
+            "no data dir '{dir}' (create one with 'swag ingest')"
+        ));
     }
-}
-
-/// Loads the server a query-style command operates on: a binary
-/// snapshot file (`--snapshot`) or a durable data directory
-/// (`--data-dir`, recovering WAL + incremental snapshot + cold tier).
-pub(crate) fn load_server(args: &ArgParser) -> Result<CloudServer, String> {
-    match (args.get("snapshot"), args.get("data-dir")) {
-        (Some(path), None) => {
-            let bytes = read_bytes(path)?;
-            load_snapshot(&bytes[..], camera()).map_err(|e| e.to_string())
-        }
-        (None, Some(dir)) => {
-            CloudServer::open(dir, camera(), ServerConfig::default()).map_err(|e| e.to_string())
-        }
-        (Some(_), Some(_)) => Err("pass either --snapshot or --data-dir, not both".into()),
-        (None, None) => Err("missing required --snapshot (or --data-dir)".into()),
-    }
+    CloudServer::open(dir, camera(), ServerConfig::default()).map_err(|e| e.to_string())
 }
 
 /// Arguments of `swag explain`.
@@ -275,13 +244,13 @@ pub const EXPLAIN_ARGS: &[&Spec] = &[
 ];
 
 /// `swag explain` — print the typed plan a query would execute against a
-/// snapshot, without running it (against a data dir, the plan includes
-/// cold-run reachability). `--analyze` instead executes the query for
-/// real and annotates every operator with measured time and rows.
+/// data directory, without running it (the plan includes cold-run
+/// reachability). `--analyze` instead executes the query for real and
+/// annotates every operator with measured time and rows.
 pub fn explain(args: ArgParser) -> Result<(), String> {
-    require_source(&args)?;
+    let dir = args.require("data-dir")?;
     let (q, opts) = parse_query_args(&args)?;
-    let server = load_server(&args)?;
+    let server = open_data_dir(dir)?;
     if args.has_flag("analyze") {
         print!("{}", server.query_analyzed(0, &q, &opts).report.render());
     } else {
@@ -300,12 +269,14 @@ pub const QUERY_ARGS: &[&Spec] = &[
     },
 ];
 
-/// `swag query` — answer a spatio-temporal query from a snapshot or a
-/// durable data directory.
+/// `swag query` — answer a spatio-temporal query from a durable data
+/// directory.
 pub fn query(args: ArgParser) -> Result<(), String> {
-    require_source(&args)?;
+    // The directory is required before the query parses, so "which
+    // directory?" errors come first (the CLI tests pin this order).
+    let dir = args.require("data-dir")?;
     let (q, opts) = parse_query_args(&args)?;
-    let server = load_server(&args)?;
+    let server = open_data_dir(dir)?;
 
     if args.has_flag("explain") {
         print!("{}", server.explain(&q, &opts));
@@ -569,7 +540,7 @@ pub fn export(args: ArgParser) -> Result<(), String> {
     let output = args.require("geojson")?;
     let trace = read_trace_csv(open_reader(input)?).map_err(|e| e.to_string())?;
     let json = swag::geojson::trace_to_geojson(&trace);
-    write_bytes(output, json.as_bytes())?;
+    std::fs::write(output, json).map_err(|e| format!("cannot write '{output}': {e}"))?;
     eprintln!("wrote {} frame records as GeoJSON to {output}", trace.len());
     Ok(())
 }

@@ -1,11 +1,10 @@
 //! Durability subcommands: `swag retract` and `swag recover`.
 
 use swag_core::RepFov;
-use swag_server::{save_snapshot, CloudServer, SegmentRef, ServerConfig};
+use swag_server::{CloudServer, SegmentRef, ServerConfig};
 
 use crate::args::{ArgParser, Spec};
-use crate::commands::{camera, load_server, SOURCE_ARGS};
-use crate::write_bytes;
+use crate::commands::{camera, open_data_dir, SOURCE_ARGS};
 
 /// Arguments of `swag retract`.
 pub const RETRACT_ARGS: &[&Spec] = &[
@@ -16,22 +15,18 @@ pub const RETRACT_ARGS: &[&Spec] = &[
     },
 ];
 
-/// `swag retract` — remove a provider's segments from a snapshot file,
-/// or (with `--data-dir`) durably from a data directory: the retraction
-/// is WAL-logged, so it survives a crash without rewriting anything.
+/// `swag retract` — durably remove a provider's segments from a data
+/// directory: the retraction is WAL-logged, so it survives a crash
+/// without rewriting anything, and it hides the provider's demoted rows
+/// in the cold tier too.
 pub fn retract(args: ArgParser) -> Result<(), String> {
     let provider = args.get_u64("provider", u64::MAX)?;
     if provider == u64::MAX {
         return Err("missing required --provider".into());
     }
-    let server = load_server(&args)?;
+    let server = open_data_dir(args.require("data-dir")?)?;
     let removed = server.retract_provider(provider);
-    if let Some(snapshot_path) = args.get("snapshot") {
-        let bytes = save_snapshot(&server).map_err(|e| e.to_string())?;
-        write_bytes(snapshot_path, &bytes)?;
-    } else {
-        server.quiesce();
-    }
+    server.quiesce();
     eprintln!(
         "retracted {removed} segments of provider {provider}; {} remain",
         server.stats().segments

@@ -132,7 +132,6 @@ impl LiveStack {
                 keep_per_mille: cfg.keep_per_mille as u32,
                 slow_micros: cfg.slo_millis * 1_000,
                 seed: cfg.seed,
-                ..EventLogConfig::default()
             },
             ..ServerConfig::default()
         };

@@ -3,24 +3,26 @@
 //! ```text
 //! swag simulate --scenario bike --seed 7 --out ride.csv
 //! swag segment  --in ride.csv --thresh 0.5 --smooth 0.15 --out reps.csv
-//! swag ingest   --snapshot db.swag ride.csv walk.csv
-//! swag query    --snapshot db.swag --lat 40.0 --lng 116.32 \
+//! swag ingest   --data-dir db ride.csv walk.csv
+//! swag query    --data-dir db --lat 40.0 --lng 116.32 \
 //!               --radius 100 --t0 0 --t1 60 --top 10
-//! swag explain  --snapshot db.swag --lat 40.0 --lng 116.32 \
+//! swag explain  --data-dir db --lat 40.0 --lng 116.32 \
 //!               --radius 100 --t0 0 --t1 60
-//! swag retract  --snapshot db.swag --provider 1
+//! swag retract  --data-dir db --provider 1
 //! swag stats    --format prometheus
 //! swag events   --once --slow --out cap.jsonl
 //! swag replay   --from cap.jsonl
 //! ```
 //!
 //! Traces are plain CSV (`t,lat,lng,theta`; see
-//! [`swag_core::trace_io`]), snapshots are the binary format of
-//! [`swag_server::persistence`]. Every subcommand declares the options
-//! and flags it reads ([`args::Spec`]); anything else is an error.
+//! [`swag_core::trace_io`]). Server state lives in a durable data
+//! directory (WAL, incremental snapshots, cold runs; see
+//! [`swag_server::CloudServer::open`]) — the one way it persists. Every
+//! subcommand declares the options and flags it reads ([`args::Spec`]);
+//! anything else is an error.
 
 use std::fs::File;
-use std::io::{BufReader, BufWriter, Read, Write};
+use std::io::{BufReader, BufWriter};
 use std::process::ExitCode;
 
 mod args;
@@ -83,16 +85,16 @@ USAGE:
   swag simulate --scenario <walk|strafe|rotate|drive|bike|city> [--seed N]
                 [--duration SECS] [--noise] [--out FILE]
   swag segment  --in FILE [--thresh T] [--smooth ALPHA] [--out FILE]
-  swag ingest   --snapshot FILE TRACE.csv [TRACE.csv ...]
+  swag ingest   --data-dir DIR TRACE.csv [TRACE.csv ...]
                 [--thresh T] [--smooth ALPHA]
-  swag query    <--snapshot FILE|--data-dir DIR> --lat LAT --lng LNG
+  swag query    --data-dir DIR --lat LAT --lng LNG
                 --radius M --t0 S --t1 S [--top N] [--tolerance DEG]
                 [--no-direction-filter] [--coverage] [--quality]
                 [--explain] [--analyze]
-  swag explain  <--snapshot FILE|--data-dir DIR> --lat LAT --lng LNG
+  swag explain  --data-dir DIR --lat LAT --lng LNG
                 --radius M --t0 S --t1 S [--top N] [--tolerance DEG]
                 [--no-direction-filter] [--coverage] [--quality] [--analyze]
-  swag retract  <--snapshot FILE|--data-dir DIR> --provider ID
+  swag retract  --data-dir DIR --provider ID
   swag recover  --data-dir DIR
   swag stats    [--format <pretty|prometheus|json>] [--seed N] [--queries N]
                 [--threads N] [--shard-width SECS] [--retain SECS] [--cache N]
@@ -105,7 +107,8 @@ USAGE:
   swag replay   --from FILE [--index N] [default: slowest captured event]
   swag help
 
-Traces are CSV: 't,lat,lng,theta'. Snapshots are binary server state.
+Traces are CSV: 't,lat,lng,theta'. Server state lives in a data
+directory ('swag ingest' creates it).
 A slow query: 'swag events --once --slow --out F' lists the slowest,
 stage by stage; 'swag replay --from F' runs the slowest under EXPLAIN
 ANALYZE.";
@@ -122,20 +125,4 @@ fn open_writer(path: &str) -> Result<BufWriter<File>, String> {
     File::create(path)
         .map(BufWriter::new)
         .map_err(|e| format!("cannot create '{path}': {e}"))
-}
-
-/// Reads a whole file into bytes.
-fn read_bytes(path: &str) -> Result<Vec<u8>, String> {
-    let mut buf = Vec::new();
-    File::open(path)
-        .and_then(|mut f| f.read_to_end(&mut buf))
-        .map_err(|e| format!("cannot read '{path}': {e}"))?;
-    Ok(buf)
-}
-
-/// Writes bytes to a file.
-fn write_bytes(path: &str, bytes: &[u8]) -> Result<(), String> {
-    File::create(path)
-        .and_then(|mut f| f.write_all(bytes))
-        .map_err(|e| format!("cannot write '{path}': {e}"))
 }

@@ -97,12 +97,18 @@ fn segment_reports_and_exports_reps() {
     assert!(reps_csv.lines().count() >= 3);
 }
 
+/// A fresh (absent) data directory under the test temp dir.
+fn data_dir(name: &str) -> PathBuf {
+    let dir = tmp(name);
+    let _ = std::fs::remove_dir_all(&dir);
+    dir
+}
+
 #[test]
 fn ingest_query_retract_cycle() {
     let trace_a = tmp("prov-a.csv");
     let trace_b = tmp("prov-b.csv");
-    let snapshot = tmp("db.swag");
-    let _ = std::fs::remove_file(&snapshot);
+    let db = data_dir("db");
     for (path, seed) in [(&trace_a, "7"), (&trace_b, "8")] {
         assert!(swag(&[
             "simulate",
@@ -117,26 +123,30 @@ fn ingest_query_retract_cycle() {
         .success());
     }
 
-    let out = swag(&[
-        "ingest",
-        "--snapshot",
-        snapshot.to_str().unwrap(),
-        trace_a.to_str().unwrap(),
-        trace_b.to_str().unwrap(),
-    ]);
-    assert!(
-        out.status.success(),
-        "{}",
-        String::from_utf8_lossy(&out.stderr)
-    );
-    assert!(snapshot.exists());
+    // Two ingests into one directory: the second reopens it and
+    // continues the provider numbering.
+    for (trace, provider) in [(&trace_a, "0"), (&trace_b, "1")] {
+        let out = swag(&[
+            "ingest",
+            "--data-dir",
+            db.to_str().unwrap(),
+            trace.to_str().unwrap(),
+        ]);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{stderr}");
+        assert!(
+            stderr.contains(&format!("as provider {provider}\n")),
+            "{stderr}"
+        );
+    }
+    assert!(db.join("wal").is_dir());
 
     // Query a spot on the shared route.
     let query = |extra: &[&str]| {
         let mut args = vec![
             "query",
-            "--snapshot",
-            snapshot.to_str().unwrap(),
+            "--data-dir",
+            db.to_str().unwrap(),
             "--lat",
             "40.0005",
             "--lng",
@@ -151,17 +161,18 @@ fn ingest_query_retract_cycle() {
         args.extend_from_slice(extra);
         swag(&args)
     };
-    let out = query(&[]);
+    let out = query(&["--top", "100"]);
     assert!(out.status.success());
     let stdout = String::from_utf8_lossy(&out.stdout).to_string();
     assert!(stdout.contains("hits over"), "{stdout}");
-    assert!(stdout.contains("provider"), "{stdout}");
+    assert!(stdout.contains("provider    0"), "{stdout}");
+    assert!(stdout.contains("provider    1"), "{stdout}");
 
     // Retract provider 0, verify it disappears.
     let out = swag(&[
         "retract",
-        "--snapshot",
-        snapshot.to_str().unwrap(),
+        "--data-dir",
+        db.to_str().unwrap(),
         "--provider",
         "0",
     ]);
@@ -171,6 +182,7 @@ fn ingest_query_retract_cycle() {
         !stdout.contains("provider    0"),
         "provider 0 still visible:\n{stdout}"
     );
+    assert!(stdout.contains("provider    1"), "{stdout}");
 }
 
 #[test]
@@ -207,7 +219,7 @@ fn unknown_options_are_rejected_by_name() {
 fn query_validates_arguments() {
     let out = swag(&[
         "query",
-        "--snapshot",
+        "--data-dir",
         "/nonexistent",
         "--lat",
         "0",
@@ -225,7 +237,18 @@ fn query_validates_arguments() {
 
     let out = swag(&["query", "--lat", "0"]);
     assert!(!out.status.success());
-    assert!(String::from_utf8_lossy(&out.stderr).contains("--snapshot"));
+    assert!(String::from_utf8_lossy(&out.stderr).contains("--data-dir"));
+
+    // Reading commands never create a directory they were not given.
+    let missing = data_dir("never-created");
+    let dir = missing.to_str().unwrap();
+    let valid = [
+        "--lat", "0", "--lng", "0", "--radius", "10", "--t0", "0", "--t1", "1",
+    ];
+    let out = swag(&[&["query", "--data-dir", dir][..], &valid].concat());
+    assert!(!out.status.success());
+    assert!(String::from_utf8_lossy(&out.stderr).contains("no data dir"));
+    assert!(!missing.exists());
 }
 
 #[test]
@@ -299,8 +322,7 @@ fn simplify_reduces_clean_bike_trace_to_corners() {
 #[test]
 fn query_and_explain_analyze_annotate_operators() {
     let trace = tmp("ana.csv");
-    let snapshot = tmp("ana.swag");
-    let _ = std::fs::remove_file(&snapshot);
+    let db = data_dir("ana");
     assert!(swag(&[
         "simulate",
         "--scenario",
@@ -314,8 +336,8 @@ fn query_and_explain_analyze_annotate_operators() {
     .success());
     assert!(swag(&[
         "ingest",
-        "--snapshot",
-        snapshot.to_str().unwrap(),
+        "--data-dir",
+        db.to_str().unwrap(),
         trace.to_str().unwrap()
     ])
     .status
@@ -324,8 +346,8 @@ fn query_and_explain_analyze_annotate_operators() {
     let run = |cmd: &str| {
         let out = swag(&[
             cmd,
-            "--snapshot",
-            snapshot.to_str().unwrap(),
+            "--data-dir",
+            db.to_str().unwrap(),
             "--lat",
             "40.0005",
             "--lng",

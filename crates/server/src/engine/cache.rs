@@ -52,35 +52,24 @@ pub(crate) const CACHE_MAX_BUCKET_SPAN: usize = 64;
 /// interference low without wasting memory at small capacities.
 const CACHE_STRIPES: usize = 16;
 
+/// Results with more hits than this are served but not stored, so a few
+/// `top_n = all` scans cannot crowd out the hot set.
+const CACHE_MAX_HITS: usize = 512;
+
 /// Result-cache tuning, part of
 /// [`ServerConfig`](crate::server::ServerConfig).
-#[derive(Debug, Clone, Copy, PartialEq, Eq)]
+#[derive(Debug, Clone, Copy, PartialEq, Eq, Default)]
 pub struct CacheConfig {
     /// Maximum cached plans. `0` disables the cache entirely (the
     /// default: the cache is opt-in so an uncached server stays
     /// byte-identical to earlier versions).
     pub capacity: usize,
-    /// Results with more hits than this are served but not stored, so a
-    /// few `top_n = all` scans cannot crowd out the hot set.
-    pub max_hits: usize,
-}
-
-impl Default for CacheConfig {
-    fn default() -> Self {
-        CacheConfig {
-            capacity: 0,
-            max_hits: 512,
-        }
-    }
 }
 
 impl CacheConfig {
-    /// A sensible enabled configuration (the CLI and benches use this).
+    /// A cache of `capacity` plans (the CLI and benches use this).
     pub fn enabled(capacity: usize) -> Self {
-        CacheConfig {
-            capacity,
-            ..CacheConfig::default()
-        }
+        CacheConfig { capacity }
     }
 }
 
@@ -126,7 +115,7 @@ pub(crate) enum Insert {
     Stored {
         evicted: bool,
     },
-    /// Result larger than [`CacheConfig::max_hits`]; not stored.
+    /// Result larger than [`CACHE_MAX_HITS`]; not stored.
     TooLarge,
 }
 
@@ -137,7 +126,6 @@ pub(crate) enum Insert {
 pub(crate) struct ResultCache {
     stripes: Box<[Mutex<HashMap<u64, CacheEntry>>]>,
     stripe_cap: usize,
-    max_hits: usize,
     shard_width_s: f64,
     /// Monotonic LRU clock; cheap relaxed increments, exact order is
     /// irrelevant.
@@ -157,7 +145,6 @@ impl ResultCache {
                 .collect::<Vec<_>>()
                 .into_boxed_slice(),
             stripe_cap: cfg.capacity.div_ceil(stripes).max(1),
-            max_hits: cfg.max_hits,
             shard_width_s,
             clock: AtomicU64::new(0),
         })
@@ -256,7 +243,7 @@ impl ResultCache {
         epoch: &Epoch,
         hits: &[SearchHit],
     ) -> Insert {
-        if hits.len() > self.max_hits {
+        if hits.len() > CACHE_MAX_HITS {
             return Insert::TooLarge;
         }
         let range = bucket_range(self.shard_width_s, plan.query.t_start, plan.query.t_end);

@@ -59,7 +59,6 @@ fn all_cold_engine(dir: &std::path::Path, records: &[(RepFov, SegmentRef)]) -> E
         publish_threshold: 7,
         retention_horizon_s: Some(4.0 * WIDTH_S),
         durability: swag_store::DurabilityConfig {
-            enabled: true,
             fsync_interval_micros: 0,
             ..swag_store::DurabilityConfig::default()
         },

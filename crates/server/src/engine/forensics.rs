@@ -41,14 +41,15 @@ pub use super::analyze::{AnalyzeReport, AnalyzedQuery, ColdScanMeasure};
 /// Words per encoded [`QueryEvent`].
 pub const QUERY_EVENT_WORDS: usize = 32;
 
+/// Per-thread ring capacity (recent events, sampled or not).
+const EVENT_RING_CAPACITY: usize = 1024;
+
 /// Event-log tuning, part of [`ServerConfig`](crate::server::ServerConfig).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct EventLogConfig {
     /// Master switch; disabled (the default) the query path pays one
     /// load-and-branch and reads no clock for forensics.
     pub enabled: bool,
-    /// Per-thread ring capacity (recent events, sampled or not).
-    pub capacity: usize,
     /// Bound on the tail-sampled kept log.
     pub kept_capacity: usize,
     /// Fraction (out of 1000) of ordinary events the tail sampler keeps;
@@ -65,7 +66,6 @@ impl Default for EventLogConfig {
     fn default() -> Self {
         EventLogConfig {
             enabled: false,
-            capacity: 1024,
             kept_capacity: 256,
             keep_per_mille: 100,
             slow_micros: 0,
@@ -432,7 +432,7 @@ impl QueryEventLog {
         QueryEventLog {
             log: EventLog::new(
                 QUERY_EVENT_WORDS,
-                cfg.capacity,
+                EVENT_RING_CAPACITY,
                 cfg.kept_capacity,
                 cfg.keep_per_mille,
                 cfg.seed,

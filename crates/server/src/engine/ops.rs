@@ -66,23 +66,33 @@ impl Engine {
     /// the plan's boxes can touch — decided from zone maps, in time and
     /// space, before any I/O — and offers every record inside the boxes
     /// to `top` (carrying [`COLD_HIT_ID`]) in `(bucket, seq)` order,
-    /// returning the records examined. An unreadable run contributes
-    /// nothing and is counted and named by the catalog. Only servers
-    /// holding cold runs get here ([`Engine::has_cold`]).
+    /// returning the records examined. A record whose provider retracted
+    /// after its run was written is skipped. An unreadable run
+    /// contributes nothing and is counted and named by the catalog. Only
+    /// servers holding cold runs get here ([`Engine::has_cold`]).
     pub(crate) fn cold_scan(&self, plan: &QueryPlan, top: &mut TopN<'_>) -> u64 {
+        let Some(durability) = &self.durability else {
+            return 0;
+        };
+        let cold = durability.cold();
+        let runs = cold.probe(|zone| plan.reaches_zone(zone));
+        // Most queries prune every run; they never read the retractions.
+        if runs.is_empty() {
+            return 0;
+        }
+        let retracted = cold.retracted();
         let mut rows_in = 0u64;
-        if let Some(durability) = &self.durability {
-            let cold = durability.cold();
-            for run in cold.probe(|zone| plan.reaches_zone(zone)) {
-                let Ok(records) = cold.records(&run) else {
-                    continue;
-                };
-                for (rep, source) in records.iter() {
-                    if plan.boxes.intersects(&fov_box(rep)) {
-                        top.offer(Tier::Cold, rows_in, COLD_HIT_ID, *rep, *source);
-                    }
-                    rows_in += 1;
+        for run in runs {
+            let Ok(records) = cold.records(&run) else {
+                continue;
+            };
+            for (rep, source) in records.iter() {
+                if plan.boxes.intersects(&fov_box(rep))
+                    && !run.hides(&retracted, source.provider_id)
+                {
+                    top.offer(Tier::Cold, rows_in, COLD_HIT_ID, *rep, *source);
                 }
+                rows_in += 1;
             }
         }
         rows_in

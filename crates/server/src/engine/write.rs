@@ -27,6 +27,9 @@ use super::Engine;
 
 /// Don't bother compacting stores with fewer tombstones than this.
 const COMPACT_DEAD_FLOOR: usize = 32;
+/// Fraction of the store that may be tombstones before a publish
+/// compacts it (re-assigning ids densely and rebuilding the index).
+const COMPACT_DEAD_FRACTION: f64 = 0.25;
 
 /// The rep as a cold run will hand it back: the container stores reps in
 /// the descriptor codec's fixed-point form, so a zone map computed over
@@ -198,7 +201,7 @@ impl Engine {
         // live records densely and rebuild the index. Ids are
         // server-internal; external references use `SegmentRef`.
         if store.dead() >= COMPACT_DEAD_FLOOR
-            && store.dead() as f64 > self.config.compact_dead_fraction * store.total() as f64
+            && store.dead() as f64 > COMPACT_DEAD_FRACTION * store.total() as f64
         {
             let mut fresh = SegmentStore::new();
             let mut items = Vec::with_capacity(store.len());
@@ -301,8 +304,9 @@ impl Engine {
     }
 
     /// Retracts every segment a provider contributed. Returns how many
-    /// segments were removed; the retraction publishes a fresh snapshot
-    /// immediately.
+    /// live segments were removed; on a durable server the provider's
+    /// rows in every cold run written so far are hidden too. The
+    /// retraction publishes a fresh snapshot immediately.
     pub(crate) fn retract_provider(&self, provider_id: u64) -> usize {
         let mut w = self.writer.lock();
         // Fold pending records into the core first: retraction then only
@@ -312,8 +316,11 @@ impl Engine {
         }
         // Logged after the fold (whose snapshot floor must not cover an
         // op its store clone does not reflect) and before the mutation.
+        // Cold rows are hidden by provider, not by bucket, so every
+        // cached result may hold one: nothing cached survives.
+        let hides_cold = self.has_cold();
         if let Some(durability) = &self.durability {
-            let _ = durability.append(&WalOp::Retract { provider_id });
+            let _ = durability.retract(provider_id);
         }
 
         let victims: Vec<(RepFov, SegmentId)> = w
@@ -335,21 +342,25 @@ impl Engine {
                 // Cached results over these windows held the victim.
                 w.bump_span(width, rep.t_start, rep.t_end);
             }
-            let core = Arc::new(SnapshotCore {
+            w.core = Arc::new(SnapshotCore {
                 store,
                 index,
                 published_at_micros: w.core.published_at_micros,
             });
-            w.core = core;
-            *self.epoch.write() = w.make_epoch();
-            // Make the retraction snapshot-durable promptly (it is the
-            // §I privacy path) instead of waiting for the next fold.
-            if let Some(durability) = &self.durability {
-                durability.on_publish(w.core.store.clone(), w.stamp.shard_versions.clone());
-            }
-            if let Some(obs) = &self.obs {
-                obs.publishes.inc();
-            }
+        }
+        if hides_cold {
+            w.stamp.global_gen += 1;
+        } else if removed == 0 {
+            return 0;
+        }
+        *self.epoch.write() = w.make_epoch();
+        // Make the retraction snapshot-durable promptly (it is the §I
+        // privacy path) instead of waiting for the next fold.
+        if let Some(durability) = &self.durability {
+            durability.on_publish(w.core.store.clone(), w.stamp.shard_versions.clone());
+        }
+        if let Some(obs) = &self.obs {
+            obs.publishes.inc();
         }
         removed
     }
@@ -369,7 +380,8 @@ impl Engine {
     }
 
     /// Replaces the (empty) published snapshot with one STR-bulk-loaded
-    /// from `records` (the restore path behind `from_records`).
+    /// from `records` (recovery's snapshot load, and
+    /// `from_records_with_config_exec`).
     pub(crate) fn bootstrap(&self, records: Vec<(RepFov, SegmentRef)>) {
         let mut w = self.writer.lock();
         let mut store = SegmentStore::new();

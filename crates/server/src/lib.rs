@@ -24,7 +24,6 @@
 
 pub mod engine;
 pub mod index;
-pub mod persistence;
 pub mod query;
 pub mod ranking;
 pub mod server;
@@ -39,7 +38,6 @@ pub use engine::forensics::{
 };
 pub use engine::plan::{FilterChain, QueryPlan};
 pub use index::{FovIndex, IndexKind};
-pub use persistence::{load_snapshot, save_snapshot, SnapshotError};
 pub use query::{Query, QueryError, QueryOptions, RankMode};
 pub use ranking::{quality_score, SearchHit};
 pub use server::{CloudServer, ServerConfig, ServerStats};

@@ -57,9 +57,6 @@ pub struct ServerConfig {
     /// `latest t_end − horizon` are expired and fully-expired segments
     /// retired from the store. `None` keeps everything forever.
     pub retention_horizon_s: Option<f64>,
-    /// Fraction of the store that may be tombstones before a publish
-    /// compacts it (re-assigning ids densely and rebuilding the index).
-    pub compact_dead_fraction: f64,
     /// How the engine chooses between the serial and parallel shard
     /// probe per query. [`FanoutMode::Adaptive`] (the default) prices
     /// each plan with the fan-out cost model; `Serial` / `Parallel`
@@ -77,12 +74,12 @@ pub struct ServerConfig {
     /// probabilistically. Applies to every read entry point, one event
     /// per executed plan.
     pub events: EventLogConfig,
-    /// Durable storage (disabled by default — the server is memory-only
-    /// unless opened through [`CloudServer::open`], which switches the
-    /// master switch on): segment WAL on the ingest path, incremental
-    /// snapshots at publish time, and cold-tier demotion of aged-out
-    /// shards. The data directory is the argument to `open`, not part
-    /// of this config. See `DESIGN.md` §15.
+    /// Durable-storage tuning, read only by a server opened on a data
+    /// directory through [`CloudServer::open`] (segment WAL on the ingest
+    /// path, incremental snapshots at publish time, cold-tier demotion of
+    /// aged-out shards); every other server is memory-only. The data
+    /// directory is the argument to `open`, not part of this config. See
+    /// `DESIGN.md` §15.
     pub durability: swag_store::DurabilityConfig,
 }
 
@@ -93,7 +90,6 @@ impl Default for ServerConfig {
             shard_width_s: 600.0,
             publish_threshold: 256,
             retention_horizon_s: None,
-            compact_dead_fraction: 0.25,
             fanout: FanoutMode::Adaptive,
             cache: CacheConfig::default(),
             events: EventLogConfig::default(),
@@ -230,7 +226,7 @@ impl CloudServer {
     /// snapshots incrementally at publish time, and demotes aged-out
     /// shards to cold runs instead of dropping them.
     ///
-    /// `config.durability.enabled` is forced on — passing a data
+    /// This is the one way server state persists: passing a data
     /// directory *is* the opt-in. For a memory-only server use
     /// [`Self::new`] / [`Self::with_config`].
     pub fn open(
@@ -246,10 +242,9 @@ impl CloudServer {
     pub fn open_with_clock(
         dir: impl AsRef<std::path::Path>,
         cam: CameraProfile,
-        mut config: ServerConfig,
+        config: ServerConfig,
         clock: Arc<dyn MonotonicClock>,
     ) -> Result<Self, swag_store::StoreError> {
-        config.durability.enabled = true;
         let (durability, recovery) = swag_store::Durability::open(
             dir.as_ref(),
             config.shard_width_s,
@@ -261,6 +256,7 @@ impl CloudServer {
         // Replay happens with durability detached: recovered state is
         // already durable, so re-appending it to the WAL (or re-demoting
         // shards an already-recovered cold run holds) would duplicate it.
+        // `Durability::open` already hid retracted providers' cold rows.
         if !recovery.records.is_empty() {
             server.engine.bootstrap(recovery.records);
         }
@@ -269,7 +265,7 @@ impl CloudServer {
                 swag_store::WalOp::Append { rep, source } => {
                     server.engine.ingest_one(rep, source);
                 }
-                swag_store::WalOp::Retract { provider_id } => {
+                swag_store::WalOp::Retract { provider_id, .. } => {
                     server.engine.retract_provider(provider_id);
                 }
                 swag_store::WalOp::Expire { horizon_s } => {
@@ -435,9 +431,11 @@ impl CloudServer {
 
     /// Retracts every segment a provider contributed (the §I privacy
     /// concern: contributors stay in control of their descriptors).
-    /// Returns how many segments were removed. The retraction publishes a
-    /// fresh snapshot immediately — it does not wait for the next
-    /// threshold-driven publish.
+    /// Returns how many live segments were removed; on a durable server
+    /// the provider's demoted rows are hidden from every cold run written
+    /// so far as well (rows uploaded afterwards stay servable). The
+    /// retraction publishes a fresh snapshot immediately — it does not
+    /// wait for the next threshold-driven publish.
     pub fn retract_provider(&self, provider_id: u64) -> usize {
         self.engine.retract_provider(provider_id)
     }
@@ -451,29 +449,15 @@ impl CloudServer {
         self.engine.expire_before(horizon_s)
     }
 
-    /// Exports every stored record, pending delta included (for
-    /// snapshotting; see [`crate::persistence`]).
+    /// Exports every live record, pending delta included (demoted cold
+    /// rows are not live).
     pub fn export_records(&self) -> Vec<SegmentRecord> {
         self.engine.export_records()
     }
 
-    /// Rebuilds a server from records, STR-bulk-loading the sharded index.
-    pub fn from_records(cam: CameraProfile, records: Vec<(RepFov, SegmentRef)>) -> Self {
-        Self::from_records_with_config(cam, ServerConfig::default(), records)
-    }
-
-    /// [`Self::from_records`] with explicit snapshot/retention tuning.
-    pub fn from_records_with_config(
-        cam: CameraProfile,
-        config: ServerConfig,
-        records: Vec<(RepFov, SegmentRef)>,
-    ) -> Self {
-        Self::from_records_with_config_exec(cam, config, Executor::global().clone(), records)
-    }
-
-    /// [`Self::from_records_with_config`] on an explicit executor: the
-    /// STR bulk load runs on `exec` (parallel slab packing when it has
-    /// threads), and the server keeps `exec` for query fan-out afterwards.
+    /// Builds a memory-only server holding `records`, STR-bulk-loading
+    /// the sharded index on `exec` (parallel slab packing when it has
+    /// threads); the server keeps `exec` for query fan-out afterwards.
     pub fn from_records_with_config_exec(
         cam: CameraProfile,
         config: ServerConfig,

@@ -1,6 +1,7 @@
 //! End-to-end durability tests: WAL replay, crash recovery at arbitrary
-//! truncation points, durable retraction, cold-tier demotion, and the
-//! query/analyze equivalence with a cold tier attached (ISSUE 10).
+//! truncation points, durable retraction (of live and demoted rows),
+//! cold-tier demotion, and the query/analyze equivalence with a cold tier
+//! attached.
 
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -9,8 +10,8 @@ use proptest::prelude::*;
 use swag_core::{CameraProfile, Fov, RepFov};
 use swag_geo::LatLon;
 use swag_server::{
-    result_digest, CloudServer, DurabilityConfig, Query, QueryOptions, SegmentId, SegmentRef,
-    ServerConfig,
+    result_digest, CacheConfig, CloudServer, DurabilityConfig, Query, QueryOptions, SegmentId,
+    SegmentRef, ServerConfig,
 };
 
 fn base() -> LatLon {
@@ -75,7 +76,6 @@ fn durable_config(publish_threshold: usize) -> ServerConfig {
             // Snapshot on every publish; these workloads are far below
             // the production byte gate.
             snapshot_min_wal_bytes: 0,
-            ..DurabilityConfig::default()
         },
         ..ServerConfig::default()
     }
@@ -168,6 +168,81 @@ fn retraction_is_durable() {
     let hits = recovered.query(&Query::new(0.0, 1e9, base(), 5_000.0), &wide_opts());
     assert!(hits.iter().all(|h| h.source.provider_id != 3));
     std::fs::remove_dir_all(&dir).ok();
+}
+
+/// The providers a wide query over `[t0, t1]` returns, deduplicated.
+fn providers_in(server: &CloudServer, t0: f64, t1: f64) -> Vec<u64> {
+    let hits = server.query(&Query::new(t0, t1, base(), 5_000.0), &wide_opts());
+    let mut providers: Vec<u64> = hits.iter().map(|h| h.source.provider_id).collect();
+    providers.sort_unstable();
+    providers.dedup();
+    providers
+}
+
+/// Retraction reaches the cold tier (§I: a contributor stays in control
+/// of their descriptors). Provider 7's old footage is demoted, then 7
+/// retracts: its cold rows vanish — from a cached answer too — and stay
+/// gone after a reopen, whether a snapshot (the manifest) or only the
+/// WAL recorded the retraction. Footage 7 uploads after retracting is
+/// served, also once it is demoted in turn.
+#[test]
+fn retraction_hides_demoted_rows() {
+    // 0: every publish snapshots, so the manifest carries the retraction.
+    // u64::MAX: nothing ever snapshots; the server is dropped with the
+    // retraction in the WAL alone.
+    for snapshot_min_wal_bytes in [0, u64::MAX] {
+        let dir = tmp_dir();
+        let mut config = durable_config(4);
+        config.durability.snapshot_min_wal_bytes = snapshot_min_wal_bytes;
+        config.cache = CacheConfig::enabled(64);
+        let at = |i: u64, t: f64, provider_id: u64| {
+            let (mut rep, mut source) = rec(i, 1.0);
+            rep.t_start = t;
+            rep.t_end = t + 4.0;
+            source.provider_id = provider_id;
+            (rep, source)
+        };
+        {
+            let server = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
+            // Bucket 0 (width 600 s): providers 7 and 8; bucket 2: 8.
+            for i in 0..10 {
+                let (rep, source) = at(i, i as f64 * 4.0, 7 + i % 2);
+                server.ingest_one(rep, source);
+            }
+            for i in 10..14 {
+                let (rep, source) = at(i, 1_300.0 + i as f64, 8);
+                server.ingest_one(rep, source);
+            }
+            assert_eq!(server.expire_before(700.0), 10);
+            // Answered from the cold run, and cached.
+            assert_eq!(providers_in(&server, 0.0, 100.0), [7, 8]);
+            assert_eq!(server.retract_provider(7), 0, "nothing of 7 is live");
+            assert_eq!(providers_in(&server, 0.0, 100.0), [8]);
+
+            // 7 uploads again, and that footage ages out too.
+            for i in 14..18 {
+                let (rep, source) = at(i, 1_900.0 + i as f64, 7);
+                server.ingest_one(rep, source);
+            }
+            assert_eq!(providers_in(&server, 1_800.0, 2_000.0), [7]);
+            assert_eq!(server.expire_before(2_400.0), 8);
+            assert!(server.durability_stats().unwrap().cold_runs >= 3);
+            assert_eq!(providers_in(&server, 1_800.0, 2_000.0), [7]);
+            assert_eq!(providers_in(&server, 0.0, 100.0), [8]);
+        }
+        let manifest = std::fs::read_to_string(dir.join("snapshots/MANIFEST")).unwrap_or_default();
+        assert_eq!(
+            manifest.contains("\nretracted 7 1\n"),
+            snapshot_min_wal_bytes == 0,
+            "{manifest}"
+        );
+        let reopened = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
+        assert_eq!(providers_in(&reopened, 0.0, 100.0), [8]);
+        assert_eq!(providers_in(&reopened, 1_800.0, 2_000.0), [7]);
+        assert_eq!(providers_in(&reopened, 0.0, 1e9), [7, 8]);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
 }
 
 #[test]
@@ -325,7 +400,7 @@ fn runs_without_a_trustworthy_zone_map_still_load_and_answer() {
     // One run back in the layout the previous release wrote: 8-byte
     // header, no zone map.
     let raw = std::fs::read(&files[0]).unwrap();
-    let records = swag_store::decode_container(&raw[..]).unwrap().records;
+    let records = swag_store::decode_container(&raw).unwrap();
     std::fs::write(
         &files[0],
         swag_store::encode_records(&records, None).unwrap(),
@@ -357,9 +432,8 @@ fn corrupt_cold_run_is_typed_counted_and_named() {
     let before = server_with_cold_history(&dir).query(&everything, &wide_opts());
     assert_eq!(before.len(), 50);
     let files = cold_files(&dir);
-    let lost = swag_store::decode_container(&std::fs::read(&files[0]).unwrap()[..])
+    let lost = swag_store::decode_container(&std::fs::read(&files[0]).unwrap())
         .unwrap()
-        .records
         .len();
     std::fs::write(&files[0], b"garbage").unwrap();
 

@@ -1,12 +1,17 @@
 //! Property tests for the server: index candidates against brute force,
-//! ranking invariants, sharded vs flat agreement, snapshot round trips.
+//! ranking invariants, sharded vs flat agreement, data-directory round
+//! trips. (Decoder robustness against arbitrary and corrupted bytes is
+//! `swag-store`'s `container.rs` proptests: recovery parses every file
+//! through `decode_container`.)
+
+use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
 use swag_core::{CameraProfile, Fov, RepFov};
 use swag_geo::{LatLon, METERS_PER_DEG};
 use swag_server::{
-    load_snapshot, save_snapshot, CloudServer, FovIndex, IndexKind, Query, QueryOptions, RankMode,
-    SegmentId, SegmentRef, ShardedFovIndex,
+    CloudServer, DurabilityConfig, FovIndex, IndexKind, Query, QueryOptions, RankMode, SegmentId,
+    SegmentRef, ServerConfig, ShardedFovIndex,
 };
 
 fn base() -> LatLon {
@@ -133,7 +138,24 @@ proptest! {
 
     #[test]
     fn snapshot_round_trip_any_store(reps in prop::collection::vec(arb_rep(), 0..100)) {
-        let server = CloudServer::new(CameraProfile::smartphone());
+        static N: AtomicU64 = AtomicU64::new(0);
+        let dir = std::env::temp_dir().join(format!(
+            "swag-props-{}-{}",
+            std::process::id(),
+            N.fetch_add(1, Ordering::Relaxed)
+        ));
+        // Folds every 16 records and snapshots every fold: reopening
+        // loads bucket files and replays the WAL tail past them.
+        let config = ServerConfig {
+            publish_threshold: 16,
+            durability: DurabilityConfig {
+                snapshot_min_wal_bytes: 0,
+                ..DurabilityConfig::default()
+            },
+            ..ServerConfig::default()
+        };
+        let cam = CameraProfile::smartphone();
+        let server = CloudServer::open(&dir, cam, config).unwrap();
         for (i, rep) in reps.iter().enumerate() {
             server.ingest_one(*rep, SegmentRef {
                 provider_id: i as u64 % 5,
@@ -141,7 +163,8 @@ proptest! {
                 segment_idx: 0,
             });
         }
-        let restored = load_snapshot(save_snapshot(&server).unwrap(), CameraProfile::smartphone()).unwrap();
+        server.quiesce();
+        let restored = CloudServer::open(&dir, cam, config).unwrap();
         prop_assert_eq!(restored.stats().segments, reps.len());
         // Spot-check with a broad query.
         let q = Query::new(0.0, 7200.0, base(), 5000.0);
@@ -150,33 +173,14 @@ proptest! {
             direction_filter: false,
             ..QueryOptions::default()
         };
-        prop_assert_eq!(server.query(&q, &opts).len(), restored.query(&q, &opts).len());
-    }
-
-    #[test]
-    fn snapshot_loader_never_panics_on_arbitrary_bytes(
-        bytes in prop::collection::vec(any::<u8>(), 0..600),
-    ) {
-        let _ = load_snapshot(&bytes[..], CameraProfile::smartphone());
-    }
-
-    #[test]
-    fn corrupted_snapshots_error_not_panic(reps in prop::collection::vec(arb_rep(), 1..20), flips in prop::collection::vec((any::<prop::sample::Index>(), any::<u8>()), 1..8)) {
-        let server = CloudServer::new(CameraProfile::smartphone());
-        for (i, rep) in reps.iter().enumerate() {
-            server.ingest_one(*rep, SegmentRef {
-                provider_id: i as u64,
-                video_id: 0,
-                segment_idx: 0,
-            });
-        }
-        let mut raw = save_snapshot(&server).unwrap().to_vec();
-        for (idx, val) in flips {
-            let i = idx.index(raw.len());
-            raw[i] ^= val;
-        }
-        // Either loads (flips may be benign) or errors — never panics.
-        let _ = load_snapshot(&raw[..], CameraProfile::smartphone());
+        let sources = |s: &CloudServer| {
+            let mut v: Vec<_> = s.query(&q, &opts).iter().map(|h| h.source).collect();
+            v.sort_by_key(|s| (s.provider_id, s.video_id));
+            v
+        };
+        prop_assert_eq!(sources(&server), sources(&restored));
+        drop((server, restored));
+        std::fs::remove_dir_all(&dir).ok();
     }
 
     #[test]

@@ -9,7 +9,7 @@ use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_geo::LatLon;
 use swag_obs::{MonotonicClock, Registry};
 use swag_server::{
-    persistence, CloudServer, IndexKind, Query, QueryOptions, RankMode, SearchHit, SegmentRef,
+    CloudServer, DurabilityConfig, IndexKind, Query, QueryOptions, RankMode, SearchHit, SegmentRef,
     ServerConfig,
 };
 
@@ -161,15 +161,24 @@ fn retraction_removes_published_and_pending_records() {
 
 #[test]
 fn retraction_survives_snapshots() {
-    let server = CloudServer::new(CameraProfile::smartphone());
+    let dir = std::env::temp_dir().join(format!("swag-facade-retract-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    // Snapshot on every publish: the retraction's own publish writes the
+    // bucket files reopening loads, and retires the WAL that logged it.
+    let config = ServerConfig {
+        durability: DurabilityConfig {
+            snapshot_min_wal_bytes: 0,
+            ..DurabilityConfig::default()
+        },
+        ..ServerConfig::default()
+    };
+    let server = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
     server.ingest_batch(&batch(1, 4));
     server.ingest_batch(&batch(2, 4));
     server.retract_provider(1);
-    let restored = persistence::load_snapshot(
-        persistence::save_snapshot(&server).unwrap(),
-        CameraProfile::smartphone(),
-    )
-    .unwrap();
+    server.quiesce();
+    drop(server);
+    let restored = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
     assert_eq!(restored.stats().segments, 4);
     let q = Query::new(0.0, 100.0, center(), 200.0);
     let opts = QueryOptions {
@@ -181,6 +190,8 @@ fn retraction_survives_snapshots() {
         .query(&q, &opts)
         .iter()
         .all(|h| h.source.provider_id == 2));
+    drop(restored);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]

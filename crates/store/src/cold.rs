@@ -16,8 +16,13 @@
 //! in a byte-budgeted LRU ([`RESIDENT_BUDGET_BYTES`]); a run that cannot
 //! be read is a typed [`StoreError`], a counter and a name in `swag
 //! explain`, never an empty result that looks like a miss.
+//!
+//! Runs are immutable, so retraction (§I: contributors stay in control of
+//! their descriptors) cannot delete a provider's demoted rows. The
+//! catalog keeps the [`Retracted`] providers instead, and `cold_scan`
+//! skips a row whose provider was retracted after its run was written.
 
-use std::collections::HashMap;
+use std::collections::{BTreeMap, HashMap};
 use std::io::Read;
 use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
@@ -26,7 +31,7 @@ use std::sync::{Arc, OnceLock};
 use parking_lot::{Mutex, RwLock};
 use swag_core::RepFov;
 
-use crate::container::{decode_container_bytes, decode_header, Zone, HEADER_PREFIX_LEN};
+use crate::container::{decode_container, decode_header, Zone, HEADER_PREFIX_LEN};
 use crate::durability::StoreError;
 use crate::segment::SegmentRef;
 
@@ -37,6 +42,11 @@ pub(crate) const RESIDENT_BUDGET_BYTES: usize = 8 << 20;
 /// A run's decoded records, shared so eviction never invalidates a scan
 /// in flight.
 pub type ColdRecords = Arc<Vec<(RepFov, SegmentRef)>>;
+
+/// Retracted providers, each with the cold-run sequence current when it
+/// was retracted: runs numbered below it hide the provider's rows, later
+/// runs — rows the provider uploaded after retracting — do not.
+pub type Retracted = BTreeMap<u64, u64>;
 
 /// One immutable cold run: an expired bucket's records on disk.
 #[derive(Debug)]
@@ -65,6 +75,13 @@ impl ColdRun {
         self.error.get()
     }
 
+    /// Whether `provider_id`'s rows in this run are retracted.
+    pub fn hides(&self, retracted: &Retracted, provider_id: u64) -> bool {
+        retracted
+            .get(&provider_id)
+            .is_some_and(|&cold_seq| self.seq < cold_seq)
+    }
+
     /// Reads and verifies the whole run.
     fn read(&self) -> Result<Vec<(RepFov, SegmentRef)>, StoreError> {
         let raw = std::fs::read(&self.path).map_err(|e| io_error(&self.path, e))?;
@@ -86,9 +103,7 @@ fn io_error(path: &Path, e: std::io::Error) -> StoreError {
 }
 
 fn decode_run(path: &Path, raw: &[u8]) -> Result<Vec<(RepFov, SegmentRef)>, StoreError> {
-    decode_container_bytes(raw)
-        .map(|c| c.records)
-        .map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
+    decode_container(raw).map_err(|e| StoreError::Corrupt(format!("{}: {e}", path.display())))
 }
 
 /// A run's record count and zone as [`ColdCatalog::load`] learns them:
@@ -211,6 +226,8 @@ impl Resident {
 #[derive(Debug)]
 pub struct ColdCatalog {
     index: RwLock<Index>,
+    /// Replaced whole on each retraction, so a scan reads one snapshot.
+    retracted: RwLock<Arc<Retracted>>,
     resident: Mutex<Resident>,
     budget: usize,
     pruned: AtomicU64,
@@ -264,6 +281,7 @@ impl ColdCatalog {
         }
         let catalog = ColdCatalog {
             index: RwLock::new(index),
+            retracted: RwLock::default(),
             resident: Mutex::default(),
             budget,
             pruned: AtomicU64::new(0),
@@ -282,6 +300,25 @@ impl ColdCatalog {
             path,
             error: OnceLock::new(),
         });
+    }
+
+    /// Hides `provider_id`'s rows in every run numbered below `cold_seq`.
+    /// A later retraction of the same provider only widens what is
+    /// hidden; `cold_seq` 0 hides nothing and records nothing.
+    pub(crate) fn retract(&self, provider_id: u64, cold_seq: u64) {
+        if cold_seq == 0 {
+            return;
+        }
+        let mut retracted = self.retracted.write();
+        let below = Arc::make_mut(&mut retracted)
+            .entry(provider_id)
+            .or_default();
+        *below = (*below).max(cold_seq);
+    }
+
+    /// The retracted providers as of now (see [`ColdRun::hides`]).
+    pub fn retracted(&self) -> Arc<Retracted> {
+        Arc::clone(&self.retracted.read())
     }
 
     /// The readable runs whose zone `overlaps` accepts, in `(bucket,

@@ -1,18 +1,13 @@
 //! Versioned snapshot container for `(RepFov, SegmentRef)` record streams.
 //!
-//! Two formats share the magic and version byte:
+//! Layout (version 2, the only one): `magic u32 | version u8 |
+//! header_len u16 | header (count u64, …) | records… | crc32 u32`. The
+//! header is self-describing — `header_len` counts the bytes between it
+//! and the first record, so future versions can append header fields
+//! without breaking old readers — and the crc32 footer covers everything
+//! before it. Any other version byte is [`SnapshotError::BadVersion`].
 //!
-//! * **v1** (legacy, still readable): `magic u32 | version u8 | count u32 |
-//!   records…` — the original whole-server snapshot written by
-//!   `swag-server`'s `save_snapshot` before the durability refactor.
-//! * **v2** (current): `magic u32 | version u8 | header_len u16 |
-//!   header (count u64, …) | records… | crc32 u32`. The header is
-//!   self-describing — `header_len` counts the bytes between it and the
-//!   first record, so future versions can append header fields without
-//!   breaking old readers, the count is 64-bit (v1 silently truncated
-//!   `len as u32`), and the crc32 footer covers everything before it.
-//!
-//! The v2 header has one optional extension, used by cold runs: `count
+//! The header has one optional extension, used by cold runs: `count
 //! u64 | zone 6×f64 | header_crc u32`, where the [`Zone`] is the 3-D MBR
 //! of the records. A writer that supplies no zone emits the plain 8-byte
 //! header, and readers that predate the zone skip it through
@@ -33,13 +28,13 @@ use crate::segment::SegmentRef;
 
 /// Container magic: "SWAG".
 pub const MAGIC: u32 = 0x5357_4147;
-/// Current container version.
+/// The container version this crate writes and reads.
 pub const CONTAINER_VERSION: u8 = 2;
 /// Per-record [`SegmentRef`] framing on top of the descriptor codec.
 pub const REF_SIZE: usize = 8 + 8 + 4;
-/// Shortest v2 header payload: `count u64`.
+/// Shortest header payload: `count u64`.
 const HEADER_LEN_V2: usize = 8;
-/// v2 header payload with a zone map: `count u64 | zone 6×f64 |
+/// Header payload with a zone map: `count u64 | zone 6×f64 |
 /// header_crc u32`.
 const HEADER_LEN_ZONED: usize = HEADER_LEN_V2 + 6 * 8 + 4;
 /// Bytes from the start of a file that [`decode_header`] needs at most.
@@ -64,8 +59,6 @@ pub enum SnapshotError {
     BadRecord(CodecError),
     /// More records than the container's count field can carry.
     TooManyRecords(usize),
-    /// The buffer held this many bytes past the end of the container.
-    TrailingBytes(usize),
     /// A header zone with a NaN bound or `min > max`.
     BadZone,
     /// A crc32 (footer, or the zoned header's own) did not match the
@@ -88,9 +81,6 @@ impl std::fmt::Display for SnapshotError {
             SnapshotError::TooManyRecords(n) => {
                 write!(f, "{n} records exceed the container count field")
             }
-            SnapshotError::TrailingBytes(n) => {
-                write!(f, "{n} trailing bytes after snapshot container")
-            }
             SnapshotError::BadZone => write!(f, "malformed header zone"),
             SnapshotError::BadCrc { expected, found } => {
                 write!(
@@ -104,18 +94,6 @@ impl std::fmt::Display for SnapshotError {
 
 impl std::error::Error for SnapshotError {}
 
-/// A decoded container: which format it was, its records, and how many
-/// bytes trailed the container (callers decide whether that is an error).
-#[derive(Debug, Clone)]
-pub struct DecodedContainer {
-    /// Format version the bytes were in (1 or 2).
-    pub version: u8,
-    /// The record stream.
-    pub records: Vec<(RepFov, SegmentRef)>,
-    /// Bytes remaining after the container — zero for a well-framed file.
-    pub trailing: usize,
-}
-
 fn put_record(buf: &mut BytesMut, rep: &RepFov, source: &SegmentRef) -> Result<(), SnapshotError> {
     buf.put_u64_le(source.provider_id);
     buf.put_u64_le(source.video_id);
@@ -123,7 +101,7 @@ fn put_record(buf: &mut BytesMut, rep: &RepFov, source: &SegmentRef) -> Result<(
     DescriptorCodec::encode_rep(rep, buf).map_err(SnapshotError::BadRecord)
 }
 
-/// Encodes records into the current (v2) container, with the zoned
+/// Encodes records into a container, with the zoned
 /// header when `zone` is given and the plain 8-byte header otherwise.
 pub fn encode_records(
     records: &[(RepFov, SegmentRef)],
@@ -159,26 +137,6 @@ pub fn encode_records(
     Ok(buf.freeze())
 }
 
-/// Encodes records in the legacy v1 layout (no crc, 32-bit count).
-///
-/// Kept for compatibility tests and external tooling that still speaks
-/// v1; unlike the original implementation the count conversion is
-/// checked instead of silently truncating.
-pub fn encode_records_v1(records: &[(RepFov, SegmentRef)]) -> Result<Bytes, SnapshotError> {
-    let count =
-        u32::try_from(records.len()).map_err(|_| SnapshotError::TooManyRecords(records.len()))?;
-    let mut buf = BytesMut::with_capacity(
-        4 + 1 + 4 + records.len() * (REF_SIZE + DescriptorCodec::RECORD_SIZE),
-    );
-    buf.put_u32_le(MAGIC);
-    buf.put_u8(1);
-    buf.put_u32_le(count);
-    for (rep, source) in records {
-        put_record(&mut buf, rep, source)?;
-    }
-    Ok(buf.freeze())
-}
-
 fn decode_record(buf: &mut &[u8]) -> Result<(RepFov, SegmentRef), SnapshotError> {
     let source = SegmentRef {
         provider_id: buf.get_u64_le(),
@@ -189,20 +147,9 @@ fn decode_record(buf: &mut &[u8]) -> Result<(RepFov, SegmentRef), SnapshotError>
     Ok((rep, source))
 }
 
-/// Decodes a v1 or v2 container, tolerating (but counting) trailing bytes
-/// so the stream can be embedded in larger framed files. Strict callers
-/// map `trailing > 0` to [`SnapshotError::TrailingBytes`].
-pub fn decode_container(mut input: impl Buf) -> Result<DecodedContainer, SnapshotError> {
-    let mut raw = vec![0u8; input.remaining()];
-    input.copy_to_slice(&mut raw);
-    decode_container_bytes(&raw)
-}
-
 /// What a container says about itself before its first record.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub(crate) struct ContainerHeader {
-    /// Format version (1 or 2).
-    pub(crate) version: u8,
     /// Records the container declares.
     pub(crate) count: u64,
     /// The records' zone map, when the writer supplied one.
@@ -222,37 +169,27 @@ fn read_prelude(raw: &[u8]) -> Result<ContainerHeader, SnapshotError> {
         return Err(SnapshotError::BadMagic(magic));
     }
     let version = buf.get_u8();
-    let (count, body_offset) = match version {
-        1 => {
-            if buf.remaining() < 4 {
-                return Err(SnapshotError::Truncated);
-            }
-            (u64::from(buf.get_u32_le()), 4 + 1 + 4)
-        }
-        2 => {
-            if buf.remaining() < 2 + HEADER_LEN_V2 {
-                return Err(SnapshotError::Truncated);
-            }
-            let header_len = buf.get_u16_le() as usize;
-            if header_len < HEADER_LEN_V2 {
-                return Err(SnapshotError::Truncated);
-            }
-            (buf.get_u64_le(), 4 + 1 + 2 + header_len)
-        }
-        v => return Err(SnapshotError::BadVersion(v)),
-    };
+    if version != CONTAINER_VERSION {
+        return Err(SnapshotError::BadVersion(version));
+    }
+    if buf.remaining() < 2 + HEADER_LEN_V2 {
+        return Err(SnapshotError::Truncated);
+    }
+    let header_len = buf.get_u16_le() as usize;
+    if header_len < HEADER_LEN_V2 {
+        return Err(SnapshotError::Truncated);
+    }
     Ok(ContainerHeader {
-        version,
-        count,
+        count: buf.get_u64_le(),
         zone: None,
-        body_offset,
+        body_offset: 4 + 1 + 2 + header_len,
     })
 }
 
 /// Decodes a container's header from the first [`HEADER_PREFIX_LEN`]
 /// bytes of a file (fewer if the file is shorter), without touching the
-/// records. A zoned header is checked against its own crc; v1 and plain
-/// v2 headers carry no zone and nothing to check it with.
+/// records. A zoned header is checked against its own crc; a plain
+/// header carries no zone and nothing to check it with.
 pub(crate) fn decode_header(prefix: &[u8]) -> Result<ContainerHeader, SnapshotError> {
     let mut header = read_prelude(prefix)?;
     if header.body_offset < 4 + 1 + 2 + HEADER_LEN_ZONED {
@@ -276,17 +213,18 @@ pub(crate) fn decode_header(prefix: &[u8]) -> Result<ContainerHeader, SnapshotEr
     Ok(header)
 }
 
-pub(crate) fn decode_container_bytes(raw: &[u8]) -> Result<DecodedContainer, SnapshotError> {
+/// Decodes a container's records. Bytes past its footer are ignored.
+/// Never panics: any malformed input is a [`SnapshotError`].
+pub fn decode_container(raw: &[u8]) -> Result<Vec<(RepFov, SegmentRef)>, SnapshotError> {
     let record_size = REF_SIZE + DescriptorCodec::RECORD_SIZE;
     let header = read_prelude(raw)?;
     let count =
         usize::try_from(header.count).map_err(|_| SnapshotError::TooManyRecords(usize::MAX))?;
-    // v2 ends in a crc32 footer over everything before it (the header,
-    // zoned or not, included).
-    let footer = if header.version == 2 { 4 } else { 0 };
+    // The crc32 footer covers everything before it (the header, zoned or
+    // not, included).
     let body = count
         .checked_mul(record_size)
-        .and_then(|body| body.checked_add(header.body_offset + footer))
+        .and_then(|body| body.checked_add(header.body_offset + 4))
         .ok_or(SnapshotError::Truncated)?;
     if raw.len() < body {
         return Err(SnapshotError::Truncated);
@@ -296,24 +234,19 @@ pub(crate) fn decode_container_bytes(raw: &[u8]) -> Result<DecodedContainer, Sna
     for _ in 0..count {
         records.push(decode_record(&mut buf)?);
     }
-    if header.version == 2 {
-        let crc_offset = raw.len() - buf.remaining();
-        let expected = buf.get_u32_le();
-        let found = crc32(&raw[..crc_offset]);
-        if expected != found {
-            return Err(SnapshotError::BadCrc { expected, found });
-        }
+    let crc_offset = raw.len() - buf.remaining();
+    let expected = buf.get_u32_le();
+    let found = crc32(&raw[..crc_offset]);
+    if expected != found {
+        return Err(SnapshotError::BadCrc { expected, found });
     }
-    Ok(DecodedContainer {
-        version: header.version,
-        records,
-        trailing: buf.remaining(),
-    })
+    Ok(records)
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
+    use proptest::prelude::*;
     use swag_core::Fov;
     use swag_geo::LatLon;
 
@@ -334,50 +267,32 @@ mod tests {
     }
 
     #[test]
-    fn v2_round_trips_and_is_framed() {
+    fn round_trips_and_is_framed() {
         let recs = records(37);
         let bytes = encode_records(&recs, None).unwrap();
-        let out = decode_container(bytes).unwrap();
-        assert_eq!(out.version, 2);
-        assert_eq!(out.trailing, 0);
-        assert_eq!(out.records.len(), 37);
-        for ((a_rep, a_src), (b_rep, b_src)) in recs.iter().zip(&out.records) {
+        assert_eq!(bytes[4], CONTAINER_VERSION);
+        let out = decode_container(&bytes).unwrap();
+        assert_eq!(out.len(), 37);
+        for ((a_rep, a_src), (b_rep, b_src)) in recs.iter().zip(&out) {
             assert_eq!(a_src, b_src);
             assert!((a_rep.t_start - b_rep.t_start).abs() < 1e-6);
         }
     }
 
     #[test]
-    fn v1_still_decodes() {
-        let recs = records(5);
-        let bytes = encode_records_v1(&recs).unwrap();
-        let out = decode_container(bytes).unwrap();
-        assert_eq!(out.version, 1);
-        assert_eq!(out.records.len(), 5);
-        assert_eq!(out.trailing, 0);
-    }
-
-    #[test]
-    fn trailing_bytes_are_counted_not_fatal() {
+    fn trailing_bytes_are_ignored() {
         let recs = records(3);
-        for encoded in [
-            encode_records(&recs, None).unwrap(),
-            encode_records_v1(&recs).unwrap(),
-        ] {
-            let mut padded = encoded.to_vec();
-            padded.extend_from_slice(b"footer!");
-            let out = decode_container(&padded[..]).unwrap();
-            assert_eq!(out.records.len(), 3);
-            assert_eq!(out.trailing, 7);
-        }
+        let mut padded = encode_records(&recs, None).unwrap().to_vec();
+        padded.extend_from_slice(b"footer!");
+        assert_eq!(decode_container(&padded).unwrap().len(), 3);
     }
 
     #[test]
-    fn v2_detects_corruption_via_crc() {
+    fn detects_corruption_via_crc() {
         let bytes = encode_records(&records(8), None).unwrap();
         let mut raw = bytes.to_vec();
-        // Flip one bit in the middle of the record stream; v1 would
-        // silently return garbage coordinates, v2 refuses.
+        // Flip one bit in the middle of the record stream: without the
+        // footer this would decode as garbage coordinates.
         let mid = raw.len() / 2;
         raw[mid] ^= 0x10;
         assert!(matches!(
@@ -387,11 +302,11 @@ mod tests {
     }
 
     #[test]
-    fn v2_truncation_is_reported() {
+    fn truncation_is_reported() {
         let bytes = encode_records(&records(4), None).unwrap();
         for cut in [1, 5, 20, bytes.len() - 1] {
             assert_eq!(
-                decode_container(bytes.slice(0..cut)).unwrap_err(),
+                decode_container(&bytes[..cut]).unwrap_err(),
                 SnapshotError::Truncated,
                 "cut at {cut}"
             );
@@ -400,7 +315,7 @@ mod tests {
 
     #[test]
     fn self_describing_header_skips_unknown_fields() {
-        // A future writer extends the v2 header; this reader must skip
+        // A future writer extends the header; this reader must skip
         // the extra bytes it does not understand.
         let recs = records(2);
         let bytes = encode_records(&recs, None).unwrap();
@@ -414,35 +329,36 @@ mod tests {
         extended.extend_from_slice(&raw[4 + 1 + 2 + HEADER_LEN_V2..raw.len() - 4]);
         let crc = crc32(&extended);
         extended.put_u32_le(crc);
-        let out = decode_container(extended.freeze()).unwrap();
-        assert_eq!(out.records.len(), 2);
-        assert_eq!(out.trailing, 0);
+        assert_eq!(decode_container(&extended).unwrap().len(), 2);
     }
 
     #[test]
-    fn unknown_version_rejected() {
-        let bytes = encode_records(&records(1), None).unwrap();
-        let mut raw = bytes.to_vec();
-        raw[4] = 99;
-        assert_eq!(
-            decode_container(&raw[..]).unwrap_err(),
-            SnapshotError::BadVersion(99)
-        );
+    fn other_versions_and_magics_are_refused() {
+        // 1 is the pre-durability whole-server snapshot layout.
+        let mut raw = encode_records(&records(1), None).unwrap().to_vec();
+        for version in [1, 3, 99] {
+            raw[4] = version;
+            let refused = SnapshotError::BadVersion(version);
+            assert_eq!(decode_container(&raw).unwrap_err(), refused);
+            assert_eq!(decode_header(&raw).unwrap_err(), refused);
+        }
+        raw[..4].copy_from_slice(&0xdead_beef_u32.to_le_bytes());
+        let refused = SnapshotError::BadMagic(0xdead_beef);
+        assert_eq!(decode_container(&raw).unwrap_err(), refused);
     }
 
     #[test]
     fn empty_stream_round_trips() {
-        let out = decode_container(encode_records(&[], None).unwrap()).unwrap();
-        assert!(out.records.is_empty());
-        assert_eq!(out.trailing, 0);
+        let out = decode_container(&encode_records(&[], None).unwrap()).unwrap();
+        assert!(out.is_empty());
     }
 
     const ZONE: Zone = [116.0, 39.5, 0.0, 117.0, 40.5, 99.0];
 
     #[test]
     fn plain_header_is_the_pre_zone_layout() {
-        // Writers that pass no zone (bucket snapshots, save_snapshot)
-        // must keep emitting the 8-byte header byte-for-byte.
+        // Writers that pass no zone (bucket snapshots) must keep
+        // emitting the 8-byte header byte-for-byte.
         let recs = records(3);
         let bytes = encode_records(&recs, None).unwrap();
         assert_eq!(&bytes[5..7], &(HEADER_LEN_V2 as u16).to_le_bytes());
@@ -452,7 +368,7 @@ mod tests {
             15 + 3 * (REF_SIZE + DescriptorCodec::RECORD_SIZE) + 4
         );
         let header = decode_header(&bytes[..HEADER_PREFIX_LEN.min(bytes.len())]).unwrap();
-        assert_eq!((header.version, header.count, header.zone), (2, 3, None));
+        assert_eq!((header.count, header.zone), (3, None));
     }
 
     #[test]
@@ -460,12 +376,11 @@ mod tests {
         let recs = records(9);
         let bytes = encode_records(&recs, Some(&ZONE)).unwrap();
         let header = decode_header(&bytes[..HEADER_PREFIX_LEN]).unwrap();
-        assert_eq!((header.version, header.count), (2, 9));
+        assert_eq!(header.count, 9);
         assert_eq!(header.zone, Some(ZONE));
         // The full decode skips the zone through header_len and still
         // verifies the footer.
-        let out = decode_container(bytes).unwrap();
-        assert_eq!((out.records.len(), out.trailing), (9, 0));
+        assert_eq!(decode_container(&bytes).unwrap().len(), 9);
     }
 
     #[test]
@@ -502,10 +417,38 @@ mod tests {
         }
     }
 
-    #[test]
-    fn v1_header_carries_count_only() {
-        let bytes = encode_records_v1(&records(4)).unwrap();
-        let header = decode_header(&bytes[..HEADER_PREFIX_LEN]).unwrap();
-        assert_eq!((header.version, header.count, header.zone), (1, 4, None));
+    proptest! {
+        #![proptest_config(ProptestConfig::with_cases(48))]
+
+        /// Recovery parses bucket files and cold runs with this decoder:
+        /// whatever is on disk, it answers with records or an error.
+        #[test]
+        fn decode_never_panics_on_arbitrary_bytes(
+            bytes in prop::collection::vec(any::<u8>(), 0..600),
+        ) {
+            let _ = decode_container(&bytes);
+            let _ = decode_header(&bytes[..bytes.len().min(HEADER_PREFIX_LEN)]);
+        }
+
+        /// Byte flips anywhere in a container are caught: the decode
+        /// errors (bad magic, version, count, crc) and never panics or
+        /// returns records the writer did not write.
+        #[test]
+        fn corrupted_containers_error_not_panic(
+            n in 1usize..20,
+            zoned in any::<bool>(),
+            flips in prop::collection::vec((any::<prop::sample::Index>(), 1u8..=255), 1..8),
+        ) {
+            let recs = records(n);
+            let zone = [0.0, 0.0, 0.0, 200.0, 200.0, 200.0];
+            let clean = encode_records(&recs, zoned.then_some(&zone)).unwrap().to_vec();
+            let mut raw = clean.clone();
+            for (idx, val) in flips {
+                raw[idx.index(clean.len())] ^= val;
+            }
+            let decoded = decode_container(&raw);
+            let _ = decode_header(&raw[..raw.len().min(HEADER_PREFIX_LEN)]);
+            prop_assert!(decoded.is_err() || raw == clean, "corruption decoded as records");
+        }
     }
 }

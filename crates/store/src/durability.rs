@@ -10,8 +10,9 @@
 //! <dir>/cold/cold-<bucket>-<n>.run    demoted expired shards
 //! ```
 //!
-//! The engine calls [`Durability::append`] under its writer lock before
-//! staging a mutation, [`Durability::on_publish`] right after installing
+//! The engine calls [`Durability::append`] (or [`Durability::retract`])
+//! under its writer lock before staging a mutation,
+//! [`Durability::on_publish`] right after installing
 //! a folded epoch (handing over a COW store clone plus the epoch's
 //! per-bucket stamp versions), and [`Durability::demote`] when retention
 //! expires a bucket. Snapshots happen on a background worker so fold
@@ -29,7 +30,7 @@ use parking_lot::Mutex;
 use swag_core::RepFov;
 use swag_obs::{Counter, Histogram, MonotonicClock, Registry};
 
-use crate::cold::{cold_file_name, ColdCatalog, RESIDENT_BUDGET_BYTES};
+use crate::cold::{cold_file_name, ColdCatalog, Retracted, RESIDENT_BUDGET_BYTES};
 use crate::container::{encode_records, Zone};
 use crate::home_bucket;
 use crate::manifest::{BucketEntry, Manifest};
@@ -47,14 +48,13 @@ pub const COLD_DIR: &str = "cold";
 /// Snapshots also rotate, so this only bounds quiet periods.
 const WAL_ROTATE_BYTES: u64 = 4 << 20;
 
-/// Tuning knob for the durability subsystem (off by default, like the
-/// cache and event-log knobs). A durable server always demotes expired
-/// shards to the cold tier. The data directory itself is not part of
-/// the config — it is the argument to `CloudServer::open`.
+/// Tuning knobs for a durable server. Durability itself is not a knob:
+/// a server opened on a data directory (`CloudServer::open`, which takes
+/// the directory as its argument) is durable and always demotes expired
+/// shards to the cold tier; any other server is memory-only and never
+/// reads this config.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct DurabilityConfig {
-    /// Master switch; `false` keeps the server memory-only.
-    pub enabled: bool,
     /// Group-commit window: a background flusher fsyncs the WAL tail
     /// every this many microseconds, off the ingest path (0 = strict
     /// mode, every append fsyncs inline before returning).
@@ -70,19 +70,8 @@ pub struct DurabilityConfig {
 impl Default for DurabilityConfig {
     fn default() -> Self {
         DurabilityConfig {
-            enabled: false,
             fsync_interval_micros: 2_000,
             snapshot_min_wal_bytes: 1 << 20,
-        }
-    }
-}
-
-impl DurabilityConfig {
-    /// The default tuning with the master switch on.
-    pub fn enabled() -> Self {
-        DurabilityConfig {
-            enabled: true,
-            ..DurabilityConfig::default()
         }
     }
 }
@@ -118,10 +107,6 @@ pub struct Recovery {
     pub records: Vec<(RepFov, SegmentRef)>,
     /// Durable WAL ops past the snapshot's floor, in log order.
     pub ops: Vec<WalOp>,
-    /// Records that came from snapshot bucket files.
-    pub snapshot_records: usize,
-    /// Bytes dropped repairing torn WAL tails.
-    pub wal_truncated_bytes: u64,
 }
 
 /// Point-in-time durability counters for `swag stats`.
@@ -195,6 +180,7 @@ enum Job {
     Snapshot {
         store: SegmentStore,
         versions: Arc<BTreeMap<i64, u64>>,
+        retracted: Arc<Retracted>,
         wal_floor: u64,
         retire: Vec<PathBuf>,
     },
@@ -274,11 +260,10 @@ impl Durability {
                     entry.file
                 )));
             }
-            let decoded = crate::container::decode_container(&raw[..])
+            let decoded = crate::container::decode_container(&raw)
                 .map_err(|e| StoreError::Corrupt(format!("snapshot bucket {bucket}: {e}")))?;
-            records.extend(decoded.records);
+            records.extend(decoded);
         }
-        let snapshot_records = records.len();
 
         let (cold, cold_next) = ColdCatalog::load(&cold_dir, cold_zone_of, RESIDENT_BUDGET_BYTES)
             .map_err(|e| io_err("scan cold dir", e))?;
@@ -296,6 +281,20 @@ impl Durability {
             .filter(|(seq, _)| *seq >= manifest.wal_floor)
             .map(|(_, op)| op)
             .collect();
+        // Retractions: the manifest's, plus those logged past its floor
+        // (the caller replays ops with durability detached, so nothing
+        // else would). No retraction hides a run written after this open;
+        // a legacy frame's sequence clamps to every run present now.
+        let logged = ops.iter().filter_map(|op| match op {
+            WalOp::Retract {
+                provider_id,
+                cold_seq,
+            } => Some((provider_id, cold_seq)),
+            _ => None,
+        });
+        for (provider_id, cold_seq) in manifest.retracted.iter().chain(logged) {
+            cold.retract(*provider_id, (*cold_seq).min(cold_next));
+        }
 
         let next_seq = wal_rec.next_seq.max(manifest.wal_floor);
         let writer = WalWriter::open(
@@ -356,15 +355,7 @@ impl Durability {
             flusher_stop,
             flusher: Mutex::new(flusher),
         });
-        Ok((
-            durability,
-            Recovery {
-                records,
-                ops,
-                snapshot_records,
-                wal_truncated_bytes: wal_rec.truncated_bytes,
-            },
-        ))
+        Ok((durability, Recovery { records, ops }))
     }
 
     /// The cold-run catalog (for `cold_scan`).
@@ -399,12 +390,28 @@ impl Durability {
         Ok(())
     }
 
+    /// Logs a provider's retraction and hides its rows in every cold run
+    /// written so far; runs demoted later (rows the provider uploads
+    /// after retracting) stay servable. Called under the engine's writer
+    /// lock, like [`Self::append`]. The rows are hidden even if the log
+    /// append fails; the error is returned.
+    pub fn retract(&self, provider_id: u64) -> Result<(), StoreError> {
+        let cold_seq = self.cold_seq.load(Ordering::Relaxed);
+        let logged = self.append(&WalOp::Retract {
+            provider_id,
+            cold_seq,
+        });
+        self.cold.retract(provider_id, cold_seq);
+        logged
+    }
+
     /// Hands a freshly folded epoch to the background snapshot worker.
     ///
     /// `store` is a COW clone of the folded segment store and `versions`
     /// the epoch stamp's per-bucket versions; both are O(1)-ish to hand
-    /// over. The active WAL segment is rotated so the snapshot, once
-    /// written, covers (and retires) every closed segment.
+    /// over, as is the retracted set the manifest records beside them.
+    /// The active WAL segment is rotated so the snapshot, once written,
+    /// covers (and retires) every closed segment.
     pub fn on_publish(&self, store: SegmentStore, versions: Arc<BTreeMap<i64, u64>>) {
         let (wal_floor, retire) = {
             let mut wal = self.wal.lock();
@@ -430,6 +437,7 @@ impl Durability {
             let _ = tx.send(Job::Snapshot {
                 store,
                 versions,
+                retracted: self.cold.retracted(),
                 wal_floor,
                 retire,
             });
@@ -624,8 +632,9 @@ fn spawn_wal_flusher(
 }
 
 /// Newest coalesced snapshot job: store clone, per-bucket stamp
-/// versions, and the WAL floor the snapshot will cover.
-type PendingSnapshot = (SegmentStore, Arc<BTreeMap<i64, u64>>, u64);
+/// versions, retracted providers, and the WAL floor the snapshot will
+/// cover.
+type PendingSnapshot = (SegmentStore, Arc<BTreeMap<i64, u64>>, Arc<Retracted>, u64);
 
 fn spawn_snapshot_worker(
     rx: Receiver<Job>,
@@ -647,15 +656,16 @@ fn spawn_snapshot_worker(
                     Job::Snapshot {
                         store,
                         versions,
+                        retracted,
                         wal_floor,
                         mut retire,
                     } => {
                         retire_all.append(&mut retire);
                         if snapshot
                             .as_ref()
-                            .is_none_or(|(_, _, floor)| *floor <= wal_floor)
+                            .is_none_or(|(.., floor)| *floor <= wal_floor)
                         {
-                            snapshot = Some((store, versions, wal_floor));
+                            snapshot = Some((store, versions, retracted, wal_floor));
                         }
                     }
                     Job::Quiesce(ack) => acks.push(ack),
@@ -664,10 +674,10 @@ fn spawn_snapshot_worker(
                 while let Ok(job) = rx.try_recv() {
                     absorb(job);
                 }
-                if let Some((store, versions, wal_floor)) = snapshot {
+                if let Some((store, versions, retracted, wal_floor)) = snapshot {
                     let t0 = shared.clock.now_micros();
                     match write_incremental_snapshot(
-                        &snap_dir, &manifest, &store, &versions, wal_floor, width_s,
+                        &snap_dir, &manifest, &store, &versions, &retracted, wal_floor, width_s,
                     ) {
                         Ok((next, old_files, rewritten)) => {
                             for path in old_files.into_iter().chain(retire_all.drain(..)) {
@@ -708,6 +718,7 @@ fn write_incremental_snapshot(
     prev: &Manifest,
     store: &SegmentStore,
     versions: &BTreeMap<i64, u64>,
+    retracted: &Retracted,
     wal_floor: u64,
     width_s: f64,
 ) -> std::io::Result<(Manifest, Vec<PathBuf>, u64)> {
@@ -732,6 +743,7 @@ fn write_incremental_snapshot(
 
     let mut next = prev.clone();
     next.wal_floor = wal_floor;
+    next.retracted = retracted.clone();
     let mut old_files = Vec::new();
     let mut rewritten = 0u64;
     for (bucket, records) in &grouped {

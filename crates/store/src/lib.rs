@@ -21,7 +21,8 @@
 //!    runs that the query path can still reach through a `cold_scan`
 //!    operator. Each run's header carries a zone map (count + 3-D MBR),
 //!    so queries prune runs in time and space before any I/O and bodies
-//!    stay on disk until a probe survives.
+//!    stay on disk until a probe survives. A retracted provider's rows
+//!    are hidden from the runs written before the retraction.
 //!
 //! Recovery ([`Durability::open`]) is "latest snapshot + WAL replay": the
 //! manifest's bucket files rebuild the folded state, and WAL frames at or
@@ -37,11 +38,8 @@ mod manifest;
 mod segment;
 mod wal;
 
-pub use cold::{ColdCatalog, ColdRecords, ColdRun};
-pub use container::{
-    decode_container, encode_records, encode_records_v1, DecodedContainer, SnapshotError, Zone,
-    CONTAINER_VERSION, MAGIC, REF_SIZE,
-};
+pub use cold::{ColdCatalog, ColdRecords, ColdRun, Retracted};
+pub use container::{decode_container, encode_records, SnapshotError, Zone};
 pub use crc::crc32;
 pub use durability::{
     Durability, DurabilityConfig, DurabilityStats, Recovery, StoreError, COLD_DIR, SNAPSHOT_DIR,
@@ -51,7 +49,7 @@ pub use manifest::{BucketEntry, Manifest, MANIFEST_FILE};
 pub use segment::{SegmentId, SegmentRecord, SegmentRef, SegmentStore};
 pub use wal::{
     check_frame, encode_frame, recover_wal_dir, FrameCheck, WalOp, WalRecovery, WalWriter,
-    MAX_FRAME_PAYLOAD,
+    LEGACY_RETRACT_COLD_SEQ, MAX_FRAME_PAYLOAD,
 };
 
 /// Home time-shard bucket of a record: `floor(t_start / width)`.

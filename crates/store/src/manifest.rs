@@ -8,6 +8,8 @@
 //! bucket set. `wal_floor` records the WAL sequence number the snapshot
 //! covers: replay skips frames below it, which also makes it safe to
 //! crash between writing the manifest and deleting superseded files.
+//! The retracted providers (see [`crate::cold`]) ride along, so a
+//! retraction outlives the WAL segments a snapshot retires.
 //!
 //! The format is line-oriented text — trivially inspectable with `cat`:
 //!
@@ -15,12 +17,15 @@
 //! swag-manifest v1
 //! wal_floor 1042
 //! bucket 2760 7 bucket-2760-v7.run 118 3203334065
+//! retracted 31 4
 //! ```
 
 use std::collections::BTreeMap;
 use std::fs::{File, OpenOptions};
 use std::io::{Read, Write};
 use std::path::Path;
+
+use crate::cold::Retracted;
 
 /// Manifest file name inside the snapshot directory.
 pub const MANIFEST_FILE: &str = "MANIFEST";
@@ -45,6 +50,14 @@ pub struct Manifest {
     pub wal_floor: u64,
     /// Live bucket files, keyed by home bucket.
     pub buckets: BTreeMap<i64, BucketEntry>,
+    /// Retracted providers and the cold-run sequence each hides below.
+    pub retracted: Retracted,
+}
+
+/// Parses one numeric field of a manifest `line`.
+fn field<T: std::str::FromStr>(raw: &str, line: &str) -> Result<T, String> {
+    raw.parse()
+        .map_err(|_| format!("bad manifest field {raw:?}: {line}"))
 }
 
 impl Manifest {
@@ -57,6 +70,9 @@ impl Manifest {
                 "bucket {bucket} {} {} {} {}\n",
                 e.version, e.file, e.count, e.crc
             ));
+        }
+        for (provider, cold_seq) in &self.retracted {
+            out.push_str(&format!("retracted {provider} {cold_seq}\n"));
         }
         out
     }
@@ -77,26 +93,21 @@ impl Manifest {
             let fields: Vec<&str> = line.split_whitespace().collect();
             match fields.as_slice() {
                 ["wal_floor", floor] => {
-                    manifest.wal_floor = floor
-                        .parse()
-                        .map_err(|_| format!("bad wal_floor: {line}"))?;
+                    manifest.wal_floor = field(floor, line)?;
                     saw_floor = true;
                 }
                 ["bucket", bucket, version, file, count, crc] => {
-                    let bucket: i64 = bucket
-                        .parse()
-                        .map_err(|_| format!("bad bucket id: {line}"))?;
-                    manifest.buckets.insert(
-                        bucket,
-                        BucketEntry {
-                            version: version
-                                .parse()
-                                .map_err(|_| format!("bad bucket version: {line}"))?,
-                            file: (*file).to_string(),
-                            count: count.parse().map_err(|_| format!("bad count: {line}"))?,
-                            crc: crc.parse().map_err(|_| format!("bad crc: {line}"))?,
-                        },
-                    );
+                    let entry = BucketEntry {
+                        version: field(version, line)?,
+                        file: (*file).to_string(),
+                        count: field(count, line)?,
+                        crc: field(crc, line)?,
+                    };
+                    manifest.buckets.insert(field(bucket, line)?, entry);
+                }
+                ["retracted", provider, cold_seq] => {
+                    let cold_seq = field(cold_seq, line)?;
+                    manifest.retracted.insert(field(provider, line)?, cold_seq);
                 }
                 _ => return Err(format!("bad manifest line: {line}")),
             }
@@ -150,6 +161,7 @@ mod tests {
         let mut m = Manifest {
             wal_floor: 1042,
             buckets: BTreeMap::new(),
+            retracted: BTreeMap::from([(31, 4), (u64::MAX, 1)]),
         };
         m.buckets.insert(
             -3,
@@ -208,5 +220,6 @@ mod tests {
             Manifest::decode("swag-manifest v1\nwal_floor 0\nbucket 1 2\n").is_err(),
             "short bucket line"
         );
+        assert!(Manifest::decode("swag-manifest v1\nwal_floor 0\nretracted 1 x\n").is_err());
     }
 }

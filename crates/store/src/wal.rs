@@ -6,7 +6,8 @@
 //! | payload_len u32 | crc32(payload) u32 | payload |
 //! payload = tag u8 + body
 //!   tag 1 Append  : SegmentRef (20 B) + DescriptorCodec rep (22 B)
-//!   tag 2 Retract : provider_id u64
+//!   tag 2 Retract : provider_id u64 + cold_seq u64
+//!                   (a legacy 8-byte body, provider_id only, still decodes)
 //!   tag 3 Expire  : horizon_s f64 bits
 //! ```
 //!
@@ -46,6 +47,11 @@ const TAG_APPEND: u8 = 1;
 const TAG_RETRACT: u8 = 2;
 const TAG_EXPIRE: u8 = 3;
 
+/// `cold_seq` of a Retract frame written with the legacy 8-byte body.
+/// Recovery clamps it to the next run sequence, so it hides the provider
+/// from every run present when the directory is opened.
+pub const LEGACY_RETRACT_COLD_SEQ: u64 = u64::MAX;
+
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
@@ -60,6 +66,11 @@ pub enum WalOp {
     Retract {
         /// The provider being forgotten.
         provider_id: u64,
+        /// Cold-run sequence current at retraction: runs numbered below
+        /// it hide the provider's rows, later runs (rows uploaded after
+        /// retracting) do not. [`LEGACY_RETRACT_COLD_SEQ`] for a frame
+        /// written before the field existed.
+        cold_seq: u64,
     },
     /// Retention advanced: segments ending before the horizon dropped.
     Expire {
@@ -80,9 +91,13 @@ pub fn encode_frame(op: &WalOp, out: &mut BytesMut) {
             DescriptorCodec::encode_rep(rep, &mut payload)
                 .expect("ingested rep is inside the codec domain");
         }
-        WalOp::Retract { provider_id } => {
+        WalOp::Retract {
+            provider_id,
+            cold_seq,
+        } => {
             payload.put_u8(TAG_RETRACT);
             payload.put_u64_le(*provider_id);
+            payload.put_u64_le(*cold_seq);
         }
         WalOp::Expire { horizon_s } => {
             payload.put_u8(TAG_EXPIRE);
@@ -149,11 +164,18 @@ fn decode_payload(payload: &[u8]) -> Option<WalOp> {
             Some(WalOp::Append { rep, source })
         }
         TAG_RETRACT => {
-            if buf.len() != 8 {
+            if buf.len() != 8 && buf.len() != 16 {
                 return None;
             }
+            let provider_id = buf.get_u64_le();
+            let cold_seq = if buf.is_empty() {
+                LEGACY_RETRACT_COLD_SEQ
+            } else {
+                buf.get_u64_le()
+            };
             Some(WalOp::Retract {
-                provider_id: buf.get_u64_le(),
+                provider_id,
+                cold_seq,
             })
         }
         TAG_EXPIRE => {
@@ -483,7 +505,11 @@ mod tests {
         for i in 0..10 {
             w.append(&op(i)).unwrap();
         }
-        w.append(&WalOp::Retract { provider_id: 3 }).unwrap();
+        let retract = WalOp::Retract {
+            provider_id: 3,
+            cold_seq: 17,
+        };
+        w.append(&retract).unwrap();
         w.append(&WalOp::Expire { horizon_s: 42.5 }).unwrap();
         drop(w);
         let rec = recover_wal_dir(&dir).unwrap();
@@ -491,7 +517,7 @@ mod tests {
         assert_eq!(rec.next_seq, 12);
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(rec.ops[0], (0, op(0)));
-        assert_eq!(rec.ops[10].1, WalOp::Retract { provider_id: 3 });
+        assert_eq!(rec.ops[10].1, retract);
         assert_eq!(rec.ops[11].1, WalOp::Expire { horizon_s: 42.5 });
         std::fs::remove_dir_all(&dir).ok();
     }

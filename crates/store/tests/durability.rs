@@ -1,5 +1,6 @@
 //! Durability façade tests: WAL-only recovery, snapshot coverage,
-//! incremental bucket rewrites, cold-run reload, and lag/age stats.
+//! incremental bucket rewrites, cold-run reload, legacy retraction
+//! frames, and lag/age stats.
 
 use std::collections::BTreeMap;
 use std::path::{Path, PathBuf};
@@ -55,7 +56,6 @@ fn open(dir: &Path) -> (Arc<Durability>, Recovery) {
         dir,
         600.0,
         DurabilityConfig {
-            enabled: true,
             fsync_interval_micros: 0,
             snapshot_min_wal_bytes: 0,
         },
@@ -75,12 +75,18 @@ fn wal_only_recovery_returns_ops() {
             let (rep, source) = rec(i as f64 * 10.0, i);
             d.append(&WalOp::Append { rep, source }).unwrap();
         }
-        d.append(&WalOp::Retract { provider_id: 2 }).unwrap();
+        d.retract(2).unwrap();
     }
     let (_d, recovery) = open(&dir);
     assert!(recovery.records.is_empty(), "no snapshot was published");
     assert_eq!(recovery.ops.len(), 6);
-    assert!(matches!(recovery.ops[5], WalOp::Retract { provider_id: 2 }));
+    assert!(matches!(
+        recovery.ops[5],
+        WalOp::Retract {
+            provider_id: 2,
+            cold_seq: 0
+        }
+    ));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -106,7 +112,6 @@ fn snapshot_covers_and_retires_wal() {
     // WAL fully covered: recovery is snapshot-only.
     let (_d, recovery) = open(&dir);
     assert_eq!(recovery.records.len(), 10);
-    assert_eq!(recovery.snapshot_records, 10);
     assert!(recovery.ops.is_empty(), "covered WAL replays nothing");
     // Bucket-major load keeps monotone-t ingest order.
     let providers: Vec<u64> = recovery
@@ -174,6 +179,48 @@ fn demote_and_reload_cold_runs() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Where provider 1's demoted rows are still served: the first `t_start`
+/// of each run holding one that does not hide them.
+fn visible_runs_of_provider_1(d: &Durability) -> Vec<u64> {
+    let retracted = d.cold().retracted();
+    let mut visible = Vec::new();
+    for run in d.cold().probe(|_| true) {
+        let records = d.cold().records(&run).unwrap();
+        if records.iter().any(|(_, s)| s.provider_id == 1) && !run.hides(&retracted, 1) {
+            visible.push(records[0].0.t_start as u64);
+        }
+    }
+    visible
+}
+
+#[test]
+fn legacy_retract_frame_hides_every_run_present_at_open() {
+    let dir = tmp_dir();
+    {
+        let (d, _) = open(&dir);
+        let recs = [rec(0.0, 1)];
+        d.demote(0, &recs, zone_of(&recs)).unwrap();
+    }
+    // A build whose Retract body carried the provider only (8 bytes, not
+    // 16) logged a retraction of provider 1.
+    let payload = [&[2u8][..], &1u64.to_le_bytes()].concat();
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = swag_store::crc32(&payload).to_le_bytes();
+    let frame = [&len[..], &crc, &payload].concat();
+    std::fs::write(dir.join("wal/wal-00000000000000000000.log"), frame).unwrap();
+    let (d, recovery) = open(&dir);
+    let legacy = WalOp::Retract {
+        provider_id: 1,
+        cold_seq: swag_store::LEGACY_RETRACT_COLD_SEQ,
+    };
+    assert_eq!(recovery.ops, [legacy]);
+    assert_eq!(visible_runs_of_provider_1(&d), Vec::<u64>::new());
+    let recs = [rec(700.0, 1)];
+    d.demote(1, &recs, zone_of(&recs)).unwrap();
+    assert_eq!(visible_runs_of_provider_1(&d), vec![700]);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn failed_demotion_is_returned_and_counted() {
     let dir = tmp_dir();
@@ -197,7 +244,6 @@ fn stats_track_lag_and_snapshot_age() {
         &dir,
         600.0,
         DurabilityConfig {
-            enabled: true,
             fsync_interval_micros: 1_000_000, // never within this test
             ..DurabilityConfig::default()
         },

@@ -60,7 +60,10 @@ fn arb_op() -> impl Strategy<Value = WalOp> {
                 },
             }
         ),
-        any::<u64>().prop_map(|provider_id| WalOp::Retract { provider_id }),
+        (any::<u64>(), any::<u64>()).prop_map(|(provider_id, cold_seq)| WalOp::Retract {
+            provider_id,
+            cold_seq
+        }),
         (0.0f64..1.0e6).prop_map(|horizon_s| WalOp::Expire { horizon_s }),
     ]
 }

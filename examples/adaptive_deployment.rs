@@ -1,14 +1,15 @@
 //! Adaptive deployment (paper §VII): a city operator rolls SWAG out
 //! across districts with very different sight lines, using **site
 //! surveys** to pick each district's radius of view, **sensor smoothing**
-//! to tame cheap phone sensors, and **server snapshots** to survive
-//! restarts.
+//! to tame cheap phone sensors, and a **durable data directory** to
+//! survive restarts.
 //!
 //! Run with: `cargo run --release --example adaptive_deployment`
 
 use rand::rngs::StdRng;
 use rand::SeedableRng;
 use swag::prelude::*;
+use swag::server::ServerConfig;
 use swag_sensors::{generate_trace, scenarios, Look, Mobility};
 
 fn main() {
@@ -41,7 +42,8 @@ fn main() {
 
     // --- 2. Providers record with noisy sensors + smoothing -------------
     let cam = profiles[1]; // deploy in the residential district
-    let server = CloudServer::new(cam);
+    let data_dir = std::env::temp_dir().join(format!("swag-deployment-{}", std::process::id()));
+    let server = CloudServer::open(&data_dir, cam, ServerConfig::default()).expect("data dir");
     let mut raw_segments = 0usize;
     let mut smooth_segments = 0usize;
     for provider in 0..12u64 {
@@ -77,14 +79,10 @@ fn main() {
         raw_segments / smooth_segments.max(1)
     );
 
-    // --- 3. Snapshot, "restart", keep answering -------------------------
-    let snapshot = save_snapshot(&server).expect("snapshot");
-    println!(
-        "snapshot: {} segments serialised into {} bytes",
-        server.stats().segments,
-        snapshot.len()
-    );
-    let restored = load_snapshot(snapshot, cam).expect("snapshot is well-formed");
+    // --- 3. Restart on the data directory, keep answering ---------------
+    println!("data dir: {} segments", server.stats().segments);
+    drop(server);
+    let restored = CloudServer::open(&data_dir, cam, ServerConfig::default()).expect("recovery");
 
     let spot = origin.offset(0.0, -100.0);
     let q = Query::new(0.0, 500.0, spot, cam.view_radius_m);
@@ -114,4 +112,6 @@ fn main() {
             .map(|h| h.distance_m.round())
             .collect::<Vec<_>>()
     );
+    drop(restored);
+    std::fs::remove_dir_all(&data_dir).ok();
 }

@@ -80,8 +80,7 @@ pub mod prelude {
     pub use swag_net::{Connectivity, DataPlan, NetworkLink, TrafficMeter, UploadPolicy};
     pub use swag_sensors::{DeviceClock, Mobility, SensorNoise, TraceConfig};
     pub use swag_server::{
-        load_snapshot, save_snapshot, CloudServer, FovIndex, IndexKind, Query, QueryOptions,
-        SearchHit, SegmentId, SegmentRef,
+        CloudServer, FovIndex, IndexKind, Query, QueryOptions, SearchHit, SegmentId, SegmentRef,
     };
     pub use swag_utility::{greedy_select, utility_of_set, CoverageGrid, OnlineSelector, Priced};
     pub use swag_vision::{site_survey, suggest_view_radius, Frame, Renderer, Resolution, World};

@@ -1,8 +1,9 @@
-//! Full system lifecycle: record → CSV interchange → segment → ingest →
-//! snapshot → restore → query → retract. This is the CLI's workflow
-//! exercised at the library level.
+//! Full system lifecycle: record → CSV interchange → segment → ingest
+//! into a data directory → restart → query → retract → restart. This is
+//! the CLI's workflow exercised at the library level.
 
 use swag::prelude::*;
+use swag::server::ServerConfig;
 use swag_core::{read_reps_csv, read_trace_csv, write_reps_csv, write_trace_csv};
 use swag_sensors::scenarios;
 
@@ -35,16 +36,19 @@ fn record_to_retraction_lifecycle() {
         batches.push(batch);
     }
 
-    // --- Ingest, snapshot, restore.
-    let server = CloudServer::new(cam);
+    // --- Ingest into a data directory, restart on it.
+    let dir = std::env::temp_dir().join(format!("swag-lifecycle-{}", std::process::id()));
+    let _ = std::fs::remove_dir_all(&dir);
+    let open = || CloudServer::open(&dir, cam, ServerConfig::default()).unwrap();
+    let server = open();
     for b in &batches {
         server.ingest_batch(b);
     }
     let total = server.stats().segments;
     assert!(total >= 4);
+    drop(server);
 
-    let snap = save_snapshot(&server).unwrap();
-    let restored = load_snapshot(snap, cam).unwrap();
+    let restored = open();
     assert_eq!(restored.stats().segments, total);
 
     // --- Query the restored server: a point on the shared route.
@@ -60,13 +64,16 @@ fn record_to_retraction_lifecycle() {
         hits.iter().map(|h| h.source.provider_id).collect();
     assert_eq!(providers.len(), 2, "both providers filmed the route");
 
-    // --- Provider 0 retracts; snapshot round trip preserves that.
+    // --- Provider 0 retracts; a restart preserves that.
     let removed = restored.retract_provider(0);
     assert!(removed >= 2);
-    let after = load_snapshot(save_snapshot(&restored).unwrap(), cam).unwrap();
+    drop(restored);
+    let after = open();
     let hits = after.query(&q, &opts);
     assert!(!hits.is_empty());
     assert!(hits.iter().all(|h| h.source.provider_id == 1));
+    drop(after);
+    std::fs::remove_dir_all(&dir).ok();
 }
 
 #[test]
