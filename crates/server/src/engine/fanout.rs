@@ -22,8 +22,8 @@
 //!   effective worker exists, and the selectivity-weighted work crosses
 //!   [`PARALLEL_MIN_WORK`] items.
 //!
-//! Both probe paths are byte-identical by construction (a multi-shard
-//! probe ties on segment id, and collectors merge by the same key), so
+//! Both probe paths are byte-identical by construction (every probe
+//! ties on segment id, and collectors merge by the same key), so
 //! the decision can change latency but never results — a property the
 //! equivalence proptests pin. The decision taken is
 //! visible in `swag explain` (the `fanout` line) and in the
@@ -137,16 +137,16 @@ mod tests {
     use swag_geo::LatLon;
 
     fn index_with(shards: usize, per_shard: usize) -> ShardedFovIndex {
-        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
         let p = LatLon::new(40.0, 116.32);
-        let mut id = 0u32;
-        for s in 0..shards {
-            for i in 0..per_shard {
-                let t0 = s as f64 * 100.0 + (i % 90) as f64;
-                idx.insert(&RepFov::new(t0, t0 + 1.0, Fov::new(p, 0.0)), SegmentId(id));
-                id += 1;
-            }
-        }
+        let items: Vec<(RepFov, SegmentId)> = (0..shards * per_shard)
+            .map(|n| {
+                let t0 = (n / per_shard) as f64 * 100.0 + (n % per_shard % 90) as f64;
+                let rep = RepFov::new(t0, t0 + 1.0, Fov::new(p, 0.0));
+                (rep, SegmentId(n as u32))
+            })
+            .collect();
+        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
+        idx.bulk_insert(&items);
         idx
     }
 

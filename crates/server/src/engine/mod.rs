@@ -266,7 +266,7 @@ pub(crate) struct Engine {
     pub(crate) config: ServerConfig,
     pub(crate) cam: CameraProfile,
     pub(crate) clock: Arc<dyn MonotonicClock>,
-    /// Work-stealing pool for shard fan-out, publish rebuilds, and query
+    /// Work-stealing pool for shard fan-out, publish run packs, and query
     /// batches.
     pub(crate) exec: Executor,
     pub(crate) obs: Option<ServerObs>,

@@ -148,7 +148,8 @@ impl QueryPlan {
     }
 
     /// [`Self::explain`] resolved against a concrete snapshot: also
-    /// lists which time shards the plan probes, the fan-out decision the
+    /// lists which time shards the plan probes (`#bucket(xitems/runs r)`:
+    /// a shard's runs are each searched), the fan-out decision the
     /// cost model took for them, the pending delta the delta-scan
     /// operator walks, and — on durable servers holding cold runs —
     /// whether the plan reaches the cold tier (`cold_line`).
@@ -211,8 +212,8 @@ impl QueryPlan {
             );
             if !probes.is_empty() {
                 line.push(':');
-                for (bucket, items) in &probes {
-                    let _ = write!(line, " #{bucket}(x{items})");
+                for (bucket, items, runs) in &probes {
+                    let _ = write!(line, " #{bucket}(x{items}/{runs}r)");
                 }
             }
             let _ = writeln!(out, "{line}");

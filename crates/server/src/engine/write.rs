@@ -4,10 +4,12 @@
 //! Writers append into the delta under a short write lock; every write
 //! republishes the epoch (read-your-writes), and once the delta reaches
 //! [`crate::server::ServerConfig::publish_threshold`] records the
-//! writer folds it into a new snapshot, STR-bulk-rebuilding only the
-//! time shards the batch touched. Retention expires old shards at
-//! publish time and retires the dropped segments from the store, which
-//! compacts once enough of it is tombstones.
+//! writer folds it into a new snapshot: each time shard the batch
+//! touched gains one STR-packed run of the batch's items, merged with
+//! the shard's small tail runs geometrically
+//! ([`ShardedFovIndex::bulk_insert_exec`]). Retention expires old shards
+//! at publish time and retires the dropped segments from the store,
+//! which compacts once enough of it is tombstones.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -120,9 +122,9 @@ impl Engine {
     }
 
     /// Folds the delta into a fresh snapshot: appends to the (COW) store,
-    /// STR-rebuilds the touched shards, applies retention and compaction,
-    /// and publishes the result. Returns how many segments retention
-    /// dropped.
+    /// appends a packed run to each touched shard, applies retention and
+    /// compaction, and publishes the result. Returns how many segments
+    /// retention dropped.
     fn publish_full(&self, w: &mut Writer, extra_horizon: Option<f64>) -> usize {
         let t0 = self.clock.now_micros();
         let delta_len = w.delta_len;

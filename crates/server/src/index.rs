@@ -182,9 +182,9 @@ impl FovIndex {
     }
 
     /// Builds a new index holding this index's items plus `more`, leaving
-    /// `self` untouched: R-tree shards are STR re-packed (old + new
-    /// together, leaf tiling fanned out on `exec`; from an empty index,
-    /// exactly a bulk load), linear shards copied and extended.
+    /// `self` untouched: an R-tree is STR re-packed (old + new together,
+    /// leaf tiling fanned out on `exec`; from an empty index, exactly a
+    /// bulk load), a linear index copied and extended.
     pub fn bulk_extend_par(&self, exec: &Executor, more: Vec<(Aabb<3>, LeafRef)>) -> Self {
         match self {
             FovIndex::RTree(t) => FovIndex::RTree(t.bulk_extend_par(exec, more)),
@@ -203,6 +203,14 @@ impl FovIndex {
     /// Whether the index is empty.
     pub fn is_empty(&self) -> bool {
         self.len() == 0
+    }
+
+    /// Every indexed `(box, leaf)` entry, in unspecified order.
+    pub(crate) fn entries(&self) -> Vec<(Aabb<3>, LeafRef)> {
+        match self {
+            FovIndex::RTree(t) => t.iter().map(|(b, leaf)| (*b, *leaf)).collect(),
+            FovIndex::Linear(v) => v.clone(),
+        }
     }
 
     /// Visits every indexed `(box, id)` pair in unspecified order.

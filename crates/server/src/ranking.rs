@@ -218,12 +218,13 @@ impl<'a> TopN<'a> {
 }
 
 /// The index scan feeds the collector directly: each leaf match is
-/// rebuilt into its rep and offered, so a candidate list never exists.
+/// rebuilt into its rep and offered (ordinal: the segment id), so a
+/// candidate list never exists.
 impl LeafSink for TopN<'_> {
-    fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef, ord: u64) {
+    fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef) {
         self.offer(
             Tier::Index,
-            ord,
+            leaf.id.0.into(),
             leaf.id,
             leaf.rep(mbr),
             SegmentRef::default(),

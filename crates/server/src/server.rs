@@ -9,10 +9,11 @@
 //! write lock; every write republishes the epoch (so reads are
 //! read-your-writes fresh), and once the delta reaches
 //! [`ServerConfig::publish_threshold`] records the writer folds it into a
-//! new snapshot, STR-bulk-rebuilding only the time shards the batch
-//! touched. Retention ([`ServerConfig::retention_horizon_s`]) expires old
-//! shards at publish time and retires the dropped segments from the
-//! store, which compacts once enough of it is tombstones.
+//! new snapshot, appending one packed run of the batch to each time shard
+//! it touched (older runs are shared, not rebuilt). Retention
+//! ([`ServerConfig::retention_horizon_s`]) expires old shards at publish
+//! time and retires the dropped segments from the store, which compacts
+//! once enough of it is tombstones.
 //!
 //! The read path is plan-driven: every entry point lowers its request
 //! through the planner ([`crate::engine::plan::QueryPlan`]) and executes
@@ -293,7 +294,7 @@ impl CloudServer {
         }
     }
 
-    /// Replaces the executor used for shard fan-out, publish rebuilds,
+    /// Replaces the executor used for shard fan-out, publish run packs,
     /// and [`Self::query_batch`]. Pass [`Executor::serial`] to force
     /// deterministic single-threaded execution regardless of
     /// `SWAG_EXEC_THREADS`.

@@ -2,20 +2,20 @@
 //!
 //! A city-scale deployment ingests forever, but queries target recent
 //! windows and storage is finite. Sharding the index by time buckets
-//! keeps every R-tree small (bounded rebuild and memory cost) and makes
-//! retention trivial: expiring old footage drops whole shards instead of
-//! deleting records one by one.
+//! keeps every R-tree small and makes retention trivial: expiring old
+//! footage drops whole shards instead of deleting records one by one.
 //!
 //! A segment whose interval spans several buckets is registered in each;
 //! queries deduplicate. Expiry is shard-granular: a segment survives
 //! until *every* bucket it touches has expired, so retention is
 //! conservative (never drops data younger than the horizon).
 //!
-//! Shards sit behind `Arc`s so cloning the whole index — which the
-//! snapshot-publishing server does on every epoch — costs one pointer
-//! bump per shard, and publish-time [`ShardedFovIndex::bulk_insert`]
-//! rebuilds only the shards the new batch touches (STR re-pack of old +
-//! new), sharing every untouched shard with the previous snapshot.
+//! A shard is a list of immutable STR-packed **runs**: a publish packs
+//! only its batch into a new run and merges small runs geometrically
+//! ([`ShardedFovIndex::bulk_insert_exec`]), so write cost follows the
+//! batch, not the shard. Runs sit behind `Arc`s: cloning the index for a
+//! new epoch costs a pointer bump per run, and every run a publish does
+//! not merge stays shared with older snapshots.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -25,26 +25,43 @@ use swag_exec::Executor;
 use swag_obs::{Histogram, Registry};
 use swag_rtree::{Aabb, SearchStats};
 
-use crate::index::{query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
+use crate::index::{fov_box, query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
 use crate::query::Query;
 use crate::store::SegmentId;
 
+/// A new run merges with the run before it while that run holds at most
+/// `MERGE_RATIO` times the new run's items, so every run holds more than
+/// `MERGE_RATIO` times the items of the run after it.
+const MERGE_RATIO: usize = 2;
+
+/// One time shard: immutable STR-packed runs, largest and oldest first.
+/// Each segment of the bucket lives in exactly one run.
+type Runs = Vec<Arc<FovIndex>>;
+
+/// A probed shard: its bucket and runs.
+type Probed<'a> = (i64, &'a [Arc<FovIndex>]);
+
+/// Indexed items across a shard's runs.
+fn items(runs: &[Arc<FovIndex>]) -> usize {
+    runs.iter().map(|run| run.len()).sum()
+}
+
 /// Where [`ShardedFovIndex::scan`] delivers box matches.
 pub trait LeafSink: Send + Sync + Sized {
-    /// One box match, delivered once however many shards or half-boxes
-    /// hold it. `ord` orders ties as the candidate list always has: visit
-    /// order in a single-shard, single-box probe, segment id otherwise.
-    fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef, ord: u64);
+    /// One box match, delivered once however many shards, runs or
+    /// half-boxes hold it. Ties order by the segment id on every path, so
+    /// results never depend on how publishes split a shard into runs.
+    fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef);
     /// An empty sink of the same kind, for a parallel worker's shard.
     fn fork(&self) -> Self;
     /// Folds a worker's sink back in.
     fn merge(&mut self, other: Self);
 }
 
-/// The candidate-list sink: `(ord, id)` pairs, sorted afterwards.
-impl LeafSink for Vec<(u64, SegmentId)> {
-    fn accept(&mut self, _mbr: &Aabb<3>, leaf: &LeafRef, ord: u64) {
-        self.push((ord, leaf.id));
+/// The candidate-list sink: segment ids, sorted afterwards.
+impl LeafSink for Vec<SegmentId> {
+    fn accept(&mut self, _mbr: &Aabb<3>, leaf: &LeafRef) {
+        self.push(leaf.id);
     }
 
     fn fork(&self) -> Self {
@@ -99,7 +116,7 @@ pub struct ExpireReport {
 pub struct ShardedFovIndex {
     shard_width_s: f64,
     kind: IndexKind,
-    shards: BTreeMap<i64, Arc<FovIndex>>,
+    shards: BTreeMap<i64, Runs>,
     /// Number of distinct indexed segments. Each id must be indexed at
     /// most once; the span a segment occupies is recomputed from its
     /// interval (insert, remove) or its stored box (expiry), so no
@@ -145,12 +162,8 @@ impl ShardedFovIndex {
     /// (used when the server compacts its store and rebuilds from scratch).
     pub fn fresh_like(&self) -> Self {
         ShardedFovIndex {
-            shard_width_s: self.shard_width_s,
-            kind: self.kind,
-            shards: BTreeMap::new(),
-            segments: 0,
             obs: self.obs.clone(),
-            cut: i64::MIN,
+            ..Self::new(self.shard_width_s, self.kind)
         }
     }
 
@@ -185,12 +198,12 @@ impl ShardedFovIndex {
     }
 
     /// The live shards a `[t0, t1]` window would probe, as
-    /// `(bucket, indexed items)` pairs in bucket order (used by plan
+    /// `(bucket, indexed items, runs)` in bucket order (used by plan
     /// explain renderings).
-    pub fn probe_shards(&self, t0: f64, t1: f64) -> Vec<(i64, usize)> {
+    pub fn probe_shards(&self, t0: f64, t1: f64) -> Vec<(i64, usize, usize)> {
         self.shards
             .range(self.buckets(t0, t1))
-            .map(|(bucket, shard)| (*bucket, shard.len()))
+            .map(|(bucket, runs)| (*bucket, items(runs), runs.len()))
             .collect()
     }
 
@@ -206,12 +219,13 @@ impl ShardedFovIndex {
     pub fn estimate_probe(&self, t0: f64, t1: f64) -> ProbeEstimate {
         let w = self.shard_width_s;
         let mut est = ProbeEstimate::default();
-        for (bucket, shard) in self.shards.range(self.buckets(t0, t1)) {
+        for (bucket, runs) in self.shards.range(self.buckets(t0, t1)) {
             let bucket_start = *bucket as f64 * w;
             let overlap = (t1.min(bucket_start + w) - t0.max(bucket_start)).clamp(0.0, w);
+            let n = items(runs);
             est.shards += 1;
-            est.items += shard.len();
-            est.work += shard.len() as f64 * (overlap / w);
+            est.items += n;
+            est.work += n as f64 * (overlap / w);
         }
         est
     }
@@ -221,33 +235,26 @@ impl ShardedFovIndex {
     pub fn shard_sizes(&self) -> Vec<(i64, usize)> {
         self.shards
             .iter()
-            .map(|(bucket, shard)| (*bucket, shard.len()))
+            .map(|(bucket, runs)| (*bucket, items(runs)))
             .collect()
-    }
-
-    /// Indexes a representative FoV into every bucket its interval spans.
-    pub fn insert(&mut self, rep: &RepFov, id: SegmentId) {
-        self.segments += 1;
-        for bucket in self.buckets(rep.t_start, rep.t_end) {
-            Arc::make_mut(
-                self.shards
-                    .entry(bucket)
-                    .or_insert_with(|| Arc::new(FovIndex::new(self.kind))),
-            )
-            .insert(rep, id);
-        }
     }
 
     /// Removes one indexed segment from every bucket it spans. Returns
     /// `false` if the id was not indexed (already removed or expired).
+    /// Only the run holding the segment is copied (when an older snapshot
+    /// shares it); a run or shard left empty is dropped.
     pub fn remove(&mut self, rep: &RepFov, id: SegmentId) -> bool {
+        let mbr = fov_box(rep);
         let mut removed = false;
         for bucket in self.buckets(rep.t_start, rep.t_end) {
-            let Some(shard) = self.shards.get_mut(&bucket) else {
+            let Some(runs) = self.shards.get_mut(&bucket) else {
                 continue; // bucket already expired
             };
-            removed |= Arc::make_mut(shard).remove(rep, id);
-            if shard.is_empty() {
+            if let Some(i) = runs.iter().position(|run| run.contains(&mbr, id)) {
+                removed |= Arc::make_mut(&mut runs[i]).remove(rep, id);
+                runs.retain(|run| !run.is_empty());
+            }
+            if runs.is_empty() {
                 self.shards.remove(&bucket);
             }
         }
@@ -257,17 +264,19 @@ impl ShardedFovIndex {
         removed
     }
 
-    /// Bulk-inserts a batch, rebuilding each touched shard once via an STR
-    /// re-pack of its old items plus the new ones (publish path: untouched
-    /// shards keep sharing memory with previous snapshots).
+    /// Bulk-inserts a batch as one new run per touched shard (the publish
+    /// path; see [`Self::bulk_insert_exec`]).
     pub fn bulk_insert(&mut self, items: &[(RepFov, SegmentId)]) {
         self.bulk_insert_exec(&Executor::serial(), items);
     }
 
-    /// [`Self::bulk_insert`] with the touched shards' STR re-packs fanned
-    /// out on `exec` (each rebuild also tiles its own leaves in parallel
-    /// when large enough). The resulting index is identical to the serial
-    /// build — workers merely claim different shards.
+    /// [`Self::bulk_insert`] on `exec`: per touched bucket, the batch's
+    /// items form a new run, which absorbs the run before it while that
+    /// run holds at most [`MERGE_RATIO`] times its items, and is then
+    /// STR-packed once. On an empty index (bootstrap, compaction) that is
+    /// one run per shard. Workers claim whole shards (each pack also
+    /// tiles its leaves in parallel when large), so the index is identical
+    /// to the serial build.
     pub fn bulk_insert_exec(&mut self, exec: &Executor, items: &[(RepFov, SegmentId)]) {
         self.segments += items.len();
         let mut per_bucket: BTreeMap<i64, Vec<(Aabb<3>, LeafRef)>> = BTreeMap::new();
@@ -278,22 +287,23 @@ impl ShardedFovIndex {
             }
         }
         let touched: Vec<(i64, Vec<(Aabb<3>, LeafRef)>)> = per_bucket.into_iter().collect();
-        let shards = &self.shards;
-        let kind = self.kind;
-        let rebuilt = exec.par_map_owned(touched, |(bucket, new_items)| {
-            let empty = FovIndex::new(kind);
-            let old = shards.get(&bucket).map_or(&empty, |shard| &**shard);
-            (bucket, old.bulk_extend_par(exec, new_items))
+        let (shards, kind) = (&self.shards, self.kind);
+        let grown = exec.par_map_owned(touched, |(bucket, mut entries)| {
+            let mut runs = shards.get(&bucket).cloned().unwrap_or_default();
+            // Absorb every tail run the merge rule reaches, then pack once.
+            while let Some(last) = runs.pop_if(|last| last.len() <= MERGE_RATIO * entries.len()) {
+                entries.extend(last.entries());
+            }
+            runs.push(Arc::new(FovIndex::new(kind).bulk_extend_par(exec, entries)));
+            (bucket, runs)
         });
-        for (bucket, tree) in rebuilt {
-            self.shards.insert(bucket, Arc::new(tree));
-        }
+        self.shards.extend(grown);
     }
 
-    /// All segment ids intersecting the query, deduplicated across shards:
-    /// in visit order for a single-shard, single-box probe, ascending
-    /// otherwise. Only live shards inside the window are visited (a
-    /// wide-open time range costs the number of shards, not of buckets).
+    /// All segment ids intersecting the query, deduplicated across shards
+    /// and runs, ascending. Only live shards inside the window are
+    /// visited (a wide-open time range costs the number of shards, not of
+    /// buckets).
     pub fn candidates(&self, q: &Query) -> Vec<SegmentId> {
         self.candidates_with_stats(q, &mut SearchStats::default())
     }
@@ -301,11 +311,11 @@ impl ShardedFovIndex {
     /// [`Self::candidates`] accumulating per-shard traversal counters into
     /// `stats`: the serial [`Self::scan`]'s matches in tie order.
     pub fn candidates_with_stats(&self, q: &Query, stats: &mut SearchStats) -> Vec<SegmentId> {
-        let mut hits: Vec<(u64, SegmentId)> = Vec::new();
+        let mut hits: Vec<SegmentId> = Vec::new();
         let (exec, boxes) = (Executor::serial(), query_boxes(q));
         self.scan(&exec, &boxes, q.t_start, q.t_end, Some(stats), &mut hits);
         hits.sort_unstable();
-        hits.into_iter().map(|(_, id)| id).collect()
+        hits
     }
 
     /// The index probe: feeds `sink` every match of `boxes` in the live
@@ -322,25 +332,23 @@ impl ShardedFovIndex {
         mut stats: Option<&mut SearchStats>,
         sink: &mut S,
     ) -> usize {
-        let probed: Vec<(i64, &FovIndex)> = self
+        let probed: Vec<Probed<'_>> = self
             .shards
             .range(self.buckets(t0, t1))
-            .map(|(bucket, shard)| (*bucket, &**shard))
+            .map(|(bucket, runs)| (*bucket, runs.as_slice()))
             .collect();
-        // One shard, one box: the R-tree visit order is the tie order.
-        let by_id = probed.len() > 1 || boxes.as_slice().len() > 1;
         let mut matched = 0;
         if probed.len() < 2 || exec.is_serial() {
             for i in 0..probed.len() {
                 let stats = stats.as_deref_mut();
-                matched += self.scan_shard(&probed, i, boxes, by_id, stats, sink);
+                matched += self.scan_shard(&probed, i, boxes, stats, sink);
             }
         } else {
             let proto: &S = sink;
             let parts = exec.par_map_owned((0..probed.len()).collect(), |i| {
                 let (mut part, mut local) = (proto.fork(), SearchStats::default());
                 let local_stats = stats.is_some().then_some(&mut local);
-                let n = self.scan_shard(&probed, i, boxes, true, local_stats, &mut part);
+                let n = self.scan_shard(&probed, i, boxes, local_stats, &mut part);
                 (part, local, n)
             });
             for (part, local, n) in parts {
@@ -358,42 +366,43 @@ impl ShardedFovIndex {
         matched
     }
 
-    /// Scans probed shard `i` into `sink`, returning the matches it
-    /// delivered.
+    /// Scans every run of probed shard `i` into `sink`, returning the
+    /// matches it delivered.
     fn scan_shard<S: LeafSink>(
         &self,
-        probed: &[(i64, &FovIndex)],
+        probed: &[Probed<'_>],
         i: usize,
         boxes: &QueryBoxes,
-        by_id: bool,
-        stats: Option<&mut SearchStats>,
+        mut stats: Option<&mut SearchStats>,
         sink: &mut S,
     ) -> usize {
         let (earlier, mut n) = (&probed[..i], 0);
-        probed[i].1.visit(boxes.as_slice(), stats, |mbr, leaf| {
-            if self.first_home(earlier, mbr, leaf.id) {
-                sink.accept(mbr, leaf, if by_id { leaf.id.0.into() } else { n });
-                n += 1;
-            }
-        });
-        n as usize
+        for run in probed[i].1 {
+            run.visit(boxes.as_slice(), stats.as_deref_mut(), |mbr, leaf| {
+                if self.first_home(earlier, mbr, leaf.id) {
+                    sink.accept(mbr, leaf);
+                    n += 1;
+                }
+            });
+        }
+        n
     }
 
     /// Dedup without a set: whether `(mbr, id)` has no home among the
     /// `earlier` probed shards `b_0 < … < b_{i−1}`. A segment is in every
     /// live bucket of its span, so it is a repeat exactly when its first
     /// bucket is at most `b_{i−1}` — unless `b_{i−1}` sits below
-    /// [`Self::cut`]; then the earlier shards are asked directly.
-    fn first_home(&self, earlier: &[(i64, &FovIndex)], mbr: &Aabb<3>, id: SegmentId) -> bool {
+    /// [`Self::cut`]; then the earlier shards' runs are asked directly.
+    fn first_home(&self, earlier: &[Probed<'_>], mbr: &Aabb<3>, id: SegmentId) -> bool {
         let Some(&(prev, _)) = earlier.last() else {
             return true;
         };
         let first = self.bucket_of(mbr.min[2]);
         first > prev
             || (prev < self.cut
-                && !earlier
-                    .iter()
-                    .any(|(bucket, shard)| *bucket >= first && shard.contains(mbr, id)))
+                && !earlier.iter().any(|(bucket, runs)| {
+                    *bucket >= first && runs.iter().any(|run| run.contains(mbr, id))
+                }))
     }
 
     /// Drops every shard that ends at or before `horizon_s`. Segments
@@ -411,8 +420,8 @@ impl ShardedFovIndex {
         // read straight off its stored box — is itself below the cutoff.
         // Segments straddling the cutoff keep living in later buckets.
         let mut segments_dropped = Vec::new();
-        for shard in dropped_shards.values() {
-            shard.for_each_item(|b, id| {
+        for run in dropped_shards.values().flatten() {
+            run.for_each_item(|b, id| {
                 if self.bucket_of(b.max[2]) < cutoff {
                     segments_dropped.push(id);
                 }
@@ -447,15 +456,29 @@ mod tests {
         Query::new(t0, t1, center(), 500.0)
     }
 
+    /// Indexes `rep(t0, t1, north_m)` as segment `id`, a batch of its own.
+    fn one(idx: &mut ShardedFovIndex, t0: f64, t1: f64, north_m: f64, id: u32) {
+        idx.bulk_insert(&[(rep(t0, t1, north_m), SegmentId(id))]);
+    }
+
+    /// Segment `i` starting at `i × step`, lasting `i mod dur`, `i mod
+    /// rows` 25 m steps north.
+    fn item(i: u32, step: f64, dur: u32, rows: u32) -> (RepFov, SegmentId) {
+        let t0 = f64::from(i) * step % 7200.0;
+        let north = f64::from(i % rows) * 25.0;
+        (rep(t0, t0 + f64::from(i % dur), north), SegmentId(i))
+    }
+
     #[test]
     fn matches_flat_index_on_random_workload() {
+        let items: Vec<_> = (0..500).map(|i| item(i, 17.3, 40, 23)).collect();
         let mut sharded = ShardedFovIndex::new(600.0, IndexKind::RTree);
         let mut flat = FovIndex::new(IndexKind::RTree);
-        for i in 0..500u32 {
-            let t0 = f64::from(i) * 17.3 % 7200.0;
-            let r = rep(t0, t0 + f64::from(i % 40), f64::from(i % 23) * 20.0);
-            sharded.insert(&r, SegmentId(i));
-            flat.insert(&r, SegmentId(i));
+        for batch in items.chunks(37) {
+            sharded.bulk_insert(batch);
+        }
+        for (r, id) in &items {
+            flat.insert(r, *id);
         }
         assert_eq!(sharded.len(), 500);
         for (t0, t1) in [
@@ -464,39 +487,21 @@ mod tests {
             (3000.0, 3001.0),
             (6500.0, 7300.0),
         ] {
-            let mut a = sharded.candidates(&q(t0, t1));
             let mut b = flat.candidates(&q(t0, t1));
-            a.sort();
             b.sort();
-            assert_eq!(a, b, "window {t0}..{t1}");
+            assert_eq!(sharded.candidates(&q(t0, t1)), b, "window {t0}..{t1}");
         }
     }
 
     #[test]
     fn bulk_insert_matches_incremental() {
+        let old: Vec<_> = (0..150).map(|i| item(i, 13.0, 60, 17)).collect();
+        let new: Vec<_> = (150..260).map(|i| item(i, 7.0, 90, 13)).collect();
         let mut incremental = ShardedFovIndex::new(300.0, IndexKind::RTree);
-        let mut bulk = ShardedFovIndex::new(300.0, IndexKind::RTree);
-        let old: Vec<(RepFov, SegmentId)> = (0..150u32)
-            .map(|i| {
-                let t0 = f64::from(i) * 13.0;
-                (
-                    rep(t0, t0 + f64::from(i % 60), f64::from(i % 17) * 25.0),
-                    SegmentId(i),
-                )
-            })
-            .collect();
-        let new: Vec<(RepFov, SegmentId)> = (150..260u32)
-            .map(|i| {
-                let t0 = f64::from(i) * 7.0;
-                (
-                    rep(t0, t0 + f64::from(i % 90), f64::from(i % 13) * 30.0),
-                    SegmentId(i),
-                )
-            })
-            .collect();
-        for (r, id) in old.iter().chain(&new) {
-            incremental.insert(r, *id);
+        for item in old.iter().chain(&new) {
+            incremental.bulk_insert(std::slice::from_ref(item));
         }
+        let mut bulk = ShardedFovIndex::new(300.0, IndexKind::RTree);
         bulk.bulk_insert(&old);
         let snapshot = bulk.clone();
         bulk.bulk_insert(&new);
@@ -504,11 +509,8 @@ mod tests {
         // The pre-extend clone is unaffected by the second bulk insert.
         assert_eq!(snapshot.len(), 150);
         for (t0, t1) in [(0.0, 3000.0), (500.0, 700.0), (1800.0, 1900.0)] {
-            let mut a = bulk.candidates(&q(t0, t1));
-            let mut b = incremental.candidates(&q(t0, t1));
-            a.sort();
-            b.sort();
-            assert_eq!(a, b, "window {t0}..{t1}");
+            let b = incremental.candidates(&q(t0, t1));
+            assert_eq!(bulk.candidates(&q(t0, t1)), b, "window {t0}..{t1}");
         }
     }
 
@@ -516,19 +518,18 @@ mod tests {
     fn spanning_segments_are_deduplicated() {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
         // Spans three buckets.
-        idx.insert(&rep(50.0, 250.0, 10.0), SegmentId(1));
+        one(&mut idx, 50.0, 250.0, 10.0, 1);
         assert_eq!(idx.shard_count(), 3);
         assert_eq!(idx.len(), 1);
-        let hits = idx.candidates(&q(0.0, 300.0));
-        assert_eq!(hits, vec![SegmentId(1)]);
+        assert_eq!(idx.candidates(&q(0.0, 300.0)), vec![SegmentId(1)]);
     }
 
     #[test]
     fn expiry_drops_old_keeps_recent() {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        idx.insert(&rep(10.0, 20.0, 0.0), SegmentId(0)); // bucket 0
-        idx.insert(&rep(150.0, 160.0, 0.0), SegmentId(1)); // bucket 1
-        idx.insert(&rep(950.0, 960.0, 0.0), SegmentId(2)); // bucket 9
+        one(&mut idx, 10.0, 20.0, 0.0, 0); // bucket 0
+        one(&mut idx, 150.0, 160.0, 0.0, 1); // bucket 1
+        one(&mut idx, 950.0, 960.0, 0.0, 2); // bucket 9
         assert_eq!(idx.shard_count(), 3);
 
         let report = idx.expire_before(500.0);
@@ -543,7 +544,7 @@ mod tests {
     #[test]
     fn segment_spanning_horizon_survives() {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        idx.insert(&rep(90.0, 110.0, 0.0), SegmentId(7)); // buckets 0 and 1
+        one(&mut idx, 90.0, 110.0, 0.0, 7); // buckets 0 and 1
         let report = idx.expire_before(100.0); // drops bucket 0
         assert_eq!(report.shards_dropped, 1);
         assert!(
@@ -559,8 +560,8 @@ mod tests {
     fn remove_unindexes_across_spanned_buckets() {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
         let spanning = rep(50.0, 250.0, 10.0);
-        idx.insert(&spanning, SegmentId(1));
-        idx.insert(&rep(10.0, 20.0, 0.0), SegmentId(2));
+        one(&mut idx, 50.0, 250.0, 10.0, 1);
+        one(&mut idx, 10.0, 20.0, 0.0, 2);
         assert!(idx.remove(&spanning, SegmentId(1)));
         assert!(!idx.remove(&spanning, SegmentId(1)), "double remove");
         assert_eq!(idx.len(), 1);
@@ -573,10 +574,9 @@ mod tests {
     #[test]
     fn remove_after_partial_expiry_is_safe() {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        let spanning = rep(90.0, 110.0, 0.0); // buckets 0 and 1
-        idx.insert(&spanning, SegmentId(3));
+        one(&mut idx, 90.0, 110.0, 0.0, 3); // buckets 0 and 1
         idx.expire_before(100.0); // bucket 0 gone
-        assert!(idx.remove(&spanning, SegmentId(3)));
+        assert!(idx.remove(&rep(90.0, 110.0, 0.0), SegmentId(3)));
         assert!(idx.is_empty());
         assert!(idx.candidates(&q(100.0, 120.0)).is_empty());
     }
@@ -584,7 +584,7 @@ mod tests {
     #[test]
     fn negative_times_bucket_correctly() {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        idx.insert(&rep(0.0, 10.0, 0.0), SegmentId(0));
+        one(&mut idx, 0.0, 10.0, 0.0, 0);
         // floor() keeps pre-epoch times in their own buckets; nothing
         // before t=0 exists here, but the query must not wrap.
         assert!(idx
@@ -598,19 +598,13 @@ mod tests {
         let mut a = ShardedFovIndex::new(250.0, IndexKind::RTree);
         let mut b = ShardedFovIndex::new(250.0, IndexKind::Linear);
         for i in 0..200u32 {
-            let r = rep(
-                f64::from(i) * 9.0,
-                f64::from(i) * 9.0 + 30.0,
-                f64::from(i % 11) * 30.0,
-            );
-            a.insert(&r, SegmentId(i));
-            b.insert(&r, SegmentId(i));
+            let t0 = f64::from(i) * 9.0;
+            for idx in [&mut a, &mut b] {
+                one(idx, t0, t0 + 30.0, f64::from(i % 11) * 30.0, i);
+            }
         }
-        let mut ha = a.candidates(&q(300.0, 900.0));
-        let mut hb = b.candidates(&q(300.0, 900.0));
-        ha.sort();
-        hb.sort();
-        assert_eq!(ha, hb);
+        let window = q(300.0, 900.0);
+        assert_eq!(a.candidates(&window), b.candidates(&window));
     }
 
     #[test]
@@ -624,9 +618,9 @@ mod tests {
         let reg = Registry::new();
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
         idx.attach_observability(&reg);
-        idx.insert(&rep(10.0, 20.0, 0.0), SegmentId(0)); // bucket 0
-        idx.insert(&rep(150.0, 160.0, 0.0), SegmentId(1)); // bucket 1
-        idx.insert(&rep(950.0, 960.0, 0.0), SegmentId(2)); // bucket 9
+        one(&mut idx, 10.0, 20.0, 0.0, 0); // bucket 0
+        one(&mut idx, 150.0, 160.0, 0.0, 1); // bucket 1
+        one(&mut idx, 950.0, 960.0, 0.0, 2); // bucket 9
 
         // Window spans buckets 0..=9, but only 3 shards exist.
         assert_eq!(idx.candidates(&q(0.0, 999.0)).len(), 3);
@@ -641,20 +635,15 @@ mod tests {
     }
 
     /// What the scan's dedup must reproduce: the union of every probed
-    /// shard's own matches, each id once.
+    /// shard's runs' own matches, each id once.
     fn union_of_shards(idx: &ShardedFovIndex, q: &Query) -> Vec<SegmentId> {
         let mut ids: Vec<SegmentId> = idx
             .shards
             .range(idx.buckets(q.t_start, q.t_end))
-            .flat_map(|(_, shard)| shard.candidates(q))
+            .flat_map(|(_, runs)| runs.iter().flat_map(|run| run.candidates(q)))
             .collect();
         ids.sort_unstable();
         ids.dedup();
-        ids
-    }
-
-    fn sorted(mut ids: Vec<SegmentId>) -> Vec<SegmentId> {
-        ids.sort_unstable();
         ids
     }
 
@@ -663,15 +652,79 @@ mod tests {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
         // Segment 0 spans buckets 0..=3; the expiry leaves it in 2 and 3,
         // then a late arrival re-creates buckets 0 and 1 without it.
-        idx.insert(&rep(50.0, 350.0, 0.0), SegmentId(0));
+        one(&mut idx, 50.0, 350.0, 0.0, 0);
         idx.expire_before(200.0);
-        idx.insert(&rep(20.0, 180.0, 5.0), SegmentId(1));
+        one(&mut idx, 20.0, 180.0, 5.0, 1);
         let query = q(0.0, 400.0);
         assert_eq!(idx.candidates(&query), vec![SegmentId(0), SegmentId(1)]);
-        assert_eq!(
-            sorted(idx.candidates(&query)),
-            union_of_shards(&idx, &query)
-        );
+        assert_eq!(idx.candidates(&query), union_of_shards(&idx, &query));
+    }
+
+    /// Run sizes of bucket `b`, oldest first.
+    fn run_sizes(idx: &ShardedFovIndex, b: i64) -> Vec<usize> {
+        idx.shards[&b].iter().map(|run| run.len()).collect()
+    }
+
+    /// Segments `ids`, each one second long at `t = id mod 90`: bucket 0.
+    fn batch(ids: std::ops::Range<u32>) -> Vec<(RepFov, SegmentId)> {
+        ids.map(|i| {
+            let t = f64::from(i % 90);
+            (rep(t, t + 1.0, f64::from(i % 7)), SegmentId(i))
+        })
+        .collect()
+    }
+
+    #[test]
+    fn runs_shrink_geometrically_under_any_batch_sizes() {
+        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
+        let mut next = 0u32;
+        for step in 0..200u32 {
+            let n = 1 + step * 7 % 37;
+            idx.bulk_insert(&batch(next..next + n));
+            next += n;
+            let sizes = run_sizes(&idx, 0);
+            assert!(
+                sizes.windows(2).all(|w| w[0] > MERGE_RATIO * w[1]),
+                "after step {step}: {sizes:?}"
+            );
+            assert_eq!(sizes.iter().sum::<usize>(), next as usize);
+        }
+    }
+
+    #[test]
+    fn unmerged_publish_shares_every_older_run() {
+        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
+        idx.bulk_insert(&batch(0..40)); // one run of 40
+        one(&mut idx, 150.0, 151.0, 0.0, 40); // bucket 1, untouched below
+        idx.bulk_insert(&batch(41..44)); // 40 > 2 × 3: a second run
+        let before = idx.clone();
+        idx.bulk_insert(&batch(44..45)); // 3 > 2 × 1: appended, no merge
+        assert_eq!(run_sizes(&before, 0), vec![40, 3]);
+        assert_eq!(run_sizes(&idx, 0), vec![40, 3, 1]);
+        for (old, new) in before.shards[&0].iter().zip(&idx.shards[&0]) {
+            assert!(Arc::ptr_eq(old, new), "older runs are never rebuilt");
+        }
+        assert!(Arc::ptr_eq(&idx.shards[&1][0], &before.shards[&1][0]));
+        let before = idx.clone();
+        idx.bulk_insert(&batch(45..46)); // 1 ≤ 2 × 1, then 3 ≤ 2 × 2
+        assert_eq!(run_sizes(&idx, 0), vec![40, 5]);
+        assert!(Arc::ptr_eq(&idx.shards[&0][0], &before.shards[&0][0]));
+    }
+
+    #[test]
+    fn remove_reaches_a_segment_in_an_older_run() {
+        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
+        idx.bulk_insert(&batch(0..10));
+        idx.bulk_insert(&batch(10..11));
+        let before = idx.clone();
+        assert_eq!(run_sizes(&idx, 0), vec![10, 1]);
+        assert!(idx.remove(&batch(3..4)[0].0, SegmentId(3)));
+        assert_eq!(run_sizes(&idx, 0), vec![9, 1]);
+        assert_eq!(idx.len(), 10);
+        assert!(!idx.candidates(&q(0.0, 99.0)).contains(&SegmentId(3)));
+        // The snapshot still holds it; the untouched tail run is shared.
+        assert!(before.candidates(&q(0.0, 99.0)).contains(&SegmentId(3)));
+        assert!(Arc::ptr_eq(&idx.shards[&0][1], &before.shards[&0][1]));
     }
 
     mod dedup {
@@ -688,7 +741,8 @@ mod tests {
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
-            /// Whatever inserts, expiries (late arrivals then re-create
+            /// Whatever batched inserts (several per bucket, so shards
+            /// hold several runs), expiries (late arrivals then re-create
             /// expired buckets) and removals built the index, the scan
             /// reports the union of the probed shards' matches, each once,
             /// and the pool's scan equals the serial one, counters too.
@@ -704,30 +758,29 @@ mod tests {
                 ),
             ) {
                 let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-                let mut live = Vec::new();
+                let (mut live, mut batch) = (Vec::new(), Vec::new());
                 for (i, &(kind, t0, dur, north)) in ops.iter().enumerate() {
-                    let (r, id) = (rep(t0, t0 + dur, north), SegmentId(i as u32));
                     match kind {
-                        0 => idx.insert(&r, id),
-                        1 => idx.bulk_insert(&[(r, id)]),
-                        2 => {
-                            idx.expire_before(t0);
-                            continue;
-                        }
-                        _ => {
-                            if !live.is_empty() {
-                                let (r, id) = live.swap_remove(i % live.len());
-                                idx.remove(&r, id);
+                        // Stage; 1 also publishes the staged batch.
+                        0 | 1 => {
+                            batch.push((rep(t0, t0 + dur, north), SegmentId(i as u32)));
+                            if kind == 1 {
+                                idx.bulk_insert(&batch);
+                                live.append(&mut batch);
                             }
-                            continue;
                         }
+                        2 => _ = idx.expire_before(t0),
+                        _ if !live.is_empty() => {
+                            let (r, id) = live.swap_remove(i % live.len());
+                            idx.remove(&r, id);
+                        }
+                        _ => {}
                     }
-                    live.push((r, id));
                 }
+                idx.bulk_insert(&batch);
                 for &(t0, len, radius) in &queries {
                     let query = Query::new(t0, t0 + len, center(), radius);
-                    let ids = idx.candidates(&query);
-                    prop_assert_eq!(sorted(ids), union_of_shards(&idx, &query));
+                    prop_assert_eq!(idx.candidates(&query), union_of_shards(&idx, &query));
                     let boxes = query_boxes(&query);
                     let (mut serial, mut parallel) = (Vec::new(), Vec::new());
                     let (mut s, mut p) = (SearchStats::default(), SearchStats::default());

@@ -113,7 +113,7 @@ proptest! {
 
     /// Incremental path: the same upload batches pushed through both
     /// servers (delta appends + threshold-triggered snapshot publishes,
-    /// which STR-rebuild on the executor) must stay indistinguishable.
+    /// which STR-pack runs on the executor) must stay indistinguishable.
     #[test]
     fn parallel_publish_matches_serial_publish(
         batches in prop::collection::vec(prop::collection::vec(arb_rep(), 1..20), 1..6),

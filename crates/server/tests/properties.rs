@@ -35,6 +35,17 @@ fn arb_rep() -> impl Strategy<Value = RepFov> {
         })
 }
 
+/// Reps on a 3 × 3 grid of 100 m cells with whole-minute intervals:
+/// distance and quality ties are the rule, not the exception.
+fn arb_tied_rep() -> impl Strategy<Value = RepFov> {
+    (-1i32..=1, -1i32..=1, 0u8..4, 0u32..60, 1u32..12).prop_map(|(x, y, dir, min, len)| {
+        let (east, north) = (f64::from(x) * 100.0, f64::from(y) * 100.0);
+        let p = base().offset_by(swag_geo::Vec2::new(east, north));
+        let (t0, t1) = (f64::from(min) * 60.0, f64::from(min + len) * 60.0);
+        RepFov::new(t0, t1, Fov::new(p, f64::from(dir) * 90.0))
+    })
+}
+
 fn arb_query() -> impl Strategy<Value = Query> {
     (
         -1000.0f64..1000.0,
@@ -91,18 +102,61 @@ proptest! {
         reps in prop::collection::vec(arb_rep(), 0..150),
         q in arb_query(),
         width in 60.0f64..1200.0,
+        batch in 1usize..40,
     ) {
+        let items: Vec<(RepFov, SegmentId)> =
+            reps.iter().enumerate().map(|(i, rep)| (*rep, SegmentId(i as u32))).collect();
         let mut flat = FovIndex::new(IndexKind::RTree);
+        for (rep, id) in &items {
+            flat.insert(rep, *id);
+        }
         let mut sharded = ShardedFovIndex::new(width, IndexKind::RTree);
-        for (i, rep) in reps.iter().enumerate() {
-            flat.insert(rep, SegmentId(i as u32));
-            sharded.insert(rep, SegmentId(i as u32));
+        for chunk in items.chunks(batch) {
+            sharded.bulk_insert(chunk);
         }
         let mut a = flat.candidates(&q);
-        let mut b = sharded.candidates(&q);
         a.sort();
-        b.sort();
-        prop_assert_eq!(a, b);
+        prop_assert_eq!(a, sharded.candidates(&q));
+    }
+
+    /// Answers are a function of the ingested set, not of how publishes
+    /// split it into runs (or leave it in the delta): the same arrivals
+    /// folded every 1, 7 or 256 records answer `query`, `query_batch` and
+    /// `query_nearest` byte-identically, ties at the top-k cut included.
+    #[test]
+    fn publish_cadence_never_changes_results(
+        reps in prop::collection::vec(arb_tied_rep(), 1..120),
+        queries in prop::collection::vec(arb_query(), 1..6),
+        top_n in 1usize..12,
+        quality in prop::bool::ANY,
+    ) {
+        let opts = QueryOptions {
+            top_n,
+            direction_filter: false,
+            rank: if quality { RankMode::Quality } else { RankMode::Distance },
+            ..QueryOptions::default()
+        };
+        let answers = |publish_threshold: usize| {
+            let config = ServerConfig { publish_threshold, ..ServerConfig::default() };
+            let server = CloudServer::with_config(CameraProfile::smartphone(), config);
+            for (i, rep) in reps.iter().enumerate() {
+                server.ingest_one(*rep, SegmentRef {
+                    provider_id: i as u64 % 3,
+                    video_id: i as u64,
+                    segment_idx: 0,
+                });
+            }
+            let single: Vec<_> = queries.iter().map(|q| server.query(q, &opts)).collect();
+            let batch = server.query_batch(&queries, &opts, 2);
+            let nearest: Vec<_> = queries
+                .iter()
+                .map(|q| server.query_nearest(q.t_start, q.t_end, q.center, top_n, &opts, 2000.0))
+                .collect();
+            format!("{single:?}\n{batch:?}\n{nearest:?}")
+        };
+        let folded_each = answers(1);
+        prop_assert_eq!(&answers(7), &folded_each);
+        prop_assert_eq!(&answers(256), &folded_each);
     }
 
     #[test]

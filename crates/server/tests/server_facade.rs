@@ -80,6 +80,25 @@ fn temporal_window_restricts_results() {
 }
 
 #[test]
+fn explain_lists_runs_per_probed_shard() {
+    // Every batch folds on its own: five segments, then one more into the
+    // same 600 s shard, appended as a second run (5 > 2 × 1).
+    let config = ServerConfig {
+        publish_threshold: 1,
+        ..ServerConfig::default()
+    };
+    let server = CloudServer::with_config(CameraProfile::smartphone(), config);
+    server.ingest_batch(&batch(1, 5));
+    server.ingest_batch(&batch(2, 1));
+    let q = Query::new(0.0, 100.0, center(), 100.0);
+    let plan = server.explain(&q, &QueryOptions::default());
+    assert!(
+        plan.contains("shards  : probe 1 of 1 live (width 600 s): #0(x6/2r)"),
+        "{plan}"
+    );
+}
+
+#[test]
 fn linear_and_rtree_servers_agree() {
     let a = CloudServer::with_index(CameraProfile::smartphone(), IndexKind::RTree);
     let b = CloudServer::with_index(CameraProfile::smartphone(), IndexKind::Linear);
