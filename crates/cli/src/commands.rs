@@ -398,11 +398,7 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
         Some(dir) => CloudServer::open(dir, camera(), probe_config).map_err(|e| e.to_string())?,
         None => CloudServer::with_config(camera(), probe_config),
     };
-    server.set_executor(if threads <= 1 {
-        Executor::serial()
-    } else {
-        Executor::new(ExecConfig::with_threads(threads))
-    });
+    server.set_executor(Executor::new(ExecConfig::with_threads(threads)));
     server.attach_observability(&registry);
     server.ingest_batch(&batch);
     let probes: Vec<Query> = (0..n_queries)
@@ -445,16 +441,15 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
             );
             let e = server.executor().stats();
             println!(
-                "executor: {} thread{} ({}), {} tasks, {} steals",
+                "executor: {} thread{} ({}), {} scoped threads spawned",
                 e.threads,
                 if e.threads == 1 { "" } else { "s" },
                 if server.executor().is_serial() {
                     "serial"
                 } else {
-                    "work-stealing"
+                    "scoped"
                 },
                 e.tasks,
-                e.steals,
             );
             let ch = registry.counter("swag_server_cache_hits_total").get();
             let cm = registry.counter("swag_server_cache_misses_total").get();

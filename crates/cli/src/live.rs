@@ -143,11 +143,7 @@ impl LiveStack {
                 .map_err(|e| format!("cannot open data dir '{dir}': {e}"))?,
             None => CloudServer::with_config(cam, server_config),
         };
-        server.set_executor(if cfg.threads <= 1 {
-            Executor::serial()
-        } else {
-            Executor::new(ExecConfig::with_threads(cfg.threads))
-        });
+        server.set_executor(Executor::new(ExecConfig::with_threads(cfg.threads)));
         server.attach_observability(&registry);
         server.ingest_batch(&batch);
 

@@ -1,56 +1,40 @@
-//! # swag-exec — work-stealing executor
+//! # swag-exec — order-preserving parallel map on scoped threads
 //!
-//! A small, dependency-free thread pool built for the retrieval
-//! pipeline's three hot loops: per-query shard fan-out, publish-time STR
-//! rebuilds, and batched query execution. The API is deliberately tiny:
+//! The pipeline's fan-out sites (the per-query shard probe, the bulk
+//! pack of touched shards, batched queries) are all one shape: map over
+//! a slice, keep input order. That is the whole API:
+//! [`Executor::par_map`] and [`Executor::par_map_owned`].
 //!
-//! - [`Executor::par_map`] / [`Executor::par_map_owned`] — order-
-//!   preserving parallel map over a slice / owned items.
-//! - [`Executor::join`] — run two closures, potentially in parallel.
-//! - [`Executor::scope`] — structured spawns borrowing the environment.
+//! A parallel call opens one [`std::thread::scope`], splits the input
+//! into at most [`Executor::threads`] contiguous chunks, runs the first
+//! chunk on the caller and the rest on scoped threads, and concatenates
+//! the outputs in input order. No thread outlives the call, so an idle
+//! executor costs nothing, and a nested call opens its own scope.
 //!
-//! ## Determinism
-//!
-//! Every primitive preserves *result order*: `par_map` returns outputs
-//! at their input index, `join` returns `(a, b)`, and the serial
-//! executor ([`ExecConfig::serial`], or `SWAG_EXEC_THREADS=1`) degrades
-//! each primitive to plain in-order execution. Callers that merge
-//! parallel partial results deterministically (as the server's shard
-//! fan-out does) therefore produce byte-identical output in serial and
-//! parallel mode — a property the test suite checks by proptest.
-//!
-//! ## Blocking and nesting
-//!
-//! A caller blocked on a parallel call *helps*: it executes pool work
-//! while it waits, so nested parallelism from inside a worker cannot
-//! deadlock even on a single-thread pool.
+//! The serial executor ([`ExecConfig::serial`], or `SWAG_EXEC_THREADS=1`)
+//! runs the plain in-order loop, so callers that merge partial results
+//! in order (as the shard fan-out does) answer byte-identically in both
+//! modes — a property the test suite checks by proptest. A panicking
+//! chunk is re-raised on the caller with its payload once every chunk
+//! has finished; the executor holds no state a panic could poison.
 
-#![deny(clippy::undocumented_unsafe_blocks)]
-
-mod job;
-mod latch;
-mod par;
-mod pool;
-
+use std::panic::resume_unwind;
+use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::{Arc, OnceLock};
 
-pub use par::Scope;
-use pool::{Pool, PoolHandle};
-use swag_obs::Registry;
-
-/// How many worker threads an [`Executor`] should run.
+/// How many threads an [`Executor`] may split a call across.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecConfig {
     threads: usize,
 }
 
 impl ExecConfig {
-    /// Deterministic single-threaded execution (no pool at all).
+    /// Deterministic single-threaded execution.
     pub fn serial() -> ExecConfig {
         ExecConfig { threads: 1 }
     }
 
-    /// A pool with `threads` workers (clamped to at least 1).
+    /// Up to `threads` threads per call (clamped to at least 1).
     pub fn with_threads(threads: usize) -> ExecConfig {
         ExecConfig {
             threads: threads.max(1),
@@ -68,7 +52,7 @@ impl ExecConfig {
         ExecConfig::with_threads(threads)
     }
 
-    /// The configured worker count.
+    /// The configured thread count.
     pub fn threads(&self) -> usize {
         self.threads
     }
@@ -83,35 +67,42 @@ impl Default for ExecConfig {
 /// Point-in-time executor counters (see [`Executor::stats`]).
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ExecStats {
-    /// Worker threads (1 for the serial executor).
+    /// Threads per call (1 for the serial executor).
     pub threads: usize,
-    /// Jobs submitted over the executor's lifetime.
+    /// Scoped threads spawned over the executor's lifetime.
     pub tasks: u64,
-    /// Jobs taken from another worker's deque.
+    /// Always 0: scoped chunks are never stolen. The field stays only
+    /// because the end-to-end benchmark reports it.
     pub steals: u64,
 }
 
-/// Handle to a work-stealing pool (or the serial fallback). Cheap to
-/// clone; clones share the same workers.
-#[derive(Clone, Default)]
+/// A thread budget plus a spawn counter. Cheap to clone; clones share
+/// the counter. The serial executor has none, so building one on a hot
+/// path allocates nothing.
+#[derive(Clone, Debug)]
 pub struct Executor {
-    inner: Option<Arc<PoolHandle>>,
+    threads: usize,
+    tasks: Option<Arc<AtomicU64>>,
+}
+
+impl Default for Executor {
+    fn default() -> Self {
+        Executor::serial()
+    }
 }
 
 impl Executor {
     /// Builds an executor; `threads <= 1` yields the serial executor.
     pub fn new(config: ExecConfig) -> Executor {
-        if config.threads <= 1 {
-            return Executor::serial();
-        }
         Executor {
-            inner: Some(Arc::new(PoolHandle::spawn(config.threads))),
+            threads: config.threads,
+            tasks: (config.threads > 1).then(Arc::default),
         }
     }
 
-    /// The deterministic no-pool executor.
+    /// The deterministic in-order executor.
     pub fn serial() -> Executor {
-        Executor { inner: None }
+        Executor::new(ExecConfig::serial())
     }
 
     /// The process-wide executor, built from [`ExecConfig::from_env`] on
@@ -121,58 +112,95 @@ impl Executor {
         GLOBAL.get_or_init(|| Executor::new(ExecConfig::from_env()))
     }
 
-    /// Worker count (1 when serial).
+    /// Threads per call (1 when serial).
     pub fn threads(&self) -> usize {
-        self.inner.as_ref().map_or(1, |h| h.pool().threads())
+        self.threads
     }
 
     /// Whether this executor runs everything inline on the caller.
     pub fn is_serial(&self) -> bool {
-        self.inner.is_none()
+        self.threads <= 1
     }
 
-    /// Resolves the pool's metric handles (`swag_exec_tasks_total`,
-    /// `swag_exec_steals_total`, `swag_exec_queue_depth`) against
-    /// `registry`. First call wins; later calls are no-ops.
-    pub fn attach_observability(&self, registry: &Registry) {
-        if let Some(handle) = &self.inner {
-            handle.pool().attach_observability(registry);
-        }
-    }
-
-    /// Lifetime counters for this executor's pool.
+    /// Lifetime counters for this executor and its clones.
     pub fn stats(&self) -> ExecStats {
-        match &self.inner {
-            None => ExecStats {
-                threads: 1,
-                tasks: 0,
-                steals: 0,
-            },
-            Some(handle) => ExecStats {
-                threads: handle.pool().threads(),
-                tasks: handle.pool().tasks_submitted(),
-                steals: handle.pool().steals(),
-            },
+        ExecStats {
+            threads: self.threads,
+            tasks: self.tasks.as_ref().map_or(0, |t| t.load(Ordering::Relaxed)),
+            steals: 0,
         }
     }
 
-    pub(crate) fn pool(&self) -> Option<&Pool> {
-        self.inner.as_deref().map(|h| h.pool().as_ref())
+    /// Maps `f` over `items`, preserving input order. Serial executors
+    /// (and inputs of at most one item) map in order on the caller, so
+    /// results are identical in both modes.
+    pub fn par_map<T, R, F>(&self, items: &[T], f: F) -> Vec<R>
+    where
+        T: Sync,
+        R: Send,
+        F: Fn(&T) -> R + Sync,
+    {
+        if self.is_serial() || items.len() <= 1 {
+            return items.iter().map(f).collect();
+        }
+        let chunk = items.len().div_ceil(self.threads);
+        self.map_chunks(items.chunks(chunk), |c| c.iter().map(&f).collect())
     }
-}
 
-impl std::fmt::Debug for Executor {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        f.debug_struct("Executor")
-            .field("threads", &self.threads())
-            .finish()
+    /// [`Executor::par_map`] over owned items.
+    pub fn par_map_owned<T, R, F>(&self, items: Vec<T>, f: F) -> Vec<R>
+    where
+        T: Send,
+        R: Send,
+        F: Fn(T) -> R + Sync,
+    {
+        if self.is_serial() || items.len() <= 1 {
+            return items.into_iter().map(f).collect();
+        }
+        let chunk = items.len().div_ceil(self.threads);
+        let mut rest = items.into_iter();
+        let chunks = std::iter::from_fn(|| {
+            let c: Vec<T> = rest.by_ref().take(chunk).collect();
+            (!c.is_empty()).then_some(c)
+        });
+        self.map_chunks(chunks, |c| c.into_iter().map(&f).collect())
+    }
+
+    /// Runs `g` over every chunk — the first on the caller, the rest on
+    /// scoped threads — and concatenates the outputs in chunk order,
+    /// re-raising the first panicking chunk's payload.
+    fn map_chunks<C, R>(
+        &self,
+        chunks: impl Iterator<Item = C>,
+        g: impl Fn(C) -> Vec<R> + Sync,
+    ) -> Vec<R>
+    where
+        C: Send,
+        R: Send,
+    {
+        let g = &g;
+        std::thread::scope(|s| {
+            let mut chunks = chunks;
+            let first = chunks.next();
+            let spawned: Vec<_> = chunks.map(|c| s.spawn(move || g(c))).collect();
+            if let Some(tasks) = &self.tasks {
+                tasks.fetch_add(spawned.len() as u64, Ordering::Relaxed);
+            }
+            let mut out = first.map(g).unwrap_or_default();
+            for handle in spawned {
+                match handle.join() {
+                    Ok(part) => out.extend(part),
+                    Err(payload) => resume_unwind(payload),
+                }
+            }
+            out
+        })
     }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use std::sync::atomic::{AtomicUsize, Ordering};
 
     #[test]
     fn serial_par_map_is_in_order() {
@@ -200,82 +228,6 @@ mod tests {
     }
 
     #[test]
-    fn join_returns_both() {
-        let exec = Executor::new(ExecConfig::with_threads(2));
-        let (a, b) = exec.join(|| 1 + 1, || "two");
-        assert_eq!((a, b), (2, "two"));
-    }
-
-    #[test]
-    fn join_serial_runs_in_order() {
-        let exec = Executor::serial();
-        let order = std::sync::Mutex::new(Vec::new());
-        let (_, _) = exec.join(
-            || order.lock().unwrap().push('a'),
-            || order.lock().unwrap().push('b'),
-        );
-        assert_eq!(*order.lock().unwrap(), vec!['a', 'b']);
-    }
-
-    #[test]
-    fn scope_runs_all_spawns() {
-        let exec = Executor::new(ExecConfig::with_threads(4));
-        let counter = AtomicUsize::new(0);
-        exec.scope(|s| {
-            for _ in 0..100 {
-                s.spawn(|| {
-                    counter.fetch_add(1, Ordering::Relaxed);
-                });
-            }
-        });
-        assert_eq!(counter.load(Ordering::Relaxed), 100);
-    }
-
-    #[test]
-    fn nested_par_map_completes() {
-        let exec = Executor::new(ExecConfig::with_threads(2));
-        let outer: Vec<usize> = (0..8).collect();
-        let out = exec.par_map(&outer, |&i| {
-            let inner: Vec<usize> = (0..16).collect();
-            exec.par_map(&inner, |&j| i * 100 + j).iter().sum::<usize>()
-        });
-        let expected: Vec<usize> = (0..8).map(|i| (0..16).map(|j| i * 100 + j).sum()).collect();
-        assert_eq!(out, expected);
-    }
-
-    #[test]
-    fn par_map_propagates_panic() {
-        let exec = Executor::new(ExecConfig::with_threads(2));
-        let items: Vec<usize> = (0..32).collect();
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.par_map(&items, |&i| {
-                if i == 17 {
-                    panic!("boom at {i}");
-                }
-                i
-            })
-        }));
-        assert!(result.is_err());
-        // Pool stays usable after a panic.
-        let out = exec.par_map(&items, |&i| i + 1);
-        assert_eq!(out.len(), 32);
-    }
-
-    #[test]
-    fn join_propagates_a_panic_after_b_finishes() {
-        let exec = Executor::new(ExecConfig::with_threads(2));
-        let b_ran = AtomicUsize::new(0);
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.join(
-                || panic!("a failed"),
-                || b_ran.fetch_add(1, Ordering::SeqCst),
-            )
-        }));
-        assert!(result.is_err());
-        assert_eq!(b_ran.load(Ordering::SeqCst), 1);
-    }
-
-    #[test]
     fn env_config_parses() {
         assert_eq!(ExecConfig::with_threads(0).threads(), 1);
         assert_eq!(ExecConfig::serial().threads(), 1);
@@ -286,9 +238,10 @@ mod tests {
     fn stats_count_tasks() {
         let exec = Executor::new(ExecConfig::with_threads(2));
         let items: Vec<usize> = (0..100).collect();
-        let _ = exec.par_map(&items, |&i| i);
+        let _ = exec.clone().par_map(&items, |&i| i);
         let stats = exec.stats();
         assert_eq!(stats.threads, 2);
-        assert!(stats.tasks > 0);
+        // Two chunks: the caller runs one, one scoped thread the other.
+        assert_eq!((stats.tasks, stats.steals), (1, 0));
     }
 }

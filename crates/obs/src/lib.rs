@@ -23,8 +23,6 @@
 //! the event log from that one record; this crate only stores and
 //! exports them. The registry's two renderers are the only exporters.
 
-#![forbid(unsafe_code)]
-
 mod clock;
 mod events;
 mod metrics;

@@ -1,12 +1,13 @@
 //! Adaptive fan-out: the per-query serial-vs-parallel cost model.
 //!
-//! Fanning a probe across the executor is not free — each shard becomes
-//! a pool job (submission, stealing, a latch wait) filling a private
-//! top-N collector that the caller re-merges. For the common narrow
-//! query (one or two small shards) that overhead exceeds the probe
-//! itself, and on a host with fewer cores than pool threads the
-//! "parallel" path degrades into context-switch churn that loses to the
-//! plain serial loop outright.
+//! Fanning a probe across the executor is not free — every chunk of
+//! shards past the caller's own costs a scoped thread spawn and join
+//! (≈ 25 µs on a 2-vCPU guest), and each chunk fills a private top-N
+//! collector that the caller re-merges. For the common narrow query
+//! (one or two small shards) that overhead exceeds the probe itself, and
+//! on a host with fewer cores than threads the "parallel" path degrades
+//! into context-switch churn that loses to the plain serial loop
+//! outright.
 //!
 //! So the engine prices every plan before running it:
 //!
@@ -15,7 +16,7 @@
 //!   time bucket the window actually overlaps (the temporal
 //!   selectivity; see [`crate::shard::ShardedFovIndex::estimate_probe`]);
 //! * the effective worker count is clamped to the machine's available
-//!   parallelism, so an oversized pool on a small host never
+//!   parallelism, so an oversized executor on a small host never
 //!   oversubscribes;
 //! * the probe goes parallel only when at least
 //!   [`PARALLEL_MIN_SHARDS`] shards are in play, more than one
@@ -54,9 +55,15 @@ pub enum FanoutMode {
 pub const PARALLEL_MIN_SHARDS: usize = 2;
 
 /// Fewest selectivity-weighted index items for which fanning out pays.
-/// Below this the pool's per-job overhead (submission + steal + latch)
-/// exceeds the traversal work being distributed.
-pub const PARALLEL_MIN_WORK: f64 = 4096.0;
+/// Below this a thread spawn and join costs more than the traversal work
+/// it takes off the caller. Measured with `swag_e2e` at 2 threads on a
+/// 2-vCPU guest, the fanned-out wide query read 1.7–1.8× serial at
+/// ≈ 8.8 k items (`fleet_ingest`), 1.14–1.21× at ≈ 35 k (`query_city`)
+/// and 1.03–1.12× at ≈ 87 k (`mixed_live`): no wide query of the
+/// benchmark repays a spawn there, so the threshold sits above the
+/// largest (≈ 95 k), at 2¹⁷. Publish packs use it too
+/// ([`crate::shard::ShardedFovIndex::bulk_insert_exec`]).
+pub const PARALLEL_MIN_WORK: f64 = 131_072.0;
 
 /// The machine's available parallelism, resolved once per process.
 pub(crate) fn hw_threads() -> usize {
@@ -68,7 +75,7 @@ pub(crate) fn hw_threads() -> usize {
 /// it was priced from.
 #[derive(Debug, Clone, Copy, PartialEq)]
 pub struct FanoutDecision {
-    /// Whether the shard probe runs on the pool.
+    /// Whether the shard probe fans out on scoped threads.
     pub parallel: bool,
     /// Live shards the window probes.
     pub shards: usize,
@@ -77,7 +84,7 @@ pub struct FanoutDecision {
     /// Selectivity-weighted items (each shard scaled by the fraction of
     /// its time bucket the window overlaps) — the cost-model input.
     pub estimated_work: f64,
-    /// Workers the probe will use: the pool size clamped to the host's
+    /// Threads the probe will use: the executor's clamped to the host's
     /// available parallelism, or 1 when serial.
     pub threads: usize,
 }
@@ -181,9 +188,14 @@ mod tests {
 
     #[test]
     fn large_multi_shard_probes_fan_out() {
-        let idx = index_with(6, 4_000);
         let exec = Executor::new(ExecConfig::with_threads(2));
+        // 1.5× the threshold fans out (on a multi-core host); half of it
+        // does not repay a thread spawn and stays serial — the wide
+        // query of a fleet-sized index is ≈ 8.8 k items.
+        let per_shard = PARALLEL_MIN_WORK as usize / 4;
+        let idx = index_with(6, per_shard);
         let d = FanoutDecision::decide(&idx, 0.0, 600.0, &exec, FanoutMode::Adaptive);
+        assert!(d.estimated_work >= PARALLEL_MIN_WORK, "{d:?}");
         if hw_threads() > 1 {
             assert!(d.parallel, "{d:?}");
             assert!(d.threads >= 2);
@@ -191,6 +203,9 @@ mod tests {
             assert!(!d.parallel, "single-core host must stay serial: {d:?}");
             assert_eq!(d.threads, 1);
         }
+        let below = index_with(6, per_shard / 3);
+        let b = FanoutDecision::decide(&below, 0.0, 600.0, &exec, FanoutMode::Adaptive);
+        assert!(!b.parallel, "{b:?}");
         // Forcing serial overrides the cost model either way.
         let s = FanoutDecision::decide(&idx, 0.0, 600.0, &exec, FanoutMode::Serial);
         assert!(!s.parallel);

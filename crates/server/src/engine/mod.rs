@@ -110,7 +110,7 @@ pub(crate) struct ServerObs {
     /// Time shards the index scan fanned out to, per query.
     pub(crate) shards_probed: Arc<Histogram>,
     /// Adaptive fan-out decisions: queries whose index scan ran serially
-    /// vs. on the pool (see [`fanout::FanoutDecision`]).
+    /// vs. on scoped threads (see [`fanout::FanoutDecision`]).
     pub(crate) fanout_serial: Arc<Counter>,
     pub(crate) fanout_parallel: Arc<Counter>,
     /// Result-cache traffic: repeats answered from the cache vs.
@@ -266,7 +266,7 @@ pub(crate) struct Engine {
     pub(crate) config: ServerConfig,
     pub(crate) cam: CameraProfile,
     pub(crate) clock: Arc<dyn MonotonicClock>,
-    /// Work-stealing pool for shard fan-out, publish run packs, and query
+    /// Thread budget for shard fan-out, publish run packs, and query
     /// batches.
     pub(crate) exec: Executor,
     pub(crate) obs: Option<ServerObs>,
@@ -332,7 +332,6 @@ impl Engine {
     /// recorded from the next query on.
     pub(crate) fn attach_observability(&mut self, registry: &Registry) {
         self.obs = Some(ServerObs::from_registry(registry));
-        self.exec.attach_observability(registry);
         if let Some(durability) = &self.durability {
             durability.attach_observability(registry);
         }

@@ -98,9 +98,9 @@ impl Engine {
         rows_in
     }
 
-    /// Prices `plan`'s index scan before running it: narrow probes skip
-    /// the pool entirely (serial beats per-job overhead below the work
-    /// threshold), and the worker count is clamped to the host's
+    /// Prices `plan`'s index scan before running it: narrow probes stay
+    /// on the caller (serial beats thread-spawn overhead below the work
+    /// threshold), and the thread count is clamped to the host's
     /// available parallelism. Both paths produce byte-identical results,
     /// so this changes latency, never answers.
     pub(crate) fn price(&self, epoch: &Epoch, plan: &QueryPlan) -> FanoutDecision {

@@ -12,7 +12,6 @@
 //! benchmarks against in Fig. 6(c) ([`IndexKind::Linear`]).
 
 use swag_core::{Fov, RepFov};
-use swag_exec::Executor;
 use swag_geo::{LatLon, METERS_PER_DEG};
 use swag_rtree::{Aabb, RTree, SearchStats};
 
@@ -182,12 +181,12 @@ impl FovIndex {
     }
 
     /// Builds a new index holding this index's items plus `more`, leaving
-    /// `self` untouched: an R-tree is STR re-packed (old + new together,
-    /// leaf tiling fanned out on `exec`; from an empty index, exactly a
-    /// bulk load), a linear index copied and extended.
-    pub fn bulk_extend_par(&self, exec: &Executor, more: Vec<(Aabb<3>, LeafRef)>) -> Self {
+    /// `self` untouched: an R-tree is STR re-packed (old + new together;
+    /// from an empty index, exactly a bulk load), a linear index copied
+    /// and extended.
+    pub fn bulk_extend(&self, more: Vec<(Aabb<3>, LeafRef)>) -> Self {
         match self {
-            FovIndex::RTree(t) => FovIndex::RTree(t.bulk_extend_par(exec, more)),
+            FovIndex::RTree(t) => FovIndex::RTree(t.bulk_extend(more)),
             FovIndex::Linear(v) => FovIndex::Linear([v.as_slice(), &more].concat()),
         }
     }

@@ -25,6 +25,7 @@ use swag_exec::Executor;
 use swag_obs::{Histogram, Registry};
 use swag_rtree::{Aabb, SearchStats};
 
+use crate::engine::fanout::PARALLEL_MIN_WORK;
 use crate::index::{fov_box, query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
 use crate::query::Query;
 use crate::store::SegmentId;
@@ -274,10 +275,14 @@ impl ShardedFovIndex {
     /// items form a new run, which absorbs the run before it while that
     /// run holds at most [`MERGE_RATIO`] times its items, and is then
     /// STR-packed once. On an empty index (bootstrap, compaction) that is
-    /// one run per shard. Workers claim whole shards (each pack also
-    /// tiles its leaves in parallel when large), so the index is identical
-    /// to the serial build.
+    /// one run per shard. Threads claim whole shards and each pack is
+    /// serial, so the index is identical to the serial build and no
+    /// scoped thread spawns another. Only batches of at least
+    /// [`PARALLEL_MIN_WORK`] items fan out (bootstrap, compaction): a
+    /// publish-sized batch packs faster than a thread spawns.
     pub fn bulk_insert_exec(&mut self, exec: &Executor, items: &[(RepFov, SegmentId)]) {
+        let (serial, small) = (Executor::serial(), (items.len() as f64) < PARALLEL_MIN_WORK);
+        let exec = if small { &serial } else { exec };
         self.segments += items.len();
         let mut per_bucket: BTreeMap<i64, Vec<(Aabb<3>, LeafRef)>> = BTreeMap::new();
         for (rep, id) in items {
@@ -294,7 +299,7 @@ impl ShardedFovIndex {
             while let Some(last) = runs.pop_if(|last| last.len() <= MERGE_RATIO * entries.len()) {
                 entries.extend(last.entries());
             }
-            runs.push(Arc::new(FovIndex::new(kind).bulk_extend_par(exec, entries)));
+            runs.push(Arc::new(FovIndex::new(kind).bulk_extend(entries)));
             (bucket, runs)
         });
         self.shards.extend(grown);
@@ -730,13 +735,7 @@ mod tests {
     mod dedup {
         use super::*;
         use proptest::prelude::*;
-        use std::sync::OnceLock;
         use swag_exec::ExecConfig;
-
-        fn pool() -> &'static Executor {
-            static POOL: OnceLock<Executor> = OnceLock::new();
-            POOL.get_or_init(|| Executor::new(ExecConfig::with_threads(3)))
-        }
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
@@ -745,7 +744,7 @@ mod tests {
             /// hold several runs), expiries (late arrivals then re-create
             /// expired buckets) and removals built the index, the scan
             /// reports the union of the probed shards' matches, each once,
-            /// and the pool's scan equals the serial one, counters too.
+            /// and the parallel scan equals the serial one, counters too.
             #[test]
             fn scan_reports_each_probed_match_once(
                 ops in prop::collection::vec(
@@ -785,8 +784,9 @@ mod tests {
                     let (mut serial, mut parallel) = (Vec::new(), Vec::new());
                     let (mut s, mut p) = (SearchStats::default(), SearchStats::default());
                     let (a, b) = (query.t_start, query.t_end);
+                    let par = Executor::new(ExecConfig::with_threads(3));
                     idx.scan(&Executor::serial(), &boxes, a, b, Some(&mut s), &mut serial);
-                    idx.scan(pool(), &boxes, a, b, Some(&mut p), &mut parallel);
+                    idx.scan(&par, &boxes, a, b, Some(&mut p), &mut parallel);
                     prop_assert_eq!(serial, parallel);
                     prop_assert_eq!(s, p);
                 }

@@ -150,6 +150,33 @@ fn recovered_server_keeps_appending() {
     std::fs::remove_dir_all(&dir).ok();
 }
 
+/// Stamp versions restart in every process: a reopened server's first
+/// fold into a bucket the previous process snapshotted can carry the
+/// same version number the MANIFEST holds. The snapshot must still
+/// rewrite that bucket, or the WAL floor passes the new record and it is
+/// lost at the next open.
+#[test]
+fn reopened_fold_into_a_snapshotted_bucket_is_not_lost() {
+    let dir = tmp_dir();
+    let open = || CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(1)).unwrap();
+    {
+        let server = open();
+        let (rep, source) = rec(0, 10.0);
+        server.ingest_one(rep, source);
+        server.quiesce();
+    }
+    {
+        let server = open();
+        let (rep, source) = rec(1, 10.0);
+        server.ingest_one(rep, source);
+        server.quiesce();
+        assert_eq!(server.stats().segments, 2);
+    }
+    let reopened = open();
+    assert_eq!(reopened.stats().segments, 2, "the second record survives");
+    let _ = std::fs::remove_dir_all(&dir);
+}
+
 #[test]
 fn retraction_is_durable() {
     let dir = tmp_dir();

@@ -20,7 +20,6 @@
 //!    threads and `SWAG_EXEC_THREADS=1`.
 
 use std::fmt::Write as _;
-use std::sync::OnceLock;
 
 use proptest::prelude::*;
 use proptest::test_runner::TestCaseError;
@@ -229,9 +228,7 @@ fn regenerate() {
 }
 
 fn par_exec() -> Executor {
-    static EXEC: OnceLock<Executor> = OnceLock::new();
-    EXEC.get_or_init(|| Executor::new(ExecConfig::with_threads(4)))
-        .clone()
+    Executor::new(ExecConfig::with_threads(4))
 }
 
 /// Where a case films: mid-latitude, or astride the antimeridian, where
@@ -363,8 +360,8 @@ fn churn(server: &CloudServer, site: usize, (horizon, retract, late): &History) 
     });
 }
 
-/// A server per executor — serial, the shared pool, and the Fig. 6(c)
-/// linear scan on the pool — loaded with the same records and churn.
+/// A server per executor — serial, 4 threads, and the Fig. 6(c) linear
+/// scan on 4 threads — loaded with the same records and churn.
 fn servers_from(
     site: usize,
     reps: &[RawRep],
@@ -390,7 +387,7 @@ fn servers_from(
     (serial, parallel, linear)
 }
 
-/// One server per [`FanoutMode`], all on the shared parallel pool, loaded
+/// One server per [`FanoutMode`], all on a 4-thread executor, loaded
 /// with identical records and churn — only the probe fan-out decision
 /// may differ.
 fn servers_per_fanout_mode(

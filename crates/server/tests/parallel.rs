@@ -1,26 +1,21 @@
-//! Parallel executor equivalence and stress: a server on a work-stealing
-//! pool must answer **byte-identically** to a serial one — same records,
-//! same queries, same ranked hits in the same order — and stay consistent
-//! while queries race publishes and retractions.
-
-use std::sync::OnceLock;
+//! Parallel executor equivalence and stress: a server on a 4-thread
+//! executor must answer **byte-identically** to a serial one — same
+//! records, same queries, same ranked hits in the same order — stay
+//! consistent while queries race publishes and retractions, and leave no
+//! thread behind.
 
 use proptest::prelude::*;
 use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_exec::{ExecConfig, Executor};
 use swag_geo::LatLon;
-use swag_server::{CloudServer, Query, QueryOptions, SegmentRef, ServerConfig};
+use swag_server::{CloudServer, FanoutMode, Query, QueryOptions, SegmentRef, ServerConfig};
 
 fn base() -> LatLon {
     LatLon::new(40.0, 116.32)
 }
 
-/// One pool shared by every proptest case — pool startup is not what's
-/// under test.
 fn par_exec() -> Executor {
-    static EXEC: OnceLock<Executor> = OnceLock::new();
-    EXEC.get_or_init(|| Executor::new(ExecConfig::with_threads(4)))
-        .clone()
+    Executor::new(ExecConfig::with_threads(4))
 }
 
 /// Narrow shards so even small corpora span several — multi-shard probes
@@ -87,7 +82,7 @@ fn with_sources(reps: &[RepFov]) -> Vec<(RepFov, SegmentRef)> {
 proptest! {
     #![proptest_config(ProptestConfig::with_cases(48))]
 
-    /// Bulk-loaded servers: the parallel STR build must produce a snapshot
+    /// Bulk-loaded servers: the parallel shard build must produce a snapshot
     /// that answers every query identically to the serial build, whether
     /// asked one at a time or through the parallel batch path.
     #[test]
@@ -142,9 +137,9 @@ proptest! {
     }
 }
 
-/// Regression: on a single-thread host (`SWAG_EXEC_THREADS=1`, where the
-/// pooled probe once ran at 0.68x of serial) the planner must route
-/// every probe through the serial path — a one-worker pool can only add
+/// Regression: on a single-thread host (`SWAG_EXEC_THREADS=1`, where a
+/// parallel probe once ran at 0.68x of serial) the planner must route
+/// every probe through the serial path — one thread can only add
 /// coordination overhead, never speedup.
 #[test]
 fn single_thread_host_plans_serial_fanout() {
@@ -180,15 +175,120 @@ fn single_thread_host_plans_serial_fanout() {
         plan.contains("fanout  : serial"),
         "single-thread host must plan a serial probe, got:\n{plan}"
     );
-    // And the answers stay identical to a forced-parallel pool.
-    let pooled = CloudServer::from_records_with_config_exec(
+    // And the answers stay identical to a parallel executor's.
+    let parallel = CloudServer::from_records_with_config_exec(
         CameraProfile::smartphone(),
         config(),
         par_exec(),
         with_sources(&reps),
     );
     let opts = QueryOptions::default();
-    assert_eq!(server.query(&q, &opts), pooled.query(&q, &opts));
+    assert_eq!(server.query(&q, &opts), parallel.query(&q, &opts));
+}
+
+/// A bootstrap-sized batch packs its time shards on scoped threads (a
+/// publish-sized one stays serial); the server must answer exactly as
+/// one built serially, run layout included.
+#[test]
+fn bootstrap_sized_batch_packs_in_parallel_identically() {
+    let n = swag_server::engine::fanout::PARALLEL_MIN_WORK as usize;
+    let reps: Vec<RepFov> = (0..n)
+        .map(|i| {
+            let t0 = (i % 2048) as f64 * 1.5;
+            let p = center_offset(i as u64 % 17, i % 9);
+            RepFov::new(t0, t0 + 30.0, Fov::new(p, (i % 360) as f64))
+        })
+        .collect();
+    let exec = par_exec();
+    let [serial, parallel] = [Executor::serial(), exec.clone()].map(|e| {
+        CloudServer::from_records_with_config_exec(
+            CameraProfile::smartphone(),
+            config(),
+            e,
+            with_sources(&reps),
+        )
+    });
+    assert!(exec.stats().tasks > 0, "the bootstrap fanned out");
+    let opts = QueryOptions {
+        top_n: 500,
+        ..QueryOptions::default()
+    };
+    for (t0, radius) in [(0.0, 5_000.0), (700.0, 40.0), (2900.0, 300.0)] {
+        let q = Query::new(t0, t0 + 400.0, base(), radius);
+        assert_eq!(serial.query(&q, &opts), parallel.query(&q, &opts));
+        assert_eq!(serial.explain(&q, &opts), parallel.explain(&q, &opts));
+    }
+}
+
+/// The executor keeps no threads between calls: after a forced-parallel
+/// wide query and a parallel `query_batch`, the process has exactly the
+/// threads it had before. The count runs in a child process holding only
+/// [`thread_count_probe`], so no other test's threads come and go
+/// meanwhile.
+#[cfg(target_os = "linux")]
+#[test]
+fn parallel_queries_leave_no_threads_behind() {
+    let out = std::process::Command::new(std::env::current_exe().unwrap())
+        .args([
+            "--exact",
+            "thread_count_probe",
+            "--ignored",
+            "--test-threads=1",
+        ])
+        .output()
+        .expect("re-run this test binary");
+    let stdout = String::from_utf8_lossy(&out.stdout);
+    assert!(
+        out.status.success() && stdout.contains("1 passed"),
+        "{stdout}"
+    );
+}
+
+#[cfg(target_os = "linux")]
+#[test]
+#[ignore = "run in a child process by parallel_queries_leave_no_threads_behind"]
+fn thread_count_probe() {
+    let tasks = || std::fs::read_dir("/proc/self/task").unwrap().count();
+    let before = tasks();
+    let exec = par_exec();
+    let reps: Vec<RepFov> = (0..2048)
+        .map(|i| {
+            let t0 = (i % 64) as f64 * 40.0;
+            let p = center_offset(i as u64 % 17, i % 9);
+            RepFov::new(t0, t0 + 30.0, Fov::new(p, (i % 360) as f64))
+        })
+        .collect();
+    let forced = ServerConfig {
+        fanout: FanoutMode::Parallel,
+        ..config()
+    };
+    let server = CloudServer::from_records_with_config_exec(
+        CameraProfile::smartphone(),
+        forced,
+        exec.clone(),
+        with_sources(&reps),
+    );
+    let opts = QueryOptions {
+        direction_filter: false,
+        ..QueryOptions::default()
+    };
+    let wide = Query::new(0.0, 2600.0, base(), 5_000.0);
+    assert!(!server.query(&wide, &opts).is_empty());
+    let batch: Vec<Query> = (0..16)
+        .map(|i| Query::new(i as f64 * 100.0, i as f64 * 100.0 + 600.0, base(), 800.0))
+        .collect();
+    assert_eq!(server.query_batch(&batch, &opts, 4).len(), batch.len());
+    if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
+        assert!(exec.stats().tasks > 0, "the probe fanned out");
+    }
+    // A joined thread can stay listed for a moment while it finishes
+    // exiting; a thread the executor kept would stay listed for good.
+    let settled = (0..200).any(|_| {
+        std::thread::sleep(std::time::Duration::from_millis(5));
+        tasks() == before
+    });
+    assert!(settled, "{} threads before, {} after", before, tasks());
+    drop(server);
 }
 
 /// Batched parallel queries racing ingest and retraction on a pooled

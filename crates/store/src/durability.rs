@@ -646,6 +646,11 @@ fn spawn_snapshot_worker(
     std::thread::Builder::new()
         .name("swag-snapshot".into())
         .spawn(move || {
+            // Bucket versions this worker has written. Stamp versions
+            // restart in every process, so the loaded manifest's versions
+            // say nothing about the current store: every bucket counts
+            // as changed until this process has written it once.
+            let mut written: Arc<BTreeMap<i64, u64>> = Arc::default();
             while let Ok(first) = rx.recv() {
                 // Coalesce the queue: only the newest store clone matters,
                 // retirements and quiesce acks accumulate.
@@ -674,12 +679,12 @@ fn spawn_snapshot_worker(
                 while let Ok(job) = rx.try_recv() {
                     absorb(job);
                 }
-                if let Some((store, versions, retracted, wal_floor)) = snapshot {
+                if let Some(job) = snapshot {
                     let t0 = shared.clock.now_micros();
-                    match write_incremental_snapshot(
-                        &snap_dir, &manifest, &store, &versions, &retracted, wal_floor, width_s,
-                    ) {
+                    match write_incremental_snapshot(&snap_dir, &manifest, &written, &job, width_s)
+                    {
                         Ok((next, old_files, rewritten)) => {
+                            written = job.1;
                             for path in old_files.into_iter().chain(retire_all.drain(..)) {
                                 let _ = std::fs::remove_file(path);
                             }
@@ -710,23 +715,23 @@ fn spawn_snapshot_worker(
         .expect("spawn snapshot worker")
 }
 
-/// Writes the changed bucket files plus the new manifest; returns the
-/// new manifest, the superseded files to delete, and how many bucket
-/// files were rewritten.
+/// Writes the bucket files whose version differs from `written` (the
+/// versions of this process's last snapshot) plus the new manifest;
+/// returns the new manifest, the superseded files to delete, and how
+/// many bucket files were rewritten.
 fn write_incremental_snapshot(
     snap_dir: &Path,
     prev: &Manifest,
-    store: &SegmentStore,
-    versions: &BTreeMap<i64, u64>,
-    retracted: &Retracted,
-    wal_floor: u64,
+    written: &BTreeMap<i64, u64>,
+    (store, versions, retracted, wal_floor): &PendingSnapshot,
     width_s: f64,
 ) -> std::io::Result<(Manifest, Vec<PathBuf>, u64)> {
     use std::io::Write;
-    // Buckets whose stamp version moved since the manifest was written.
+    let wal_floor = *wal_floor;
+    // Buckets whose stamp version moved since this process last wrote.
     let changed: BTreeMap<i64, u64> = versions
         .iter()
-        .filter(|(b, v)| prev.buckets.get(b).map(|e| e.version) != Some(**v))
+        .filter(|(b, v)| written.get(b) != Some(*v))
         .map(|(b, v)| (*b, *v))
         .collect();
 
@@ -743,7 +748,7 @@ fn write_incremental_snapshot(
 
     let mut next = prev.clone();
     next.wal_floor = wal_floor;
-    next.retracted = retracted.clone();
+    next.retracted = (**retracted).clone();
     let mut old_files = Vec::new();
     let mut rewritten = 0u64;
     for (bucket, records) in &grouped {
