@@ -228,6 +228,44 @@ mod tests {
     }
 
     #[test]
+    fn nested_par_map_completes() {
+        let exec = Executor::new(ExecConfig::with_threads(2));
+        let outer: Vec<usize> = (0..8).collect();
+        let out = exec.par_map(&outer, |&i| {
+            let inner: Vec<usize> = (0..16).collect();
+            exec.par_map(&inner, |&j| i * 100 + j).iter().sum::<usize>()
+        });
+        let expected: Vec<usize> = (0..8).map(|i| (0..16).map(|j| i * 100 + j).sum()).collect();
+        assert_eq!(out, expected);
+    }
+
+    /// A panicking chunk re-raises its own payload on the caller — whether
+    /// it is the caller's chunk or a spawned one — and the executor stays
+    /// usable.
+    #[test]
+    fn par_map_propagates_panic() {
+        let exec = Executor::new(ExecConfig::with_threads(2));
+        let items: Vec<usize> = (0..32).collect();
+        for bad in [0, 17, 31] {
+            let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
+                exec.par_map(&items, |&i| {
+                    if i == bad {
+                        panic!("boom at {i}");
+                    }
+                    i
+                })
+            }));
+            let payload = result.expect_err("the panic propagates");
+            assert_eq!(
+                payload.downcast_ref::<String>().unwrap(),
+                &format!("boom at {bad}")
+            );
+            let out = exec.par_map(&items, |&i| i + 1);
+            assert_eq!(out, items.iter().map(|i| i + 1).collect::<Vec<_>>());
+        }
+    }
+
+    #[test]
     fn env_config_parses() {
         assert_eq!(ExecConfig::with_threads(0).threads(), 1);
         assert_eq!(ExecConfig::serial().threads(), 1);

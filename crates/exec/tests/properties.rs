@@ -1,8 +1,5 @@
 //! Property tests: the parallel map agrees exactly with serial execution
-//! across random inputs and thread counts, survives panicking chunks,
-//! nesting and concurrent callers.
-
-use std::sync::atomic::{AtomicUsize, Ordering};
+//! across random inputs and thread counts.
 
 use proptest::prelude::*;
 use swag_exec::{ExecConfig, Executor};
@@ -32,74 +29,4 @@ proptest! {
             parallel.par_map_owned(items, f)
         );
     }
-}
-
-/// A panicking chunk re-raises its own payload on the caller — whether it
-/// is the caller's chunk or a spawned one — and the executor stays usable.
-#[test]
-fn par_map_propagates_panic() {
-    let exec = Executor::new(ExecConfig::with_threads(2));
-    let items: Vec<usize> = (0..32).collect();
-    for bad in [0, 17, 31] {
-        let result = std::panic::catch_unwind(std::panic::AssertUnwindSafe(|| {
-            exec.par_map(&items, |&i| {
-                if i == bad {
-                    panic!("boom at {i}");
-                }
-                i
-            })
-        }));
-        let payload = result.expect_err("the panic propagates");
-        assert_eq!(
-            payload.downcast_ref::<String>().unwrap(),
-            &format!("boom at {bad}")
-        );
-        let ok = exec.par_map_owned(items.clone(), |i| i + bad);
-        assert_eq!(ok, items.iter().map(|i| i + bad).collect::<Vec<_>>());
-    }
-}
-
-/// Several OS threads share one executor and issue overlapping par_maps.
-#[test]
-fn concurrent_external_par_maps() {
-    let exec = Executor::new(ExecConfig::with_threads(4));
-    let total = AtomicUsize::new(0);
-    std::thread::scope(|s| {
-        for t in 0..6 {
-            let (exec, total) = (exec.clone(), &total);
-            s.spawn(move || {
-                for round in 0..20 {
-                    let items: Vec<usize> = (0..64).map(|i| i + t * 1000 + round).collect();
-                    let out = exec.par_map(&items, |&x| x * 2);
-                    assert_eq!(out, items.iter().map(|i| i * 2).collect::<Vec<_>>());
-                    total.fetch_add(out.len(), Ordering::Relaxed);
-                }
-            });
-        }
-    });
-    assert_eq!(total.load(Ordering::Relaxed), 6 * 20 * 64);
-    assert_eq!(
-        exec.stats().tasks,
-        6 * 20 * 3,
-        "clones share one spawn counter"
-    );
-}
-
-/// par_map inside par_map inside par_map: each level opens its own scope.
-#[test]
-fn nested_par_map_completes() {
-    let exec = Executor::new(ExecConfig::with_threads(2));
-    let outer: Vec<usize> = (0..6).collect();
-    let out = exec.par_map(&outer, |&i| {
-        let inner: Vec<usize> = (0..8).collect();
-        exec.par_map(&inner, |&j| {
-            exec.par_map_owned(vec![i, j], |x| x).iter().sum::<usize>() + i * 10
-        })
-        .iter()
-        .sum::<usize>()
-    });
-    let expected: Vec<usize> = (0..6)
-        .map(|i| (0..8).map(|j| i + j + i * 10).sum::<usize>())
-        .collect();
-    assert_eq!(out, expected);
 }
