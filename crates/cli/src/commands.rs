@@ -432,11 +432,9 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
             print_metrics_table(&registry);
             let s = server.stats();
             println!(
-                "\nsnapshot: {} segments, {} shards ({shard_width_s} s wide), \
-                 {} pending in delta, retention {}",
+                "\nsnapshot: {} segments, {} shards ({shard_width_s} s wide), retention {}",
                 s.segments,
                 s.shards,
-                s.pending_delta,
                 retain_s.map_or("off".to_string(), |h| format!("{h} s")),
             );
             let e = server.executor().stats();

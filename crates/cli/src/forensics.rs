@@ -32,7 +32,7 @@ const DEFAULT_TICKS: u64 = 12;
 /// needs.
 fn event_row(i: usize, ev: &QueryEvent) -> String {
     format!(
-        "#{i:<4} cache {:<10} {:<8} {:>7} us (index {:>6} delta {:>5} rank {:>5}) {:>4} hits  fp {:#018x}  digest {:#018x}  gens {}/{} delta {}\n",
+        "#{i:<4} cache {:<10} {:<8} {:>7} us (index {:>6} rank {:>5}) {:>4} hits  fp {:#018x}  digest {:#018x}  gen {}\n",
         ev.cache.to_string(),
         if ev.fanout_parallel {
             "parallel"
@@ -41,14 +41,11 @@ fn event_row(i: usize, ev: &QueryEvent) -> String {
         },
         ev.total_micros,
         ev.index_micros,
-        ev.delta_micros,
         ev.rank_micros,
         ev.hit_count,
         ev.fingerprint,
         ev.digest,
         ev.global_gen,
-        ev.delta_gen,
-        ev.delta_len,
     )
 }
 
@@ -268,13 +265,10 @@ pub fn replay(args: ArgParser) -> Result<(), String> {
     print!("{}", analyzed.report.render());
     let re = analyzed.report.event;
 
-    if re.global_gen != ev.global_gen
-        || re.delta_gen != ev.delta_gen
-        || re.delta_len != ev.delta_len
-    {
+    if re.global_gen != ev.global_gen {
         println!(
-            "stamp drift: captured gens {}/{} delta {}, replayed gens {}/{} delta {} — digests may differ legitimately",
-            ev.global_gen, ev.delta_gen, ev.delta_len, re.global_gen, re.delta_gen, re.delta_len,
+            "stamp drift: captured gen {}, replayed gen {} — digests may differ legitimately",
+            ev.global_gen, re.global_gen,
         );
     }
     if re.digest == ev.digest {
@@ -286,12 +280,12 @@ pub fn replay(args: ArgParser) -> Result<(), String> {
     } else {
         println!("digest MISMATCH:");
         println!(
-            "  captured : digest {:#018x}  {} hits  cache {}  gens {}/{} delta {}",
-            ev.digest, ev.hit_count, ev.cache, ev.global_gen, ev.delta_gen, ev.delta_len,
+            "  captured : digest {:#018x}  {} hits  cache {}  gen {}",
+            ev.digest, ev.hit_count, ev.cache, ev.global_gen,
         );
         println!(
-            "  replayed : digest {:#018x}  {} hits  cache {}  gens {}/{} delta {}",
-            re.digest, re.hit_count, re.cache, re.global_gen, re.delta_gen, re.delta_len,
+            "  replayed : digest {:#018x}  {} hits  cache {}  gen {}",
+            re.digest, re.hit_count, re.cache, re.global_gen,
         );
         Err("replayed result digest does not match the captured event".into())
     }

@@ -117,12 +117,11 @@ impl LiveStack {
         );
         observe_plan(&plan, &uploads, &registry);
 
-        // Server layer: small publish threshold and a retention horizon,
-        // so the shifted re-ingest keeps the snapshot lifecycle active.
+        // Server layer: a retention horizon, so the shifted re-ingest
+        // keeps the snapshot lifecycle active.
         // The result cache runs here, so captured events carry real cache
         // decisions.
         let server_config = ServerConfig {
-            publish_threshold: 64,
             retention_horizon_s: Some(1_800.0),
             cache: CacheConfig::enabled(2_048),
             // The forensic wide-event log `swag events`/`swag replay` read.

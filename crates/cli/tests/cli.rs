@@ -375,7 +375,6 @@ fn query_and_explain_analyze_annotate_operators() {
         "EXPLAIN ANALYZE",
         "measured:",
         "index_scan",
-        "delta_scan",
         "ranking",
         "rows",
         "stamp   : global_gen ",
@@ -384,6 +383,10 @@ fn query_and_explain_analyze_annotate_operators() {
     ] {
         assert!(explain.contains(needle), "missing {needle:?}:\n{explain}");
     }
+    assert!(
+        !explain.contains("delta"),
+        "no delta stage left:\n{explain}"
+    );
 
     // `query --analyze` renders the same report, then the hits.
     let query = run("query");
@@ -420,7 +423,7 @@ fn events_capture_replays_to_matching_digest() {
     let rows: Vec<&str> = text.lines().filter(|l| l.starts_with('#')).collect();
     assert!(!rows.is_empty(), "{text}");
     for row in rows {
-        for stage in ["(index ", " delta ", " rank "] {
+        for stage in ["(index ", " rank "] {
             assert!(row.contains(stage), "row lacks {stage:?}: {row}");
         }
     }
@@ -463,6 +466,33 @@ fn events_capture_replays_to_matching_digest() {
     // among the served ones: replay skips them, says so, and still
     // replays the slowest served event; `--index` naming one fails.
     let (header, served) = jsonl.split_once('\n').unwrap();
+
+    // Captures written while the server had a pending-delta tier carry
+    // delta words; they decode as reserved and replay the same way.
+    let parent: Vec<String> = served.lines().map(as_delta_era_line).collect();
+    let parent_capture = tmp("cap-delta-era.jsonl");
+    std::fs::write(
+        &parent_capture,
+        format!("{header}\n{}\n", parent.join("\n")),
+    )
+    .unwrap();
+    let out = swag(&["replay", "--from", parent_capture.to_str().unwrap()]);
+    assert!(
+        out.status.success(),
+        "{}",
+        String::from_utf8_lossy(&out.stderr)
+    );
+    let text = String::from_utf8_lossy(&out.stdout);
+    assert!(!text.contains("stamp drift"), "{text}");
+    assert!(
+        text.trim_end()
+            .lines()
+            .last()
+            .unwrap()
+            .starts_with("digest match:"),
+        "{text}"
+    );
+
     let first = served.lines().next().unwrap();
     let with_shed = tmp("cap-shed.jsonl");
     std::fs::write(
@@ -501,15 +531,32 @@ fn events_capture_replays_to_matching_digest() {
     );
 }
 
+/// The `"words"` array of a capture line.
+fn words_of(line: &str) -> Vec<u64> {
+    let start = line.find("\"words\":[").unwrap() + "\"words\":[".len();
+    let end = start + line[start..].find(']').unwrap();
+    line[start..end]
+        .split(',')
+        .map(|w| w.parse().unwrap())
+        .collect()
+}
+
+/// `line` as a build with a pending-delta tier wrote it: delta
+/// generation and length (words 10, 11), delta scan micros and rows
+/// (20–22) and delta hits (27) set.
+fn as_delta_era_line(line: &str) -> String {
+    let mut words = words_of(line);
+    for (w, v) in [(10, 4), (11, 37), (20, 3), (21, 37), (22, 5), (27, 2)] {
+        words[w] = v;
+    }
+    let words: Vec<String> = words.iter().map(u64::to_string).collect();
+    format!("{{\"v\":1,\"words\":[{}]}}", words.join(","))
+}
+
 /// `line` as a build with admission control wrote a rate-limited shed:
 /// outcome bits 4–5 = 1, the token-balance flag (bit 8) and word 16 set.
 fn as_shed_line(line: &str) -> String {
-    let start = line.find("\"words\":[").unwrap() + "\"words\":[".len();
-    let end = start + line[start..].find(']').unwrap();
-    let mut words: Vec<u64> = line[start..end]
-        .split(',')
-        .map(|w| w.parse().unwrap())
-        .collect();
+    let mut words = words_of(line);
     words[1] |= (1 << 4) | (1 << 8);
     words[16] = 0.5f64.to_bits();
     let words: Vec<String> = words.iter().map(u64::to_string).collect();

@@ -29,29 +29,29 @@ impl<T, const D: usize> RTree<T, D> {
             return tree;
         }
         tree.nodes.clear();
-        let entries: Vec<Item<T, D>> = items
+        let mut entries: Vec<Item<T, D>> = items
             .into_iter()
             .map(|(mbr, value)| Item { mbr, value })
             .collect();
         let n = entries.len();
-        let mut groups = Vec::new();
-        tile(
-            entries,
-            0,
-            config.max_entries,
-            &|i: &Item<T, D>| i.mbr.center(),
-            &mut groups,
-        );
-        pack_levels(&mut tree, n, groups);
+        let mut lens = Vec::new();
+        let center = |i: &Item<T, D>, d: usize| i.mbr.min[d] + i.mbr.max[d];
+        tile(&mut entries, 0, D, config.max_entries, &center, &mut lens);
+        pack_levels(&mut tree, n, entries, &lens);
         tree
     }
 }
 
-/// Builds leaf nodes from `groups` and packs the upper levels.
-fn pack_levels<T, const D: usize>(tree: &mut RTree<T, D>, n: usize, groups: Vec<Vec<Item<T, D>>>) {
+/// Builds leaf nodes from `entries` cut into groups of `lens` and packs
+/// the upper levels.
+fn pack_levels<T, const D: usize>(
+    tree: &mut RTree<T, D>,
+    n: usize,
+    entries: Vec<Item<T, D>>,
+    lens: &[usize],
+) {
     let cap = tree.config.max_entries;
-    let mut level: Vec<Child<D>> = groups
-        .into_iter()
+    let mut level: Vec<Child<D>> = groups(entries, lens)
         .map(|g| {
             let mbr = fold_mbr(g.iter().map(|i| i.mbr)).expect("non-empty group");
             let node = tree.alloc(Node::leaf_from(g));
@@ -61,10 +61,10 @@ fn pack_levels<T, const D: usize>(tree: &mut RTree<T, D>, n: usize, groups: Vec<
 
     let mut height = 0;
     while level.len() > 1 {
-        let mut groups = Vec::new();
-        tile(level, 0, cap, &|c: &Child<D>| c.mbr.center(), &mut groups);
-        level = groups
-            .into_iter()
+        let mut lens = Vec::new();
+        let center = |c: &Child<D>, d: usize| c.mbr.min[d] + c.mbr.max[d];
+        tile(&mut level, 0, D, cap, &center, &mut lens);
+        level = groups(level, &lens)
             .map(|g| {
                 let mbr = fold_mbr(g.iter().map(|c| c.mbr)).expect("non-empty group");
                 let node = tree.alloc(Node::internal_from(g));
@@ -95,52 +95,59 @@ impl<T: Clone, const D: usize> RTree<T, D> {
     }
 }
 
-/// Recursively tiles `entries` into groups of at most `cap`, each group
-/// holding at least `⌈cap/2⌉` entries whenever more than one group is
-/// produced.
-fn tile<E, const D: usize>(
-    mut entries: Vec<E>,
+/// Recursively tiles `entries` in place into consecutive groups of at
+/// most `cap`, pushing each group's length onto `out`; every group holds
+/// at least `⌈cap/2⌉` entries whenever more than one group is produced.
+/// Entries sort by `center(e, dim)`, twice the box centre along `dim`
+/// (the same order, one addition cheaper). Sorting sub-slices in place
+/// means an entry is moved only by the sorts until [`groups`] hands it to
+/// its node.
+fn tile<E>(
+    entries: &mut [E],
     dim: usize,
+    dims: usize,
     cap: usize,
-    center: &impl Fn(&E) -> [f64; D],
-    out: &mut Vec<Vec<E>>,
+    center: &impl Fn(&E, usize) -> f64,
+    out: &mut Vec<usize>,
 ) {
     let n = entries.len();
     if n <= cap {
-        out.push(entries);
+        out.push(n);
         return;
     }
     let total_groups = n.div_ceil(cap);
-    entries.sort_unstable_by(|a, b| center(a)[dim].total_cmp(&center(b)[dim]));
+    entries.sort_unstable_by(|a, b| center(a, dim).total_cmp(&center(b, dim)));
 
-    if dim + 1 == D {
-        even_chunks(entries, total_groups, out);
+    if dim + 1 == dims {
+        out.extend(even_lens(n, total_groups));
     } else {
         // Number of slabs along this dimension: the (D−dim)-th root of the
         // group count, rounded up.
-        let k = (D - dim) as f64;
+        let k = (dims - dim) as f64;
         let slabs = (total_groups as f64).powf(1.0 / k).ceil() as usize;
         let slabs = slabs.clamp(1, total_groups);
-        let mut slab_vec = Vec::new();
-        even_chunks(entries, slabs, &mut slab_vec);
-        for slab in slab_vec {
-            tile(slab, dim + 1, cap, center, out);
+        let mut rest = entries;
+        for len in even_lens(n, slabs) {
+            let (slab, tail) = rest.split_at_mut(len);
+            tile(slab, dim + 1, dims, cap, center, out);
+            rest = tail;
         }
     }
 }
 
-/// Splits `entries` into `g` contiguous chunks whose sizes differ by at
+/// The lengths of `g` contiguous chunks of `n` entries that differ by at
 /// most one.
-fn even_chunks<E>(entries: Vec<E>, g: usize, out: &mut Vec<Vec<E>>) {
-    let n = entries.len();
+fn even_lens(n: usize, g: usize) -> impl Iterator<Item = usize> {
     debug_assert!(g >= 1 && g <= n);
-    let base = n / g;
-    let extra = n % g;
-    let mut iter = entries.into_iter();
-    for i in 0..g {
-        let size = base + usize::from(i < extra);
-        out.push(iter.by_ref().take(size).collect());
-    }
+    let (base, extra) = (n / g, n % g);
+    (0..g).map(move |i| base + usize::from(i < extra))
+}
+
+/// `entries` cut into consecutive groups of `lens`.
+fn groups<'a, E: 'a>(entries: Vec<E>, lens: &'a [usize]) -> impl Iterator<Item = Vec<E>> + 'a {
+    let mut rest = entries.into_iter();
+    lens.iter()
+        .map(move |&len| rest.by_ref().take(len).collect())
 }
 
 #[cfg(test)]

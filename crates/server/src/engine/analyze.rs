@@ -13,7 +13,7 @@ use crate::ranking::SearchHit;
 
 use super::epoch::Epoch;
 use super::forensics::{result_digest, CacheOutcome, QueryEvent};
-use super::plan::{QueryPlan, OP_COLD_SCAN, OP_DELTA_SCAN, OP_INDEX_SCAN, OP_QUERY, OP_RANKING};
+use super::plan::{QueryPlan, OP_COLD_SCAN, OP_INDEX_SCAN, OP_QUERY, OP_RANKING};
 use super::probe::StageRecord;
 use super::Engine;
 
@@ -54,11 +54,7 @@ impl AnalyzeReport {
         let mut out = String::with_capacity(self.plan_text.len() + 512);
         out.push_str("EXPLAIN ANALYZE\n");
         out.push_str(&self.plan_text);
-        let _ = writeln!(
-            out,
-            "  stamp   : global_gen {}, delta_gen {}, {} pending delta records",
-            e.global_gen, e.delta_gen, e.delta_len
-        );
+        let _ = writeln!(out, "  stamp   : global_gen {}", e.global_gen);
         let _ = writeln!(
             out,
             "  measured: {OP_QUERY} {} us total, {} hits, digest {:#018x}",
@@ -85,11 +81,6 @@ impl AnalyzeReport {
                 "serial".to_string()
             }
         );
-        let _ = writeln!(
-            out,
-            "    ├─ {OP_DELTA_SCAN:<11} {:>6} us   rows {} -> {}",
-            e.delta_micros, e.delta_rows_in, e.delta_rows_out
-        );
         if let Some(cold) = &self.cold {
             let _ = writeln!(
                 out,
@@ -102,13 +93,8 @@ impl AnalyzeReport {
             .map_or(String::new(), |c| format!(" + {} cold", c.hits));
         let _ = writeln!(
             out,
-            "    └─ {OP_RANKING:<11} {:>6} us   rows {} -> {}   (hits: {} index + {} delta{})",
-            e.rank_micros,
-            e.rank_rows_in,
-            e.rank_rows_out,
-            e.hits_index,
-            e.hits_delta,
-            cold_hits_note
+            "    └─ {OP_RANKING:<11} {:>6} us   rows {} -> {}   (hits: {} index{})",
+            e.rank_micros, e.rank_rows_in, e.rank_rows_out, e.hits_index, cold_hits_note
         );
         out
     }
@@ -139,14 +125,10 @@ impl StageRecord {
         ev.index_micros = self.index.micros;
         ev.index_rows_in = self.index.rows_in;
         ev.index_rows_out = self.index.rows_out;
-        ev.delta_micros = self.delta.micros;
-        ev.delta_rows_in = self.delta.rows_in;
-        ev.delta_rows_out = self.delta.rows_out;
         ev.rank_micros = self.rank.micros;
         ev.rank_rows_in = self.rank.rows_in;
         ev.rank_rows_out = self.rank.rows_out;
         ev.hits_index = self.hits_index;
-        ev.hits_delta = self.hits_delta;
         ev.total_micros = self.total_micros;
         ev.hit_count = hits.len() as u64;
         ev.digest = result_digest(hits);

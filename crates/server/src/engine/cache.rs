@@ -15,13 +15,11 @@
 //!   drops it, or a retraction removes from it. An entry records the
 //!   versions of the buckets its window spans, so a publish that folds
 //!   into *other* buckets leaves it valid — cold shards keep their
-//!   entries across publishes;
-//! * **delta position** — within one delta generation the staged delta
-//!   is append-only, so an entry validated at flat position `n` only has
-//!   to intersection-test records `n..` against its query boxes. Records
-//!   that were folded out of the delta are covered by the shard-version
-//!   check (their boxes include the time dimension, so they landed in
-//!   the entry's buckets iff they could affect it).
+//!   entries across publishes. Every ingest is such a publish, and a
+//!   record's index box includes its time span, so it lands in the
+//!   entry's buckets iff it could affect the entry.
+//!
+//! An entry is current iff both match; there is nothing else to check.
 //!
 //! Invalidation is lazy: stale entries are detected and removed by the
 //! next lookup (or evicted by capacity pressure), never swept. A
@@ -97,9 +95,6 @@ struct CacheEntry {
     /// Versions of the buckets the plan's window spans, in bucket order,
     /// as captured from the stamp at insert (missing buckets omitted).
     versions: Box<[(i64, u64)]>,
-    delta_gen: u64,
-    /// Flat delta position already reflected in `hits`.
-    delta_len: usize,
     /// LRU clock value of the last hit (or the insert).
     last_used: u64,
 }
@@ -174,14 +169,12 @@ impl ResultCache {
         entry
             .versions
             .iter()
-            .all(|&(bucket, version)| current.next() == Some((&bucket, &version)))
+            .all(|&(bucket, version)| current.next() == Some((bucket, &version)))
             && current.next().is_none()
     }
 
     /// Looks up `fingerprint`, proving any entry current against
-    /// `epoch` first. Stale entries are removed (lazy invalidation);
-    /// valid ones are re-stamped to the epoch's delta position so the
-    /// next lookup re-tests fewer records.
+    /// `epoch` first. Stale entries are removed (lazy invalidation).
     pub(crate) fn lookup(
         &self,
         fingerprint: u64,
@@ -199,33 +192,12 @@ impl ResultCache {
             // and the incumbent stays (last-insert-wins on store).
             return Lookup::Miss;
         }
-        let stamp = &epoch.stamp;
-        let same_world = entry.global_gen == stamp.global_gen
+        let current = entry.global_gen == epoch.stamp.global_gen
             && Self::versions_current(entry, plan, epoch, self.shard_width_s);
-        if !same_world {
+        if !current {
             stripe.remove(&fingerprint);
             return Lookup::Miss;
         }
-        // Within one delta generation the delta is append-only, so only
-        // records staged after the entry's position need testing; a
-        // generation change means the old delta was folded (already
-        // proven benign by the version check) and a new one may exist.
-        let unaffected = if entry.delta_gen == stamp.delta_gen && entry.delta_len <= epoch.delta_len
-        {
-            !epoch
-                .delta_records_from(entry.delta_len)
-                .any(|d| plan.boxes.intersects(&d.bbox))
-        } else {
-            !epoch
-                .delta_records()
-                .any(|d| plan.boxes.intersects(&d.bbox))
-        };
-        if !unaffected {
-            stripe.remove(&fingerprint);
-            return Lookup::Miss;
-        }
-        entry.delta_gen = stamp.delta_gen;
-        entry.delta_len = epoch.delta_len;
         entry.last_used = now;
         let hits = entry.hits.clone();
         drop(stripe);
@@ -251,15 +223,13 @@ impl ResultCache {
             .stamp
             .shard_versions
             .range(range)
-            .map(|(b, v)| (*b, *v))
+            .map(|(b, v)| (b, *v))
             .collect();
         let entry = CacheEntry {
             key,
             hits: Arc::from(hits),
             global_gen: epoch.stamp.global_gen,
             versions,
-            delta_gen: epoch.stamp.delta_gen,
-            delta_len: epoch.delta_len,
             last_used: self.clock.fetch_add(1, Ordering::Relaxed),
         };
         let mut stripe = self.stripe(fingerprint).lock();

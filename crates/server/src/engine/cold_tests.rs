@@ -50,13 +50,12 @@ fn at(site: (f64, f64), dlat: f64, dlng: f64) -> LatLon {
     LatLon::new(lat, lng)
 }
 
-/// A durable engine whose every record has been demoted: small publish
-/// threshold and automatic retention spread the records over several
-/// runs per bucket, the final expiry demotes the rest.
+/// A durable engine whose every record has been demoted: folds of seven
+/// records and automatic retention spread the records over several runs
+/// per bucket, the final expiry demotes the rest.
 fn all_cold_engine(dir: &std::path::Path, records: &[(RepFov, SegmentRef)]) -> Engine {
     let config = ServerConfig {
         shard_width_s: WIDTH_S,
-        publish_threshold: 7,
         retention_horizon_s: Some(4.0 * WIDTH_S),
         durability: swag_store::DurabilityConfig {
             fsync_interval_micros: 0,
@@ -70,8 +69,8 @@ fn all_cold_engine(dir: &std::path::Path, records: &[(RepFov, SegmentRef)]) -> E
             .expect("open data dir");
     let mut engine = Engine::new(CameraProfile::smartphone(), config, clock);
     engine.durability = Some(durability);
-    for (rep, source) in records {
-        engine.ingest_one(*rep, *source);
+    for chunk in records.chunks(7) {
+        engine.ingest_records(chunk);
     }
     engine.expire_before(1e9);
     engine

@@ -1,24 +1,17 @@
-//! The immutable read-side state: snapshot core + pending delta.
+//! The immutable read-side state: one published snapshot.
 //!
 //! What queries see is an **epoch**: one `Arc` clone of it answers a
-//! whole query without holding a lock. The core is the published
-//! `(store, index)` snapshot; the delta is the list of frozen per-ingest
-//! slices staged since that snapshot, each record carrying its
-//! pre-computed index box so the per-query delta scan is a pure `Aabb`
-//! intersection test.
+//! whole query without holding a lock. It is the published `(store,
+//! index)` snapshot plus the cache stamp it was published with; every
+//! ingest folds its records into the next one, so there is no second,
+//! pending tier beside it.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
 
 use crate::shard::ShardedFovIndex;
-use crate::store::{SegmentRecord, SegmentStore};
-
-/// An immutable published `(store, index)` snapshot.
-pub(crate) struct SnapshotCore {
-    pub(crate) store: SegmentStore,
-    pub(crate) index: ShardedFovIndex,
-    pub(crate) published_at_micros: u64,
-}
+use crate::shard_map::ShardMap;
+use crate::store::SegmentStore;
 
 /// The result cache's view of "has anything this plan could see
 /// changed?" — carried immutably on every epoch, bumped by the writer.
@@ -28,60 +21,39 @@ pub(crate) struct SnapshotCore {
 ///   retention drops it, or a retraction removes records from it. A
 ///   cached entry stores the versions of the buckets its window spans
 ///   and stays valid across publishes that only touch *other* buckets —
-///   the issue's "cold shards keep their entries" property.
-/// * `delta_gen` increments each time the pending delta is folded (its
-///   records move into the core and the delta resets), so entries can
-///   tell "the delta grew since I was stored" (check only the new
-///   records) from "the delta was replaced" (re-check all of it).
+///   the issue's "cold shards keep their entries" property. It is a
+///   [`ShardMap`], so a publish copies only the bucket groups it bumps.
 /// * `global_gen` increments on whole-world changes that per-bucket
 ///   versions cannot describe: store compaction (dense [`crate::store::SegmentId`]s
 ///   are reassigned, so every cached hit list is stale) and bootstrap.
-#[derive(Debug, Clone)]
+#[derive(Debug, Clone, Default)]
 pub(crate) struct CacheStamp {
     pub(crate) global_gen: u64,
-    pub(crate) delta_gen: u64,
-    pub(crate) shard_versions: Arc<BTreeMap<i64, u64>>,
+    pub(crate) shard_versions: ShardMap<u64>,
 }
 
 impl CacheStamp {
-    pub(crate) fn initial() -> Self {
-        CacheStamp {
-            global_gen: 0,
-            delta_gen: 0,
-            shard_versions: Arc::new(BTreeMap::new()),
+    /// Bumps the version of every time-shard bucket `[t0, t1]` spans (the
+    /// same `floor(t / width)` bucketing the sharded index uses),
+    /// invalidating cached results that probed those buckets.
+    pub(crate) fn bump_span(&mut self, width: f64, t0: f64, t1: f64) {
+        for bucket in ((t0 / width).floor() as i64)..=((t1 / width).floor() as i64) {
+            *self.shard_versions.entry_or_default(bucket) += 1;
         }
     }
+
+    /// The versions as a plain map (the snapshot worker's input).
+    pub(crate) fn versions_map(&self) -> Arc<BTreeMap<i64, u64>> {
+        Arc::new(self.shard_versions.iter().map(|(b, v)| (b, *v)).collect())
+    }
 }
 
-/// One pending record plus its pre-computed index box, so the per-query
-/// delta scan is a pure `Aabb` intersection test.
-#[derive(Debug, Clone, Copy)]
-pub(crate) struct DeltaRecord {
-    pub(crate) rec: SegmentRecord,
-    pub(crate) bbox: swag_rtree::Aabb<3>,
-}
-
-/// What queries see: one `Arc` clone of this answers a whole query.
-/// `delta` holds records ingested since `core` was published, as a list
-/// of frozen per-ingest slices — republishing after a write bumps one
-/// refcount per slice instead of copying every pending record. Queries
-/// scan it linearly (it is bounded by the publish threshold).
+/// What queries see: one `Arc` clone of this answers a whole query. The
+/// store and index share every chunk, shard group and run the publish
+/// that made this epoch did not touch with the epoch before it.
 pub(crate) struct Epoch {
-    pub(crate) core: Arc<SnapshotCore>,
-    pub(crate) delta: Arc<[Arc<[DeltaRecord]>]>,
-    pub(crate) delta_len: usize,
+    pub(crate) store: SegmentStore,
+    pub(crate) index: ShardedFovIndex,
+    pub(crate) published_at_micros: u64,
     pub(crate) stamp: CacheStamp,
-}
-
-impl Epoch {
-    pub(crate) fn delta_records(&self) -> impl Iterator<Item = &DeltaRecord> {
-        self.delta.iter().flat_map(|batch| batch.iter())
-    }
-
-    /// Delta records at flat position `start` onward. Within one
-    /// `delta_gen` the delta is append-only (slices are frozen), so a
-    /// cache entry validated at length `n` only needs records `n..`.
-    pub(crate) fn delta_records_from(&self, start: usize) -> impl Iterator<Item = &DeltaRecord> {
-        self.delta_records().skip(start)
-    }
 }

@@ -5,9 +5,9 @@
 //! 32-word record of everything one query did: the plan fingerprint and
 //! the full request (bit-exact, so a capture replays byte-identically),
 //! the epoch stamp it executed against, the concrete cache and fan-out
-//! decisions, per-operator wall time and rows in/out, the
-//! index-vs-delta hit split, total latency, and an order-sensitive FNV
-//! digest of the result set.
+//! decisions, per-operator wall time and rows in/out, the index hit
+//! count, total latency, and an order-sensitive FNV digest of the result
+//! set.
 //!
 //! * **EXPLAIN ANALYZE** (`Engine::query_analyzed`, in
 //!   [`super::analyze`]) runs the one operator pipeline under the
@@ -138,20 +138,17 @@ pub struct QueryEvent {
     pub fanout_threads: u64,
     // Epoch stamp the query executed against.
     pub global_gen: u64,
-    pub delta_gen: u64,
-    pub delta_len: u64,
     // Per-operator measurements (zero on cache hits).
     pub index_micros: u64,
     pub index_rows_in: u64,
     pub index_rows_out: u64,
-    pub delta_micros: u64,
+    /// Always 0: the pending-delta tier this counted is gone, and its
+    /// word is reserved. The field stays for callers that still read it.
     pub delta_rows_in: u64,
-    pub delta_rows_out: u64,
     pub rank_micros: u64,
     pub rank_rows_in: u64,
     pub rank_rows_out: u64,
     pub hits_index: u64,
-    pub hits_delta: u64,
     // Outcome.
     pub total_micros: u64,
     pub hit_count: u64,
@@ -179,8 +176,6 @@ impl QueryEvent {
             require_coverage: plan.filters.require_coverage,
             rank: plan.rank,
             global_gen: epoch.stamp.global_gen,
-            delta_gen: epoch.stamp.delta_gen,
-            delta_len: epoch.delta_len as u64,
             ..QueryEvent::default()
         }
     }
@@ -188,8 +183,10 @@ impl QueryEvent {
     /// Packs the event into its fixed word array. Flag bits 4–5
     /// (outcome) and 8, and word 16, are reserved: builds that had
     /// admission control wrote a shed reason and a token balance there.
-    /// They are written as zero, so either build reads the other's
-    /// captures.
+    /// Words 10, 11, 20–22 and 27 are reserved too: builds with a
+    /// pending-delta tier wrote its generation, length, scan micros and
+    /// rows, and delta hits there. Reserved bits and words are written as
+    /// zero, so either build reads the other's captures.
     pub fn encode(&self) -> [u64; QUERY_EVENT_WORDS] {
         let mut flags = 0u64;
         flags |= u64::from(self.direction_filter);
@@ -213,8 +210,8 @@ impl QueryEvent {
             self.top_n,
             self.direction_tolerance_deg.to_bits(),
             self.global_gen,
-            self.delta_gen,
-            self.delta_len,
+            0,
+            0,
             self.fanout_shards,
             self.fanout_items,
             self.fanout_work.to_bits(),
@@ -223,14 +220,14 @@ impl QueryEvent {
             self.index_micros,
             self.index_rows_in,
             self.index_rows_out,
-            self.delta_micros,
-            self.delta_rows_in,
-            self.delta_rows_out,
+            0,
+            0,
+            0,
             self.rank_micros,
             self.rank_rows_in,
             self.rank_rows_out,
             self.hits_index,
-            self.hits_delta,
+            0,
             self.total_micros,
             self.hit_count,
             self.digest,
@@ -240,7 +237,7 @@ impl QueryEvent {
 
     /// Unpacks an encoded event. Fails on the wrong width, and on a
     /// shed event (outcome bits set), which has no result to replay.
-    /// Reserved bit 8 and word 16 are ignored.
+    /// Reserved bit 8 and words 10, 11, 16, 20–22 and 27 are ignored.
     pub fn decode(words: &[u64]) -> Result<Self, EventDecodeError> {
         if words.len() != QUERY_EVENT_WORDS {
             return Err(EventDecodeError::Malformed(format!(
@@ -277,8 +274,6 @@ impl QueryEvent {
             top_n: words[7],
             direction_tolerance_deg: f64::from_bits(words[8]),
             global_gen: words[9],
-            delta_gen: words[10],
-            delta_len: words[11],
             fanout_shards: words[12],
             fanout_items: words[13],
             fanout_work: f64::from_bits(words[14]),
@@ -286,14 +281,11 @@ impl QueryEvent {
             index_micros: words[17],
             index_rows_in: words[18],
             index_rows_out: words[19],
-            delta_micros: words[20],
-            delta_rows_in: words[21],
-            delta_rows_out: words[22],
+            delta_rows_in: 0,
             rank_micros: words[23],
             rank_rows_in: words[24],
             rank_rows_out: words[25],
             hits_index: words[26],
-            hits_delta: words[27],
             total_micros: words[28],
             hit_count: words[29],
             digest: words[30],

@@ -6,12 +6,12 @@
 //!   typed [`plan::QueryPlan`] (query boxes, filter chain, rank mode,
 //!   top-k) and renders `explain()` listings;
 //! * [`ops`] — the **operator pipeline**: executes plans against an
-//!   epoch snapshot (index scan → delta scan → cold scan → ranking),
+//!   epoch snapshot (index scan → cold scan → ranking),
 //!   written once and generic over a stage [`probe`], and drives the
 //!   read entry points (`query`, `query_nearest`, `query_batch`,
 //!   `query_analyzed`);
-//! * [`write`] — the **write path**: staging, snapshot publishing,
-//!   retention, compaction, and retraction;
+//! * [`write`] — the **write path**: folding each ingest into a new
+//!   snapshot, retention, compaction, and retraction;
 //! * [`epoch`] — the immutable read-side state both halves exchange.
 //!
 //! The facade in `server.rs` owns construction, configuration, and the
@@ -47,7 +47,7 @@ use crate::shard::ShardedFovIndex;
 use crate::store::SegmentStore;
 
 use cache::ResultCache;
-use epoch::{CacheStamp, Epoch, SnapshotCore};
+use epoch::{CacheStamp, Epoch};
 use forensics::{CacheOutcome, QueryEventLog};
 use plan::QueryPlan;
 use probe::{OpMeasure, StageRecord};
@@ -60,8 +60,8 @@ use write::Writer;
 pub(crate) struct OpStageObs {
     /// Stage wall time per execution.
     pub(crate) micros: Arc<Histogram>,
-    /// Rows the stage examined (index items tested, delta records
-    /// walked, candidates ranked).
+    /// Rows the stage examined (index items tested, cold records read,
+    /// candidates ranked).
     pub(crate) rows_in: Arc<Histogram>,
     /// Rows the stage produced.
     pub(crate) rows_out: Arc<Histogram>,
@@ -96,16 +96,13 @@ pub(crate) struct ServerObs {
     pub(crate) publishes: Arc<Counter>,
     pub(crate) snapshot_age: Arc<Histogram>,
     pub(crate) rebuild_micros: Arc<Histogram>,
-    pub(crate) delta_size: Arc<Histogram>,
     pub(crate) retention_dropped: Arc<Counter>,
     pub(crate) op_index_scan: OpStageObs,
-    pub(crate) op_delta_scan: OpStageObs,
     pub(crate) op_cold_scan: OpStageObs,
     pub(crate) op_ranking: OpStageObs,
     /// Final-result split: hits served from the published snapshot's
-    /// index vs. from the staged delta vs. from on-disk cold runs.
+    /// index vs. from on-disk cold runs.
     pub(crate) hits_index: Arc<Counter>,
-    pub(crate) hits_delta: Arc<Counter>,
     pub(crate) hits_cold: Arc<Counter>,
     /// Time shards the index scan fanned out to, per query.
     pub(crate) shards_probed: Arc<Histogram>,
@@ -141,7 +138,7 @@ impl ServerObs {
         );
         registry.set_help(
             "swag_server_hits_total",
-            "Filtered hits by origin (src): published snapshot index, staged delta, or on-disk cold runs.",
+            "Filtered hits by origin (src): published snapshot index or on-disk cold runs.",
         );
         registry.set_help(
             "swag_server_shards_probed",
@@ -178,16 +175,12 @@ impl ServerObs {
             publishes: registry.counter("swag_server_publishes_total"),
             snapshot_age: registry.histogram("swag_server_snapshot_age_micros"),
             rebuild_micros: registry.histogram("swag_server_snapshot_rebuild_micros"),
-            delta_size: registry.histogram("swag_server_snapshot_delta_size"),
             retention_dropped: registry.counter("swag_server_retention_dropped_total"),
             op_index_scan: OpStageObs::from_registry(registry, plan::OP_INDEX_SCAN),
-            op_delta_scan: OpStageObs::from_registry(registry, plan::OP_DELTA_SCAN),
             op_cold_scan: OpStageObs::from_registry(registry, plan::OP_COLD_SCAN),
             op_ranking: OpStageObs::from_registry(registry, plan::OP_RANKING),
             hits_index: registry
                 .counter(&labeled_name("swag_server_hits_total", &[("src", "index")])),
-            hits_delta: registry
-                .counter(&labeled_name("swag_server_hits_total", &[("src", "delta")])),
             hits_cold: registry
                 .counter(&labeled_name("swag_server_hits_total", &[("src", "cold")])),
             shards_probed: registry.histogram("swag_server_shards_probed"),
@@ -234,7 +227,6 @@ impl ServerObs {
         self.index_nodes.record(rec.search.nodes_visited);
         self.index_leaves.record(rec.search.leaves_scanned);
         self.op_index_scan.record(&rec.index);
-        self.op_delta_scan.record(&rec.delta);
         if let Some(cold) = &rec.cold {
             self.op_cold_scan.record(&OpMeasure {
                 micros: cold.micros,
@@ -245,7 +237,6 @@ impl ServerObs {
         }
         self.op_ranking.record(&rec.rank);
         self.hits_index.add(rec.hits_index);
-        self.hits_delta.add(rec.hits_delta);
         self.shards_probed.record(fanout.shards as u64);
         if fanout.parallel {
             self.fanout_parallel.inc();
@@ -293,20 +284,16 @@ impl Engine {
         config: ServerConfig,
         clock: Arc<dyn MonotonicClock>,
     ) -> Self {
-        let index = ShardedFovIndex::new(config.shard_width_s, config.index);
-        let core = Arc::new(SnapshotCore {
+        let epoch = Arc::new(Epoch {
             store: SegmentStore::new(),
-            index,
+            index: ShardedFovIndex::new(config.shard_width_s, config.index),
             published_at_micros: clock.now_micros(),
+            stamp: CacheStamp::default(),
         });
         let writer = Writer {
-            core,
-            delta: Vec::new(),
-            delta_len: 0,
+            epoch: epoch.clone(),
             max_t_end: f64::NEG_INFINITY,
-            stamp: CacheStamp::initial(),
         };
-        let epoch = writer.make_epoch();
         Engine {
             epoch: RwLock::new(epoch),
             writer: Mutex::new(writer),
@@ -328,31 +315,29 @@ impl Engine {
     }
 
     /// Wires the ingest, query, and publish paths to `registry` and
-    /// re-publishes the core with shard metrics attached so fan-out is
-    /// recorded from the next query on.
+    /// re-publishes the snapshot with shard metrics attached so fan-out
+    /// is recorded from the next query on.
     pub(crate) fn attach_observability(&mut self, registry: &Registry) {
         self.obs = Some(ServerObs::from_registry(registry));
         if let Some(durability) = &self.durability {
             durability.attach_observability(registry);
         }
         let mut w = self.writer.lock();
-        let mut index = w.core.index.clone();
+        let mut index = w.epoch.index.clone();
         index.attach_observability(registry);
-        let core = Arc::new(SnapshotCore {
-            store: w.core.store.clone(),
+        let epoch = Epoch {
+            store: w.epoch.store.clone(),
             index,
-            published_at_micros: w.core.published_at_micros,
-        });
-        w.core = core;
-        let epoch = w.make_epoch();
-        drop(w);
-        *self.epoch.write() = epoch;
+            published_at_micros: w.epoch.published_at_micros,
+            stamp: w.epoch.stamp.clone(),
+        };
+        self.install(&mut w, epoch);
     }
 
     /// Compiles the plan for a request and renders it against the
     /// current snapshot: boxes, shards probed, the fan-out decision the
-    /// cost model would take, pending delta, filter chain, rank mode,
-    /// and the operator pipeline.
+    /// cost model would take, filter chain, rank mode, and the operator
+    /// pipeline.
     pub(crate) fn explain(&self, query: &Query, opts: &QueryOptions) -> String {
         let plan = QueryPlan::compile(query, opts);
         let epoch = self.epoch.read().clone();
@@ -391,8 +376,7 @@ impl Engine {
             ""
         };
         plan.explain_against(
-            &epoch.core.index,
-            epoch.delta_len,
+            &epoch.index,
             decision,
             &format!("fingerprint {:#018x}, {cache}{off}", plan.fingerprint()),
             self.cold_line(plan).as_deref(),
@@ -439,7 +423,7 @@ impl Engine {
     }
 
     /// Computes point-in-time gauges into `registry`: epoch snapshot age,
-    /// staged-delta size, result-cache entries, and per-time-shard entry
+    /// result-cache entries, and per-time-shard entry
     /// counts. These cannot be recorded from the hot path (age is a
     /// property of *now*, not of any event), so a reader calls this
     /// right before rendering the registry.
@@ -447,10 +431,6 @@ impl Engine {
         registry.set_help(
             "swag_server_epoch_age_micros",
             "Age of the published snapshot at scrape time.",
-        );
-        registry.set_help(
-            "swag_server_staged_delta",
-            "Records staged in the delta, waiting for the next publish.",
         );
         registry.set_help(
             "swag_server_shard_entries",
@@ -466,12 +446,9 @@ impl Engine {
         let epoch = self.epoch.read().clone();
         let now = self.clock.now_micros();
         registry.gauge("swag_server_epoch_age_micros").set(
-            now.saturating_sub(epoch.core.published_at_micros)
+            now.saturating_sub(epoch.published_at_micros)
                 .min(i64::MAX as u64) as i64,
         );
-        registry
-            .gauge("swag_server_staged_delta")
-            .set(epoch.delta_len as i64);
         // Zero every previously exported shard gauge first so expired
         // shards read 0 instead of their last live count forever.
         for name in registry.names() {
@@ -479,7 +456,7 @@ impl Engine {
                 registry.gauge(&name).set(0);
             }
         }
-        for (bucket, entries) in epoch.core.index.shard_sizes() {
+        for (bucket, entries) in epoch.index.shard_sizes() {
             registry
                 .gauge(&labeled_name(
                     "swag_server_shard_entries",

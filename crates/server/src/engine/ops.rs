@@ -1,10 +1,10 @@
 //! The operator pipeline: executes [`QueryPlan`]s against an epoch.
 //!
 //! One plan execution is the paper's retrieval path as a pipeline of
-//! operators — **index scan** (sharded snapshot probe) → **delta scan**
-//! (pending records) → **cold scan** (demoted runs) → **ranking** (drain
-//! the top-k) — run as one pass: every tier offers its box matches to
-//! one bounded [`TopN`] collector, which applies the plan's compiled
+//! operators — **index scan** (sharded snapshot probe) → **cold scan**
+//! (demoted runs) → **ranking** (drain the top-k) — run as one pass:
+//! every tier offers its box matches to one bounded [`TopN`] collector,
+//! which applies the plan's compiled
 //! [`FilterChain`](super::plan::FilterChain) as they arrive. Each stage
 //! is timed once, by the probe, into the [`StageRecord`] row named after
 //! its `OP_*` constant. The pipeline is written once, in
@@ -105,7 +105,7 @@ impl Engine {
     /// so this changes latency, never answers.
     pub(crate) fn price(&self, epoch: &Epoch, plan: &QueryPlan) -> FanoutDecision {
         FanoutDecision::decide(
-            &epoch.core.index,
+            &epoch.index,
             plan.query.t_start,
             plan.query.t_end,
             &self.exec,
@@ -113,8 +113,8 @@ impl Engine {
         )
     }
 
-    /// The operators, once: index scan → delta scan → cold scan →
-    /// ranking against an already-acquired epoch, in one pass. Every
+    /// The operators, once: index scan → cold scan → ranking against an
+    /// already-acquired epoch, in one pass. Every
     /// tier offers its box matches straight to one [`TopN`] collector,
     /// which runs the filter chain and keeps the best `k`; the ranking
     /// stage only drains and materialises it. Scanning and ranking are
@@ -134,8 +134,8 @@ impl Engine {
             &serial
         };
         probe.begin(&decision);
-        let mut top = TopN::new(plan, &self.cam, &epoch.core.store);
-        let matched = epoch.core.index.scan(
+        let mut top = TopN::new(plan, &self.cam, &epoch.store);
+        let matched = epoch.index.scan(
             probe_exec,
             &plan.boxes,
             plan.query.t_start,
@@ -144,23 +144,13 @@ impl Engine {
             &mut top,
         );
         probe.index_scanned(matched);
-        let mut delta_matched = 0;
-        if epoch.delta_len > 0 {
-            for (ord, d) in (0..).zip(epoch.delta_records()) {
-                if plan.boxes.intersects(&d.bbox) {
-                    delta_matched += 1;
-                    top.offer(Tier::Delta, ord, d.rec.id, d.rec.rep, d.rec.source);
-                }
-            }
-        }
-        probe.delta_scanned(epoch.delta_len, delta_matched);
         if self.has_cold() {
             let rows_in = self.cold_scan(plan, &mut top);
             probe.cold_scanned(rows_in, top.survivors(Tier::Cold));
         }
-        let (hits_index, hits_delta) = (top.survivors(Tier::Index), top.survivors(Tier::Delta));
+        let hits_index = top.survivors(Tier::Index);
         let hits = top.finish();
-        probe.ranked(hits_index, hits_delta, hits.len());
+        probe.ranked(hits_index, hits.len());
         hits
     }
 
@@ -339,22 +329,19 @@ impl Engine {
         self.exec.par_map(queries, one)
     }
 
-    /// Exports every stored record, pending delta included.
+    /// Exports every live stored record.
     pub(crate) fn export_records(&self) -> Vec<SegmentRecord> {
         let epoch = self.epoch.read().clone();
-        let mut out: Vec<SegmentRecord> = epoch.core.store.iter().copied().collect();
-        out.extend(epoch.delta_records().map(|d| d.rec));
-        out
+        epoch.store.iter().copied().collect()
     }
 
     /// Current statistics snapshot.
     pub(crate) fn stats(&self) -> ServerStats {
         let epoch = self.epoch.read().clone();
         ServerStats {
-            segments: epoch.core.store.len() + epoch.delta_len,
-            store_slots: epoch.core.store.total() + epoch.delta_len,
-            shards: epoch.core.index.shard_count(),
-            pending_delta: epoch.delta_len,
+            segments: epoch.store.len(),
+            store_slots: epoch.store.total(),
+            shards: epoch.index.shard_count(),
             batches: self.batches.load(Ordering::Relaxed),
             queries: self.queries.load(Ordering::Relaxed),
             query_micros_total: self.query_micros.load(Ordering::Relaxed),

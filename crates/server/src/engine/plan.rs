@@ -25,8 +25,6 @@ use crate::shard::ShardedFovIndex;
 pub const OP_QUERY: &str = "query";
 /// Label of the snapshot index scan operator.
 pub const OP_INDEX_SCAN: &str = "index_scan";
-/// Label of the pending-delta scan operator.
-pub const OP_DELTA_SCAN: &str = "delta_scan";
 /// Label of the cold-run scan operator (demoted time shards on disk;
 /// only present in pipelines of durable servers with cold runs).
 pub const OP_COLD_SCAN: &str = "cold_scan";
@@ -141,8 +139,8 @@ impl QueryPlan {
 
     /// Renders the plan for humans: boxes, filter chain, rank mode, and
     /// the operator pipeline (named with the same `OP_*` labels EXPLAIN
-    /// ANALYZE uses). Snapshot-dependent facts (shards probed, pending
-    /// delta) are added by [`Self::explain_against`].
+    /// ANALYZE uses). Snapshot-dependent facts (shards probed, fan-out,
+    /// cache) are added by [`Self::explain_against`].
     pub fn explain(&self) -> String {
         self.render(None)
     }
@@ -150,20 +148,17 @@ impl QueryPlan {
     /// [`Self::explain`] resolved against a concrete snapshot: also
     /// lists which time shards the plan probes (`#bucket(xitems/runs r)`:
     /// a shard's runs are each searched), the fan-out decision the
-    /// cost model took for them, the pending delta the delta-scan
-    /// operator walks, and — on durable servers holding cold runs —
+    /// cost model took for them, and — on durable servers holding cold runs —
     /// whether the plan reaches the cold tier (`cold_line`).
     pub(crate) fn explain_against(
         &self,
         index: &ShardedFovIndex,
-        delta_len: usize,
         fanout: &FanoutDecision,
         cache_line: &str,
         cold_line: Option<&str>,
     ) -> String {
         self.render(Some(ExplainContext {
             index,
-            delta_len,
             fanout,
             cache_line,
             cold_line,
@@ -197,7 +192,6 @@ impl QueryPlan {
         let cold_line = snapshot.as_ref().and_then(|s| s.cold_line);
         if let Some(ExplainContext {
             index,
-            delta_len,
             fanout,
             cache_line,
             ..
@@ -218,7 +212,6 @@ impl QueryPlan {
             }
             let _ = writeln!(out, "{line}");
             let _ = writeln!(out, "  fanout  : {}", fanout.render());
-            let _ = writeln!(out, "  delta   : {delta_len} pending records (linear scan)");
             let _ = writeln!(out, "  cache   : {cache_line}");
             if let Some(cold) = cold_line {
                 let _ = writeln!(out, "  cold    : {cold}");
@@ -256,12 +249,12 @@ impl QueryPlan {
         if cold_line.is_some() {
             let _ = writeln!(
                 out,
-                "  pipeline: {OP_INDEX_SCAN}({OP_SHARD_PROBE}*) -> {OP_DELTA_SCAN} -> {OP_COLD_SCAN} -> {OP_RANKING}"
+                "  pipeline: {OP_INDEX_SCAN}({OP_SHARD_PROBE}*) -> {OP_COLD_SCAN} -> {OP_RANKING}"
             );
         } else {
             let _ = writeln!(
                 out,
-                "  pipeline: {OP_INDEX_SCAN}({OP_SHARD_PROBE}*) -> {OP_DELTA_SCAN} -> {OP_RANKING}"
+                "  pipeline: {OP_INDEX_SCAN}({OP_SHARD_PROBE}*) -> {OP_RANKING}"
             );
         }
         out
@@ -271,7 +264,6 @@ impl QueryPlan {
 /// Snapshot-resolved context [`QueryPlan::explain_against`] renders.
 pub(crate) struct ExplainContext<'a> {
     pub(crate) index: &'a ShardedFovIndex,
-    pub(crate) delta_len: usize,
     pub(crate) fanout: &'a FanoutDecision,
     pub(crate) cache_line: &'a str,
     /// Rendered cold-tier summary; `None` when the server has no
@@ -414,7 +406,7 @@ mod tests {
         let q = Query::new(0.0, 60.0, center(), 150.0);
         let plan = QueryPlan::compile(&q, &QueryOptions::default());
         let text = plan.explain();
-        for op in [OP_INDEX_SCAN, OP_DELTA_SCAN, OP_RANKING, OP_SHARD_PROBE] {
+        for op in [OP_INDEX_SCAN, OP_RANKING, OP_SHARD_PROBE] {
             assert!(text.contains(op), "explain must mention {op}: {text}");
         }
         assert!(text.contains("direction"));

@@ -31,11 +31,10 @@ pub(crate) trait StageProbe {
         None
     }
     fn index_scanned(&mut self, _rows_out: usize) {}
-    fn delta_scanned(&mut self, _rows_in: usize, _rows_out: usize) {}
     /// Called only on servers that hold cold runs.
     fn cold_scanned(&mut self, _rows_in: u64, _hits: usize) {}
-    /// Filter survivors per tier, and rows left after top-k.
-    fn ranked(&mut self, _hits_index: usize, _hits_delta: usize, _rows_out: usize) {}
+    /// Index-tier filter survivors, and rows left after top-k.
+    fn ranked(&mut self, _hits_index: usize, _rows_out: usize) {}
     /// Accounting closed at `t_done` (the engine's own clock read) as
     /// the `seq`-th query this server answered.
     fn done(&mut self, _t0: u64, _t_done: u64, _seq: u64) {}
@@ -67,16 +66,14 @@ pub(crate) struct StageRecord {
     /// The fan-out decision the index scan ran under; `None` when no
     /// operator ran (cache hit).
     pub(crate) fanout: Option<FanoutDecision>,
-    /// Index traversal counters, the delta scan folded in as one leaf.
+    /// Index traversal counters.
     pub(crate) search: SearchStats,
     pub(crate) index: OpMeasure,
-    pub(crate) delta: OpMeasure,
     /// `Some` whenever the server holds cold runs, even if zone maps
     /// pruned every one of them.
     pub(crate) cold: Option<ColdScanMeasure>,
     pub(crate) rank: OpMeasure,
     pub(crate) hits_index: u64,
-    pub(crate) hits_delta: u64,
     pub(crate) total_micros: u64,
     pub(crate) end_micros: u64,
     pub(crate) seq: u64,
@@ -135,22 +132,6 @@ impl StageProbe for Measure<'_> {
         };
     }
 
-    fn delta_scanned(&mut self, rows_in: usize, rows_out: usize) {
-        self.rec.delta = OpMeasure {
-            micros: self.lap(),
-            rows_in: rows_in as u64,
-            rows_out: rows_out as u64,
-        };
-        if rows_in > 0 {
-            // The delta scan is one flat "leaf" over pending records.
-            let search = &mut self.rec.search;
-            search.nodes_visited += 1;
-            search.leaves_scanned += 1;
-            search.items_tested += rows_in as u64;
-            search.items_matched += rows_out as u64;
-        }
-    }
-
     fn cold_scanned(&mut self, rows_in: u64, hits: usize) {
         self.rec.cold = Some(ColdScanMeasure {
             micros: self.lap(),
@@ -159,10 +140,9 @@ impl StageProbe for Measure<'_> {
         });
     }
 
-    fn ranked(&mut self, hits_index: usize, hits_delta: usize, rows_out: usize) {
+    fn ranked(&mut self, hits_index: usize, rows_out: usize) {
         self.rec.hits_index = hits_index as u64;
-        self.rec.hits_delta = hits_delta as u64;
-        self.rec.rank.rows_in = self.rec.index.rows_out + self.rec.delta.rows_out;
+        self.rec.rank.rows_in = self.rec.index.rows_out;
         self.rec.rank.rows_out = rows_out as u64;
     }
 

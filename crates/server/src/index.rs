@@ -180,14 +180,12 @@ impl FovIndex {
         FovIndex::RTree(RTree::bulk_load(entries.collect()))
     }
 
-    /// Builds a new index holding this index's items plus `more`, leaving
-    /// `self` untouched: an R-tree is STR re-packed (old + new together;
-    /// from an empty index, exactly a bulk load), a linear index copied
-    /// and extended.
-    pub fn bulk_extend(&self, more: Vec<(Aabb<3>, LeafRef)>) -> Self {
-        match self {
-            FovIndex::RTree(t) => FovIndex::RTree(t.bulk_extend(more)),
-            FovIndex::Linear(v) => FovIndex::Linear([v.as_slice(), &more].concat()),
+    /// An index of `kind` holding exactly `entries`: an R-tree is STR
+    /// bulk-loaded from them, a linear index keeps them as given.
+    pub fn packed(kind: IndexKind, entries: Vec<(Aabb<3>, LeafRef)>) -> Self {
+        match kind {
+            IndexKind::RTree => FovIndex::RTree(RTree::bulk_load(entries)),
+            IndexKind::Linear => FovIndex::Linear(entries),
         }
     }
 
@@ -204,11 +202,13 @@ impl FovIndex {
         self.len() == 0
     }
 
-    /// Every indexed `(box, leaf)` entry, in unspecified order.
-    pub(crate) fn entries(&self) -> Vec<(Aabb<3>, LeafRef)> {
+    /// Appends every indexed `(box, leaf)` entry to `out`, in
+    /// unspecified order.
+    pub(crate) fn append_entries(&self, out: &mut Vec<(Aabb<3>, LeafRef)>) {
+        out.reserve(self.len());
         match self {
-            FovIndex::RTree(t) => t.iter().map(|(b, leaf)| (*b, *leaf)).collect(),
-            FovIndex::Linear(v) => v.clone(),
+            FovIndex::RTree(t) => out.extend(t.iter().map(|(b, leaf)| (*b, *leaf))),
+            FovIndex::Linear(v) => out.extend_from_slice(v),
         }
     }
 

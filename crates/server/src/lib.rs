@@ -16,11 +16,10 @@
 //!
 //! [`server::CloudServer`] serves queries from immutable published
 //! snapshots (epochs): a query clones one `Arc` in a momentary critical
-//! section and then scans and ranks lock-free, while writers append into
-//! a small delta and periodically fold it into a fresh snapshot whose
-//! time-sharded index ([`shard::ShardedFovIndex`]) also drives retention
-//! — old shards are dropped wholesale and their segments retired from
-//! the store.
+//! section and then scans and ranks lock-free, while every write folds
+//! its records into a fresh snapshot whose time-sharded index
+//! ([`shard::ShardedFovIndex`]) also drives retention — old shards are
+//! dropped wholesale and their segments retired from the store.
 
 pub mod engine;
 pub mod index;
@@ -28,6 +27,7 @@ pub mod query;
 pub mod ranking;
 pub mod server;
 pub mod shard;
+mod shard_map;
 pub mod store;
 
 pub use engine::cache::CacheConfig;

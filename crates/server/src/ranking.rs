@@ -70,7 +70,7 @@ fn quality_score_with_distance(rep: &RepFov, cam: &CameraProfile, query: &Query,
 }
 
 /// Applies steps 3-4 of the filtering mechanism to index candidates (ties
-/// kept in candidate order): the collector without delta or cold tier,
+/// kept in candidate order): the collector without the cold tier,
 /// for callers holding raw `(Query, QueryOptions)` pairs.
 pub fn rank_candidates(
     candidates: &[SegmentId],
@@ -93,7 +93,6 @@ pub fn rank_candidates(
 #[derive(Debug, Clone, Copy, PartialEq, Eq, PartialOrd, Ord)]
 pub(crate) enum Tier {
     Index,
-    Delta,
     Cold,
 }
 
@@ -111,7 +110,7 @@ fn total_key(x: f64) -> i64 {
 /// box matches; the plan's filter chain runs once per offer, and only
 /// the best `k` under [`Rank`] are kept — by rank key, then tier, then
 /// the tier's ordinal, the order a stable sort of the concatenated
-/// `[index, delta, cold]` hits produces. An unbounded `k` keeps
+/// `[index, cold]` hits produces. An unbounded `k` keeps
 /// everything and sorts once; nothing is preallocated for `k`.
 pub(crate) struct TopN<'a> {
     plan: &'a QueryPlan,
@@ -121,7 +120,7 @@ pub(crate) struct TopN<'a> {
     heap: BinaryHeap<(Rank, usize)>,
     hits: Vec<SearchHit>,
     /// Filter survivors per tier, before the top-k cut.
-    survivors: [usize; 3],
+    survivors: [usize; 2],
 }
 
 impl<'a> TopN<'a> {
@@ -136,7 +135,7 @@ impl<'a> TopN<'a> {
             store,
             heap: BinaryHeap::new(),
             hits: Vec::new(),
-            survivors: [0; 3],
+            survivors: [0; 2],
         }
     }
 

@@ -2,15 +2,13 @@
 //! public facade over the layered [`crate::engine`].
 //!
 //! Queries never hold a lock while they work: the engine publishes an
-//! immutable **epoch** — an `Arc` to a `(store, index)` snapshot plus a
-//! small delta of records ingested since that snapshot — and a query
-//! clones that `Arc` in a tiny read-side critical section, then scans and
-//! ranks entirely lock-free. Writers append into the delta under a short
-//! write lock; every write republishes the epoch (so reads are
-//! read-your-writes fresh), and once the delta reaches
-//! [`ServerConfig::publish_threshold`] records the writer folds it into a
-//! new snapshot, appending one packed run of the batch to each time shard
-//! it touched (older runs are shared, not rebuilt). Retention
+//! immutable **epoch** — an `Arc` to a `(store, index)` snapshot — and a
+//! query clones that `Arc` in a tiny read-side critical section, then
+//! scans and ranks entirely lock-free. Every write folds its records into
+//! a new snapshot under a short write lock (so reads are read-your-writes
+//! fresh), appending one packed run of the batch to each time shard it
+//! touched; store chunks, shard groups and runs it does not touch are
+//! shared with the previous snapshot, not copied. Retention
 //! ([`ServerConfig::retention_horizon_s`]) expires old shards at publish
 //! time and retires the dropped segments from the store, which compacts
 //! once enough of it is tombstones.
@@ -25,7 +23,7 @@
 //! Observability is opt-in: [`CloudServer::attach_observability`] wires
 //! the query path to `swag-obs` histograms (total latency, per-operator
 //! time and rows, candidate counts, R-tree traversal work) and the
-//! publish path to snapshot age / rebuild cost / delta size metrics.
+//! publish path to snapshot age / rebuild cost metrics.
 //! Without it the query path runs the same pipeline under a probe that
 //! records nothing and reads no clock. Time comes from an injectable
 //! [`MonotonicClock`] so latency accounting is exactly testable.
@@ -52,8 +50,6 @@ pub struct ServerConfig {
     pub index: IndexKind,
     /// Width of each time shard, seconds.
     pub shard_width_s: f64,
-    /// Delta size that triggers folding the delta into a new snapshot.
-    pub publish_threshold: usize,
     /// Retention horizon: at every snapshot publish, shards older than
     /// `latest t_end − horizon` are expired and fully-expired segments
     /// retired from the store. `None` keeps everything forever.
@@ -89,7 +85,6 @@ impl Default for ServerConfig {
         ServerConfig {
             index: IndexKind::RTree,
             shard_width_s: 600.0,
-            publish_threshold: 256,
             retention_horizon_s: None,
             fanout: FanoutMode::Adaptive,
             cache: CacheConfig::default(),
@@ -102,14 +97,12 @@ impl Default for ServerConfig {
 /// Aggregated server statistics.
 #[derive(Debug, Clone, Copy, PartialEq, Eq)]
 pub struct ServerStats {
-    /// Stored segments (live snapshot records plus the pending delta).
+    /// Live stored segments.
     pub segments: usize,
     /// Store slots allocated, tombstones included (shrinks on compaction).
     pub store_slots: usize,
     /// Live time shards in the published snapshot.
     pub shards: usize,
-    /// Records waiting in the delta for the next snapshot publish.
-    pub pending_delta: usize,
     /// Upload batches ingested.
     pub batches: u64,
     /// Queries answered.
@@ -261,19 +254,23 @@ impl CloudServer {
         if !recovery.records.is_empty() {
             server.engine.bootstrap(recovery.records);
         }
+        // Each run of consecutive appends is one fold, flushed before
+        // every retraction or expiry and at the end.
+        let mut appends = Vec::new();
         for op in recovery.ops {
             match op {
-                swag_store::WalOp::Append { rep, source } => {
-                    server.engine.ingest_one(rep, source);
-                }
+                swag_store::WalOp::Append { rep, source } => appends.push((rep, source)),
                 swag_store::WalOp::Retract { provider_id, .. } => {
+                    server.engine.ingest_records(&std::mem::take(&mut appends));
                     server.engine.retract_provider(provider_id);
                 }
                 swag_store::WalOp::Expire { horizon_s } => {
+                    server.engine.ingest_records(&std::mem::take(&mut appends));
                     server.engine.expire_before(horizon_s);
                 }
             }
         }
+        server.engine.ingest_records(&appends);
         server.engine.durability = Some(durability);
         Ok(server)
     }
@@ -316,8 +313,7 @@ impl CloudServer {
     }
 
     /// Computes point-in-time gauges into `registry`: epoch snapshot age
-    /// (`swag_server_epoch_age_micros`), staged-delta size, result-cache
-    /// entries, and per-time-shard entry counts
+    /// (`swag_server_epoch_age_micros`), result-cache entries, and per-time-shard entry counts
     /// (`swag_server_shard_entries{shard=...}`, zeroed when a shard
     /// expires). Call right before rendering the registry; cheap enough
     /// to call on every render.
@@ -399,7 +395,7 @@ impl CloudServer {
 
     /// Renders the [`crate::engine::plan::QueryPlan`] this request would
     /// execute, resolved against the current snapshot: query boxes,
-    /// shards probed, pending delta, filter chain, rank mode, and the
+    /// shards probed, fan-out, cache eligibility, filter chain, rank mode, and the
     /// operator pipeline (named with the same labels EXPLAIN ANALYZE and
     /// the per-operator metrics use).
     pub fn explain(&self, query: &Query, opts: &QueryOptions) -> String {
@@ -435,8 +431,7 @@ impl CloudServer {
     /// Returns how many live segments were removed; on a durable server
     /// the provider's demoted rows are hidden from every cold run written
     /// so far as well (rows uploaded afterwards stay servable). The
-    /// retraction publishes a fresh snapshot immediately — it does not
-    /// wait for the next threshold-driven publish.
+    /// retraction publishes a fresh snapshot immediately.
     pub fn retract_provider(&self, provider_id: u64) -> usize {
         self.engine.retract_provider(provider_id)
     }
@@ -450,8 +445,7 @@ impl CloudServer {
         self.engine.expire_before(horizon_s)
     }
 
-    /// Exports every live record, pending delta included (demoted cold
-    /// rows are not live).
+    /// Exports every live record (demoted cold rows are not live).
     pub fn export_records(&self) -> Vec<SegmentRecord> {
         self.engine.export_records()
     }

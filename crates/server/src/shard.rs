@@ -12,10 +12,9 @@
 //!
 //! A shard is a list of immutable STR-packed **runs**: a publish packs
 //! only its batch into a new run and merges small runs geometrically
-//! ([`ShardedFovIndex::bulk_insert_exec`]), so write cost follows the
-//! batch, not the shard. Runs sit behind `Arc`s: cloning the index for a
-//! new epoch costs a pointer bump per run, and every run a publish does
-//! not merge stays shared with older snapshots.
+//! ([`ShardedFovIndex::bulk_insert_exec`]). Runs, run lists and shard
+//! groups ([`ShardMap`]) are `Arc`-shared with older snapshots, so a
+//! publish's cost follows its batch, not the shard or the index.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -28,6 +27,7 @@ use swag_rtree::{Aabb, SearchStats};
 use crate::engine::fanout::PARALLEL_MIN_WORK;
 use crate::index::{fov_box, query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
 use crate::query::Query;
+use crate::shard_map::ShardMap;
 use crate::store::SegmentId;
 
 /// A new run merges with the run before it while that run holds at most
@@ -35,9 +35,9 @@ use crate::store::SegmentId;
 /// `MERGE_RATIO` times the items of the run after it.
 const MERGE_RATIO: usize = 2;
 
-/// One time shard: immutable STR-packed runs, largest and oldest first.
-/// Each segment of the bucket lives in exactly one run.
-type Runs = Vec<Arc<FovIndex>>;
+/// One time shard: immutable STR-packed runs, largest and oldest first,
+/// each segment of the bucket in exactly one; shared until a publish.
+type Runs = Arc<Vec<Arc<FovIndex>>>;
 
 /// A probed shard: its bucket and runs.
 type Probed<'a> = (i64, &'a [Arc<FovIndex>]);
@@ -117,7 +117,7 @@ pub struct ExpireReport {
 pub struct ShardedFovIndex {
     shard_width_s: f64,
     kind: IndexKind,
-    shards: BTreeMap<i64, Runs>,
+    shards: ShardMap<Runs>,
     /// Number of distinct indexed segments. Each id must be indexed at
     /// most once; the span a segment occupies is recomputed from its
     /// interval (insert, remove) or its stored box (expiry), so no
@@ -144,7 +144,7 @@ impl ShardedFovIndex {
         ShardedFovIndex {
             shard_width_s,
             kind,
-            shards: BTreeMap::new(),
+            shards: ShardMap::default(),
             segments: 0,
             obs: None,
             cut: i64::MIN,
@@ -204,7 +204,7 @@ impl ShardedFovIndex {
     pub fn probe_shards(&self, t0: f64, t1: f64) -> Vec<(i64, usize, usize)> {
         self.shards
             .range(self.buckets(t0, t1))
-            .map(|(bucket, runs)| (*bucket, items(runs), runs.len()))
+            .map(|(bucket, runs)| (bucket, items(runs), runs.len()))
             .collect()
     }
 
@@ -221,7 +221,7 @@ impl ShardedFovIndex {
         let w = self.shard_width_s;
         let mut est = ProbeEstimate::default();
         for (bucket, runs) in self.shards.range(self.buckets(t0, t1)) {
-            let bucket_start = *bucket as f64 * w;
+            let bucket_start = bucket as f64 * w;
             let overlap = (t1.min(bucket_start + w) - t0.max(bucket_start)).clamp(0.0, w);
             let n = items(runs);
             est.shards += 1;
@@ -236,7 +236,7 @@ impl ShardedFovIndex {
     pub fn shard_sizes(&self) -> Vec<(i64, usize)> {
         self.shards
             .iter()
-            .map(|(bucket, runs)| (*bucket, items(runs)))
+            .map(|(bucket, runs)| (bucket, items(runs)))
             .collect()
     }
 
@@ -248,20 +248,18 @@ impl ShardedFovIndex {
         let mbr = fov_box(rep);
         let mut removed = false;
         for bucket in self.buckets(rep.t_start, rep.t_end) {
-            let Some(runs) = self.shards.get_mut(&bucket) else {
+            let holder = |runs: &Runs| runs.iter().position(|run| run.contains(&mbr, id));
+            let Some(i) = self.shards.get(bucket).and_then(holder) else {
                 continue; // bucket already expired
             };
-            if let Some(i) = runs.iter().position(|run| run.contains(&mbr, id)) {
-                removed |= Arc::make_mut(&mut runs[i]).remove(rep, id);
-                runs.retain(|run| !run.is_empty());
-            }
+            let runs = Arc::make_mut(self.shards.get_mut(bucket).expect("bucket just read"));
+            removed |= Arc::make_mut(&mut runs[i]).remove(rep, id);
+            runs.retain(|run| !run.is_empty());
             if runs.is_empty() {
-                self.shards.remove(&bucket);
+                self.shards.remove(bucket);
             }
         }
-        if removed {
-            self.segments -= 1;
-        }
+        self.segments -= usize::from(removed);
         removed
     }
 
@@ -294,13 +292,13 @@ impl ShardedFovIndex {
         let touched: Vec<(i64, Vec<(Aabb<3>, LeafRef)>)> = per_bucket.into_iter().collect();
         let (shards, kind) = (&self.shards, self.kind);
         let grown = exec.par_map_owned(touched, |(bucket, mut entries)| {
-            let mut runs = shards.get(&bucket).cloned().unwrap_or_default();
+            let mut runs = shards.get(bucket).map_or_else(Vec::new, |r| r.to_vec());
             // Absorb every tail run the merge rule reaches, then pack once.
             while let Some(last) = runs.pop_if(|last| last.len() <= MERGE_RATIO * entries.len()) {
-                entries.extend(last.entries());
+                last.append_entries(&mut entries);
             }
-            runs.push(Arc::new(FovIndex::new(kind).bulk_extend(entries)));
-            (bucket, runs)
+            runs.push(Arc::new(FovIndex::packed(kind, entries)));
+            (bucket, Arc::new(runs))
         });
         self.shards.extend(grown);
     }
@@ -340,7 +338,7 @@ impl ShardedFovIndex {
         let probed: Vec<Probed<'_>> = self
             .shards
             .range(self.buckets(t0, t1))
-            .map(|(bucket, runs)| (*bucket, runs.as_slice()))
+            .map(|(bucket, runs)| (bucket, runs.as_slice()))
             .collect();
         let mut matched = 0;
         if probed.len() < 2 || exec.is_serial() {
@@ -418,14 +416,13 @@ impl ShardedFovIndex {
     pub fn expire_before(&mut self, horizon_s: f64) -> ExpireReport {
         let cutoff = self.bucket_of(horizon_s);
         self.cut = self.cut.max(cutoff);
-        let keep = self.shards.split_off(&cutoff);
-        let shards_dropped = self.shards.len();
+        let keep = self.shards.split_off(cutoff);
         let dropped_shards = std::mem::replace(&mut self.shards, keep);
         // A segment died with the dropped shards iff its last bucket —
         // read straight off its stored box — is itself below the cutoff.
         // Segments straddling the cutoff keep living in later buckets.
         let mut segments_dropped = Vec::new();
-        for run in dropped_shards.values().flatten() {
+        for run in dropped_shards.iter().flat_map(|(_, runs)| runs.iter()) {
             run.for_each_item(|b, id| {
                 if self.bucket_of(b.max[2]) < cutoff {
                     segments_dropped.push(id);
@@ -436,8 +433,8 @@ impl ShardedFovIndex {
         segments_dropped.dedup();
         self.segments -= segments_dropped.len();
         ExpireReport {
-            shards_dropped,
-            buckets_dropped: dropped_shards.keys().copied().collect(),
+            shards_dropped: dropped_shards.len(),
+            buckets_dropped: dropped_shards.keys().collect(),
             segments_dropped,
         }
     }
@@ -665,9 +662,14 @@ mod tests {
         assert_eq!(idx.candidates(&query), union_of_shards(&idx, &query));
     }
 
+    /// The run list of bucket `b`, oldest first.
+    fn runs(idx: &ShardedFovIndex, b: i64) -> &Runs {
+        idx.shards.get(b).unwrap()
+    }
+
     /// Run sizes of bucket `b`, oldest first.
     fn run_sizes(idx: &ShardedFovIndex, b: i64) -> Vec<usize> {
-        idx.shards[&b].iter().map(|run| run.len()).collect()
+        runs(idx, b).iter().map(|run| run.len()).collect()
     }
 
     /// Segments `ids`, each one second long at `t = id mod 90`: bucket 0.
@@ -706,14 +708,15 @@ mod tests {
         idx.bulk_insert(&batch(44..45)); // 3 > 2 × 1: appended, no merge
         assert_eq!(run_sizes(&before, 0), vec![40, 3]);
         assert_eq!(run_sizes(&idx, 0), vec![40, 3, 1]);
-        for (old, new) in before.shards[&0].iter().zip(&idx.shards[&0]) {
+        for (old, new) in runs(&before, 0).iter().zip(runs(&idx, 0).iter()) {
             assert!(Arc::ptr_eq(old, new), "older runs are never rebuilt");
         }
-        assert!(Arc::ptr_eq(&idx.shards[&1][0], &before.shards[&1][0]));
+        // The untouched bucket's run list itself is shared.
+        assert!(Arc::ptr_eq(runs(&idx, 1), runs(&before, 1)));
         let before = idx.clone();
         idx.bulk_insert(&batch(45..46)); // 1 ≤ 2 × 1, then 3 ≤ 2 × 2
         assert_eq!(run_sizes(&idx, 0), vec![40, 5]);
-        assert!(Arc::ptr_eq(&idx.shards[&0][0], &before.shards[&0][0]));
+        assert!(Arc::ptr_eq(&runs(&idx, 0)[0], &runs(&before, 0)[0]));
     }
 
     #[test]
@@ -729,7 +732,7 @@ mod tests {
         assert!(!idx.candidates(&q(0.0, 99.0)).contains(&SegmentId(3)));
         // The snapshot still holds it; the untouched tail run is shared.
         assert!(before.candidates(&q(0.0, 99.0)).contains(&SegmentId(3)));
-        assert!(Arc::ptr_eq(&idx.shards[&0][1], &before.shards[&0][1]));
+        assert!(Arc::ptr_eq(&runs(&idx, 0)[1], &runs(&before, 0)[1]));
     }
 
     mod dedup {

@@ -51,7 +51,6 @@ fn rep_at(rng: &mut Rng, t_lo: f64, t_hi: f64) -> RepFov {
 fn churn_config(cache: CacheConfig) -> ServerConfig {
     ServerConfig {
         shard_width_s: 120.0,
-        publish_threshold: 8,
         cache,
         ..ServerConfig::default()
     }
@@ -260,7 +259,6 @@ fn publish_invalidates_only_touched_time_shards() {
         CameraProfile::smartphone(),
         ServerConfig {
             shard_width_s: 100.0,
-            publish_threshold: 8,
             cache: CacheConfig::enabled(64),
             ..ServerConfig::default()
         },

@@ -66,9 +66,8 @@ fn digest(server: &CloudServer, t_end: f64) -> u64 {
     result_digest(&server.query(&q, &wide_opts()))
 }
 
-fn durable_config(publish_threshold: usize) -> ServerConfig {
+fn durable_config() -> ServerConfig {
     ServerConfig {
-        publish_threshold,
         durability: DurabilityConfig {
             // Every append fsyncs: the durable prefix is exactly the
             // whole frames on disk, which the crash property relies on.
@@ -79,6 +78,13 @@ fn durable_config(publish_threshold: usize) -> ServerConfig {
         },
         ..ServerConfig::default()
     }
+}
+
+/// [`durable_config`] that never snapshots: every op stays in the WAL.
+fn wal_only_config() -> ServerConfig {
+    let mut config = durable_config();
+    config.durability.snapshot_min_wal_bytes = u64::MAX;
+    config
 }
 
 /// The last (highest-sequence) WAL segment file in a data dir.
@@ -92,12 +98,46 @@ fn last_wal_file(dir: &Path) -> PathBuf {
     files.pop().expect("a WAL segment exists")
 }
 
+/// Replay folds each run of consecutive WAL appends once: 45 appends
+/// into one bucket, which the writer folded one by one into several
+/// runs, come back as a single packed run with the same answers.
+#[test]
+fn recovery_folds_a_run_of_appends_once() {
+    let dir = tmp_dir();
+    let q = Query::new(0.0, 1e9, base(), 5_000.0);
+    let n = 45u64;
+    let (written, writer_plan) = {
+        let server = CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config())
+            .expect("open fresh data dir");
+        for i in 0..n {
+            let (rep, source) = rec(i, 2.0);
+            server.ingest_one(rep, source);
+        }
+        let plan = server.explain(&q, &wide_opts());
+        (digest(&server, 1e9), plan)
+    };
+    assert!(!writer_plan.contains("#0(x45/1r)"), "{writer_plan}");
+    let recovered =
+        CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config()).expect("reopen");
+    let stats = recovered.durability_stats().unwrap();
+    assert_eq!(
+        stats.snapshots_written, 0,
+        "the WAL past the floor holds all {n}"
+    );
+    let plan = recovered.explain(&q, &wide_opts());
+    assert!(plan.contains("probe 1 of 1 live"), "{plan}");
+    assert!(plan.contains("#0(x45/1r)"), "{plan}");
+    assert_eq!(digest(&recovered, 1e9), written);
+    drop(recovered);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
 #[test]
 fn reopen_restores_exact_state() {
     let dir = tmp_dir();
     let n = 300u64;
     {
-        let server = CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64))
+        let server = CloudServer::open(&dir, CameraProfile::smartphone(), durable_config())
             .expect("open fresh data dir");
         for i in 0..n {
             let (rep, source) = rec(i, 2.0);
@@ -110,7 +150,7 @@ fn reopen_restores_exact_state() {
         assert!(stats.snapshots_written >= 1, "publishes snapshot on fold");
         assert_eq!(stats.wal_lag_bytes, 0, "quiesce leaves no unsynced tail");
     }
-    let recovered = CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64))
+    let recovered = CloudServer::open(&dir, CameraProfile::smartphone(), durable_config())
         .expect("recover data dir");
     assert_eq!(recovered.stats().segments, n as usize);
 
@@ -129,15 +169,15 @@ fn recovered_server_keeps_appending() {
     let dir = tmp_dir();
     {
         let server =
-            CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64)).expect("open");
+            CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
         for i in 0..50 {
             let (rep, source) = rec(i, 2.0);
             server.ingest_one(rep, source);
         }
     }
     {
-        let server = CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64))
-            .expect("reopen");
+        let server =
+            CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
         for i in 50..100 {
             let (rep, source) = rec(i, 2.0);
             server.ingest_one(rep, source);
@@ -145,7 +185,7 @@ fn recovered_server_keeps_appending() {
         server.quiesce();
     }
     let recovered =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64)).expect("reopen");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
     assert_eq!(recovered.stats().segments, 100);
     std::fs::remove_dir_all(&dir).ok();
 }
@@ -158,7 +198,7 @@ fn recovered_server_keeps_appending() {
 #[test]
 fn reopened_fold_into_a_snapshotted_bucket_is_not_lost() {
     let dir = tmp_dir();
-    let open = || CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(1)).unwrap();
+    let open = || CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).unwrap();
     {
         let server = open();
         let (rep, source) = rec(0, 10.0);
@@ -182,7 +222,7 @@ fn retraction_is_durable() {
     let dir = tmp_dir();
     {
         let server =
-            CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64)).expect("open");
+            CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
         for i in 0..40 {
             let (rep, source) = rec(i, 2.0);
             server.ingest_one(rep, source);
@@ -190,7 +230,7 @@ fn retraction_is_durable() {
         assert_eq!(server.retract_provider(3), 8);
     }
     let recovered =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64)).expect("reopen");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
     assert_eq!(recovered.stats().segments, 32);
     let hits = recovered.query(&Query::new(0.0, 1e9, base(), 5_000.0), &wide_opts());
     assert!(hits.iter().all(|h| h.source.provider_id != 3));
@@ -219,7 +259,7 @@ fn retraction_hides_demoted_rows() {
     // retraction in the WAL alone.
     for snapshot_min_wal_bytes in [0, u64::MAX] {
         let dir = tmp_dir();
-        let mut config = durable_config(4);
+        let mut config = durable_config();
         config.durability.snapshot_min_wal_bytes = snapshot_min_wal_bytes;
         config.cache = CacheConfig::enabled(64);
         let at = |i: u64, t: f64, provider_id: u64| {
@@ -276,7 +316,7 @@ fn retraction_hides_demoted_rows() {
 fn expired_shards_demote_to_cold_and_stay_queryable() {
     let dir = tmp_dir();
     let server =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(4)).expect("open");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
     // Two time-shard buckets (width 600 s): old records in bucket 0,
     // fresh ones in bucket 2.
     for i in 0..12 {
@@ -340,7 +380,7 @@ fn expired_shards_demote_to_cold_and_stay_queryable() {
     server.quiesce();
     drop(server);
     let recovered =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(4)).expect("reopen");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
     let after = recovered.query(&Query::new(0.0, 100.0, base(), 5_000.0), &wide_opts());
     assert_eq!(result_digest(&after), result_digest(&cold_hits));
     std::fs::remove_dir_all(&dir).ok();
@@ -350,7 +390,7 @@ fn expired_shards_demote_to_cold_and_stay_queryable() {
 /// every 60 s) beside a live tail, and returns the server.
 fn server_with_cold_history(dir: &Path) -> CloudServer {
     let server =
-        CloudServer::open(dir, CameraProfile::smartphone(), durable_config(8)).expect("open");
+        CloudServer::open(dir, CameraProfile::smartphone(), durable_config()).expect("open");
     for i in 0..50 {
         let (rep, source) = rec(i, 60.0);
         server.ingest_one(rep, source);
@@ -381,7 +421,7 @@ fn reopen_reads_cold_headers_only_and_hot_queries_open_nothing() {
     };
     assert!(runs >= 4);
     let server =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("reopen");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
     let stats = server.durability_stats().unwrap();
     assert_eq!((stats.cold_runs, stats.cold_segments), (runs, 40));
     assert_eq!((stats.cold_runs_opened, stats.cold_resident_bytes), (0, 0));
@@ -443,7 +483,7 @@ fn runs_without_a_trustworthy_zone_map_still_load_and_answer() {
     std::fs::write(&files[1], raw).unwrap();
 
     let server =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("reopen");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
     let stats = server.durability_stats().unwrap();
     assert_eq!(stats.cold_segments, 40);
     assert_eq!((stats.cold_run_errors, stats.cold_resident_bytes), (0, 0));
@@ -465,7 +505,7 @@ fn corrupt_cold_run_is_typed_counted_and_named() {
     std::fs::write(&files[0], b"garbage").unwrap();
 
     let mut server =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("reopen");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
     let registry = swag_obs::Registry::new();
     server.attach_observability(&registry);
     server.refresh_gauges(&registry);
@@ -501,7 +541,7 @@ fn corrupt_cold_run_is_typed_counted_and_named() {
 fn failed_demotion_is_counted_not_discarded() {
     let dir = tmp_dir();
     let server =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(8)).expect("open");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
     for i in 0..20 {
         let (rep, source) = rec(i, 60.0);
         server.ingest_one(rep, source);
@@ -522,12 +562,12 @@ fn explain_pipeline_unchanged_without_cold_runs() {
     // render the exact pipeline line CI greps for.
     let dir = tmp_dir();
     let server =
-        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config(64)).expect("open");
+        CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
     let (rep, source) = rec(0, 2.0);
     server.ingest_one(rep, source);
     let explain = server.explain(&Query::new(0.0, 100.0, base(), 500.0), &wide_opts());
     assert!(
-        explain.contains("index_scan(shard_probe*) -> delta_scan -> ranking"),
+        explain.contains("index_scan(shard_probe*) -> ranking"),
         "explain: {explain}"
     );
     assert!(!explain.contains("cold_scan"));
@@ -548,12 +588,12 @@ proptest! {
     ) {
         let dir = tmp_dir();
         {
-            // publish_threshold high: the WAL is the only durable state,
-            // so the truncation point fully determines recovery.
+            // No snapshot: the WAL is the only durable state, so the
+            // truncation point fully determines recovery.
             let server = CloudServer::open(
                 &dir,
                 CameraProfile::smartphone(),
-                durable_config(100_000),
+                wal_only_config(),
             ).unwrap();
             for i in 0..n {
                 let (rep, source) = rec(i, 2.0);
@@ -573,7 +613,7 @@ proptest! {
         let recovered = CloudServer::open(
             &dir,
             CameraProfile::smartphone(),
-            durable_config(100_000),
+            wal_only_config(),
         ).unwrap();
         let k = recovered.stats().segments as u64;
         prop_assert!(k <= n);
@@ -606,7 +646,7 @@ fn cold_scan_metrics_count_pruned_queries() {
     let mut server = CloudServer::open_with_clock(
         &dir,
         CameraProfile::smartphone(),
-        durable_config(8),
+        durable_config(),
         std::sync::Arc::new(swag_obs::ManualClock::default()),
     )
     .expect("open");

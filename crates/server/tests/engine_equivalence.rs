@@ -150,14 +150,13 @@ fn oracle_transcript() -> String {
         CameraProfile::smartphone(),
         ServerConfig {
             shard_width_s: 150.0,
-            publish_threshold: 24,
             ..ServerConfig::default()
         },
     );
     server.set_executor(Executor::serial());
 
-    // Ingest in uneven batches: some publish full snapshots, some stay
-    // pending in the delta, so both scan operators are exercised.
+    // Ingest in uneven batches: each folds into its own packed runs, so
+    // shards hold several runs of different sizes.
     let mut out = String::new();
     for (batch_no, n) in [17usize, 40, 9, 31, 6].into_iter().enumerate() {
         let reps = workload_reps(&mut rng, n);
@@ -323,7 +322,6 @@ fn records(site: usize, reps: &[RawRep]) -> Vec<(RepFov, SegmentRef)> {
 fn config(index: IndexKind, fanout: FanoutMode) -> ServerConfig {
     ServerConfig {
         shard_width_s: 120.0,
-        publish_threshold: 16,
         index,
         fanout,
         ..ServerConfig::default()

@@ -152,11 +152,12 @@ fn analyzed_execution_matches_normal_execution() {
         // Every operator annotated: rows flow through the pipeline. The
         // index scan now filters and collects as it goes, yet its rows
         // out are still the box matches after cross-shard dedup, the
-        // ranking's rows in every tier's box matches, and the index hit
-        // split the filter survivors.
+        // ranking's rows in those box matches, and the index hits the
+        // filter survivors.
         let candidates = index.candidates(&q);
         assert_eq!(ev.index_rows_out, candidates.len() as u64);
-        assert_eq!(ev.rank_rows_in, ev.index_rows_out + ev.delta_rows_out);
+        assert_eq!(ev.rank_rows_in, ev.index_rows_out);
+        assert_eq!(ev.delta_rows_in, 0, "the reserved delta word reads 0");
         assert_eq!(ev.rank_rows_out, ev.hit_count);
         let all = QueryOptions {
             top_n: usize::MAX,
@@ -164,14 +165,14 @@ fn analyzed_execution_matches_normal_execution() {
         };
         let survivors = rank_candidates(&candidates, &store, server.camera(), &q, &all);
         assert_eq!(ev.hits_index, survivors.len() as u64);
-        // index/delta hit split counts filter survivors *before* top-N
-        // truncation: at least everything ranked out, at most rows in.
-        let split = ev.hits_index + ev.hits_delta;
-        assert!(split >= ev.rank_rows_out && split <= ev.rank_rows_in);
+        // Index hits count filter survivors *before* top-N truncation:
+        // at least everything ranked out, at most rows in.
+        assert!(ev.hits_index >= ev.rank_rows_out && ev.hits_index <= ev.rank_rows_in);
         let text = analyzed.report.render();
-        for needle in ["index_scan", "delta_scan", "ranking", "digest", "fanout"] {
+        for needle in ["index_scan", "ranking", "digest", "fanout"] {
             assert!(text.contains(needle), "analyze render missing {needle}");
         }
+        assert!(!text.contains("delta"), "no delta stage left: {text}");
     }
     assert_eq!(log.stats().pushed, 24, "one wide event per query");
 
@@ -213,16 +214,14 @@ fn event_log_does_not_change_recorded_metrics() {
         let mut server = CloudServer::with_config(
             CameraProfile::smartphone(),
             ServerConfig {
-                publish_threshold: 128,
                 cache: CacheConfig::enabled(64),
                 events,
                 ..ServerConfig::default()
             },
         );
         server.attach_observability(&reg);
-        // A published index *and* a pending delta (40 < threshold), so
-        // both scans contribute traversal counters; the repeated probes
-        // hit the cache.
+        // Two folds, so shards hold two runs that both contribute
+        // traversal counters; the repeated probes hit the cache.
         for (video_id, n) in [(0, 300), (1, 40)] {
             server.ingest_batch(&UploadBatch {
                 provider_id: 1,
@@ -252,7 +251,7 @@ fn event_log_does_not_change_recorded_metrics() {
     for exercised in [
         "swag_server_index_nodes_visited",
         "swag_server_cache_hits_total",
-        "swag_server_hits_total{src=\"delta\"}",
+        "swag_server_hits_total{src=\"index\"}",
     ] {
         assert!(
             off.iter().any(|(name, n)| name == exercised && *n > 0),
@@ -411,6 +410,21 @@ fn event_words_round_trip() {
     // builds with admission control filled.
     assert_eq!(words[1] & (0b11 << 4 | 1 << 8), 0);
     assert_eq!(words[16], 0);
+    // Reserved too: words 10, 11, 20–22 and 27, which builds with a
+    // pending-delta tier filled. Such a capture decodes, and those words
+    // read back as 0.
+    const DELTA_WORDS: [usize; 6] = [10, 11, 20, 21, 22, 27];
+    for w in DELTA_WORDS {
+        assert_eq!(words[w], 0, "word {w}");
+    }
+    let mut parent = words;
+    for (w, v) in DELTA_WORDS.into_iter().zip([3u64, 40, 17, 40, 6, 2]) {
+        parent[w] = v;
+    }
+    let decoded = QueryEvent::decode(&parent).expect("delta-era events decode");
+    assert_eq!(decoded.encode(), words);
+    assert_eq!(decoded.delta_rows_in, 0);
+    assert_eq!(decoded.digest, ev.digest);
     // An admitted event from such a build (token flag and balance set)
     // still decodes; a shed one fails by name.
     let mut old = words;

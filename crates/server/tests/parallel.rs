@@ -23,7 +23,6 @@ fn par_exec() -> Executor {
 fn config() -> ServerConfig {
     ServerConfig {
         shard_width_s: 120.0,
-        publish_threshold: 16,
         ..ServerConfig::default()
     }
 }
@@ -107,8 +106,8 @@ proptest! {
     }
 
     /// Incremental path: the same upload batches pushed through both
-    /// servers (delta appends + threshold-triggered snapshot publishes,
-    /// which STR-pack runs on the executor) must stay indistinguishable.
+    /// servers (each a snapshot publish that STR-packs runs on the
+    /// executor) must stay indistinguishable.
     #[test]
     fn parallel_publish_matches_serial_publish(
         batches in prop::collection::vec(prop::collection::vec(arb_rep(), 1..20), 1..6),
@@ -303,7 +302,6 @@ fn parallel_queries_race_publishes_and_retractions() {
         CameraProfile::smartphone(),
         ServerConfig {
             shard_width_s: 60.0,
-            publish_threshold: 8,
             ..ServerConfig::default()
         },
     );

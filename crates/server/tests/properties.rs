@@ -7,7 +7,7 @@
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use swag_core::{CameraProfile, Fov, RepFov};
+use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_geo::{LatLon, METERS_PER_DEG};
 use swag_server::{
     CloudServer, DurabilityConfig, FovIndex, IndexKind, Query, QueryOptions, RankMode, SegmentId,
@@ -119,14 +119,16 @@ proptest! {
         prop_assert_eq!(a, sharded.candidates(&q));
     }
 
-    /// Answers are a function of the ingested set, not of how publishes
-    /// split it into runs (or leave it in the delta): the same arrivals
-    /// folded every 1, 7 or 256 records answer `query`, `query_batch` and
-    /// `query_nearest` byte-identically, ties at the top-k cut included.
+    /// Answers are a function of the ingested set, not of how ingests
+    /// split it into folds and runs: the same arrivals as one batch,
+    /// record by record, and in random chunks answer `query`,
+    /// `query_batch` and `query_nearest` byte-identically, ties at the
+    /// top-k cut included, and export the same records.
     #[test]
-    fn publish_cadence_never_changes_results(
+    fn batch_split_never_changes_results(
         reps in prop::collection::vec(arb_tied_rep(), 1..120),
         queries in prop::collection::vec(arb_query(), 1..6),
+        cuts in prop::collection::vec(1usize..30, 1..12),
         top_n in 1usize..12,
         quality in prop::bool::ANY,
     ) {
@@ -136,27 +138,57 @@ proptest! {
             rank: if quality { RankMode::Quality } else { RankMode::Distance },
             ..QueryOptions::default()
         };
-        let answers = |publish_threshold: usize| {
-            let config = ServerConfig { publish_threshold, ..ServerConfig::default() };
-            let server = CloudServer::with_config(CameraProfile::smartphone(), config);
-            for (i, rep) in reps.iter().enumerate() {
-                server.ingest_one(*rep, SegmentRef {
-                    provider_id: i as u64 % 3,
-                    video_id: i as u64,
-                    segment_idx: 0,
-                });
-            }
+        let answers = |ingest: &dyn Fn(&CloudServer)| {
+            let server = CloudServer::new(CameraProfile::smartphone());
+            ingest(&server);
             let single: Vec<_> = queries.iter().map(|q| server.query(q, &opts)).collect();
             let batch = server.query_batch(&queries, &opts, 2);
             let nearest: Vec<_> = queries
                 .iter()
                 .map(|q| server.query_nearest(q.t_start, q.t_end, q.center, top_n, &opts, 2000.0))
                 .collect();
-            format!("{single:?}\n{batch:?}\n{nearest:?}")
+            let mut records = server.export_records();
+            records.sort_by_key(|r| r.id);
+            format!("{single:?}\n{batch:?}\n{nearest:?}\n{records:?}")
         };
-        let folded_each = answers(1);
-        prop_assert_eq!(&answers(7), &folded_each);
-        prop_assert_eq!(&answers(256), &folded_each);
+        // Chunk `c` of a split is batch `c`, video = its first arrival;
+        // ingested record by record, each record carries the source that
+        // batch assigns it, so both servers hold the same records.
+        let whole = std::slice::from_ref(&(0..reps.len())).to_vec();
+        let mut split = Vec::new();
+        let mut at = 0;
+        for len in cuts.iter().cycle() {
+            if at == reps.len() {
+                break;
+            }
+            let end = (at + len).min(reps.len());
+            split.push(at..end);
+            at = end;
+        }
+        for chunks in [&whole[..], &split[..]] {
+            let batches: Vec<UploadBatch> = (0u64..)
+                .zip(chunks)
+                .map(|(c, chunk)| UploadBatch {
+                    provider_id: c % 3,
+                    video_id: chunk.start as u64,
+                    reps: reps[chunk.clone()].to_vec(),
+                })
+                .collect();
+            let one_by_one = answers(&|server| {
+                for b in &batches {
+                    for (segment_idx, rep) in (0u32..).zip(&b.reps) {
+                        let (provider_id, video_id) = (b.provider_id, b.video_id);
+                        server.ingest_one(*rep, SegmentRef { provider_id, video_id, segment_idx });
+                    }
+                }
+            });
+            let batched = answers(&|server| {
+                for b in &batches {
+                    server.ingest_batch(b);
+                }
+            });
+            prop_assert_eq!(batched, one_by_one);
+        }
     }
 
     #[test]
@@ -198,12 +230,11 @@ proptest! {
             std::process::id(),
             N.fetch_add(1, Ordering::Relaxed)
         ));
-        // Folds every 16 records and snapshots every fold: reopening
-        // loads bucket files and replays the WAL tail past them.
+        // Snapshots about every 16 records (≈ 51 WAL bytes each):
+        // reopening loads bucket files and replays the WAL tail past them.
         let config = ServerConfig {
-            publish_threshold: 16,
             durability: DurabilityConfig {
-                snapshot_min_wal_bytes: 0,
+                snapshot_min_wal_bytes: 16 * 51,
                 ..DurabilityConfig::default()
             },
             ..ServerConfig::default()

@@ -83,11 +83,7 @@ fn temporal_window_restricts_results() {
 fn explain_lists_runs_per_probed_shard() {
     // Every batch folds on its own: five segments, then one more into the
     // same 600 s shard, appended as a second run (5 > 2 × 1).
-    let config = ServerConfig {
-        publish_threshold: 1,
-        ..ServerConfig::default()
-    };
-    let server = CloudServer::with_config(CameraProfile::smartphone(), config);
+    let server = CloudServer::new(CameraProfile::smartphone());
     server.ingest_batch(&batch(1, 5));
     server.ingest_batch(&batch(2, 1));
     let q = Query::new(0.0, 100.0, center(), 100.0);
@@ -145,34 +141,28 @@ fn retract_provider_hides_their_segments() {
 
 #[test]
 fn retraction_removes_published_and_pending_records() {
-    // Threshold 10: the first batch publishes into the sharded
-    // snapshot, the next two stay pending in the delta. Retraction
-    // must reach both places.
-    let server = CloudServer::with_config(
-        CameraProfile::smartphone(),
-        ServerConfig {
-            publish_threshold: 10,
-            ..ServerConfig::default()
-        },
-    );
-    server.ingest_batch(&batch(1, 10)); // published (threshold hit)
-    server.ingest_batch(&batch(1, 3)); // pending
-    server.ingest_batch(&batch(2, 3)); // pending
-    assert_eq!(server.stats().pending_delta, 6);
-    assert!(server.stats().shards > 0);
-
-    assert_eq!(server.retract_provider(1), 13);
-    let stats = server.stats();
-    assert_eq!(stats.segments, 3);
-    // Retraction folds the delta into the core before retiring, so
-    // nothing stays pending afterwards.
-    assert_eq!(stats.pending_delta, 0);
+    // Every batch is published (indexed and visible) when ingest_batch
+    // returns: the first is one run of 13; the next two become a second
+    // run of 6 (3 ≤ 2 × 3 merges, 13 > 2 × 6 does not). Retraction must
+    // reach both runs.
+    let server = CloudServer::new(CameraProfile::smartphone());
     let q = Query::new(0.0, 1000.0, center(), 500.0);
     let opts = QueryOptions {
         top_n: usize::MAX,
         direction_filter: false,
         ..QueryOptions::default()
     };
+    server.ingest_batch(&batch(1, 13));
+    assert_eq!(server.stats().shards, 1);
+    assert_eq!(server.query(&q, &opts).len(), 13);
+    server.ingest_batch(&batch(1, 3));
+    server.ingest_batch(&batch(2, 3));
+    assert_eq!(server.query(&q, &opts).len(), 19);
+    assert!(server.explain(&q, &opts).contains("#0(x19/2r)"));
+
+    assert_eq!(server.retract_provider(1), 16);
+    let stats = server.stats();
+    assert_eq!(stats.segments, 3);
     let hits = server.query(&q, &opts);
     assert_eq!(hits.len(), 3);
     assert!(hits.iter().all(|h| h.source.provider_id == 2));
@@ -214,41 +204,11 @@ fn retraction_survives_snapshots() {
 }
 
 #[test]
-fn publish_threshold_folds_delta_into_snapshot() {
-    let server = CloudServer::with_config(
-        CameraProfile::smartphone(),
-        ServerConfig {
-            publish_threshold: 4,
-            ..ServerConfig::default()
-        },
-    );
-    server.ingest_batch(&batch(1, 3));
-    let stats = server.stats();
-    // Below the threshold everything is still pending, yet visible.
-    assert_eq!((stats.pending_delta, stats.shards), (3, 0));
-    let q = Query::new(0.0, 1000.0, center(), 500.0);
-    let opts = QueryOptions {
-        top_n: usize::MAX,
-        direction_filter: false,
-        ..QueryOptions::default()
-    };
-    assert_eq!(server.query(&q, &opts).len(), 3);
-
-    server.ingest_batch(&batch(2, 2)); // 5 >= 4: snapshot published
-    let stats = server.stats();
-    assert_eq!(stats.pending_delta, 0);
-    assert!(stats.shards > 0);
-    assert_eq!(stats.segments, 5);
-    assert_eq!(server.query(&q, &opts).len(), 5);
-}
-
-#[test]
 fn retention_horizon_expires_old_segments_at_publish() {
     let server = CloudServer::with_config(
         CameraProfile::smartphone(),
         ServerConfig {
             shard_width_s: 50.0,
-            publish_threshold: 1, // publish on every ingest
             retention_horizon_s: Some(100.0),
             ..ServerConfig::default()
         },
@@ -374,15 +334,9 @@ fn query_nearest_returns_k_closest() {
 #[test]
 fn quality_ties_rank_published_hits_before_pending_ones() {
     // Every segment sits beyond the camera's view radius, so all score
-    // quality 0.0: ties break by tier — published snapshot first, then
-    // the pending delta in arrival order.
-    let server = CloudServer::with_config(
-        CameraProfile::smartphone(),
-        ServerConfig {
-            publish_threshold: 4,
-            ..ServerConfig::default()
-        },
-    );
+    // quality 0.0: ties break by segment id — earlier publishes first,
+    // each in arrival order, however the batches were folded into runs.
+    let server = CloudServer::new(CameraProfile::smartphone());
     for (provider, n) in [(1, 4), (2, 3)] {
         server.ingest_batch(&UploadBatch {
             provider_id: provider,
@@ -395,7 +349,6 @@ fn quality_ties_rank_published_hits_before_pending_ones() {
                 .collect(),
         });
     }
-    assert_eq!(server.stats().pending_delta, 3);
     let opts = QueryOptions {
         direction_filter: false,
         rank: RankMode::Quality,
@@ -561,15 +514,14 @@ fn observability_splits_query_phases_exactly() {
 
     let stats = server.stats();
     assert_eq!(stats.queries, 4);
-    // Measured queries read the clock five times (t0, operators begin,
-    // index scanned, delta scanned, done): the total is exactly four
-    // steps.
-    assert_eq!(stats.query_micros.sum, 4 * 20);
-    assert_eq!(stats.query_micros_total, 4 * 20);
+    // Measured queries read the clock four times (t0, operators begin,
+    // index scanned, done): the total is exactly three steps.
+    assert_eq!(stats.query_micros.sum, 4 * 15);
+    assert_eq!(stats.query_micros_total, 4 * 15);
 
     // The per-operator split is exact: one step per stage, keyed by the
     // same names `explain` and EXPLAIN ANALYZE use.
-    for op in ["index_scan", "delta_scan", "ranking"] {
+    for op in ["index_scan", "ranking"] {
         let h = reg
             .histogram(&swag_obs::labeled_name(
                 "swag_server_op_micros",
@@ -578,27 +530,18 @@ fn observability_splits_query_phases_exactly() {
             .snapshot();
         assert_eq!((h.count, h.sum), (4, 4 * 5), "op {op}");
     }
-    // All 6 segments still sit in the staged delta (threshold 256), so
-    // the hit split attributes every hit to the delta scan.
+    // The batch was published when ingest_batch returned: every hit
+    // comes from the index, out of its one shard.
     assert_eq!(
         reg.counter(&swag_obs::labeled_name(
             "swag_server_hits_total",
             &[("src", "index")],
         ))
         .get(),
-        0
-    );
-    assert_eq!(
-        reg.counter(&swag_obs::labeled_name(
-            "swag_server_hits_total",
-            &[("src", "delta")],
-        ))
-        .get(),
         4 * 6
     );
     let probed = reg.histogram("swag_server_shards_probed").snapshot();
-    assert_eq!(probed.count, 4);
-    assert_eq!(probed.sum, 0, "nothing published yet: no shards to probe");
+    assert_eq!((probed.count, probed.sum), (4, 4));
     let rows = reg
         .histogram(&swag_obs::labeled_name(
             "swag_server_op_rows_out",
@@ -632,21 +575,20 @@ fn observability_splits_query_phases_exactly() {
 fn op_rows_keep_their_meaning_in_the_fused_pass() {
     // The index scan filters and collects as it goes; its rows out are
     // still the box matches after cross-shard dedup, the ranking's rows
-    // in every tier's box matches, and the hit split the filter
-    // survivors per tier. Each operator still costs one clock step.
+    // in those box matches, and the index hits the filter survivors.
+    // Each operator still costs one clock step.
     let reg = Registry::new();
     let mut server = CloudServer::with_config_and_clock(
         CameraProfile::smartphone(),
         ServerConfig {
-            publish_threshold: 4,
             shard_width_s: 15.0, // segments [10i, 10i + 8] span two shards
             ..ServerConfig::default()
         },
         SteppingClock::with_step(5),
     );
     server.attach_observability(&reg);
-    server.ingest_batch(&batch(3, 6)); // 6 >= 4: published
-    server.ingest_batch(&batch(4, 2)); // staged
+    server.ingest_batch(&batch(3, 6));
+    server.ingest_batch(&batch(4, 2)); // a second run in buckets 0..=1
     server.query(
         &Query::new(0.0, 100.0, center(), 200.0),
         &QueryOptions::default(),
@@ -657,11 +599,10 @@ fn op_rows_keep_their_meaning_in_the_fused_pass() {
             .snapshot();
         (h.count, h.sum)
     };
-    assert_eq!(op("swag_server_op_rows_out", "index_scan"), (1, 6));
-    assert_eq!(op("swag_server_op_rows_out", "delta_scan"), (1, 2));
-    assert_eq!(op("swag_server_op_rows_in", "ranking"), (1, 6 + 2));
+    assert_eq!(op("swag_server_op_rows_out", "index_scan"), (1, 8));
+    assert_eq!(op("swag_server_op_rows_in", "ranking"), (1, 8));
     assert_eq!(op("swag_server_op_rows_out", "ranking"), (1, 8));
-    for stage in ["index_scan", "delta_scan", "ranking"] {
+    for stage in ["index_scan", "ranking"] {
         assert_eq!(op("swag_server_op_micros", stage), (1, 5), "op {stage}");
     }
     let hits = |src: &str| {
@@ -671,8 +612,8 @@ fn op_rows_keep_their_meaning_in_the_fused_pass() {
         ))
         .get()
     };
-    assert_eq!((hits("index"), hits("delta")), (6, 2));
-    assert_eq!(reg.histogram("swag_shard_candidates").snapshot().sum, 6);
+    assert_eq!((hits("index"), hits("cold")), (8, 0));
+    assert_eq!(reg.histogram("swag_shard_candidates").snapshot().sum, 8);
     // Buckets 0..=3 hold them; two segments sit in two shards each.
     assert_eq!(reg.histogram("swag_server_shards_probed").snapshot().sum, 4);
 }
@@ -683,20 +624,17 @@ fn refresh_gauges_exports_engine_internals() {
     let mut server = CloudServer::with_config_and_clock(
         CameraProfile::smartphone(),
         ServerConfig {
-            publish_threshold: 4,
             shard_width_s: 10.0,
             ..ServerConfig::default()
         },
         SteppingClock::with_step(5),
     );
     server.attach_observability(&reg);
-    server.ingest_batch(&batch(1, 5)); // 5 >= 4: published
-    server.ingest_batch(&batch(2, 2)); // staged
+    server.ingest_batch(&batch(1, 5));
     server.refresh_gauges(&reg);
-    assert_eq!(reg.gauge("swag_server_staged_delta").get(), 2);
     assert!(reg.gauge("swag_server_epoch_age_micros").get() > 0);
     // batch() places rep i at [10i, 10i+8]: five 10-second shards,
-    // one published entry each.
+    // one entry each.
     let shards: Vec<String> = reg
         .names()
         .into_iter()
@@ -717,31 +655,27 @@ fn refresh_gauges_exports_engine_internals() {
 #[test]
 fn publish_metrics_record_snapshot_lifecycle() {
     let reg = Registry::new();
-    let mut server = CloudServer::with_config(
-        CameraProfile::smartphone(),
-        ServerConfig {
-            publish_threshold: 4,
-            ..ServerConfig::default()
-        },
-    );
+    let mut server = CloudServer::new(CameraProfile::smartphone());
     server.attach_observability(&reg);
-    server.ingest_batch(&batch(1, 3)); // pending only
-    assert_eq!(reg.counter("swag_server_publishes_total").get(), 0);
-    server.ingest_batch(&batch(2, 2)); // 5 >= 4: full publish
+    // Every non-empty batch is one publish; an empty one publishes
+    // nothing.
+    server.ingest_batch(&batch(1, 3));
     assert_eq!(reg.counter("swag_server_publishes_total").get(), 1);
-    let delta = reg.histogram("swag_server_snapshot_delta_size").snapshot();
-    assert_eq!((delta.count, delta.sum), (1, 5));
+    server.ingest_batch(&batch(2, 0));
+    server.ingest_batch(&batch(2, 2));
+    assert_eq!(reg.counter("swag_server_publishes_total").get(), 2);
+    assert_eq!(server.stats().batches, 3);
     assert_eq!(
         reg.histogram("swag_server_snapshot_rebuild_micros")
             .snapshot()
             .count,
-        1
+        2
     );
     assert_eq!(
         reg.histogram("swag_server_snapshot_age_micros")
             .snapshot()
             .count,
-        1
+        2
     );
     // Shard fan-out metrics are wired through the published core.
     let q = Query::new(0.0, 1000.0, center(), 500.0);

@@ -41,7 +41,6 @@ fn concurrent_ingest_retract_expire_query_stays_consistent() {
         ServerConfig {
             index: IndexKind::RTree,
             shard_width_s: SHARD_WIDTH_S,
-            publish_threshold: 8,
             ..ServerConfig::default()
         },
     );

@@ -407,12 +407,13 @@ impl Durability {
 
     /// Hands a freshly folded epoch to the background snapshot worker.
     ///
-    /// `store` is a COW clone of the folded segment store and `versions`
-    /// the epoch stamp's per-bucket versions; both are O(1)-ish to hand
-    /// over, as is the retracted set the manifest records beside them.
-    /// The active WAL segment is rotated so the snapshot, once written,
-    /// covers (and retires) every closed segment.
-    pub fn on_publish(&self, store: SegmentStore, versions: Arc<BTreeMap<i64, u64>>) {
+    /// `snapshot` yields a COW clone of the folded segment store and the
+    /// epoch stamp's per-bucket versions; it is called only when enough
+    /// WAL accumulated for a checkpoint, so the publishes in between pay
+    /// one lock and one comparison. The active WAL segment is rotated so
+    /// the snapshot, once written, covers (and retires) every closed
+    /// segment.
+    pub fn on_publish(&self, snapshot: impl FnOnce() -> (SegmentStore, Arc<BTreeMap<i64, u64>>)) {
         let (wal_floor, retire) = {
             let mut wal = self.wal.lock();
             if wal.bytes_since_snapshot < self.config.snapshot_min_wal_bytes {
@@ -433,6 +434,7 @@ impl Durability {
                 .collect();
             (floor, retire)
         };
+        let (store, versions) = snapshot();
         if let Some(tx) = self.tx.lock().as_ref() {
             let _ = tx.send(Job::Snapshot {
                 store,

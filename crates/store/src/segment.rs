@@ -36,13 +36,40 @@ pub struct SegmentRecord {
 }
 
 /// Records per chunk (see [`SegmentStore`]). A power of two so the
-/// id → (chunk, offset) split is a shift and a mask.
-const CHUNK: usize = 1024;
+/// id → (group, chunk, offset) split is shifts and masks.
+const CHUNK: usize = 256;
+/// Chunks per group (see [`SegmentStore`]).
+const GROUP: usize = 64;
+/// Records per group.
+const GROUP_RECORDS: usize = CHUNK * GROUP;
 
-#[derive(Debug, Clone, Default)]
+#[derive(Debug, Default)]
 struct Chunk {
     records: Vec<SegmentRecord>,
     retired: Vec<bool>,
+}
+
+/// A copy-on-write copy reserves the whole chunk, so the pushes after it
+/// never reallocate.
+impl Clone for Chunk {
+    fn clone(&self) -> Self {
+        let mut records = Vec::with_capacity(CHUNK);
+        records.extend_from_slice(&self.records);
+        let mut retired = Vec::with_capacity(CHUNK);
+        retired.extend_from_slice(&self.retired);
+        Chunk { records, retired }
+    }
+}
+
+#[derive(Debug, Default)]
+struct Group(Vec<Arc<Chunk>>);
+
+impl Clone for Group {
+    fn clone(&self) -> Self {
+        let mut chunks = Vec::with_capacity(GROUP);
+        chunks.extend_from_slice(&self.0);
+        Group(chunks)
+    }
 }
 
 /// Append-only segment store with tombstones; `SegmentId` is the index.
@@ -53,13 +80,15 @@ struct Chunk {
 /// wholesale when the store compacts or a snapshot is reloaded; the
 /// durable external handle is [`SegmentRef`].)
 ///
-/// Records live in fixed-size chunks behind `Arc`s, so cloning the store —
-/// which the snapshot-publishing server does on every epoch — is
-/// `O(n / CHUNK)` pointer bumps, and a clone shares all chunk memory with
-/// its parent until one side writes (copy-on-write via [`Arc::make_mut`]).
+/// Records live in two levels of `Arc`s: chunks of [`CHUNK`] records in
+/// groups of [`GROUP`] chunks. Cloning the store — which the server does
+/// on every publish — is one pointer bump per group, and a clone shares
+/// all memory with its parent until one side writes (copy-on-write via
+/// [`Arc::make_mut`]): the first push after a clone copies the tail
+/// group's chunk pointers and the tail chunk, never a full group.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentStore {
-    chunks: Vec<Arc<Chunk>>,
+    groups: Vec<Arc<Group>>,
     total: usize,
     live: usize,
 }
@@ -70,16 +99,31 @@ impl SegmentStore {
         Self::default()
     }
 
+    #[inline]
+    fn chunk(&self, i: usize) -> &Chunk {
+        &self.groups[i / GROUP_RECORDS].0[i / CHUNK % GROUP]
+    }
+
+    fn chunk_mut(&mut self, i: usize) -> &mut Chunk {
+        let group = Arc::make_mut(&mut self.groups[i / GROUP_RECORDS]);
+        Arc::make_mut(&mut group.0[i / CHUNK % GROUP])
+    }
+
     /// Appends a record, assigning its id.
     pub fn push(&mut self, rep: RepFov, source: SegmentRef) -> SegmentId {
-        let id = SegmentId(u32::try_from(self.total).expect("store capacity exceeded"));
-        if self.total.is_multiple_of(CHUNK) {
-            self.chunks.push(Arc::new(Chunk {
+        let i = self.total;
+        let id = SegmentId(u32::try_from(i).expect("store capacity exceeded"));
+        if i.is_multiple_of(GROUP_RECORDS) {
+            self.groups.push(Arc::new(Group(Vec::with_capacity(GROUP))));
+        }
+        if i.is_multiple_of(CHUNK) {
+            let group = Arc::make_mut(self.groups.last_mut().expect("group just ensured"));
+            group.0.push(Arc::new(Chunk {
                 records: Vec::with_capacity(CHUNK),
                 retired: Vec::with_capacity(CHUNK),
             }));
         }
-        let chunk = Arc::make_mut(self.chunks.last_mut().expect("chunk just ensured"));
+        let chunk = self.chunk_mut(i);
         chunk.records.push(SegmentRecord { id, rep, source });
         chunk.retired.push(false);
         self.total += 1;
@@ -91,28 +135,25 @@ impl SegmentStore {
     #[inline]
     pub fn get(&self, id: SegmentId) -> &SegmentRecord {
         let i = id.0 as usize;
-        &self.chunks[i / CHUNK].records[i % CHUNK]
+        &self.chunk(i).records[i % CHUNK]
     }
 
     /// Marks a record retired. Returns `false` if it already was.
     pub fn retire(&mut self, id: SegmentId) -> bool {
         let i = id.0 as usize;
-        let chunk = Arc::make_mut(&mut self.chunks[i / CHUNK]);
-        let slot = &mut chunk.retired[i % CHUNK];
-        if *slot {
-            false
-        } else {
-            *slot = true;
-            self.live -= 1;
-            true
+        if self.is_retired(id) {
+            return false;
         }
+        self.chunk_mut(i).retired[i % CHUNK] = true;
+        self.live -= 1;
+        true
     }
 
     /// Whether a record has been retired.
     #[inline]
     pub fn is_retired(&self, id: SegmentId) -> bool {
         let i = id.0 as usize;
-        self.chunks[i / CHUNK].retired[i % CHUNK]
+        self.chunk(i).retired[i % CHUNK]
     }
 
     /// Number of live (non-retired) segments.
@@ -142,8 +183,9 @@ impl SegmentStore {
 
     /// Iterates over the live records.
     pub fn iter(&self) -> impl Iterator<Item = &SegmentRecord> {
-        self.chunks
+        self.groups
             .iter()
+            .flat_map(|g| g.0.iter())
             .flat_map(|c| c.records.iter().zip(&c.retired))
             .filter(|(_, &dead)| !dead)
             .map(|(r, _)| r)
@@ -212,17 +254,66 @@ mod tests {
     #[test]
     fn ids_stay_dense_across_chunk_boundaries() {
         let mut s = SegmentStore::new();
-        let n = 3 * CHUNK + 7;
+        let n = GROUP_RECORDS + 3 * CHUNK + 7;
         for i in 0..n {
             let id = s.push(rep(i as f64), src(i as u64));
             assert_eq!(id, SegmentId(i as u32));
         }
         assert_eq!(s.total(), n);
         assert_eq!(s.iter().count(), n);
-        assert_eq!(
-            s.get(SegmentId((2 * CHUNK) as u32)).id.0 as usize,
-            2 * CHUNK
-        );
+        for i in [
+            2 * CHUNK,
+            GROUP_RECORDS - 1,
+            GROUP_RECORDS,
+            GROUP_RECORDS + CHUNK,
+            n - 1,
+        ] {
+            assert_eq!(s.get(SegmentId(i as u32)).source.provider_id, i as u64);
+        }
+        let providers: Vec<u64> = s.iter().map(|r| r.source.provider_id).collect();
+        assert!(providers.iter().copied().eq(0..n as u64));
+    }
+
+    #[test]
+    fn push_after_clone_shares_every_full_group() {
+        let mut s = SegmentStore::new();
+        for i in 0..(2 * GROUP_RECORDS + 5) {
+            s.push(rep(i as f64), src(i as u64));
+        }
+        let snap = s.clone();
+        s.push(rep(0.0), src(9));
+        assert!(Arc::ptr_eq(&s.groups[0], &snap.groups[0]));
+        assert!(Arc::ptr_eq(&s.groups[1], &snap.groups[1]));
+        // The tail group was copied, but only its last chunk with it.
+        let (tail, old_tail) = (&s.groups[2].0, &snap.groups[2].0);
+        assert!(!Arc::ptr_eq(&s.groups[2], &snap.groups[2]));
+        assert!(!Arc::ptr_eq(&tail[0], &old_tail[0]));
+        assert_eq!(snap.total(), 2 * GROUP_RECORDS + 5);
+        // A retire deep in a full group copies just that group and chunk.
+        let snap = s.clone();
+        assert!(s.retire(SegmentId((GROUP_RECORDS + CHUNK + 1) as u32)));
+        assert!(Arc::ptr_eq(&s.groups[0], &snap.groups[0]));
+        assert!(Arc::ptr_eq(&s.groups[2], &snap.groups[2]));
+        let (g, old) = (&s.groups[1].0, &snap.groups[1].0);
+        for c in 0..GROUP {
+            assert_eq!(Arc::ptr_eq(&g[c], &old[c]), c != 1, "chunk {c}");
+        }
+        assert!(!snap.is_retired(SegmentId((GROUP_RECORDS + CHUNK + 1) as u32)));
+    }
+
+    #[test]
+    fn retire_across_a_group_boundary_keeps_counts() {
+        let mut s = SegmentStore::new();
+        for i in 0..(GROUP_RECORDS + CHUNK) {
+            s.push(rep(i as f64), src(i as u64));
+        }
+        for i in [GROUP_RECORDS - 1, GROUP_RECORDS, GROUP_RECORDS + CHUNK - 1] {
+            assert!(s.retire(SegmentId(i as u32)));
+            assert!(s.is_retired(SegmentId(i as u32)));
+        }
+        assert_eq!((s.len(), s.dead()), (GROUP_RECORDS + CHUNK - 3, 3));
+        assert_eq!(s.iter().count(), s.len());
+        assert!(!s.iter().any(|r| r.id.0 as usize == GROUP_RECORDS));
     }
 
     #[test]

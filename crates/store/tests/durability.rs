@@ -103,7 +103,7 @@ fn snapshot_covers_and_retires_wal() {
             store.push(rep, source);
             *versions.entry(home_bucket(rep.t_start, 600.0)).or_insert(0) += 1;
         }
-        d.on_publish(store, Arc::new(versions));
+        d.on_publish(|| (store, Arc::new(versions)));
         d.quiesce();
         let stats = d.stats();
         assert_eq!(stats.snapshots_written, 1);
@@ -135,7 +135,7 @@ fn incremental_snapshot_rewrites_only_touched_buckets() {
         store.push(rep, source);
         *versions.entry(home_bucket(rep.t_start, 600.0)).or_insert(0) += 1;
     }
-    d.on_publish(store.clone(), Arc::new(versions.clone()));
+    d.on_publish(|| (store.clone(), Arc::new(versions.clone())));
     d.quiesce();
     assert!(d.stats().snapshot_buckets_written >= 4);
     let before = d.stats().snapshot_buckets_written;
@@ -144,7 +144,7 @@ fn incremental_snapshot_rewrites_only_touched_buckets() {
     d.append(&WalOp::Append { rep, source }).unwrap();
     store.push(rep, source);
     *versions.entry(0).or_insert(0) += 1;
-    d.on_publish(store, Arc::new(versions));
+    d.on_publish(|| (store, Arc::new(versions)));
     d.quiesce();
     assert_eq!(
         d.stats().snapshot_buckets_written - before,
