@@ -3,8 +3,8 @@
 //! `swag events` drives the shared live workload ([`LiveStack`]) with
 //! the wide-event log enabled and prints (or exports) the tail-sampled
 //! kept events: one structured record per query with the plan
-//! fingerprint, the concrete cache/fanout decisions, measured
-//! per-operator times, latency, and a result digest. The capture is
+//! fingerprint, the concrete cache decision, measured per-operator
+//! times, latency, and a result digest. The capture is
 //! **deterministic**: warm-up ticks run with the log paused, then one
 //! query-only probe pass records with the log live, so a capture file
 //! plus its header (seed, ticks, threads) pins the exact store state
@@ -27,18 +27,13 @@ use crate::{open_reader, open_writer};
 /// Warm-up ticks before the capture pass (also the capture tick).
 const DEFAULT_TICKS: u64 = 12;
 
-/// One row of the events table: decisions, total latency and its
+/// One row of the events table: the cache decision, total latency and its
 /// per-operator split (microseconds), hits, and the identifiers replay
 /// needs.
 fn event_row(i: usize, ev: &QueryEvent) -> String {
     format!(
-        "#{i:<4} cache {:<10} {:<8} {:>7} us (index {:>6} rank {:>5}) {:>4} hits  fp {:#018x}  digest {:#018x}  gen {}\n",
+        "#{i:<4} cache {:<10} {:>7} us (index {:>6} rank {:>5}) {:>4} hits  fp {:#018x}  digest {:#018x}  gen {}\n",
         ev.cache.to_string(),
-        if ev.fanout_parallel {
-            "parallel"
-        } else {
-            "serial"
-        },
         ev.total_micros,
         ev.index_micros,
         ev.rank_micros,

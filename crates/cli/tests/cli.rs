@@ -378,7 +378,7 @@ fn query_and_explain_analyze_annotate_operators() {
         "ranking",
         "rows",
         "stamp   : global_gen ",
-        "fanout",
+        "shard probe",
         "digest",
     ] {
         assert!(explain.contains(needle), "missing {needle:?}:\n{explain}");
@@ -467,8 +467,9 @@ fn events_capture_replays_to_matching_digest() {
     // replays the slowest served event; `--index` naming one fails.
     let (header, served) = jsonl.split_once('\n').unwrap();
 
-    // Captures written while the server had a pending-delta tier carry
-    // delta words; they decode as reserved and replay the same way.
+    // Captures written while the server had a pending-delta tier and a
+    // parallel shard probe carry delta and fan-out words; they decode as
+    // reserved and replay the same way.
     let parent: Vec<String> = served.lines().map(as_delta_era_line).collect();
     let parent_capture = tmp("cap-delta-era.jsonl");
     std::fs::write(
@@ -541,14 +542,19 @@ fn words_of(line: &str) -> Vec<u64> {
         .collect()
 }
 
-/// `line` as a build with a pending-delta tier wrote it: delta
-/// generation and length (words 10, 11), delta scan micros and rows
-/// (20–22) and delta hits (27) set.
+/// `line` as a build with a pending-delta tier and a parallel shard
+/// probe wrote it: delta generation and length (words 10, 11), delta
+/// scan micros and rows (20–22) and delta hits (27) set, and a fanned-out
+/// probe (flag bit 3) with its items, estimated work and threads (13–15).
 fn as_delta_era_line(line: &str) -> String {
     let mut words = words_of(line);
     for (w, v) in [(10, 4), (11, 37), (20, 3), (21, 37), (22, 5), (27, 2)] {
         words[w] = v;
     }
+    words[1] |= 1 << 3;
+    words[13] = 140_000;
+    words[14] = 131_072.5f64.to_bits();
+    words[15] = 2;
     let words: Vec<String> = words.iter().map(u64::to_string).collect();
     format!("{{\"v\":1,\"words\":[{}]}}", words.join(","))
 }

@@ -1,8 +1,8 @@
 //! # swag-exec — order-preserving parallel map on scoped threads
 //!
-//! The pipeline's fan-out sites (the per-query shard probe, the bulk
-//! pack of touched shards, batched queries) are all one shape: map over
-//! a slice, keep input order. That is the whole API:
+//! The pipeline's two fan-out sites (the bulk pack of a bootstrap-sized
+//! batch's touched shards, and the members of a query batch) are one
+//! shape: map over independent items, keep input order. That is the whole API:
 //! [`Executor::par_map`] and [`Executor::par_map_owned`].
 //!
 //! A parallel call opens one [`std::thread::scope`], splits the input
@@ -12,9 +12,9 @@
 //! executor costs nothing, and a nested call opens its own scope.
 //!
 //! The serial executor ([`ExecConfig::serial`], or `SWAG_EXEC_THREADS=1`)
-//! runs the plain in-order loop, so callers that merge partial results
-//! in order (as the shard fan-out does) answer byte-identically in both
-//! modes — a property the test suite checks by proptest. A panicking
+//! runs the plain in-order loop, so callers that consume the outputs in
+//! order answer byte-identically in both modes — a property the test
+//! suite checks by proptest. A panicking
 //! chunk is re-raised on the caller with its payload once every chunk
 //! has finished; the executor holds no state a panic could poison.
 

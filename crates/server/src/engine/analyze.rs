@@ -69,17 +69,12 @@ impl AnalyzeReport {
         }
         let _ = writeln!(
             out,
-            "    ├─ {OP_INDEX_SCAN:<11} {:>6} us   rows {} -> {}   ({} shard probe{}, {})",
+            "    ├─ {OP_INDEX_SCAN:<11} {:>6} us   rows {} -> {}   ({} shard probe{})",
             e.index_micros,
             e.index_rows_in,
             e.index_rows_out,
-            e.fanout_shards,
-            if e.fanout_shards == 1 { "" } else { "s" },
-            if e.fanout_parallel {
-                format!("parallel on {} threads", e.fanout_threads)
-            } else {
-                "serial".to_string()
-            }
+            e.shards_probed,
+            if e.shards_probed == 1 { "" } else { "s" },
         );
         if let Some(cold) = &self.cold {
             let _ = writeln!(
@@ -115,13 +110,7 @@ impl StageRecord {
         let fingerprint = self.fingerprint.unwrap_or_else(|| plan.fingerprint());
         let mut ev = QueryEvent::new(plan, epoch, fingerprint);
         ev.cache = self.cache;
-        if let Some(fanout) = &self.fanout {
-            ev.fanout_parallel = fanout.parallel;
-            ev.fanout_shards = fanout.shards as u64;
-            ev.fanout_items = fanout.items as u64;
-            ev.fanout_work = fanout.estimated_work;
-            ev.fanout_threads = fanout.threads as u64;
-        }
+        ev.shards_probed = self.shards.unwrap_or(0) as u64;
         ev.index_micros = self.index.micros;
         ev.index_rows_in = self.index.rows_in;
         ev.index_rows_out = self.index.rows_out;
@@ -162,14 +151,12 @@ impl Engine {
         let (hits, rec) = self.execute_measured(&epoch, t0, &plan);
         let event = rec.event(&plan, &epoch, &hits);
         self.emit_event(&event);
-        // The normal `explain` body, its fan-out and cache lines replaced
-        // by what this execution concretely decided (on a cache hit no
-        // operator ran: the fan-out the cost model would have taken).
-        let decision = rec.fanout.unwrap_or_else(|| self.price(&epoch, &plan));
+        // The normal `explain` body, its cache line replaced by what this
+        // execution concretely decided.
         AnalyzedQuery {
             hits,
             report: AnalyzeReport {
-                plan_text: self.explain_plan(&plan, &epoch, &decision, Some(rec.cache)),
+                plan_text: self.explain_plan(&plan, &epoch, Some(rec.cache)),
                 event,
                 cold: rec.cold,
             },

@@ -4,8 +4,8 @@
 //! Three layers share one data model, the [`QueryEvent`] — a fixed
 //! 32-word record of everything one query did: the plan fingerprint and
 //! the full request (bit-exact, so a capture replays byte-identically),
-//! the epoch stamp it executed against, the concrete cache and fan-out
-//! decisions, per-operator wall time and rows in/out, the index hit
+//! the epoch stamp it executed against, the concrete cache decision and
+//! the shards probed, per-operator wall time and rows in/out, the index hit
 //! count, total latency, and an order-sensitive FNV digest of the result
 //! set.
 //!
@@ -129,13 +129,9 @@ pub struct QueryEvent {
     pub direction_tolerance_deg: f64,
     pub require_coverage: bool,
     pub rank: RankMode,
-    // Decisions (fan-out is zero when no operator ran).
     pub cache: CacheOutcome,
-    pub fanout_parallel: bool,
-    pub fanout_shards: u64,
-    pub fanout_items: u64,
-    pub fanout_work: f64,
-    pub fanout_threads: u64,
+    /// Live shards the index scan probed (zero when no operator ran).
+    pub shards_probed: u64,
     // Epoch stamp the query executed against.
     pub global_gen: u64,
     // Per-operator measurements (zero on cache hits).
@@ -185,14 +181,16 @@ impl QueryEvent {
     /// admission control wrote a shed reason and a token balance there.
     /// Words 10, 11, 20–22 and 27 are reserved too: builds with a
     /// pending-delta tier wrote its generation, length, scan micros and
-    /// rows, and delta hits there. Reserved bits and words are written as
-    /// zero, so either build reads the other's captures.
+    /// rows, and delta hits there. So are flag bit 3 and words 13–15:
+    /// builds with a parallel shard probe wrote its fan-out flag, the
+    /// probed items, the estimated work and the thread count there.
+    /// Reserved bits and words are written as zero, so either build reads
+    /// the other's captures.
     pub fn encode(&self) -> [u64; QUERY_EVENT_WORDS] {
         let mut flags = 0u64;
         flags |= u64::from(self.direction_filter);
         flags |= u64::from(self.require_coverage) << 1;
         flags |= u64::from(matches!(self.rank, RankMode::Quality)) << 2;
-        flags |= u64::from(self.fanout_parallel) << 3;
         flags |= (match self.cache {
             CacheOutcome::Off => 0u64,
             CacheOutcome::Ineligible => 1,
@@ -212,10 +210,10 @@ impl QueryEvent {
             self.global_gen,
             0,
             0,
-            self.fanout_shards,
-            self.fanout_items,
-            self.fanout_work.to_bits(),
-            self.fanout_threads,
+            self.shards_probed,
+            0,
+            0,
+            0,
             0,
             self.index_micros,
             self.index_rows_in,
@@ -237,7 +235,8 @@ impl QueryEvent {
 
     /// Unpacks an encoded event. Fails on the wrong width, and on a
     /// shed event (outcome bits set), which has no result to replay.
-    /// Reserved bit 8 and words 10, 11, 16, 20–22 and 27 are ignored.
+    /// Reserved bits 3 and 8 and words 10, 11, 13–16, 20–22 and 27 are
+    /// ignored.
     pub fn decode(words: &[u64]) -> Result<Self, EventDecodeError> {
         if words.len() != QUERY_EVENT_WORDS {
             return Err(EventDecodeError::Malformed(format!(
@@ -264,7 +263,6 @@ impl QueryEvent {
             } else {
                 RankMode::Distance
             },
-            fanout_parallel: flags & 8 != 0,
             cache,
             t_start: f64::from_bits(words[2]),
             t_end: f64::from_bits(words[3]),
@@ -274,10 +272,7 @@ impl QueryEvent {
             top_n: words[7],
             direction_tolerance_deg: f64::from_bits(words[8]),
             global_gen: words[9],
-            fanout_shards: words[12],
-            fanout_items: words[13],
-            fanout_work: f64::from_bits(words[14]),
-            fanout_threads: words[15],
+            shards_probed: words[12],
             index_micros: words[17],
             index_rows_in: words[18],
             index_rows_out: words[19],

@@ -21,7 +21,6 @@
 pub(crate) mod analyze;
 pub mod cache;
 pub(crate) mod epoch;
-pub mod fanout;
 pub mod forensics;
 mod ops;
 pub mod plan;
@@ -87,7 +86,6 @@ impl OpStageObs {
 /// at attach time; recording never touches the registry again.
 pub(crate) struct ServerObs {
     pub(crate) query_total: Arc<Histogram>,
-    pub(crate) candidates: Arc<Histogram>,
     pub(crate) index_nodes: Arc<Histogram>,
     pub(crate) index_leaves: Arc<Histogram>,
     pub(crate) ingest: Arc<Histogram>,
@@ -104,12 +102,8 @@ pub(crate) struct ServerObs {
     /// index vs. from on-disk cold runs.
     pub(crate) hits_index: Arc<Counter>,
     pub(crate) hits_cold: Arc<Counter>,
-    /// Time shards the index scan fanned out to, per query.
+    /// Live time shards the index scan probed, per query.
     pub(crate) shards_probed: Arc<Histogram>,
-    /// Adaptive fan-out decisions: queries whose index scan ran serially
-    /// vs. on scoped threads (see [`fanout::FanoutDecision`]).
-    pub(crate) fanout_serial: Arc<Counter>,
-    pub(crate) fanout_parallel: Arc<Counter>,
     /// Result-cache traffic: repeats answered from the cache vs.
     /// recomputed (misses include lazily invalidated entries), plus
     /// capacity evictions.
@@ -142,11 +136,7 @@ impl ServerObs {
         );
         registry.set_help(
             "swag_server_shards_probed",
-            "Time shards the index scan fanned out to, per query.",
-        );
-        registry.set_help(
-            "swag_server_fanout_total",
-            "Index-scan fan-out decisions by mode (adaptive cost model).",
+            "Live time shards the index scan probed, per query.",
         );
         registry.set_help(
             "swag_server_cache_hits_total",
@@ -166,7 +156,6 @@ impl ServerObs {
         );
         ServerObs {
             query_total: registry.histogram("swag_server_query_micros"),
-            candidates: registry.histogram("swag_server_query_candidates"),
             index_nodes: registry.histogram("swag_server_index_nodes_visited"),
             index_leaves: registry.histogram("swag_server_index_leaves_scanned"),
             ingest: registry.histogram("swag_server_ingest_micros"),
@@ -184,14 +173,6 @@ impl ServerObs {
             hits_cold: registry
                 .counter(&labeled_name("swag_server_hits_total", &[("src", "cold")])),
             shards_probed: registry.histogram("swag_server_shards_probed"),
-            fanout_serial: registry.counter(&labeled_name(
-                "swag_server_fanout_total",
-                &[("mode", "serial")],
-            )),
-            fanout_parallel: registry.counter(&labeled_name(
-                "swag_server_fanout_total",
-                &[("mode", "parallel")],
-            )),
             cache_hits: registry.counter("swag_server_cache_hits_total"),
             cache_misses: registry.counter("swag_server_cache_misses_total"),
             cache_evictions: registry.counter("swag_server_cache_evictions_total"),
@@ -220,10 +201,9 @@ impl ServerObs {
         if rec.evicted {
             self.cache_evictions.inc();
         }
-        let Some(fanout) = &rec.fanout else {
+        let Some(shards) = rec.shards else {
             return;
         };
-        self.candidates.record(rec.rank.rows_in);
         self.index_nodes.record(rec.search.nodes_visited);
         self.index_leaves.record(rec.search.leaves_scanned);
         self.op_index_scan.record(&rec.index);
@@ -237,12 +217,7 @@ impl ServerObs {
         }
         self.op_ranking.record(&rec.rank);
         self.hits_index.add(rec.hits_index);
-        self.shards_probed.record(fanout.shards as u64);
-        if fanout.parallel {
-            self.fanout_parallel.inc();
-        } else {
-            self.fanout_serial.inc();
-        }
+        self.shards_probed.record(shards as u64);
     }
 }
 
@@ -257,8 +232,7 @@ pub(crate) struct Engine {
     pub(crate) config: ServerConfig,
     pub(crate) cam: CameraProfile,
     pub(crate) clock: Arc<dyn MonotonicClock>,
-    /// Thread budget for shard fan-out, publish run packs, and query
-    /// batches.
+    /// Thread budget for bootstrap-sized run packs and query batches.
     pub(crate) exec: Executor,
     pub(crate) obs: Option<ServerObs>,
     /// Plan-keyed result cache; `None` when disabled (capacity 0, the
@@ -314,45 +288,31 @@ impl Engine {
         }
     }
 
-    /// Wires the ingest, query, and publish paths to `registry` and
-    /// re-publishes the snapshot with shard metrics attached so fan-out
-    /// is recorded from the next query on.
+    /// Wires the ingest, query, and publish paths to `registry`.
     pub(crate) fn attach_observability(&mut self, registry: &Registry) {
         self.obs = Some(ServerObs::from_registry(registry));
         if let Some(durability) = &self.durability {
             durability.attach_observability(registry);
         }
-        let mut w = self.writer.lock();
-        let mut index = w.epoch.index.clone();
-        index.attach_observability(registry);
-        let epoch = Epoch {
-            store: w.epoch.store.clone(),
-            index,
-            published_at_micros: w.epoch.published_at_micros,
-            stamp: w.epoch.stamp.clone(),
-        };
-        self.install(&mut w, epoch);
     }
 
     /// Compiles the plan for a request and renders it against the
-    /// current snapshot: boxes, shards probed, the fan-out decision the
-    /// cost model would take, filter chain, rank mode, and the operator
-    /// pipeline.
+    /// current snapshot: boxes, shards probed, filter chain, rank mode,
+    /// and the operator pipeline.
     pub(crate) fn explain(&self, query: &Query, opts: &QueryOptions) -> String {
         let plan = QueryPlan::compile(query, opts);
         let epoch = self.epoch.read().clone();
-        self.explain_plan(&plan, &epoch, &self.price(&epoch, &plan), None)
+        self.explain_plan(&plan, &epoch, None)
     }
 
-    /// Renders `plan` resolved against `epoch` under the given fan-out
-    /// decision, with the cold-tier line when cold runs exist. The cache
-    /// line reports `executed` — what an execution concretely decided —
-    /// or, for a plan that has not run, its eligibility.
+    /// Renders `plan` resolved against `epoch`, with the cold-tier line
+    /// when cold runs exist. The cache line reports `executed` — what an
+    /// execution concretely decided — or, for a plan that has not run,
+    /// its eligibility.
     pub(crate) fn explain_plan(
         &self,
         plan: &QueryPlan,
         epoch: &Epoch,
-        decision: &fanout::FanoutDecision,
         executed: Option<CacheOutcome>,
     ) -> String {
         let span = cache::bucket_span_len(
@@ -377,7 +337,6 @@ impl Engine {
         };
         plan.explain_against(
             &epoch.index,
-            decision,
             &format!("fingerprint {:#018x}, {cache}{off}", plan.fingerprint()),
             self.cold_line(plan).as_deref(),
         )

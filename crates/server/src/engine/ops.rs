@@ -18,9 +18,9 @@
 //! record.
 
 use std::sync::atomic::Ordering;
+use std::sync::OnceLock;
 
 use swag_core::RepFov;
-use swag_exec::Executor;
 use swag_geo::LatLon;
 use swag_store::Zone;
 
@@ -32,11 +32,16 @@ use crate::store::{SegmentId, SegmentRecord, SegmentRef};
 
 use super::cache;
 use super::epoch::Epoch;
-use super::fanout::{self, FanoutDecision};
 use super::forensics::CacheOutcome;
 use super::plan::{PlanKey, QueryPlan};
 use super::probe::{Measure, NoProbe, StageProbe, StageRecord};
 use super::Engine;
+
+/// The machine's available parallelism, resolved once per process.
+fn hw_threads() -> usize {
+    static HW: OnceLock<usize> = OnceLock::new();
+    *HW.get_or_init(|| std::thread::available_parallelism().map_or(1, |n| n.get()))
+}
 
 /// Sentinel [`SegmentId`] carried by hits served from cold runs: cold
 /// records left the live store when retention demoted them, so they have
@@ -98,52 +103,29 @@ impl Engine {
         rows_in
     }
 
-    /// Prices `plan`'s index scan before running it: narrow probes stay
-    /// on the caller (serial beats thread-spawn overhead below the work
-    /// threshold), and the thread count is clamped to the host's
-    /// available parallelism. Both paths produce byte-identical results,
-    /// so this changes latency, never answers.
-    pub(crate) fn price(&self, epoch: &Epoch, plan: &QueryPlan) -> FanoutDecision {
-        FanoutDecision::decide(
-            &epoch.index,
-            plan.query.t_start,
-            plan.query.t_end,
-            &self.exec,
-            self.config.fanout,
-        )
-    }
-
     /// The operators, once: index scan → cold scan → ranking against an
     /// already-acquired epoch, in one pass. Every
     /// tier offers its box matches straight to one [`TopN`] collector,
     /// which runs the filter chain and keeps the best `k`; the ranking
     /// stage only drains and materialises it. Scanning and ranking are
-    /// lock-free: the epoch is immutable, and the shard fan-out runs on
-    /// the engine's executor.
+    /// lock-free: the epoch is immutable, and the caller's thread probes
+    /// the shards one after another.
     fn run_operators<P: StageProbe>(
         &self,
         epoch: &Epoch,
         plan: &QueryPlan,
         probe: &mut P,
     ) -> Vec<SearchHit> {
-        let decision = self.price(epoch, plan);
-        let serial = Executor::serial();
-        let probe_exec = if decision.parallel {
-            &self.exec
-        } else {
-            &serial
-        };
-        probe.begin(&decision);
+        probe.begin();
         let mut top = TopN::new(plan, &self.cam, &epoch.store);
-        let matched = epoch.index.scan(
-            probe_exec,
+        let (shards, matched) = epoch.index.scan(
             &plan.boxes,
             plan.query.t_start,
             plan.query.t_end,
             probe.search_stats(),
             &mut top,
         );
-        probe.index_scanned(matched);
+        probe.index_scanned(shards, matched);
         if self.has_cold() {
             let rows_in = self.cold_scan(plan, &mut top);
             probe.cold_scanned(rows_in, top.survivors(Tier::Cold));
@@ -322,7 +304,7 @@ impl Engine {
         };
         // Clamp to the host: a batch "parallelism" request beyond the
         // machine's cores would only add scheduling churn.
-        let threads = threads.min(fanout::hw_threads());
+        let threads = threads.min(hw_threads());
         if threads <= 1 || self.exec.is_serial() {
             return queries.iter().map(one).collect();
         }

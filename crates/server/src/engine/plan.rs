@@ -16,7 +16,6 @@
 use swag_core::{points_toward, sector_intersects_circle, CameraProfile, RepFov};
 use swag_rtree::Aabb;
 
-use crate::engine::fanout::FanoutDecision;
 use crate::index::{query_boxes, QueryBoxes};
 use crate::query::{canon_zero, Query, QueryOptions, RankMode};
 use crate::shard::ShardedFovIndex;
@@ -139,27 +138,25 @@ impl QueryPlan {
 
     /// Renders the plan for humans: boxes, filter chain, rank mode, and
     /// the operator pipeline (named with the same `OP_*` labels EXPLAIN
-    /// ANALYZE uses). Snapshot-dependent facts (shards probed, fan-out,
-    /// cache) are added by [`Self::explain_against`].
+    /// ANALYZE uses). Snapshot-dependent facts (shards probed, cache)
+    /// are added by [`Self::explain_against`].
     pub fn explain(&self) -> String {
         self.render(None)
     }
 
     /// [`Self::explain`] resolved against a concrete snapshot: also
     /// lists which time shards the plan probes (`#bucket(xitems/runs r)`:
-    /// a shard's runs are each searched), the fan-out decision the
-    /// cost model took for them, and — on durable servers holding cold runs —
-    /// whether the plan reaches the cold tier (`cold_line`).
+    /// a shard's runs are each searched) and — on durable servers
+    /// holding cold runs — whether the plan reaches the cold tier
+    /// (`cold_line`).
     pub(crate) fn explain_against(
         &self,
         index: &ShardedFovIndex,
-        fanout: &FanoutDecision,
         cache_line: &str,
         cold_line: Option<&str>,
     ) -> String {
         self.render(Some(ExplainContext {
             index,
-            fanout,
             cache_line,
             cold_line,
         }))
@@ -191,10 +188,7 @@ impl QueryPlan {
         }
         let cold_line = snapshot.as_ref().and_then(|s| s.cold_line);
         if let Some(ExplainContext {
-            index,
-            fanout,
-            cache_line,
-            ..
+            index, cache_line, ..
         }) = snapshot
         {
             let probes = index.probe_shards(q.t_start, q.t_end);
@@ -211,7 +205,6 @@ impl QueryPlan {
                 }
             }
             let _ = writeln!(out, "{line}");
-            let _ = writeln!(out, "  fanout  : {}", fanout.render());
             let _ = writeln!(out, "  cache   : {cache_line}");
             if let Some(cold) = cold_line {
                 let _ = writeln!(out, "  cold    : {cold}");
@@ -264,7 +257,6 @@ impl QueryPlan {
 /// Snapshot-resolved context [`QueryPlan::explain_against`] renders.
 pub(crate) struct ExplainContext<'a> {
     pub(crate) index: &'a ShardedFovIndex,
-    pub(crate) fanout: &'a FanoutDecision,
     pub(crate) cache_line: &'a str,
     /// Rendered cold-tier summary; `None` when the server has no
     /// reachable cold runs (memory-only servers always).

@@ -12,7 +12,6 @@
 use swag_obs::MonotonicClock;
 use swag_rtree::SearchStats;
 
-use super::fanout::FanoutDecision;
 use super::forensics::{CacheOutcome, ColdScanMeasure};
 
 /// The pipeline's observer. Every hook defaults to nothing, so a probe
@@ -23,14 +22,15 @@ pub(crate) trait StageProbe {
     fn cache(&mut self, _outcome: CacheOutcome, _fingerprint: Option<u64>) {}
     /// Storing this result evicted another entry.
     fn evicted(&mut self) {}
-    /// The operators are about to run under `decision`.
-    fn begin(&mut self, _decision: &FanoutDecision) {}
+    /// The operators are about to run.
+    fn begin(&mut self) {}
     /// Where the index scan accumulates traversal counters; `None`
     /// skips counting.
     fn search_stats(&mut self) -> Option<&mut SearchStats> {
         None
     }
-    fn index_scanned(&mut self, _rows_out: usize) {}
+    /// The index scan probed `shards` live shards and matched `rows_out`.
+    fn index_scanned(&mut self, _shards: usize, _rows_out: usize) {}
     /// Called only on servers that hold cold runs.
     fn cold_scanned(&mut self, _rows_in: u64, _hits: usize) {}
     /// Index-tier filter survivors, and rows left after top-k.
@@ -63,9 +63,9 @@ pub(crate) struct StageRecord {
     /// the event view hashing the plan a second time).
     pub(crate) fingerprint: Option<u64>,
     pub(crate) evicted: bool,
-    /// The fan-out decision the index scan ran under; `None` when no
-    /// operator ran (cache hit).
-    pub(crate) fanout: Option<FanoutDecision>,
+    /// Live shards the index scan probed; `None` when no operator ran
+    /// (cache hit).
+    pub(crate) shards: Option<usize>,
     /// Index traversal counters.
     pub(crate) search: SearchStats,
     pub(crate) index: OpMeasure,
@@ -115,8 +115,7 @@ impl StageProbe for Measure<'_> {
         self.rec.evicted = true;
     }
 
-    fn begin(&mut self, decision: &FanoutDecision) {
-        self.rec.fanout = Some(*decision);
+    fn begin(&mut self) {
         self.mark = self.clock.now_micros();
     }
 
@@ -124,7 +123,8 @@ impl StageProbe for Measure<'_> {
         Some(&mut self.rec.search)
     }
 
-    fn index_scanned(&mut self, rows_out: usize) {
+    fn index_scanned(&mut self, shards: usize, rows_out: usize) {
+        self.rec.shards = Some(shards);
         self.rec.index = OpMeasure {
             micros: self.lap(),
             rows_in: self.rec.search.items_tested,
@@ -147,7 +147,7 @@ impl StageProbe for Measure<'_> {
     }
 
     fn done(&mut self, t0: u64, t_done: u64, seq: u64) {
-        if self.rec.fanout.is_some() {
+        if self.rec.shards.is_some() {
             // Ranking is the last operator: it ends where the engine
             // read `t_done`, so the stage costs no clock read of its own.
             self.rec.rank.micros = t_done - self.mark;

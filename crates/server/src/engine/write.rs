@@ -169,7 +169,7 @@ impl Engine {
                 let id = fresh.push(rec.rep, rec.source);
                 items.push((rec.rep, id));
             }
-            let mut rebuilt = index.fresh_like();
+            let mut rebuilt = ShardedFovIndex::new(width, self.config.index);
             rebuilt.bulk_insert_exec(&self.exec, &items);
             store = fresh;
             index = rebuilt;

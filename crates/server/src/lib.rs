@@ -31,7 +31,6 @@ mod shard_map;
 pub mod store;
 
 pub use engine::cache::CacheConfig;
-pub use engine::fanout::{FanoutDecision, FanoutMode};
 pub use engine::forensics::{
     result_digest, AnalyzeReport, AnalyzedQuery, CacheOutcome, ColdScanMeasure, EventDecodeError,
     EventLogConfig, QueryEvent, QueryEventLog, QUERY_EVENT_WORDS,

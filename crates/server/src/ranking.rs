@@ -229,19 +229,6 @@ impl LeafSink for TopN<'_> {
             SegmentRef::default(),
         );
     }
-
-    fn fork(&self) -> Self {
-        TopN::new(self.plan, self.cam, self.store)
-    }
-
-    fn merge(&mut self, other: Self) {
-        for (rank, slot) in other.heap {
-            self.keep(rank, other.hits[slot]);
-        }
-        for (mine, theirs) in self.survivors.iter_mut().zip(other.survivors) {
-            *mine += theirs;
-        }
-    }
 }
 
 #[cfg(test)]

@@ -22,7 +22,7 @@
 //!
 //! Observability is opt-in: [`CloudServer::attach_observability`] wires
 //! the query path to `swag-obs` histograms (total latency, per-operator
-//! time and rows, candidate counts, R-tree traversal work) and the
+//! time and rows, shards probed, R-tree traversal work) and the
 //! publish path to snapshot age / rebuild cost metrics.
 //! Without it the query path runs the same pipeline under a probe that
 //! records nothing and reads no clock. Time comes from an injectable
@@ -35,7 +35,6 @@ use swag_exec::Executor;
 use swag_obs::{HistogramSnapshot, MonotonicClock, Registry, WallClock};
 
 use crate::engine::cache::CacheConfig;
-use crate::engine::fanout::FanoutMode;
 use crate::engine::forensics::{AnalyzedQuery, EventLogConfig, QueryEventLog};
 use crate::engine::Engine;
 use crate::index::IndexKind;
@@ -54,11 +53,6 @@ pub struct ServerConfig {
     /// `latest t_end − horizon` are expired and fully-expired segments
     /// retired from the store. `None` keeps everything forever.
     pub retention_horizon_s: Option<f64>,
-    /// How the engine chooses between the serial and parallel shard
-    /// probe per query. [`FanoutMode::Adaptive`] (the default) prices
-    /// each plan with the fan-out cost model; `Serial` / `Parallel`
-    /// force one path (both produce byte-identical results).
-    pub fanout: FanoutMode,
     /// Plan-keyed result cache (disabled by default, `capacity: 0`):
     /// repeated queries are answered from cache until a publish touches
     /// one of the time shards their window spans. Results are
@@ -86,7 +80,6 @@ impl Default for ServerConfig {
             index: IndexKind::RTree,
             shard_width_s: 600.0,
             retention_horizon_s: None,
-            fanout: FanoutMode::Adaptive,
             cache: CacheConfig::default(),
             events: EventLogConfig::default(),
             durability: swag_store::DurabilityConfig::default(),
@@ -291,8 +284,8 @@ impl CloudServer {
         }
     }
 
-    /// Replaces the executor used for shard fan-out, publish run packs,
-    /// and [`Self::query_batch`]. Pass [`Executor::serial`] to force
+    /// Replaces the executor used for bootstrap-sized run packs and
+    /// [`Self::query_batch`]. Pass [`Executor::serial`] to force
     /// deterministic single-threaded execution regardless of
     /// `SWAG_EXEC_THREADS`.
     pub fn set_executor(&mut self, exec: Executor) {
@@ -305,7 +298,7 @@ impl CloudServer {
     }
 
     /// Wires this server's ingest, query, and publish paths to `registry`
-    /// (metric names `swag_server_*`, shard fan-out under `swag_shard_*`).
+    /// (metric names `swag_server_*`).
     /// Call before sharing the server across threads; until called,
     /// queries run unobserved.
     pub fn attach_observability(&mut self, registry: &Registry) {
@@ -395,7 +388,7 @@ impl CloudServer {
 
     /// Renders the [`crate::engine::plan::QueryPlan`] this request would
     /// execute, resolved against the current snapshot: query boxes,
-    /// shards probed, fan-out, cache eligibility, filter chain, rank mode, and the
+    /// shards probed, cache eligibility, filter chain, rank mode, and the
     /// operator pipeline (named with the same labels EXPLAIN ANALYZE and
     /// the per-operator metrics use).
     pub fn explain(&self, query: &Query, opts: &QueryOptions) -> String {
@@ -405,8 +398,8 @@ impl CloudServer {
     /// EXPLAIN ANALYZE: executes the request for real — the same
     /// pipeline [`Self::query`] runs, under the measuring probe — and
     /// returns the hits plus a report annotating every operator with
-    /// measured wall time and rows in/out, and the concrete cache and
-    /// fan-out decisions this execution took. When the wide-event log is
+    /// measured wall time and rows in/out, the shards probed, and the
+    /// concrete cache decision this execution took. When the wide-event log is
     /// enabled the analyzed run emits an event like any other query.
     ///
     /// `_client_id` is ignored. It named the caller for the admission
@@ -452,7 +445,7 @@ impl CloudServer {
 
     /// Builds a memory-only server holding `records`, STR-bulk-loading
     /// the sharded index on `exec` (parallel slab packing when it has
-    /// threads); the server keeps `exec` for query fan-out afterwards.
+    /// threads); the server keeps `exec` for `query_batch` afterwards.
     pub fn from_records_with_config_exec(
         cam: CameraProfile,
         config: ServerConfig,

@@ -21,10 +21,8 @@ use std::sync::Arc;
 
 use swag_core::RepFov;
 use swag_exec::Executor;
-use swag_obs::{Histogram, Registry};
 use swag_rtree::{Aabb, SearchStats};
 
-use crate::engine::fanout::PARALLEL_MIN_WORK;
 use crate::index::{fov_box, query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
 use crate::query::Query;
 use crate::shard_map::ShardMap;
@@ -34,6 +32,17 @@ use crate::store::SegmentId;
 /// `MERGE_RATIO` times the new run's items, so every run holds more than
 /// `MERGE_RATIO` times the items of the run after it.
 const MERGE_RATIO: usize = 2;
+
+/// Fewest batch items for which [`ShardedFovIndex::bulk_insert_exec`]
+/// packs the touched shards on scoped threads (bootstrap, compaction); a
+/// publish-sized batch packs faster than a thread spawns. Queries never
+/// fan out: measured with `swag_e2e` at 2 threads on a 2-vCPU guest, a
+/// wide query's shard probe fanned out on scoped threads read 1.7–1.8×
+/// serial at ≈ 8.8 k items (`fleet_ingest`), 1.14–1.21× at ≈ 35 k
+/// (`query_city`) and 1.03–1.12× at ≈ 87 k (`mixed_live`). No wide query
+/// of the benchmark repays a spawn there, so the threshold sits above the
+/// largest (≈ 95 k), at 2¹⁷.
+pub const PARALLEL_MIN_WORK: usize = 131_072;
 
 /// One time shard: immutable STR-packed runs, largest and oldest first,
 /// each segment of the bucket in exactly one; shared until a publish.
@@ -48,15 +57,11 @@ fn items(runs: &[Arc<FovIndex>]) -> usize {
 }
 
 /// Where [`ShardedFovIndex::scan`] delivers box matches.
-pub trait LeafSink: Send + Sync + Sized {
+pub trait LeafSink {
     /// One box match, delivered once however many shards, runs or
-    /// half-boxes hold it. Ties order by the segment id on every path, so
-    /// results never depend on how publishes split a shard into runs.
+    /// half-boxes hold it. Ties order by the segment id, so results never
+    /// depend on how publishes split a shard into runs.
     fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef);
-    /// An empty sink of the same kind, for a parallel worker's shard.
-    fn fork(&self) -> Self;
-    /// Folds a worker's sink back in.
-    fn merge(&mut self, other: Self);
 }
 
 /// The candidate-list sink: segment ids, sorted afterwards.
@@ -64,38 +69,6 @@ impl LeafSink for Vec<SegmentId> {
     fn accept(&mut self, _mbr: &Aabb<3>, leaf: &LeafRef) {
         self.push(leaf.id);
     }
-
-    fn fork(&self) -> Self {
-        Vec::new()
-    }
-
-    fn merge(&mut self, other: Self) {
-        self.extend(other);
-    }
-}
-
-/// Per-query fan-out metrics for a sharded index.
-#[derive(Debug, Clone)]
-struct ShardObs {
-    /// Shards actually probed per query (buckets with a live shard).
-    fanout: Arc<Histogram>,
-    /// Box matches per query, each segment counted once.
-    candidates: Arc<Histogram>,
-}
-
-/// What a `[t0, t1]` probe is estimated to cost, before running it
-/// (the input to the engine's adaptive fan-out cost model).
-#[derive(Debug, Clone, Copy, PartialEq, Default)]
-pub struct ProbeEstimate {
-    /// Live shards the window touches.
-    pub shards: usize,
-    /// Indexed items across those shards.
-    pub items: usize,
-    /// Selectivity-weighted items: each shard's count scaled by the
-    /// fraction of its time bucket the window overlaps. Assumes items
-    /// spread roughly uniformly over a bucket — good enough to separate
-    /// "a sliver of two shards" from "all of nine shards".
-    pub work: f64,
 }
 
 /// What one [`ShardedFovIndex::expire_before`] call removed.
@@ -124,7 +97,6 @@ pub struct ShardedFovIndex {
     /// per-segment map has to be deep-copied when the index is cloned
     /// for a new snapshot.
     segments: usize,
-    obs: Option<ShardObs>,
     /// The highest cutoff [`Self::expire_before`] has applied since the
     /// index was empty: a live shard below it was re-created after that
     /// expiry and may lack segments of its span living in later buckets.
@@ -146,25 +118,7 @@ impl ShardedFovIndex {
             kind,
             shards: ShardMap::default(),
             segments: 0,
-            obs: None,
             cut: i64::MIN,
-        }
-    }
-
-    /// Wires per-query fan-out metrics (`swag_shard_*`) to `registry`.
-    pub fn attach_observability(&mut self, registry: &Registry) {
-        self.obs = Some(ShardObs {
-            fanout: registry.histogram("swag_shard_fanout"),
-            candidates: registry.histogram("swag_shard_candidates"),
-        });
-    }
-
-    /// An empty index with the same width, backend, and metric wiring
-    /// (used when the server compacts its store and rebuilds from scratch).
-    pub fn fresh_like(&self) -> Self {
-        ShardedFovIndex {
-            obs: self.obs.clone(),
-            ..Self::new(self.shard_width_s, self.kind)
         }
     }
 
@@ -209,26 +163,9 @@ impl ShardedFovIndex {
     }
 
     /// How many live shards a `[t0, t1]` window would probe, without
-    /// materialising them (per-query fan-out accounting).
+    /// materialising them.
     pub fn probe_shard_count(&self, t0: f64, t1: f64) -> usize {
         self.shards.range(self.buckets(t0, t1)).count()
-    }
-
-    /// Estimates what probing `[t0, t1]` costs without running it: live
-    /// shards, their item counts, and the selectivity-weighted work (the
-    /// engine's fan-out cost model prices plans with this).
-    pub fn estimate_probe(&self, t0: f64, t1: f64) -> ProbeEstimate {
-        let w = self.shard_width_s;
-        let mut est = ProbeEstimate::default();
-        for (bucket, runs) in self.shards.range(self.buckets(t0, t1)) {
-            let bucket_start = bucket as f64 * w;
-            let overlap = (t1.min(bucket_start + w) - t0.max(bucket_start)).clamp(0.0, w);
-            let n = items(runs);
-            est.shards += 1;
-            est.items += n;
-            est.work += n as f64 * (overlap / w);
-        }
-        est
     }
 
     /// Every live shard as `(bucket, indexed items)` pairs in bucket
@@ -279,7 +216,7 @@ impl ShardedFovIndex {
     /// [`PARALLEL_MIN_WORK`] items fan out (bootstrap, compaction): a
     /// publish-sized batch packs faster than a thread spawns.
     pub fn bulk_insert_exec(&mut self, exec: &Executor, items: &[(RepFov, SegmentId)]) {
-        let (serial, small) = (Executor::serial(), (items.len() as f64) < PARALLEL_MIN_WORK);
+        let (serial, small) = (Executor::serial(), items.len() < PARALLEL_MIN_WORK);
         let exec = if small { &serial } else { exec };
         self.segments += items.len();
         let mut per_bucket: BTreeMap<i64, Vec<(Aabb<3>, LeafRef)>> = BTreeMap::new();
@@ -312,83 +249,44 @@ impl ShardedFovIndex {
     }
 
     /// [`Self::candidates`] accumulating per-shard traversal counters into
-    /// `stats`: the serial [`Self::scan`]'s matches in tie order.
+    /// `stats`: [`Self::scan`]'s matches in tie order.
     pub fn candidates_with_stats(&self, q: &Query, stats: &mut SearchStats) -> Vec<SegmentId> {
         let mut hits: Vec<SegmentId> = Vec::new();
-        let (exec, boxes) = (Executor::serial(), query_boxes(q));
-        self.scan(&exec, &boxes, q.t_start, q.t_end, Some(stats), &mut hits);
+        self.scan(&query_boxes(q), q.t_start, q.t_end, Some(stats), &mut hits);
         hits.sort_unstable();
         hits
     }
 
     /// The index probe: feeds `sink` every match of `boxes` in the live
-    /// shards over `[t0, t1]` exactly once (fanned out on `exec`,
-    /// counting into `stats` when given) and returns the match count.
-    /// Parallel workers fill forked sinks and private counters, merged in
-    /// shard order, so the result equals the serial scan's.
+    /// shards over `[t0, t1]` exactly once, shard by shard in bucket
+    /// order (counting into `stats` when given), and returns the shards
+    /// probed and the match count.
     pub fn scan<S: LeafSink>(
         &self,
-        exec: &Executor,
         boxes: &QueryBoxes,
         t0: f64,
         t1: f64,
         mut stats: Option<&mut SearchStats>,
         sink: &mut S,
-    ) -> usize {
+    ) -> (usize, usize) {
         let probed: Vec<Probed<'_>> = self
             .shards
             .range(self.buckets(t0, t1))
             .map(|(bucket, runs)| (bucket, runs.as_slice()))
             .collect();
         let mut matched = 0;
-        if probed.len() < 2 || exec.is_serial() {
-            for i in 0..probed.len() {
-                let stats = stats.as_deref_mut();
-                matched += self.scan_shard(&probed, i, boxes, stats, sink);
-            }
-        } else {
-            let proto: &S = sink;
-            let parts = exec.par_map_owned((0..probed.len()).collect(), |i| {
-                let (mut part, mut local) = (proto.fork(), SearchStats::default());
-                let local_stats = stats.is_some().then_some(&mut local);
-                let n = self.scan_shard(&probed, i, boxes, local_stats, &mut part);
-                (part, local, n)
-            });
-            for (part, local, n) in parts {
-                sink.merge(part);
-                if let Some(stats) = stats.as_deref_mut() {
-                    stats.merge(&local);
-                }
-                matched += n;
+        for (i, (_, runs)) in probed.iter().enumerate() {
+            let earlier = &probed[..i];
+            for run in *runs {
+                run.visit(boxes.as_slice(), stats.as_deref_mut(), |mbr, leaf| {
+                    if self.first_home(earlier, mbr, leaf.id) {
+                        sink.accept(mbr, leaf);
+                        matched += 1;
+                    }
+                });
             }
         }
-        if let Some(obs) = &self.obs {
-            obs.fanout.record(probed.len() as u64);
-            obs.candidates.record(matched as u64);
-        }
-        matched
-    }
-
-    /// Scans every run of probed shard `i` into `sink`, returning the
-    /// matches it delivered.
-    fn scan_shard<S: LeafSink>(
-        &self,
-        probed: &[Probed<'_>],
-        i: usize,
-        boxes: &QueryBoxes,
-        mut stats: Option<&mut SearchStats>,
-        sink: &mut S,
-    ) -> usize {
-        let (earlier, mut n) = (&probed[..i], 0);
-        for run in probed[i].1 {
-            run.visit(boxes.as_slice(), stats.as_deref_mut(), |mbr, leaf| {
-                if self.first_home(earlier, mbr, leaf.id) {
-                    sink.accept(mbr, leaf);
-                    n += 1;
-                }
-            });
-        }
-        n
+        (probed.len(), matched)
     }
 
     /// Dedup without a set: whether `(mbr, id)` has no home among the
@@ -615,27 +513,6 @@ mod tests {
         ShardedFovIndex::new(0.0, IndexKind::RTree);
     }
 
-    #[test]
-    fn fanout_metrics_count_probed_shards() {
-        let reg = Registry::new();
-        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        idx.attach_observability(&reg);
-        one(&mut idx, 10.0, 20.0, 0.0, 0); // bucket 0
-        one(&mut idx, 150.0, 160.0, 0.0, 1); // bucket 1
-        one(&mut idx, 950.0, 960.0, 0.0, 2); // bucket 9
-
-        // Window spans buckets 0..=9, but only 3 shards exist.
-        assert_eq!(idx.candidates(&q(0.0, 999.0)).len(), 3);
-        // Window spans buckets 0..=1: both shards probed, 2 hits.
-        assert_eq!(idx.candidates(&q(0.0, 199.0)).len(), 2);
-
-        let fanout = reg.histogram("swag_shard_fanout").snapshot();
-        assert_eq!(fanout.count, 2);
-        assert_eq!(fanout.sum, 3 + 2);
-        let cands = reg.histogram("swag_shard_candidates").snapshot();
-        assert_eq!(cands.sum, 3 + 2);
-    }
-
     /// What the scan's dedup must reproduce: the union of every probed
     /// shard's runs' own matches, each id once.
     fn union_of_shards(idx: &ShardedFovIndex, q: &Query) -> Vec<SegmentId> {
@@ -738,7 +615,6 @@ mod tests {
     mod dedup {
         use super::*;
         use proptest::prelude::*;
-        use swag_exec::ExecConfig;
 
         proptest! {
             #![proptest_config(ProptestConfig::with_cases(48))]
@@ -746,8 +622,7 @@ mod tests {
             /// Whatever batched inserts (several per bucket, so shards
             /// hold several runs), expiries (late arrivals then re-create
             /// expired buckets) and removals built the index, the scan
-            /// reports the union of the probed shards' matches, each once,
-            /// and the parallel scan equals the serial one, counters too.
+            /// reports the union of the probed shards' matches, each once.
             #[test]
             fn scan_reports_each_probed_match_once(
                 ops in prop::collection::vec(
@@ -783,15 +658,6 @@ mod tests {
                 for &(t0, len, radius) in &queries {
                     let query = Query::new(t0, t0 + len, center(), radius);
                     prop_assert_eq!(idx.candidates(&query), union_of_shards(&idx, &query));
-                    let boxes = query_boxes(&query);
-                    let (mut serial, mut parallel) = (Vec::new(), Vec::new());
-                    let (mut s, mut p) = (SearchStats::default(), SearchStats::default());
-                    let (a, b) = (query.t_start, query.t_end);
-                    let par = Executor::new(ExecConfig::with_threads(3));
-                    idx.scan(&Executor::serial(), &boxes, a, b, Some(&mut s), &mut serial);
-                    idx.scan(&par, &boxes, a, b, Some(&mut p), &mut parallel);
-                    prop_assert_eq!(serial, parallel);
-                    prop_assert_eq!(s, p);
                 }
             }
         }

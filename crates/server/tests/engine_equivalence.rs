@@ -11,13 +11,13 @@
 //!    publish/retention churn. Regenerate with
 //!    `cargo test -p swag-server --test engine_equivalence -- --ignored regenerate`.
 //! 2. **Randomized agreement proptests** — serial vs parallel executors,
-//!    every fan-out mode, batch vs per-query, and k-nearest vs a
-//!    brute-force oracle must agree byte for byte on arbitrary workloads
-//!    and churn (retraction, expiry, late records re-creating expired
-//!    buckets, antimeridian sites); the R-tree's fused top-N pass must
-//!    rank what the Fig. 6(c) linear scan ranks, with the same traversal
-//!    counters as the candidate probe. Run in CI under both default
-//!    threads and `SWAG_EXEC_THREADS=1`.
+//!    batch vs per-query, and k-nearest vs a brute-force oracle must
+//!    agree byte for byte on arbitrary workloads and churn (retraction,
+//!    expiry, late records re-creating expired buckets, antimeridian
+//!    sites); the R-tree's fused top-N pass must rank what the Fig. 6(c)
+//!    linear scan ranks, with the same traversal counters as the
+//!    candidate probe. Each executor is explicit, so the outcome does not
+//!    depend on `SWAG_EXEC_THREADS`.
 
 use std::fmt::Write as _;
 
@@ -29,8 +29,8 @@ use swag_geo::LatLon;
 use swag_obs::Registry;
 use swag_rtree::SearchStats;
 use swag_server::{
-    CloudServer, FanoutMode, IndexKind, Query, QueryOptions, RankMode, SearchHit, SegmentRef,
-    ServerConfig, ShardedFovIndex,
+    CloudServer, IndexKind, Query, QueryOptions, RankMode, SearchHit, SegmentRef, ServerConfig,
+    ShardedFovIndex,
 };
 
 const FIXTURE: &str = include_str!("fixtures/engine_oracle.txt");
@@ -319,11 +319,10 @@ fn records(site: usize, reps: &[RawRep]) -> Vec<(RepFov, SegmentRef)> {
         .collect()
 }
 
-fn config(index: IndexKind, fanout: FanoutMode) -> ServerConfig {
+fn config(index: IndexKind) -> ServerConfig {
     ServerConfig {
         shard_width_s: 120.0,
         index,
-        fanout,
         ..ServerConfig::default()
     }
 }
@@ -372,7 +371,7 @@ fn servers_from(
         (IndexKind::Linear, par_exec()),
     ]
     .map(|(index, exec)| {
-        let config = config(index, FanoutMode::Adaptive);
+        let config = config(index);
         let server = CloudServer::from_records_with_config_exec(
             CameraProfile::smartphone(),
             config,
@@ -383,34 +382,6 @@ fn servers_from(
         server
     });
     (serial, parallel, linear)
-}
-
-/// One server per [`FanoutMode`], all on a 4-thread executor, loaded
-/// with identical records and churn — only the probe fan-out decision
-/// may differ.
-fn servers_per_fanout_mode(
-    site: usize,
-    reps: &[RawRep],
-    history: &History,
-) -> Vec<(FanoutMode, CloudServer)> {
-    let records = records(site, reps);
-    [
-        FanoutMode::Adaptive,
-        FanoutMode::Serial,
-        FanoutMode::Parallel,
-    ]
-    .into_iter()
-    .map(|mode| {
-        let server = CloudServer::from_records_with_config_exec(
-            CameraProfile::smartphone(),
-            config(IndexKind::RTree, mode),
-            par_exec(),
-            records.clone(),
-        );
-        churn(&server, site, history);
-        (mode, server)
-    })
-    .collect()
 }
 
 /// The index scan's traversal counters are the candidate probe's: the
@@ -426,7 +397,7 @@ fn assert_scan_counters_match_candidates(
     let registry = Registry::new();
     let mut server = CloudServer::from_records_with_config_exec(
         CameraProfile::smartphone(),
-        config(IndexKind::RTree, FanoutMode::Adaptive),
+        config(IndexKind::RTree),
         par_exec(),
         records(site, reps),
     );
@@ -489,37 +460,6 @@ proptest! {
         prop_assert_eq!(&serial.query_batch(&queries, &opts, 1), &per_query);
         prop_assert_eq!(&parallel.query_batch(&queries, &opts, 4), &per_query);
         assert_scan_counters_match_candidates(site, &reps, &queries, &opts)?;
-    }
-
-    /// The adaptive fan-out cost model may only change *where* a probe
-    /// runs, never *what* it returns: forcing serial, forcing parallel,
-    /// and letting the planner decide must all be byte-identical.
-    #[test]
-    fn fanout_decision_never_changes_results(
-        site in 0usize..2,
-        reps in prop::collection::vec(arb_rep(), 0..120),
-        queries in prop::collection::vec(arb_query(), 1..8),
-        opts in arb_opts(),
-        history in arb_history(),
-    ) {
-        let queries: Vec<Query> = queries.into_iter().map(|q| query_at(site, q)).collect();
-        let servers = servers_per_fanout_mode(site, &reps, &history);
-        let (_, oracle) = &servers[0];
-        let expected: Vec<Vec<SearchHit>> =
-            queries.iter().map(|q| oracle.query(q, &opts)).collect();
-        let expected_batch = oracle.query_batch(&queries, &opts, 4);
-        for (mode, server) in &servers[1..] {
-            for (q, hits) in queries.iter().zip(&expected) {
-                prop_assert_eq!(
-                    &server.query(q, &opts), hits,
-                    "query results diverged under {:?}", mode
-                );
-            }
-            prop_assert_eq!(
-                &server.query_batch(&queries, &opts, 4), &expected_batch,
-                "batch results diverged under {:?}", mode
-            );
-        }
     }
 
     /// k-nearest: the radius-expansion plan loop must agree across

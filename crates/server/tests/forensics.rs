@@ -169,7 +169,7 @@ fn analyzed_execution_matches_normal_execution() {
         // at least everything ranked out, at most rows in.
         assert!(ev.hits_index >= ev.rank_rows_out && ev.hits_index <= ev.rank_rows_in);
         let text = analyzed.report.render();
-        for needle in ["index_scan", "ranking", "digest", "fanout"] {
+        for needle in ["index_scan", "ranking", "digest", "shard probe"] {
             assert!(text.contains(needle), "analyze render missing {needle}");
         }
         assert!(!text.contains("delta"), "no delta stage left: {text}");
@@ -425,6 +425,22 @@ fn event_words_round_trip() {
     assert_eq!(decoded.encode(), words);
     assert_eq!(decoded.delta_rows_in, 0);
     assert_eq!(decoded.digest, ev.digest);
+    // Reserved too: flag bit 3 and words 13–15, which builds with a
+    // parallel shard probe filled (fan-out flag, items, estimated work,
+    // threads). Such a capture decodes to the same event; word 12 keeps
+    // its meaning, the shards probed.
+    assert!(ev.shards_probed > 0, "the probe touched a shard");
+    assert_eq!(words[12], ev.shards_probed);
+    assert_eq!(words[1] & 1 << 3, 0);
+    assert_eq!(words[13..=15], [0; 3]);
+    let mut fanned = words;
+    fanned[1] |= 1 << 3;
+    fanned[13] = 140_000;
+    fanned[14] = 131_072.5f64.to_bits();
+    fanned[15] = 2;
+    let decoded = QueryEvent::decode(&fanned).expect("fan-out-era events decode");
+    assert_eq!(decoded.encode(), words);
+    assert_eq!(decoded.shards_probed, ev.shards_probed);
     // An admitted event from such a build (token flag and balance set)
     // still decodes; a shed one fails by name.
     let mut old = words;

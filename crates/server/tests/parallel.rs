@@ -8,7 +8,8 @@ use proptest::prelude::*;
 use swag_core::{CameraProfile, Fov, RepFov, UploadBatch};
 use swag_exec::{ExecConfig, Executor};
 use swag_geo::LatLon;
-use swag_server::{CloudServer, FanoutMode, Query, QueryOptions, SegmentRef, ServerConfig};
+use swag_server::shard::PARALLEL_MIN_WORK;
+use swag_server::{CloudServer, Query, QueryOptions, SegmentRef, ServerConfig};
 
 fn base() -> LatLon {
     LatLon::new(40.0, 116.32)
@@ -18,8 +19,8 @@ fn par_exec() -> Executor {
     Executor::new(ExecConfig::with_threads(4))
 }
 
-/// Narrow shards so even small corpora span several — multi-shard probes
-/// are the path the parallel fan-out rewrites.
+/// Narrow shards so even small corpora span several, and a bulk load
+/// has several shards to pack in parallel.
 fn config() -> ServerConfig {
     ServerConfig {
         shard_width_s: 120.0,
@@ -136,68 +137,12 @@ proptest! {
     }
 }
 
-/// Regression: on a single-thread host (`SWAG_EXEC_THREADS=1`, where a
-/// parallel probe once ran at 0.68x of serial) the planner must route
-/// every probe through the serial path — one thread can only add
-/// coordination overhead, never speedup.
-#[test]
-fn single_thread_host_plans_serial_fanout() {
-    std::env::set_var("SWAG_EXEC_THREADS", "1");
-    let exec = Executor::new(ExecConfig::from_env());
-    assert!(
-        exec.is_serial(),
-        "SWAG_EXEC_THREADS=1 must yield a serial executor"
-    );
-
-    // Plenty of data across many shards: eligible for fan-out on every
-    // axis except worker count.
-    let reps: Vec<RepFov> = (0..4096)
-        .map(|i| {
-            let t0 = (i % 64) as f64 * 40.0;
-            RepFov::new(
-                t0,
-                t0 + 30.0,
-                Fov::new(center_offset(i as u64 % 17, i % 9), (i % 360) as f64),
-            )
-        })
-        .collect();
-    let server = CloudServer::from_records_with_config_exec(
-        CameraProfile::smartphone(),
-        config(),
-        exec,
-        with_sources(&reps),
-    );
-
-    let q = Query::new(0.0, 2600.0, base(), 5_000.0);
-    let plan = server.explain(&q, &QueryOptions::default());
-    assert!(
-        plan.contains("fanout  : serial"),
-        "single-thread host must plan a serial probe, got:\n{plan}"
-    );
-    // And the answers stay identical to a parallel executor's.
-    let parallel = CloudServer::from_records_with_config_exec(
-        CameraProfile::smartphone(),
-        config(),
-        par_exec(),
-        with_sources(&reps),
-    );
-    let opts = QueryOptions::default();
-    assert_eq!(server.query(&q, &opts), parallel.query(&q, &opts));
-}
-
 /// A bootstrap-sized batch packs its time shards on scoped threads (a
 /// publish-sized one stays serial); the server must answer exactly as
 /// one built serially, run layout included.
 #[test]
 fn bootstrap_sized_batch_packs_in_parallel_identically() {
-    let n = swag_server::engine::fanout::PARALLEL_MIN_WORK as usize;
-    let reps: Vec<RepFov> = (0..n)
-        .map(|i| {
-            let t0 = (i % 2048) as f64 * 1.5;
-            let p = center_offset(i as u64 % 17, i % 9);
-            RepFov::new(t0, t0 + 30.0, Fov::new(p, (i % 360) as f64))
-        })
-        .collect();
+    let reps = bootstrap_reps();
     let exec = par_exec();
     let [serial, parallel] = [Executor::serial(), exec.clone()].map(|e| {
         CloudServer::from_records_with_config_exec(
@@ -219,8 +164,8 @@ fn bootstrap_sized_batch_packs_in_parallel_identically() {
     }
 }
 
-/// The executor keeps no threads between calls: after a forced-parallel
-/// wide query and a parallel `query_batch`, the process has exactly the
+/// The executor keeps no threads between calls: after a bootstrap-sized
+/// bulk load and a parallel `query_batch`, the process has exactly the
 /// threads it had before. The count runs in a child process holding only
 /// [`thread_count_probe`], so no other test's threads come and go
 /// meanwhile.
@@ -250,22 +195,11 @@ fn thread_count_probe() {
     let tasks = || std::fs::read_dir("/proc/self/task").unwrap().count();
     let before = tasks();
     let exec = par_exec();
-    let reps: Vec<RepFov> = (0..2048)
-        .map(|i| {
-            let t0 = (i % 64) as f64 * 40.0;
-            let p = center_offset(i as u64 % 17, i % 9);
-            RepFov::new(t0, t0 + 30.0, Fov::new(p, (i % 360) as f64))
-        })
-        .collect();
-    let forced = ServerConfig {
-        fanout: FanoutMode::Parallel,
-        ..config()
-    };
     let server = CloudServer::from_records_with_config_exec(
         CameraProfile::smartphone(),
-        forced,
+        config(),
         exec.clone(),
-        with_sources(&reps),
+        with_sources(&bootstrap_reps()),
     );
     let opts = QueryOptions {
         direction_filter: false,
@@ -278,7 +212,7 @@ fn thread_count_probe() {
         .collect();
     assert_eq!(server.query_batch(&batch, &opts, 4).len(), batch.len());
     if std::thread::available_parallelism().map_or(1, |n| n.get()) > 1 {
-        assert!(exec.stats().tasks > 0, "the probe fanned out");
+        assert!(exec.stats().tasks > 0, "the bulk load and batch fanned out");
     }
     // A joined thread can stay listed for a moment while it finishes
     // exiting; a thread the executor kept would stay listed for good.
@@ -394,6 +328,18 @@ fn parallel_queries_race_publishes_and_retractions() {
     let batched = server.query_batch(&qs, &opts, 4);
     let single: Vec<_> = qs.iter().map(|q| server.query(q, &opts)).collect();
     assert_eq!(batched, single);
+}
+
+/// [`PARALLEL_MIN_WORK`] records over ≈ 3 000 s: a bulk load that packs
+/// its shards on scoped threads.
+fn bootstrap_reps() -> Vec<RepFov> {
+    (0..PARALLEL_MIN_WORK)
+        .map(|i| {
+            let t0 = (i % 2048) as f64 * 1.5;
+            let p = center_offset(i as u64 % 17, i % 9);
+            RepFov::new(t0, t0 + 30.0, Fov::new(p, (i % 360) as f64))
+        })
+        .collect()
 }
 
 fn center_offset(provider: u64, i: usize) -> LatLon {

@@ -560,7 +560,12 @@ fn observability_splits_query_phases_exactly() {
         reg.histogram("swag_server_ingest_micros").snapshot().count,
         1
     );
-    let cands = reg.histogram("swag_server_query_candidates").snapshot();
+    let cands = reg
+        .histogram(&swag_obs::labeled_name(
+            "swag_server_op_rows_in",
+            &[("op", "ranking")],
+        ))
+        .snapshot();
     assert_eq!(cands.count, 4);
     assert_eq!(cands.sum, 4 * 6);
     assert!(
@@ -613,7 +618,6 @@ fn op_rows_keep_their_meaning_in_the_fused_pass() {
         .get()
     };
     assert_eq!((hits("index"), hits("cold")), (8, 0));
-    assert_eq!(reg.histogram("swag_shard_candidates").snapshot().sum, 8);
     // Buckets 0..=3 hold them; two segments sit in two shards each.
     assert_eq!(reg.histogram("swag_server_shards_probed").snapshot().sum, 4);
 }
@@ -677,10 +681,13 @@ fn publish_metrics_record_snapshot_lifecycle() {
             .count,
         2
     );
-    // Shard fan-out metrics are wired through the published core.
+    // The shard-probe metric records each executed query.
     let q = Query::new(0.0, 1000.0, center(), 500.0);
     server.query(&q, &QueryOptions::default());
-    assert_eq!(reg.histogram("swag_shard_fanout").snapshot().count, 1);
+    assert_eq!(
+        reg.histogram("swag_server_shards_probed").snapshot().count,
+        1
+    );
 }
 
 #[test]
