@@ -577,14 +577,16 @@ fn tab_acc() {
         21,
     );
     for (i, rep) in reps.iter().enumerate() {
-        server.ingest_one(
-            *rep,
-            SegmentRef {
-                provider_id: i as u64,
-                video_id: 0,
-                segment_idx: 0,
-            },
-        );
+        server
+            .ingest_one(
+                *rep,
+                SegmentRef {
+                    provider_id: i as u64,
+                    video_id: 0,
+                    segment_idx: 0,
+                },
+            )
+            .expect("a memory-only server logs nothing");
     }
 
     let mut rng = StdRng::seed_from_u64(99);

@@ -3,15 +3,15 @@
 use std::io::Write as _;
 
 use swag_client::{ClientPipeline, Uploader};
-use swag_core::{read_trace_csv, write_reps_csv, write_trace_csv, CameraProfile, RepFov, TimedFov};
+use swag_core::{
+    read_trace_csv, write_reps_csv, write_trace_csv, CameraProfile, TimedFov, UploadBatch,
+};
 use swag_exec::{ExecConfig, Executor};
 use swag_geo::{LatLon, Trajectory};
 use swag_net::{observe_plan, plan_uploads, Connectivity, DataPlan, NetworkLink, UploadPolicy};
 use swag_obs::{Metric, Registry};
 use swag_sensors::{scenarios, SensorNoise};
-use swag_server::{
-    CacheConfig, CloudServer, Query, QueryOptions, RankMode, SegmentRef, ServerConfig,
-};
+use swag_server::{CacheConfig, CloudServer, Query, QueryOptions, RankMode, ServerConfig};
 
 use crate::args::{ArgParser, Spec};
 use crate::{open_reader, open_writer};
@@ -157,21 +157,23 @@ pub fn ingest(args: ArgParser) -> Result<(), String> {
             return Err(format!("{path}: trace is empty"));
         }
         let result = run_pipeline(&args, thresh, &trace)?;
-        let reps: Vec<RepFov> = result.reps;
-        for (i, rep) in reps.iter().enumerate() {
-            server.ingest_one(
-                *rep,
-                SegmentRef {
-                    provider_id: next_provider,
-                    video_id: 0,
-                    segment_idx: i as u32,
-                },
-            );
+        // One recording session uploads as one batch (§II-C).
+        let batch = UploadBatch {
+            provider_id: next_provider,
+            video_id: 0,
+            reps: result.reps,
+        };
+        if server.ingest_batch(&batch).len() != batch.reps.len() {
+            return Err(format!(
+                "{path}: the write-ahead log refused the upload batch; none of its \
+                 {} segments was ingested",
+                batch.reps.len()
+            ));
         }
         eprintln!(
             "{path}: {} frames -> {} segments as provider {next_provider}",
             result.frames,
-            reps.len()
+            batch.reps.len()
         );
         next_provider += 1;
     }
@@ -467,11 +469,12 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
             match server.durability_stats() {
                 Some(d) => {
                     println!(
-                        "durability: on — wal {} records / {} B appended ({} B unsynced), \
-                         {} snapshots ({} buckets), cold {} runs / {} segments",
+                        "durability: on — wal {} frames / {} B appended ({} B unsynced, \
+                         {} refused), {} snapshots ({} buckets), cold {} runs / {} segments",
                         d.wal_records,
                         d.wal_appended_bytes,
                         d.wal_lag_bytes,
+                        d.wal_append_errors,
                         d.snapshots_written,
                         d.snapshot_buckets_written,
                         d.cold_runs,

@@ -25,7 +25,9 @@ pub fn retract(args: ArgParser) -> Result<(), String> {
         return Err("missing required --provider".into());
     }
     let server = open_data_dir(args.require("data-dir")?)?;
-    let removed = server.retract_provider(provider);
+    let removed = server
+        .retract_provider(provider)
+        .map_err(|e| e.to_string())?;
     server.quiesce();
     eprintln!(
         "retracted {removed} segments of provider {provider}; {} remain",

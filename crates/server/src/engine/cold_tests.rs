@@ -70,9 +70,9 @@ fn all_cold_engine(dir: &std::path::Path, records: &[(RepFov, SegmentRef)]) -> E
     let mut engine = Engine::new(CameraProfile::smartphone(), config, clock);
     engine.durability = Some(durability);
     for chunk in records.chunks(7) {
-        engine.ingest_records(chunk);
+        engine.replay_records(chunk);
     }
-    engine.expire_before(1e9);
+    engine.expire_before(1e9).unwrap();
     engine
 }
 
@@ -194,7 +194,7 @@ proptest! {
         );
         for run in cold.probe(|_| true) {
             for (rep, source) in cold.records(&run).unwrap().iter() {
-                oracle.ingest_one(*rep, *source);
+                oracle.ingest_one(*rep, *source).unwrap();
             }
         }
 

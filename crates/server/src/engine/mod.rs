@@ -465,6 +465,31 @@ impl Engine {
                     "Demotions that failed to reach disk (records lost to retention).",
                     stats.cold_demote_errors,
                 ),
+                (
+                    "swag_store_wal_append_errors_total",
+                    "WAL frames refused; the mutation they carried did not happen.",
+                    stats.wal_append_errors,
+                ),
+                (
+                    "swag_store_wal_records_total",
+                    "Frames appended to the WAL.",
+                    stats.wal_records,
+                ),
+                (
+                    "swag_store_wal_bytes_total",
+                    "Frame bytes appended to the WAL.",
+                    stats.wal_appended_bytes,
+                ),
+                (
+                    "swag_store_snapshots_total",
+                    "Incremental snapshots completed by the background worker.",
+                    stats.snapshots_written,
+                ),
+                (
+                    "swag_store_snapshot_buckets_total",
+                    "Time-shard bucket files rewritten by snapshots.",
+                    stats.snapshot_buckets_written,
+                ),
             ] {
                 registry.set_help(name, help);
                 let counter = registry.counter(name);

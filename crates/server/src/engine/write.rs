@@ -1,9 +1,10 @@
 //! The write path: folding ingests into snapshots, retention,
 //! compaction, and retraction.
 //!
-//! Every ingest appends its records to the WAL and then folds them,
+//! Every ingest call logs one WAL frame and then folds its records,
 //! under one write lock, straight into a new published epoch
-//! (read-your-writes): each time shard the batch touched gains one
+//! (read-your-writes); a call the log refuses folds nothing and returns
+//! the error. Each time shard the batch touched gains one
 //! STR-packed run of the batch's items, merged with the shard's small
 //! tail runs geometrically ([`ShardedFovIndex::bulk_insert_exec`]).
 //! Retention expires old shards at publish time and retires the dropped
@@ -16,7 +17,7 @@ use std::sync::Arc;
 
 use bytes::BytesMut;
 use swag_core::{DescriptorCodec, RepFov, UploadBatch};
-use swag_store::WalOp;
+use swag_store::{batch_records, Durability, StoreError, WalOp};
 
 use crate::shard::ShardedFovIndex;
 use crate::store::{SegmentId, SegmentRef, SegmentStore};
@@ -196,76 +197,85 @@ impl Engine {
         (ids, dropped)
     }
 
-    /// Logs `records` to the WAL and folds them into a new epoch under
-    /// one writer lock, returning their ids. Nothing is published for
-    /// no records. Recovery replays each run of consecutive WAL appends
-    /// through this as one fold.
-    pub(crate) fn ingest_records(&self, records: &[(RepFov, SegmentRef)]) -> Vec<SegmentId> {
+    /// Folds `records` into a new epoch under the writer lock, after
+    /// `log` (durable servers only) accepted the call's WAL frame: a
+    /// record is never visible in memory without a log frame, and a
+    /// refused frame publishes nothing. Nothing is logged or published
+    /// for no records.
+    fn ingest_records(
+        &self,
+        records: &[(RepFov, SegmentRef)],
+        log: impl FnOnce(&Durability) -> Result<(), StoreError>,
+    ) -> Result<Vec<SegmentId>, StoreError> {
         if records.is_empty() {
-            return Vec::new();
+            return Ok(Vec::new());
         }
         let mut w = self.writer.lock();
-        // WAL-append before the fold: a record is never visible in
-        // memory without a durable (or in-flight) log frame.
         if let Some(durability) = &self.durability {
-            for (rep, source) in records {
-                let _ = durability.append(&WalOp::Append {
-                    rep: *rep,
-                    source: *source,
-                });
-            }
+            log(durability)?;
         }
-        self.fold(&mut w, records, None).0
+        Ok(self.fold(&mut w, records, None).0)
+    }
+
+    /// Folds records that are already durable, logging nothing: recovery
+    /// replays each run of consecutive WAL appends through this as one
+    /// fold.
+    pub(crate) fn replay_records(&self, records: &[(RepFov, SegmentRef)]) {
+        if !records.is_empty() {
+            self.fold(&mut self.writer.lock(), records, None);
+        }
     }
 
     /// Ingests one upload batch, returning the assigned segment ids.
-    pub(crate) fn ingest_batch(&self, batch: &UploadBatch) -> Vec<SegmentId> {
+    pub(crate) fn ingest_batch(&self, batch: &UploadBatch) -> Result<Vec<SegmentId>, StoreError> {
         let t0 = if self.obs.is_some() {
             self.clock.now_micros()
         } else {
             0
         };
-        let records: Vec<(RepFov, SegmentRef)> = (0u32..)
-            .zip(&batch.reps)
-            .map(|(segment_idx, rep)| {
-                let source = SegmentRef {
-                    provider_id: batch.provider_id,
-                    video_id: batch.video_id,
-                    segment_idx,
-                };
-                (*rep, source)
-            })
-            .collect();
-        let ids = self.ingest_records(&records);
+        let records: Vec<(RepFov, SegmentRef)> = batch_records(0, batch).collect();
+        let ids = self.ingest_records(&records, |d| d.append_batch(0, batch))?;
         self.batches.fetch_add(1, Ordering::Relaxed);
         if let Some(obs) = &self.obs {
             obs.segments.add(batch.reps.len() as u64);
             obs.ingest.record(self.clock.now_micros() - t0);
         }
-        ids
+        Ok(ids)
     }
 
     /// Ingests a single representative FoV.
-    pub(crate) fn ingest_one(&self, rep: RepFov, source: SegmentRef) -> SegmentId {
-        let id = self.ingest_records(&[(rep, source)])[0];
+    pub(crate) fn ingest_one(
+        &self,
+        rep: RepFov,
+        source: SegmentRef,
+    ) -> Result<SegmentId, StoreError> {
+        let ids = self.ingest_records(&[(rep, source)], |d| {
+            let batch = UploadBatch {
+                provider_id: source.provider_id,
+                video_id: source.video_id,
+                reps: vec![rep],
+            };
+            d.append_batch(source.segment_idx, &batch)
+        })?;
         if let Some(obs) = &self.obs {
             obs.segments.inc();
         }
-        id
+        Ok(ids[0])
     }
 
     /// Retracts every segment a provider contributed. Returns how many
     /// live segments were removed; on a durable server the provider's
     /// rows in every cold run written so far are hidden too. The
-    /// retraction publishes a fresh snapshot immediately.
-    pub(crate) fn retract_provider(&self, provider_id: u64) -> usize {
+    /// retraction publishes a fresh snapshot immediately. A retraction
+    /// the log refuses removes nothing.
+    pub(crate) fn retract_provider(&self, provider_id: u64) -> Result<usize, StoreError> {
         let mut w = self.writer.lock();
         // Logged before the mutation. Cold rows are hidden by provider,
         // not by bucket, so every cached result may hold one: nothing
         // cached survives.
         let hides_cold = self.has_cold();
         if let Some(durability) = &self.durability {
-            let _ = durability.retract(provider_id);
+            durability.retract(provider_id)?;
         }
 
         let victims: Vec<(RepFov, SegmentId)> = w
@@ -277,7 +287,7 @@ impl Engine {
             .collect();
         let removed = victims.len();
         if removed == 0 && !hides_cold {
-            return 0;
+            return Ok(0);
         }
         let mut store = w.epoch.store.clone();
         let mut index = w.epoch.index.clone();
@@ -309,21 +319,22 @@ impl Engine {
         if let Some(obs) = &self.obs {
             obs.publishes.inc();
         }
-        removed
+        Ok(removed)
     }
 
     /// Expires everything older than `horizon_s`: publishes a shrunken
     /// snapshot immediately and returns how many segments were dropped.
-    pub(crate) fn expire_before(&self, horizon_s: f64) -> usize {
+    /// An expiry the log refuses drops nothing.
+    pub(crate) fn expire_before(&self, horizon_s: f64) -> Result<usize, StoreError> {
         let mut w = self.writer.lock();
         // Logged before the publish so the fold's snapshot floor covers
         // an op whose effect its store clone already reflects. (The
         // automatic config-driven horizon is deliberately NOT logged:
         // replay re-derives it from the same config and ingest order.)
         if let Some(durability) = &self.durability {
-            let _ = durability.append(&WalOp::Expire { horizon_s });
+            durability.append(&WalOp::Expire { horizon_s })?;
         }
-        self.fold(&mut w, &[], Some(horizon_s)).1
+        Ok(self.fold(&mut w, &[], Some(horizon_s)).1)
     }
 
     /// Replaces the (empty) published snapshot with one STR-bulk-loaded

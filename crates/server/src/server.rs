@@ -33,6 +33,7 @@ use std::sync::Arc;
 use swag_core::{CameraProfile, RepFov, UploadBatch};
 use swag_exec::Executor;
 use swag_obs::{HistogramSnapshot, MonotonicClock, Registry, WallClock};
+use swag_store::StoreError;
 
 use crate::engine::cache::CacheConfig;
 use crate::engine::forensics::{AnalyzedQuery, EventLogConfig, QueryEventLog};
@@ -132,13 +133,14 @@ impl ServerStats {
 /// server.ingest_one(
 ///     RepFov::new(10.0, 18.0, Fov::new(scene.offset(180.0, 20.0), 0.0)),
 ///     SegmentRef { provider_id: 7, video_id: 0, segment_idx: 0 },
-/// );
+/// )?;
 /// let hits = server.query(
 ///     &Query::new(0.0, 60.0, scene, 50.0),
 ///     &QueryOptions::default(),
 /// );
 /// assert_eq!(hits.len(), 1);
 /// assert_eq!(hits[0].source.provider_id, 7);
+/// # Ok::<(), swag_server::StoreError>(())
 /// ```
 pub struct CloudServer {
     engine: Engine,
@@ -220,7 +222,7 @@ impl CloudServer {
         dir: impl AsRef<std::path::Path>,
         cam: CameraProfile,
         config: ServerConfig,
-    ) -> Result<Self, swag_store::StoreError> {
+    ) -> Result<Self, StoreError> {
         Self::open_with_clock(dir, cam, config, Arc::new(WallClock))
     }
 
@@ -231,7 +233,7 @@ impl CloudServer {
         cam: CameraProfile,
         config: ServerConfig,
         clock: Arc<dyn MonotonicClock>,
-    ) -> Result<Self, swag_store::StoreError> {
+    ) -> Result<Self, StoreError> {
         let (durability, recovery) = swag_store::Durability::open(
             dir.as_ref(),
             config.shard_width_s,
@@ -247,23 +249,26 @@ impl CloudServer {
         if !recovery.records.is_empty() {
             server.engine.bootstrap(recovery.records);
         }
-        // Each run of consecutive appends is one fold, flushed before
-        // every retraction or expiry and at the end.
+        // Each run of consecutive append frames is one fold, flushed
+        // before every retraction or expiry and at the end.
         let mut appends = Vec::new();
         for op in recovery.ops {
             match op {
-                swag_store::WalOp::Append { rep, source } => appends.push((rep, source)),
+                swag_store::WalOp::Append {
+                    first_segment_idx,
+                    batch,
+                } => appends.extend(swag_store::batch_records(first_segment_idx, &batch)),
                 swag_store::WalOp::Retract { provider_id, .. } => {
-                    server.engine.ingest_records(&std::mem::take(&mut appends));
-                    server.engine.retract_provider(provider_id);
+                    server.engine.replay_records(&std::mem::take(&mut appends));
+                    server.engine.retract_provider(provider_id)?;
                 }
                 swag_store::WalOp::Expire { horizon_s } => {
-                    server.engine.ingest_records(&std::mem::take(&mut appends));
-                    server.engine.expire_before(horizon_s);
+                    server.engine.replay_records(&std::mem::take(&mut appends));
+                    server.engine.expire_before(horizon_s)?;
                 }
             }
         }
-        server.engine.ingest_records(&appends);
+        server.engine.replay_records(&appends);
         server.engine.durability = Some(durability);
         Ok(server)
     }
@@ -324,13 +329,18 @@ impl CloudServer {
         &self.engine.config
     }
 
-    /// Ingests one upload batch, returning the assigned segment ids.
+    /// Ingests one upload batch — one WAL frame on a durable server —
+    /// returning the assigned segment ids. A batch the log refuses (a
+    /// rep outside the descriptor codec's domain, an oversized frame, an
+    /// I/O error) is not ingested at all: it returns no ids, and
+    /// [`swag_store::DurabilityStats::wal_append_errors`] counts it.
     pub fn ingest_batch(&self, batch: &UploadBatch) -> Vec<SegmentId> {
-        self.engine.ingest_batch(batch)
+        self.engine.ingest_batch(batch).unwrap_or_default()
     }
 
-    /// Ingests a single representative FoV.
-    pub fn ingest_one(&self, rep: RepFov, source: SegmentRef) -> SegmentId {
+    /// Ingests a single representative FoV. On a durable server it is
+    /// logged first; a rep the log refuses is not ingested.
+    pub fn ingest_one(&self, rep: RepFov, source: SegmentRef) -> Result<SegmentId, StoreError> {
         self.engine.ingest_one(rep, source)
     }
 
@@ -424,8 +434,9 @@ impl CloudServer {
     /// Returns how many live segments were removed; on a durable server
     /// the provider's demoted rows are hidden from every cold run written
     /// so far as well (rows uploaded afterwards stay servable). The
-    /// retraction publishes a fresh snapshot immediately.
-    pub fn retract_provider(&self, provider_id: u64) -> usize {
+    /// retraction publishes a fresh snapshot immediately. On a durable
+    /// server it is logged first; one the log refuses removes nothing.
+    pub fn retract_provider(&self, provider_id: u64) -> Result<usize, StoreError> {
         self.engine.retract_provider(provider_id)
     }
 
@@ -433,8 +444,9 @@ impl CloudServer {
     /// drops index shards ending at or before the horizon and retires
     /// fully-expired segments from the store (pruning it once compaction
     /// kicks in). Publishes the shrunken snapshot immediately and returns
-    /// how many segments were dropped.
-    pub fn expire_before(&self, horizon_s: f64) -> usize {
+    /// how many segments were dropped. On a durable server it is logged
+    /// first; an expiry the log refuses drops nothing.
+    pub fn expire_before(&self, horizon_s: f64) -> Result<usize, StoreError> {
         self.engine.expire_before(horizon_s)
     }
 

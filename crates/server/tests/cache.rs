@@ -142,12 +142,12 @@ fn cached_and_uncached_agree_under_churn() {
     }
 
     for server in [&plain, &cached] {
-        server.retract_provider(1);
+        server.retract_provider(1).unwrap();
     }
     assert_pool_agrees(&plain, &cached, &pool, &opts, "after retraction");
 
     for server in [&plain, &cached] {
-        server.expire_before(900.0);
+        server.expire_before(900.0).unwrap();
     }
     assert_pool_agrees(&plain, &cached, &pool, &opts, "after expiry");
 }

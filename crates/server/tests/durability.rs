@@ -7,11 +7,11 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 
 use proptest::prelude::*;
-use swag_core::{CameraProfile, Fov, RepFov};
+use swag_core::{CameraProfile, DescriptorCodec, Fov, RepFov, UploadBatch};
 use swag_geo::LatLon;
 use swag_server::{
     result_digest, CacheConfig, CloudServer, DurabilityConfig, Query, QueryOptions, SegmentId,
-    SegmentRef, ServerConfig,
+    SegmentRef, ServerConfig, StoreError,
 };
 
 fn base() -> LatLon {
@@ -111,7 +111,7 @@ fn recovery_folds_a_run_of_appends_once() {
             .expect("open fresh data dir");
         for i in 0..n {
             let (rep, source) = rec(i, 2.0);
-            server.ingest_one(rep, source);
+            server.ingest_one(rep, source).unwrap();
         }
         let plan = server.explain(&q, &wide_opts());
         (digest(&server, 1e9), plan)
@@ -141,7 +141,7 @@ fn reopen_restores_exact_state() {
             .expect("open fresh data dir");
         for i in 0..n {
             let (rep, source) = rec(i, 2.0);
-            server.ingest_one(rep, source);
+            server.ingest_one(rep, source).unwrap();
         }
         let stats = server.durability_stats().expect("durable server");
         assert!(stats.wal_records >= n, "every ingest hits the WAL");
@@ -158,7 +158,7 @@ fn reopen_restores_exact_state() {
     let memory = CloudServer::new(CameraProfile::smartphone());
     for i in 0..n {
         let (rep, source) = rec(i, 2.0);
-        memory.ingest_one(rep, source);
+        memory.ingest_one(rep, source).unwrap();
     }
     assert_eq!(digest(&recovered, 1e9), digest(&memory, 1e9));
     std::fs::remove_dir_all(&dir).ok();
@@ -172,7 +172,7 @@ fn recovered_server_keeps_appending() {
             CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
         for i in 0..50 {
             let (rep, source) = rec(i, 2.0);
-            server.ingest_one(rep, source);
+            server.ingest_one(rep, source).unwrap();
         }
     }
     {
@@ -180,7 +180,7 @@ fn recovered_server_keeps_appending() {
             CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
         for i in 50..100 {
             let (rep, source) = rec(i, 2.0);
-            server.ingest_one(rep, source);
+            server.ingest_one(rep, source).unwrap();
         }
         server.quiesce();
     }
@@ -202,13 +202,13 @@ fn reopened_fold_into_a_snapshotted_bucket_is_not_lost() {
     {
         let server = open();
         let (rep, source) = rec(0, 10.0);
-        server.ingest_one(rep, source);
+        server.ingest_one(rep, source).unwrap();
         server.quiesce();
     }
     {
         let server = open();
         let (rep, source) = rec(1, 10.0);
-        server.ingest_one(rep, source);
+        server.ingest_one(rep, source).unwrap();
         server.quiesce();
         assert_eq!(server.stats().segments, 2);
     }
@@ -225,15 +225,136 @@ fn retraction_is_durable() {
             CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
         for i in 0..40 {
             let (rep, source) = rec(i, 2.0);
-            server.ingest_one(rep, source);
+            server.ingest_one(rep, source).unwrap();
         }
-        assert_eq!(server.retract_provider(3), 8);
+        assert_eq!(server.retract_provider(3).unwrap(), 8);
     }
     let recovered =
         CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("reopen");
     assert_eq!(recovered.stats().segments, 32);
     let hits = recovered.query(&Query::new(0.0, 1e9, base(), 5_000.0), &wide_opts());
     assert!(hits.iter().all(|h| h.source.provider_id != 3));
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A rep the descriptor codec cannot encode (negative start time) is
+/// refused before anything is logged or folded — with it, the whole
+/// batch that carries it — and none of it comes back after a reopen.
+#[test]
+fn unencodable_rep_is_refused_and_never_recovered() {
+    let dir = tmp_dir();
+    let bad = RepFov::new(-1.0, 3.0, Fov::new(base(), 0.0));
+    let (good, _) = rec(1, 2.0);
+    {
+        let mut server =
+            CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config()).unwrap();
+        let registry = swag_obs::Registry::new();
+        server.attach_observability(&registry);
+        let source = SegmentRef {
+            provider_id: 1,
+            video_id: 0,
+            segment_idx: 0,
+        };
+        let err = server.ingest_one(bad, source).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "{err}");
+        let batch = UploadBatch {
+            provider_id: 2,
+            video_id: 0,
+            reps: vec![good, bad, good],
+        };
+        assert_eq!(server.ingest_batch(&batch), Vec::<SegmentId>::new());
+        assert_eq!(server.stats().segments, 0);
+        assert!(server
+            .query(&Query::new(0.0, 1e9, base(), 5_000.0), &wide_opts())
+            .is_empty());
+        let stats = server.durability_stats().unwrap();
+        assert_eq!((stats.wal_append_errors, stats.wal_records), (2, 0));
+        server.refresh_gauges(&registry);
+        assert_eq!(
+            registry.counter("swag_store_wal_append_errors_total").get(),
+            2
+        );
+    }
+    let reopened = CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config()).unwrap();
+    assert_eq!(reopened.stats().segments, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A batch whose frame would exceed the WAL's payload bound is refused
+/// whole: a frame that large would read as a tear at the next open and
+/// take every later frame with it.
+#[test]
+fn oversized_batch_is_refused() {
+    let dir = tmp_dir();
+    let server = CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config()).unwrap();
+    let (rep, _) = rec(0, 2.0);
+    let batch = UploadBatch {
+        provider_id: 0,
+        video_id: 0,
+        reps: vec![rep; swag_store::MAX_FRAME_PAYLOAD / DescriptorCodec::RECORD_SIZE + 1],
+    };
+    assert!(server.ingest_batch(&batch).is_empty());
+    assert_eq!(server.stats().segments, 0);
+    assert_eq!(server.durability_stats().unwrap().wal_append_errors, 1);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Every non-empty ingest call is one WAL frame, however many segments
+/// it carries, and a reopen folds the frames back to the same answers.
+#[test]
+fn one_frame_per_ingest_call() {
+    let dir = tmp_dir();
+    let written = {
+        let server =
+            CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config()).unwrap();
+        for (video_id, n) in [(0u64, 5u64), (1, 0), (2, 7), (3, 1)] {
+            let batch = UploadBatch {
+                provider_id: 9,
+                video_id,
+                reps: (0..n).map(|i| rec(video_id * 10 + i, 2.0).0).collect(),
+            };
+            assert_eq!(server.ingest_batch(&batch).len(), n as usize);
+        }
+        for i in 40..42 {
+            let (rep, source) = rec(i, 2.0);
+            server.ingest_one(rep, source).unwrap();
+        }
+        let stats = server.durability_stats().unwrap();
+        assert_eq!((stats.wal_records, stats.wal_seq), (5, 5));
+        digest(&server, 1e9)
+    };
+    let reopened = CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config()).unwrap();
+    assert_eq!(reopened.stats().segments, 15);
+    assert_eq!(digest(&reopened, 1e9), written);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// A WAL written before batch frames — one tag-1 frame per segment —
+/// still opens, to the answers a memory-only server gives.
+#[test]
+fn parent_era_wal_reopens_to_the_same_digest() {
+    let dir = tmp_dir();
+    let memory = CloudServer::new(CameraProfile::smartphone());
+    let mut wal = Vec::new();
+    for i in 0..30 {
+        let (rep, source) = rec(i, 2.0);
+        memory.ingest_one(rep, source).unwrap();
+        let mut payload = vec![1u8];
+        payload.extend_from_slice(&source.provider_id.to_le_bytes());
+        payload.extend_from_slice(&source.video_id.to_le_bytes());
+        payload.extend_from_slice(&source.segment_idx.to_le_bytes());
+        let mut wire = bytes::BytesMut::new();
+        DescriptorCodec::encode_rep(&rep, &mut wire).unwrap();
+        payload.extend_from_slice(&wire.to_vec());
+        wal.extend_from_slice(&(payload.len() as u32).to_le_bytes());
+        wal.extend_from_slice(&swag_store::crc32(&payload).to_le_bytes());
+        wal.extend_from_slice(&payload);
+    }
+    std::fs::create_dir_all(dir.join("wal")).unwrap();
+    std::fs::write(dir.join("wal/wal-00000000000000000000.log"), wal).unwrap();
+    let reopened = CloudServer::open(&dir, CameraProfile::smartphone(), wal_only_config()).unwrap();
+    assert_eq!(reopened.stats().segments, 30);
+    assert_eq!(digest(&reopened, 1e9), digest(&memory, 1e9));
     std::fs::remove_dir_all(&dir).ok();
 }
 
@@ -274,25 +395,29 @@ fn retraction_hides_demoted_rows() {
             // Bucket 0 (width 600 s): providers 7 and 8; bucket 2: 8.
             for i in 0..10 {
                 let (rep, source) = at(i, i as f64 * 4.0, 7 + i % 2);
-                server.ingest_one(rep, source);
+                server.ingest_one(rep, source).unwrap();
             }
             for i in 10..14 {
                 let (rep, source) = at(i, 1_300.0 + i as f64, 8);
-                server.ingest_one(rep, source);
+                server.ingest_one(rep, source).unwrap();
             }
-            assert_eq!(server.expire_before(700.0), 10);
+            assert_eq!(server.expire_before(700.0).unwrap(), 10);
             // Answered from the cold run, and cached.
             assert_eq!(providers_in(&server, 0.0, 100.0), [7, 8]);
-            assert_eq!(server.retract_provider(7), 0, "nothing of 7 is live");
+            assert_eq!(
+                server.retract_provider(7).unwrap(),
+                0,
+                "nothing of 7 is live"
+            );
             assert_eq!(providers_in(&server, 0.0, 100.0), [8]);
 
             // 7 uploads again, and that footage ages out too.
             for i in 14..18 {
                 let (rep, source) = at(i, 1_900.0 + i as f64, 7);
-                server.ingest_one(rep, source);
+                server.ingest_one(rep, source).unwrap();
             }
             assert_eq!(providers_in(&server, 1_800.0, 2_000.0), [7]);
-            assert_eq!(server.expire_before(2_400.0), 8);
+            assert_eq!(server.expire_before(2_400.0).unwrap(), 8);
             assert!(server.durability_stats().unwrap().cold_runs >= 3);
             assert_eq!(providers_in(&server, 1_800.0, 2_000.0), [7]);
             assert_eq!(providers_in(&server, 0.0, 100.0), [8]);
@@ -321,17 +446,17 @@ fn expired_shards_demote_to_cold_and_stay_queryable() {
     // fresh ones in bucket 2.
     for i in 0..12 {
         let (rep, source) = rec(i, 2.0); // t in [0, 24] -> bucket 0
-        server.ingest_one(rep, source);
+        server.ingest_one(rep, source).unwrap();
     }
     for i in 0..12 {
         let (mut rep, source) = rec(i, 2.0);
         rep.t_start += 1300.0; // bucket 2
         rep.t_end += 1300.0;
-        server.ingest_one(rep, source);
+        server.ingest_one(rep, source).unwrap();
     }
     let before = server.query(&Query::new(0.0, 100.0, base(), 5_000.0), &wide_opts());
     assert_eq!(before.len(), 12);
-    let dropped = server.expire_before(700.0);
+    let dropped = server.expire_before(700.0).unwrap();
     assert_eq!(dropped, 12, "bucket 0 expires wholesale");
     let stats = server.durability_stats().unwrap();
     assert!(stats.cold_runs >= 1, "expiry demoted instead of dropping");
@@ -393,9 +518,9 @@ fn server_with_cold_history(dir: &Path) -> CloudServer {
         CloudServer::open(dir, CameraProfile::smartphone(), durable_config()).expect("open");
     for i in 0..50 {
         let (rep, source) = rec(i, 60.0);
-        server.ingest_one(rep, source);
+        server.ingest_one(rep, source).unwrap();
     }
-    assert_eq!(server.expire_before(2_400.0), 40);
+    assert_eq!(server.expire_before(2_400.0).unwrap(), 40);
     server.quiesce();
     server
 }
@@ -544,12 +669,12 @@ fn failed_demotion_is_counted_not_discarded() {
         CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
     for i in 0..20 {
         let (rep, source) = rec(i, 60.0);
-        server.ingest_one(rep, source);
+        server.ingest_one(rep, source).unwrap();
     }
     // The cold directory disappears under the server: retention still
     // runs, and the loss is counted.
     std::fs::remove_dir_all(dir.join("cold")).unwrap();
-    assert_eq!(server.expire_before(600.0), 10);
+    assert_eq!(server.expire_before(600.0).unwrap(), 10);
     let stats = server.durability_stats().unwrap();
     assert_eq!((stats.cold_demote_errors, stats.cold_segments), (1, 0));
     assert_eq!(server.stats().segments, 10);
@@ -564,7 +689,7 @@ fn explain_pipeline_unchanged_without_cold_runs() {
     let server =
         CloudServer::open(&dir, CameraProfile::smartphone(), durable_config()).expect("open");
     let (rep, source) = rec(0, 2.0);
-    server.ingest_one(rep, source);
+    server.ingest_one(rep, source).unwrap();
     let explain = server.explain(&Query::new(0.0, 100.0, base(), 500.0), &wide_opts());
     assert!(
         explain.contains("index_scan(shard_probe*) -> ranking"),
@@ -597,7 +722,7 @@ proptest! {
             ).unwrap();
             for i in 0..n {
                 let (rep, source) = rec(i, 2.0);
-                server.ingest_one(rep, source);
+                server.ingest_one(rep, source).unwrap();
             }
         }
         let wal = last_wal_file(&dir);
@@ -623,7 +748,7 @@ proptest! {
         let memory = CloudServer::new(CameraProfile::smartphone());
         for i in 0..k {
             let (rep, source) = rec(i, 2.0);
-            memory.ingest_one(rep, source);
+            memory.ingest_one(rep, source).unwrap();
         }
         prop_assert_eq!(digest(&recovered, 1e9), digest(&memory, 1e9));
         // A cut inside the tail frame loses at most that one frame's op;
@@ -653,9 +778,9 @@ fn cold_scan_metrics_count_pruned_queries() {
     server.attach_observability(&reg);
     for i in 0..50 {
         let (rep, source) = rec(i, 60.0);
-        server.ingest_one(rep, source);
+        server.ingest_one(rep, source).unwrap();
     }
-    assert_eq!(server.expire_before(2_400.0), 40);
+    assert_eq!(server.expire_before(2_400.0).unwrap(), 40);
     let hot = Query::new(2_400.0, 3_000.0, base(), 5_000.0);
     for _ in 0..5 {
         assert_eq!(server.query(&hot, &wide_opts()).len(), 10);

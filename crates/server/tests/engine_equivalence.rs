@@ -167,8 +167,8 @@ fn oracle_transcript() -> String {
         });
     }
     // Churn: a retraction and an explicit expiry mid-history.
-    server.retract_provider(1);
-    server.expire_before(120.0);
+    server.retract_provider(1).unwrap();
+    server.expire_before(120.0).unwrap();
 
     let queries = workload_queries(&mut rng, 12);
     for (name, opts) in option_matrix() {
@@ -345,10 +345,10 @@ fn arb_history() -> impl Strategy<Value = History> {
 /// buckets once 16 of them publish.
 fn churn(server: &CloudServer, site: usize, (horizon, retract, late): &History) {
     if let Ok(provider) = u64::try_from(*retract) {
-        server.retract_provider(provider);
+        server.retract_provider(provider).unwrap();
     }
     if *horizon >= 0.0 {
-        server.expire_before(*horizon);
+        server.expire_before(*horizon).unwrap();
     }
     server.ingest_batch(&UploadBatch {
         provider_id: 9,

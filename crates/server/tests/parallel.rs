@@ -242,11 +242,11 @@ fn parallel_queries_race_publishes_and_retractions() {
     server.set_executor(par_exec());
     let retracted = Mutex::new(HashSet::new());
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Writers: steady ingest plus churn (ingest then retract).
         for provider in 1..=2u64 {
             let server = &server;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..20u64 {
                     let t0 = round as f64 * 45.0;
                     server.ingest_batch(&UploadBatch {
@@ -264,7 +264,7 @@ fn parallel_queries_race_publishes_and_retractions() {
         }
         {
             let (server, retracted) = (&server, &retracted);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..10u64 {
                     let provider = 900 + i;
                     server.ingest_batch(&UploadBatch {
@@ -277,7 +277,7 @@ fn parallel_queries_race_publishes_and_retractions() {
                             })
                             .collect(),
                     });
-                    server.retract_provider(provider);
+                    server.retract_provider(provider).unwrap();
                     retracted.lock().unwrap().insert(provider);
                 }
             });
@@ -285,7 +285,7 @@ fn parallel_queries_race_publishes_and_retractions() {
         // Readers: whole batches of parallel queries mid-churn.
         for r in 0..2 {
             let (server, retracted) = (&server, &retracted);
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let opts = QueryOptions {
                     top_n: usize::MAX,
                     direction_filter: false,
@@ -313,8 +313,7 @@ fn parallel_queries_race_publishes_and_retractions() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Quiescent: a batch over everything equals the per-query answers.
     let opts = QueryOptions {

@@ -178,7 +178,7 @@ proptest! {
                 for b in &batches {
                     for (segment_idx, rep) in (0u32..).zip(&b.reps) {
                         let (provider_id, video_id) = (b.provider_id, b.video_id);
-                        server.ingest_one(*rep, SegmentRef { provider_id, video_id, segment_idx });
+                        server.ingest_one(*rep, SegmentRef { provider_id, video_id, segment_idx }).unwrap();
                     }
                 }
             });
@@ -203,7 +203,7 @@ proptest! {
                 provider_id: i as u64,
                 video_id: 0,
                 segment_idx: 0,
-            });
+            }).unwrap();
         }
         let opts = QueryOptions {
             top_n: usize::MAX,
@@ -246,7 +246,7 @@ proptest! {
                 provider_id: i as u64 % 5,
                 video_id: i as u64,
                 segment_idx: 0,
-            });
+            }).unwrap();
         }
         server.quiesce();
         let restored = CloudServer::open(&dir, cam, config).unwrap();
@@ -280,7 +280,7 @@ proptest! {
                 provider_id: i as u64,
                 video_id: 0,
                 segment_idx: 0,
-            });
+            }).unwrap();
         }
         let full = server.query(&q, &QueryOptions {
             top_n: usize::MAX,

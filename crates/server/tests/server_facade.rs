@@ -122,11 +122,11 @@ fn retract_provider_hides_their_segments() {
     server.ingest_batch(&batch(2, 5));
     assert_eq!(server.stats().segments, 10);
 
-    let removed = server.retract_provider(1);
+    let removed = server.retract_provider(1).unwrap();
     assert_eq!(removed, 5);
     assert_eq!(server.stats().segments, 5);
     // Retracting again is a no-op.
-    assert_eq!(server.retract_provider(1), 0);
+    assert_eq!(server.retract_provider(1).unwrap(), 0);
 
     let q = Query::new(0.0, 100.0, center(), 200.0);
     let opts = QueryOptions {
@@ -160,7 +160,7 @@ fn retraction_removes_published_and_pending_records() {
     assert_eq!(server.query(&q, &opts).len(), 19);
     assert!(server.explain(&q, &opts).contains("#0(x19/2r)"));
 
-    assert_eq!(server.retract_provider(1), 16);
+    assert_eq!(server.retract_provider(1).unwrap(), 16);
     let stats = server.stats();
     assert_eq!(stats.segments, 3);
     let hits = server.query(&q, &opts);
@@ -184,7 +184,7 @@ fn retraction_survives_snapshots() {
     let server = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
     server.ingest_batch(&batch(1, 4));
     server.ingest_batch(&batch(2, 4));
-    server.retract_provider(1);
+    server.retract_provider(1).unwrap();
     server.quiesce();
     drop(server);
     let restored = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
@@ -219,11 +219,15 @@ fn retention_horizon_expires_old_segments_at_publish() {
         segment_idx: 0,
     };
     let fov = Fov::new(center().offset(180.0, 20.0), 0.0);
-    server.ingest_one(RepFov::new(0.0, 10.0, fov), src(1));
+    server
+        .ingest_one(RepFov::new(0.0, 10.0, fov), src(1))
+        .unwrap();
     assert_eq!(server.stats().segments, 1);
     // The second ingest moves the retention clock to t=510; the first
     // segment's shard now sits past the 100 s horizon and is dropped.
-    server.ingest_one(RepFov::new(500.0, 510.0, fov), src(2));
+    server
+        .ingest_one(RepFov::new(500.0, 510.0, fov), src(2))
+        .unwrap();
     let stats = server.stats();
     assert_eq!(stats.segments, 1);
     let q = Query::new(0.0, 1000.0, center(), 500.0);
@@ -243,28 +247,32 @@ fn explicit_expiry_prunes_and_compacts_the_store() {
     let fov = Fov::new(center().offset(180.0, 20.0), 0.0);
     // 40 old segments (bucket 0 at the default 600 s width), 10 recent.
     for i in 0..40u64 {
-        server.ingest_one(
-            RepFov::new(i as f64, i as f64 + 5.0, fov),
-            SegmentRef {
-                provider_id: 1,
-                video_id: 0,
-                segment_idx: i as u32,
-            },
-        );
+        server
+            .ingest_one(
+                RepFov::new(i as f64, i as f64 + 5.0, fov),
+                SegmentRef {
+                    provider_id: 1,
+                    video_id: 0,
+                    segment_idx: i as u32,
+                },
+            )
+            .unwrap();
     }
     for i in 0..10u64 {
-        server.ingest_one(
-            RepFov::new(1000.0 + i as f64, 1005.0 + i as f64, fov),
-            SegmentRef {
-                provider_id: 2,
-                video_id: 0,
-                segment_idx: i as u32,
-            },
-        );
+        server
+            .ingest_one(
+                RepFov::new(1000.0 + i as f64, 1005.0 + i as f64, fov),
+                SegmentRef {
+                    provider_id: 2,
+                    video_id: 0,
+                    segment_idx: i as u32,
+                },
+            )
+            .unwrap();
     }
     assert_eq!(server.stats().segments, 50);
 
-    let dropped = server.expire_before(600.0);
+    let dropped = server.expire_before(600.0).unwrap();
     assert_eq!(dropped, 40);
     let stats = server.stats();
     assert_eq!(stats.segments, 10);
@@ -281,7 +289,7 @@ fn explicit_expiry_prunes_and_compacts_the_store() {
     assert_eq!(hits.len(), 10);
     assert!(hits.iter().all(|h| h.source.provider_id == 2));
     // Expiring again finds nothing new.
-    assert_eq!(server.expire_before(600.0), 0);
+    assert_eq!(server.expire_before(600.0).unwrap(), 0);
 }
 
 #[test]
@@ -373,14 +381,16 @@ fn query_nearest_prefers_a_nearer_segment_past_the_box_edge() {
     // returned the corner hit.
     let server = CloudServer::new(CameraProfile::smartphone());
     for (provider, bearing, dist) in [(1, 45.0, 67.0), (2, 90.0, 60.0)] {
-        server.ingest_one(
-            RepFov::new(0.0, 10.0, Fov::new(center().offset(bearing, dist), 0.0)),
-            SegmentRef {
-                provider_id: provider,
-                video_id: 0,
-                segment_idx: 0,
-            },
-        );
+        server
+            .ingest_one(
+                RepFov::new(0.0, 10.0, Fov::new(center().offset(bearing, dist), 0.0)),
+                SegmentRef {
+                    provider_id: provider,
+                    video_id: 0,
+                    segment_idx: 0,
+                },
+            )
+            .unwrap();
     }
     let opts = QueryOptions {
         direction_filter: false,
@@ -397,14 +407,16 @@ fn query_nearest_expands_radius_to_find_far_segments() {
     let server = CloudServer::new(CameraProfile::smartphone());
     // One lonely segment 3 km away, pointing at the centre.
     let p = center().offset(180.0, 3000.0);
-    server.ingest_one(
-        RepFov::new(0.0, 10.0, Fov::new(p, 0.0)),
-        SegmentRef {
-            provider_id: 1,
-            video_id: 0,
-            segment_idx: 0,
-        },
-    );
+    server
+        .ingest_one(
+            RepFov::new(0.0, 10.0, Fov::new(p, 0.0)),
+            SegmentRef {
+                provider_id: 1,
+                video_id: 0,
+                segment_idx: 0,
+            },
+        )
+        .unwrap();
     let opts = QueryOptions {
         direction_filter: false,
         ..QueryOptions::default()
@@ -436,24 +448,28 @@ fn quality_nearest_keeps_expanding_past_early_hits() {
     let server = CloudServer::new(CameraProfile::smartphone());
     // 20 m south but pointing 20 degrees off the scene: quality
     // 0.8 (proximity) x 0.2 (alignment) = 0.16.
-    server.ingest_one(
-        RepFov::new(0.0, 10.0, Fov::new(center().offset(180.0, 20.0), 20.0)),
-        SegmentRef {
-            provider_id: 1,
-            video_id: 0,
-            segment_idx: 0,
-        },
-    );
+    server
+        .ingest_one(
+            RepFov::new(0.0, 10.0, Fov::new(center().offset(180.0, 20.0), 20.0)),
+            SegmentRef {
+                provider_id: 1,
+                video_id: 0,
+                segment_idx: 0,
+            },
+        )
+        .unwrap();
     // 80 m south, dead-on: quality 0.2 x 1.0 = 0.2. Outside the
     // initial 50 m ring, so a premature exit never sees it.
-    server.ingest_one(
-        RepFov::new(0.0, 10.0, Fov::new(center().offset(180.0, 80.0), 0.0)),
-        SegmentRef {
-            provider_id: 2,
-            video_id: 0,
-            segment_idx: 0,
-        },
-    );
+    server
+        .ingest_one(
+            RepFov::new(0.0, 10.0, Fov::new(center().offset(180.0, 80.0), 0.0)),
+            SegmentRef {
+                provider_id: 2,
+                video_id: 0,
+                segment_idx: 0,
+            },
+        )
+        .unwrap();
     let opts = QueryOptions {
         rank: RankMode::Quality,
         direction_filter: false,
@@ -649,7 +665,7 @@ fn refresh_gauges_exports_engine_internals() {
         assert_eq!(reg.gauge(shard).get(), 1, "{shard}");
     }
     // Expiry zeroes the shard gauges instead of leaving them stale.
-    server.expire_before(1_000.0);
+    server.expire_before(1_000.0).unwrap();
     server.refresh_gauges(&reg);
     for shard in &shards {
         assert_eq!(reg.gauge(shard).get(), 0, "{shard}");
@@ -693,10 +709,10 @@ fn publish_metrics_record_snapshot_lifecycle() {
 #[test]
 fn concurrent_ingest_and_query() {
     let server = CloudServer::new(CameraProfile::smartphone());
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         for provider in 0..8u64 {
             let server = &server;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for _ in 0..20 {
                     server.ingest_batch(&batch(provider, 3));
                 }
@@ -704,15 +720,14 @@ fn concurrent_ingest_and_query() {
         }
         for _ in 0..4 {
             let server = &server;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let q = Query::new(0.0, 1000.0, center(), 500.0);
                 for _ in 0..50 {
                     let _ = server.query(&q, &QueryOptions::default());
                 }
             });
         }
-    })
-    .unwrap();
+    });
     let stats = server.stats();
     assert_eq!(stats.segments, 8 * 20 * 3);
     assert_eq!(stats.batches, 160);

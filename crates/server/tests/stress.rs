@@ -49,11 +49,11 @@ fn concurrent_ingest_retract_expire_query_stays_consistent() {
     // Highest horizon an expire_before call has fully applied.
     let horizon_done = AtomicU64::new(0);
 
-    crossbeam::thread::scope(|s| {
+    std::thread::scope(|s| {
         // Steady ingest from long-lived providers.
         for provider in 1..=4u64 {
             let server = &server;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for round in 0..30 {
                     server.ingest_batch(&batch(provider, round, f64::from(round as u32) * 30.0, 3));
                 }
@@ -63,12 +63,12 @@ fn concurrent_ingest_retract_expire_query_stays_consistent() {
         {
             let server = &server;
             let retracted = &retracted;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for i in 0..15u64 {
                     let provider = 500 + i;
                     server.ingest_batch(&batch(provider, 0, f64::from(i as u32) * 40.0, 4));
                     // Rolling expiry may beat us to some of the four.
-                    assert!(server.retract_provider(provider) <= 4);
+                    assert!(server.retract_provider(provider).unwrap() <= 4);
                     retracted.lock().unwrap().insert(provider);
                 }
             });
@@ -77,10 +77,10 @@ fn concurrent_ingest_retract_expire_query_stays_consistent() {
         {
             let server = &server;
             let horizon_done = &horizon_done;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 for k in 1..=20u64 {
                     let h = k as f64 * 10.0;
-                    server.expire_before(h);
+                    server.expire_before(h).unwrap();
                     horizon_done.fetch_max(h as u64, Ordering::SeqCst);
                 }
             });
@@ -89,7 +89,7 @@ fn concurrent_ingest_retract_expire_query_stays_consistent() {
         for _ in 0..3 {
             let server = &server;
             let retracted = &retracted;
-            s.spawn(move |_| {
+            s.spawn(move || {
                 let opts = QueryOptions {
                     top_n: usize::MAX,
                     direction_filter: false,
@@ -125,15 +125,14 @@ fn concurrent_ingest_retract_expire_query_stays_consistent() {
                 }
             });
         }
-    })
-    .unwrap();
+    });
 
     // Quiescent cross-check: re-apply the final horizon (late ingests of
     // old-timestamped data may have outrun the rolling expiry), then
     // stats, the exported records, and a full query must all agree.
     let h = horizon_done.load(Ordering::SeqCst) as f64;
     assert!((h - 200.0).abs() < f64::EPSILON);
-    server.expire_before(h);
+    server.expire_before(h).unwrap();
     let stats = server.stats();
     let records = server.export_records();
     assert_eq!(stats.segments, records.len());

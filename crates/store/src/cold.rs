@@ -32,8 +32,8 @@ use parking_lot::{Mutex, RwLock};
 use swag_core::RepFov;
 
 use crate::container::{decode_container, decode_header, Zone, HEADER_PREFIX_LEN};
-use crate::durability::StoreError;
 use crate::segment::SegmentRef;
+use crate::StoreError;
 
 /// Bytes of decoded run bodies the catalog keeps resident, charged at
 /// their in-memory size. A constant, not a knob: one value is in use.

@@ -10,8 +10,9 @@
 //! <dir>/cold/cold-<bucket>-<n>.run    demoted expired shards
 //! ```
 //!
-//! The engine calls [`Durability::append`] (or [`Durability::retract`])
-//! under its writer lock before staging a mutation,
+//! The engine logs each mutation ([`Durability::append_batch`],
+//! [`Durability::retract`], [`Durability::append`]) under its writer
+//! lock before applying it, and applies nothing the log refused;
 //! [`Durability::on_publish`] right after installing
 //! a folded epoch (handing over a COW store clone plus the epoch's
 //! per-bucket stamp versions), and [`Durability::demote`] when retention
@@ -26,8 +27,9 @@ use std::sync::mpsc::{Receiver, Sender};
 use std::sync::{mpsc, Arc, OnceLock};
 use std::thread::JoinHandle;
 
+use bytes::BytesMut;
 use parking_lot::Mutex;
-use swag_core::RepFov;
+use swag_core::{RepFov, UploadBatch};
 use swag_obs::{Counter, Histogram, MonotonicClock, Registry};
 
 use crate::cold::{cold_file_name, ColdCatalog, Retracted, RESIDENT_BUDGET_BYTES};
@@ -35,7 +37,8 @@ use crate::container::{encode_records, Zone};
 use crate::home_bucket;
 use crate::manifest::{BucketEntry, Manifest};
 use crate::segment::{SegmentRef, SegmentStore};
-use crate::wal::{recover_wal_dir, WalOp, WalWriter};
+use crate::wal::{encode_append, encode_frame, recover_wal_dir, WalOp, WalWriter};
+use crate::StoreError;
 
 /// WAL segment subdirectory.
 pub const WAL_DIR: &str = "wal";
@@ -76,26 +79,6 @@ impl Default for DurabilityConfig {
     }
 }
 
-/// Errors opening or operating a data directory.
-#[derive(Debug, Clone)]
-pub enum StoreError {
-    /// An I/O operation failed.
-    Io(String),
-    /// On-disk state failed to parse or checksum.
-    Corrupt(String),
-}
-
-impl std::fmt::Display for StoreError {
-    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
-        match self {
-            StoreError::Io(e) => write!(f, "store i/o error: {e}"),
-            StoreError::Corrupt(e) => write!(f, "store corrupt: {e}"),
-        }
-    }
-}
-
-impl std::error::Error for StoreError {}
-
 fn io_err(context: &str, e: std::io::Error) -> StoreError {
     StoreError::Io(format!("{context}: {e}"))
 }
@@ -112,14 +95,18 @@ pub struct Recovery {
 /// Point-in-time durability counters for `swag stats`.
 #[derive(Debug, Clone, Copy, Default)]
 pub struct DurabilityStats {
-    /// Ops ever appended to the WAL this process.
+    /// Frames appended to the WAL this process: one per non-empty
+    /// ingest call, retraction or explicit expiry.
     pub wal_records: u64,
     /// Frame bytes ever appended this process.
     pub wal_appended_bytes: u64,
     /// Bytes written but not yet fsynced (durability lag).
     pub wal_lag_bytes: u64,
-    /// Next WAL sequence number.
+    /// Next WAL sequence number (one per frame).
     pub wal_seq: u64,
+    /// Frames the log refused this process (unencodable rep, oversized
+    /// payload, I/O error); the mutation they carried did not happen.
+    pub wal_append_errors: u64,
     /// Completed background snapshots this process.
     pub snapshots_written: u64,
     /// Bucket files rewritten across those snapshots.
@@ -143,14 +130,11 @@ pub struct DurabilityStats {
     pub cold_demote_errors: u64,
 }
 
-/// Metric handles, resolved once when a registry is attached.
+/// Metric handles, resolved once when a registry is attached (totals
+/// [`DurabilityStats`] counts reach it through the server's refresh).
 struct Obs {
     wal_fsync_micros: Arc<Histogram>,
-    wal_bytes: Arc<Counter>,
-    wal_records: Arc<Counter>,
-    snapshots: Arc<Counter>,
     snapshot_micros: Arc<Histogram>,
-    snapshot_buckets: Arc<Counter>,
     cold_demoted: Arc<Counter>,
 }
 
@@ -159,6 +143,7 @@ struct Shared {
     clock: Arc<dyn MonotonicClock>,
     wal_records: AtomicU64,
     wal_appended_bytes: AtomicU64,
+    wal_append_errors: AtomicU64,
     snapshots_written: AtomicU64,
     snapshot_buckets_written: AtomicU64,
     /// `clock` micros of the last completed snapshot + 1 (0 = never).
@@ -236,6 +221,7 @@ impl Durability {
         let manifest = Manifest::load(&snap_dir)
             .map_err(StoreError::Corrupt)?
             .unwrap_or_default();
+        let wal_rec = recover_wal_dir(&wal_dir)?;
         // Sweep bucket files a crashed snapshot left unreferenced.
         let referenced: std::collections::BTreeSet<&str> =
             manifest.buckets.values().map(|e| e.file.as_str()).collect();
@@ -268,7 +254,6 @@ impl Durability {
         let (cold, cold_next) = ColdCatalog::load(&cold_dir, cold_zone_of, RESIDENT_BUDGET_BYTES)
             .map_err(|e| io_err("scan cold dir", e))?;
 
-        let wal_rec = recover_wal_dir(&wal_dir).map_err(|e| io_err("recover wal", e))?;
         // Segments the snapshot already covers are dead weight.
         for (_, end, path) in &wal_rec.segments {
             if *end <= manifest.wal_floor {
@@ -315,6 +300,7 @@ impl Durability {
             clock,
             wal_records: AtomicU64::new(0),
             wal_appended_bytes: AtomicU64::new(0),
+            wal_append_errors: AtomicU64::new(0),
             snapshots_written: AtomicU64::new(0),
             snapshot_buckets_written: AtomicU64::new(0),
             last_snapshot_at: AtomicU64::new(0),
@@ -363,46 +349,77 @@ impl Durability {
         &self.cold
     }
 
-    /// Appends one op to the WAL. Called under the engine's writer lock,
-    /// *before* the op mutates in-memory state. The write lands in the
-    /// page cache; the background flusher group-commits the fsync within
-    /// `fsync_interval_micros` (interval 0 syncs inline here).
+    /// Logs one ingest call as one frame (rep `i` of `batch` is segment
+    /// `first_segment_idx + i`), under the engine's writer lock and
+    /// *before* the fold; on `Err` nothing was logged, and the caller
+    /// must fold nothing. The background flusher group-commits the fsync
+    /// within `fsync_interval_micros` (interval 0 syncs inline here).
+    pub fn append_batch(
+        &self,
+        first_segment_idx: u32,
+        batch: &UploadBatch,
+    ) -> Result<(), StoreError> {
+        self.log(|frame| encode_append(first_segment_idx, batch, frame))
+    }
+
+    /// Logs one op, as [`Self::append_batch`] logs an ingest call.
     pub fn append(&self, op: &WalOp) -> Result<(), StoreError> {
+        self.log(|frame| encode_frame(op, frame))
+    }
+
+    /// Encodes a frame and writes it, rotating a full segment *before*
+    /// the write so a failed rotation refuses the frame instead of
+    /// following it. Each refusal is counted once.
+    fn log(
+        &self,
+        encode: impl FnOnce(&mut BytesMut) -> Result<(), StoreError>,
+    ) -> Result<(), StoreError> {
+        let refused = |_: &StoreError| {
+            self.shared
+                .wal_append_errors
+                .fetch_add(1, Ordering::Relaxed);
+        };
+        let mut frame = BytesMut::new();
+        encode(&mut frame).inspect_err(refused)?;
         let mut wal = self.wal.lock();
-        let info = wal.writer.append(op).map_err(|e| io_err("wal append", e))?;
-        wal.bytes_since_snapshot = wal.bytes_since_snapshot.saturating_add(info.bytes);
+        let rotated = if wal.writer.segment_bytes() >= WAL_ROTATE_BYTES {
+            wal.writer.rotate().map_err(|e| io_err("wal rotate", e))
+        } else {
+            Ok(None)
+        };
+        let fsync_micros = rotated
+            .and_then(|closed| {
+                wal.closed.extend(closed);
+                wal.writer
+                    .append(&frame)
+                    .map_err(|e| io_err("wal append", e))
+            })
+            .inspect_err(refused)?;
+        let bytes = frame.len() as u64;
+        wal.bytes_since_snapshot = wal.bytes_since_snapshot.saturating_add(bytes);
         self.shared.wal_records.fetch_add(1, Ordering::Relaxed);
         self.shared
             .wal_appended_bytes
-            .fetch_add(info.bytes, Ordering::Relaxed);
-        if let Some(obs) = self.shared.obs.get() {
-            obs.wal_records.inc();
-            obs.wal_bytes.add(info.bytes);
-            if let Some(micros) = info.fsync_micros {
-                obs.wal_fsync_micros.record(micros);
-            }
-        }
-        if wal.writer.segment_bytes() >= WAL_ROTATE_BYTES {
-            if let Some(seg) = wal.writer.rotate().map_err(|e| io_err("wal rotate", e))? {
-                wal.closed.push(seg);
-            }
+            .fetch_add(bytes, Ordering::Relaxed);
+        if let (Some(obs), Some(micros)) = (self.shared.obs.get(), fsync_micros) {
+            obs.wal_fsync_micros.record(micros);
         }
         Ok(())
     }
 
-    /// Logs a provider's retraction and hides its rows in every cold run
-    /// written so far; runs demoted later (rows the provider uploads
+    /// Logs a provider's retraction, then hides its rows in every cold
+    /// run written so far; runs demoted later (rows the provider uploads
     /// after retracting) stay servable. Called under the engine's writer
-    /// lock, like [`Self::append`]. The rows are hidden even if the log
-    /// append fails; the error is returned.
+    /// lock, like [`Self::append_batch`]: a retraction the log refuses
+    /// hides nothing.
     pub fn retract(&self, provider_id: u64) -> Result<(), StoreError> {
         let cold_seq = self.cold_seq.load(Ordering::Relaxed);
-        let logged = self.append(&WalOp::Retract {
+        self.append(&WalOp::Retract {
             provider_id,
             cold_seq,
-        });
+        })?;
         self.cold.retract(provider_id, cold_seq);
-        logged
+        Ok(())
     }
 
     /// Hands a freshly folded epoch to the background snapshot worker.
@@ -506,6 +523,7 @@ impl Durability {
             wal_appended_bytes: self.shared.wal_appended_bytes.load(Ordering::Relaxed),
             wal_lag_bytes: lag,
             wal_seq: seq,
+            wal_append_errors: self.shared.wal_append_errors.load(Ordering::Relaxed),
             snapshots_written: self.shared.snapshots_written.load(Ordering::Relaxed),
             snapshot_buckets_written: self.shared.snapshot_buckets_written.load(Ordering::Relaxed),
             last_snapshot_age_micros: if last == 0 {
@@ -531,21 +549,8 @@ impl Durability {
             "Group-commit fsync latency of the segment WAL",
         );
         registry.set_help(
-            "swag_store_wal_bytes_total",
-            "Frame bytes appended to the WAL",
-        );
-        registry.set_help("swag_store_wal_records_total", "Ops appended to the WAL");
-        registry.set_help(
-            "swag_store_snapshots_total",
-            "Incremental snapshots completed by the background worker",
-        );
-        registry.set_help(
             "swag_store_snapshot_micros",
             "Wall time of each incremental snapshot",
-        );
-        registry.set_help(
-            "swag_store_snapshot_buckets_total",
-            "Time-shard bucket files rewritten by snapshots",
         );
         registry.set_help(
             "swag_store_cold_demoted_total",
@@ -553,11 +558,7 @@ impl Durability {
         );
         let _ = self.shared.obs.set(Obs {
             wal_fsync_micros: registry.histogram("swag_store_wal_fsync_micros"),
-            wal_bytes: registry.counter("swag_store_wal_bytes_total"),
-            wal_records: registry.counter("swag_store_wal_records_total"),
-            snapshots: registry.counter("swag_store_snapshots_total"),
             snapshot_micros: registry.histogram("swag_store_snapshot_micros"),
-            snapshot_buckets: registry.counter("swag_store_snapshot_buckets_total"),
             cold_demoted: registry.counter("swag_store_cold_demoted_total"),
         });
     }
@@ -698,8 +699,6 @@ fn spawn_snapshot_worker(
                                 .fetch_add(rewritten, Ordering::Relaxed);
                             shared.last_snapshot_at.store(now + 1, Ordering::Relaxed);
                             if let Some(obs) = shared.obs.get() {
-                                obs.snapshots.inc();
-                                obs.snapshot_buckets.add(rewritten);
                                 obs.snapshot_micros.record(now.saturating_sub(t0));
                             }
                         }

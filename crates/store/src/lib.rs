@@ -6,10 +6,12 @@
 //! [`SegmentStore`] (which also lives here so background workers can hold
 //! cheap copy-on-write clones of it):
 //!
-//! 1. **Segment WAL** ([`wal`]): every mutation on the ingest path is
-//!    appended as a crc32-framed record before it touches the in-memory
-//!    engine. Fsyncs are group-committed on an injectable clock; opening a
-//!    WAL directory truncates any torn tail back to the last whole frame.
+//! 1. **Segment WAL** ([`wal`]): every mutation is appended as one
+//!    crc32-framed record before it touches the in-memory engine — an
+//!    ingest call as one frame holding its upload batch's wire bytes —
+//!    and a mutation the log refuses is not applied. Fsyncs are
+//!    group-committed on an injectable clock; opening a WAL directory
+//!    truncates any torn tail back to the last whole frame.
 //! 2. **Incremental snapshots** ([`durability`], [`manifest`]): each epoch
 //!    publish hands a COW store clone plus the epoch's per-bucket
 //!    `CacheStamp` versions to a background worker, which rewrites only
@@ -42,15 +44,41 @@ pub use cold::{ColdCatalog, ColdRecords, ColdRun, Retracted};
 pub use container::{decode_container, encode_records, SnapshotError, Zone};
 pub use crc::crc32;
 pub use durability::{
-    Durability, DurabilityConfig, DurabilityStats, Recovery, StoreError, COLD_DIR, SNAPSHOT_DIR,
-    WAL_DIR,
+    Durability, DurabilityConfig, DurabilityStats, Recovery, COLD_DIR, SNAPSHOT_DIR, WAL_DIR,
 };
 pub use manifest::{BucketEntry, Manifest, MANIFEST_FILE};
 pub use segment::{SegmentId, SegmentRecord, SegmentRef, SegmentStore};
 pub use wal::{
-    check_frame, encode_frame, recover_wal_dir, FrameCheck, WalOp, WalRecovery, WalWriter,
-    LEGACY_RETRACT_COLD_SEQ, MAX_FRAME_PAYLOAD,
+    batch_records, check_frame, encode_append, encode_frame, recover_wal_dir, FrameCheck, WalOp,
+    WalRecovery, WalWriter, LEGACY_RETRACT_COLD_SEQ, MAX_FRAME_PAYLOAD,
 };
+
+/// Errors opening or operating a data directory.
+#[derive(Debug, Clone)]
+pub enum StoreError {
+    /// An I/O operation failed.
+    Io(String),
+    /// On-disk state failed to parse or checksum.
+    Corrupt(String),
+    /// A WAL frame was refused: a rep the descriptor codec cannot encode.
+    Codec(swag_core::descriptor::CodecError),
+    /// A WAL frame was refused: this many payload bytes exceed
+    /// [`MAX_FRAME_PAYLOAD`].
+    FrameTooLarge(usize),
+}
+
+impl std::fmt::Display for StoreError {
+    fn fmt(&self, f: &mut std::fmt::Formatter<'_>) -> std::fmt::Result {
+        match self {
+            StoreError::Io(e) => write!(f, "store i/o error: {e}"),
+            StoreError::Corrupt(e) => write!(f, "store corrupt: {e}"),
+            StoreError::Codec(e) => write!(f, "wal frame refused: {e}"),
+            StoreError::FrameTooLarge(n) => write!(f, "wal frame refused: {n} B payload"),
+        }
+    }
+}
+
+impl std::error::Error for StoreError {}
 
 /// Home time-shard bucket of a record: `floor(t_start / width)`.
 ///

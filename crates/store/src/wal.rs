@@ -1,51 +1,59 @@
 //! Append-only segment WAL with crc32-framed records.
 //!
-//! Every mutation on the server's ingest path becomes one frame:
+//! Every durable mutation is one frame, and one ingest call is one frame
+//! however many segments it carries:
 //!
 //! ```text
 //! | payload_len u32 | crc32(payload) u32 | payload |
 //! payload = tag u8 + body
-//!   tag 1 Append  : SegmentRef (20 B) + DescriptorCodec rep (22 B)
+//!   tag 4 Append  : first_segment_idx u32 + DescriptorCodec::encode_batch
+//!                   (the upload batch's wire bytes: 23 B header, 22 B a rep;
+//!                   rep i is segment first_segment_idx + i of the video)
 //!   tag 2 Retract : provider_id u64 + cold_seq u64
 //!                   (a legacy 8-byte body, provider_id only, still decodes)
 //!   tag 3 Expire  : horizon_s f64 bits
+//!   tag 1 (legacy): SegmentRef (20 B) + one rep (22 B), one frame a
+//!                   segment; still decodes, as a one-rep Append
 //! ```
 //!
-//! Frames are written immediately (page cache); fsync is group-committed
-//! *off the ingest path*: with a nonzero `fsync_interval_micros` the
-//! writer never syncs inline — the owner runs a flusher that calls
-//! [`WalWriter::sync`] on that cadence, so a burst of appends shares one
-//! disk flush and no append ever waits on the disk. Interval 0 is the
-//! strict mode: every append syncs before returning. Opening a WAL
-//! directory scans frames in sequence order and truncates the first
-//! incomplete or corrupt frame — the classic torn-tail rule: everything
-//! before the tear is the durable prefix, everything after never happened.
+//! A frame is encoded before anything is written, and a frame the codec
+//! cannot encode, or one over [`MAX_FRAME_PAYLOAD`], is refused with a
+//! typed error: the caller applies nothing. Each accepted frame goes
+//! straight to the kernel in one `write` (page cache); fsync is
+//! group-committed *off the ingest path*: with a nonzero
+//! `fsync_interval_micros` the writer never syncs inline — the owner runs
+//! a flusher that calls [`WalWriter::sync`] on that cadence, so a burst of
+//! appends shares one disk flush and no append ever waits on the disk.
+//! Interval 0 is the strict mode: every append syncs before returning.
+//!
+//! Opening a WAL directory scans frames in sequence order and truncates
+//! at the first short or crc-failing frame — the classic torn-tail rule:
+//! everything before the tear is the durable prefix, everything after
+//! never happened. A whole, crc-valid frame this build cannot decode is
+//! not a tear: recovery refuses it and touches nothing.
 
 use std::fs::{File, OpenOptions};
-use std::io::{Read, Write};
+use std::io::Write;
 use std::path::{Path, PathBuf};
 use std::sync::Arc;
 
 use bytes::{Buf, BufMut, BytesMut};
-use swag_core::{DescriptorCodec, RepFov};
+use swag_core::{DescriptorCodec, RepFov, UploadBatch};
 use swag_obs::MonotonicClock;
 
 use crate::crc::crc32;
 use crate::segment::SegmentRef;
+use crate::StoreError;
 
-/// Upper bound on a frame payload; anything larger is treated as
-/// corruption rather than an allocation request.
+/// Upper bound on a frame payload. A larger frame is refused when it is
+/// encoded, and a length field above it reads as a tear, never as an
+/// allocation request.
 pub const MAX_FRAME_PAYLOAD: usize = 1 << 20;
 
-/// Pending appends are batched in memory and written to the file in
-/// chunks of at most this size, so the ingest path pays one `write`
-/// syscall per ~1400 frames instead of one per frame. `sync`, `rotate`
-/// and segment-size accounting all see through the buffer.
-const WRITE_BUF_BYTES: usize = 64 << 10;
-
-const TAG_APPEND: u8 = 1;
+const TAG_LEGACY_APPEND: u8 = 1;
 const TAG_RETRACT: u8 = 2;
 const TAG_EXPIRE: u8 = 3;
+const TAG_APPEND: u8 = 4;
 
 /// `cold_seq` of a Retract frame written with the legacy 8-byte body.
 /// Recovery clamps it to the next run sequence, so it hides the provider
@@ -55,12 +63,13 @@ pub const LEGACY_RETRACT_COLD_SEQ: u64 = u64::MAX;
 /// One logged mutation.
 #[derive(Debug, Clone, PartialEq)]
 pub enum WalOp {
-    /// A representative FoV was ingested.
+    /// One ingest call: an upload batch whose rep `i` is segment
+    /// `first_segment_idx + i` of the batch's video.
     Append {
-        /// The uploaded representative FoV.
-        rep: RepFov,
-        /// Source video segment reference.
-        source: SegmentRef,
+        /// Segment index of the batch's first rep.
+        first_segment_idx: u32,
+        /// The batch, as the descriptor codec decodes it.
+        batch: UploadBatch,
     },
     /// All of a provider's segments were retracted.
     Retract {
@@ -79,34 +88,73 @@ pub enum WalOp {
     },
 }
 
-/// Encodes one op as a framed WAL record.
-pub fn encode_frame(op: &WalOp, out: &mut BytesMut) {
-    let mut payload = BytesMut::with_capacity(64);
-    match op {
-        WalOp::Append { rep, source } => {
-            payload.put_u8(TAG_APPEND);
-            payload.put_u64_le(source.provider_id);
-            payload.put_u64_le(source.video_id);
-            payload.put_u32_le(source.segment_idx);
-            DescriptorCodec::encode_rep(rep, &mut payload)
-                .expect("ingested rep is inside the codec domain");
-        }
+/// The `(rep, source)` records of an ingest call that logs `batch` with
+/// its first rep at `first_segment_idx`.
+pub fn batch_records(
+    first_segment_idx: u32,
+    batch: &UploadBatch,
+) -> impl Iterator<Item = (RepFov, SegmentRef)> + '_ {
+    (0u32..).zip(&batch.reps).map(move |(i, rep)| {
+        let source = SegmentRef {
+            provider_id: batch.provider_id,
+            video_id: batch.video_id,
+            segment_idx: first_segment_idx.wrapping_add(i),
+        };
+        (*rep, source)
+    })
+}
+
+/// Appends the frame of one ingest call (see [`WalOp::Append`]) to `out`.
+/// Refuses a rep the codec cannot encode and a payload over
+/// [`MAX_FRAME_PAYLOAD`]; `out` is unchanged then.
+pub fn encode_append(
+    first_segment_idx: u32,
+    batch: &UploadBatch,
+    out: &mut BytesMut,
+) -> Result<(), StoreError> {
+    let len = 1 + 4 + DescriptorCodec::batch_size(batch.reps.len());
+    if len > MAX_FRAME_PAYLOAD {
+        return Err(StoreError::FrameTooLarge(len));
+    }
+    let wire = DescriptorCodec::encode_batch(batch).map_err(StoreError::Codec)?;
+    let first = first_segment_idx.to_le_bytes();
+    put_frame(out, &[&[TAG_APPEND], &first, &wire]);
+    Ok(())
+}
+
+/// Appends the frame logging `op` to `out`, refusing it as
+/// [`encode_append`] does.
+pub fn encode_frame(op: &WalOp, out: &mut BytesMut) -> Result<(), StoreError> {
+    match *op {
+        WalOp::Append {
+            first_segment_idx,
+            ref batch,
+        } => return encode_append(first_segment_idx, batch, out),
         WalOp::Retract {
             provider_id,
             cold_seq,
         } => {
-            payload.put_u8(TAG_RETRACT);
-            payload.put_u64_le(*provider_id);
-            payload.put_u64_le(*cold_seq);
+            let (provider, seq) = (provider_id.to_le_bytes(), cold_seq.to_le_bytes());
+            put_frame(out, &[&[TAG_RETRACT], &provider, &seq]);
         }
         WalOp::Expire { horizon_s } => {
-            payload.put_u8(TAG_EXPIRE);
-            payload.put_u64_le(horizon_s.to_bits());
+            put_frame(out, &[&[TAG_EXPIRE], &horizon_s.to_bits().to_le_bytes()]);
         }
     }
-    out.put_u32_le(payload.len() as u32);
-    out.put_u32_le(crc32(&payload));
-    out.extend_from_slice(&payload);
+    Ok(())
+}
+
+/// Frames the concatenation of `parts` as one payload.
+fn put_frame(out: &mut BytesMut, parts: &[&[u8]]) {
+    let len: usize = parts.iter().map(|p| p.len()).sum();
+    out.put_u32_le(len as u32);
+    let crc_at = out.len();
+    out.put_u32_le(0);
+    for part in parts {
+        out.extend_from_slice(part);
+    }
+    let crc = crc32(&out[crc_at + 4..]);
+    out[crc_at..crc_at + 4].copy_from_slice(&crc.to_le_bytes());
 }
 
 /// Outcome of inspecting the bytes at a frame boundary.
@@ -114,54 +162,63 @@ pub fn encode_frame(op: &WalOp, out: &mut BytesMut) {
 pub enum FrameCheck {
     /// A whole, checksummed frame: the op and its total encoded size.
     Complete(WalOp, usize),
-    /// The buffer ends mid-frame (torn tail).
-    Incomplete,
-    /// The frame is whole but fails its crc or carries a bad payload.
-    Corrupt,
+    /// A torn tail: the buffer ends mid-frame, the length is impossible,
+    /// or the payload fails its crc.
+    Torn,
+    /// The frame is whole and passes its crc, but its tag or body is not
+    /// one this build decodes. Not a tear: something wrote it on purpose.
+    Undecodable,
 }
 
 /// Checks the frame starting at `buf[0]`.
 pub fn check_frame(buf: &[u8]) -> FrameCheck {
     if buf.len() < 8 {
-        return FrameCheck::Incomplete;
+        return FrameCheck::Torn;
     }
     let mut head = buf;
     let len = head.get_u32_le() as usize;
     let crc = head.get_u32_le();
-    if len == 0 || len > MAX_FRAME_PAYLOAD {
-        return FrameCheck::Corrupt;
-    }
-    if head.len() < len {
-        return FrameCheck::Incomplete;
+    if len == 0 || len > MAX_FRAME_PAYLOAD || head.len() < len || crc32(&head[..len]) != crc {
+        return FrameCheck::Torn;
     }
     let payload = &head[..len];
-    if crc32(payload) != crc {
-        return FrameCheck::Corrupt;
-    }
     match decode_payload(payload) {
         Some(op) => FrameCheck::Complete(op, 8 + len),
-        None => FrameCheck::Corrupt,
+        None => FrameCheck::Undecodable,
     }
 }
 
 fn decode_payload(payload: &[u8]) -> Option<WalOp> {
     let mut buf = payload;
-    if buf.is_empty() {
-        return None;
-    }
     let tag = buf.get_u8();
     match tag {
         TAG_APPEND => {
+            if buf.len() < 4 {
+                return None;
+            }
+            let first_segment_idx = buf.get_u32_le();
+            let batch = DescriptorCodec::decode_batch(buf).ok()?;
+            Some(WalOp::Append {
+                first_segment_idx,
+                batch,
+            })
+        }
+        TAG_LEGACY_APPEND => {
             if buf.len() != 8 + 8 + 4 + DescriptorCodec::RECORD_SIZE {
                 return None;
             }
-            let source = SegmentRef {
-                provider_id: buf.get_u64_le(),
-                video_id: buf.get_u64_le(),
-                segment_idx: buf.get_u32_le(),
-            };
+            let provider_id = buf.get_u64_le();
+            let video_id = buf.get_u64_le();
+            let first_segment_idx = buf.get_u32_le();
             let rep = DescriptorCodec::decode_rep(&mut buf).ok()?;
-            Some(WalOp::Append { rep, source })
+            Some(WalOp::Append {
+                first_segment_idx,
+                batch: UploadBatch {
+                    provider_id,
+                    video_id,
+                    reps: vec![rep],
+                },
+            })
         }
         TAG_RETRACT => {
             if buf.len() != 8 && buf.len() != 16 {
@@ -216,15 +273,19 @@ pub struct WalRecovery {
 
 /// Scans a WAL directory, truncating torn tails in place.
 ///
-/// Segments are read in start-sequence order. The first incomplete or
-/// corrupt frame ends the durable prefix: its file is truncated at that
-/// offset and any later segment files are removed (they lie beyond the
-/// tear and their sequence numbers would collide with re-appends).
-pub fn recover_wal_dir(dir: &Path) -> std::io::Result<WalRecovery> {
+/// Segments are read in start-sequence order. The first short or
+/// crc-failing frame ends the durable prefix: its file is truncated at
+/// that offset and any later segment files are removed (they lie beyond
+/// the tear and their sequence numbers would collide with re-appends).
+/// A crc-valid frame that does not decode, met before any tear (so
+/// before any repair), is [`StoreError::Corrupt`] naming its file and
+/// offset, and no file is changed.
+pub fn recover_wal_dir(dir: &Path) -> Result<WalRecovery, StoreError> {
+    let io = |e| StoreError::Io(format!("recover wal: {e}"));
     let mut segments: Vec<(u64, PathBuf)> = Vec::new();
     if dir.exists() {
-        for entry in std::fs::read_dir(dir)? {
-            let entry = entry?;
+        for entry in std::fs::read_dir(dir).map_err(io)? {
+            let entry = entry.map_err(io)?;
             if let Some(seq) = entry.file_name().to_str().and_then(parse_segment_name) {
                 segments.push((seq, entry.path()));
             }
@@ -240,11 +301,10 @@ pub fn recover_wal_dir(dir: &Path) -> std::io::Result<WalRecovery> {
     for (i, (start_seq, path)) in segments.iter().enumerate() {
         if torn {
             truncated_bytes += std::fs::metadata(path).map(|m| m.len()).unwrap_or(0);
-            std::fs::remove_file(path)?;
+            std::fs::remove_file(path).map_err(io)?;
             continue;
         }
-        let mut raw = Vec::new();
-        File::open(path)?.read_to_end(&mut raw)?;
+        let raw = std::fs::read(path).map_err(io)?;
         let mut offset = 0usize;
         let mut seq = *start_seq;
         while offset < raw.len() {
@@ -254,11 +314,18 @@ pub fn recover_wal_dir(dir: &Path) -> std::io::Result<WalRecovery> {
                     seq += 1;
                     offset += size;
                 }
-                FrameCheck::Incomplete | FrameCheck::Corrupt => {
+                FrameCheck::Undecodable => {
+                    return Err(StoreError::Corrupt(format!(
+                        "{}: crc-valid wal frame at offset {offset} does not decode",
+                        path.display()
+                    )));
+                }
+                FrameCheck::Torn => {
                     truncated_bytes += (raw.len() - offset) as u64;
-                    let f = OpenOptions::new().write(true).open(path)?;
-                    f.set_len(offset as u64)?;
-                    f.sync_data()?;
+                    let f = OpenOptions::new().write(true).open(path).map_err(io)?;
+                    f.set_len(offset as u64)
+                        .and_then(|()| f.sync_data())
+                        .map_err(io)?;
                     torn = true;
                     break;
                 }
@@ -280,17 +347,6 @@ pub fn recover_wal_dir(dir: &Path) -> std::io::Result<WalRecovery> {
     })
 }
 
-/// What one append did, for the caller's metrics.
-#[derive(Debug, Clone, Copy)]
-pub struct AppendInfo {
-    /// Sequence number the op was assigned.
-    pub seq: u64,
-    /// Frame bytes written.
-    pub bytes: u64,
-    /// If this append triggered a group-commit fsync, its duration.
-    pub fsync_micros: Option<u64>,
-}
-
 /// The active WAL segment writer.
 pub struct WalWriter {
     dir: PathBuf,
@@ -305,9 +361,9 @@ pub struct WalWriter {
     /// file cannot be credited against the new one.
     file_epoch: u64,
     clock: Arc<dyn MonotonicClock>,
-    scratch: BytesMut,
-    /// Frames accepted but not yet handed to the kernel.
-    buf: Vec<u8>,
+    /// A failed write could not be cut back off the segment: its bytes
+    /// may follow the last whole frame, so nothing may be appended after.
+    torn: bool,
 }
 
 impl std::fmt::Debug for WalWriter {
@@ -317,14 +373,6 @@ impl std::fmt::Debug for WalWriter {
             .field("next_seq", &self.next_seq)
             .field("segment_bytes", &self.segment_bytes)
             .finish()
-    }
-}
-
-impl Drop for WalWriter {
-    fn drop(&mut self) {
-        // Buffered frames were accepted; hand them to the kernel (no
-        // fsync — that is the owner's call) rather than losing them.
-        let _ = self.flush_buf();
     }
 }
 
@@ -353,8 +401,7 @@ impl WalWriter {
             fsync_interval_micros,
             file_epoch: 0,
             clock,
-            scratch: BytesMut::with_capacity(64),
-            buf: Vec::with_capacity(WRITE_BUF_BYTES),
+            torn: false,
         })
     }
 
@@ -373,63 +420,53 @@ impl WalWriter {
         self.unsynced_bytes
     }
 
-    /// Appends one op. In strict mode (interval 0) the frame is fsynced
-    /// before returning; otherwise the write lands in the page cache and
-    /// the owner's flusher group-commits it within the interval.
-    pub fn append(&mut self, op: &WalOp) -> std::io::Result<AppendInfo> {
-        self.scratch.clear();
-        encode_frame(op, &mut self.scratch);
-        self.buf.extend_from_slice(&self.scratch);
-        if self.buf.len() >= WRITE_BUF_BYTES {
-            self.flush_buf()?;
+    /// Appends one encoded frame ([`encode_frame`]) in one `write`. In
+    /// strict mode (interval 0) it is fsynced before returning, and the
+    /// fsync's duration returned; otherwise it lands in the page cache
+    /// and the owner's flusher group-commits it within the interval. On
+    /// error the frame is not in the log: the segment is cut back to its
+    /// last whole frame, and if that fails too, every later append is
+    /// refused.
+    pub fn append(&mut self, frame: &[u8]) -> std::io::Result<Option<u64>> {
+        if self.torn {
+            return Err(std::io::Error::other("wal segment ends in a failed write"));
         }
-        let bytes = self.scratch.len() as u64;
-        let seq = self.next_seq;
+        let strict = self.fsync_interval_micros == 0;
+        let t0 = self.clock.now_micros();
+        let mut written = self.file.write_all(frame);
+        if strict {
+            written = written.and_then(|()| self.file.sync_data());
+        }
+        if let Err(e) = written {
+            self.torn = self.file.set_len(self.segment_bytes).is_err();
+            return Err(e);
+        }
         self.next_seq += 1;
-        self.segment_bytes += bytes;
-        self.unsynced_bytes += bytes;
-        let fsync_micros = if self.fsync_interval_micros == 0 {
-            Some(self.sync()?)
-        } else {
-            None
-        };
-        Ok(AppendInfo {
-            seq,
-            bytes,
-            fsync_micros,
-        })
-    }
-
-    /// Hands buffered frames to the kernel.
-    fn flush_buf(&mut self) -> std::io::Result<()> {
-        if !self.buf.is_empty() {
-            self.file.write_all(&self.buf)?;
-            self.buf.clear();
+        self.segment_bytes += frame.len() as u64;
+        if !strict {
+            self.unsynced_bytes += frame.len() as u64;
         }
-        Ok(())
+        Ok(strict.then(|| self.clock.now_micros() - t0))
     }
 
-    /// Flushes buffered frames and fsyncs the active segment; returns
-    /// the fsync duration.
+    /// Fsyncs the active segment; returns the fsync duration.
     pub fn sync(&mut self) -> std::io::Result<u64> {
-        self.flush_buf()?;
         let t0 = self.clock.now_micros();
         self.file.sync_data()?;
         self.unsynced_bytes = 0;
         Ok(self.clock.now_micros() - t0)
     }
 
-    /// First half of a lock-free-ish background sync: flushes buffered
-    /// frames and hands back a cloned fd plus the lag it will cover.
-    /// The caller drops the writer lock, runs `sync_data` on the clone,
-    /// then reports back via [`WalWriter::finish_background_sync`] —
-    /// appends keep flowing while the disk works. `None` when there is
-    /// nothing to sync or the fd cannot be cloned.
+    /// First half of a lock-free-ish background sync: hands back a
+    /// cloned fd plus the lag it will cover. The caller drops the writer
+    /// lock, runs `sync_data` on the clone, then reports back via
+    /// [`WalWriter::finish_background_sync`] — appends keep flowing while
+    /// the disk works. `None` when there is nothing to sync or the fd
+    /// cannot be cloned.
     pub fn begin_background_sync(&mut self) -> Option<(File, u64, u64)> {
         if self.unsynced_bytes == 0 {
             return None;
         }
-        self.flush_buf().ok()?;
         let file = self.file.try_clone().ok()?;
         Some((file, self.unsynced_bytes, self.file_epoch))
     }
@@ -471,18 +508,24 @@ mod tests {
     use swag_obs::ManualClock;
 
     fn op(i: u64) -> WalOp {
+        let rep = |k: u64| {
+            let t = (i * 4 + k) as f64;
+            RepFov::new(t, t + 1.0, Fov::new(LatLon::new(40.0, 116.0), 0.0))
+        };
         WalOp::Append {
-            rep: RepFov::new(
-                i as f64,
-                i as f64 + 1.0,
-                Fov::new(LatLon::new(40.0, 116.0), (i % 360) as f64),
-            ),
-            source: SegmentRef {
+            first_segment_idx: i as u32,
+            batch: UploadBatch {
                 provider_id: i,
                 video_id: i * 2,
-                segment_idx: i as u32,
+                reps: (0..1 + i % 3).map(rep).collect(),
             },
         }
+    }
+
+    fn frame(op: &WalOp) -> BytesMut {
+        let mut out = BytesMut::new();
+        encode_frame(op, &mut out).unwrap();
+        out
     }
 
     fn tmp_dir(tag: &str) -> PathBuf {
@@ -503,23 +546,48 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let mut w = WalWriter::open(&dir, 0, 0, clock).unwrap();
         for i in 0..10 {
-            w.append(&op(i)).unwrap();
+            w.append(&frame(&op(i))).unwrap();
         }
         let retract = WalOp::Retract {
             provider_id: 3,
             cold_seq: 17,
         };
-        w.append(&retract).unwrap();
-        w.append(&WalOp::Expire { horizon_s: 42.5 }).unwrap();
+        w.append(&frame(&retract)).unwrap();
+        w.append(&frame(&WalOp::Expire { horizon_s: 42.5 }))
+            .unwrap();
         drop(w);
         let rec = recover_wal_dir(&dir).unwrap();
         assert_eq!(rec.ops.len(), 12);
         assert_eq!(rec.next_seq, 12);
         assert_eq!(rec.truncated_bytes, 0);
         assert_eq!(rec.ops[0], (0, op(0)));
+        assert_eq!(rec.ops[5], (5, op(5)));
         assert_eq!(rec.ops[10].1, retract);
         assert_eq!(rec.ops[11].1, WalOp::Expire { horizon_s: 42.5 });
         std::fs::remove_dir_all(&dir).ok();
+    }
+
+    #[test]
+    fn refused_frames_leave_out_untouched() {
+        let mut out = BytesMut::new();
+        let bad = UploadBatch {
+            provider_id: 1,
+            video_id: 0,
+            reps: vec![RepFov::new(
+                -1.0,
+                1.0,
+                Fov::new(LatLon::new(40.0, 116.0), 0.0),
+            )],
+        };
+        let err = encode_append(0, &bad, &mut out).unwrap_err();
+        assert!(matches!(err, StoreError::Codec(_)), "{err}");
+        let huge = UploadBatch {
+            reps: vec![bad.reps[0]; MAX_FRAME_PAYLOAD / DescriptorCodec::RECORD_SIZE + 1],
+            ..bad
+        };
+        let err = encode_append(0, &huge, &mut out).unwrap_err();
+        assert!(matches!(err, StoreError::FrameTooLarge(_)), "{err}");
+        assert!(out.is_empty());
     }
 
     #[test]
@@ -529,15 +597,31 @@ mod tests {
         let mut w = WalWriter::open(&dir, 0, 1000, Arc::clone(&clock) as _).unwrap();
         // Nonzero interval: appends never fsync inline; the lag grows
         // until the owner's flusher (or an explicit sync) drains it.
-        assert!(w.append(&op(0)).unwrap().fsync_micros.is_none());
-        assert!(w.append(&op(1)).unwrap().fsync_micros.is_none());
+        assert!(w.append(&frame(&op(0))).unwrap().is_none());
+        assert!(w.append(&frame(&op(1))).unwrap().is_none());
         assert!(w.unsynced_bytes() > 0);
         w.sync().unwrap();
         assert_eq!(w.unsynced_bytes(), 0);
         // Strict mode: every append pays its own fsync.
         let mut strict = WalWriter::open(&dir, 10, 0, Arc::new(ManualClock::new())).unwrap();
-        assert!(strict.append(&op(2)).unwrap().fsync_micros.is_some());
+        assert!(strict.append(&frame(&op(2))).unwrap().is_some());
         assert_eq!(strict.unsynced_bytes(), 0);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+
+    /// A write the device refuses is not in the log: sequence and size
+    /// stay where they were. (The directory is never recovered: the
+    /// segment reads as an endless stream of zeros.)
+    #[cfg(target_os = "linux")]
+    #[test]
+    fn failed_write_assigns_no_sequence() {
+        let dir = tmp_dir("full");
+        std::os::unix::fs::symlink("/dev/full", dir.join(segment_file_name(0))).unwrap();
+        let mut w = WalWriter::open(&dir, 0, 1000, Arc::new(ManualClock::new())).unwrap();
+        let before = (w.next_seq(), w.segment_bytes());
+        assert!(w.append(&frame(&op(0))).is_err());
+        assert_eq!((w.next_seq(), w.segment_bytes()), before);
+        assert!(w.append(&frame(&op(1))).is_err());
         std::fs::remove_dir_all(&dir).ok();
     }
 
@@ -547,7 +631,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let mut w = WalWriter::open(&dir, 0, 0, clock).unwrap();
         for i in 0..4 {
-            w.append(&op(i)).unwrap();
+            w.append(&frame(&op(i))).unwrap();
         }
         let closed = w.rotate().unwrap().unwrap();
         assert_eq!((closed.0, closed.1), (0, 4));
@@ -556,7 +640,7 @@ mod tests {
             "empty segment does not rotate"
         );
         for i in 4..7 {
-            w.append(&op(i)).unwrap();
+            w.append(&frame(&op(i))).unwrap();
         }
         drop(w);
         let rec = recover_wal_dir(&dir).unwrap();
@@ -573,7 +657,7 @@ mod tests {
         let clock = Arc::new(ManualClock::new());
         let mut w = WalWriter::open(&dir, 0, 0, clock).unwrap();
         for i in 0..5 {
-            w.append(&op(i)).unwrap();
+            w.append(&frame(&op(i))).unwrap();
         }
         drop(w);
         let path = dir.join(segment_file_name(0));
@@ -599,13 +683,13 @@ mod tests {
         let clock: Arc<dyn MonotonicClock> = Arc::new(ManualClock::new());
         let mut w = WalWriter::open(&dir, 0, 0, Arc::clone(&clock)).unwrap();
         for i in 0..3 {
-            w.append(&op(i)).unwrap();
+            w.append(&frame(&op(i))).unwrap();
         }
         drop(w);
         let rec = recover_wal_dir(&dir).unwrap();
         let mut w = WalWriter::open(&dir, rec.next_seq, 0, clock).unwrap();
         // next_seq=3 names a new segment file; both merge on recovery.
-        w.append(&op(3)).unwrap();
+        w.append(&frame(&op(3))).unwrap();
         drop(w);
         let rec = recover_wal_dir(&dir).unwrap();
         assert_eq!(rec.ops.len(), 4);

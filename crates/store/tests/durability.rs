@@ -7,7 +7,7 @@ use std::path::{Path, PathBuf};
 use std::sync::atomic::{AtomicU64, Ordering};
 use std::sync::Arc;
 
-use swag_core::{Fov, RepFov};
+use swag_core::{Fov, RepFov, UploadBatch};
 use swag_geo::LatLon;
 use swag_obs::{ManualClock, MonotonicClock};
 use swag_store::{
@@ -35,6 +35,16 @@ fn rec(t: f64, provider: u64) -> (RepFov, SegmentRef) {
             segment_idx: t as u32,
         },
     )
+}
+
+/// Logs one record as a one-rep ingest call.
+fn log(d: &Durability, (rep, source): (RepFov, SegmentRef)) {
+    let batch = UploadBatch {
+        provider_id: source.provider_id,
+        video_id: source.video_id,
+        reps: vec![rep],
+    };
+    d.append_batch(source.segment_idx, &batch).unwrap();
 }
 
 /// Time-only stand-in for the engine's zone definition (every fixture
@@ -72,8 +82,7 @@ fn wal_only_recovery_returns_ops() {
         let (d, recovery) = open(&dir);
         assert!(recovery.records.is_empty() && recovery.ops.is_empty());
         for i in 0..5 {
-            let (rep, source) = rec(i as f64 * 10.0, i);
-            d.append(&WalOp::Append { rep, source }).unwrap();
+            log(&d, rec(i as f64 * 10.0, i));
         }
         d.retract(2).unwrap();
     }
@@ -99,7 +108,7 @@ fn snapshot_covers_and_retires_wal() {
         let mut versions = BTreeMap::new();
         for i in 0..10u64 {
             let (rep, source) = rec(i as f64 * 100.0, i);
-            d.append(&WalOp::Append { rep, source }).unwrap();
+            log(&d, (rep, source));
             store.push(rep, source);
             *versions.entry(home_bucket(rep.t_start, 600.0)).or_insert(0) += 1;
         }
@@ -131,7 +140,7 @@ fn incremental_snapshot_rewrites_only_touched_buckets() {
     let mut versions: BTreeMap<i64, u64> = BTreeMap::new();
     for i in 0..4u64 {
         let (rep, source) = rec(i as f64 * 700.0, i); // four distinct buckets
-        d.append(&WalOp::Append { rep, source }).unwrap();
+        log(&d, (rep, source));
         store.push(rep, source);
         *versions.entry(home_bucket(rep.t_start, 600.0)).or_insert(0) += 1;
     }
@@ -141,7 +150,7 @@ fn incremental_snapshot_rewrites_only_touched_buckets() {
     let before = d.stats().snapshot_buckets_written;
     // Touch one bucket only.
     let (rep, source) = rec(0.0, 99);
-    d.append(&WalOp::Append { rep, source }).unwrap();
+    log(&d, (rep, source));
     store.push(rep, source);
     *versions.entry(0).or_insert(0) += 1;
     d.on_publish(|| (store, Arc::new(versions)));
@@ -252,12 +261,48 @@ fn stats_track_lag_and_snapshot_age() {
     )
     .unwrap();
     let (rep, source) = rec(5.0, 1);
-    d.append(&WalOp::Append { rep, source }).unwrap();
+    log(&d, (rep, source));
     let stats = d.stats();
     assert!(stats.wal_lag_bytes > 0, "append not yet fsynced");
     assert_eq!(stats.wal_records, 1);
     assert_eq!(stats.last_snapshot_age_micros, None);
     d.quiesce();
     assert_eq!(d.stats().wal_lag_bytes, 0);
+    std::fs::remove_dir_all(&dir).ok();
+}
+
+/// Frames `payload` as the WAL does.
+fn frame(payload: &[u8]) -> Vec<u8> {
+    let len = (payload.len() as u32).to_le_bytes();
+    let crc = swag_store::crc32(payload).to_le_bytes();
+    [&len[..], &crc, payload].concat()
+}
+
+/// A whole, crc-valid frame with a tag this build does not know is not a
+/// torn tail: the open fails, names where, and repairs nothing — the
+/// frames after it are not truncated away.
+#[test]
+fn undecodable_frame_fails_open_and_changes_nothing() {
+    let dir = tmp_dir();
+    let expire = |h: u64| frame(&[&[3u8][..], &(h as f64).to_bits().to_le_bytes()].concat());
+    let first = expire(1);
+    let raw = [first.clone(), frame(&[9, 1, 2, 3]), expire(2)].concat();
+    std::fs::create_dir_all(dir.join("wal")).unwrap();
+    let path = dir.join("wal/wal-00000000000000000000.log");
+    std::fs::write(&path, &raw).unwrap();
+    let err = Durability::open(
+        &dir,
+        600.0,
+        DurabilityConfig::default(),
+        Arc::new(ManualClock::new()),
+        zone_of,
+    )
+    .unwrap_err();
+    let StoreError::Corrupt(msg) = &err else {
+        panic!("{err}")
+    };
+    assert!(msg.contains("wal-00000000000000000000.log"), "{msg}");
+    assert!(msg.contains(&format!("offset {}", first.len())), "{msg}");
+    assert_eq!(std::fs::read(&path).unwrap(), raw);
     std::fs::remove_dir_all(&dir).ok();
 }

@@ -93,7 +93,7 @@ impl<'w> Renderer<'w> {
     }
 
     /// Renders one frame using `threads` worker threads over row bands
-    /// (crossbeam scoped threads; falls back to sequential for 1).
+    /// (scoped threads; falls back to sequential for 1).
     pub fn render_par(
         &self,
         position: Vec2,
@@ -112,16 +112,15 @@ impl<'w> Renderer<'w> {
         let band_bytes = rows_per_band * w * 3;
         let width = w;
         let cols_ref = &cols;
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (band, chunk) in frame.pixels_mut().chunks_mut(band_bytes).enumerate() {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     let y0 = band * rows_per_band;
                     let y1 = (y0 + chunk.len() / (width * 3)).min(h);
                     fill_rows(chunk, y0, y1, width, ctx, cols_ref);
                 });
             }
-        })
-        .expect("render worker panicked");
+        });
         frame
     }
 
@@ -134,7 +133,7 @@ impl<'w> Renderer<'w> {
     }
 
     /// Renders a pose sequence with `threads` workers, one frame per task
-    /// (crossbeam scoped threads over chunks). Output order matches input.
+    /// (scoped threads over chunks). Output order matches input.
     pub fn render_trace_par(
         &self,
         poses: &[(Vec2, f64)],
@@ -148,16 +147,15 @@ impl<'w> Renderer<'w> {
         let (w, h) = res.dims();
         let mut frames: Vec<Frame> = (0..poses.len()).map(|_| Frame::new(w, h)).collect();
         let chunk = poses.len().div_ceil(threads);
-        crossbeam::thread::scope(|s| {
+        std::thread::scope(|s| {
             for (ps, out) in poses.chunks(chunk).zip(frames.chunks_mut(chunk)) {
-                s.spawn(move |_| {
+                s.spawn(move || {
                     for (&(p, az), slot) in ps.iter().zip(out.iter_mut()) {
                         *slot = self.render(p, az, res);
                     }
                 });
             }
-        })
-        .expect("render worker panicked");
+        });
         frames
     }
 

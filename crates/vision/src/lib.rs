@@ -19,7 +19,7 @@
 //!   paper's Algorithm 1 with frame-diff similarity, for the cost and
 //!   agreement experiments.
 //!
-//! Rendering parallelises across rows with `crossbeam::scope`.
+//! Rendering parallelises across rows with `std::thread::scope`.
 
 pub mod camera;
 pub mod diff;

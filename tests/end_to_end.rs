@@ -150,24 +150,26 @@ fn concurrent_queries_while_ingesting() {
         &swag_sensors::scenarios::CitywideConfig::default(),
         99,
     );
-    crossbeam_scope(&server, &reps, origin);
+    ingest_while_querying(&server, &reps, origin);
     assert_eq!(server.stats().segments, 2000);
     assert!(server.stats().queries >= 64);
 }
 
-fn crossbeam_scope(server: &CloudServer, reps: &[RepFov], origin: LatLon) {
+fn ingest_while_querying(server: &CloudServer, reps: &[RepFov], origin: LatLon) {
     std::thread::scope(|s| {
         for chunk in reps.chunks(250) {
             s.spawn(move || {
                 for (i, rep) in chunk.iter().enumerate() {
-                    server.ingest_one(
-                        *rep,
-                        SegmentRef {
-                            provider_id: i as u64,
-                            video_id: 0,
-                            segment_idx: i as u32,
-                        },
-                    );
+                    server
+                        .ingest_one(
+                            *rep,
+                            SegmentRef {
+                                provider_id: i as u64,
+                                video_id: 0,
+                                segment_idx: i as u32,
+                            },
+                        )
+                        .unwrap();
                 }
             });
         }

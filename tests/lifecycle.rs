@@ -65,7 +65,7 @@ fn record_to_retraction_lifecycle() {
     assert_eq!(providers.len(), 2, "both providers filmed the route");
 
     // --- Provider 0 retracts; a restart preserves that.
-    let removed = restored.retract_provider(0);
+    let removed = restored.retract_provider(0).unwrap();
     assert!(removed >= 2);
     drop(restored);
     let after = open();
@@ -91,14 +91,16 @@ fn quality_and_distance_rankings_agree_on_membership() {
         5,
     );
     for (i, rep) in reps.iter().enumerate() {
-        server.ingest_one(
-            *rep,
-            SegmentRef {
-                provider_id: i as u64,
-                video_id: 0,
-                segment_idx: 0,
-            },
-        );
+        server
+            .ingest_one(
+                *rep,
+                SegmentRef {
+                    provider_id: i as u64,
+                    video_id: 0,
+                    segment_idx: 0,
+                },
+            )
+            .unwrap();
     }
     let q = Query::new(0.0, 600.0, scenarios::default_origin(), 150.0);
     let base = QueryOptions {
@@ -132,14 +134,16 @@ fn batch_queries_scale_with_threads() {
         .iter()
         .enumerate()
     {
-        server.ingest_one(
-            *rep,
-            SegmentRef {
-                provider_id: i as u64,
-                video_id: 0,
-                segment_idx: 0,
-            },
-        );
+        server
+            .ingest_one(
+                *rep,
+                SegmentRef {
+                    provider_id: i as u64,
+                    video_id: 0,
+                    segment_idx: 0,
+                },
+            )
+            .unwrap();
     }
     let queries: Vec<Query> = (0..64)
         .map(|i| {

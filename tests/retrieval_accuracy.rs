@@ -118,14 +118,16 @@ fn retrieval_matches_content_based_retrieval() {
         21,
     );
     for (i, rep) in reps.iter().enumerate() {
-        server.ingest_one(
-            *rep,
-            SegmentRef {
-                provider_id: i as u64,
-                video_id: 0,
-                segment_idx: 0,
-            },
-        );
+        server
+            .ingest_one(
+                *rep,
+                SegmentRef {
+                    provider_id: i as u64,
+                    video_id: 0,
+                    segment_idx: 0,
+                },
+            )
+            .unwrap();
     }
 
     let target_local = Vec2::new(50.0, 80.0);
