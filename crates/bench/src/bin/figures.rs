@@ -285,9 +285,9 @@ fn fig6a() {
     let full = scenarios::city_walk(6, 2, &SensorNoise::NONE);
     let trace = &full[..250.min(full.len())];
 
-    // FoV-based segmentation cost (the whole algorithm).
+    // FoV cost: what the phone runs per frame (Alg. 1 + eq. 11).
     let fov_time = time_per_call(100, || {
-        std::hint::black_box(segment_video(trace, &cam, 0.5));
+        std::hint::black_box(ClientPipeline::process_trace(cam, 0.5, trace));
     });
 
     let mut t = ResultTable::new(

@@ -387,22 +387,22 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
     );
     observe_plan(&plan, &uploads, &registry);
 
-    // Server layer: ingest and query around every recorded segment.
-    // With `--data-dir` the probe server is durable: ingests hit the
-    // WAL and the durability row below reports real counters.
+    // Server layer: ingest and query around every recorded segment. The
+    // probe server is memory-only: `--data-dir D` is opened only to
+    // report D's durability row, so the probe leaves D as it found it.
     let probe_config = ServerConfig {
         shard_width_s,
         retention_horizon_s: retain_s,
         cache: CacheConfig::enabled(cache_cap),
         ..ServerConfig::default()
     };
-    let mut server = match args.get("data-dir") {
-        Some(dir) => CloudServer::open(dir, camera(), probe_config).map_err(|e| e.to_string())?,
-        None => CloudServer::with_config(camera(), probe_config),
-    };
+    let data_dir = args.get("data-dir").map(open_data_dir).transpose()?;
+    let mut server = CloudServer::with_config(camera(), probe_config);
     server.set_executor(Executor::new(ExecConfig::with_threads(threads)));
     server.attach_observability(&registry);
-    server.ingest_batch(&batch);
+    if server.ingest_batch(&batch).len() != batch.reps.len() {
+        return Err("the probe server refused the probe batch".into());
+    }
     let probes: Vec<Query> = (0..n_queries)
         .map(|i| {
             let rep = &recording.reps[i as usize % recording.reps.len()];
@@ -423,9 +423,6 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
         &QueryOptions::default(),
         5_000.0,
     );
-    // Durable probes leave a replay-free directory behind (no-op when
-    // memory-only).
-    server.quiesce();
 
     match format {
         "prometheus" => print!("{}", registry.render_prometheus()),
@@ -466,7 +463,7 @@ pub fn stats(args: ArgParser) -> Result<(), String> {
                     0.0
                 },
             );
-            match server.durability_stats() {
+            match data_dir.as_ref().and_then(CloudServer::durability_stats) {
                 Some(d) => {
                     println!(
                         "durability: on — wal {} frames / {} B appended ({} B unsynced, \

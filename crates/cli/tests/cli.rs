@@ -186,6 +186,44 @@ fn ingest_query_retract_cycle() {
 }
 
 #[test]
+fn stats_leaves_the_data_dir_as_it_found_it() {
+    // `swag stats --data-dir D` runs its probe memory-only and opens D
+    // only to report its durability row: recovery reads the same WAL
+    // sequence and the same records before and after.
+    let trace = tmp("stats-probe.csv");
+    let db = data_dir("db-stats");
+    let run = |args: &[&str]| {
+        let out = swag(args);
+        let stderr = String::from_utf8_lossy(&out.stderr);
+        assert!(out.status.success(), "{args:?}: {stderr}");
+        String::from_utf8_lossy(&out.stdout).to_string()
+    };
+    let (trace, db) = (trace.to_str().unwrap(), db.to_str().unwrap());
+    run(&[
+        "simulate",
+        "--scenario",
+        "bike",
+        "--seed",
+        "7",
+        "--out",
+        trace,
+    ]);
+    run(&["ingest", "--data-dir", db, trace]);
+    let recovered = || {
+        run(&["recover", "--data-dir", db])
+            .lines()
+            .filter(|l| l.starts_with("recovery digest") || l.starts_with("wal: next seq"))
+            .map(|l| l.split(',').next().unwrap().to_string())
+            .collect::<Vec<_>>()
+    };
+    let before = recovered();
+    assert_eq!(before.len(), 2, "{before:?}");
+    let stats = run(&["stats", "--data-dir", db, "--queries", "4"]);
+    assert!(stats.contains("durability: on"), "{stats}");
+    assert_eq!(recovered(), before);
+}
+
+#[test]
 fn unknown_options_are_rejected_by_name() {
     // A misspelt option must not run silently with the default.
     let out = swag(&[

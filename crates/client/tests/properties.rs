@@ -4,7 +4,8 @@
 use proptest::prelude::*;
 use swag_client::{compare_architectures, ClientPipeline, CrowdScenario, Uploader, VideoProfile};
 use swag_core::{
-    abstract_segment, segment_video, AveragingRule, CameraProfile, DescriptorCodec, Fov, TimedFov,
+    abstract_segment, segment_video, AveragingRule, CameraProfile, DescriptorCodec, Fov, RepFov,
+    TimedFov,
 };
 use swag_geo::LatLon;
 
@@ -27,16 +28,20 @@ fn arb_trace() -> impl Strategy<Value = Vec<TimedFov>> {
 proptest! {
     #[test]
     fn pipeline_equals_offline_segmentation(trace in arb_trace(), thresh in 0.0f64..=1.0) {
+        // The streaming pipeline (running sums, no frame buffer) produces
+        // exactly the reps of segmenting offline and averaging each
+        // segment's frames, for both averaging rules.
         let cam = CameraProfile::smartphone();
-        let result = ClientPipeline::process_trace(cam, thresh, &trace);
         let offline = segment_video(&trace, &cam, thresh);
-        prop_assert_eq!(result.segment_count(), offline.len());
-        prop_assert_eq!(result.frames, trace.len() as u64);
-        for (rep, seg) in result.reps.iter().zip(&offline) {
-            let expected = abstract_segment(seg, AveragingRule::Circular);
-            prop_assert!((rep.t_start - expected.t_start).abs() < 1e-12);
-            prop_assert!((rep.t_end - expected.t_end).abs() < 1e-12);
-            prop_assert!(rep.fov.p.distance_m(expected.fov.p) < 1e-9);
+        for rule in [AveragingRule::Circular, AveragingRule::Arithmetic] {
+            let mut pipeline = ClientPipeline::with_rule(cam, thresh, rule);
+            for &f in &trace {
+                pipeline.push(f);
+            }
+            let result = pipeline.finish();
+            prop_assert_eq!(result.frames, trace.len() as u64);
+            let expected: Vec<RepFov> = offline.iter().map(|s| abstract_segment(s, rule)).collect();
+            prop_assert_eq!(result.reps, expected);
         }
     }
 

@@ -12,10 +12,9 @@
 //! arithmetic rule behind [`AveragingRule::Arithmetic`] for the ablation.
 
 use serde::{Deserialize, Serialize};
-use swag_geo::angle::arithmetic_mean_deg;
-use swag_geo::{circular_mean_deg, LatLon};
+use swag_geo::{normalize_deg, CircularMean, LatLon};
 
-use crate::fov::Fov;
+use crate::fov::{Fov, TimedFov};
 use crate::segmentation::Segment;
 
 /// How segment orientations are averaged into the representative azimuth.
@@ -73,42 +72,103 @@ impl RepFov {
 
 /// Extracts the representative FoV of a segment (paper eq. 11):
 /// `p̄ = Σp / |s|`, `θ̄ = mean of θ` under the chosen rule, with the
-/// segment's `[t_s, t_e]` interval attached.
+/// segment's `[t_s, t_e]` interval attached. A fold over
+/// [`RepAccumulator`].
 ///
 /// # Panics
 /// Panics if the segment is empty (segments produced by
 /// [`crate::segmentation`] never are).
 pub fn abstract_segment(segment: &Segment, rule: AveragingRule) -> RepFov {
-    assert!(!segment.is_empty(), "cannot abstract an empty segment");
-    let n = segment.fovs.len() as f64;
-
-    let (mut lat, mut lng) = (0.0f64, 0.0f64);
-    let mut thetas = Vec::with_capacity(segment.fovs.len());
-    for f in &segment.fovs {
-        lat += f.fov.p.lat;
-        lng += f.fov.p.lng;
-        thetas.push(f.fov.theta);
+    let (first, rest) = segment
+        .fovs
+        .split_first()
+        .expect("cannot abstract an empty segment");
+    let mut acc = RepAccumulator::new(*first, rule);
+    for &f in rest {
+        acc.push(f);
     }
-    let p_bar = LatLon::new(lat / n, lng / n);
+    acc.rep()
+}
 
-    let theta_bar = match rule {
-        AveragingRule::Arithmetic => {
-            arithmetic_mean_deg(&thetas).expect("segment verified non-empty")
+/// Eq. 11 as running sums: a segment's representative FoV, built one
+/// frame at a time in O(1) state.
+///
+/// Frames are added in capture order, so every sum is the same
+/// floating-point sum a pass over the segment's frames computes and
+/// [`rep`](Self::rep) is bit-identical to averaging the frames at once.
+#[derive(Debug, Clone, Copy)]
+pub struct RepAccumulator {
+    frames: u64,
+    lat_sum: f64,
+    lng_sum: f64,
+    theta: ThetaSum,
+    t_start: f64,
+    t_end: f64,
+    /// The first frame's azimuth: the circular rule's answer when the
+    /// directions cancel exactly.
+    first_theta: f64,
+}
+
+/// The orientation sums one [`AveragingRule`] needs.
+#[derive(Debug, Clone, Copy)]
+enum ThetaSum {
+    /// `Σθ`, started at `−0.0` as `Iterator::<f64>::sum` starts, so a lone
+    /// `−0.0` azimuth keeps its sign bit.
+    Arithmetic(f64),
+    /// `Σ sin θ` and `Σ cos θ`.
+    Circular(CircularMean),
+}
+
+impl RepAccumulator {
+    /// Opens a segment at its first frame.
+    pub fn new(first: TimedFov, rule: AveragingRule) -> Self {
+        let mut acc = RepAccumulator {
+            frames: 0,
+            lat_sum: 0.0,
+            lng_sum: 0.0,
+            theta: match rule {
+                AveragingRule::Arithmetic => ThetaSum::Arithmetic(-0.0),
+                AveragingRule::Circular => ThetaSum::Circular(CircularMean::default()),
+            },
+            t_start: first.t,
+            t_end: first.t,
+            first_theta: first.fov.theta,
+        };
+        acc.push(first);
+        acc
+    }
+
+    /// Adds the segment's next frame.
+    #[inline]
+    pub fn push(&mut self, f: TimedFov) {
+        self.frames += 1;
+        self.lat_sum += f.fov.p.lat;
+        self.lng_sum += f.fov.p.lng;
+        match &mut self.theta {
+            ThetaSum::Arithmetic(sum) => *sum += f.fov.theta,
+            ThetaSum::Circular(mean) => mean.push(f.fov.theta),
         }
-        AveragingRule::Circular => circular_mean_deg(&thetas).unwrap_or(segment.fovs[0].fov.theta),
-    };
+        self.t_end = f.t;
+    }
 
-    RepFov::new(
-        segment.start_t(),
-        segment.end_t(),
-        Fov::new(p_bar, theta_bar),
-    )
+    /// The representative FoV of the frames added so far.
+    ///
+    /// # Panics
+    /// Panics if the frames' timestamps run backwards (see [`RepFov::new`]).
+    pub fn rep(&self) -> RepFov {
+        let n = self.frames as f64;
+        let p_bar = LatLon::new(self.lat_sum / n, self.lng_sum / n);
+        let theta_bar = match self.theta {
+            ThetaSum::Arithmetic(sum) => normalize_deg(sum / n),
+            ThetaSum::Circular(mean) => mean.mean().unwrap_or(self.first_theta),
+        };
+        RepFov::new(self.t_start, self.t_end, Fov::new(p_bar, theta_bar))
+    }
 }
 
 #[cfg(test)]
 mod tests {
     use super::*;
-    use crate::fov::TimedFov;
 
     fn origin() -> LatLon {
         LatLon::new(40.0, 116.32)

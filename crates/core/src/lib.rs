@@ -23,7 +23,7 @@
 //! # Quickstart
 //!
 //! ```
-//! use swag_core::{CameraProfile, Fov, TimedFov, Segmenter};
+//! use swag_core::{segment_video, CameraProfile, Fov, Segmenter, TimedFov};
 //! use swag_geo::LatLon;
 //!
 //! let camera = CameraProfile::default();
@@ -36,14 +36,14 @@
 //!     })
 //!     .collect();
 //!
-//! // Segment in real time with the paper's Algorithm 1.
+//! // Segment in real time with the paper's Algorithm 1: `push` reports
+//! // whether a frame opens a new segment.
 //! let mut seg = Segmenter::new(camera, 0.5);
-//! let mut segments = Vec::new();
-//! for f in frames {
-//!     segments.extend(seg.push(f));
-//! }
-//! segments.extend(seg.finish());
-//! assert!(!segments.is_empty());
+//! let opened = frames.iter().filter(|f| seg.push(**f)).count();
+//!
+//! // The offline edition slices the frames at the same cuts.
+//! let segments = segment_video(&frames, &camera, 0.5);
+//! assert_eq!(segments.len(), opened);
 //!
 //! // Each segment is abstracted into a single representative FoV.
 //! let reps: Vec<_> = segments.iter().map(|s| s.abstract_default()).collect();
@@ -60,7 +60,7 @@ pub mod similarity;
 pub mod smoothing;
 pub mod trace_io;
 
-pub use abstraction::{abstract_segment, AveragingRule, RepFov};
+pub use abstraction::{abstract_segment, AveragingRule, RepAccumulator, RepFov};
 pub use descriptor::{DescriptorCodec, UploadBatch};
 pub use fov::{CameraProfile, Fov, TimedFov};
 pub use interpolation::{interpolate_trace, sample_at};
@@ -68,7 +68,7 @@ pub use sector::{points_toward, sector_contains, sector_intersects_circle};
 pub use segmentation::{segment_video, Segment, Segmenter};
 pub use similarity::{
     similarity, similarity_parts, similarity_parts_trig, similarity_trig, vector_model_similarity,
-    CamTrig, SimilarityBreakdown,
+    CamTrig, SimAnchor, SimilarityBreakdown,
 };
 pub use smoothing::FovSmoother;
 pub use trace_io::{read_reps_csv, read_trace_csv, write_reps_csv, write_trace_csv, TraceIoError};

@@ -34,7 +34,7 @@
 //! leaves this reference ambiguous.
 
 use serde::{Deserialize, Serialize};
-use swag_geo::{angle_diff_deg, normalize_deg, signed_deg};
+use swag_geo::{angle_diff_deg, normalize_deg, signed_deg, METERS_PER_DEG};
 
 use crate::fov::{CameraProfile, Fov};
 
@@ -299,6 +299,123 @@ pub fn similarity(f1: &Fov, f2: &Fov, cam: &CameraProfile) -> f64 {
 #[inline]
 pub fn similarity_trig(f1: &Fov, f2: &Fov, trig: &CamTrig) -> f64 {
     similarity_parts_trig(f1, f2, trig).sim
+}
+
+/// Margin ε of [`SimAnchor::is_below`]'s shortcuts, on the similarity
+/// scale: a shortcut decides only when its bound clears `thresh` by more
+/// than ε.
+///
+/// Every quantity of the full formula lies in `[0, 1]` (`Sim_R`, `Sim_∥`,
+/// `Sim_⊥`, the weight `w`), so its rounding is an *absolute* error of a
+/// few units of `2⁻⁵³`: `Sim_R` is computed by the same expression on both
+/// paths; the computed `Sim_T` never exceeds `1 + 10·2⁻⁵³` (`Sim_⊥ ≤ 1`
+/// exactly, `Sim_∥ = atan2(R sin α, d + R cos α)/α ≤ 1 + 6·2⁻⁵³`, and the
+/// blend adds three roundings); and the bounds below, evaluated where they
+/// can decide (every term under 1), carry ≲ 20 roundings plus the
+/// transcendentals' ≤ 1 ulp each. That is ≲ 100·2⁻⁵³ ≈ 1.1e-14 in all,
+/// which `1e-9` clears by five orders of magnitude. Being absolute, the
+/// margin also holds for `thresh` near 0, where a relative one would fall
+/// below the subnormal spacing.
+const CUT_EPS: f64 = 1e-9;
+
+/// `π/360`: `|cos m − cos l| ≤ |m − l|`, and the full formula's mean
+/// latitude `m` sits `Δlat/2` from the anchor's `l`.
+const HALF_DEG_RAD: f64 = std::f64::consts::PI / 360.0;
+
+/// Added to the `cos(mean lat)` bound to cover the rounding of both
+/// cosines and their arguments (≈ 3e-15 for latitudes within ±180°).
+const COS_SLACK: f64 = 1e-12;
+
+/// Relative slack on the `δ_p` bound: the full formula's `hypot` and
+/// products round, the bound's square root rounds (≈ 10·2⁻⁵³ in all).
+const DP_SLACK: f64 = 1e-12;
+
+/// Shortcuts apply only while the bound on `δ_p` stays under 10 000 km
+/// (squared, m²). Then `|Δlat| ≤ 90°`, so every latitude the full formula
+/// touches lies within ±180° and every intermediate is finite; any frame
+/// further away (or with a non-finite coordinate) takes the full formula.
+const DP_MAX_SQ: f64 = 1e14;
+
+/// One fixed anchor FoV `f_s` of Algorithm 1, prepared for the cut test
+/// `Sim(f_s, f) < thresh`.
+///
+/// [`is_below`](Self::is_below) equals
+/// `similarity_trig(anchor, f, trig) < thresh` for every input, but
+/// evaluates the full similarity only where cheap bounds leave the answer
+/// open (about 3 % of the frames of the benchmark's fleet traces).
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct SimAnchor {
+    fov: Fov,
+    /// `cos lat_s`, or NaN for a latitude outside `[−90°, 90°]`, which
+    /// turns every shortcut off (`NaN ≤ x` is false).
+    cos_lat: f64,
+}
+
+impl SimAnchor {
+    /// Prepares `fov` as the anchor.
+    pub fn new(fov: Fov) -> Self {
+        let cos_lat = if fov.p.lat.abs() <= 90.0 {
+            fov.p.lat.to_radians().cos()
+        } else {
+            f64::NAN
+        };
+        SimAnchor { fov, cos_lat }
+    }
+
+    /// Whether `similarity_trig(anchor, f, trig) < thresh`.
+    ///
+    /// `Sim = Sim_R × Sim_T` with `Sim_T ∈ [0, 1]`, so
+    /// - `Sim_R < thresh − ε` decides a cut without `Sim_T`;
+    /// - `Sim_T ≥ min(Sim_∥, Sim_⊥)` (eq. 9 blends the two), both decrease
+    ///   in `δ_p`, and lower bounds free of transcendentals exist for
+    ///   both; if `Sim_R` times each clears `thresh + ε`, there is no cut.
+    ///
+    /// Every other frame evaluates [`similarity_trig`]. Each shortcut is a
+    /// comparison that is false on NaN, so a non-finite frame always takes
+    /// the full formula. See [`CUT_EPS`] for the margin.
+    #[inline]
+    pub fn is_below(&self, f: &Fov, trig: &CamTrig, thresh: f64) -> bool {
+        let s = &self.fov;
+        // Exactly the `Sim_R` of `similarity_parts_trig`.
+        let sim_r = sim_rotation_trig(s.delta_theta_deg(f), trig);
+
+        // Upper bound on the `δ_p` of eq. 12 without its cosine: the full
+        // formula scales `Δlng` by `cos(mean lat)`, and
+        // `|cos(mean lat) − cos lat_s| ≤ |Δlat|/2` (radians). `Δlat` and
+        // `Δlng` are the very differences the full formula takes.
+        let dlat = f.p.lat - s.p.lat;
+        let dlng = f.p.lng - s.p.lng;
+        let cos_hi = self.cos_lat + dlat.abs() * HALF_DEG_RAD + COS_SLACK;
+        let dx = METERS_PER_DEG * cos_hi * dlng;
+        let dy = METERS_PER_DEG * dlat;
+        let dp_sq = dx * dx + dy * dy;
+        // A finite `θ₂ − θ₁` keeps the full formula's view midpoint finite.
+        if dp_sq <= DP_MAX_SQ && (f.theta - s.theta).is_finite() {
+            if sim_r < thresh - CUT_EPS {
+                return true;
+            }
+            let hi = thresh + CUT_EPS;
+            if sim_r > hi {
+                let d = dp_sq.sqrt() * (1.0 + DP_SLACK);
+                // Sim_⊥ ≥ 1 − tan(asin x)/2α = 1 − (x/√(1−x²))/2α below the
+                // cutoff (asin x ≤ tan asin x on [0, 1)); 0 from it on.
+                let perp = if d < trig.perp_cutoff_m {
+                    let x = d * trig.cos_alpha_over_r;
+                    1.0 - x / ((1.0 - x * x).sqrt() * (2.0 * trig.alpha_rad))
+                } else {
+                    0.0
+                };
+                // Sim_∥ = atan(u)/α with u = R sin α/(d + R cos α), and
+                // atan u ≥ 3u/(1 + 2√(1+u²)) for u ≥ 0 (Shafer).
+                let u = trig.r_sin_alpha / (d + trig.r_cos_alpha);
+                let par = 3.0 * u / (1.0 + 2.0 * (1.0 + u * u).sqrt()) / trig.alpha_rad;
+                if sim_r * perp > hi && sim_r * par > hi {
+                    return false;
+                }
+            }
+        }
+        similarity_trig(s, f, trig) < thresh
+    }
 }
 
 /// The *vector-model* similarity of prior geo-video work (Kim et al.,

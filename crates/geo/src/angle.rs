@@ -52,20 +52,46 @@ pub fn signed_angle_diff_deg(a: f64, b: f64) -> f64 {
 /// mean is well defined across the 0°/360° wrap: the mean of `{350°, 10°}`
 /// is `0°`, not `180°`.
 pub fn circular_mean_deg(angles: &[f64]) -> Option<f64> {
-    if angles.is_empty() {
-        return None;
-    }
-    let (mut sx, mut sy) = (0.0f64, 0.0f64);
+    let mut mean = CircularMean::default();
     for &a in angles {
-        let r = a.to_radians();
-        sx += r.sin();
-        sy += r.cos();
+        mean.push(a);
     }
-    let n = angles.len() as f64;
-    if (sx / n).hypot(sy / n) < 1e-9 {
-        return None;
+    mean.mean()
+}
+
+/// Running sums of a circular mean: [`push`](Self::push) azimuths one at
+/// a time, read [`mean`](Self::mean) at any point. [`circular_mean_deg`]
+/// is a fold over it, so both give the same bits for the same angles in
+/// the same order.
+#[derive(Debug, Clone, Copy, Default, PartialEq)]
+pub struct CircularMean {
+    sin_sum: f64,
+    cos_sum: f64,
+    count: u64,
+}
+
+impl CircularMean {
+    /// Adds one azimuth in degrees.
+    #[inline]
+    pub fn push(&mut self, deg: f64) {
+        let r = deg.to_radians();
+        self.sin_sum += r.sin();
+        self.cos_sum += r.cos();
+        self.count += 1;
     }
-    Some(normalize_deg(sx.atan2(sy).to_degrees()))
+
+    /// The circular mean of the azimuths pushed so far; `None` when there
+    /// are none or they cancel out (see [`circular_mean_deg`]).
+    pub fn mean(&self) -> Option<f64> {
+        if self.count == 0 {
+            return None;
+        }
+        let n = self.count as f64;
+        if (self.sin_sum / n).hypot(self.cos_sum / n) < 1e-9 {
+            return None;
+        }
+        Some(normalize_deg(self.sin_sum.atan2(self.cos_sum).to_degrees()))
+    }
 }
 
 /// Plain arithmetic mean of azimuths — the paper's eq. 11, kept for
