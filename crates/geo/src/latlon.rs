@@ -40,10 +40,13 @@ impl LatLon {
     /// Planar displacement from `self` to `other`, in metres east/north.
     ///
     /// Valid for FoV-scale separations (up to a few kilometres), where the
-    /// paper's planar approximation holds.
+    /// paper's planar approximation holds. The longitude difference is
+    /// taken the short way round ([`lng_delta_deg`]), so two points either
+    /// side of the ±180° antimeridian are metres apart, not a globe.
     pub fn displacement_to(self, other: LatLon) -> Vec2 {
         let mean_lat = 0.5 * (self.lat + other.lat);
-        let dx = METERS_PER_DEG * mean_lat.to_radians().cos() * (other.lng - self.lng);
+        let dlng = lng_delta_deg(self.lng, other.lng);
+        let dx = METERS_PER_DEG * mean_lat.to_radians().cos() * dlng;
         let dy = METERS_PER_DEG * (other.lat - self.lat);
         Vec2::new(dx, dy)
     }
@@ -95,6 +98,21 @@ impl LatLon {
         let coslat = lat.to_radians().cos().max(1e-9);
         let lng = self.lng + d.x / (METERS_PER_DEG * coslat);
         LatLon::new(lat, lng)
+    }
+}
+
+/// `to − from` in degrees of longitude, wrapped once into `[−180°, 180°]`:
+/// the short way round the ±180° antimeridian. Bit for bit the raw
+/// difference wherever that lies within ±180°; NaN stays NaN.
+#[inline]
+pub fn lng_delta_deg(from: f64, to: f64) -> f64 {
+    let d = to - from;
+    if d > 180.0 {
+        d - 360.0
+    } else if d < -180.0 {
+        d + 360.0
+    } else {
+        d
     }
 }
 
@@ -181,6 +199,23 @@ mod tests {
         assert!((a.bearing_to_deg(a.offset(0.0, 100.0)) - 0.0).abs() < 0.01);
         assert!((a.bearing_to_deg(a.offset(90.0, 100.0)) - 90.0).abs() < 0.01);
         assert!((a.bearing_to_deg(a.offset(180.0, 100.0)) - 180.0).abs() < 0.01);
+    }
+
+    #[test]
+    fn displacement_takes_the_short_way_across_the_antimeridian() {
+        let west = LatLon::new(10.0, 179.9995);
+        let east = LatLon::new(10.0, -179.9995);
+        let d = east.displacement_to(west);
+        let expected = 0.001 * METERS_PER_DEG * 10f64.to_radians().cos();
+        assert!((d.x + expected).abs() < 1e-6, "{d:?}");
+        assert!((west.displacement_to(east).x - expected).abs() < 1e-6);
+        assert!(east.distance_m(west) < 110.0);
+        // Within ±180° the raw difference is kept bit for bit.
+        for (a, b) in [(-180.0, 0.0), (0.0, 180.0), (116.32, 116.33), (-0.0, 0.0)] {
+            assert_eq!(lng_delta_deg(a, b).to_bits(), (b - a).to_bits());
+        }
+        assert_eq!(lng_delta_deg(-180.0, 180.0), 0.0);
+        assert!(lng_delta_deg(f64::NAN, 0.0).is_nan());
     }
 
     #[test]

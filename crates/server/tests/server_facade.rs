@@ -70,6 +70,26 @@ fn ingest_and_query_round_trip() {
 }
 
 #[test]
+fn antimeridian_hits_are_ranked_the_short_way_round() {
+    // A camera just east of the antimeridian, 110 m from a centre just
+    // west of it: looking west it films the centre, looking east it
+    // turns its back on it.
+    let server = CloudServer::new(CameraProfile::smartphone());
+    let p = LatLon::new(10.0, -179.9995);
+    let reps = [270.0, 90.0].map(|theta| RepFov::new(0.0, 10.0, Fov::new(p, theta)));
+    server.ingest_batch(&UploadBatch {
+        provider_id: 7,
+        video_id: 0,
+        reps: reps.to_vec(),
+    });
+    let q = Query::new(0.0, 10.0, LatLon::new(10.0, 179.9995), 200.0);
+    let hits = server.query(&q, &QueryOptions::default());
+    assert_eq!(hits.len(), 1, "{hits:?}");
+    assert_eq!(hits[0].rep.fov.theta, 270.0);
+    assert!((hits[0].distance_m - 109.6).abs() < 0.1, "{hits:?}");
+}
+
+#[test]
 fn temporal_window_restricts_results() {
     let server = CloudServer::new(CameraProfile::smartphone());
     server.ingest_batch(&batch(1, 5)); // segments at t = 0-8, 10-18, ...
