@@ -13,7 +13,7 @@
 
 use swag_core::{Fov, RepFov};
 use swag_geo::{LatLon, METERS_PER_DEG};
-use swag_rtree::{Aabb, RTree, SearchStats};
+use swag_rtree::{Aabb, RTree, RTreeConfig, SearchStats};
 
 use crate::query::Query;
 use crate::store::SegmentId;
@@ -174,17 +174,23 @@ impl FovIndex {
         }
     }
 
-    /// Bulk loads an R-tree index from `(rep, id)` pairs (STR packing).
+    /// Bulk loads an R-tree index from `(rep, id)` pairs (STR packing,
+    /// tiled in all three dimensions: a flat index has no time shards).
     pub fn bulk_load(items: Vec<(RepFov, SegmentId)>) -> Self {
         let entries = items.iter().map(|(rep, id)| LeafRef::entry(rep, *id));
         FovIndex::RTree(RTree::bulk_load(entries.collect()))
     }
 
-    /// An index of `kind` holding exactly `entries`: an R-tree is STR
-    /// bulk-loaded from them, a linear index keeps them as given.
+    /// A time shard's run of `kind` holding exactly `entries`: an R-tree
+    /// is STR bulk-loaded from them tiling space only, (lng, lat) — the
+    /// shard already is the time partition, and tiling time inside it
+    /// too would only make every spatial cell larger (DESIGN.md §7); a
+    /// linear index keeps them as given.
     pub fn packed(kind: IndexKind, entries: Vec<(Aabb<3>, LeafRef)>) -> Self {
         match kind {
-            IndexKind::RTree => FovIndex::RTree(RTree::bulk_load(entries)),
+            IndexKind::RTree => {
+                FovIndex::RTree(RTree::bulk_load_tiled(RTreeConfig::default(), 2, entries))
+            }
             IndexKind::Linear => FovIndex::Linear(entries),
         }
     }
