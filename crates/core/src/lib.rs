@@ -64,7 +64,7 @@ pub use abstraction::{abstract_segment, AveragingRule, RepAccumulator, RepFov};
 pub use descriptor::{DescriptorCodec, UploadBatch};
 pub use fov::{CameraProfile, Fov, TimedFov};
 pub use interpolation::{interpolate_trace, sample_at};
-pub use sector::{points_toward, sector_contains, sector_intersects_circle};
+pub use sector::{points_toward, sector_contains, sector_intersects_circle, DirectionTest};
 pub use segmentation::{segment_video, Segment, Segmenter};
 pub use similarity::{
     similarity, similarity_parts, similarity_parts_trig, similarity_trig, vector_model_similarity,
