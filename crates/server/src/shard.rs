@@ -12,7 +12,10 @@
 //!
 //! A shard is a list of immutable STR-packed **runs**: a publish packs
 //! only its batch into a new run and merges small runs geometrically
-//! ([`ShardedFovIndex::bulk_insert_exec`]). Runs, run lists and shard
+//! ([`ShardedFovIndex::bulk_insert_exec`]). A run is tiled in space only
+//! ([`FovIndex::packed`]): the shard is already the time partition, and
+//! tiling its time too would only make the spatial cells coarser — a
+//! wide query spans most shards' whole time. Runs, run lists and shard
 //! groups ([`ShardMap`]) are `Arc`-shared with older snapshots, so a
 //! publish's cost follows its batch, not the shard or the index.
 
