@@ -271,6 +271,36 @@ mod tests {
     }
 
     #[test]
+    fn segment_across_the_antimeridian_keeps_its_rep_at_the_seam() {
+        // Walking east at 1.4 m/s, looking east, from 30 m west of ±180°.
+        let start = LatLon::new(10.0, 180.0).offset(270.0, 30.0);
+        let trace: Vec<TimedFov> = (0..1500)
+            .map(|i| {
+                let t = i as f64 / 25.0;
+                TimedFov::new(t, Fov::new(start.offset(90.0, 1.4 * t), 90.0))
+            })
+            .collect();
+        let crossing = trace.iter().position(|f| f.fov.p.lng < 0.0).unwrap();
+        let t_cross = trace[crossing].t;
+
+        let result = ClientPipeline::process_trace(cam(), 0.5, &trace);
+        let seam = LatLon::new(10.0, -180.0);
+        assert!(
+            result
+                .reps
+                .iter()
+                .any(|r| r.t_start < t_cross && t_cross <= r.t_end),
+            "no segment spans the crossing at t = {t_cross}"
+        );
+        for r in &result.reps {
+            // Haversine is periodic in longitude, so it measures the
+            // short way round independently of the planar formula.
+            let d = r.fov.p.haversine_m(seam);
+            assert!(d < 60.0, "rep at {:?} is {d} m from the seam", r.fov.p);
+        }
+    }
+
+    #[test]
     fn reps_are_time_ordered_and_disjoint() {
         let trace = rotating_trace(1000, 0.6);
         let result = ClientPipeline::process_trace(cam(), 0.6, &trace);

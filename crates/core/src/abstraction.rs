@@ -96,11 +96,20 @@ pub fn abstract_segment(segment: &Segment, rule: AveragingRule) -> RepFov {
 /// Frames are added in capture order, so every sum is the same
 /// floating-point sum a pass over the segment's frames computes and
 /// [`rep`](Self::rep) is bit-identical to averaging the frames at once.
+///
+/// Longitudes are averaged the short way round, as
+/// [`LatLon::displacement_to`] measures them: a frame more than 180° of
+/// longitude from the first frame is summed shifted by ∓360°, so a
+/// segment that crosses the ±180° antimeridian gets its rep at the seam,
+/// not on the far side of the globe. A segment that does not cross sums
+/// its raw longitudes, bit for bit.
 #[derive(Debug, Clone, Copy)]
 pub struct RepAccumulator {
     frames: u64,
     lat_sum: f64,
+    /// `Σ lng`, each unwrapped to within 180° of `first_lng`.
     lng_sum: f64,
+    first_lng: f64,
     theta: ThetaSum,
     t_start: f64,
     t_end: f64,
@@ -132,6 +141,7 @@ impl RepAccumulator {
             },
             t_start: first.t,
             t_end: first.t,
+            first_lng: first.fov.p.lng,
             first_theta: first.fov.theta,
         };
         acc.push(first);
@@ -143,7 +153,12 @@ impl RepAccumulator {
     pub fn push(&mut self, f: TimedFov) {
         self.frames += 1;
         self.lat_sum += f.fov.p.lat;
-        self.lng_sum += f.fov.p.lng;
+        let lng = f.fov.p.lng;
+        self.lng_sum += match lng - self.first_lng {
+            d if d > 180.0 => lng - 360.0,
+            d if d < -180.0 => lng + 360.0,
+            _ => lng,
+        };
         match &mut self.theta {
             ThetaSum::Arithmetic(sum) => *sum += f.fov.theta,
             ThetaSum::Circular(mean) => mean.push(f.fov.theta),
@@ -157,6 +172,7 @@ impl RepAccumulator {
     /// Panics if the frames' timestamps run backwards (see [`RepFov::new`]).
     pub fn rep(&self) -> RepFov {
         let n = self.frames as f64;
+        // `LatLon::new` wraps a mean unwrapped past ±180° back into range.
         let p_bar = LatLon::new(self.lat_sum / n, self.lng_sum / n);
         let theta_bar = match self.theta {
             ThetaSum::Arithmetic(sum) => normalize_deg(sum / n),
@@ -198,6 +214,22 @@ mod tests {
         assert!((r.fov.p.lng - 116.002).abs() < 1e-12);
         assert!((r.fov.theta - 15.0).abs() < 1e-9);
         assert_eq!((r.t_start, r.t_end), (0.0, 1.0));
+    }
+
+    #[test]
+    fn positions_average_the_short_way_across_the_antimeridian() {
+        let east = Fov::new(LatLon::new(10.0, 179.9995), 90.0);
+        let west = Fov::new(LatLon::new(10.0, -179.9995), 90.0);
+        let s = seg(vec![TimedFov::new(0.0, east), TimedFov::new(1.0, west)]);
+        let r = abstract_segment(&s, AveragingRule::Circular);
+        assert!(r.fov.p.lng.abs() > 179.9999, "rep at lng {}", r.fov.p.lng);
+        assert!((-180.0..180.0).contains(&r.fov.p.lng));
+        assert!(r.fov.p.distance_m(east.p) < 60.0);
+
+        let s = seg(vec![TimedFov::new(0.0, west), TimedFov::new(1.0, east)]);
+        let r = abstract_segment(&s, AveragingRule::Circular);
+        assert!(r.fov.p.lng.abs() > 179.9999, "rep at lng {}", r.fov.p.lng);
+        assert!(r.fov.p.distance_m(west.p) < 60.0);
     }
 
     #[test]

@@ -148,7 +148,7 @@ impl ResultCache {
     /// Whether a plan may be cached at all (window narrow enough for a
     /// small per-entry version vector).
     pub(crate) fn eligible(&self, plan: &QueryPlan) -> bool {
-        bucket_span_len(self.shard_width_s, plan.query.t_start, plan.query.t_end)
+        bucket_span_len(self.shard_width_s, plan.query().t_start, plan.query().t_end)
             <= CACHE_MAX_BUCKET_SPAN
     }
 
@@ -164,7 +164,7 @@ impl ResultCache {
     /// Versions of the entry's buckets as the current stamp records
     /// them, compared pairwise without allocating.
     fn versions_current(entry: &CacheEntry, plan: &QueryPlan, epoch: &Epoch, width: f64) -> bool {
-        let range = bucket_range(width, plan.query.t_start, plan.query.t_end);
+        let range = bucket_range(width, plan.query().t_start, plan.query().t_end);
         let mut current = epoch.stamp.shard_versions.range(range);
         entry
             .versions
@@ -218,7 +218,7 @@ impl ResultCache {
         if hits.len() > CACHE_MAX_HITS {
             return Insert::TooLarge;
         }
-        let range = bucket_range(self.shard_width_s, plan.query.t_start, plan.query.t_end);
+        let range = bucket_range(self.shard_width_s, plan.query().t_start, plan.query().t_end);
         let versions: Box<[(i64, u64)]> = epoch
             .stamp
             .shard_versions

@@ -92,7 +92,7 @@ fn linear_cold_scan(engine: &Engine, plan: &QueryPlan) -> Vec<SearchHit> {
     let mut ord = 0;
     for run in cold.probe(|_| true) {
         for (rep, source) in cold.records(&run).expect("readable run").iter() {
-            if plan.boxes.intersects(&fov_box(rep)) {
+            if plan.boxes().intersects(&fov_box(rep)) {
                 top.offer(Tier::Cold, ord, COLD_HIT_ID, *rep, *source);
             }
             ord += 1;

@@ -161,15 +161,15 @@ impl QueryEvent {
     pub(crate) fn new(plan: &QueryPlan, epoch: &Epoch, fingerprint: u64) -> Self {
         QueryEvent {
             fingerprint,
-            t_start: plan.query.t_start,
-            t_end: plan.query.t_end,
-            lat: plan.query.center.lat,
-            lng: plan.query.center.lng,
-            radius_m: plan.query.radius_m,
+            t_start: plan.query().t_start,
+            t_end: plan.query().t_end,
+            lat: plan.query().center.lat,
+            lng: plan.query().center.lng,
+            radius_m: plan.query().radius_m,
             top_n: plan.k as u64,
-            direction_filter: plan.filters.direction_tolerance_deg.is_some(),
-            direction_tolerance_deg: plan.filters.direction_tolerance_deg.unwrap_or(0.0),
-            require_coverage: plan.filters.require_coverage,
+            direction_filter: plan.filters().direction_tolerance_deg.is_some(),
+            direction_tolerance_deg: plan.filters().direction_tolerance_deg.unwrap_or(0.0),
+            require_coverage: plan.filters().require_coverage,
             rank: plan.rank,
             global_gen: epoch.stamp.global_gen,
             ..QueryEvent::default()

@@ -317,8 +317,8 @@ impl Engine {
     ) -> String {
         let span = cache::bucket_span_len(
             self.config.shard_width_s,
-            plan.query.t_start,
-            plan.query.t_end,
+            plan.query().t_start,
+            plan.query().t_end,
         );
         let cap = cache::CACHE_MAX_BUCKET_SPAN;
         let cache = match executed {

@@ -92,7 +92,7 @@ impl Engine {
                 continue;
             };
             for (rep, source) in records.iter() {
-                if plan.boxes.intersects(&fov_box(rep))
+                if plan.boxes().intersects(&fov_box(rep))
                     && !run.hides(&retracted, source.provider_id)
                 {
                     top.offer(Tier::Cold, rows_in, COLD_HIT_ID, *rep, *source);
@@ -119,9 +119,9 @@ impl Engine {
         probe.begin();
         let mut top = TopN::new(plan, &self.cam, &epoch.store);
         let (shards, matched) = epoch.index.scan(
-            &plan.boxes,
-            plan.query.t_start,
-            plan.query.t_end,
+            plan.boxes(),
+            plan.query().t_start,
+            plan.query().t_end,
             probe.search_stats(),
             &mut top,
         );
