@@ -101,6 +101,105 @@ impl LatLon {
     }
 }
 
+/// Relative margin of [`DistanceBound`]: it covers the rounding of the
+/// bound's own arithmetic and libm's `cos` and `hypot` whenever each is
+/// within 2⁻⁴⁴ (256 ulps) of the exact value (DESIGN.md, "Reconstructed
+/// formulas").
+const BOUND_MARGIN: f64 = 1.0 - 1.0 / (1u64 << 40) as f64;
+
+/// Absolute slack of [`DistanceBound`], metres: the relative argument
+/// fails only where a square underflows, which moves the root by less
+/// than 2⁻⁵³⁶ ≈ 1.1e-161.
+const BOUND_SLACK_M: f64 = 1e-150;
+
+/// A lower bound on the distance from a centre to the points of a
+/// (longitude, latitude) rectangle, compiled once per centre and latitude
+/// band.
+///
+/// [`Self::rect_m`] never exceeds `p.distance_m(center)` as computed in
+/// floating point, for any `p` in the rectangle and the band:
+/// - `Δlat` and `Δlng` are the very differences [`LatLon::displacement_to`]
+///   takes, at the rectangle's nearest edge; both are monotone in `p`
+///   (rounding is), and `Δlng` is taken the short way
+///   ([`lng_delta_deg`]), so a rectangle across ±180° is near a centre on
+///   the other side. A rectangle spanning 180° of longitude or more
+///   counts as `Δlng = 0`.
+/// - The longitude scale is `cos` at the band's largest |mean latitude|
+///   with the centre, the smallest any point of the band gets, computed
+///   once here: `p` outside the band is not covered.
+/// - The result is shrunk by a relative margin of 2⁻⁴⁰ (`cos` and `hypot`
+///   are not monotone in floating point) plus 1e-150 m.
+///
+/// Near a pole `cos` tends to 0 and the bound falls back to `Δlat`
+/// alone; a band reaching beyond ±90° (never a valid position) does the
+/// same. Non-finite input gives 0, which never prunes.
+#[derive(Debug, Clone, Copy, PartialEq)]
+pub struct DistanceBound {
+    center: LatLon,
+    band: [f64; 2],
+    /// `METERS_PER_DEG · cos(largest |mean latitude|)`, or NaN when the
+    /// centre or band is not finite.
+    scale: f64,
+}
+
+impl DistanceBound {
+    /// The bound around `center` for points with latitude in `band`
+    /// (`[min, max]`).
+    pub fn new(center: LatLon, band: [f64; 2]) -> Self {
+        let finite = [center.lat, center.lng, band[0], band[1]]
+            .iter()
+            .all(|x| x.is_finite());
+        // `displacement_to`'s mean latitude, at each end of the band: in
+        // between, the mean is monotone in the point's latitude.
+        let mean = |lat: f64| (0.5 * (lat + center.lat)).abs();
+        let widest = mean(band[0]).max(mean(band[1]));
+        let scale = if !finite {
+            f64::NAN
+        } else if widest <= 90.0 {
+            METERS_PER_DEG * widest.to_radians().cos().max(0.0)
+        } else {
+            0.0
+        };
+        DistanceBound {
+            center,
+            band,
+            scale,
+        }
+    }
+
+    /// The bound for the rectangle `lng × lat` (closed ranges, `[min,
+    /// max]`), restricted to the band; 0 for non-finite input or an empty
+    /// restriction.
+    #[inline]
+    pub fn rect_m(&self, lng: [f64; 2], lat: [f64; 2]) -> f64 {
+        let c = self.center;
+        let finite = [lng[0], lng[1], lat[0], lat[1]]
+            .iter()
+            .all(|x| x.is_finite());
+        let lat = [lat[0].max(self.band[0]), lat[1].min(self.band[1])];
+        if !finite || !self.scale.is_finite() || lat[0] > lat[1] || lng[0] > lng[1] {
+            return 0.0;
+        }
+        // `c.lat − p.lat` over the rectangle spans [c − lat₁, c − lat₀].
+        let dlat = (c.lat - lat[1]).max(lat[0] - c.lat).max(0.0);
+        let dlng = if lng[1] - lng[0] >= 180.0 {
+            0.0
+        } else {
+            // `c.lng − p.lng` spans [a, b]; its short-way wrap is its
+            // distance to the nearest of −360°, 0 and 360°.
+            let (a, b) = (c.lng - lng[1], c.lng - lng[0]);
+            let gap = |z: f64| (a - z).max(z - b).max(0.0);
+            gap(0.0).min(gap(360.0)).min(gap(-360.0))
+        };
+        let dx = self.scale * dlng;
+        let dy = METERS_PER_DEG * dlat;
+        // `hypot` costs a libm call; its root form only where that overflows.
+        let d = (dx * dx + dy * dy).sqrt();
+        let d = if d.is_finite() { d } else { dx.hypot(dy) };
+        (d * BOUND_MARGIN - BOUND_SLACK_M).max(0.0)
+    }
+}
+
 /// `to − from` in degrees of longitude, wrapped once into `[−180°, 180°]`:
 /// the short way round the ±180° antimeridian. Bit for bit the raw
 /// difference wherever that lies within ±180°; NaN stays NaN.

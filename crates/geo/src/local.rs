@@ -7,7 +7,7 @@
 
 use serde::{Deserialize, Serialize};
 
-use crate::latlon::{LatLon, METERS_PER_DEG};
+use crate::latlon::{lng_delta_deg, LatLon, METERS_PER_DEG};
 use crate::vec2::Vec2;
 
 /// An east-north planar frame centred on `origin`.
@@ -36,10 +36,11 @@ impl LocalFrame {
         self.origin
     }
 
-    /// Projects a geographic position into local metres.
+    /// Projects a geographic position into local metres, its longitude
+    /// difference taken the short way round ±180° ([`lng_delta_deg`]).
     pub fn to_local(&self, p: LatLon) -> Vec2 {
         Vec2::new(
-            (p.lng - self.origin.lng) * self.meters_per_deg_lng,
+            lng_delta_deg(self.origin.lng, p.lng) * self.meters_per_deg_lng,
             (p.lat - self.origin.lat) * METERS_PER_DEG,
         )
     }
@@ -105,6 +106,24 @@ mod tests {
         let via_frame = f.to_local(p);
         let via_disp = ORIGIN.displacement_to(p);
         assert!((via_frame - via_disp).norm() < 0.05);
+    }
+
+    #[test]
+    fn seam_round_trip_stays_local() {
+        // Either side of ±180°: the raw difference put the east point
+        // 39 466 km west of the origin.
+        let f = LocalFrame::new(LatLon::new(10.0, 179.9995));
+        let east = LatLon::new(10.0, -179.9995);
+        let v = f.to_local(east);
+        let expected = 0.001 * METERS_PER_DEG * 10f64.to_radians().cos();
+        assert!((v.x - expected).abs() < 1e-6, "{v:?}");
+        assert!(v.y.abs() < 1e-9);
+        let back = f.from_local(v);
+        assert!((back.lng - east.lng).abs() < 1e-9, "{back:?}");
+        assert!((back.lat - east.lat).abs() < 1e-12);
+        for v in [Vec2::new(-250.0, 40.0), Vec2::new(250.0, -40.0)] {
+            assert!((f.to_local(f.from_local(v)) - v).norm() < 1e-6, "{v:?}");
+        }
     }
 
     #[test]

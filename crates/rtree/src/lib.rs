@@ -7,7 +7,8 @@
 //! * dynamic insertion with **quadratic** or **linear** node splitting
 //!   ([`RTree::insert`], [`SplitStrategy`]);
 //! * **range queries** — all items whose box intersects a query box
-//!   ([`RTree::search`], [`RTree::search_with`]);
+//!   ([`RTree::search`], [`RTree::search_with`]), or the leaves holding
+//!   them ([`RTree::search_leaves`]);
 //! * **k-nearest-neighbour** queries via best-first traversal
 //!   ([`RTree::nearest_k`]);
 //! * **deletion** with tree condensation and reinsertion
@@ -47,6 +48,7 @@ pub mod split;
 pub mod tree;
 
 pub use mbr::Aabb;
+pub use node::Item;
 pub use search::SearchStats;
 pub use split::SplitStrategy;
 pub use tree::{RTree, RTreeConfig, RTreeStats};

@@ -44,11 +44,14 @@ impl NodeIx {
     }
 }
 
-/// A leaf payload with its bounding box (transient AoS form).
+/// A leaf entry: a payload with its bounding box. Leaves store these
+/// inline; [`crate::RTree::search_leaves`] lends them out read-only.
 #[derive(Debug, Clone)]
-pub(crate) struct Item<T, const D: usize> {
-    pub(crate) mbr: Aabb<D>,
-    pub(crate) value: T,
+pub struct Item<T, const D: usize> {
+    /// The entry's box.
+    pub mbr: Aabb<D>,
+    /// The stored payload.
+    pub value: T,
 }
 
 /// An internal child handle with the child's bounding box (transient AoS

@@ -1,6 +1,7 @@
 //! Read-side traversals: range search, k-NN, iteration.
 //!
-//! Range searches recurse over the arena in **reverse child order** —
+//! Range searches are one leaf walk ([`RTree::search_leaves`]) that
+//! recurses over the arena in **reverse child order** —
 //! the same visit sequence an explicit LIFO stack produces, kept so the
 //! two formulations stay interchangeable without reordering results.
 //! Recursion measured faster than a heap-allocated stack on the
@@ -13,7 +14,7 @@
 use std::collections::BinaryHeap;
 
 use crate::mbr::Aabb;
-use crate::node::{Node, NodeIx};
+use crate::node::{Item, Node, NodeIx};
 use crate::tree::RTree;
 
 /// Traversal counters accumulated by [`RTree::search_with_stats`].
@@ -42,29 +43,6 @@ impl SearchStats {
     }
 }
 
-/// What a range search counts as it walks: nothing (the plain search,
-/// compiled without a counter in sight), or [`SearchStats`].
-trait Tally {
-    fn node(&mut self, _leaf_items: Option<usize>) {}
-    fn matched(&mut self) {}
-}
-
-impl Tally for () {}
-
-impl Tally for SearchStats {
-    fn node(&mut self, leaf_items: Option<usize>) {
-        self.nodes_visited += 1;
-        if let Some(items) = leaf_items {
-            self.leaves_scanned += 1;
-            self.items_tested += items as u64;
-        }
-    }
-
-    fn matched(&mut self) {
-        self.items_matched += 1;
-    }
-}
-
 impl<T, const D: usize> RTree<T, D> {
     /// Collects references to all values whose box intersects `query`.
     pub fn search(&self, query: &Aabb<D>) -> Vec<&T> {
@@ -75,47 +53,67 @@ impl<T, const D: usize> RTree<T, D> {
 
     /// Visits every item whose box intersects `query` without allocating.
     pub fn search_with<'a>(&'a self, query: &Aabb<D>, mut visit: impl FnMut(&'a Aabb<D>, &'a T)) {
-        if self.len > 0 {
-            self.search_rec(self.root, query, &mut (), &mut visit);
-        }
+        self.search_leaves(query, |_, items| {
+            for item in items.iter().filter(|item| item.mbr.intersects(query)) {
+                visit(&item.mbr, &item.value);
+            }
+        });
     }
 
     /// [`Self::search_with`] that additionally accumulates traversal
-    /// counters into `stats`; the same walk, monomorphised per counter,
-    /// so the uninstrumented path keeps zero overhead.
+    /// counters into `stats`: every leaf reached counts as scanned.
     pub fn search_with_stats<'a>(
         &'a self,
         query: &Aabb<D>,
         stats: &mut SearchStats,
         mut visit: impl FnMut(&'a Aabb<D>, &'a T),
     ) {
-        if self.len > 0 {
-            self.search_rec(self.root, query, stats, &mut visit);
-        }
+        let mut leaves = SearchStats::default();
+        let internal = self.search_leaves(query, |_, items| {
+            leaves.nodes_visited += 1;
+            leaves.leaves_scanned += 1;
+            leaves.items_tested += items.len() as u64;
+            for item in items.iter().filter(|item| item.mbr.intersects(query)) {
+                leaves.items_matched += 1;
+                visit(&item.mbr, &item.value);
+            }
+        });
+        leaves.nodes_visited += internal;
+        stats.merge(&leaves);
     }
 
-    fn search_rec<'a>(
+    /// The one depth-first walk: calls `visit` for every leaf whose box
+    /// intersects `query`, with that box (its parent's entry; `None` for
+    /// a root leaf) and its entries, unfiltered. Returns the internal
+    /// nodes walked, so a caller that examines leaves itself can keep
+    /// [`SearchStats::nodes_visited`].
+    pub fn search_leaves<'a>(
+        &'a self,
+        query: &Aabb<D>,
+        mut visit: impl FnMut(Option<&'a Aabb<D>>, &'a [Item<T, D>]),
+    ) -> u64 {
+        let mut internal = 0;
+        if self.len > 0 {
+            self.leaves_rec(self.root, None, query, &mut internal, &mut visit);
+        }
+        internal
+    }
+
+    fn leaves_rec<'a>(
         &'a self,
         ix: NodeIx,
+        mbr: Option<&'a Aabb<D>>,
         query: &Aabb<D>,
-        tally: &mut impl Tally,
-        visit: &mut impl FnMut(&'a Aabb<D>, &'a T),
+        internal: &mut u64,
+        visit: &mut impl FnMut(Option<&'a Aabb<D>>, &'a [Item<T, D>]),
     ) {
         match self.node(ix) {
-            Node::Leaf { items } => {
-                tally.node(Some(items.len()));
-                for item in items {
-                    if item.mbr.intersects(query) {
-                        tally.matched();
-                        visit(&item.mbr, &item.value);
-                    }
-                }
-            }
+            Node::Leaf { items } => visit(mbr, items),
             Node::Internal { mbrs, children } => {
-                tally.node(None);
+                *internal += 1;
                 for (mbr, child) in mbrs.iter().zip(children).rev() {
                     if mbr.intersects(query) {
-                        self.search_rec(*child, query, tally, visit);
+                        self.leaves_rec(*child, Some(mbr), query, internal, visit);
                     }
                 }
             }
@@ -196,16 +194,6 @@ impl<T, const D: usize> RTree<T, D> {
         out
     }
 
-    /// Like [`Self::nearest_k`], but only returns items whose `MINDIST`
-    /// is at most `max_dist` (exclusive of anything farther). Useful when
-    /// a miss is better than a far match.
-    pub fn nearest_k_within(&self, point: [f64; D], k: usize, max_dist: f64) -> Vec<(&T, f64)> {
-        let limit_sq = max_dist * max_dist;
-        let mut hits = self.nearest_k(point, k);
-        hits.retain(|(_, d)| *d <= limit_sq);
-        hits
-    }
-
     /// Iterates over all `(box, value)` pairs in arbitrary order.
     ///
     /// Owns its stack (rather than borrowing the thread scratch) because
@@ -216,7 +204,7 @@ impl<T, const D: usize> RTree<T, D> {
         } else {
             vec![self.root]
         };
-        let mut leaf: Option<&[crate::node::Item<T, D>]> = None;
+        let mut leaf: Option<&[Item<T, D>]> = None;
         let mut pos = 0;
         std::iter::from_fn(move || loop {
             if let Some(items) = leaf {
@@ -282,6 +270,43 @@ mod tests {
     }
 
     #[test]
+    fn search_leaves_lends_every_reached_leaf_with_its_box() {
+        let t = grid_tree(1000);
+        let query = Aabb::new([10.0, 2.0], [30.0, 6.0]);
+        let mut stats = SearchStats::default();
+        let mut plain = Vec::new();
+        t.search_with_stats(&query, &mut stats, |_, v| plain.push(*v));
+
+        let (mut leaves, mut found) = (0, Vec::new());
+        let internal = t.search_leaves(&query, |mbr, items| {
+            leaves += 1;
+            let mbr = mbr.expect("a 1000-item tree has internal nodes");
+            assert!(mbr.intersects(&query));
+            for item in items {
+                assert!(mbr.contains(&item.mbr));
+                if item.mbr.intersects(&query) {
+                    found.push(item.value);
+                }
+            }
+        });
+        // The same walk: same matches in the same order, same counts.
+        assert_eq!(found, plain);
+        assert_eq!(leaves, stats.leaves_scanned);
+        assert_eq!(internal + leaves, stats.nodes_visited);
+
+        // A root leaf has no parent entry; an empty tree lends nothing.
+        let small = grid_tree(3);
+        let mut lent = 0;
+        let walked = small.search_leaves(&Aabb::new([0.0, 0.0], [0.5, 0.5]), |mbr, items| {
+            assert!(mbr.is_none());
+            lent += items.len();
+        });
+        assert_eq!((walked, lent), (0, 3));
+        let empty: RTree<u32, 2> = RTree::new();
+        assert_eq!(empty.search_leaves(&query, |_, _| panic!("no leaf")), 0);
+    }
+
+    #[test]
     fn reentrant_search_from_visit_callback() {
         // A visit callback that runs a second search on the same tree must
         // see correct results even though both share the thread scratch.
@@ -307,19 +332,6 @@ mod tests {
         for w in hits.windows(2) {
             assert!(w[0].1 <= w[1].1);
         }
-    }
-
-    #[test]
-    fn nearest_k_within_cuts_far_matches() {
-        let t = grid_tree(100);
-        // Nearest to (50, 50): the grid only spans x<100, y<1, so all
-        // points are ≥ 49 away vertically.
-        let all = t.nearest_k([50.0, 50.0], 5);
-        assert_eq!(all.len(), 5);
-        assert!(t.nearest_k_within([50.0, 50.0], 5, 10.0).is_empty());
-        let near = t.nearest_k_within([5.0, 0.0], 3, 1.5);
-        assert_eq!(near.len(), 3);
-        assert!(near.iter().all(|(_, d)| *d <= 1.5 * 1.5));
     }
 
     #[test]

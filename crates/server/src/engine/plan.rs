@@ -14,6 +14,7 @@
 //! pipeline stages.
 
 use swag_core::{sector_intersects_circle, CameraProfile, DirectionTest, RepFov};
+use swag_geo::DistanceBound;
 use swag_rtree::Aabb;
 
 use crate::index::{query_boxes, QueryBoxes};
@@ -86,21 +87,28 @@ pub struct QueryPlan {
     /// The direction filter compiled for the query centre, when
     /// [`FilterChain::direction_tolerance_deg`] is set.
     direction: Option<DirectionTest>,
+    /// Distance from the query centre to a leaf's box matches, bounded
+    /// below (the distance rank's leaf order).
+    distance: DistanceBound,
 }
 
 impl QueryPlan {
     /// Lowers a request into a plan (the planner).
     pub fn compile(query: &Query, opts: &QueryOptions) -> Self {
         let filters = FilterChain::from_options(opts);
+        let boxes = query_boxes(query);
+        // Every box shares the latitude band; a box match lies inside it.
+        let band = boxes.as_slice()[0];
         QueryPlan {
             query: *query,
-            boxes: query_boxes(query),
+            boxes,
             filters,
             rank: opts.rank,
             k: opts.top_n,
             direction: filters
                 .direction_tolerance_deg
                 .map(|tol| DirectionTest::new(query.center, tol)),
+            distance: DistanceBound::new(query.center, [band.min[1], band.max[1]]),
         }
     }
 
@@ -120,6 +128,15 @@ impl QueryPlan {
     #[inline]
     pub fn filters(&self) -> &FilterChain {
         &self.filters
+    }
+
+    /// A lower bound on the distance from the query centre to any box
+    /// match inside `mbr` (a leaf's box), as the distance rank computes
+    /// it.
+    #[inline]
+    pub(crate) fn distance_lower_bound(&self, mbr: &Aabb<3>) -> f64 {
+        let (lng, lat) = ([mbr.min[0], mbr.max[0]], [mbr.min[1], mbr.max[1]]);
+        self.distance.rect_m(lng, lat)
     }
 
     /// Whether a representative FoV passes every configured filter: it

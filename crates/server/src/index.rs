@@ -13,7 +13,7 @@
 
 use swag_core::{Fov, RepFov};
 use swag_geo::{LatLon, METERS_PER_DEG};
-use swag_rtree::{Aabb, RTree, RTreeConfig, SearchStats};
+use swag_rtree::{Aabb, Item, RTree, RTreeConfig, SearchStats};
 
 use crate::query::Query;
 use crate::store::SegmentId;
@@ -156,13 +156,42 @@ impl LeafRef {
     }
 }
 
+/// Examines one leaf that `boxes[i]` reached: calls `visit` for every
+/// entry inside `boxes[i]`, except that a later box skips an entry inside
+/// `boxes[0]` — a FoV exactly on ±180° falls into both antimeridian
+/// half-boxes and was visited with the first. Counts the leaf, its
+/// entries and its matches into `stats` when given, before that skip.
+#[inline]
+pub(crate) fn scan_leaf<'a>(
+    entries: &'a [Item<LeafRef, 3>],
+    boxes: &[Aabb<3>],
+    i: usize,
+    stats: Option<&mut SearchStats>,
+    mut visit: impl FnMut(&'a Aabb<3>, &'a LeafRef),
+) {
+    let qb = &boxes[i];
+    let mut matched = 0;
+    for item in entries.iter().filter(|item| item.mbr.intersects(qb)) {
+        matched += 1;
+        if i == 0 || !boxes[0].intersects(&item.mbr) {
+            visit(&item.mbr, &item.value);
+        }
+    }
+    if let Some(stats) = stats {
+        stats.nodes_visited += 1;
+        stats.leaves_scanned += 1;
+        stats.items_tested += entries.len() as u64;
+        stats.items_matched += matched;
+    }
+}
+
 /// A spatio-temporal index over segment ids.
 #[derive(Debug, Clone)]
 pub enum FovIndex {
     /// R-tree backed.
     RTree(RTree<LeafRef, 3>),
-    /// Linear-scan backed.
-    Linear(Vec<(Aabb<3>, LeafRef)>),
+    /// Linear-scan backed: one flat leaf of every record.
+    Linear(Vec<Item<LeafRef, 3>>),
 }
 
 impl FovIndex {
@@ -191,7 +220,10 @@ impl FovIndex {
             IndexKind::RTree => {
                 FovIndex::RTree(RTree::bulk_load_tiled(RTreeConfig::default(), 2, entries))
             }
-            IndexKind::Linear => FovIndex::Linear(entries),
+            IndexKind::Linear => {
+                let items = entries.into_iter().map(|(mbr, value)| Item { mbr, value });
+                FovIndex::Linear(items.collect())
+            }
         }
     }
 
@@ -214,7 +246,7 @@ impl FovIndex {
         out.reserve(self.len());
         match self {
             FovIndex::RTree(t) => out.extend(t.iter().map(|(b, leaf)| (*b, *leaf))),
-            FovIndex::Linear(v) => out.extend_from_slice(v),
+            FovIndex::Linear(v) => out.extend(v.iter().map(|it| (it.mbr, it.value))),
         }
     }
 
@@ -222,7 +254,7 @@ impl FovIndex {
     pub fn for_each_item(&self, mut f: impl FnMut(&Aabb<3>, SegmentId)) {
         match self {
             FovIndex::RTree(t) => t.iter().for_each(|(b, leaf)| f(b, leaf.id)),
-            FovIndex::Linear(v) => v.iter().for_each(|(b, leaf)| f(b, leaf.id)),
+            FovIndex::Linear(v) => v.iter().for_each(|it| f(&it.mbr, it.value.id)),
         }
     }
 
@@ -231,17 +263,35 @@ impl FovIndex {
         let (b, leaf) = LeafRef::entry(rep, id);
         match self {
             FovIndex::RTree(t) => t.insert(b, leaf),
-            FovIndex::Linear(v) => v.push((b, leaf)),
+            FovIndex::Linear(v) => v.push(Item {
+                mbr: b,
+                value: leaf,
+            }),
         }
     }
 
-    /// The index's one read traversal: calls `visit` once for every item
-    /// whose box intersects any of `boxes`, box by box in visit order. A
-    /// match of a later box that also intersects `boxes[0]` was visited
-    /// there already and is skipped — a FoV exactly on ±180° falls into
-    /// both antimeridian half-boxes. Traversal counters accumulate into
-    /// `stats` when given, counted before that skip; the linear scan
-    /// reports itself as one flat "leaf" covering every record.
+    /// The index's one read traversal: the leaves `qb` reaches, each
+    /// with its box (`None` for a root leaf) and its entries, unfiltered;
+    /// the linear scan is one such leaf holding every record. Returns the
+    /// internal nodes walked.
+    pub(crate) fn leaves<'a>(
+        &'a self,
+        qb: &Aabb<3>,
+        mut visit: impl FnMut(Option<&'a Aabb<3>>, &'a [Item<LeafRef, 3>]),
+    ) -> u64 {
+        match self {
+            FovIndex::RTree(t) => t.search_leaves(qb, visit),
+            FovIndex::Linear(v) => {
+                visit(None, v);
+                0
+            }
+        }
+    }
+
+    /// Calls `visit` once for every item whose box intersects any of
+    /// `boxes`, box by box in visit order ([`Self::leaves`] then
+    /// [`scan_leaf`]). Traversal counters accumulate into `stats` when
+    /// given.
     pub fn visit<'a>(
         &'a self,
         boxes: &[Aabb<3>],
@@ -249,27 +299,11 @@ impl FovIndex {
         mut visit: impl FnMut(&'a Aabb<3>, &'a LeafRef),
     ) {
         for (i, qb) in boxes.iter().enumerate() {
-            let mut once = |mbr: &'a Aabb<3>, leaf: &'a LeafRef| {
-                if i == 0 || !boxes[0].intersects(mbr) {
-                    visit(mbr, leaf);
-                }
-            };
-            match (self, stats.as_deref_mut()) {
-                (FovIndex::RTree(t), Some(stats)) => t.search_with_stats(qb, stats, &mut once),
-                (FovIndex::RTree(t), None) => t.search_with(qb, &mut once),
-                (FovIndex::Linear(v), stats) => {
-                    let mut matched = 0;
-                    for (b, leaf) in v.iter().filter(|(b, _)| b.intersects(qb)) {
-                        matched += 1;
-                        once(b, leaf);
-                    }
-                    if let Some(stats) = stats {
-                        stats.nodes_visited += 1;
-                        stats.leaves_scanned += 1;
-                        stats.items_tested += v.len() as u64;
-                        stats.items_matched += matched;
-                    }
-                }
+            let internal = self.leaves(qb, |_, entries| {
+                scan_leaf(entries, boxes, i, stats.as_deref_mut(), &mut visit);
+            });
+            if let Some(stats) = stats.as_deref_mut() {
+                stats.nodes_visited += internal;
             }
         }
     }
@@ -302,7 +336,7 @@ impl FovIndex {
         match self {
             FovIndex::RTree(t) => t.remove(&b, |leaf| leaf.id == id).is_some(),
             FovIndex::Linear(v) => {
-                let pos = v.iter().position(|(bb, leaf)| *bb == b && leaf.id == id);
+                let pos = v.iter().position(|it| it.mbr == b && it.value.id == id);
                 pos.map(|pos| v.swap_remove(pos)).is_some()
             }
         }

@@ -225,6 +225,13 @@ impl<'a> TopN<'a> {
 /// id), so a candidate list never exists. The direction filter reads the
 /// leaf's raw fields; only a match facing the centre is rebuilt into its
 /// rep.
+///
+/// Under the distance rank with a bounded `k`, the scan visits leaves
+/// nearest-first and stops at the first leaf whose distance lower bound
+/// exceeds the `k`-th hit's distance: every match in it ranks below all
+/// `k` kept hits, and later offers (more leaves, the cold tier) only
+/// lower the `k`-th distance. A leaf bounded exactly at that distance is
+/// still visited, so equal distances break ties by id as before.
 impl LeafSink for TopN<'_> {
     fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef) {
         let (plan, cam) = (self.plan, self.cam);
@@ -235,6 +242,22 @@ impl LeafSink for TopN<'_> {
         if plan.covers(&rep, cam) {
             let ord = leaf.id.0.into();
             self.admit(Tier::Index, ord, leaf.id, rep, SegmentRef::default());
+        }
+    }
+
+    fn lower_bound(&self, mbr: &Aabb<3>) -> f64 {
+        if self.plan.rank == RankMode::Distance && self.plan.k != usize::MAX {
+            self.plan.distance_lower_bound(mbr)
+        } else {
+            0.0
+        }
+    }
+
+    fn bound(&self) -> f64 {
+        let full = self.plan.rank == RankMode::Distance && self.heap.len() == self.plan.k;
+        match self.heap.peek() {
+            Some(&(_, slot)) if full => self.hits[slot].distance_m,
+            _ => f64::INFINITY,
         }
     }
 }

@@ -24,9 +24,9 @@ use std::sync::Arc;
 
 use swag_core::RepFov;
 use swag_exec::Executor;
-use swag_rtree::{Aabb, SearchStats};
+use swag_rtree::{Aabb, Item, SearchStats};
 
-use crate::index::{fov_box, query_boxes, FovIndex, IndexKind, LeafRef, QueryBoxes};
+use crate::index::{fov_box, query_boxes, scan_leaf, FovIndex, IndexKind, LeafRef, QueryBoxes};
 use crate::query::Query;
 use crate::shard_map::ShardMap;
 use crate::store::SegmentId;
@@ -59,12 +59,27 @@ fn items(runs: &[Arc<FovIndex>]) -> usize {
     runs.iter().map(|run| run.len()).sum()
 }
 
-/// Where [`ShardedFovIndex::scan`] delivers box matches.
+/// Where [`ShardedFovIndex::scan`] delivers box matches, and how far it
+/// must look: the scan examines leaves in ascending
+/// [`lower_bound`](Self::lower_bound) and stops at the first one above
+/// [`bound`](Self::bound).
 pub trait LeafSink {
     /// One box match, delivered once however many shards, runs or
     /// half-boxes hold it. Ties order by the segment id, so results never
     /// depend on how publishes split a shard into runs.
     fn accept(&mut self, mbr: &Aabb<3>, leaf: &LeafRef);
+
+    /// A key no box match inside a leaf of box `mbr` can rank below; 0
+    /// (the default) keeps the index's own visit order.
+    fn lower_bound(&self, _mbr: &Aabb<3>) -> f64 {
+        0.0
+    }
+
+    /// The key above which no match can enter the answer any more, given
+    /// what was accepted so far; `+∞` (the default) scans every leaf.
+    fn bound(&self) -> f64 {
+        f64::INFINITY
+    }
 }
 
 /// The candidate-list sink: segment ids, sorted afterwards.
@@ -72,6 +87,23 @@ impl LeafSink for Vec<SegmentId> {
     fn accept(&mut self, _mbr: &Aabb<3>, leaf: &LeafRef) {
         self.push(leaf.id);
     }
+}
+
+/// Leaves [`ShardedFovIndex::scan`] collects on the stack before it
+/// allocates: a narrow query reaches a handful.
+const INLINE_LEAVES: usize = 8;
+
+/// A leaf [`ShardedFovIndex::scan`] may examine.
+#[derive(Clone, Copy)]
+struct Candidate<'a> {
+    /// [`LeafSink::lower_bound`] of its box (0 for a root leaf or a
+    /// linear run).
+    bound: f64,
+    /// Position of its shard among the probed ones.
+    shard: usize,
+    /// Which query box reached it.
+    qbox: usize,
+    entries: &'a [Item<LeafRef, 3>],
 }
 
 /// What one [`ShardedFovIndex::expire_before`] call removed.
@@ -260,10 +292,16 @@ impl ShardedFovIndex {
         hits
     }
 
-    /// The index probe: feeds `sink` every match of `boxes` in the live
-    /// shards over `[t0, t1]` exactly once, shard by shard in bucket
-    /// order (counting into `stats` when given), and returns the shards
-    /// probed and the match count.
+    /// The index probe: feeds `sink` the matches of `boxes` in the live
+    /// shards over `[t0, t1]`, each exactly once, and returns the shards
+    /// probed and the matches fed. It walks every probed run first and
+    /// collects the leaves the boxes reach, then examines them in
+    /// ascending [`LeafSink::lower_bound`] — a stable sort, so with every
+    /// bound 0 the order is shard by shard in bucket order, run by run,
+    /// box by box — and stops at the first leaf whose bound exceeds
+    /// [`LeafSink::bound`]: nothing in it or after it can rank. Counters
+    /// go into `stats` when given: the internal nodes walked, and only
+    /// the leaves examined.
     pub fn scan<S: LeafSink>(
         &self,
         boxes: &QueryBoxes,
@@ -277,17 +315,67 @@ impl ShardedFovIndex {
             .range(self.buckets(t0, t1))
             .map(|(bucket, runs)| (bucket, runs.as_slice()))
             .collect();
-        let mut matched = 0;
-        for (i, (_, runs)) in probed.iter().enumerate() {
-            let earlier = &probed[..i];
+        let boxes = boxes.as_slice();
+        let none = Candidate {
+            bound: 0.0,
+            shard: 0,
+            qbox: 0,
+            entries: &[],
+        };
+        let (mut inline, mut spilled, mut n) = ([none; INLINE_LEAVES], Vec::new(), 0);
+        let mut internal = 0;
+        for (shard, (_, runs)) in probed.iter().enumerate() {
             for run in *runs {
-                run.visit(boxes.as_slice(), stats.as_deref_mut(), |mbr, leaf| {
-                    if self.first_home(earlier, mbr, leaf.id) {
-                        sink.accept(mbr, leaf);
+                for (qbox, qb) in boxes.iter().enumerate() {
+                    internal += run.leaves(qb, |mbr, entries| {
+                        let bound = mbr.map_or(0.0, |mbr| sink.lower_bound(mbr));
+                        let leaf = Candidate {
+                            bound,
+                            shard,
+                            qbox,
+                            entries,
+                        };
+                        if n < INLINE_LEAVES {
+                            inline[n] = leaf;
+                        } else {
+                            if n == INLINE_LEAVES {
+                                spilled.reserve(8 * INLINE_LEAVES);
+                                spilled.extend_from_slice(&inline);
+                            }
+                            spilled.push(leaf);
+                        }
+                        n += 1;
+                    });
+                }
+            }
+        }
+        if let Some(stats) = stats.as_deref_mut() {
+            stats.nodes_visited += internal;
+        }
+        let leaves = if n <= INLINE_LEAVES {
+            &mut inline[..n]
+        } else {
+            &mut spilled[..]
+        };
+        leaves.sort_by(|a, b| a.bound.total_cmp(&b.bound));
+        let mut matched = 0;
+        for leaf in leaves.iter() {
+            if leaf.bound > sink.bound() {
+                break;
+            }
+            let earlier = &probed[..leaf.shard];
+            scan_leaf(
+                leaf.entries,
+                boxes,
+                leaf.qbox,
+                stats.as_deref_mut(),
+                |mbr, entry| {
+                    if self.first_home(earlier, mbr, entry.id) {
+                        sink.accept(mbr, entry);
                         matched += 1;
                     }
-                });
-            }
+                },
+            );
         }
         (probed.len(), matched)
     }

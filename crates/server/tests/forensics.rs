@@ -150,12 +150,11 @@ fn analyzed_execution_matches_normal_execution() {
         assert_eq!(ev.hit_count, plain.len() as u64);
         assert_eq!(ev.digest, result_digest(&plain));
         // Every operator annotated: rows flow through the pipeline. The
-        // index scan now filters and collects as it goes, yet its rows
-        // out are still the box matches after cross-shard dedup, the
-        // ranking's rows in those box matches, and the index hits the
-        // filter survivors.
+        // index scan filters and collects as it goes; with nothing to
+        // stop it early (an unbounded top-k) its rows out are the box
+        // matches after cross-shard dedup, the ranking's rows in those
+        // box matches, and the index hits the filter survivors.
         let candidates = index.candidates(&q);
-        assert_eq!(ev.index_rows_out, candidates.len() as u64);
         assert_eq!(ev.rank_rows_in, ev.index_rows_out);
         assert_eq!(ev.delta_rows_in, 0, "the reserved delta word reads 0");
         assert_eq!(ev.rank_rows_out, ev.hit_count);
@@ -164,7 +163,18 @@ fn analyzed_execution_matches_normal_execution() {
             ..opts
         };
         let survivors = rank_candidates(&candidates, &store, server.camera(), &q, &all);
-        assert_eq!(ev.hits_index, survivors.len() as u64);
+        let unbounded = server.query_analyzed(7, &q, &all).report.event;
+        assert_eq!(unbounded.index_rows_out, candidates.len() as u64);
+        assert_eq!(unbounded.hits_index, survivors.len() as u64);
+        // The quality rank scans every leaf whatever its k; the distance
+        // rank stops at the first leaf beyond the k-th hit's distance.
+        if opts.rank == RankMode::Quality {
+            assert_eq!(ev.index_rows_out, candidates.len() as u64);
+            assert_eq!(ev.hits_index, survivors.len() as u64);
+        } else {
+            assert!(ev.index_rows_out <= candidates.len() as u64);
+            assert!(ev.hits_index <= survivors.len() as u64);
+        }
         // Index hits count filter survivors *before* top-N truncation:
         // at least everything ranked out, at most rows in.
         assert!(ev.hits_index >= ev.rank_rows_out && ev.hits_index <= ev.rank_rows_in);

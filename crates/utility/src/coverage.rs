@@ -187,6 +187,23 @@ mod tests {
     }
 
     #[test]
+    fn a_rep_across_the_antimeridian_covers_cells_beside_the_origin() {
+        // The origin sits 0.0005° west of ±180°, the camera 0.0005° east
+        // of it (≈ 110 m), looking west at the origin. Differenced the
+        // long way, the camera landed 39 466 km west and covered nothing.
+        let origin = LatLon::new(10.0, 179.9995);
+        let mut g = CoverageGrid::new(origin, 300.0, 20.0);
+        let camera = LatLon::new(10.0, -179.9995);
+        g.add(&RepFov::new(0.0, 10.0, Fov::new(camera, 270.0)), &cam());
+        // 50 m in front of the camera, just across the seam.
+        assert_eq!(g.count_at(camera.offset(270.0, 50.0)), 1);
+        assert_eq!(g.count_at(origin.offset(90.0, 40.0)), 1);
+        // Behind the camera, and beyond its radius west of the origin.
+        assert_eq!(g.count_at(camera.offset(90.0, 50.0)), 0);
+        assert_eq!(g.count_at(origin.offset(270.0, 50.0)), 0);
+    }
+
+    #[test]
     fn out_of_grid_probes_are_zero() {
         let mut g = CoverageGrid::new(origin(), 100.0, 10.0);
         g.add(&RepFov::new(0.0, 1.0, Fov::new(origin(), 0.0)), &cam());
