@@ -372,7 +372,7 @@ impl SimAnchor {
     ///
     /// Every other frame evaluates [`similarity_trig`]. Each shortcut is a
     /// comparison that is false on NaN, so a non-finite frame always takes
-    /// the full formula. See [`CUT_EPS`] for the margin.
+    /// the full formula. The margin ε is `CUT_EPS` (10⁻⁹).
     #[inline]
     pub fn is_below(&self, f: &Fov, trig: &CamTrig, thresh: f64) -> bool {
         let s = &self.fov;
@@ -420,7 +420,7 @@ impl SimAnchor {
 }
 
 /// The *vector-model* similarity of prior geo-video work (Kim et al.,
-/// MMSys 2010 — reference [23] of the paper): the FoV is treated as a
+/// MMSys 2010 — reference \[23\] of the paper): the FoV is treated as a
 /// vector of magnitude `R` along `θ`, and similarity is a weighted linear
 /// blend of normalised position and orientation agreement:
 ///

@@ -9,11 +9,10 @@
 //! * **range queries** — all items whose box intersects a query box
 //!   ([`RTree::search`], [`RTree::search_with`]), or the leaves holding
 //!   them ([`RTree::search_leaves`]);
-//! * **k-nearest-neighbour** queries via best-first traversal
-//!   ([`RTree::nearest_k`]);
-//! * **deletion** with tree condensation and reinsertion
-//!   ([`RTree::remove`]);
 //! * **Sort-Tile-Recursive bulk loading** ([`RTree::bulk_load`]).
+//!
+//! There is no deletion: a tree is built once (bulk-loaded, or grown by
+//! insertion) and then only read.
 //!
 //! Nodes live in a flat arena (`Vec<Node>`) addressed by `NonZeroUsize`
 //! index handles; within each node the entry boxes form a dense
@@ -36,8 +35,6 @@
 //! }
 //! let hits = tree.search(&Aabb::new([0.0, 0.0], [2.0, 1.0]));
 //! assert_eq!(hits.len(), 6); // the 3×2 grid corner
-//! let (nearest, _) = tree.nearest_k([4.2, 4.2], 1)[0];
-//! assert_eq!(*nearest, 44);
 //! ```
 
 pub mod bulk;

@@ -130,23 +130,6 @@ impl<const D: usize> Aabb<D> {
         }
         c
     }
-
-    /// Squared minimum distance from a point to the box (0 if inside) —
-    /// the `MINDIST` bound used by best-first k-NN search.
-    pub fn min_dist_sq(&self, p: &[f64; D]) -> f64 {
-        let mut d = 0.0;
-        for i in 0..D {
-            let gap = if p[i] < self.min[i] {
-                self.min[i] - p[i]
-            } else if p[i] > self.max[i] {
-                p[i] - self.max[i]
-            } else {
-                0.0
-            };
-            d += gap * gap;
-        }
-        d
-    }
 }
 
 #[cfg(test)]
@@ -207,15 +190,6 @@ mod tests {
         let b = Aabb::new([1.0, 1.0], [2.0, 2.0]);
         assert_eq!(a.enlargement(&b), 0.0);
         assert!(b.enlargement(&a) > 0.0);
-    }
-
-    #[test]
-    fn min_dist_sq_inside_edge_corner() {
-        let a = Aabb::new([0.0, 0.0], [2.0, 2.0]);
-        assert_eq!(a.min_dist_sq(&[1.0, 1.0]), 0.0);
-        assert_eq!(a.min_dist_sq(&[3.0, 1.0]), 1.0);
-        assert_eq!(a.min_dist_sq(&[3.0, 3.0]), 2.0);
-        assert_eq!(a.min_dist_sq(&[-1.0, -1.0]), 2.0);
     }
 
     #[test]

@@ -75,7 +75,7 @@ pub(crate) enum Node<T, const D: usize> {
 }
 
 impl<T, const D: usize> Node<T, D> {
-    /// An empty leaf — the state of a fresh tree's root and of freed slots.
+    /// An empty leaf — the root of a fresh tree.
     pub(crate) fn empty_leaf() -> Self {
         Node::Leaf { items: Vec::new() }
     }
@@ -94,15 +94,6 @@ impl<T, const D: usize> Node<T, D> {
             children.push(c.node);
         }
         Node::Internal { mbrs, children }
-    }
-
-    /// Number of entries (items or children).
-    #[inline]
-    pub(crate) fn entry_count(&self) -> usize {
-        match self {
-            Node::Leaf { items } => items.len(),
-            Node::Internal { mbrs, .. } => mbrs.len(),
-        }
     }
 
     /// The union of this node's entry boxes; `None` when empty.
@@ -167,14 +158,13 @@ mod tests {
             })
             .collect();
         let mut node = Node::leaf_from(items);
-        assert_eq!(node.entry_count(), 5);
         assert_eq!(
             node.fold_entry_mbr(),
             Some(Aabb::new([0.0, 0.0], [4.0, 0.0]))
         );
         let back = node.take_leaf_items();
         assert_eq!(back.len(), 5);
-        assert_eq!(node.entry_count(), 0);
+        assert_eq!(node.fold_entry_mbr(), None);
         assert!(back.iter().enumerate().all(|(i, it)| it.value == i as u32));
     }
 
@@ -187,8 +177,13 @@ mod tests {
             })
             .collect();
         let mut node: Node<u32, 2> = Node::internal_from(entries);
-        assert_eq!(node.entry_count(), 4);
+        assert_eq!(
+            node.fold_entry_mbr(),
+            Some(Aabb::new([0.0, 1.0], [3.0, 1.0]))
+        );
         let back = node.take_internal_children();
+        assert_eq!(back.len(), 4);
+        assert_eq!(node.fold_entry_mbr(), None);
         assert!(back.iter().enumerate().all(|(i, c)| c.node.get() == i));
     }
 }

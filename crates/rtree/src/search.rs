@@ -1,4 +1,4 @@
-//! Read-side traversals: range search, k-NN, iteration.
+//! Read-side traversals: range search and iteration.
 //!
 //! Range searches are one leaf walk ([`RTree::search_leaves`]) that
 //! recurses over the arena in **reverse child order** —
@@ -10,8 +10,6 @@
 //! nothing. Depth is bounded by `log_m(n)` — under the default fan-out a
 //! height of 12 already holds billions of items, so stack use is a
 //! non-issue.
-
-use std::collections::BinaryHeap;
 
 use crate::mbr::Aabb;
 use crate::node::{Item, Node, NodeIx};
@@ -118,80 +116,6 @@ impl<T, const D: usize> RTree<T, D> {
                 }
             }
         }
-    }
-
-    /// Returns the `k` stored values nearest to `point` (by MBR `MINDIST`),
-    /// closest first, together with their squared distances.
-    ///
-    /// Uses best-first traversal with a priority queue, so it touches only
-    /// the nodes whose boxes can contain a better candidate.
-    pub fn nearest_k(&self, point: [f64; D], k: usize) -> Vec<(&T, f64)> {
-        if k == 0 || self.len == 0 {
-            return Vec::new();
-        }
-
-        /// Max-heap entry ordered by negative distance = min-heap by distance.
-        struct HeapEntry<'a, T, const D: usize> {
-            dist_sq: f64,
-            kind: Candidate<'a, T, D>,
-        }
-        enum Candidate<'a, T, const D: usize> {
-            Node(NodeIx),
-            Item(&'a T),
-        }
-        impl<T, const D: usize> PartialEq for HeapEntry<'_, T, D> {
-            fn eq(&self, other: &Self) -> bool {
-                self.dist_sq == other.dist_sq
-            }
-        }
-        impl<T, const D: usize> Eq for HeapEntry<'_, T, D> {}
-        impl<T, const D: usize> PartialOrd for HeapEntry<'_, T, D> {
-            fn partial_cmp(&self, other: &Self) -> Option<std::cmp::Ordering> {
-                Some(self.cmp(other))
-            }
-        }
-        impl<T, const D: usize> Ord for HeapEntry<'_, T, D> {
-            fn cmp(&self, other: &Self) -> std::cmp::Ordering {
-                // Reverse: smallest distance pops first.
-                other.dist_sq.total_cmp(&self.dist_sq)
-            }
-        }
-
-        let mut heap: BinaryHeap<HeapEntry<'_, T, D>> = BinaryHeap::new();
-        heap.push(HeapEntry {
-            dist_sq: 0.0,
-            kind: Candidate::Node(self.root),
-        });
-        let mut out = Vec::with_capacity(k);
-        while let Some(entry) = heap.pop() {
-            match entry.kind {
-                Candidate::Item(v) => {
-                    out.push((v, entry.dist_sq));
-                    if out.len() == k {
-                        break;
-                    }
-                }
-                Candidate::Node(ix) => match self.node(ix) {
-                    Node::Leaf { items } => {
-                        for item in items {
-                            heap.push(HeapEntry {
-                                dist_sq: item.mbr.min_dist_sq(&point),
-                                kind: Candidate::Item(&item.value),
-                            });
-                        }
-                    }
-                    Node::Internal { mbrs, children } => {
-                        for (mbr, child) in mbrs.iter().zip(children) {
-                            heap.push(HeapEntry {
-                                dist_sq: mbr.min_dist_sq(&point),
-                                kind: Candidate::Node(*child),
-                            });
-                        }
-                    }
-                },
-            }
-        }
-        out
     }
 
     /// Iterates over all `(box, value)` pairs in arbitrary order.
@@ -320,24 +244,6 @@ mod tests {
             assert_eq!(t.search(&inner_q).len(), inner_expect);
         });
         assert_eq!(outer, t.search(&outer_q).len());
-    }
-
-    #[test]
-    fn nearest_k_exact_order() {
-        let t = grid_tree(100);
-        let hits = t.nearest_k([5.2, 0.0], 3);
-        let ids: Vec<u32> = hits.iter().map(|(v, _)| **v).collect();
-        assert_eq!(ids, vec![5, 6, 4]);
-        // Distances are non-decreasing.
-        for w in hits.windows(2) {
-            assert!(w[0].1 <= w[1].1);
-        }
-    }
-
-    #[test]
-    fn nearest_k_more_than_len() {
-        let t = grid_tree(7);
-        assert_eq!(t.nearest_k([0.0, 0.0], 100).len(), 7);
     }
 
     #[test]

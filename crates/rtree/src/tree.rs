@@ -1,6 +1,6 @@
-//! The dynamic R-tree structure: configuration, insert, delete,
-//! invariant checks. Read-side traversals live in [`crate::search`]; the
-//! arena node representation in [`crate::node`].
+//! The dynamic R-tree structure: configuration, insert, invariant
+//! checks. Read-side traversals live in [`crate::search`]; the arena node
+//! representation in the private `node` module.
 
 use crate::mbr::Aabb;
 use crate::node::{fold_mbr, Child, Item, Node, NodeIx};
@@ -71,7 +71,7 @@ pub struct RTreeStats {
     pub len: usize,
     /// Tree height (1 = root is a leaf).
     pub height: usize,
-    /// Live node count.
+    /// Node count.
     pub nodes: usize,
 }
 
@@ -82,7 +82,6 @@ pub struct RTreeStats {
 pub struct RTree<T, const D: usize> {
     /// Flat node arena; handles ([`NodeIx`]) index into it.
     pub(crate) nodes: Vec<Node<T, D>>,
-    pub(crate) free: Vec<NodeIx>,
     pub(crate) root: NodeIx,
     /// Depth of leaves below the root (0 = root is a leaf).
     pub(crate) height: usize,
@@ -110,7 +109,6 @@ impl<T, const D: usize> RTree<T, D> {
         config.validate();
         RTree {
             nodes: vec![Node::empty_leaf()],
-            free: Vec::new(),
             root: NodeIx::new(0),
             height: 0,
             len: 0,
@@ -141,18 +139,8 @@ impl<T, const D: usize> RTree<T, D> {
         RTreeStats {
             len: self.len,
             height: self.height + 1,
-            nodes: self.nodes.len() - self.free.len(),
+            nodes: self.nodes.len(),
         }
-    }
-
-    /// Removes all items, keeping the configuration.
-    pub fn clear(&mut self) {
-        self.nodes.clear();
-        self.free.clear();
-        self.nodes.push(Node::empty_leaf());
-        self.root = NodeIx::new(0);
-        self.height = 0;
-        self.len = 0;
     }
 
     /// The node a handle refers to.
@@ -166,15 +154,10 @@ impl<T, const D: usize> RTree<T, D> {
         &mut self.nodes[ix.get()]
     }
 
-    /// Places `node` into a free arena slot (or grows the arena).
+    /// Appends `node` to the arena.
     pub(crate) fn alloc(&mut self, node: Node<T, D>) -> NodeIx {
-        if let Some(ix) = self.free.pop() {
-            self.nodes[ix.get()] = node;
-            ix
-        } else {
-            self.nodes.push(node);
-            NodeIx::new(self.nodes.len() - 1)
-        }
+        self.nodes.push(node);
+        NodeIx::new(self.nodes.len() - 1)
     }
 
     fn node_mbr(&self, ix: NodeIx) -> Aabb<D> {
@@ -316,115 +299,6 @@ impl<T, const D: usize> RTree<T, D> {
     }
 
     // ------------------------------------------------------------------
-    // Deletion
-    // ------------------------------------------------------------------
-
-    /// Removes and returns the first stored value whose box equals `mbr`
-    /// and whose value satisfies `pred`. Underflowing nodes are dissolved
-    /// and their remaining items reinserted (tree condensation).
-    pub fn remove(&mut self, mbr: &Aabb<D>, mut pred: impl FnMut(&T) -> bool) -> Option<T> {
-        let mut orphans: Vec<Item<T, D>> = Vec::new();
-        let removed = self.remove_rec(self.root, mbr, &mut pred, self.height, &mut orphans)?;
-        self.len -= 1;
-
-        // Shrink the root while it is an internal node with one child.
-        loop {
-            let new_root = match self.node(self.root) {
-                Node::Internal { children, .. } if children.len() == 1 => children[0],
-                _ => break,
-            };
-            self.free.push(self.root);
-            self.root = new_root;
-            self.height -= 1;
-        }
-        // An empty internal root can only arise transiently; normalise an
-        // empty tree back to a leaf root.
-        if self.len == orphans.len() {
-            self.free.push(self.root);
-            self.root = self.alloc(Node::empty_leaf());
-            self.height = 0;
-        }
-
-        // Reinsert orphaned items.
-        self.len -= orphans.len();
-        for item in orphans {
-            self.insert(item.mbr, item.value);
-        }
-        Some(removed)
-    }
-
-    /// Recursive removal. Returns the removed value; appends orphaned items
-    /// of dissolved nodes to `orphans`.
-    fn remove_rec(
-        &mut self,
-        node: NodeIx,
-        mbr: &Aabb<D>,
-        pred: &mut impl FnMut(&T) -> bool,
-        depth: usize,
-        orphans: &mut Vec<Item<T, D>>,
-    ) -> Option<T> {
-        if depth == 0 {
-            let Node::Leaf { items } = self.node_mut(node) else {
-                unreachable!()
-            };
-            let idx = items
-                .iter()
-                .position(|it| it.mbr == *mbr && pred(&it.value))?;
-            return Some(items.swap_remove(idx).value);
-        }
-
-        let touched: Vec<(usize, NodeIx)> = {
-            let Node::Internal { mbrs, children } = self.node(node) else {
-                unreachable!()
-            };
-            mbrs.iter()
-                .zip(children)
-                .enumerate()
-                .filter(|(_, (m, _))| m.intersects(mbr))
-                .map(|(i, (_, c))| (i, *c))
-                .collect()
-        };
-
-        for (idx, child_id) in touched {
-            if let Some(value) = self.remove_rec(child_id, mbr, pred, depth - 1, orphans) {
-                // Check for underflow of the child.
-                let child_len = self.node(child_id).entry_count();
-                if child_len < self.config.min_entries {
-                    // Dissolve the child: orphan all items beneath it.
-                    let Node::Internal { mbrs, children } = self.node_mut(node) else {
-                        unreachable!()
-                    };
-                    mbrs.swap_remove(idx);
-                    children.swap_remove(idx);
-                    self.collect_items(child_id, orphans);
-                } else {
-                    let new_mbr = self.node_mbr(child_id);
-                    let Node::Internal { mbrs, .. } = self.node_mut(node) else {
-                        unreachable!()
-                    };
-                    mbrs[idx] = new_mbr;
-                }
-                return Some(value);
-            }
-        }
-        None
-    }
-
-    /// Moves every item stored under `node` into `out` and frees the nodes.
-    fn collect_items(&mut self, node: NodeIx, out: &mut Vec<Item<T, D>>) {
-        let mut taken = std::mem::replace(self.node_mut(node), Node::empty_leaf());
-        self.free.push(node);
-        match &mut taken {
-            Node::Leaf { .. } => out.append(&mut taken.take_leaf_items()),
-            Node::Internal { .. } => {
-                for c in taken.take_internal_children() {
-                    self.collect_items(c.node, out);
-                }
-            }
-        }
-    }
-
-    // ------------------------------------------------------------------
     // Invariants (used by tests)
     // ------------------------------------------------------------------
 
@@ -539,7 +413,6 @@ mod tests {
         let t: RTree<u32, 2> = RTree::new();
         assert!(t.is_empty());
         assert!(t.search(&Aabb::new([-1e9, -1e9], [1e9, 1e9])).is_empty());
-        assert!(t.nearest_k([0.0, 0.0], 5).is_empty());
         t.check_invariants();
     }
 
@@ -555,37 +428,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_single_item() {
-        let mut t = grid_tree(50);
-        let removed = t.remove(&Aabb::from_point([7.0, 0.0]), |&v| v == 7);
-        assert_eq!(removed, Some(7));
-        assert_eq!(t.len(), 49);
-        t.check_invariants();
-        assert!(t.search(&Aabb::from_point([7.0, 0.0])).is_empty());
-        // Removing again finds nothing.
-        assert_eq!(t.remove(&Aabb::from_point([7.0, 0.0]), |&v| v == 7), None);
-    }
-
-    #[test]
-    fn remove_everything_then_reuse() {
-        let mut t = grid_tree(200);
-        for i in 0..200u32 {
-            let p = [f64::from(i % 100), f64::from(i / 100)];
-            assert_eq!(
-                t.remove(&Aabb::from_point(p), |&v| v == i),
-                Some(i),
-                "item {i}"
-            );
-            t.check_invariants();
-        }
-        assert!(t.is_empty());
-        // The tree is fully usable afterwards.
-        t.insert(Aabb::from_point([1.0, 1.0]), 42);
-        assert_eq!(t.len(), 1);
-        assert_eq!(t.search(&Aabb::from_point([1.0, 1.0])), vec![&42]);
-    }
-
-    #[test]
     fn duplicate_boxes_are_kept_separately() {
         let mut t: RTree<u32, 1> = RTree::new();
         for i in 0..20 {
@@ -593,9 +435,6 @@ mod tests {
         }
         assert_eq!(t.search(&Aabb::from_point([1.0])).len(), 20);
         t.check_invariants();
-        // Predicate-based removal picks the right duplicate.
-        assert_eq!(t.remove(&Aabb::from_point([1.0]), |&v| v == 13), Some(13));
-        assert_eq!(t.search(&Aabb::from_point([1.0])).len(), 19);
     }
 
     #[test]
@@ -609,16 +448,6 @@ mod tests {
         }
         t.check_invariants();
         assert_eq!(t.search(&Aabb::new([0.0, 0.0], [49.0, 9.0])).len(), 500);
-    }
-
-    #[test]
-    fn clear_resets() {
-        let mut t = grid_tree(100);
-        t.clear();
-        assert!(t.is_empty());
-        assert_eq!(t.stats().height, 1);
-        t.insert(Aabb::from_point([0.0, 0.0]), 1);
-        assert_eq!(t.len(), 1);
     }
 
     #[test]
@@ -681,20 +510,6 @@ mod tests {
             })
             .count();
         assert_eq!(got, want);
-    }
-
-    #[test]
-    fn forced_reinsertion_interleaves_with_removal() {
-        let mut t: RTree<u32, 2> = RTree::with_config(RTreeConfig::rstar());
-        for i in 0..500u32 {
-            t.insert(Aabb::from_point([f64::from(i % 25), f64::from(i / 25)]), i);
-        }
-        for i in (0..500u32).step_by(3) {
-            let p = [f64::from(i % 25), f64::from(i / 25)];
-            assert_eq!(t.remove(&Aabb::from_point(p), |&v| v == i), Some(i));
-        }
-        t.check_invariants();
-        assert_eq!(t.len(), 500 - 167);
     }
 
     #[test]

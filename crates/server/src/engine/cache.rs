@@ -6,13 +6,13 @@
 //! probe. Entries are keyed by the 64-bit
 //! [`QueryPlan::fingerprint`](super::plan::QueryPlan::fingerprint) of the
 //! canonical plan and validated against the epoch's
-//! [`CacheStamp`](super::epoch::CacheStamp) on every lookup:
+//! `CacheStamp` on every lookup:
 //!
 //! * **global generation** — compaction and bootstrap reassign dense
 //!   segment ids, so a mismatch invalidates unconditionally;
 //! * **per-bucket shard versions** — the writer bumps a time-shard
 //!   bucket's version when a publish folds records into it, retention
-//!   drops it, or a retraction removes from it. An entry records the
+//!   drops it, or a retraction retires a record of it. An entry records the
 //!   versions of the buckets its window spans, so a publish that folds
 //!   into *other* buckets leaves it valid — cold shards keep their
 //!   entries across publishes. Every ingest is such a publish, and a
@@ -24,7 +24,7 @@
 //! Invalidation is lazy: stale entries are detected and removed by the
 //! next lookup (or evicted by capacity pressure), never swept. A
 //! fingerprint collision between two distinct plans degrades to a miss —
-//! entries store the full [`PlanKey`] and compare it on hit — so the
+//! entries store the full `PlanKey` and compare it on hit — so the
 //! cache can serve wrong-age results never, wrong-plan results never,
 //! and byte-identical results always (the equivalence proptests pin
 //! this).

@@ -18,7 +18,7 @@ use crate::store::SegmentStore;
 ///
 /// * `shard_versions` maps a time-shard bucket to a version that the
 ///   writer bumps whenever a publish folds records into that bucket,
-///   retention drops it, or a retraction removes records from it. A
+///   retention drops it, or a retraction retires records of it. A
 ///   cached entry stores the versions of the buckets its window spans
 ///   and stays valid across publishes that only touch *other* buckets —
 ///   the issue's "cold shards keep their entries" property. It is a

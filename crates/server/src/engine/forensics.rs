@@ -10,7 +10,7 @@
 //! set.
 //!
 //! * **EXPLAIN ANALYZE** (`Engine::query_analyzed`, in
-//!   [`super::analyze`]) runs the one operator pipeline under the
+//!   the `analyze` module) runs the one operator pipeline under the
 //!   measuring probe and renders the plan tree annotated with what
 //!   actually happened.
 //! * The **wide-event log** ([`QueryEventLog`]) records one event per
@@ -26,7 +26,7 @@
 //!
 //! This module holds the data model; the views over a measured
 //! execution and the annotated-report rendering live in
-//! [`super::analyze`].
+//! the `analyze` module.
 
 use swag_obs::{EventClass, EventLog, EventLogStats};
 

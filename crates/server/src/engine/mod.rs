@@ -5,14 +5,15 @@
 //! * [`plan`] — the **planner**: lowers `(Query, QueryOptions)` into a
 //!   typed [`plan::QueryPlan`] (query boxes, filter chain, rank mode,
 //!   top-k) and renders `explain()` listings;
-//! * [`ops`] — the **operator pipeline**: executes plans against an
+//! * `ops` — the **operator pipeline**: executes plans against an
 //!   epoch snapshot (index scan → cold scan → ranking),
-//!   written once and generic over a stage [`probe`], and drives the
+//!   written once and generic over a stage `probe`, and drives the
 //!   read entry points (`query`, `query_nearest`, `query_batch`,
 //!   `query_analyzed`);
 //! * [`write`] — the **write path**: folding each ingest into a new
-//!   snapshot, retention, compaction, and retraction;
-//! * [`epoch`] — the immutable read-side state both halves exchange.
+//!   snapshot, retention, compaction, and retraction (which only retires
+//!   records: it never edits the index);
+//! * `epoch` — the immutable read-side state both halves exchange.
 //!
 //! The facade in `server.rs` owns construction, configuration, and the
 //! public API surface; every method there is a thin delegation into

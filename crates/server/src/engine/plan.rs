@@ -187,7 +187,7 @@ impl QueryPlan {
     /// equal plans fingerprint identically; the query boxes derive
     /// deterministically from the query and are not hashed. Two distinct
     /// plans can in principle collide in 64 bits, which is why cache
-    /// entries also store the full [`PlanKey`] and compare it on lookup.
+    /// entries also store the full `PlanKey` and compare it on lookup.
     pub fn fingerprint(&self) -> u64 {
         PlanKey::of(self).fingerprint()
     }
@@ -195,7 +195,7 @@ impl QueryPlan {
     /// Renders the plan for humans: boxes, filter chain, rank mode, and
     /// the operator pipeline (named with the same `OP_*` labels EXPLAIN
     /// ANALYZE uses). Snapshot-dependent facts (shards probed, cache)
-    /// are added by [`Self::explain_against`].
+    /// are added when the server explains it against its index.
     pub fn explain(&self) -> String {
         self.render(None)
     }

@@ -10,6 +10,13 @@
 //! Retention expires old shards at publish time and retires the dropped
 //! segments from the store, which compacts once enough of it is
 //! tombstones.
+//!
+//! Retraction only retires: it marks the provider's segments in the
+//! store and publishes the same index, whose packed runs are never
+//! edited. The ranking drops retired ids, and a retired segment leaves
+//! the index when its shards expire or when compaction — which counts
+//! retired slots like any other tombstone — rebuilds the index from the
+//! live records.
 
 use std::collections::BTreeMap;
 use std::sync::atomic::Ordering;
@@ -122,6 +129,14 @@ impl Engine {
             for bucket in &report.buckets_dropped {
                 *stamp.shard_versions.entry_or_default(*bucket) += 1;
             }
+            // Only the segments this expiry retires: a retracted one is
+            // still indexed, and a cold run written after the retraction
+            // would serve it again.
+            let expired: Vec<SegmentId> = report
+                .segments_dropped
+                .into_iter()
+                .filter(|id| !store.is_retired(*id))
+                .collect();
             // Cold-tier demotion: before the expired segments become
             // tombstones, write them (grouped by home bucket) to
             // immutable cold runs so `cold_scan` can still reach them.
@@ -129,10 +144,10 @@ impl Engine {
             // ahead — but it is data loss, so it is logged here and
             // counted by the store, never discarded.
             if let Some(durability) = &self.durability {
-                if !report.segments_dropped.is_empty() {
+                if !expired.is_empty() {
                     let mut by_bucket: BTreeMap<i64, Vec<(RepFov, SegmentRef)>> = BTreeMap::new();
                     let mut scratch = BytesMut::with_capacity(DescriptorCodec::RECORD_SIZE);
-                    for id in &report.segments_dropped {
+                    for id in &expired {
                         let rec = store.get(*id);
                         by_bucket
                             .entry(swag_store::home_bucket(rec.rep.t_start, width))
@@ -150,11 +165,10 @@ impl Engine {
                     }
                 }
             }
-            for id in &report.segments_dropped {
-                if store.retire(*id) {
-                    dropped += 1;
-                }
+            for id in &expired {
+                store.retire(*id);
             }
+            dropped = expired.len();
         }
 
         // Compaction: once enough of the store is tombstones, re-pack the
@@ -264,10 +278,10 @@ impl Engine {
     }
 
     /// Retracts every segment a provider contributed. Returns how many
-    /// live segments were removed; on a durable server the provider's
+    /// live segments were retired; on a durable server the provider's
     /// rows in every cold run written so far are hidden too. The
-    /// retraction publishes a fresh snapshot immediately. A retraction
-    /// the log refuses removes nothing.
+    /// retraction publishes a fresh snapshot immediately, over the same
+    /// index. A retraction the log refuses removes nothing.
     pub(crate) fn retract_provider(&self, provider_id: u64) -> Result<usize, StoreError> {
         let mut w = self.writer.lock();
         // Logged before the mutation. Cold rows are hidden by provider,
@@ -290,12 +304,10 @@ impl Engine {
             return Ok(0);
         }
         let mut store = w.epoch.store.clone();
-        let mut index = w.epoch.index.clone();
+        let index = w.epoch.index.clone();
         let mut stamp = w.epoch.stamp.clone();
         let width = self.config.shard_width_s;
         for (rep, id) in &victims {
-            let unindexed = index.remove(rep, *id);
-            debug_assert!(unindexed, "index and store disagreed on {id:?}");
             store.retire(*id);
             // Cached results over these windows held the victim.
             stamp.bump_span(width, rep.t_start, rep.t_end);

@@ -289,9 +289,9 @@ impl FovIndex {
     }
 
     /// Calls `visit` once for every item whose box intersects any of
-    /// `boxes`, box by box in visit order ([`Self::leaves`] then
-    /// [`scan_leaf`]). Traversal counters accumulate into `stats` when
-    /// given.
+    /// `boxes`, box by box in visit order: the leaves each box reaches,
+    /// then the matching entries of each leaf, a FoV on ±180° once.
+    /// Traversal counters accumulate into `stats` when given.
     pub fn visit<'a>(
         &'a self,
         boxes: &[Aabb<3>],
@@ -328,18 +328,6 @@ impl FovIndex {
             found |= leaf.id == id
         });
         found
-    }
-
-    /// Removes one indexed segment (used when providers retract videos).
-    pub fn remove(&mut self, rep: &RepFov, id: SegmentId) -> bool {
-        let b = fov_box(rep);
-        match self {
-            FovIndex::RTree(t) => t.remove(&b, |leaf| leaf.id == id).is_some(),
-            FovIndex::Linear(v) => {
-                let pos = v.iter().position(|it| it.mbr == b && it.value.id == id);
-                pos.map(|pos| v.swap_remove(pos)).is_some()
-            }
-        }
     }
 }
 
@@ -575,15 +563,5 @@ mod tests {
             };
             assert_eq!(bits(&back), bits(&rep));
         }
-    }
-
-    #[test]
-    fn remove_unindexes() {
-        let mut idx = FovIndex::new(IndexKind::RTree);
-        let r = rep_at(0.0, 0.0, 0.0, 10.0);
-        idx.insert(&r, SegmentId(7));
-        assert!(idx.remove(&r, SegmentId(7)));
-        assert!(!idx.remove(&r, SegmentId(7)));
-        assert!(idx.candidates(&q(50.0, 0.0, 10.0)).is_empty());
     }
 }

@@ -1,6 +1,6 @@
 //! Rank-based retrieval: the paper's filtering mechanism (§V-B).
 //!
-//! Every tier's box matches (step 2) are offered to one [`TopN`]
+//! Every tier's box matches (step 2) are offered to one `TopN`
 //! collector, which filters them by direction (step 3: "exclude the FoVs
 //! that have the improper direction"), ranks them by distance to the
 //! query centre ("closer FoVs have a higher probability to cover the

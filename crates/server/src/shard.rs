@@ -16,8 +16,13 @@
 //! ([`FovIndex::packed`]): the shard is already the time partition, and
 //! tiling its time too would only make the spatial cells coarser — a
 //! wide query spans most shards' whole time. Runs, run lists and shard
-//! groups ([`ShardMap`]) are `Arc`-shared with older snapshots, so a
+//! groups (`ShardMap`) are `Arc`-shared with older snapshots, so a
 //! publish's cost follows its batch, not the shard or the index.
+//!
+//! A run is never edited once packed: the index has no delete. A
+//! retracted segment stays indexed — and counted in [`ShardedFovIndex::len`]
+//! and the per-shard item counts — until its shards expire or the server
+//! rebuilds the index from its store; the ranking drops it meanwhile.
 
 use std::collections::BTreeMap;
 use std::sync::Arc;
@@ -26,7 +31,7 @@ use swag_core::RepFov;
 use swag_exec::Executor;
 use swag_rtree::{Aabb, Item, SearchStats};
 
-use crate::index::{fov_box, query_boxes, scan_leaf, FovIndex, IndexKind, LeafRef, QueryBoxes};
+use crate::index::{query_boxes, scan_leaf, FovIndex, IndexKind, LeafRef, QueryBoxes};
 use crate::query::Query;
 use crate::shard_map::ShardMap;
 use crate::store::SegmentId;
@@ -116,7 +121,8 @@ pub struct ExpireReport {
     /// them are invalidated.
     pub buckets_dropped: Vec<i64>,
     /// Segments no longer present in *any* shard — every bucket they
-    /// touched expired. The caller retires these in its segment store.
+    /// touched expired. The caller retires these in its segment store;
+    /// some may be retired already (retracted while still indexed).
     pub segments_dropped: Vec<SegmentId>,
 }
 
@@ -126,11 +132,11 @@ pub struct ShardedFovIndex {
     shard_width_s: f64,
     kind: IndexKind,
     shards: ShardMap<Runs>,
-    /// Number of distinct indexed segments. Each id must be indexed at
-    /// most once; the span a segment occupies is recomputed from its
-    /// interval (insert, remove) or its stored box (expiry), so no
-    /// per-segment map has to be deep-copied when the index is cloned
-    /// for a new snapshot.
+    /// Number of distinct indexed segments, retracted ones included.
+    /// Each id must be indexed at most once; the span a segment occupies
+    /// is recomputed from its interval (insert) or its stored box
+    /// (expiry), so no per-segment map has to be deep-copied when the
+    /// index is cloned for a new snapshot.
     segments: usize,
     /// The highest cutoff [`Self::expire_before`] has applied since the
     /// index was empty: a live shard below it was re-created after that
@@ -172,7 +178,8 @@ impl ShardedFovIndex {
     }
 
     /// Number of indexed segments (each counted once, surviving expiry
-    /// accounting included).
+    /// accounting included; retracted segments count until they leave
+    /// the index).
     pub fn len(&self) -> usize {
         self.segments
     }
@@ -212,29 +219,6 @@ impl ShardedFovIndex {
             .collect()
     }
 
-    /// Removes one indexed segment from every bucket it spans. Returns
-    /// `false` if the id was not indexed (already removed or expired).
-    /// Only the run holding the segment is copied (when an older snapshot
-    /// shares it); a run or shard left empty is dropped.
-    pub fn remove(&mut self, rep: &RepFov, id: SegmentId) -> bool {
-        let mbr = fov_box(rep);
-        let mut removed = false;
-        for bucket in self.buckets(rep.t_start, rep.t_end) {
-            let holder = |runs: &Runs| runs.iter().position(|run| run.contains(&mbr, id));
-            let Some(i) = self.shards.get(bucket).and_then(holder) else {
-                continue; // bucket already expired
-            };
-            let runs = Arc::make_mut(self.shards.get_mut(bucket).expect("bucket just read"));
-            removed |= Arc::make_mut(&mut runs[i]).remove(rep, id);
-            runs.retain(|run| !run.is_empty());
-            if runs.is_empty() {
-                self.shards.remove(bucket);
-            }
-        }
-        self.segments -= usize::from(removed);
-        removed
-    }
-
     /// Bulk-inserts a batch as one new run per touched shard (the publish
     /// path; see [`Self::bulk_insert_exec`]).
     pub fn bulk_insert(&mut self, items: &[(RepFov, SegmentId)]) {
@@ -243,7 +227,7 @@ impl ShardedFovIndex {
 
     /// [`Self::bulk_insert`] on `exec`: per touched bucket, the batch's
     /// items form a new run, which absorbs the run before it while that
-    /// run holds at most [`MERGE_RATIO`] times its items, and is then
+    /// run holds at most `MERGE_RATIO` (2) times its items, and is then
     /// STR-packed once. On an empty index (bootstrap, compaction) that is
     /// one run per shard. Threads claim whole shards and each pack is
     /// serial, so the index is identical to the serial build and no
@@ -548,31 +532,6 @@ mod tests {
     }
 
     #[test]
-    fn remove_unindexes_across_spanned_buckets() {
-        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        let spanning = rep(50.0, 250.0, 10.0);
-        one(&mut idx, 50.0, 250.0, 10.0, 1);
-        one(&mut idx, 10.0, 20.0, 0.0, 2);
-        assert!(idx.remove(&spanning, SegmentId(1)));
-        assert!(!idx.remove(&spanning, SegmentId(1)), "double remove");
-        assert_eq!(idx.len(), 1);
-        assert!(idx.candidates(&q(100.0, 300.0)).is_empty());
-        assert_eq!(idx.candidates(&q(0.0, 300.0)), vec![SegmentId(2)]);
-        // Emptied shards are dropped entirely.
-        assert_eq!(idx.shard_count(), 1);
-    }
-
-    #[test]
-    fn remove_after_partial_expiry_is_safe() {
-        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        one(&mut idx, 90.0, 110.0, 0.0, 3); // buckets 0 and 1
-        idx.expire_before(100.0); // bucket 0 gone
-        assert!(idx.remove(&rep(90.0, 110.0, 0.0), SegmentId(3)));
-        assert!(idx.is_empty());
-        assert!(idx.candidates(&q(100.0, 120.0)).is_empty());
-    }
-
-    #[test]
     fn negative_times_bucket_correctly() {
         let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
         one(&mut idx, 0.0, 10.0, 0.0, 0);
@@ -687,22 +646,6 @@ mod tests {
         assert!(Arc::ptr_eq(&runs(&idx, 0)[0], &runs(&before, 0)[0]));
     }
 
-    #[test]
-    fn remove_reaches_a_segment_in_an_older_run() {
-        let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-        idx.bulk_insert(&batch(0..10));
-        idx.bulk_insert(&batch(10..11));
-        let before = idx.clone();
-        assert_eq!(run_sizes(&idx, 0), vec![10, 1]);
-        assert!(idx.remove(&batch(3..4)[0].0, SegmentId(3)));
-        assert_eq!(run_sizes(&idx, 0), vec![9, 1]);
-        assert_eq!(idx.len(), 10);
-        assert!(!idx.candidates(&q(0.0, 99.0)).contains(&SegmentId(3)));
-        // The snapshot still holds it; the untouched tail run is shared.
-        assert!(before.candidates(&q(0.0, 99.0)).contains(&SegmentId(3)));
-        assert!(Arc::ptr_eq(&runs(&idx, 0)[1], &runs(&before, 0)[1]));
-    }
-
     mod dedup {
         use super::*;
         use proptest::prelude::*;
@@ -711,13 +654,13 @@ mod tests {
             #![proptest_config(ProptestConfig::with_cases(48))]
 
             /// Whatever batched inserts (several per bucket, so shards
-            /// hold several runs), expiries (late arrivals then re-create
-            /// expired buckets) and removals built the index, the scan
+            /// hold several runs) and expiries (late arrivals then
+            /// re-create expired buckets) built the index, the scan
             /// reports the union of the probed shards' matches, each once.
             #[test]
             fn scan_reports_each_probed_match_once(
                 ops in prop::collection::vec(
-                    (0u8..4, 0.0..1500.0f64, 0.0..450.0f64, -400.0..400.0f64),
+                    (0u8..3, 0.0..1500.0f64, 0.0..450.0f64, -400.0..400.0f64),
                     1..80,
                 ),
                 queries in prop::collection::vec(
@@ -726,23 +669,17 @@ mod tests {
                 ),
             ) {
                 let mut idx = ShardedFovIndex::new(100.0, IndexKind::RTree);
-                let (mut live, mut batch) = (Vec::new(), Vec::new());
+                let mut batch = Vec::new();
                 for (i, &(kind, t0, dur, north)) in ops.iter().enumerate() {
                     match kind {
                         // Stage; 1 also publishes the staged batch.
                         0 | 1 => {
                             batch.push((rep(t0, t0 + dur, north), SegmentId(i as u32)));
                             if kind == 1 {
-                                idx.bulk_insert(&batch);
-                                live.append(&mut batch);
+                                idx.bulk_insert(&std::mem::take(&mut batch));
                             }
                         }
-                        2 => _ = idx.expire_before(t0),
-                        _ if !live.is_empty() => {
-                            let (r, id) = live.swap_remove(i % live.len());
-                            idx.remove(&r, id);
-                        }
-                        _ => {}
+                        _ => _ = idx.expire_before(t0),
                     }
                 }
                 idx.bulk_insert(&batch);

@@ -437,6 +437,41 @@ fn retraction_hides_demoted_rows() {
     }
 }
 
+/// A retraction retires live rows without unindexing them, so the expiry
+/// that later drops their shard must not demote them: a cold run written
+/// after the retraction does not hide its provider. Provider 7 retracts
+/// while its rows are live; expiry demotes only 8's rows, and 7 stays
+/// gone from the cold tier, also after a reopen from a snapshot or from
+/// the WAL alone.
+#[test]
+fn retracted_live_rows_never_reach_the_cold_tier() {
+    for snapshot_min_wal_bytes in [0, u64::MAX] {
+        let dir = tmp_dir();
+        let mut config = durable_config();
+        config.durability.snapshot_min_wal_bytes = snapshot_min_wal_bytes;
+        {
+            let server = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
+            // Bucket 0 (width 600 s): five rows each of providers 7 and 8.
+            for i in 0..10 {
+                let (rep, mut source) = rec(i, 4.0);
+                source.provider_id = 7 + i % 2;
+                server.ingest_one(rep, source).unwrap();
+            }
+            assert_eq!(providers_in(&server, 0.0, 100.0), [7, 8]);
+            assert_eq!(server.retract_provider(7).unwrap(), 5);
+            assert_eq!(providers_in(&server, 0.0, 100.0), [8]);
+            assert_eq!(server.expire_before(700.0).unwrap(), 5, "8's rows only");
+            assert_eq!(providers_in(&server, 0.0, 100.0), [8]);
+            assert_eq!(server.durability_stats().unwrap().cold_segments, 5);
+            assert_eq!(server.stats().segments, 0);
+        }
+        let reopened = CloudServer::open(&dir, CameraProfile::smartphone(), config).unwrap();
+        assert_eq!(providers_in(&reopened, 0.0, 100.0), [8]);
+        drop(reopened);
+        std::fs::remove_dir_all(&dir).ok();
+    }
+}
+
 #[test]
 fn expired_shards_demote_to_cold_and_stay_queryable() {
     let dir = tmp_dir();

@@ -186,6 +186,25 @@ fn retraction_removes_published_and_pending_records() {
     let hits = server.query(&q, &opts);
     assert_eq!(hits.len(), 3);
     assert!(hits.iter().all(|h| h.source.provider_id == 2));
+    // Retraction edits no packed run: the retired rows stay indexed (and
+    // counted per shard) while the answers skip them.
+    assert!(server.explain(&q, &opts).contains("#0(x19/2r)"));
+
+    // 16 more rows, merged with both runs into one of 35, then retracted:
+    // 32 of 35 slots are retired, still all indexed.
+    server.ingest_batch(&batch(3, 16));
+    assert_eq!(server.retract_provider(3).unwrap(), 16);
+    assert!(server.explain(&q, &opts).contains("#0(x35/1r)"));
+    assert_eq!(server.query(&q, &opts).len(), 3);
+    // The next fold crosses the compaction threshold (32 retired slots,
+    // over a quarter of the store) and rebuilds the index from the live
+    // rows: the shard count equals the live segments again.
+    server.ingest_batch(&batch(2, 1));
+    assert_eq!(server.stats().segments, 4);
+    assert!(server.explain(&q, &opts).contains("#0(x4/1r)"));
+    let hits = server.query(&q, &opts);
+    assert_eq!(hits.len(), 4);
+    assert!(hits.iter().all(|h| h.source.provider_id == 2));
 }
 
 #[test]

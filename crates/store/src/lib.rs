@@ -6,19 +6,19 @@
 //! [`SegmentStore`] (which also lives here so background workers can hold
 //! cheap copy-on-write clones of it):
 //!
-//! 1. **Segment WAL** ([`wal`]): every mutation is appended as one
+//! 1. **Segment WAL** (`wal`): every mutation is appended as one
 //!    crc32-framed record before it touches the in-memory engine — an
 //!    ingest call as one frame holding its upload batch's wire bytes —
 //!    and a mutation the log refuses is not applied. Fsyncs are
 //!    group-committed on an injectable clock; opening a WAL directory
 //!    truncates any torn tail back to the last whole frame.
-//! 2. **Incremental snapshots** ([`durability`], [`manifest`]): each epoch
+//! 2. **Incremental snapshots** (`durability`, `manifest`): each epoch
 //!    publish hands a COW store clone plus the epoch's per-bucket
 //!    `CacheStamp` versions to a background worker, which rewrites only
 //!    the time-shard buckets whose version moved since the last manifest,
 //!    then atomically swaps the manifest and retires WAL segments the new
 //!    snapshot covers.
-//! 3. **Cold tier** ([`cold`]): retention no longer deletes aged-out
+//! 3. **Cold tier** (`cold`): retention no longer deletes aged-out
 //!    shards outright — their records are demoted to immutable on-disk
 //!    runs that the query path can still reach through a `cold_scan`
 //!    operator. Each run's header carries a zone map (count + 3-D MBR),

@@ -80,12 +80,13 @@ impl Clone for Group {
 /// wholesale when the store compacts or a snapshot is reloaded; the
 /// durable external handle is [`SegmentRef`].)
 ///
-/// Records live in two levels of `Arc`s: chunks of [`CHUNK`] records in
-/// groups of [`GROUP`] chunks. Cloning the store — which the server does
-/// on every publish — is one pointer bump per group, and a clone shares
-/// all memory with its parent until one side writes (copy-on-write via
-/// [`Arc::make_mut`]): the first push after a clone copies the tail
-/// group's chunk pointers and the tail chunk, never a full group.
+/// Records live in two levels of `Arc`s: chunks of `CHUNK` (256)
+/// records in groups of `GROUP` (64) chunks. Cloning the store — which
+/// the server does on every publish — is one pointer bump per group, and
+/// a clone shares all memory with its parent until one side writes
+/// (copy-on-write via [`Arc::make_mut`]): the first push after a clone
+/// copies the tail group's chunk pointers and the tail chunk, never a
+/// full group.
 #[derive(Debug, Clone, Default)]
 pub struct SegmentStore {
     groups: Vec<Arc<Group>>,
