@@ -16,8 +16,8 @@ use swag_bench::{experiments_dir, fmt_bytes, fmt_duration, pearson, time_per_cal
 use swag_client::{compare_architectures, ClientPipeline, CrowdScenario, Uploader, VideoProfile};
 use swag_core::similarity::{sim_parallel, sim_perp};
 use swag_core::{
-    abstract_segment, segment_video, similarity, vector_model_similarity, AveragingRule,
-    CameraProfile, DescriptorCodec, Fov, RepFov, Segment, TimedFov,
+    abstract_segment, segment_video, similarity, vector_model_similarity, CameraProfile,
+    DescriptorCodec, Fov, RepFov, Segment, TimedFov,
 };
 use swag_geo::{angle_diff_deg, LatLon, LocalFrame, Vec2};
 use swag_net::{plan_uploads, Connectivity, DataPlan, NetworkLink, UploadPolicy};
@@ -481,7 +481,7 @@ fn tab_desc() {
             .collect(),
     };
     let fov_extract = time_per_call(10_000, || {
-        std::hint::black_box(abstract_segment(&seg, AveragingRule::Circular));
+        std::hint::black_box(abstract_segment(&seg));
     });
     let f1 = Fov::new(LatLon::new(40.0, 116.32), 10.0);
     let f2 = Fov::new(LatLon::new(40.0005, 116.3205), 40.0);
@@ -872,9 +872,9 @@ fn ablation_radius() {
 }
 
 fn ablation_mean() {
-    // A camera panning across north (350° → 10°): the arithmetic mean of
-    // eq. 11 points the representative FoV south; the circular mean stays
-    // north.
+    // A camera panning across north (350° → 10°): a plain arithmetic mean
+    // of the raw azimuths points the representative FoV south; eq. 11 over
+    // azimuths unwrapped around the first frame's stays north.
     let trace: Vec<TimedFov> = (0..41)
         .map(|i| {
             TimedFov::new(
@@ -889,15 +889,18 @@ fn ablation_mean() {
     let seg = Segment { fovs: trace };
     let true_mean = 0.0; // midpoint of 350°..10°
     let mut t = ResultTable::new("ablation-mean", &["rule", "rep_theta", "error_deg"]);
-    for (name, rule) in [
-        ("arithmetic (paper eq. 11)", AveragingRule::Arithmetic),
-        ("circular (ours)", AveragingRule::Circular),
+    let raw: Vec<f64> = seg.fovs.iter().map(|f| f.fov.theta).collect();
+    for (name, theta) in [
+        (
+            "plain arithmetic (wraps)",
+            swag_geo::angle::arithmetic_mean_deg(&raw).expect("non-empty segment"),
+        ),
+        ("eq. 11 unwrapped (ours)", abstract_segment(&seg).fov.theta),
     ] {
-        let rep = abstract_segment(&seg, rule);
         t.row(vec![
             name.into(),
-            format!("{:.2}", rep.fov.theta),
-            format!("{:.2}", angle_diff_deg(rep.fov.theta, true_mean)),
+            format!("{theta:.2}"),
+            format!("{:.2}", angle_diff_deg(theta, true_mean)),
         ]);
     }
     finish(t);
@@ -1381,7 +1384,7 @@ fn ablation_mbr() {
         .iter()
         .map(|fovs| {
             let seg = Segment { fovs: fovs.clone() };
-            let rep = abstract_segment(&seg, AveragingRule::Circular);
+            let rep = abstract_segment(&seg);
             Aabb::new(
                 [rep.fov.p.lng, rep.fov.p.lat, rep.t_start],
                 [rep.fov.p.lng, rep.fov.p.lat, rep.t_end],

@@ -3,9 +3,7 @@
 
 use std::sync::Arc;
 
-use swag_core::{
-    AveragingRule, CameraProfile, FovSmoother, RepAccumulator, RepFov, Segmenter, TimedFov,
-};
+use swag_core::{CameraProfile, FovSmoother, RepAccumulator, RepFov, Segmenter, TimedFov};
 use swag_obs::{Counter, Histogram, Registry};
 
 /// Metric handles for an instrumented pipeline (`swag_client_*`).
@@ -41,7 +39,6 @@ impl RecordingResult {
 #[derive(Debug, Clone)]
 pub struct ClientPipeline {
     segmenter: Segmenter,
-    rule: AveragingRule,
     smoother: Option<FovSmoother>,
     /// Eq. 11 sums of the open segment; `None` before the first frame.
     open: Option<RepAccumulator>,
@@ -50,17 +47,12 @@ pub struct ClientPipeline {
 }
 
 impl ClientPipeline {
-    /// Creates a pipeline with the paper's defaults (circular averaging,
-    /// no smoothing).
+    /// Creates a pipeline with the paper's defaults (eq. 11's arithmetic
+    /// mean, azimuths unwrapped around each segment's first frame; no
+    /// smoothing).
     pub fn new(cam: CameraProfile, thresh: f64) -> Self {
-        Self::with_rule(cam, thresh, AveragingRule::Circular)
-    }
-
-    /// Creates a pipeline with an explicit averaging rule.
-    pub fn with_rule(cam: CameraProfile, thresh: f64, rule: AveragingRule) -> Self {
         ClientPipeline {
             segmenter: Segmenter::new(cam, thresh),
-            rule,
             smoother: None,
             open: None,
             reps: Vec::new(),
@@ -101,7 +93,7 @@ impl ClientPipeline {
             obs.frames.inc();
         }
         if self.segmenter.push(frame) {
-            let opened = RepAccumulator::new(frame, self.rule);
+            let opened = RepAccumulator::new(frame);
             if let Some(done) = self.open.replace(opened) {
                 self.close(done);
             }
@@ -298,6 +290,28 @@ mod tests {
             let d = r.fov.p.haversine_m(seam);
             assert!(d < 60.0, "rep at {:?} is {d} m from the seam", r.fov.p);
         }
+    }
+
+    #[test]
+    fn pan_across_north_keeps_its_rep_facing_north() {
+        // Standing still, panning 350° → 10° at 0.5° per frame: one
+        // segment, whose plain mean of raw azimuths would face south.
+        let trace: Vec<TimedFov> = (0..41)
+            .map(|i| {
+                let theta = 350.0 + 0.5 * f64::from(i);
+                TimedFov::new(
+                    f64::from(i) / 25.0,
+                    Fov::new(LatLon::new(40.0, 116.32), theta),
+                )
+            })
+            .collect();
+        let result = ClientPipeline::process_trace(cam(), 0.5, &trace);
+        assert_eq!(result.segment_count(), 1);
+        let theta = result.reps[0].fov.theta;
+        assert!(
+            swag_geo::angle_diff_deg(theta, 0.0) < 1.0,
+            "rep faces {theta}°"
+        );
     }
 
     #[test]

@@ -1,15 +1,15 @@
 //! Golden digests of the client pipeline's output.
 //!
 //! A fixed set of noisy sensor traces runs through [`ClientPipeline`]
-//! under every combination of threshold, averaging rule, smoothing and
-//! segment-duration bound. Each combination's representative FoVs are
+//! under every combination of threshold, smoothing and segment-duration
+//! bound. Each combination's representative FoVs are
 //! hashed bit by bit (FNV-1a over `t_start`, `t_end`, `lat`, `lng`,
 //! `theta`) and compared, with the segment count, against constants
 //! recorded from the reference implementation. Any change to where Alg. 1
 //! cuts or to a single bit of eq. 11 shows up here.
 
 use swag_client::ClientPipeline;
-use swag_core::{AveragingRule, CameraProfile, RepFov, TimedFov};
+use swag_core::{CameraProfile, RepFov, TimedFov};
 use swag_sensors::scenarios::{
     bike_ride_with_turn, city_walk, drive_straight, rotate_in_place, walk_parallel,
     walk_perpendicular,
@@ -49,40 +49,29 @@ fn digest(reps: &[RepFov], mut h: u64) -> u64 {
     h
 }
 
-/// `(thresh, rule, smoothing alpha, max segment s) → (segments, digest)`.
-type Golden = (f64, AveragingRule, Option<f64>, Option<f64>, usize, u64);
+/// `(thresh, smoothing alpha, max segment s) → (segments, digest)`.
+type Golden = (f64, Option<f64>, Option<f64>, usize, u64);
 
-const GOLDEN: [Golden; 16] = {
-    use AveragingRule::{Arithmetic as A, Circular as C};
-    [
-        (0.5, C, None, None, 263, 0xd4fa_2309_3346_8106),
-        (0.5, C, None, Some(5.0), 272, 0x3aa7_e52e_8c6d_aa8c),
-        (0.5, C, Some(0.3), None, 102, 0xb305_9c21_0183_445b),
-        (0.5, C, Some(0.3), Some(5.0), 245, 0x081e_6975_efdc_240e),
-        (0.5, A, None, None, 263, 0x3949_2a69_3f55_0c70),
-        (0.5, A, None, Some(5.0), 272, 0xe650_bb62_6c8d_f329),
-        (0.5, A, Some(0.3), None, 102, 0xdc28_d540_25f4_6845),
-        (0.5, A, Some(0.3), Some(5.0), 245, 0x661d_36a7_3423_dd73),
-        (0.6, C, None, None, 709, 0x8b6c_0636_b323_ddb5),
-        (0.6, C, None, Some(5.0), 632, 0xf963_3e6b_6f5c_02b3),
-        (0.6, C, Some(0.3), None, 141, 0x89d0_0224_b92c_78b7),
-        (0.6, C, Some(0.3), Some(5.0), 269, 0xd007_2687_2c98_7957),
-        (0.6, A, None, None, 709, 0xc5b1_abd2_119e_5479),
-        (0.6, A, None, Some(5.0), 632, 0x3c95_dff0_7182_459f),
-        (0.6, A, Some(0.3), None, 141, 0xa799_ef2d_5651_355d),
-        (0.6, A, Some(0.3), Some(5.0), 269, 0x8ad8_5b91_82af_73cb),
-    ]
-};
+const GOLDEN: [Golden; 8] = [
+    (0.5, None, None, 263, 0x1dcb_9fa1_e648_c3a4),
+    (0.5, None, Some(5.0), 272, 0x6cea_3621_0126_fdf7),
+    (0.5, Some(0.3), None, 102, 0x4038_7b08_325b_342a),
+    (0.5, Some(0.3), Some(5.0), 245, 0xebd2_3a7c_963c_d910),
+    (0.6, None, None, 709, 0x0524_763f_3197_558e),
+    (0.6, None, Some(5.0), 632, 0x2d4f_ca8e_5d74_8776),
+    (0.6, Some(0.3), None, 141, 0xdd16_6586_04f1_a609),
+    (0.6, Some(0.3), Some(5.0), 269, 0x5bbe_6c8d_f619_f3f3),
+];
 
 #[test]
 fn pipeline_reps_match_golden_digests() {
     let cam = CameraProfile::smartphone();
     let traces = traces();
     let mut mismatches = Vec::new();
-    for &(thresh, rule, smoothing, max_s, want_segments, want_digest) in &GOLDEN {
+    for &(thresh, smoothing, max_s, want_segments, want_digest) in &GOLDEN {
         let (mut segments, mut h) = (0usize, 0xcbf2_9ce4_8422_2325u64);
         for trace in &traces {
-            let mut p = ClientPipeline::with_rule(cam, thresh, rule);
+            let mut p = ClientPipeline::new(cam, thresh);
             if let Some(alpha) = smoothing {
                 p = p.with_smoothing(alpha);
             }
@@ -99,7 +88,7 @@ fn pipeline_reps_match_golden_digests() {
         }
         if (segments, h) != (want_segments, want_digest) {
             mismatches.push(format!(
-                "({thresh}, {rule:?}, {smoothing:?}, {max_s:?}) → {segments}, {h:#018x}"
+                "({thresh}, {smoothing:?}, {max_s:?}) → {segments}, {h:#018x}"
             ));
         }
     }

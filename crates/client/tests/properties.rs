@@ -4,8 +4,7 @@
 use proptest::prelude::*;
 use swag_client::{compare_architectures, ClientPipeline, CrowdScenario, Uploader, VideoProfile};
 use swag_core::{
-    abstract_segment, segment_video, AveragingRule, CameraProfile, DescriptorCodec, Fov, RepFov,
-    TimedFov,
+    abstract_segment, segment_video, CameraProfile, DescriptorCodec, Fov, RepFov, TimedFov,
 };
 use swag_geo::LatLon;
 
@@ -30,18 +29,22 @@ proptest! {
     fn pipeline_equals_offline_segmentation(trace in arb_trace(), thresh in 0.0f64..=1.0) {
         // The streaming pipeline (running sums, no frame buffer) produces
         // exactly the reps of segmenting offline and averaging each
-        // segment's frames, for both averaging rules.
+        // segment's frames, bit for bit.
         let cam = CameraProfile::smartphone();
         let offline = segment_video(&trace, &cam, thresh);
-        for rule in [AveragingRule::Circular, AveragingRule::Arithmetic] {
-            let mut pipeline = ClientPipeline::with_rule(cam, thresh, rule);
-            for &f in &trace {
-                pipeline.push(f);
-            }
-            let result = pipeline.finish();
-            prop_assert_eq!(result.frames, trace.len() as u64);
-            let expected: Vec<RepFov> = offline.iter().map(|s| abstract_segment(s, rule)).collect();
-            prop_assert_eq!(result.reps, expected);
+        let mut pipeline = ClientPipeline::new(cam, thresh);
+        for &f in &trace {
+            pipeline.push(f);
+        }
+        let result = pipeline.finish();
+        prop_assert_eq!(result.frames, trace.len() as u64);
+        let expected: Vec<RepFov> = offline.iter().map(abstract_segment).collect();
+        prop_assert_eq!(result.reps.len(), expected.len());
+        for (got, want) in result.reps.iter().zip(&expected) {
+            let bits = |r: &RepFov| {
+                [r.t_start, r.t_end, r.fov.p.lat, r.fov.p.lng, r.fov.theta].map(f64::to_bits)
+            };
+            prop_assert_eq!(bits(got), bits(want));
         }
     }
 

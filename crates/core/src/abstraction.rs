@@ -6,27 +6,20 @@
 //! uploaded to the server, which minimises client traffic and keeps the
 //! index compact.
 //!
-//! The paper's eq. 11 averages orientations arithmetically, which breaks at
-//! the 0°/360° wrap (the mean of `{350°, 10°}` would be `180°` — the exact
-//! opposite direction). We default to the circular mean and keep the
-//! arithmetic rule behind [`AveragingRule::Arithmetic`] for the ablation.
+//! The paper's eq. 11 averages orientations arithmetically. Taken
+//! literally that breaks at the 0°/360° wrap (the mean of `{350°, 10°}`
+//! would be `180°`, the exact opposite direction), so each azimuth is
+//! first unwrapped to within 180° of the segment's first frame, as
+//! longitudes are. The unwrapped arithmetic mean is well defined for every
+//! segment Alg. 1 cuts with `thresh > 0`: each member passed the cut test
+//! against the first frame, which keeps it within `2α(1 − thresh) < 180°`
+//! of that frame (DESIGN.md, "Reconstructed formulas").
 
 use serde::{Deserialize, Serialize};
-use swag_geo::{normalize_deg, CircularMean, LatLon};
+use swag_geo::{normalize_deg, LatLon};
 
 use crate::fov::{Fov, TimedFov};
 use crate::segmentation::Segment;
-
-/// How segment orientations are averaged into the representative azimuth.
-#[derive(Debug, Clone, Copy, PartialEq, Eq, Serialize, Deserialize)]
-pub enum AveragingRule {
-    /// Paper-faithful arithmetic mean of `θ` values (eq. 11). Wraps
-    /// incorrectly across 0°/360°.
-    Arithmetic,
-    /// Circular (directional) mean — the default. Falls back to the first
-    /// frame's orientation when the directions cancel exactly.
-    Circular,
-}
 
 /// A representative FoV: one uploaded record per video segment
 /// (paper §IV-B).
@@ -71,19 +64,19 @@ impl RepFov {
 }
 
 /// Extracts the representative FoV of a segment (paper eq. 11):
-/// `p̄ = Σp / |s|`, `θ̄ = mean of θ` under the chosen rule, with the
-/// segment's `[t_s, t_e]` interval attached. A fold over
-/// [`RepAccumulator`].
+/// `p̄ = Σp / |s|`, `θ̄ = Σθ / |s|` (each unwrapped to within 180° of the
+/// first frame), with the segment's `[t_s, t_e]` interval attached. A fold
+/// over [`RepAccumulator`].
 ///
 /// # Panics
 /// Panics if the segment is empty (segments produced by
 /// [`crate::segmentation`] never are).
-pub fn abstract_segment(segment: &Segment, rule: AveragingRule) -> RepFov {
+pub fn abstract_segment(segment: &Segment) -> RepFov {
     let (first, rest) = segment
         .fovs
         .split_first()
         .expect("cannot abstract an empty segment");
-    let mut acc = RepAccumulator::new(*first, rule);
+    let mut acc = RepAccumulator::new(*first);
     for &f in rest {
         acc.push(f);
     }
@@ -97,12 +90,13 @@ pub fn abstract_segment(segment: &Segment, rule: AveragingRule) -> RepFov {
 /// floating-point sum a pass over the segment's frames computes and
 /// [`rep`](Self::rep) is bit-identical to averaging the frames at once.
 ///
-/// Longitudes are averaged the short way round, as
-/// [`LatLon::displacement_to`] measures them: a frame more than 180° of
-/// longitude from the first frame is summed shifted by ∓360°, so a
-/// segment that crosses the ±180° antimeridian gets its rep at the seam,
-/// not on the far side of the globe. A segment that does not cross sums
-/// its raw longitudes, bit for bit.
+/// Longitudes and azimuths are averaged the short way round, as
+/// [`LatLon::displacement_to`] and the cut test measure them: a frame more
+/// than 180° from the first frame is summed shifted by ∓360°, so a
+/// segment that crosses the ±180° antimeridian gets its rep at the seam
+/// and one that pans across north gets its rep near 0°, not on the far
+/// side. A segment that crosses neither seam sums its raw values, bit for
+/// bit.
 #[derive(Debug, Clone, Copy)]
 pub struct RepAccumulator {
     frames: u64,
@@ -110,35 +104,23 @@ pub struct RepAccumulator {
     /// `Σ lng`, each unwrapped to within 180° of `first_lng`.
     lng_sum: f64,
     first_lng: f64,
-    theta: ThetaSum,
+    /// `Σ θ`, each unwrapped to within 180° of `first_theta`; started at
+    /// `−0.0` as `Iterator::<f64>::sum` starts, so a lone `−0.0` azimuth
+    /// keeps its sign bit.
+    theta_sum: f64,
+    first_theta: f64,
     t_start: f64,
     t_end: f64,
-    /// The first frame's azimuth: the circular rule's answer when the
-    /// directions cancel exactly.
-    first_theta: f64,
-}
-
-/// The orientation sums one [`AveragingRule`] needs.
-#[derive(Debug, Clone, Copy)]
-enum ThetaSum {
-    /// `Σθ`, started at `−0.0` as `Iterator::<f64>::sum` starts, so a lone
-    /// `−0.0` azimuth keeps its sign bit.
-    Arithmetic(f64),
-    /// `Σ sin θ` and `Σ cos θ`.
-    Circular(CircularMean),
 }
 
 impl RepAccumulator {
     /// Opens a segment at its first frame.
-    pub fn new(first: TimedFov, rule: AveragingRule) -> Self {
+    pub fn new(first: TimedFov) -> Self {
         let mut acc = RepAccumulator {
             frames: 0,
             lat_sum: 0.0,
             lng_sum: 0.0,
-            theta: match rule {
-                AveragingRule::Arithmetic => ThetaSum::Arithmetic(-0.0),
-                AveragingRule::Circular => ThetaSum::Circular(CircularMean::default()),
-            },
+            theta_sum: -0.0,
             t_start: first.t,
             t_end: first.t,
             first_lng: first.fov.p.lng,
@@ -153,16 +135,8 @@ impl RepAccumulator {
     pub fn push(&mut self, f: TimedFov) {
         self.frames += 1;
         self.lat_sum += f.fov.p.lat;
-        let lng = f.fov.p.lng;
-        self.lng_sum += match lng - self.first_lng {
-            d if d > 180.0 => lng - 360.0,
-            d if d < -180.0 => lng + 360.0,
-            _ => lng,
-        };
-        match &mut self.theta {
-            ThetaSum::Arithmetic(sum) => *sum += f.fov.theta,
-            ThetaSum::Circular(mean) => mean.push(f.fov.theta),
-        }
+        self.lng_sum += unwrap_near(f.fov.p.lng, self.first_lng);
+        self.theta_sum += unwrap_near(f.fov.theta, self.first_theta);
         self.t_end = f.t;
     }
 
@@ -174,11 +148,19 @@ impl RepAccumulator {
         let n = self.frames as f64;
         // `LatLon::new` wraps a mean unwrapped past ±180° back into range.
         let p_bar = LatLon::new(self.lat_sum / n, self.lng_sum / n);
-        let theta_bar = match self.theta {
-            ThetaSum::Arithmetic(sum) => normalize_deg(sum / n),
-            ThetaSum::Circular(mean) => mean.mean().unwrap_or(self.first_theta),
-        };
+        let theta_bar = normalize_deg(self.theta_sum / n);
         RepFov::new(self.t_start, self.t_end, Fov::new(p_bar, theta_bar))
+    }
+}
+
+/// `deg` shifted by ∓360° when it lies more than 180° above or below
+/// `first`; unchanged otherwise, bit for bit.
+#[inline]
+fn unwrap_near(deg: f64, first: f64) -> f64 {
+    match deg - first {
+        d if d > 180.0 => deg - 360.0,
+        d if d < -180.0 => deg + 360.0,
+        _ => deg,
     }
 }
 
@@ -198,10 +180,16 @@ mod tests {
     fn single_frame_segment_is_identity() {
         let f = Fov::new(origin(), 42.0);
         let s = seg(vec![TimedFov::new(3.0, f)]);
-        let r = abstract_segment(&s, AveragingRule::Circular);
+        let r = abstract_segment(&s);
         assert_eq!(r.t_start, 3.0);
         assert_eq!(r.t_end, 3.0);
         assert_eq!(r.fov, f);
+        // The azimuth survives bit for bit, sign of zero included.
+        for theta in [-0.0, 0.0, 42.0, 180.0, 359.999_999_999_999_94] {
+            let f = Fov::new(origin(), theta);
+            let r = abstract_segment(&seg(vec![TimedFov::new(3.0, f)]));
+            assert_eq!(r.fov.theta.to_bits(), f.theta.to_bits(), "{theta}");
+        }
     }
 
     #[test]
@@ -209,7 +197,7 @@ mod tests {
         let a = Fov::new(LatLon::new(40.0, 116.0), 10.0);
         let b = Fov::new(LatLon::new(40.002, 116.004), 20.0);
         let s = seg(vec![TimedFov::new(0.0, a), TimedFov::new(1.0, b)]);
-        let r = abstract_segment(&s, AveragingRule::Circular);
+        let r = abstract_segment(&s);
         assert!((r.fov.p.lat - 40.001).abs() < 1e-12);
         assert!((r.fov.p.lng - 116.002).abs() < 1e-12);
         assert!((r.fov.theta - 15.0).abs() < 1e-9);
@@ -221,39 +209,31 @@ mod tests {
         let east = Fov::new(LatLon::new(10.0, 179.9995), 90.0);
         let west = Fov::new(LatLon::new(10.0, -179.9995), 90.0);
         let s = seg(vec![TimedFov::new(0.0, east), TimedFov::new(1.0, west)]);
-        let r = abstract_segment(&s, AveragingRule::Circular);
+        let r = abstract_segment(&s);
         assert!(r.fov.p.lng.abs() > 179.9999, "rep at lng {}", r.fov.p.lng);
         assert!((-180.0..180.0).contains(&r.fov.p.lng));
         assert!(r.fov.p.distance_m(east.p) < 60.0);
 
         let s = seg(vec![TimedFov::new(0.0, west), TimedFov::new(1.0, east)]);
-        let r = abstract_segment(&s, AveragingRule::Circular);
+        let r = abstract_segment(&s);
         assert!(r.fov.p.lng.abs() > 179.9999, "rep at lng {}", r.fov.p.lng);
         assert!(r.fov.p.distance_m(west.p) < 60.0);
     }
 
     #[test]
-    fn circular_mean_survives_wraparound() {
-        let s = seg(vec![
-            TimedFov::new(0.0, Fov::new(origin(), 350.0)),
-            TimedFov::new(1.0, Fov::new(origin(), 10.0)),
-        ]);
-        let circular = abstract_segment(&s, AveragingRule::Circular);
-        assert!(circular.fov.theta < 1e-6 || circular.fov.theta > 359.999);
-
-        // The paper-faithful rule points the representative FoV backwards.
-        let arithmetic = abstract_segment(&s, AveragingRule::Arithmetic);
-        assert!((arithmetic.fov.theta - 180.0).abs() < 1e-9);
-    }
-
-    #[test]
-    fn cancelling_directions_fall_back_to_first_frame() {
-        let s = seg(vec![
-            TimedFov::new(0.0, Fov::new(origin(), 0.0)),
-            TimedFov::new(1.0, Fov::new(origin(), 180.0)),
-        ]);
-        let r = abstract_segment(&s, AveragingRule::Circular);
-        assert_eq!(r.fov.theta, 0.0);
+    fn orientation_averages_the_short_way_across_north() {
+        // A plain mean of {350°, 10°} would point the rep south (180°).
+        for (first, second) in [(350.0, 10.0), (10.0, 350.0)] {
+            let s = seg(vec![
+                TimedFov::new(0.0, Fov::new(origin(), first)),
+                TimedFov::new(1.0, Fov::new(origin(), second)),
+            ]);
+            let theta = abstract_segment(&s).fov.theta;
+            assert!(
+                swag_geo::angle_diff_deg(theta, 0.0) < 1e-9,
+                "{first}, {second} → {theta}"
+            );
+        }
     }
 
     #[test]
@@ -270,7 +250,7 @@ mod tests {
     #[test]
     #[should_panic(expected = "empty segment")]
     fn empty_segment_panics() {
-        abstract_segment(&seg(vec![]), AveragingRule::Circular);
+        abstract_segment(&seg(vec![]));
     }
 
     #[test]

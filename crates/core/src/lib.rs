@@ -60,7 +60,7 @@ pub mod similarity;
 pub mod smoothing;
 pub mod trace_io;
 
-pub use abstraction::{abstract_segment, AveragingRule, RepAccumulator, RepFov};
+pub use abstraction::{abstract_segment, RepAccumulator, RepFov};
 pub use descriptor::{DescriptorCodec, UploadBatch};
 pub use fov::{CameraProfile, Fov, TimedFov};
 pub use interpolation::{interpolate_trace, sample_at};

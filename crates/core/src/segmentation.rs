@@ -63,10 +63,11 @@ impl Segment {
         self.fovs.is_empty()
     }
 
-    /// Abstracts the segment with the default (circular-mean) averaging
-    /// rule. See [`crate::abstraction::abstract_segment`].
+    /// Abstracts the segment into its representative FoV (eq. 11, azimuths
+    /// unwrapped around the first frame's). See
+    /// [`crate::abstraction::abstract_segment`].
     pub fn abstract_default(&self) -> crate::abstraction::RepFov {
-        crate::abstraction::abstract_segment(self, crate::abstraction::AveragingRule::Circular)
+        crate::abstraction::abstract_segment(self)
     }
 }
 

@@ -6,7 +6,7 @@ use proptest::prelude::*;
 use swag_core::similarity::{sim_parallel, sim_perp, sim_rotation, sim_translation};
 use swag_core::{
     abstract_segment, sector_contains, sector_intersects_circle, segment_video, similarity,
-    AveragingRule, CameraProfile, DescriptorCodec, Fov, RepFov, Segment, Segmenter, TimedFov,
+    CameraProfile, DescriptorCodec, Fov, RepFov, Segment, Segmenter, TimedFov,
 };
 use swag_geo::LatLon;
 
@@ -186,7 +186,7 @@ proptest! {
             })
             .collect();
         let seg = Segment { fovs: fovs.clone() };
-        let rep = abstract_segment(&seg, AveragingRule::Circular);
+        let rep = abstract_segment(&seg);
         // Representative position is inside the bounding box of members.
         let lats: Vec<f64> = fovs.iter().map(|f| f.fov.p.lat).collect();
         let lngs: Vec<f64> = fovs.iter().map(|f| f.fov.p.lng).collect();

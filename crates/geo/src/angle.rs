@@ -43,62 +43,11 @@ pub fn signed_angle_diff_deg(a: f64, b: f64) -> f64 {
     signed_deg(b - a)
 }
 
-/// Circular (directional) mean of a set of azimuths in degrees.
+/// Plain arithmetic mean of azimuths, with no unwrapping — the
+/// averaging-rule ablation's baseline.
 ///
-/// Returns `None` for an empty slice or when the resultant vector is
-/// (near-)zero, i.e. the directions cancel out and no mean is defined.
-///
-/// Unlike the paper's eq. 11 (plain arithmetic mean of `θ`), the circular
-/// mean is well defined across the 0°/360° wrap: the mean of `{350°, 10°}`
-/// is `0°`, not `180°`.
-pub fn circular_mean_deg(angles: &[f64]) -> Option<f64> {
-    let mut mean = CircularMean::default();
-    for &a in angles {
-        mean.push(a);
-    }
-    mean.mean()
-}
-
-/// Running sums of a circular mean: [`push`](Self::push) azimuths one at
-/// a time, read [`mean`](Self::mean) at any point. [`circular_mean_deg`]
-/// is a fold over it, so both give the same bits for the same angles in
-/// the same order.
-#[derive(Debug, Clone, Copy, Default, PartialEq)]
-pub struct CircularMean {
-    sin_sum: f64,
-    cos_sum: f64,
-    count: u64,
-}
-
-impl CircularMean {
-    /// Adds one azimuth in degrees.
-    #[inline]
-    pub fn push(&mut self, deg: f64) {
-        let r = deg.to_radians();
-        self.sin_sum += r.sin();
-        self.cos_sum += r.cos();
-        self.count += 1;
-    }
-
-    /// The circular mean of the azimuths pushed so far; `None` when there
-    /// are none or they cancel out (see [`circular_mean_deg`]).
-    pub fn mean(&self) -> Option<f64> {
-        if self.count == 0 {
-            return None;
-        }
-        let n = self.count as f64;
-        if (self.sin_sum / n).hypot(self.cos_sum / n) < 1e-9 {
-            return None;
-        }
-        Some(normalize_deg(self.sin_sum.atan2(self.cos_sum).to_degrees()))
-    }
-}
-
-/// Plain arithmetic mean of azimuths — the paper's eq. 11, kept for
-/// faithfulness and for the averaging-rule ablation.
-///
-/// Returns `None` for an empty slice. Susceptible to the 0°/360° wrap (see
-/// [`circular_mean_deg`]).
+/// Returns `None` for an empty slice. Susceptible to the 0°/360° wrap: the
+/// mean of `{350°, 10°}` is `180°`, the exact opposite direction.
 pub fn arithmetic_mean_deg(angles: &[f64]) -> Option<f64> {
     if angles.is_empty() {
         return None;
@@ -162,26 +111,24 @@ mod tests {
     }
 
     #[test]
-    fn circular_mean_handles_wrap() {
-        let m = circular_mean_deg(&[350.0, 10.0]).unwrap();
-        assert!(close(m, 0.0), "got {m}");
-        // The arithmetic mean gets this wrong — the documented paper erratum.
+    fn arithmetic_mean_wraps_at_north() {
+        // Without unwrapping, {350°, 10°} averages to due south.
         let a = arithmetic_mean_deg(&[350.0, 10.0]).unwrap();
         assert!(close(a, 180.0));
     }
 
     #[test]
-    fn circular_mean_of_clustered_angles() {
-        let m = circular_mean_deg(&[88.0, 90.0, 92.0]).unwrap();
+    fn arithmetic_mean_of_clustered_angles() {
+        let m = arithmetic_mean_deg(&[88.0, 90.0, 92.0]).unwrap();
         assert!(close(m, 90.0));
     }
 
     #[test]
-    fn circular_mean_degenerate_cases() {
-        assert!(circular_mean_deg(&[]).is_none());
-        // Opposing directions cancel: undefined mean.
-        assert!(circular_mean_deg(&[0.0, 180.0]).is_none());
-        assert!(close(circular_mean_deg(&[45.0]).unwrap(), 45.0));
+    fn arithmetic_mean_degenerate_cases() {
+        assert!(arithmetic_mean_deg(&[]).is_none());
+        assert!(close(arithmetic_mean_deg(&[45.0]).unwrap(), 45.0));
+        // Normalised into [0, 360).
+        assert!(close(arithmetic_mean_deg(&[-10.0, -30.0]).unwrap(), 340.0));
     }
 
     #[test]

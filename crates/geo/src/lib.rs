@@ -21,7 +21,7 @@ pub mod local;
 pub mod trajectory;
 pub mod vec2;
 
-pub use angle::{angle_diff_deg, circular_mean_deg, normalize_deg, signed_deg, CircularMean};
+pub use angle::{angle_diff_deg, normalize_deg, signed_deg};
 pub use latlon::{lng_delta_deg, DistanceBound, LatLon, EARTH_RADIUS_M, METERS_PER_DEG};
 pub use local::LocalFrame;
 pub use trajectory::Trajectory;

@@ -1,7 +1,7 @@
 //! Property-based tests for the geodesy substrate.
 
 use proptest::prelude::*;
-use swag_geo::{angle_diff_deg, circular_mean_deg, normalize_deg, LatLon, LocalFrame, Vec2};
+use swag_geo::{angle_diff_deg, normalize_deg, LatLon, LocalFrame, Vec2};
 
 proptest! {
     #[test]
@@ -29,19 +29,6 @@ proptest! {
         let d1 = angle_diff_deg(a, b);
         let d2 = angle_diff_deg(a + s, b + s);
         prop_assert!((d1 - d2).abs() < 1e-6);
-    }
-
-    #[test]
-    fn circular_mean_rotation_equivariant(
-        base in 0.0f64..360.0,
-        spread in prop::collection::vec(-40.0f64..40.0, 1..20),
-        shift in 0.0f64..360.0,
-    ) {
-        let angles: Vec<f64> = spread.iter().map(|d| normalize_deg(base + d)).collect();
-        let shifted: Vec<f64> = spread.iter().map(|d| normalize_deg(base + d + shift)).collect();
-        let m = circular_mean_deg(&angles).unwrap();
-        let ms = circular_mean_deg(&shifted).unwrap();
-        prop_assert!(angle_diff_deg(normalize_deg(m + shift), ms) < 1e-6);
     }
 
     #[test]

@@ -72,9 +72,8 @@ pub use swag_vision as vision;
 pub mod prelude {
     pub use swag_client::{ClientPipeline, Uploader, VideoProfile};
     pub use swag_core::{
-        abstract_segment, segment_video, similarity, similarity_parts, AveragingRule,
-        CameraProfile, DescriptorCodec, Fov, FovSmoother, RepFov, Segment, Segmenter, TimedFov,
-        UploadBatch,
+        abstract_segment, segment_video, similarity, similarity_parts, CameraProfile,
+        DescriptorCodec, Fov, FovSmoother, RepFov, Segment, Segmenter, TimedFov, UploadBatch,
     };
     pub use swag_geo::{LatLon, LocalFrame, Trajectory, Vec2};
     pub use swag_net::{Connectivity, DataPlan, NetworkLink, TrafficMeter, UploadPolicy};
